@@ -38,6 +38,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== benchmark package (frozen API surface, offline) =="
+# benchmark/ is its own workspace and calls the crates' public API
+# directly; building and testing it here makes an API removal that
+# breaks that surface fail CI instead of the next benchmark run.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== static verifier (recipes + crafted refutations + ledger lint) =="
 cargo run --release -p xpc-bench --bin verify
 
@@ -112,12 +118,19 @@ if grep -rn '#\[deprecated' crates/; then
   exit 1
 fi
 
-echo "== simspeed (arena steady state + sampled >= 5x + parallel sweep) =="
+echo "== one-pricing-path gate (no allocating twins, nothing kept to police them) =="
+if grep -rnE 'fn oneway\(&mut self|oneway_invocation|lint_sink_pair|pre_refactor|exec_opts' crates/; then
+  echo "ci: a second pricing path is back; price through oneway_into / Invocation::priced" >&2
+  exit 1
+fi
+
+echo "== simspeed (arena steady state + parallel sweep) =="
 # The binary itself exits non-zero on slab growth after warmup, a
-# sampled-mode speedup below 5x the recorded pre-refactor baseline, a
 # parallel grid that is not byte-identical to the serial oracle, a pool
 # worker whose arena keeps growing past its first cell, or (on machines
 # with >= 4 hardware threads) a parallel-grid speedup below 2x serial.
+# Throughput before/after a change is the benchmark/ trajectory's job
+# (closed_sweep), not a ratio computed here.
 cargo run --release -p xpc-bench --bin simspeed
 grep -q '"simspeed": {"requests"' BENCH_figures.json \
   || { echo "ci: BENCH_figures.json is missing its simspeed section" >&2; exit 1; }

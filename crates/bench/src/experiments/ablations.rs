@@ -10,7 +10,7 @@ use kernels::XpcIpc;
 use rv64::{reg, Assembler};
 use simos::cost::CostModel;
 use simos::ipc::{EngineCacheStats, IpcSystem};
-use simos::ledger::InvokeOpts;
+use simos::ledger::{CycleLedger, InvokeOpts};
 use simos::transport::Transport;
 use xpc::kernel::{syscall, KernelEvent, XpcKernel, XpcKernelConfig};
 use xpc::layout::USER_CODE_VA;
@@ -116,8 +116,9 @@ pub fn engine_batch_rows() -> Vec<(u64, f64, EngineCacheStats)> {
         .into_iter()
         .map(|n| {
             let mut x = XpcIpc::sel4_xpc();
-            let inv = x.invoke_batch(n, 64, &InvokeOpts::call());
-            (n, inv.total as f64 / n as f64, x.stats)
+            let mut ledger = CycleLedger::new();
+            x.invoke_batch_into(n, 64, &InvokeOpts::call(), &mut ledger);
+            (n, ledger.total() as f64 / n as f64, x.stats)
         })
         .collect()
 }

@@ -3,7 +3,7 @@
 //!
 //! Each bar is the [`Invocation`] of an [`EmulatedXpc`] rung — the
 //! phase split (trampoline / xcall / xret) comes from its ledger, and the
-//! per-rung saving is the [`kernels::CycleLedger::diff`] against the
+//! per-rung saving is the [`kernels::CycleLedger::diff_into`] against the
 //! previous bar's ledger.
 
 use super::Report;
@@ -32,7 +32,8 @@ pub fn invocations() -> Vec<(&'static str, Invocation)> {
     CallBenchConfig::fig5_ladder()
         .into_iter()
         .map(|(config, cfg)| {
-            let inv = EmulatedXpc::new(config, &cfg).oneway(0, &InvokeOpts::call());
+            let mut sys = EmulatedXpc::new(config, &cfg);
+            let inv = Invocation::priced(|l| sys.oneway_into(0, &InvokeOpts::call(), l));
             (config, inv)
         })
         .collect()

@@ -126,7 +126,7 @@ pub fn grid_results() -> Vec<FuseCell> {
             .build(mk);
         let pid = mw.register_program(chain(depth, handover));
         let map: Vec<usize> = (0..=depth).collect();
-        let c = mw.exec_fused(0, pid, &map, 0);
+        let c = mw.exec(0, Step::Fused(pid), 0);
         FuseCell {
             system,
             depth,

@@ -19,7 +19,7 @@
 
 use super::Report;
 use crate::sweep::SIZES;
-use kernels::{InvokeOpts, Phase, Sel4, Sel4Transfer, XpcIpc, Zircon};
+use kernels::{CycleLedger, InvokeOpts, Phase, Sel4, Sel4Transfer, XpcIpc, Zircon};
 use simos::{Hardening, IpcSystem};
 
 /// The mitigation sets the grid sweeps, in column order.
@@ -87,21 +87,24 @@ pub fn results() -> Vec<Vec<HardenCell>> {
     simos::par::map_cells(mechanisms(), |_, mk, _| {
         let mut s = mk();
         let system = s.name();
-        let base: Vec<u64> = SIZES
-            .iter()
-            .map(|&b| s.oneway(b, &InvokeOpts::call()).total)
-            .collect();
+        let mut ledger = CycleLedger::new();
+        let mut price = |b: usize, h: Hardening| {
+            ledger.clear();
+            s.oneway_into(b, &InvokeOpts::call().hardened(h), &mut ledger);
+            (ledger.total(), ledger.get(Phase::Scrub))
+        };
+        let base: Vec<u64> = SIZES.iter().map(|&b| price(b, Hardening::NONE).0).collect();
         let mut cells = Vec::new();
         for (set, h) in SETS {
             for (i, &b) in SIZES.iter().enumerate() {
-                let inv = s.oneway(b, &InvokeOpts::call().hardened(h));
+                let (cycles, scrub_cycles) = price(b, h);
                 cells.push(HardenCell {
                     system: system.clone(),
                     set,
                     msg_len: b,
-                    cycles: inv.total,
-                    tax_cycles: inv.total - base[i],
-                    scrub_cycles: inv.ledger.get(Phase::Scrub),
+                    cycles,
+                    tax_cycles: cycles - base[i],
+                    scrub_cycles,
                 });
             }
         }

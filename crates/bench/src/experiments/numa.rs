@@ -23,8 +23,8 @@ use super::Report;
 use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::{
-    Attribution, Invocation, InvokeOpts, IpcSystem, LoadGen, LoadReport, MultiWorld, Phase,
-    Placement, Step, Topology,
+    Attribution, Invocation, IpcSystem, LoadGen, LoadReport, MultiWorld, Phase, Placement, Step,
+    Topology,
 };
 
 /// Payload for the hop comparison (the paper's 4 KiB page regime, where
@@ -61,7 +61,12 @@ pub fn hops() -> Vec<Hop> {
             let mut mw = MultiWorld::builder()
                 .topology(Topology::dual_socket())
                 .build(mk);
-            mw.exec_oneway(0, to, HOP_BYTES, &InvokeOpts::call(), 0).1
+            let step = Step::Oneway {
+                from: 0,
+                to,
+                bytes: HOP_BYTES,
+            };
+            mw.exec(0, step, 0).inv
         };
         Hop {
             system: mk().name(),

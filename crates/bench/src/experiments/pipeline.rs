@@ -207,7 +207,8 @@ mod tests {
         // pre-windowed closed-loop report exactly, with no Queue spans.
         let mk = || -> Box<dyn IpcSystem> { Box::new(XpcIpc::sel4_xpc()) };
         let mut mw = MultiWorld::builder().cores(CORES).build(mk);
-        let closed = simos::load::run(&mut mw, &Placement::RoundRobin, 2, &[recipe(1)], &spec());
+        let closed =
+            simos::load::run_windowed(&mut mw, &Placement::RoundRobin, 2, &[recipe(1)], &spec(), 1);
         let cell = results()
             .into_iter()
             .find(|(b, r)| *b == 1 && r.window == 1 && r.system == "seL4-XPC")

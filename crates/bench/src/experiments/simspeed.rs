@@ -1,11 +1,7 @@
 //! **Simspeed** — wall-clock throughput of the simulator itself
-//! (requests priced per second of *real* time), contrasting three
-//! attribution hot paths over the same deterministic workload:
+//! (requests priced per second of *real* time), contrasting the two
+//! attribution modes over the same deterministic workload:
 //!
-//! * `pre-refactor` — a faithful copy of the allocating driver the arena
-//!   refactor replaced: linear min-scan issue order, a fresh core map
-//!   and a fresh [`CycleLedger`] per request, per-step `Invocation`
-//!   allocations through `MultiWorld::exec`;
 //! * `full` — [`run_windowed_with`](simos::load::run_windowed_with)
 //!   under [`Attribution::Full`]: span-exact attribution staged through
 //!   a reset-and-reuse [`LedgerArena`];
@@ -13,8 +9,10 @@
 //!   flat [`PhaseTotals`] per request, span ledgers retained in a
 //!   pre-reserved arena.
 //!
-//! Modeled cycles are bit-identical across the three (pinned by tests
-//! below); only wall-clock speed differs. A fourth measurement times the
+//! Per-phase cycle totals are identical across the two (pinned by a
+//! test below); only wall-clock speed differs. The before/after ratio
+//! against earlier commits lives in the `benchmark/` trajectory
+//! (`closed_sweep`), not here. A third measurement times the
 //! **parallel sweep**: a grid of independent seeded cells fanned through
 //! [`simos::par`] at one worker (the pinned serial oracle) and at
 //! [`PAR_THREADS`] workers, asserting the reports byte-identical and the
@@ -27,8 +25,8 @@
 
 use kernels::XpcIpc;
 use simos::{
-    Attribution, CycleLedger, IpcSystem, LedgerArena, LoadGen, LoadReport, MultiWorld, Phase,
-    PhaseTotals, Placement, Step, SweepScratch,
+    Attribution, IpcSystem, LedgerArena, LoadGen, LoadReport, MultiWorld, Phase, PhaseTotals,
+    Placement, Step, SweepScratch,
 };
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -43,9 +41,8 @@ pub const SAMPLED_EVERY: u64 = 64;
 /// state before capacities are captured.
 const WARMUP: u64 = 2_000;
 
-/// Closed-loop clients. Large enough that the pre-refactor driver's
-/// O(clients) issue scan costs what it did in the big sweeps, while the
-/// heap paths stay O(log clients).
+/// Closed-loop clients: a big-sweep population, so the issue heap works
+/// at realistic depth.
 const CLIENTS: usize = 2048;
 
 /// Cores in the world (client core + service core).
@@ -61,16 +58,12 @@ const SEED: u64 = 0x51f3_5eed;
 pub struct SimspeedReport {
     /// Requests priced per timed mode.
     pub requests: u64,
-    /// Allocating pre-refactor driver, requests per wall-clock second.
-    pub pre_refactor_full_rps: f64,
     /// Arena-backed full attribution, requests per wall-clock second.
     pub full_rps: f64,
     /// Sampled attribution, requests per wall-clock second.
     pub sampled_rps: f64,
     /// The sampling stride used.
     pub sampled_every: u64,
-    /// Sampled throughput over the pre-refactor baseline.
-    pub speedup: f64,
     /// Full-mode arena slabs did not grow after warmup.
     pub full_arena_steady: bool,
     /// Sampled-mode arena slabs never outgrew their pre-reservation.
@@ -114,81 +107,38 @@ fn spec(requests: u64) -> LoadGen {
     }
 }
 
-/// The pre-refactor closed-loop driver, kept verbatim as the recorded
-/// baseline: O(clients) linear min-scan for the next issuer, a fresh
-/// `Vec<CoreId>` core map and a fresh merged [`CycleLedger`] per
-/// request, per-step `Invocation` ledger allocations inside
-/// [`simos::load::run_request`], and the latency sample collected and
-/// sorted at the end exactly as the old `run_windowed` tail did.
-/// Returns the merged ledger and the sorted latencies.
-fn pre_refactor_run(mw: &mut MultiWorld, requests: u64) -> (CycleLedger, Vec<u64>) {
-    let policy = Placement::RoundRobin;
-    let steps = recipe();
-    let mut ready = vec![0u64; CLIENTS];
-    let mut ledger = CycleLedger::new();
-    let mut latencies = Vec::with_capacity(requests as usize);
-    for r in 0..requests {
-        let mut c = 0;
-        for i in 1..ready.len() {
-            if ready[i] < ready[c] {
-                c = i;
-            }
-        }
-        let t0 = ready[c];
-        let map = policy
-            .assign(r, SERVICES, mw)
-            .expect("placement rejected the core map");
-        let (done, req_ledger) = simos::load::run_request(mw, &map, &steps, t0);
-        ledger.merge(&req_ledger);
-        latencies.push(done - t0);
-        ready[c] = done;
-    }
-    latencies.sort_unstable();
-    (ledger, latencies)
+/// One closed-loop run of `requests` requests on a fresh world.
+fn run(requests: u64, scratch: &mut SweepScratch, att: Attribution<'_>) -> LoadReport {
+    simos::load::run_windowed_with(
+        &mut world(),
+        &Placement::RoundRobin,
+        SERVICES,
+        &[recipe()],
+        &spec(requests),
+        1,
+        scratch,
+        att,
+    )
+    .expect("simspeed run must be runnable")
 }
 
-/// Run the three timed modes over `requests` requests each.
+/// Run the two timed modes over `requests` requests each.
 pub fn measure(requests: u64) -> SimspeedReport {
-    let recipes = [recipe()];
     let rps = |elapsed: f64| requests as f64 / elapsed.max(f64::EPSILON);
-
-    // Pre-refactor baseline (the recorded number the acceptance speedup
-    // is measured against).
-    let mut mw = world();
-    let t = Instant::now();
-    pre_refactor_run(&mut mw, requests);
-    let pre_refactor_full_rps = rps(t.elapsed().as_secs_f64());
 
     // Arena-backed full attribution: warm the scratch + arena on a
     // short run, capture slab capacities, then require the timed run
     // not to move them (reset-and-reuse steady state).
     let mut scratch = SweepScratch::new();
     let mut arena = LedgerArena::new();
-    simos::load::run_windowed_with(
-        &mut world(),
-        &Placement::RoundRobin,
-        SERVICES,
-        &recipes,
-        &spec(WARMUP.min(requests)),
-        1,
+    run(
+        WARMUP.min(requests),
         &mut scratch,
         Attribution::Full(&mut arena),
-    )
-    .expect("simspeed warmup run must be runnable");
+    );
     let warm = (arena.ledger_capacity(), arena.span_capacity());
-    let mut mw = world();
     let t = Instant::now();
-    simos::load::run_windowed_with(
-        &mut mw,
-        &Placement::RoundRobin,
-        SERVICES,
-        &recipes,
-        &spec(requests),
-        1,
-        &mut scratch,
-        Attribution::Full(&mut arena),
-    )
-    .expect("simspeed full run must be runnable");
+    run(requests, &mut scratch, Attribution::Full(&mut arena));
     let full_rps = rps(t.elapsed().as_secs_f64());
     let full_arena_steady = (arena.ledger_capacity(), arena.span_capacity()) == warm;
 
@@ -199,33 +149,24 @@ pub fn measure(requests: u64) -> SimspeedReport {
     let mut totals = PhaseTotals::new();
     let mut arena = LedgerArena::with_capacity(kept, kept * Phase::COUNT);
     let reserved = (arena.ledger_capacity(), arena.span_capacity());
-    let mut mw = world();
     let t = Instant::now();
-    simos::load::run_windowed_with(
-        &mut mw,
-        &Placement::RoundRobin,
-        SERVICES,
-        &recipes,
-        &spec(requests),
-        1,
+    run(
+        requests,
         &mut scratch,
         Attribution::Sampled {
             every: SAMPLED_EVERY,
             totals: &mut totals,
             arena: &mut arena,
         },
-    )
-    .expect("simspeed sampled run must be runnable");
+    );
     let sampled_rps = rps(t.elapsed().as_secs_f64());
     let sampled_arena_steady = (arena.ledger_capacity(), arena.span_capacity()) == reserved;
 
     SimspeedReport {
         requests,
-        pre_refactor_full_rps,
         full_rps,
         sampled_rps,
         sampled_every: SAMPLED_EVERY,
-        speedup: sampled_rps / pre_refactor_full_rps.max(f64::EPSILON),
         full_arena_steady,
         sampled_arena_steady,
     }
@@ -368,24 +309,21 @@ pub fn measure_par() -> ParReport {
     }
 }
 
-/// The `"simspeed"` section of `BENCH_figures.json`: the three serial
+/// The `"simspeed"` section of `BENCH_figures.json`: the two serial
 /// attribution modes plus the parallel-sweep rows.
 pub fn json_section(r: &SimspeedReport, p: &ParReport) -> String {
     format!(
-        "{{\"requests\": {}, \"pre_refactor_full_rps\": {:.0}, \
-         \"full_rps\": {:.0}, \"sampled_rps\": {:.0}, \
-         \"sampled_every\": {}, \"speedup_sampled_vs_pre_refactor\": {:.2}, \
+        "{{\"requests\": {}, \"full_rps\": {:.0}, \"sampled_rps\": {:.0}, \
+         \"sampled_every\": {}, \
          \"full_arena_steady\": {}, \"sampled_arena_steady\": {}, \
          \"par_threads\": {}, \"hw_threads\": {}, \"par_cells\": {}, \
          \"par_requests_per_cell\": {}, \"serial_grid_rps\": {:.0}, \
          \"par_grid_rps\": {:.0}, \"par_speedup\": {:.2}, \
          \"par_identical\": {}, \"par_arena_steady\": {}}}",
         r.requests,
-        r.pre_refactor_full_rps,
         r.full_rps,
         r.sampled_rps,
         r.sampled_every,
-        r.speedup,
         r.full_arena_steady,
         r.sampled_arena_steady,
         p.threads,
@@ -405,50 +343,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_three_paths_price_identical_cycles() {
-        // The bit-identity pin: the pre-refactor driver, the arena full
-        // path, and the sampled totals all attribute exactly the same
-        // cycles for the same workload.
+    fn full_and_sampled_modes_price_identical_cycles() {
+        // The identity pin: sampled totals attribute exactly the cycles
+        // full span attribution does, phase by phase.
         let n = 2_000;
-        let recipes = [recipe()];
-        let mut mw = world();
-        let (legacy, _) = pre_refactor_run(&mut mw, n);
         let mut scratch = SweepScratch::new();
         let mut arena = LedgerArena::new();
-        let full = simos::load::run_windowed_with(
-            &mut world(),
-            &Placement::RoundRobin,
-            SERVICES,
-            &recipes,
-            &spec(n),
-            1,
-            &mut scratch,
-            Attribution::Full(&mut arena),
-        )
-        .expect("full-mode run must be runnable");
-        assert_eq!(
-            full.ledger, legacy,
-            "full mode == pre-refactor, span for span"
-        );
+        let full = run(n, &mut scratch, Attribution::Full(&mut arena));
         let mut totals = PhaseTotals::new();
         let mut kept = LedgerArena::new();
-        simos::load::run_windowed_with(
-            &mut world(),
-            &Placement::RoundRobin,
-            SERVICES,
-            &recipes,
-            &spec(n),
-            1,
+        run(
+            n,
             &mut scratch,
             Attribution::Sampled {
                 every: SAMPLED_EVERY,
                 totals: &mut totals,
                 arena: &mut kept,
             },
-        )
-        .expect("sampled run must be runnable");
+        );
+        assert!(full.ledger.total() > 0);
         for p in Phase::ALL {
-            assert_eq!(totals.get(p), legacy.get(p), "{p:?}");
+            assert_eq!(totals.get(p), full.ledger.get(p), "{p:?}");
         }
         assert_eq!(kept.len() as u64, n.div_ceil(SAMPLED_EVERY));
     }
@@ -456,10 +371,8 @@ mod tests {
     #[test]
     fn measure_reports_positive_rates_and_steady_arenas() {
         // Debug-build smoke: rates are positive and both arenas hold
-        // steady state (the >= 5x speedup gate runs in release, in the
-        // `simspeed` binary CI invokes).
+        // steady state.
         let r = measure(4_000);
-        assert!(r.pre_refactor_full_rps > 0.0);
         assert!(r.full_rps > 0.0);
         assert!(r.sampled_rps > 0.0);
         assert!(

@@ -1,6 +1,7 @@
 //! **Table 1** — one-way IPC latency breakdown of seL4 (0 B and 4 KB).
 //!
-//! The table is literally the printed ledger of `Sel4::oneway(0|4096)`:
+//! The table is literally the printed ledger of `Sel4::oneway_into` at
+//! 0 B and 4096 B:
 //! each row is a [`kernels::Phase`] span in first-charge order, so the
 //! numbers here and the numbers every other figure attributes to seL4
 //! come from the same place.
@@ -12,10 +13,8 @@ use kernels::{Invocation, InvokeOpts, IpcSystem, Sel4, Sel4Transfer};
 /// The two invocations whose ledgers are the table's columns.
 pub fn invocations() -> (Invocation, Invocation) {
     let mut s = Sel4::new(Sel4Transfer::OneCopy);
-    (
-        s.oneway(0, &InvokeOpts::call()),
-        s.oneway(4096, &InvokeOpts::call()),
-    )
+    let mut at = |bytes| Invocation::priced(|l| s.oneway_into(bytes, &InvokeOpts::call(), l));
+    (at(0), at(4096))
 }
 
 /// Phase breakdown rows for 0 B and 4 KB messages.

@@ -3,7 +3,7 @@
 //! machine.
 
 use rv64::{reg, Assembler, MachineConfig};
-use simos::{CycleLedger, Invocation, InvokeOpts, IpcSystem, Phase};
+use simos::{CycleLedger, InvokeOpts, IpcSystem, Phase};
 use xpc::kernel::{ThreadId, XEntryId, XpcKernel, XpcKernelConfig};
 use xpc::layout::USER_CODE_VA;
 use xpc::trampoline::{save_area_bytes, save_regs, ContextMode};
@@ -239,8 +239,8 @@ impl CallBench {
     }
 }
 
-/// [`IpcSystem`] adapter over the emulator harness: every `oneway` runs
-/// one real measured wrapped call and attributes its cycles to ledger
+/// [`IpcSystem`] adapter over the emulator harness: every `oneway_into`
+/// runs one real measured wrapped call and attributes its cycles to ledger
 /// phases — [`Phase::Trampoline`] (the save/restore wrapper around the
 /// call), [`Phase::Xcall`] and [`Phase::Xret`]. The relay-seg makes the
 /// cost size-independent, so `msg_len` only sets `copied_bytes` (zero —
@@ -266,13 +266,12 @@ impl IpcSystem for EmulatedXpc {
         format!("emulated/{}", self.label)
     }
 
-    fn oneway(&mut self, _msg_len: usize, _opts: &InvokeOpts) -> Invocation {
+    fn oneway_into(&mut self, _msg_len: usize, _opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
         let m = self.bench.measure(2);
-        let ledger = CycleLedger::new()
-            .with(Phase::Trampoline, m.roundtrip - m.xcall - m.xret)
-            .with(Phase::Xcall, m.xcall)
-            .with(Phase::Xret, m.xret);
-        Invocation::from_ledger(ledger, 0)
+        out.charge(Phase::Trampoline, m.roundtrip - m.xcall - m.xret);
+        out.charge(Phase::Xcall, m.xcall);
+        out.charge(Phase::Xret, m.xret);
+        0
     }
 
     fn supports_handover(&self) -> bool {

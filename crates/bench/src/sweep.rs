@@ -22,6 +22,18 @@ pub struct SweepRow {
     pub points: Vec<(usize, Invocation)>,
 }
 
+/// One system priced over a size axis: an owned one-way [`Invocation`]
+/// per size.
+fn sweep_row(s: &mut dyn IpcSystem, sizes: &[usize], opts: &InvokeOpts) -> SweepRow {
+    SweepRow {
+        system: s.name(),
+        points: sizes
+            .iter()
+            .map(|&b| (b, Invocation::priced(|l| s.oneway_into(b, opts, l))))
+            .collect(),
+    }
+}
+
 /// Drive every system over every size with the same [`InvokeOpts`].
 pub fn sweep(
     mut systems: Vec<Box<dyn IpcSystem>>,
@@ -30,10 +42,7 @@ pub fn sweep(
 ) -> Vec<SweepRow> {
     systems
         .iter_mut()
-        .map(|s| SweepRow {
-            system: s.name(),
-            points: sizes.iter().map(|&b| (b, s.oneway(b, opts))).collect(),
-        })
+        .map(|s| sweep_row(s.as_mut(), sizes, opts))
         .collect()
 }
 
@@ -44,14 +53,7 @@ pub fn sweep(
 /// themselves, and index-ordered reduction keeps roster order.
 pub fn roster_sweep() -> Vec<SweepRow> {
     simos::par::map_cells(kernels::full_roster_factories(), |_, mk, _| {
-        let mut s = mk();
-        SweepRow {
-            system: s.name(),
-            points: SIZES
-                .iter()
-                .map(|&b| (b, s.oneway(b, &InvokeOpts::call())))
-                .collect(),
-        }
+        sweep_row(mk().as_mut(), &SIZES, &InvokeOpts::call())
     })
 }
 
@@ -225,10 +227,14 @@ mod tests {
 
     #[test]
     fn ledger_table_prints_sum_matching_totals() {
-        let mut s = Sel4::new(Sel4Transfer::OneCopy);
+        let row = sweep_row(
+            &mut Sel4::new(Sel4Transfer::OneCopy),
+            &[0, 4096],
+            &InvokeOpts::call(),
+        );
         let cols = vec![
-            ("0B".to_string(), s.oneway(0, &InvokeOpts::call())),
-            ("4KB".to_string(), s.oneway(4096, &InvokeOpts::call())),
+            ("0B".to_string(), row.points[0].1.clone()),
+            ("4KB".to_string(), row.points[1].1.clone()),
         ];
         let t = ledger_table("T", "test", &cols);
         let sum = t.rows.last().unwrap();
@@ -238,7 +244,6 @@ mod tests {
 
     #[test]
     fn json_dump_is_parseable_shape() {
-        let mut s = Sel4::new(Sel4Transfer::OneCopy);
         let rows = sweep(
             vec![Box::new(Sel4::new(Sel4Transfer::OneCopy))],
             &[0, 64],
@@ -246,7 +251,7 @@ mod tests {
         );
         let extra = vec![(
             "fig5",
-            vec![("bar".to_string(), s.oneway(0, &InvokeOpts::call()))],
+            vec![("bar".to_string(), rows[0].points[0].1.clone())],
         )];
         let raw = vec![("scale", "[{\"x\": 1}]".to_string())];
         let j = json_dump(&rows, &extra, &raw);

@@ -22,7 +22,7 @@
 
 use simos::cost::CostModel;
 use simos::ipc::IpcSystem;
-use simos::ledger::{CycleLedger, Invocation, InvokeOpts, Phase};
+use simos::ledger::{CycleLedger, InvokeOpts, Phase};
 
 /// Which transport a Figure 9 measurement uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,15 +98,7 @@ impl BinderConfig {
         );
     }
 
-    /// Phase ledger for the *buffer* path (Figure 9a).
-    pub fn buffer_ledger(&self, system: BinderSystem, bytes: u64, cost: &CostModel) -> CycleLedger {
-        let mut l = CycleLedger::new();
-        self.buffer_into(system, bytes, cost, &mut l);
-        l
-    }
-
-    /// Charge the *buffer* path into `out` (the sink twin of
-    /// [`buffer_ledger`](Self::buffer_ledger), same phases and order).
+    /// Charge the phases of the *buffer* path (Figure 9a) into `out`.
     pub fn buffer_into(
         &self,
         system: BinderSystem,
@@ -132,15 +124,7 @@ impl BinderConfig {
         }
     }
 
-    /// Phase ledger for the *ashmem* path (Figure 9b).
-    pub fn ashmem_ledger(&self, system: BinderSystem, bytes: u64, cost: &CostModel) -> CycleLedger {
-        let mut l = CycleLedger::new();
-        self.ashmem_into(system, bytes, cost, &mut l);
-        l
-    }
-
-    /// Charge the *ashmem* path into `out` (the sink twin of
-    /// [`ashmem_ledger`](Self::ashmem_ledger), same phases and order).
+    /// Charge the phases of the *ashmem* path (Figure 9b) into `out`.
     pub fn ashmem_into(
         &self,
         system: BinderSystem,
@@ -171,17 +155,21 @@ impl BinderConfig {
 
     /// Transaction latency in cycles for the *buffer* path (Figure 9a).
     pub fn buffer_cycles(&self, system: BinderSystem, bytes: u64, cost: &CostModel) -> u64 {
-        self.buffer_ledger(system, bytes, cost).total()
+        let mut l = CycleLedger::new();
+        self.buffer_into(system, bytes, cost, &mut l);
+        l.total()
     }
 
     /// Transaction latency in cycles for the *ashmem* path (Figure 9b).
     pub fn ashmem_cycles(&self, system: BinderSystem, bytes: u64, cost: &CostModel) -> u64 {
-        self.ashmem_ledger(system, bytes, cost).total()
+        let mut l = CycleLedger::new();
+        self.ashmem_into(system, bytes, cost, &mut l);
+        l.total()
     }
 }
 
 /// The Binder stack as an [`IpcSystem`]: one surface transaction per
-/// `oneway`, priced by the Figure 9 model.
+/// `oneway_into`, priced by the Figure 9 model.
 #[derive(Debug, Clone)]
 pub struct BinderIpc {
     system: BinderSystem,
@@ -214,10 +202,6 @@ impl IpcSystem for BinderIpc {
         } else {
             self.system.name().to_string()
         }
-    }
-
-    fn oneway(&mut self, msg_len: usize, opts: &InvokeOpts) -> Invocation {
-        simos::ipc::oneway_invocation(self, msg_len, opts)
     }
 
     fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
@@ -270,6 +254,7 @@ pub fn binder_latency_us(system: BinderSystem, ashmem: bool, bytes: u64) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::oneway;
 
     #[test]
     fn fig9a_binder_magnitudes() {
@@ -331,7 +316,7 @@ mod tests {
         ] {
             let mut sys = BinderIpc::new(system, ashmem);
             for bytes in [0usize, 2048, 16384, 1 << 20] {
-                let inv = sys.oneway(bytes, &InvokeOpts::call());
+                let inv = oneway(&mut sys, bytes, &InvokeOpts::call());
                 assert_eq!(inv.total, inv.ledger.total());
                 let us = CostModel::u500().cycles_to_us(inv.total);
                 let reference = binder_latency_us(system, ashmem, bytes as u64);
@@ -346,11 +331,19 @@ mod tests {
 
     #[test]
     fn xpc_variant_ledgers_show_the_instructions() {
-        let inv = BinderIpc::new(BinderSystem::BinderXpc, false).oneway(2048, &InvokeOpts::call());
+        let inv = oneway(
+            &mut BinderIpc::new(BinderSystem::BinderXpc, false),
+            2048,
+            &InvokeOpts::call(),
+        );
         assert_eq!(inv.ledger.get(Phase::Xcall), 18);
         assert_eq!(inv.ledger.get(Phase::Xret), 23);
         assert_eq!(inv.copied_bytes, 0);
-        let stock = BinderIpc::new(BinderSystem::Binder, false).oneway(2048, &InvokeOpts::call());
+        let stock = oneway(
+            &mut BinderIpc::new(BinderSystem::Binder, false),
+            2048,
+            &InvokeOpts::call(),
+        );
         assert_eq!(stock.copied_bytes, 2 * 2048);
         assert!(stock.ledger.get(Phase::Driver) > inv.ledger.get(Phase::Driver));
     }

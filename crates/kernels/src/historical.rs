@@ -10,8 +10,8 @@
 //! so its ledger lines up column-for-column with Table 1.
 
 use simos::cost::CostModel;
-use simos::ipc::{oneway_invocation, IpcSystem};
-use simos::ledger::{CycleLedger, Invocation, InvokeOpts, Phase};
+use simos::ipc::IpcSystem;
+use simos::ledger::{CycleLedger, InvokeOpts, Phase};
 use simos::transport::Transport;
 
 /// Mach-3.0: kernel-scheduled IPC with twofold copy (Table 7's baseline
@@ -39,10 +39,6 @@ impl Default for Mach {
 impl IpcSystem for Mach {
     fn name(&self) -> String {
         "Mach-3.0".into()
-    }
-
-    fn oneway(&mut self, msg_len: usize, opts: &InvokeOpts) -> Invocation {
-        oneway_invocation(self, msg_len, opts)
     }
 
     fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
@@ -86,10 +82,6 @@ impl Default for Lrpc {
 impl IpcSystem for Lrpc {
     fn name(&self) -> String {
         "LRPC".into()
-    }
-
-    fn oneway(&mut self, msg_len: usize, opts: &InvokeOpts) -> Invocation {
-        oneway_invocation(self, msg_len, opts)
     }
 
     fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
@@ -141,10 +133,6 @@ impl IpcSystem for L4TempMap {
         "L4-tempmap".into()
     }
 
-    fn oneway(&mut self, msg_len: usize, opts: &InvokeOpts) -> Invocation {
-        oneway_invocation(self, msg_len, opts)
-    }
-
     fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
         let bytes = msg_len as u64;
         let c = &self.cost;
@@ -185,10 +173,6 @@ impl Default for PpcRemap {
 impl IpcSystem for PpcRemap {
     fn name(&self) -> String {
         "Tornado-PPC".into()
-    }
-
-    fn oneway(&mut self, msg_len: usize, opts: &InvokeOpts) -> Invocation {
-        oneway_invocation(self, msg_len, opts)
     }
 
     fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
@@ -250,27 +234,30 @@ pub fn table7() -> Vec<Table7Row> {
         (Box::new(XpcIpc::sel4_xpc()), false, false, true, true, "0"),
     ];
     rows.into_iter()
-        .map(
-            |(mut m, traps, schedules, safe, handover, copies)| Table7Row {
+        .map(|(mut m, traps, schedules, safe, handover, copies)| {
+            let mut ledger = CycleLedger::new();
+            m.oneway_into(4096, &InvokeOpts::call(), &mut ledger);
+            Table7Row {
                 name: m.name(),
                 traps,
                 schedules,
                 tocttou_safe: safe,
                 handover,
                 copies,
-                cycles_4k: m.oneway(4096, &InvokeOpts::call()).total,
-            },
-        )
+                cycles_4k: ledger.total(),
+            }
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::oneway;
     use crate::{Sel4, Sel4Transfer, XpcIpc};
 
     fn cycles(sys: &mut impl IpcSystem, bytes: usize) -> u64 {
-        sys.oneway(bytes, &InvokeOpts::call()).total
+        oneway(sys, bytes, &InvokeOpts::call()).total
     }
 
     #[test]
@@ -287,15 +274,15 @@ mod tests {
 
     #[test]
     fn lrpc_beats_mach_but_keeps_a_copy() {
-        let l = Lrpc::new().oneway(4096, &InvokeOpts::call());
-        let m = Mach::new().oneway(4096, &InvokeOpts::call());
+        let l = oneway(&mut Lrpc::new(), 4096, &InvokeOpts::call());
+        let m = oneway(&mut Mach::new(), 4096, &InvokeOpts::call());
         assert!(l.total < m.total);
         assert_eq!(l.copied_bytes, 4096, "one A-stack copy");
     }
 
     #[test]
     fn l4_pays_mapping_over_lrpc_but_is_safe() {
-        let l4inv = L4TempMap::new().oneway(4096, &InvokeOpts::call());
+        let l4inv = oneway(&mut L4TempMap::new(), 4096, &InvokeOpts::call());
         let lrpc = cycles(&mut Lrpc::new(), 4096);
         assert!(l4inv.total > lrpc, "temporary mapping costs kernel work");
         assert_eq!(l4inv.ledger.get(Phase::Mapping), TEMP_MAP_CYCLES);
@@ -310,7 +297,7 @@ mod tests {
     fn remap_is_flat_but_pays_per_hop() {
         let mut r = PpcRemap::new();
         assert_eq!(cycles(&mut r, 4096), cycles(&mut r, 1 << 20));
-        let inv = r.oneway(4096, &InvokeOpts::call());
+        let inv = oneway(&mut r, 4096, &InvokeOpts::call());
         assert!(inv.ledger.get(Phase::Mapping) > 0, "remap pays TLB work");
         assert_eq!(inv.copied_bytes, 0);
         assert!(inv.total > cycles(&mut XpcIpc::sel4_xpc(), 4096));

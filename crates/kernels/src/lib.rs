@@ -5,7 +5,7 @@
 //! Each model implements [`IpcSystem`] — the unified invocation pipeline
 //! defined in `simos` — so the service stack (file system, network,
 //! database, web server) runs unmodified on any of them, and every
-//! invocation returns a phase-attributed [`Invocation`] ledger. That is
+//! invocation charges a phase-attributed [`CycleLedger`]. That is
 //! exactly how the paper ports one workload across six systems and then
 //! reports per-phase breakdowns (Table 1, Figure 5).
 
@@ -83,8 +83,33 @@ pub fn full_roster_cross_core() -> Vec<Box<dyn IpcSystem>> {
         .collect()
 }
 
+/// Owned-[`Invocation`] shorthands for the unit tests: the sink methods
+/// wrapped in [`Invocation::priced`].
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{Invocation, InvokeOpts, IpcSystem};
+
+    pub(crate) fn oneway<S: IpcSystem + ?Sized>(
+        sys: &mut S,
+        msg_len: usize,
+        opts: &InvokeOpts,
+    ) -> Invocation {
+        Invocation::priced(|l| sys.oneway_into(msg_len, opts, l))
+    }
+
+    pub(crate) fn batch<S: IpcSystem + ?Sized>(
+        sys: &mut S,
+        calls: u64,
+        bytes_each: usize,
+        opts: &InvokeOpts,
+    ) -> Invocation {
+        Invocation::priced(|l| sys.invoke_batch_into(calls, bytes_each, opts, l))
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::oneway;
     use simos::ledger::InvokeOpts;
 
     #[test]
@@ -100,7 +125,7 @@ mod tests {
     fn every_system_upholds_the_ledger_invariant() {
         for mut sys in super::full_roster() {
             for bytes in [0usize, 64, 4096] {
-                let inv = sys.oneway(bytes, &InvokeOpts::call());
+                let inv = oneway(&mut sys, bytes, &InvokeOpts::call());
                 assert_eq!(inv.total, inv.ledger.total(), "{}", sys.name());
             }
         }

@@ -8,13 +8,13 @@
 //!   > one-copy and the TOCTTOU-safe two-copy configuration (Figure 7/8's
 //!   > `seL4-onecopy` / `seL4-twocopy`).
 //!
-//! `oneway` returns an [`Invocation`] whose ledger *is* Table 1: Trap /
+//! `oneway_into` charges a ledger that *is* Table 1: Trap /
 //! IPC Logic / Process Switch / Restore / Message Transfer, plus
 //! Schedule on the slow path and Cross-core for the remote variant.
 
 use simos::cost::CostModel;
-use simos::ipc::{oneway_invocation, IpcSystem};
-use simos::ledger::{CycleLedger, Invocation, InvokeOpts, Phase};
+use simos::ipc::IpcSystem;
+use simos::ledger::{CycleLedger, InvokeOpts, Phase};
 
 /// Long-message strategy (Figure 7/8 variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,10 +98,6 @@ impl IpcSystem for Sel4 {
         }
     }
 
-    fn oneway(&mut self, msg_len: usize, opts: &InvokeOpts) -> Invocation {
-        oneway_invocation(self, msg_len, opts)
-    }
-
     fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
         let bytes = msg_len as u64;
         let c = &self.cost;
@@ -124,13 +120,14 @@ impl IpcSystem for Sel4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::oneway;
 
     #[test]
     fn fastpath_0b_is_table1_sum() {
         let mut s = Sel4::new(Sel4Transfer::OneCopy);
-        assert_eq!(s.oneway(0, &InvokeOpts::call()).total, 664);
+        assert_eq!(oneway(&mut s, 0, &InvokeOpts::call()).total, 664);
         assert_eq!(
-            s.oneway(32, &InvokeOpts::call()).total,
+            oneway(&mut s, 32, &InvokeOpts::call()).total,
             664,
             "register messages are free"
         );
@@ -139,15 +136,23 @@ mod tests {
     #[test]
     fn medium_messages_take_slow_path() {
         let mut s = Sel4::new(Sel4Transfer::OneCopy);
-        let c = s.oneway(64, &InvokeOpts::call()).total;
+        let c = oneway(&mut s, 64, &InvokeOpts::call()).total;
         // §2.2 measured 2182 cycles for a 64 B IPC.
         assert!((2100..2350).contains(&c), "64B slow path: {c}");
     }
 
     #[test]
     fn large_messages_scale_with_copies() {
-        let one = Sel4::new(Sel4Transfer::OneCopy).oneway(4096, &InvokeOpts::call());
-        let two = Sel4::new(Sel4Transfer::TwoCopy).oneway(4096, &InvokeOpts::call());
+        let one = oneway(
+            &mut Sel4::new(Sel4Transfer::OneCopy),
+            4096,
+            &InvokeOpts::call(),
+        );
+        let two = oneway(
+            &mut Sel4::new(Sel4Transfer::TwoCopy),
+            4096,
+            &InvokeOpts::call(),
+        );
         assert_eq!(one.total, 664 + 4010);
         assert_eq!(two.total, 664 + 2 * 4010);
         assert_eq!(one.copied_bytes, 4096);
@@ -158,7 +163,7 @@ mod tests {
     fn ledger_is_table1() {
         let mut s = Sel4::new(Sel4Transfer::OneCopy);
         for bytes in [0usize, 4096] {
-            let inv = s.oneway(bytes, &InvokeOpts::call());
+            let inv = oneway(&mut s, bytes, &InvokeOpts::call());
             assert_eq!(inv.ledger.get(Phase::Trap), 107);
             assert_eq!(inv.ledger.get(Phase::IpcLogic), 212);
             assert_eq!(inv.ledger.get(Phase::Switch), 146);
@@ -171,20 +176,30 @@ mod tests {
                 .iter()
                 .any(|(p, _)| *p == Phase::Transfer));
         }
-        let inv4k = s.oneway(4096, &InvokeOpts::call());
+        let inv4k = oneway(&mut s, 4096, &InvokeOpts::call());
         assert_eq!(inv4k.ledger.get(Phase::Transfer), 4010);
     }
 
     #[test]
     fn cross_core_adds_constant() {
-        let same = Sel4::new(Sel4Transfer::OneCopy)
-            .oneway(0, &InvokeOpts::call())
-            .total;
-        let cross = Sel4::cross_core(Sel4Transfer::OneCopy)
-            .oneway(0, &InvokeOpts::call())
-            .total;
+        let same = oneway(
+            &mut Sel4::new(Sel4Transfer::OneCopy),
+            0,
+            &InvokeOpts::call(),
+        )
+        .total;
+        let cross = oneway(
+            &mut Sel4::cross_core(Sel4Transfer::OneCopy),
+            0,
+            &InvokeOpts::call(),
+        )
+        .total;
         assert_eq!(cross - same, CostModel::u500().cross_core_base);
-        let inv = Sel4::cross_core(Sel4Transfer::OneCopy).oneway(0, &InvokeOpts::call());
+        let inv = oneway(
+            &mut Sel4::cross_core(Sel4Transfer::OneCopy),
+            0,
+            &InvokeOpts::call(),
+        );
         assert_eq!(
             inv.ledger.get(Phase::CrossCore),
             CostModel::u500().cross_core_base

@@ -10,8 +10,8 @@
 //! (cross-core) bands of §5.2 come from.
 
 use simos::cost::CostModel;
-use simos::ipc::{amortized_batch_into, oneway_invocation, EngineCacheStats, IpcSystem};
-use simos::ledger::{CycleLedger, Invocation, InvokeOpts, Phase};
+use simos::ipc::{amortized_batch_into, EngineCacheStats, IpcSystem};
+use simos::ledger::{CycleLedger, InvokeOpts, Phase};
 
 /// The XPC IPC model.
 #[derive(Debug, Clone)]
@@ -68,10 +68,6 @@ impl XpcIpc {
 impl IpcSystem for XpcIpc {
     fn name(&self) -> String {
         self.label.to_string()
-    }
-
-    fn oneway(&mut self, msg_len: usize, opts: &InvokeOpts) -> Invocation {
-        oneway_invocation(self, msg_len, opts)
     }
 
     fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
@@ -178,7 +174,7 @@ impl IpcSystem for XpcIpc {
         // on every repeat; reply legs (`xret`) never consult it.
         if calls > 1 && !opts.reply {
             self.stats.prefetches += 1;
-            self.stats.cache_hits += calls - 1;
+            self.stats.cache_hits = self.stats.cache_hits.saturating_add(calls - 1);
         }
         amortized_batch_into(self, calls, bytes_each, opts, out)
     }
@@ -192,23 +188,24 @@ impl IpcSystem for XpcIpc {
 mod tests {
     use super::*;
     use crate::sel4::{Sel4, Sel4Transfer};
+    use crate::testing::{batch, oneway};
 
     fn call(sys: &mut impl IpcSystem, bytes: usize) -> u64 {
-        sys.oneway(bytes, &InvokeOpts::call()).total
+        oneway(sys, bytes, &InvokeOpts::call()).total
     }
 
     #[test]
     fn flat_in_message_size() {
         let mut x = XpcIpc::sel4_xpc();
         assert_eq!(call(&mut x, 0), call(&mut x, 32 << 20));
-        assert_eq!(x.oneway(4096, &InvokeOpts::call()).copied_bytes, 0);
+        assert_eq!(oneway(&mut x, 4096, &InvokeOpts::call()).copied_bytes, 0);
     }
 
     #[test]
     fn default_oneway_is_134() {
         // 76 trampoline + 18 xcall + 40 TLB (Figure 5, Full-Cxt +
         // non-blocking link stack).
-        let inv = XpcIpc::sel4_xpc().oneway(0, &InvokeOpts::call());
+        let inv = oneway(&mut XpcIpc::sel4_xpc(), 0, &InvokeOpts::call());
         assert_eq!(inv.total, 134);
         assert_eq!(inv.ledger.get(Phase::Trampoline), 76);
         assert_eq!(inv.ledger.get(Phase::Xcall), 18);
@@ -217,10 +214,14 @@ mod tests {
 
     #[test]
     fn reply_leg_pays_xret() {
-        let inv = XpcIpc::sel4_xpc().oneway(0, &InvokeOpts::reply_leg());
+        let inv = oneway(&mut XpcIpc::sel4_xpc(), 0, &InvokeOpts::reply_leg());
         assert_eq!(inv.ledger.get(Phase::Xret), 23);
         assert_eq!(inv.total, 23 + 40);
-        let tagged = XpcIpc::custom("t", true, true).oneway(0, &InvokeOpts::reply_leg());
+        let tagged = oneway(
+            &mut XpcIpc::custom("t", true, true),
+            0,
+            &InvokeOpts::reply_leg(),
+        );
         assert_eq!(tagged.total, 23);
     }
 
@@ -252,7 +253,7 @@ mod tests {
     #[test]
     fn batched_calls_hit_the_engine_cache() {
         let mut x = XpcIpc::sel4_xpc();
-        let inv = x.invoke_batch(64, 4096, &InvokeOpts::call());
+        let inv = batch(&mut x, 64, 4096, &InvokeOpts::call());
         // First call: 76 trampoline + 18 xcall + 40 TLB. Repeats: no
         // trampoline, cached xcall (6), full TLB refill = 46 each.
         assert_eq!(inv.ledger.get(Phase::Trampoline), 76);
@@ -273,13 +274,13 @@ mod tests {
     #[test]
     fn remote_shard_lookup_is_priced_on_uncached_call_legs() {
         let mut x = XpcIpc::sel4_xpc();
-        let local = x.oneway(0, &InvokeOpts::call());
-        let remote = x.oneway(0, &InvokeOpts::call().at_shard_distance(2));
+        let local = oneway(&mut x, 0, &InvokeOpts::call());
+        let remote = oneway(&mut x, 0, &InvokeOpts::call().at_shard_distance(2));
         // One cache-line pull per distance unit: 2 × 50.
         assert_eq!(remote.ledger.get(Phase::ShardMiss), 100);
         assert_eq!(remote.total, local.total + 100);
         // Reply legs walk the link stack, never the x-entry table.
-        let reply = x.oneway(0, &InvokeOpts::reply_leg().at_shard_distance(2));
+        let reply = oneway(&mut x, 0, &InvokeOpts::reply_leg().at_shard_distance(2));
         assert_eq!(reply.ledger.get(Phase::ShardMiss), 0);
         assert_eq!(
             x.engine_cache_stats().unwrap().shard_misses,
@@ -292,7 +293,7 @@ mod tests {
     fn batches_pay_the_shard_fetch_once() {
         let mut x = XpcIpc::sel4_xpc();
         let opts = InvokeOpts::call().at_shard_distance(3);
-        let inv = x.invoke_batch(64, 0, &opts);
+        let inv = batch(&mut x, 64, 0, &opts);
         // The first call fetches the x-entry from the remote shard; the
         // 63 repeats hit the engine cache and skip the table entirely.
         assert_eq!(inv.ledger.get(Phase::ShardMiss), 3 * 50);
@@ -301,15 +302,18 @@ mod tests {
         assert_eq!(stats.cache_hits, 63);
         // Amortization aside, a remote batch still costs strictly more
         // than a local one.
-        let local = XpcIpc::sel4_xpc().invoke_batch(64, 0, &InvokeOpts::call());
+        let local = batch(&mut XpcIpc::sel4_xpc(), 64, 0, &InvokeOpts::call());
         assert_eq!(inv.total, local.total + 3 * 50);
     }
 
     #[test]
     fn batch_of_one_neither_amortizes_nor_counts_hits() {
         let mut x = XpcIpc::sel4_xpc();
-        let single = x.invoke_batch(1, 0, &InvokeOpts::call());
-        assert_eq!(single, XpcIpc::sel4_xpc().oneway(0, &InvokeOpts::call()));
+        let single = batch(&mut x, 1, 0, &InvokeOpts::call());
+        assert_eq!(
+            single,
+            oneway(&mut XpcIpc::sel4_xpc(), 0, &InvokeOpts::call())
+        );
         assert_eq!(
             x.engine_cache_stats(),
             Some(EngineCacheStats::default()),
@@ -320,7 +324,7 @@ mod tests {
     #[test]
     fn reply_legs_do_not_touch_the_engine_cache() {
         let mut x = XpcIpc::sel4_xpc();
-        let inv = x.invoke_batch(8, 0, &InvokeOpts::reply_leg());
+        let inv = batch(&mut x, 8, 0, &InvokeOpts::reply_leg());
         // xret has no cached variant: 8 full reply legs.
         assert_eq!(inv.total, 8 * (23 + 40));
         assert_eq!(x.engine_cache_stats(), Some(EngineCacheStats::default()));

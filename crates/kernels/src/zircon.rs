@@ -7,8 +7,8 @@
 //! one-way base to ~8000 cycles on the U500 model.
 
 use simos::cost::CostModel;
-use simos::ipc::{oneway_invocation, IpcSystem};
-use simos::ledger::{CycleLedger, Invocation, InvokeOpts, Phase};
+use simos::ipc::IpcSystem;
+use simos::ledger::{CycleLedger, InvokeOpts, Phase};
 use std::collections::VecDeque;
 
 /// The Zircon model.
@@ -51,10 +51,6 @@ impl IpcSystem for Zircon {
         }
     }
 
-    fn oneway(&mut self, msg_len: usize, opts: &InvokeOpts) -> Invocation {
-        oneway_invocation(self, msg_len, opts)
-    }
-
     fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
         let bytes = msg_len as u64;
         let c = &self.cost;
@@ -83,35 +79,44 @@ impl IpcSystem for Zircon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::oneway;
+    use simos::ledger::Invocation;
 
     #[test]
     fn round_trip_is_tens_of_thousands() {
         // §1: "Zircon costs tens of thousands of cycles for one
         // round-trip IPC".
         let mut z = Zircon::new();
-        let rt = z.roundtrip(64, 64).total;
+        let rt = Invocation::priced(|l| {
+            z.oneway_into(64, &InvokeOpts::call(), l)
+                + z.oneway_into(64, &InvokeOpts::reply_leg(), l)
+        })
+        .total;
         assert!((10_000..100_000).contains(&rt), "round trip: {rt}");
     }
 
     #[test]
     fn twofold_copy_counted() {
         let mut z = Zircon::new();
-        assert_eq!(z.oneway(1000, &InvokeOpts::call()).copied_bytes, 2000);
+        assert_eq!(oneway(&mut z, 1000, &InvokeOpts::call()).copied_bytes, 2000);
     }
 
     #[test]
     fn slower_than_sel4() {
         // §5.2: Zircon "much slower than seL4".
-        let z = Zircon::new().oneway(0, &InvokeOpts::call()).total;
-        let s = crate::sel4::Sel4::new(crate::sel4::Sel4Transfer::OneCopy)
-            .oneway(0, &InvokeOpts::call())
-            .total;
+        let z = oneway(&mut Zircon::new(), 0, &InvokeOpts::call()).total;
+        let s = oneway(
+            &mut crate::sel4::Sel4::new(crate::sel4::Sel4Transfer::OneCopy),
+            0,
+            &InvokeOpts::call(),
+        )
+        .total;
         assert!(z > 5 * s);
     }
 
     #[test]
     fn ledger_preserves_the_calibrated_base() {
-        let inv = Zircon::new().oneway(0, &InvokeOpts::call());
+        let inv = oneway(&mut Zircon::new(), 0, &InvokeOpts::call());
         assert_eq!(inv.total, CostModel::u500().zircon_oneway_base);
         assert_eq!(inv.total, inv.ledger.total());
         // The scheduler/wait-queue remainder dominates Zircon's cost.
@@ -256,8 +261,8 @@ mod channel_tests {
         fn name(&self) -> String {
             "free".into()
         }
-        fn oneway(&mut self, _msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::default()
+        fn oneway_into(&mut self, _len: usize, _opts: &InvokeOpts, _out: &mut CycleLedger) -> u64 {
+            0
         }
     }
 

@@ -5,11 +5,15 @@
 //! software equivalent.
 
 use kernels::full_roster_factories;
-use simos::{CostModel, Hardening, InvokeOpts, IpcSystem, Phase};
+use simos::{CostModel, Hardening, Invocation, InvokeOpts, IpcSystem, Phase};
+
+fn oneway(sys: &mut dyn IpcSystem, len: usize, opts: &InvokeOpts) -> Invocation {
+    Invocation::priced(|l| sys.oneway_into(len, opts, l))
+}
 
 fn tax(sys: &mut dyn IpcSystem, len: usize, h: Hardening) -> u64 {
-    let base = sys.oneway(len, &InvokeOpts::call()).total;
-    let hard = sys.oneway(len, &InvokeOpts::call().hardened(h)).total;
+    let base = oneway(sys, len, &InvokeOpts::call()).total;
+    let hard = oneway(sys, len, &InvokeOpts::call().hardened(h)).total;
     hard - base
 }
 
@@ -19,8 +23,8 @@ fn all_off_is_byte_identical_to_the_unhardened_model() {
         let mut sys = factory();
         for len in [0usize, 64, 4096, 16384] {
             for opts in [InvokeOpts::call(), InvokeOpts::reply_leg()] {
-                let plain = sys.oneway(len, &opts).clone();
-                let off = sys.oneway(len, &opts.clone().hardened(Hardening::NONE));
+                let plain = oneway(sys.as_mut(), len, &opts);
+                let off = oneway(sys.as_mut(), len, &opts.clone().hardened(Hardening::NONE));
                 assert_eq!(plain, off, "{}: NONE must change nothing", sys.name());
             }
         }
@@ -64,7 +68,7 @@ fn every_mitigation_prices_its_leg() {
             "{name}: scrub is the same per-byte store pass for everyone"
         );
         // The scrub lands in its own phase so the tax curve can see it.
-        let inv = sys.oneway(4096, &InvokeOpts::call().hardened(scrub));
+        let inv = oneway(sys.as_mut(), 4096, &InvokeOpts::call().hardened(scrub));
         assert_eq!(inv.ledger.get(Phase::Scrub), c.scrub_cycles(4096));
     }
 }
@@ -94,26 +98,26 @@ fn reply_legs_reverify_flow_tags_but_not_epochs() {
     for factory in full_roster_factories() {
         let mut sys = factory();
         let name = sys.name();
-        let base = sys.oneway(0, &InvokeOpts::reply_leg()).total;
-        let epochs = sys
-            .oneway(
-                0,
-                &InvokeOpts::reply_leg().hardened(Hardening {
-                    revocation_epochs: true,
-                    ..Hardening::NONE
-                }),
-            )
-            .total;
+        let base = oneway(sys.as_mut(), 0, &InvokeOpts::reply_leg()).total;
+        let epochs = oneway(
+            sys.as_mut(),
+            0,
+            &InvokeOpts::reply_leg().hardened(Hardening {
+                revocation_epochs: true,
+                ..Hardening::NONE
+            }),
+        )
+        .total;
         assert_eq!(epochs, base, "{name}: the cap was checked on the call leg");
-        let flow = sys
-            .oneway(
-                0,
-                &InvokeOpts::reply_leg().hardened(Hardening {
-                    flow_tags: true,
-                    ..Hardening::NONE
-                }),
-            )
-            .total;
+        let flow = oneway(
+            sys.as_mut(),
+            0,
+            &InvokeOpts::reply_leg().hardened(Hardening {
+                flow_tags: true,
+                ..Hardening::NONE
+            }),
+        )
+        .total;
         let want = if name.contains("XPC") {
             c.flow_tag
         } else {

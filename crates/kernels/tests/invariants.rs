@@ -3,12 +3,26 @@
 //! build policy — these cover the same ground deterministically).
 
 use kernels::{
-    full_roster, full_roster_cross_core, CrossCore, InvokeOpts, Phase, Sel4, Sel4Transfer,
-    XCoreCost, XpcIpc, Zircon,
+    full_roster, full_roster_cross_core, CrossCore, Invocation, InvokeOpts, Phase, Sel4,
+    Sel4Transfer, XCoreCost, XpcIpc, Zircon,
 };
 use simos::cost::CostModel;
 use simos::ipc::IpcSystem;
 use simos::transport::Transport;
+use simos::{MultiWorld, Step, Topology};
+
+fn oneway<S: IpcSystem + ?Sized>(sys: &mut S, len: usize, opts: &InvokeOpts) -> Invocation {
+    Invocation::priced(|l| sys.oneway_into(len, opts, l))
+}
+
+fn batch<S: IpcSystem + ?Sized>(sys: &mut S, calls: u64, len: usize) -> Invocation {
+    Invocation::priced(|l| sys.invoke_batch_into(calls, len, &InvokeOpts::call(), l))
+}
+
+/// One one-way hop from core 0 to core `to` at t = 0.
+fn hop(mw: &mut MultiWorld, to: usize, bytes: u64) -> Invocation {
+    mw.exec(0, Step::Oneway { from: 0, to, bytes }, 0).inv
+}
 
 /// Size axis: boundary values of every transfer regime (register path,
 /// slow path at 64 B, buffer edge at 120/121, pages, megabytes).
@@ -21,7 +35,7 @@ fn ledger_sums_equal_invocation_totals_everywhere() {
     for opts in [InvokeOpts::call(), InvokeOpts::reply_leg()] {
         for mut sys in full_roster() {
             for bytes in SIZES {
-                let inv = sys.oneway(bytes, &opts);
+                let inv = oneway(&mut sys, bytes, &opts);
                 assert_eq!(
                     inv.total,
                     inv.ledger.total(),
@@ -39,7 +53,7 @@ fn phases_are_charged_at_most_in_first_charge_order() {
     // A ledger never lists the same phase twice: repeated charges fold
     // into the first span, so span order is a stable presentation key.
     for mut sys in full_roster() {
-        let inv = sys.oneway(4096, &InvokeOpts::call());
+        let inv = oneway(&mut sys, 4096, &InvokeOpts::call());
         let mut seen: Vec<Phase> = Vec::new();
         for &(p, _) in inv.ledger.spans() {
             assert!(!seen.contains(&p), "{}: {p:?} listed twice", sys.name());
@@ -76,7 +90,9 @@ fn u500_calibration_bands_hold() {
     // paper's measurements (Table 1, Table 3, Figure 5, §5.2).
     let c = CostModel::u500();
     assert_eq!(c.sel4_fastpath_base(), 664, "Table 1 sum (0B)");
-    assert_eq!(c.sel4_fastpath_ledger().total(), 664);
+    let mut fastpath = kernels::CycleLedger::new();
+    c.sel4_fastpath_into(&mut fastpath);
+    assert_eq!(fastpath.total(), 664);
     assert_eq!(c.copy_cycles(4096), 4010, "Table 1: 4K transfer");
     assert_eq!((c.xcall, c.xret, c.swapseg), (18, 23, 11), "Table 3");
     assert_eq!(c.xpc_oneway(true, false), 76 + 18 + 40, "Figure 5 Full-Cxt");
@@ -107,8 +123,8 @@ fn cross_core_adapter_grid_over_the_full_roster() {
         assert_eq!(cross.name(), format!("{}+xcore", plain.name()));
         assert_eq!(cross.supports_handover(), plain.supports_handover());
         for bytes in SIZES {
-            let inner = plain.oneway(bytes, &InvokeOpts::call());
-            let wrapped = cross.oneway(bytes, &InvokeOpts::call());
+            let inner = oneway(&mut plain, bytes, &InvokeOpts::call());
+            let wrapped = oneway(&mut cross, bytes, &InvokeOpts::call());
             let extra = if plain.migrating_threads() {
                 0
             } else {
@@ -150,16 +166,16 @@ fn cross_core_adapter_grid_over_the_full_roster() {
 fn section_5_2_cross_core_ratio_bands() {
     // §5.2: cross-core seL4 is 81–141× an XPC call; Zircon is ~60× —
     // priced through the generic adapter, not hand-rolled variants.
-    let xpc0 = XpcIpc::sel4_xpc().oneway(0, &InvokeOpts::call()).total as f64;
+    let xpc0 = oneway(&mut XpcIpc::sel4_xpc(), 0, &InvokeOpts::call()).total as f64;
     let mut sel4_xc = CrossCore::new(Box::new(Sel4::new(Sel4Transfer::OneCopy)));
     for bytes in [0usize, 4096] {
-        let ratio = sel4_xc.oneway(bytes, &InvokeOpts::call()).total as f64 / xpc0;
+        let ratio = oneway(&mut sel4_xc, bytes, &InvokeOpts::call()).total as f64 / xpc0;
         assert!(
             (81.0..=141.0).contains(&ratio),
             "seL4 cross-core at {bytes}B: {ratio:.1}x (paper: 81-141x)"
         );
     }
-    let zircon = Zircon::new().oneway(0, &InvokeOpts::call()).total as f64;
+    let zircon = oneway(&mut Zircon::new(), 0, &InvokeOpts::call()).total as f64;
     let z_ratio = zircon / xpc0;
     assert!(
         (55.0..=65.0).contains(&z_ratio),
@@ -167,7 +183,10 @@ fn section_5_2_cross_core_ratio_bands() {
     );
     // XPC itself crosses cores for free: the adapter must not change it.
     let mut xpc_xc = CrossCore::new(Box::new(XpcIpc::sel4_xpc()));
-    assert_eq!(xpc_xc.oneway(4096, &InvokeOpts::call()).total as f64, xpc0);
+    assert_eq!(
+        oneway(&mut xpc_xc, 4096, &InvokeOpts::call()).total as f64,
+        xpc0
+    );
 }
 
 #[test]
@@ -177,8 +196,8 @@ fn adapter_reproduces_the_hand_rolled_variants() {
     // (0 B: the hand-rolled variants charge only the constant part).
     let mut a = CrossCore::new(Box::new(Sel4::new(Sel4Transfer::TwoCopy)));
     let mut b = Sel4::cross_core(Sel4Transfer::TwoCopy);
-    let ia = a.oneway(0, &InvokeOpts::call());
-    let ib = b.oneway(0, &InvokeOpts::call());
+    let ia = oneway(&mut a, 0, &InvokeOpts::call());
+    let ib = oneway(&mut b, 0, &InvokeOpts::call());
     assert_eq!(ia.total, ib.total);
     assert_eq!(
         ia.ledger.get(Phase::CrossCore),
@@ -188,8 +207,8 @@ fn adapter_reproduces_the_hand_rolled_variants() {
     let mut a = CrossCore::new(Box::new(Zircon::new()));
     let mut b = Zircon::cross_core();
     assert_eq!(
-        a.oneway(0, &InvokeOpts::call()).total,
-        b.oneway(0, &InvokeOpts::call()).total
+        oneway(&mut a, 0, &InvokeOpts::call()).total,
+        oneway(&mut b, 0, &InvokeOpts::call()).total
     );
 }
 
@@ -202,11 +221,11 @@ fn batching_amortizes_monotonically_over_the_full_roster() {
     for mut sys in full_roster().into_iter().chain(full_roster_cross_core()) {
         let name = sys.name();
         for bytes in [0usize, 64, 4096] {
-            let first = sys.oneway(bytes, &InvokeOpts::call());
+            let first = oneway(&mut sys, bytes, &InvokeOpts::call());
             let totals: Vec<u64> = BATCHES
                 .iter()
                 .map(|&n| {
-                    let inv = sys.invoke_batch(n, bytes, &InvokeOpts::call());
+                    let inv = batch(&mut sys, n, bytes);
                     assert_eq!(inv.total, inv.ledger.total(), "{name} n={n}");
                     assert_eq!(
                         inv.copied_bytes,
@@ -252,8 +271,8 @@ fn xpc_batching_ratio_beats_every_trap_based_baseline() {
     // trap-based kernels only amortize user-side setup — so XPC's
     // batch-64 vs batch-1 per-call ratio must beat every one of them.
     let ratio_at_64 = |sys: &mut Box<dyn IpcSystem>| {
-        let one = sys.invoke_batch(1, 64, &InvokeOpts::call()).total as f64;
-        let batch = sys.invoke_batch(64, 64, &InvokeOpts::call()).total as f64;
+        let one = batch(sys, 1, 64).total as f64;
+        let batch = batch(sys, 64, 64).total as f64;
         one / (batch / 64.0)
     };
     let mut xpc_min = f64::INFINITY;
@@ -290,7 +309,6 @@ fn numa_pricing_invariants_over_the_full_roster() {
     // x-entry shard fetch) — while migrating-thread calls keep the
     // intra-socket crossing at zero Phase::CrossCore, exactly the §5.2
     // free crossing.
-    use simos::{MultiWorld, Topology};
     for mk in kernels::full_roster_factories() {
         let name = mk().name();
         let migrating = mk().migrating_threads();
@@ -299,7 +317,7 @@ fn numa_pricing_invariants_over_the_full_roster() {
                 let mut mw = MultiWorld::builder()
                     .topology(Topology::dual_socket())
                     .build(mk);
-                mw.exec_oneway(0, to, bytes, &InvokeOpts::call(), 0).1
+                hop(&mut mw, to, bytes)
             };
             let local = hop(1); // same socket
             let remote = hop(4); // distance 2
@@ -341,15 +359,14 @@ fn sharded_xentry_fetches_are_counted_and_priced() {
     // XPC on the dual socket: a remote-shard call leg pays
     // xentry_shard_fetch x distance and bumps the shard-miss counter; a
     // local-shard leg pays and counts nothing.
-    use simos::{MultiWorld, Topology};
     let mk = || -> Box<dyn IpcSystem> { Box::new(XpcIpc::sel4_xpc()) };
     let mut mw = MultiWorld::builder()
         .topology(Topology::dual_socket())
         .build(mk);
     let fetch = CostModel::u500().xentry_shard_fetch;
-    let (_, local) = mw.exec_oneway(0, 1, 0, &InvokeOpts::call(), 0);
+    let local = hop(&mut mw, 1, 0);
     assert_eq!(local.ledger.get(Phase::ShardMiss), 0);
-    let (_, remote) = mw.exec_oneway(0, 4, 0, &InvokeOpts::call(), 0);
+    let remote = hop(&mut mw, 4, 0);
     assert_eq!(remote.ledger.get(Phase::ShardMiss), 2 * fetch);
     assert_eq!(remote.total, local.total + 2 * fetch);
     let stats = mw.engine_cache_stats().expect("XPC models an engine cache");
@@ -358,11 +375,17 @@ fn sharded_xentry_fetches_are_counted_and_priced() {
 
 #[test]
 fn roundtrip_is_the_sum_of_its_legs() {
+    // The invariant the old `IpcSystem::roundtrip` default encoded: a
+    // round trip priced into one sink equals its call leg merged with
+    // its reply leg, span for span (order included).
     for mut sys in full_roster() {
         let name = sys.name();
-        let call = sys.oneway(256, &InvokeOpts::call());
-        let reply = sys.oneway(64, &InvokeOpts::reply_leg());
-        let rt = sys.roundtrip(256, 64);
+        let call = oneway(&mut sys, 256, &InvokeOpts::call());
+        let reply = oneway(&mut sys, 64, &InvokeOpts::reply_leg());
+        let rt = Invocation::priced(|l| {
+            sys.oneway_into(256, &InvokeOpts::call(), l)
+                + sys.oneway_into(64, &InvokeOpts::reply_leg(), l)
+        });
         assert_eq!(rt.total, call.total + reply.total, "{name}");
         assert_eq!(rt.ledger.total(), rt.total, "{name}");
         assert_eq!(
@@ -370,5 +393,55 @@ fn roundtrip_is_the_sum_of_its_legs() {
             call.copied_bytes + reply.copied_bytes,
             "{name}"
         );
+        assert_eq!(rt, call.plus(reply), "{name}: span for span");
+    }
+}
+
+#[test]
+fn extreme_step_fields_saturate_instead_of_wrapping() {
+    // Virtual time is u64 and every field below is caller-supplied. At
+    // the boundaries the clock must pin at u64::MAX — never wrap a
+    // completion time to a small number (release) or panic (debug).
+    const EDGES: [u64; 5] = [0, 1, u32::MAX as u64, u64::MAX / 2, u64::MAX];
+    let steps = |v: u64| {
+        [
+            Step::Compute { at: 4, cycles: v },
+            Step::Batch {
+                from: 0,
+                to: 4,
+                calls: v,
+                bytes_each: 64,
+            },
+            Step::DataPass {
+                at: 4,
+                bytes: v,
+                intensity_x10: 25,
+            },
+        ]
+    };
+    for mk in kernels::full_roster_factories() {
+        let name = mk().name();
+        // One world per system, so the per-core accumulators see the
+        // whole sweep pile up.
+        let mut mw = MultiWorld::builder()
+            .topology(Topology::dual_socket())
+            .build(mk);
+        for v in EDGES {
+            for step in steps(v) {
+                for ready in EDGES {
+                    let core = match step {
+                        Step::Batch { .. } => 0, // cross-socket into core 4
+                        _ => 4,
+                    };
+                    let before = mw.free_at(4);
+                    let c = mw.exec(core, step, ready);
+                    assert!(c.done >= ready, "{name}: {step:?} at {ready}");
+                    assert!(mw.free_at(4) >= before, "{name}: {step:?} at {ready}");
+                    assert_eq!(mw.free_at(4), c.done, "{name}: {step:?} at {ready}");
+                    assert_eq!(c.inv.total, c.inv.ledger.total(), "{name}");
+                }
+            }
+        }
+        assert_eq!(mw.free_at(4), u64::MAX, "{name}: the sweep ends saturated");
     }
 }

@@ -208,14 +208,14 @@ mod tests {
 
     #[test]
     fn server_charges_compute() {
-        use simos::{Invocation, InvokeOpts, IpcSystem};
+        use simos::{CycleLedger, InvokeOpts, IpcSystem};
         struct Free;
         impl IpcSystem for Free {
             fn name(&self) -> String {
                 "free".into()
             }
-            fn oneway(&mut self, _msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-                Invocation::default()
+            fn oneway_into(&mut self, _: usize, _: &InvokeOpts, _: &mut CycleLedger) -> u64 {
+                0
             }
         }
         let mut w = simos::World::new(Box::new(Free));

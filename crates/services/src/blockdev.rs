@@ -70,15 +70,15 @@ impl BlockDev {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simos::{Invocation, InvokeOpts, IpcSystem};
+    use simos::{CycleLedger, InvokeOpts, IpcSystem};
 
     struct Free;
     impl IpcSystem for Free {
         fn name(&self) -> String {
             "free".into()
         }
-        fn oneway(&mut self, _msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::default()
+        fn oneway_into(&mut self, _len: usize, _opts: &InvokeOpts, _out: &mut CycleLedger) -> u64 {
+            0
         }
     }
 

@@ -651,15 +651,16 @@ impl FsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simos::{Invocation, InvokeOpts, IpcSystem, Phase};
+    use simos::{CycleLedger, InvokeOpts, IpcSystem, Phase};
 
     struct Free;
     impl IpcSystem for Free {
         fn name(&self) -> String {
             "free".into()
         }
-        fn oneway(&mut self, _msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::single(Phase::Trap, 1)
+        fn oneway_into(&mut self, _len: usize, _opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
+            out.charge(Phase::Trap, 1);
+            0
         }
     }
 

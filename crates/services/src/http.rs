@@ -92,7 +92,7 @@ impl HttpServer {
     /// With a handover-capable mechanism the *payload* rides one relay
     /// segment through the whole chain, so only the first hop carries it;
     /// copy mechanisms pay per hop (that is inherent in how their
-    /// [`simos::IpcSystem::oneway`] prices payload bytes).
+    /// [`simos::IpcSystem::oneway_into`] prices payload bytes).
     pub fn handle(&mut self, w: &mut World, raw_request: &str) -> (Status, Vec<u8>) {
         // Client → HTTP server.
         w.ipc_oneway(raw_request.len() as u64);
@@ -371,15 +371,16 @@ impl ChainIpc for World {
 mod tests {
     use super::*;
     use crate::aes::Aes128;
-    use simos::{Invocation, InvokeOpts, IpcSystem, Phase};
+    use simos::{CycleLedger, InvokeOpts, IpcSystem, Phase};
 
     struct Free;
     impl IpcSystem for Free {
         fn name(&self) -> String {
             "free".into()
         }
-        fn oneway(&mut self, _msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::single(Phase::Trap, 1)
+        fn oneway_into(&mut self, _len: usize, _opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
+            out.charge(Phase::Trap, 1);
+            0
         }
     }
 

@@ -117,18 +117,22 @@ pub fn tcp_throughput_mb_s(w: &mut World, buf: usize, total: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simos::{CycleLedger, Invocation, InvokeOpts, IpcSystem, Phase};
+    use simos::{CycleLedger, InvokeOpts, IpcSystem, Phase};
 
     struct Fixed(u64);
     impl IpcSystem for Fixed {
         fn name(&self) -> String {
             "fixed".into()
         }
-        fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            let ledger = CycleLedger::new()
-                .with(Phase::Trap, self.0)
-                .with(Phase::Transfer, msg_len as u64);
-            Invocation::from_ledger(ledger, msg_len as u64)
+        fn oneway_into(
+            &mut self,
+            msg_len: usize,
+            _opts: &InvokeOpts,
+            out: &mut CycleLedger,
+        ) -> u64 {
+            out.charge(Phase::Trap, self.0);
+            out.charge(Phase::Transfer, msg_len as u64);
+            msg_len as u64
         }
     }
 

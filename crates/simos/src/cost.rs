@@ -114,9 +114,18 @@ impl CostModel {
         }
     }
 
-    /// Cycles for one pass over `bytes` (one copy).
+    /// Cycles for one pass over `bytes` (one copy). The product
+    /// saturates, so a byte count near `u64::MAX` prices as a huge pass
+    /// rather than wrapping to a small one.
     pub fn copy_cycles(&self, bytes: u64) -> u64 {
-        bytes * self.copy_num / self.copy_den
+        bytes.saturating_mul(self.copy_num) / self.copy_den
+    }
+
+    /// Cycles for one pass over `bytes` of data at `intensity_x10 / 10`
+    /// × memcpy-grade work per byte (saturating, like
+    /// [`copy_cycles`](Self::copy_cycles)).
+    pub fn data_pass_cycles(&self, bytes: u64, intensity_x10: u64) -> u64 {
+        self.copy_cycles(bytes).saturating_mul(intensity_x10) / 10
     }
 
     /// The seL4 fast-path one-way cost without message transfer
@@ -125,17 +134,8 @@ impl CostModel {
         self.trap + self.ipc_logic + self.process_switch + self.restore
     }
 
-    /// Table 1's first four rows as a ledger (sums to
+    /// Charge Table 1's first four rows into `out` (they sum to
     /// [`sel4_fastpath_base`](Self::sel4_fastpath_base)).
-    pub fn sel4_fastpath_ledger(&self) -> CycleLedger {
-        let mut l = CycleLedger::new();
-        self.sel4_fastpath_into(&mut l);
-        l
-    }
-
-    /// Charge Table 1's first four rows into `out` (the sink-path twin
-    /// of [`sel4_fastpath_ledger`](Self::sel4_fastpath_ledger), same
-    /// phases in the same order).
     pub fn sel4_fastpath_into(&self, out: &mut CycleLedger) {
         out.charge(Phase::Trap, self.trap);
         out.charge(Phase::IpcLogic, self.ipc_logic);
@@ -147,20 +147,14 @@ impl CostModel {
     /// rightmost decomposition; `full_ctx` picks the trampoline flavour,
     /// `tagged_tlb` removes the refill penalty).
     pub fn xpc_oneway(&self, full_ctx: bool, tagged_tlb: bool) -> u64 {
-        self.xpc_oneway_ledger(full_ctx, tagged_tlb).total()
-    }
-
-    /// The Figure 5 decomposition behind [`xpc_oneway`](Self::xpc_oneway)
-    /// as a ledger: trampoline, `xcall`, and (untagged only) TLB refill.
-    pub fn xpc_oneway_ledger(&self, full_ctx: bool, tagged_tlb: bool) -> CycleLedger {
         let mut l = CycleLedger::new();
         self.xpc_oneway_into(full_ctx, tagged_tlb, &mut l);
-        l
+        l.total()
     }
 
-    /// Charge the Figure 5 decomposition into `out` (the sink-path twin
-    /// of [`xpc_oneway_ledger`](Self::xpc_oneway_ledger), same phases in
-    /// the same order).
+    /// Charge the Figure 5 decomposition behind
+    /// [`xpc_oneway`](Self::xpc_oneway) into `out`: trampoline, `xcall`,
+    /// and (untagged only) TLB refill.
     pub fn xpc_oneway_into(&self, full_ctx: bool, tagged_tlb: bool, out: &mut CycleLedger) {
         let tramp = if full_ctx {
             self.trampoline_full
@@ -289,11 +283,14 @@ mod tests {
     #[test]
     fn ledgers_sum_to_the_scalar_helpers() {
         let c = CostModel::u500();
-        assert_eq!(c.sel4_fastpath_ledger().total(), c.sel4_fastpath_base());
-        assert_eq!(c.sel4_fastpath_ledger().get(Phase::IpcLogic), 212);
+        let mut l = CycleLedger::new();
+        c.sel4_fastpath_into(&mut l);
+        assert_eq!(l.total(), c.sel4_fastpath_base());
+        assert_eq!(l.get(Phase::IpcLogic), 212);
         for full in [true, false] {
             for tagged in [true, false] {
-                let l = c.xpc_oneway_ledger(full, tagged);
+                l.clear();
+                c.xpc_oneway_into(full, tagged, &mut l);
                 assert_eq!(l.total(), c.xpc_oneway(full, tagged));
                 assert_eq!(l.get(Phase::TlbRefill) == 0, tagged);
             }

@@ -159,10 +159,11 @@ impl CycleLedger {
         Self::default()
     }
 
-    /// Charge `cycles` to `phase` (accumulates; records zero charges).
+    /// Charge `cycles` to `phase` (accumulates, saturating at
+    /// `u64::MAX`; records zero charges).
     pub fn charge(&mut self, phase: Phase, cycles: u64) {
         if let Some(span) = self.spans.iter_mut().find(|(p, _)| *p == phase) {
-            span.1 += cycles;
+            span.1 = span.1.saturating_add(cycles);
         } else {
             self.spans.push((phase, cycles));
         }
@@ -183,9 +184,13 @@ impl CycleLedger {
             .map_or(0, |(_, c)| *c)
     }
 
-    /// Sum over all phases.
+    /// Sum over all phases (saturating: a ledger priced from an absurd
+    /// caller-supplied count totals `u64::MAX`, never a wrapped small
+    /// number).
     pub fn total(&self) -> u64 {
-        self.spans.iter().map(|(_, c)| c).sum()
+        self.spans
+            .iter()
+            .fold(0, |sum, &(_, c)| sum.saturating_add(c))
     }
 
     /// The spans in first-charge order.
@@ -226,17 +231,10 @@ impl CycleLedger {
     }
 
     /// Per-phase delta `self - baseline` over the union of phases (this
-    /// ledger's order first, then baseline-only phases). The Figure 5
-    /// bars are exactly these diffs between ablation configurations.
-    pub fn diff(&self, baseline: &CycleLedger) -> Vec<(Phase, i64)> {
-        let mut out = Vec::new();
-        self.diff_into(baseline, &mut out);
-        out
-    }
-
-    /// [`diff`](Self::diff) into a caller-provided buffer (cleared
-    /// first), so sweep grids comparing many ledger pairs can reuse one
-    /// allocation.
+    /// ledger's order first, then baseline-only phases), written into
+    /// `out` (cleared first, so sweep grids comparing many ledger pairs
+    /// reuse one allocation). The Figure 5 bars are exactly these diffs
+    /// between ablation configurations.
     pub fn diff_into(&self, baseline: &CycleLedger, out: &mut Vec<(Phase, i64)>) {
         out.clear();
         out.extend(
@@ -494,8 +492,8 @@ impl LedgerArena {
 /// caller-provided sink of the arena hot path.
 ///
 /// `Full` keeps a complete span ledger for *every* request (the arena is
-/// used as reset-and-reuse scratch, so the report ledger reproduces the
-/// pre-arena output bit for bit). `Sampled` accumulates every request
+/// used as reset-and-reuse scratch; the report ledger merges every
+/// request's spans in first-charge order). `Sampled` accumulates every request
 /// into flat [`PhaseTotals`] (exact per-phase sums — see the
 /// `PhaseTotals` docs) and additionally retains a full span ledger in
 /// the arena for one request in `every`.
@@ -647,17 +645,25 @@ impl Invocation {
         }
     }
 
-    /// A single-phase invocation (handy for fixtures and stubs).
-    pub fn single(phase: Phase, cycles: u64) -> Self {
-        Self::from_ledger(CycleLedger::new().with(phase, cycles), 0)
+    /// Price into a fresh ledger: run `price` (any of the sink methods —
+    /// [`IpcSystem::oneway_into`](crate::ipc::IpcSystem::oneway_into),
+    /// `invoke_batch_into`, several legs in sequence) against an empty
+    /// sink and package the spans it charged with the copied bytes it
+    /// returned. This is the one way an owned `Invocation` is made from
+    /// the pricing path; tables, figures and tests call it, the load
+    /// generators charge their own reused sinks instead.
+    pub fn priced(price: impl FnOnce(&mut CycleLedger) -> u64) -> Self {
+        let mut ledger = CycleLedger::new();
+        let copied_bytes = price(&mut ledger);
+        Self::from_ledger(ledger, copied_bytes)
     }
 
     /// Concatenate two invocations (round trips, chains).
     #[must_use]
     pub fn plus(mut self, other: Invocation) -> Self {
         self.ledger.merge(&other.ledger);
-        self.total += other.total;
-        self.copied_bytes += other.copied_bytes;
+        self.total = self.total.saturating_add(other.total);
+        self.copied_bytes = self.copied_bytes.saturating_add(other.copied_bytes);
         self
     }
 }
@@ -686,7 +692,7 @@ mod tests {
                 .with(Phase::Transfer, 5),
             5,
         );
-        let b = Invocation::single(Phase::Xret, 23);
+        let b = Invocation::from_ledger(CycleLedger::new().with(Phase::Xret, 23), 0);
         let sum = a.clone().plus(b);
         assert_eq!(sum.total, 38);
         assert_eq!(sum.total, sum.ledger.total());
@@ -701,7 +707,9 @@ mod tests {
         let b = CycleLedger::new()
             .with(Phase::Xcall, 6)
             .with(Phase::Trampoline, 15);
-        let d = a.diff(&b);
+        let mut d = vec![(Phase::Driver, -999)]; // stale content must go
+        a.diff_into(&b, &mut d);
+        assert_eq!(d.len(), 3);
         assert!(d.contains(&(Phase::Xcall, 12)));
         assert!(d.contains(&(Phase::TlbRefill, 40)));
         assert!(d.contains(&(Phase::Trampoline, -15)));
@@ -756,19 +764,6 @@ mod tests {
         assert_eq!(l.get(Phase::Trap), 300);
         assert_eq!(l.get(Phase::Transfer), 64);
         assert_eq!(l.spans()[0].0, Phase::Trap, "span order preserved");
-    }
-
-    #[test]
-    fn diff_into_matches_diff_and_reuses_buffer() {
-        let a = CycleLedger::new()
-            .with(Phase::Xcall, 18)
-            .with(Phase::TlbRefill, 40);
-        let b = CycleLedger::new()
-            .with(Phase::Xcall, 6)
-            .with(Phase::Trampoline, 15);
-        let mut buf = vec![(Phase::Driver, -999)]; // stale content must go
-        a.diff_into(&b, &mut buf);
-        assert_eq!(buf, a.diff(&b));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   trap / IPC-logic / switch / restore, copy cycles per byte, the XPC
 //!   instruction costs measured on the emulator);
 //! * [`ledger`] — the [`CycleLedger`]/[`Phase`] attribution every system
-//!   charges against, and the [`Invocation`] it returns;
+//!   charges against, and the owned [`Invocation`] tables and figures
+//!   build from it ([`Invocation::priced`]);
 //! * [`ipc::IpcSystem`] — the invocation pipeline every kernel model
-//!   implements (one ledger-carrying hop as a function of message size
-//!   and [`InvokeOpts`]);
+//!   implements (one hop charged into a ledger sink as a function of
+//!   message size and [`InvokeOpts`]);
 //! * [`transport`] — the four long-message mechanisms of Figure 10
 //!   (twofold copy, user shared memory, remap, relay segment) with their
 //!   security properties from Table 7;
@@ -59,9 +60,7 @@ pub mod transport;
 pub mod world;
 
 pub use cost::CostModel;
-pub use ipc::{
-    amortized_batch, amortized_batch_into, oneway_invocation, EngineCacheStats, IpcCost, IpcSystem,
-};
+pub use ipc::{amortized_batch_into, EngineCacheStats, IpcSystem};
 pub use ledger::{
     ArenaMark, Attribution, CycleLedger, Hardening, Invocation, InvokeOpts, LedgerArena, LedgerRef,
     Phase, PhaseTotals,

@@ -6,11 +6,11 @@
 //! N cores in virtual time:
 //!
 //! * **windowed clients** — a fixed population of clients, each keeping
-//!   up to `window` requests outstanding. `window = 1` is the classic
-//!   closed loop ([`run`]): a client issues its next request only after
-//!   the previous one completes (plus think time). Wider windows model
-//!   asynchronous submission: the client fires `window` requests
-//!   back-to-back and replaces each as it completes ([`run_windowed`]);
+//!   up to `window` requests outstanding ([`run_windowed`]). `window =
+//!   1` is the classic closed loop: a client issues its next request
+//!   only after the previous one completes (plus think time). Wider
+//!   windows model asynchronous submission: the client fires `window`
+//!   requests back-to-back and replaces each as it completes;
 //! * **FIFO cores in virtual time** — each core is a FIFO server
 //!   ([`MultiWorld::free_at`]); a step issued at `t` starts at
 //!   `max(t, core_free)`. In windowed runs the wait `core_free - t` is
@@ -23,12 +23,12 @@
 //!   in-tree seeded [`ycsb::rng`], so the same seed reproduces the same
 //!   percentile report bit for bit — and `window = 1` reproduces the
 //!   pre-windowed closed-loop report exactly;
-//! * **ledger-derived** — every hop returns an
-//!   [`Invocation`](crate::ledger::Invocation); a
-//!   request's latency is the virtual-time span from issue to last step
-//!   (queueing included), and the report's phase breakdown (how much of
-//!   the fleet's IPC time was cross-core, transfer, queueing, …) is the
-//!   merged per-request ledger.
+//! * **ledger-derived** — every hop charges its phase spans into the
+//!   request's [`Attribution`] sink; a request's latency is the
+//!   virtual-time span from issue to last step (queueing included), and
+//!   the report's phase breakdown (how much of the fleet's IPC time was
+//!   cross-core, transfer, queueing, …) is the merged per-request
+//!   ledger.
 
 use crate::ipc::EngineCacheStats;
 use crate::ledger::{Attribution, CycleLedger, LedgerArena, LedgerRef, Phase, PhaseTotals};
@@ -257,8 +257,8 @@ fn resolve_step(map: &[CoreId], step: &Step) -> Step {
             intensity_x10,
         },
         // Fused programs resolve their services inside
-        // `MultiWorld::exec_fused*` (the id carries no service fields to
-        // rewrite); the request drivers intercept the variant before
+        // `MultiWorld::exec_fused_into` (the id carries no service fields
+        // to rewrite); the request driver intercepts the variant before
         // this resolver runs.
         Step::Fused(id) => Step::Fused(id),
     }
@@ -282,61 +282,29 @@ fn step_route(resolved: &Step) -> (CoreId, CoreId, u64) {
 
 /// Run one request's steps starting at virtual time `t0` with services
 /// mapped to cores by `map`. Returns the completion time and the merged
-/// IPC ledger of the request.
+/// IPC ledger of the request (no queue attribution). Convenience over
+/// the sink driver the load generators run, for pricing a single
+/// request outside a load run.
 pub fn run_request(
     mw: &mut MultiWorld,
     map: &[CoreId],
     steps: &[Step],
     t0: u64,
 ) -> (u64, CycleLedger) {
-    let (done, ledger, _) = run_request_inner(mw, map, steps, t0, false);
-    (done, ledger)
+    let mut arena = LedgerArena::new();
+    let h = arena.begin();
+    let mut sink = ReqSink {
+        totals: None,
+        arena: Some((&mut arena, h)),
+    };
+    let mut step_ledger = CycleLedger::new();
+    let (done, _) = run_request_sink(mw, map, steps, t0, false, &mut step_ledger, &mut sink);
+    (done, arena.to_ledger(h))
 }
 
-/// [`run_request`] plus queue attribution and call counting: when
-/// `attribute_queue`, the wait each step spends behind its serving
-/// core's earlier work (`free_at - t`) is charged to [`Phase::Queue`]
-/// in the request ledger. Also returns the IPC calls the request made.
-fn run_request_inner(
-    mw: &mut MultiWorld,
-    map: &[CoreId],
-    steps: &[Step],
-    t0: u64,
-    attribute_queue: bool,
-) -> (u64, CycleLedger, u64) {
-    let mut t = t0;
-    let mut ledger = CycleLedger::new();
-    let mut ipc_calls = 0u64;
-    for step in steps {
-        if let Step::Fused(id) = step {
-            let (issuer, serving, calls) = mw.fused_route(*id, map);
-            if attribute_queue {
-                ledger.charge(Phase::Queue, mw.free_at(serving).saturating_sub(t));
-            }
-            let c = mw.exec_fused(issuer, *id, map, t);
-            ledger.merge(&c.inv.ledger);
-            ipc_calls += calls;
-            t = c.done;
-            continue;
-        }
-        let resolved = resolve_step(map, step);
-        let (issuer, serving, calls) = step_route(&resolved);
-        if attribute_queue {
-            ledger.charge(Phase::Queue, mw.free_at(serving).saturating_sub(t));
-        }
-        let c = mw.exec(issuer, resolved, t);
-        ledger.merge(&c.inv.ledger);
-        ipc_calls += calls;
-        t = c.done;
-    }
-    (t, ledger, ipc_calls)
-}
-
-/// Where one request's spans go on the zero-alloc path: always into the
-/// flat totals when sampling, and into an arena ledger when this request
-/// keeps span-level detail (every request in `Full` mode, 1-in-N in
-/// `Sampled`). Charge order through this sink matches the allocating
-/// path span for span.
+/// Where one request's spans go: always into the flat totals when
+/// sampling, and into an arena ledger when this request keeps span-level
+/// detail (every request in `Full` mode, 1-in-N in `Sampled`).
 pub(crate) struct ReqSink<'a> {
     pub(crate) totals: Option<&'a mut PhaseTotals>,
     pub(crate) arena: Option<(&'a mut LedgerArena, LedgerRef)>,
@@ -362,10 +330,12 @@ impl ReqSink<'_> {
     }
 }
 
-/// Zero-alloc twin of [`run_request_inner`]: steps execute through
+/// The request driver: steps execute through
 /// [`MultiWorld::exec_into`] with `step_ledger` as scratch and the
-/// request's spans land in `sink`. Returns `(done, ipc_calls)`.
-/// Shared with the open-loop [`crate::serve`] engine.
+/// request's spans land in `sink`. When `attribute_queue`, the wait each
+/// step spends behind its serving core's earlier work (`free_at - t`) is
+/// charged to [`Phase::Queue`]. Returns `(done, ipc_calls)`. Shared with
+/// the open-loop [`crate::serve`] engine.
 pub(crate) fn run_request_sink(
     mw: &mut MultiWorld,
     map: &[CoreId],
@@ -449,28 +419,14 @@ impl SweepScratch {
     }
 }
 
-/// Drive `spec.requests` requests from `spec.clients` closed-loop
-/// clients through `mw` under `policy`. Each request uses a recipe drawn
-/// from `recipes` by the seeded RNG; `n_services` is the recipe
-/// service-id space (service 0 is the client).
-///
-/// Exactly [`run_windowed`] with `window = 1` — same issue order, same
-/// RNG draws, same report, bit for bit.
-pub fn run(
-    mw: &mut MultiWorld,
-    policy: &Placement,
-    n_services: usize,
-    recipes: &[Vec<Step>],
-    spec: &LoadGen,
-) -> LoadReport {
-    run_windowed(mw, policy, n_services, recipes, spec, 1)
-}
-
 /// Drive `spec.requests` requests from `spec.clients` *windowed*
-/// clients: each client keeps up to `window` requests outstanding,
-/// issuing a replacement (after think time) as the oldest-completing
-/// one finishes. Issue order is "lowest issue-time first, ties to the
-/// lowest client index"; cores serve FIFO in virtual time, and (for
+/// clients through `mw` under `policy`: each client keeps up to `window`
+/// requests outstanding (`window = 1` is the closed loop), issuing a
+/// replacement (after think time) as the oldest-completing one finishes.
+/// Each request uses a recipe drawn from `recipes` by the seeded RNG;
+/// `n_services` is the recipe service-id space (service 0 is the
+/// client). Issue order is "lowest issue-time first, ties to the lowest
+/// client index"; cores serve FIFO in virtual time, and (for
 /// `window > 1`) per-step queue waiting is charged to [`Phase::Queue`]
 /// in the report ledger.
 pub fn run_windowed(
@@ -669,7 +625,7 @@ pub fn run_windowed_with(
 mod tests {
     use super::*;
     use crate::ipc::IpcSystem;
-    use crate::ledger::{Invocation, InvokeOpts};
+    use crate::ledger::InvokeOpts;
     use crate::topology::Topology;
 
     struct Fixed;
@@ -677,13 +633,15 @@ mod tests {
         fn name(&self) -> String {
             "fixed".into()
         }
-        fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::from_ledger(
-                CycleLedger::new()
-                    .with(Phase::Trap, 100)
-                    .with(Phase::Transfer, msg_len as u64),
-                msg_len as u64,
-            )
+        fn oneway_into(
+            &mut self,
+            msg_len: usize,
+            _opts: &InvokeOpts,
+            out: &mut CycleLedger,
+        ) -> u64 {
+            out.charge(Phase::Trap, 100);
+            out.charge(Phase::Transfer, msg_len as u64);
+            msg_len as u64
         }
     }
 
@@ -728,7 +686,7 @@ mod tests {
     fn same_seed_is_bit_identical() {
         let run_once = || {
             let mut mw = mw(4);
-            run(&mut mw, &Placement::RoundRobin, 3, &[recipe()], &spec())
+            run_windowed(&mut mw, &Placement::RoundRobin, 3, &[recipe()], &spec(), 1)
         };
         assert_eq!(run_once(), run_once());
     }
@@ -736,7 +694,7 @@ mod tests {
     #[test]
     fn different_seeds_may_differ_but_stay_consistent() {
         let mut mw = mw(2);
-        let r = run(&mut mw, &Placement::SameCore, 3, &[recipe()], &spec());
+        let r = run_windowed(&mut mw, &Placement::SameCore, 3, &[recipe()], &spec(), 1);
         assert_eq!(r.requests, 100);
         assert!(r.makespan_cycles > 0);
         assert!(r.p50_us <= r.p95_us && r.p95_us <= r.p99_us);
@@ -760,15 +718,16 @@ mod tests {
             r
         };
         let mut one = mw(1);
-        let base = run(
+        let base = run_windowed(
             &mut one,
             &Placement::SameCore,
             3,
             std::slice::from_ref(&heavy),
             &spec(),
+            1,
         );
         let mut four = mw(4);
-        let scaled = run(&mut four, &Placement::RoundRobin, 3, &[heavy], &spec());
+        let scaled = run_windowed(&mut four, &Placement::RoundRobin, 3, &[heavy], &spec(), 1);
         assert!(
             scaled.throughput_rps > base.throughput_rps,
             "round-robin over 4 cores ({:.0} rps) should beat 1 core ({:.0} rps)",
@@ -781,9 +740,16 @@ mod tests {
 
         // Tiny requests: the surcharge dominates and scale-out loses.
         let mut one = mw(1);
-        let base = run(&mut one, &Placement::SameCore, 3, &[recipe()], &spec());
+        let base = run_windowed(&mut one, &Placement::SameCore, 3, &[recipe()], &spec(), 1);
         let mut four = mw(4);
-        let scaled = run(&mut four, &Placement::RoundRobin, 3, &[recipe()], &spec());
+        let scaled = run_windowed(
+            &mut four,
+            &Placement::RoundRobin,
+            3,
+            &[recipe()],
+            &spec(),
+            1,
+        );
         assert!(scaled.throughput_rps < base.throughput_rps);
     }
 
@@ -987,7 +953,7 @@ mod tests {
     }
 
     /// The closed-loop driver exactly as it existed before the windowed
-    /// refactor — kept here as the oracle that pins `run` /
+    /// refactor — kept here as the issue-order oracle that pins
     /// `run_windowed(window = 1)` to the historical behavior bit for bit.
     fn closed_loop_oracle(
         mw: &mut MultiWorld,
@@ -1011,8 +977,9 @@ mod tests {
             let t0 = ready[c];
             let pick = usize::try_from(rng.below(recipes.len() as u64)).expect("index fits usize");
             let recipe = &recipes[pick];
-            let map = policy
-                .assign(r, n_services, mw)
+            let mut map = Vec::new();
+            policy
+                .assign_into(r, n_services, mw, &mut map)
                 .expect("placement rejected the core map");
             let (done, req_ledger) = run_request(mw, &map, recipe, t0);
             ledger.merge(&req_ledger);
@@ -1052,14 +1019,6 @@ mod tests {
         // No queue attribution in the closed loop — not even zero spans.
         assert_eq!(r.ledger.get(Phase::Queue), 0);
         assert!(!r.ledger.spans().iter().any(|(p, _)| *p == Phase::Queue));
-        // And `run` is the same thing by construction.
-        let mut mw2 = MultiWorld::builder()
-            .topology(Topology::u500())
-            .build(|| Box::new(Fixed));
-        assert_eq!(
-            run(&mut mw2, &Placement::RoundRobin, 3, &[recipe()], &spec),
-            r
-        );
     }
 
     /// The windowed driver exactly as it existed before the event-queue
@@ -1092,10 +1051,26 @@ mod tests {
             let t0 = avail[c];
             let pick = usize::try_from(rng.below(recipes.len() as u64)).expect("index fits usize");
             let recipe = &recipes[pick];
-            let map = policy
-                .assign(r, n_services, mw)
+            let mut map = Vec::new();
+            policy
+                .assign_into(r, n_services, mw, &mut map)
                 .expect("placement rejected the core map");
-            let (done, req_ledger, _) = run_request_inner(mw, &map, recipe, t0, attribute_queue);
+            let mut arena = LedgerArena::new();
+            let h = arena.begin();
+            let mut sink = ReqSink {
+                totals: None,
+                arena: Some((&mut arena, h)),
+            };
+            let (done, _) = run_request_sink(
+                mw,
+                &map,
+                recipe,
+                t0,
+                attribute_queue,
+                &mut CycleLedger::new(),
+                &mut sink,
+            );
+            let req_ledger = arena.to_ledger(h);
             ledger.merge(&req_ledger);
             latencies.push(done - t0);
             makespan = makespan.max(done);
@@ -1231,12 +1206,57 @@ mod tests {
             seed: 3,
             think_cycles: 0,
         };
-        let r = run(&mut mw, &Placement::RoundRobin, 2, &[burst], &spec);
+        let r = run_windowed(&mut mw, &Placement::RoundRobin, 2, &[burst], &spec, 1);
         assert_eq!(r.ipc_calls, 80);
         assert_eq!(r.requests, 10);
         // `Fixed` amortizes nothing, so the batch costs 8 full calls.
         assert_eq!(r.ledger.get(Phase::Trap), 80 * 100);
         assert_eq!(r.engine_cache, None);
+    }
+
+    #[test]
+    fn zero_call_batches_in_a_recipe_price_as_nothing() {
+        // `calls: 0` in a caller-supplied recipe used to panic inside the
+        // batch pricing; it is an empty step, and the rest of the
+        // request prices as if it were not there.
+        let with_empty = vec![
+            Step::Batch {
+                from: 0,
+                to: 1,
+                calls: 0,
+                bytes_each: 64,
+            },
+            Step::Oneway {
+                from: 0,
+                to: 1,
+                bytes: 64,
+            },
+        ];
+        let without = vec![with_empty[1]];
+        let spec = LoadGen {
+            clients: 2,
+            requests: 10,
+            seed: 3,
+            think_cycles: 0,
+        };
+        let mut scratch = SweepScratch::new();
+        let mut arena = LedgerArena::new();
+        let mut go = |recipe: Vec<Step>| {
+            run_windowed_with(
+                &mut mw(2),
+                &Placement::RoundRobin,
+                2,
+                &[recipe],
+                &spec,
+                2,
+                &mut scratch,
+                Attribution::Full(&mut arena),
+            )
+            .unwrap()
+        };
+        let r = go(with_empty);
+        assert_eq!(r.ipc_calls, 10, "the empty burst made no calls");
+        assert_eq!(r, go(without));
     }
 
     #[test]
@@ -1256,7 +1276,7 @@ mod tests {
             seed: 3,
             think_cycles: 0,
         };
-        let r = run(&mut mw, &Placement::RoundRobin, 3, &fused, &spec);
+        let r = run_windowed(&mut mw, &Placement::RoundRobin, 3, &fused, &spec, 1);
         assert_eq!(r.requests, 10);
         assert_eq!(r.ipc_calls, 20, "two hops per fused request");
         assert!(r.ledger.total() > 0);
@@ -1264,7 +1284,7 @@ mod tests {
     }
 
     #[test]
-    fn windowed_fused_runs_attribute_queueing_and_match_the_sink_path() {
+    fn windowed_fused_runs_attribute_queueing_in_full_and_sampled_modes() {
         let mut mw = mw(2);
         let program = crate::program::Recipe::new(0)
             .hop(1, 64)
@@ -1275,7 +1295,7 @@ mod tests {
         let fused = vec![vec![Step::Fused(id)]];
         let r = run_windowed(&mut mw, &Placement::SameCore, 2, &fused, &spec(), 4);
         assert!(r.ledger.get(Phase::Queue) > 0, "contention must queue");
-        // The sampled sink path reports identical totals.
+        // Sampled attribution reports identical totals.
         let mut mw2 = mw2_with_program();
         let mut scratch = SweepScratch::new();
         let mut totals = crate::ledger::PhaseTotals::new();
@@ -1314,7 +1334,7 @@ mod tests {
     #[test]
     fn busy_cycles_bounded_by_cores_times_makespan() {
         let mut mw = mw(4);
-        let r = run(&mut mw, &Placement::LeastLoaded, 3, &[recipe()], &spec());
+        let r = run_windowed(&mut mw, &Placement::LeastLoaded, 3, &[recipe()], &spec(), 1);
         assert!(r.busy_cycles <= r.cores as u64 * r.makespan_cycles);
     }
 }

@@ -34,7 +34,7 @@ use crate::ipc::{EngineCacheStats, IpcSystem};
 use crate::ledger::{CycleLedger, Invocation, InvokeOpts, Phase};
 use crate::program::{CallProgram, ProgramId, HANDOVER_DESC_BYTES};
 use crate::topology::Topology;
-use crate::world::World;
+use crate::world::{msg_len, World};
 use std::fmt;
 
 /// Index of a core in a [`MultiWorld`].
@@ -63,8 +63,9 @@ pub enum Step {
         bytes: u64,
     },
     /// A burst of `calls` one-way IPCs from `from` to `to` submitted
-    /// together, priced by [`crate::ipc::IpcSystem::invoke_batch`]
-    /// (per-batch entry work amortized, per-call transfer not).
+    /// together, priced by [`crate::ipc::IpcSystem::invoke_batch_into`]
+    /// (per-batch entry work amortized, per-call transfer not). A
+    /// zero-call burst prices as the empty invocation.
     ///
     /// `from`/`to` follow the same recipe-space → core-space contract as
     /// [`Step::Oneway`]: service indices in a recipe, core ids at
@@ -75,7 +76,7 @@ pub enum Step {
         /// Receiving and serving service (recipe space) / core (core
         /// space).
         to: usize,
-        /// Calls in the burst (>= 1).
+        /// Calls in the burst.
         calls: u64,
         /// Payload bytes per call.
         bytes_each: u64,
@@ -201,9 +202,8 @@ impl XCoreCost {
     /// cache-line transfer each scale with the distance.
     pub fn hop_extra_at(&self, payload_bytes: u64, dist: u64) -> u64 {
         let lines = payload_bytes.div_ceil(self.line_bytes.max(1));
-        self.at_distance(self.ipi, dist)
-            + self.at_distance(self.remote_wakeup, dist)
-            + lines * self.at_distance(self.line_transfer, dist)
+        (self.at_distance(self.ipi, dist) + self.at_distance(self.remote_wakeup, dist))
+            .saturating_add(lines.saturating_mul(self.at_distance(self.line_transfer, dist)))
     }
 
     /// Surcharge for a *migrating-thread* hop (`xcall` runs the server on
@@ -213,7 +213,7 @@ impl XCoreCost {
     /// interconnect on first touch).
     pub fn migrating_hop_extra(&self, payload_bytes: u64, dist: u64) -> u64 {
         let lines = payload_bytes.div_ceil(self.line_bytes.max(1));
-        lines * (self.at_distance(self.line_transfer, dist) - self.line_transfer)
+        lines.saturating_mul(self.at_distance(self.line_transfer, dist) - self.line_transfer)
     }
 }
 
@@ -255,10 +255,6 @@ impl IpcSystem for CrossCore {
         format!("{}+xcore", self.inner.name())
     }
 
-    fn oneway(&mut self, msg_len: usize, opts: &InvokeOpts) -> Invocation {
-        crate::ipc::oneway_invocation(self, msg_len, opts)
-    }
-
     fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
         let copied = self.inner.oneway_into(msg_len, opts, out);
         let extra = if self.inner.migrating_threads() {
@@ -292,14 +288,17 @@ impl IpcSystem for CrossCore {
         // Delegate to the inner system (keeping its amortization *and*
         // its stats counting), then surcharge every call: batching does
         // not amortize the IPI or the remote wakeup — each cross-core
-        // delivery still interrupts and wakes the target core.
+        // delivery still interrupts and wakes the target core. (An
+        // empty burst delivers nothing, so it records no crossing.)
         let copied = self.inner.invoke_batch_into(calls, bytes_each, opts, out);
-        let extra = if self.inner.migrating_threads() {
-            0
-        } else {
-            calls * self.xc.hop_extra(bytes_each as u64)
-        };
-        out.charge(Phase::CrossCore, extra);
+        if calls > 0 {
+            let extra = if self.inner.migrating_threads() {
+                0
+            } else {
+                calls.saturating_mul(self.xc.hop_extra(bytes_each as u64))
+            };
+            out.charge(Phase::CrossCore, extra);
+        }
         copied
     }
 
@@ -364,9 +363,10 @@ impl Placement {
         }
     }
 
-    /// Map the `n_services` services of request `r` to cores. Service 0
-    /// is the client; it always sits on core 0. Every returned index is
-    /// strictly below `mw.n_cores()`.
+    /// Map the `n_services` services of request `r` to cores, into `out`
+    /// (cleared first, so a load run placing every request reuses one
+    /// map allocation). Service 0 is the client; it always sits on core
+    /// 0. Every index written is strictly below `mw.n_cores()`.
     ///
     /// # Errors
     ///
@@ -375,20 +375,6 @@ impl Placement {
     /// the world. Both used to be `assert!`/`debug_assert!`; release
     /// builds would silently mis-price every hop of a mis-mapped chain
     /// instead of rejecting it.
-    pub fn assign(
-        &self,
-        r: u64,
-        n_services: usize,
-        mw: &MultiWorld,
-    ) -> Result<Vec<CoreId>, PlacementError> {
-        let mut map = Vec::new();
-        self.assign_into(r, n_services, mw, &mut map)?;
-        Ok(map)
-    }
-
-    /// [`assign`](Self::assign) into a caller-provided buffer (cleared
-    /// first), so a load run placing every request reuses one map
-    /// allocation instead of building a fresh `Vec` per request.
     pub fn assign_into(
         &self,
         r: u64,
@@ -673,15 +659,6 @@ impl MultiWorld {
         self.cores.iter().map(|w| w.cycles).sum()
     }
 
-    /// Phase ledger merged over every core's IPC accounting.
-    pub fn merged_ledger(&self) -> CycleLedger {
-        let mut l = CycleLedger::new();
-        for w in &self.cores {
-            l.merge(&w.stats.ledger);
-        }
-        l
-    }
-
     /// Engine-cache counters summed over every core's system ([`None`]
     /// when no core models one).
     pub fn engine_cache_stats(&self) -> Option<EngineCacheStats> {
@@ -718,15 +695,15 @@ impl MultiWorld {
     /// first hop's — serves the whole program as one FIFO interval, and
     /// the call count is the hop count (one `xcall`/kernel entry per
     /// hop, however the mechanism prices it).
-    pub fn fused_route(&self, id: ProgramId, map: &[CoreId]) -> (CoreId, CoreId, u64) {
+    pub(crate) fn fused_route(&self, id: ProgramId, map: &[CoreId]) -> (CoreId, CoreId, u64) {
         let p = &self.programs[id.index()];
         let calls = u64::try_from(p.depth()).expect("hop count fits u64");
         (map[p.client()], map[p.hops()[0].service], calls)
     }
 
-    /// Shared fused-program pricing: charge every hop and the final
-    /// reply leg into `out` (accumulating), clock the entry core once
-    /// for the whole program, and return `(done, copied_bytes)`.
+    /// Fused-program pricing: charge every hop and the final reply leg
+    /// into `out` (accumulating), clock the entry core once for the
+    /// whole program, and return `(done, copied_bytes)`.
     ///
     /// `map` resolves the program's service ids to cores; `None` is the
     /// identity map (ids already are core ids — `exec`'s contract).
@@ -773,7 +750,9 @@ impl MultiWorld {
                 hop.request
             };
             let opts = self.shard_opts(prev, to, &InvokeOpts::call());
-            copied += self.cores[to].price_fused_hop_into(calls, bytes, &opts, out);
+            copied += self.cores[to]
+                .ipc()
+                .fused_hop_into(calls, msg_len(bytes), &opts, out);
             self.surcharge_into(prev, to, bytes, 1, out);
             payload += bytes;
             compute += hop.compute;
@@ -782,10 +761,12 @@ impl MultiWorld {
         }
         let response = self.programs[id.index()].response();
         let reply_opts = self.shard_opts(issuer, prev, &InvokeOpts::reply_leg());
-        copied += self.cores[prev].price_oneway_into(response, &reply_opts, out);
+        copied += self.cores[prev]
+            .ipc()
+            .oneway_into(msg_len(response), &reply_opts, out);
         self.surcharge_into(issuer, prev, response, 1, out);
         payload += response;
-        let done = self.clock(entry, ready, out.total() + compute);
+        let done = self.clock(entry, ready, out.total().saturating_add(compute));
         if compute > 0 {
             self.cores[entry].compute(compute);
         }
@@ -795,27 +776,10 @@ impl MultiWorld {
 
     /// Execute a registered program under an explicit service → core
     /// `map` (the load/serve drivers' path — [`Step::Fused`] through
-    /// [`exec`](Self::exec) uses the identity map instead). `issuer` is
-    /// the client's core; returns the completion.
-    pub fn exec_fused(
-        &mut self,
-        issuer: CoreId,
-        id: ProgramId,
-        map: &[CoreId],
-        ready: u64,
-    ) -> Completion {
-        let mut ledger = CycleLedger::new();
-        let (done, copied) = self.fused_into_with(issuer, id, Some(map), ready, &mut ledger);
-        Completion {
-            done,
-            inv: Invocation::from_ledger(ledger, copied),
-        }
-    }
-
-    /// Zero-alloc twin of [`exec_fused`](Self::exec_fused): charge the
+    /// [`exec`](Self::exec) uses the identity map instead): charge the
     /// program's spans into `out` (cleared first) and return the
-    /// completion time.
-    pub fn exec_fused_into(
+    /// completion time. `issuer` is the client's core.
+    pub(crate) fn exec_fused_into(
         &mut self,
         issuer: CoreId,
         id: ProgramId,
@@ -843,39 +807,11 @@ impl MultiWorld {
             .at_shard_distance(self.topo.core_distance(from, to))
     }
 
-    fn surcharge(
-        &self,
-        from: CoreId,
-        to: CoreId,
-        bytes: u64,
-        calls: u64,
-        inv: Invocation,
-    ) -> Invocation {
-        if from == to {
-            return inv;
-        }
-        let dist = self.topo.core_distance(from, to);
-        let extra = if self.cores[to].migrating_threads() {
-            let extra = calls * self.xc.migrating_hop_extra(bytes, dist);
-            if extra == 0 {
-                // Intra-socket xcall: the §5.2 free crossing — ledger
-                // untouched, exactly the historical single-socket path.
-                return inv;
-            }
-            extra
-        } else {
-            calls * self.xc.hop_extra_at(bytes, dist)
-        };
-        let mut ledger = inv.ledger;
-        ledger.charge(Phase::CrossCore, extra);
-        Invocation::from_ledger(ledger, inv.copied_bytes)
-    }
-
-    /// Sink-path [`surcharge`](Self::surcharge): charge the cross-core
-    /// extra for a `from → to` leg straight into `out`, replicating the
-    /// allocating path exactly — same-core legs and free intra-socket
-    /// migrating crossings leave the ledger untouched (no span), every
-    /// other crossing appends/accumulates a [`Phase::CrossCore`] span.
+    /// Charge the cross-core extra for `calls` deliveries over a
+    /// `from → to` leg straight into `out`: same-core legs, empty bursts
+    /// and free intra-socket migrating crossings leave the ledger
+    /// untouched (no span — the §5.2 free crossing), every other
+    /// crossing appends/accumulates a [`Phase::CrossCore`] span.
     fn surcharge_into(
         &self,
         from: CoreId,
@@ -884,25 +820,27 @@ impl MultiWorld {
         calls: u64,
         out: &mut CycleLedger,
     ) {
-        if from == to {
+        if from == to || calls == 0 {
             return;
         }
         let dist = self.topo.core_distance(from, to);
         let extra = if self.cores[to].migrating_threads() {
-            let extra = calls * self.xc.migrating_hop_extra(bytes, dist);
+            let extra = calls.saturating_mul(self.xc.migrating_hop_extra(bytes, dist));
             if extra == 0 {
                 return;
             }
             extra
         } else {
-            calls * self.xc.hop_extra_at(bytes, dist)
+            calls.saturating_mul(self.xc.hop_extra_at(bytes, dist))
         };
         out.charge(Phase::CrossCore, extra);
     }
 
+    /// Serve `cycles` of work on `core` no earlier than `ready`; the
+    /// completion time saturates at `u64::MAX` rather than wrapping.
     fn clock(&mut self, core: CoreId, ready: u64, cycles: u64) -> u64 {
         let start = ready.max(self.free_at[core]);
-        let done = start + cycles;
+        let done = start.saturating_add(cycles);
         self.free_at[core] = done;
         done
     }
@@ -914,95 +852,29 @@ impl MultiWorld {
     /// the computing core itself. IPC steps serve (and charge) on the
     /// core named by the step's `to` field; their `from`/`at` fields are
     /// not consulted (the caller resolves services to cores, see
-    /// [`Placement::assign`]). Call legs are priced with
+    /// [`Placement::assign_into`]). Call legs are priced with
     /// [`InvokeOpts::call`]; x-entry shard distance and cross-core
     /// surcharges fall out of the topology.
-    pub fn exec(&mut self, core: CoreId, step: Step, ready: u64) -> Completion {
-        self.exec_opts(core, step, &InvokeOpts::call(), ready)
-    }
-
-    /// [`exec`](Self::exec) with explicit call-leg options.
-    fn exec_opts(&mut self, core: CoreId, step: Step, opts: &InvokeOpts, ready: u64) -> Completion {
-        match step {
-            Step::Oneway { to, bytes, .. } => {
-                let opts = self.shard_opts(core, to, opts);
-                let inv = self.cores[to].price_oneway(bytes, &opts);
-                let inv = self.surcharge(core, to, bytes, 1, inv);
-                let done = self.clock(to, ready, inv.total);
-                self.cores[to].charge_invocation(bytes, inv.clone());
-                Completion { done, inv }
-            }
-            Step::Batch {
-                to,
-                calls,
-                bytes_each,
-                ..
-            } => {
-                let opts = self.shard_opts(core, to, opts);
-                let inv = self.cores[to].price_batch(calls, bytes_each, &opts);
-                let inv = self.surcharge(core, to, bytes_each, calls, inv);
-                let done = self.clock(to, ready, inv.total);
-                self.cores[to].charge_batch(calls, calls * bytes_each, inv.clone());
-                Completion { done, inv }
-            }
-            Step::Roundtrip {
-                to,
-                request,
-                response,
-                ..
-            } => {
-                let call_opts = self.shard_opts(core, to, opts);
-                let call = self.cores[to].price_oneway(request, &call_opts);
-                let call = self.surcharge(core, to, request, 1, call);
-                let reply_opts = self.shard_opts(core, to, &InvokeOpts::reply_leg());
-                let reply = self.cores[to].price_oneway(response, &reply_opts);
-                let reply = self.surcharge(core, to, response, 1, reply);
-                let inv = call.plus(reply);
-                let done = self.clock(to, ready, inv.total);
-                self.cores[to].charge_invocation(request + response, inv.clone());
-                Completion { done, inv }
-            }
-            Step::Compute { cycles, .. } => {
-                let done = self.clock(core, ready, cycles);
-                self.cores[core].compute(cycles);
-                Completion {
-                    done,
-                    inv: Invocation::default(),
-                }
-            }
-            Step::DataPass {
-                bytes,
-                intensity_x10,
-                ..
-            } => {
-                let cycles = self.cores[core].cost.copy_cycles(bytes) * intensity_x10 / 10;
-                let done = self.clock(core, ready, cycles);
-                self.cores[core].compute(cycles);
-                Completion {
-                    done,
-                    inv: Invocation::default(),
-                }
-            }
-            Step::Fused(id) => {
-                let mut ledger = CycleLedger::new();
-                let (done, copied) = self.fused_into_with(core, id, None, ready, &mut ledger);
-                Completion {
-                    done,
-                    inv: Invocation::from_ledger(ledger, copied),
-                }
-            }
-        }
-    }
-
-    /// Zero-alloc twin of [`exec`](Self::exec): run one [`Step`] and
-    /// charge its phase spans into `out` (cleared first) instead of
-    /// returning an [`Invocation`]. Returns the completion time.
     ///
-    /// Produces span-for-span the same ledger `exec` would (surcharge
-    /// ordering included) while skipping the per-step `Invocation`
-    /// allocation and the per-world event histogram — the hot path of
-    /// the arena-backed load generators. Worlds are still clocked and
-    /// their scalar counters charged via [`World::charge_spans`].
+    /// Thin adapter over the same path [`exec_into`](Self::exec_into)
+    /// runs, for callers that want the step's spans as an owned
+    /// [`Invocation`].
+    pub fn exec(&mut self, core: CoreId, step: Step, ready: u64) -> Completion {
+        let mut done = ready;
+        let inv = Invocation::priced(|out| {
+            let (at, copied) = self.exec_step(core, step, ready, out);
+            done = at;
+            copied
+        });
+        Completion { done, inv }
+    }
+
+    /// Run one [`Step`] and charge its phase spans into `out` (cleared
+    /// first). Returns the completion time.
+    ///
+    /// The load generators' per-step entry point: no allocation, no
+    /// per-world event histogram — worlds are clocked and only their
+    /// scalar counters charged.
     pub fn exec_into(
         &mut self,
         core: CoreId,
@@ -1011,15 +883,31 @@ impl MultiWorld {
         out: &mut CycleLedger,
     ) -> u64 {
         out.clear();
+        self.exec_step(core, step, ready, out).0
+    }
+
+    /// The one pricing path behind [`exec`](Self::exec) and
+    /// [`exec_into`](Self::exec_into): price `step` into `out` (which
+    /// must be empty), clock and charge the serving core, and return
+    /// `(done, copied_bytes)`. Inlined so the load generators' per-step
+    /// `exec_into` stays one call deep.
+    #[inline]
+    fn exec_step(
+        &mut self,
+        core: CoreId,
+        step: Step,
+        ready: u64,
+        out: &mut CycleLedger,
+    ) -> (u64, u64) {
         let opts = InvokeOpts::call();
         match step {
             Step::Oneway { to, bytes, .. } => {
                 let opts = self.shard_opts(core, to, &opts);
-                self.cores[to].price_oneway_into(bytes, &opts, out);
+                let copied = self.cores[to].ipc().oneway_into(msg_len(bytes), &opts, out);
                 self.surcharge_into(core, to, bytes, 1, out);
                 let done = self.clock(to, ready, out.total());
                 self.cores[to].charge_spans(1, bytes, out);
-                done
+                (done, copied)
             }
             Step::Batch {
                 to,
@@ -1028,11 +916,14 @@ impl MultiWorld {
                 ..
             } => {
                 let opts = self.shard_opts(core, to, &opts);
-                self.cores[to].price_batch_into(calls, bytes_each, &opts, out);
+                let copied =
+                    self.cores[to]
+                        .ipc()
+                        .invoke_batch_into(calls, msg_len(bytes_each), &opts, out);
                 self.surcharge_into(core, to, bytes_each, calls, out);
                 let done = self.clock(to, ready, out.total());
-                self.cores[to].charge_spans(calls, calls * bytes_each, out);
-                done
+                self.cores[to].charge_spans(calls, calls.saturating_mul(bytes_each), out);
+                (done, copied)
             }
             Step::Roundtrip {
                 to,
@@ -1040,136 +931,40 @@ impl MultiWorld {
                 response,
                 ..
             } => {
-                // Sequential charging into one sink reproduces
-                // `call.plus(reply)` exactly: first-occurrence span order
-                // is call spans, call surcharge, then reply-only spans.
+                // Both legs charge one sink in sequence, so first-
+                // occurrence span order is call spans, call surcharge,
+                // then reply-only spans.
                 let call_opts = self.shard_opts(core, to, &opts);
-                self.cores[to].price_oneway_into(request, &call_opts, out);
+                let call = self.cores[to]
+                    .ipc()
+                    .oneway_into(msg_len(request), &call_opts, out);
                 self.surcharge_into(core, to, request, 1, out);
                 let reply_opts = self.shard_opts(core, to, &InvokeOpts::reply_leg());
-                self.cores[to].price_oneway_into(response, &reply_opts, out);
+                let reply = self.cores[to]
+                    .ipc()
+                    .oneway_into(msg_len(response), &reply_opts, out);
                 self.surcharge_into(core, to, response, 1, out);
                 let done = self.clock(to, ready, out.total());
                 self.cores[to].charge_spans(1, request + response, out);
-                done
+                (done, call + reply)
             }
             Step::Compute { cycles, .. } => {
                 let done = self.clock(core, ready, cycles);
                 self.cores[core].compute(cycles);
-                done
+                (done, 0)
             }
             Step::DataPass {
                 bytes,
                 intensity_x10,
                 ..
             } => {
-                let cycles = self.cores[core].cost.copy_cycles(bytes) * intensity_x10 / 10;
+                let cycles = self.cores[core].cost.data_pass_cycles(bytes, intensity_x10);
                 let done = self.clock(core, ready, cycles);
                 self.cores[core].compute(cycles);
-                done
+                (done, 0)
             }
-            Step::Fused(id) => self.fused_into_with(core, id, None, ready, out).0,
+            Step::Fused(id) => self.fused_into_with(core, id, None, ready, out),
         }
-    }
-
-    /// One one-way hop from `from`'s core to `to`'s core at virtual time
-    /// `ready`, served (and charged) at `to`. Returns the completion time
-    /// and the priced invocation (cross-core surcharge included). Thin
-    /// wrapper over [`exec`](Self::exec).
-    pub fn exec_oneway(
-        &mut self,
-        from: CoreId,
-        to: CoreId,
-        bytes: u64,
-        opts: &InvokeOpts,
-        ready: u64,
-    ) -> (u64, Invocation) {
-        let c = self.exec_opts(from, Step::Oneway { from, to, bytes }, opts, ready);
-        (c.done, c.inv)
-    }
-
-    /// A burst of `calls` one-way hops of `bytes_each` from `from`'s
-    /// core into `to`'s core submitted together at `ready` (see
-    /// [`IpcSystem::invoke_batch`]): the serving core's system amortizes
-    /// its per-batch work; crossing cores pays the full §5.2 surcharge
-    /// *per call* — every delivery still raises its own IPI and remote
-    /// wakeup, batching amortizes none of that. Thin wrapper over
-    /// [`exec`](Self::exec).
-    pub fn exec_batch(
-        &mut self,
-        from: CoreId,
-        to: CoreId,
-        calls: u64,
-        bytes_each: u64,
-        opts: &InvokeOpts,
-        ready: u64,
-    ) -> (u64, Invocation) {
-        let c = self.exec_opts(
-            from,
-            Step::Batch {
-                from,
-                to,
-                calls,
-                bytes_each,
-            },
-            opts,
-            ready,
-        );
-        (c.done, c.inv)
-    }
-
-    /// A synchronous round trip from `from`'s core into `to`'s core: both
-    /// legs priced by the serving core's system, each leg surcharged when
-    /// the call crosses cores, the serving core busy for the whole trip.
-    /// Thin wrapper over [`exec`](Self::exec).
-    pub fn exec_roundtrip(
-        &mut self,
-        from: CoreId,
-        to: CoreId,
-        request: u64,
-        response: u64,
-        ready: u64,
-    ) -> (u64, Invocation) {
-        let c = self.exec(
-            from,
-            Step::Roundtrip {
-                from,
-                to,
-                request,
-                response,
-            },
-            ready,
-        );
-        (c.done, c.inv)
-    }
-
-    /// Compute at `core`, starting no earlier than `ready`. Thin wrapper
-    /// over [`exec`](Self::exec).
-    pub fn exec_compute(&mut self, core: CoreId, cycles: u64, ready: u64) -> u64 {
-        self.exec(core, Step::Compute { at: core, cycles }, ready)
-            .done
-    }
-
-    /// One pass over `bytes` of data at `core` (memcpy-grade work scaled
-    /// by `intensity_x10 / 10`), starting no earlier than `ready`. Thin
-    /// wrapper over [`exec`](Self::exec).
-    pub fn exec_data_pass(
-        &mut self,
-        core: CoreId,
-        bytes: u64,
-        intensity_x10: u64,
-        ready: u64,
-    ) -> u64 {
-        self.exec(
-            core,
-            Step::DataPass {
-                at: core,
-                bytes,
-                intensity_x10,
-            },
-            ready,
-        )
-        .done
     }
 }
 
@@ -1186,13 +981,15 @@ mod tests {
         fn name(&self) -> String {
             "fixed".into()
         }
-        fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::from_ledger(
-                CycleLedger::new()
-                    .with(Phase::Trap, self.base)
-                    .with(Phase::Transfer, msg_len as u64),
-                msg_len as u64,
-            )
+        fn oneway_into(
+            &mut self,
+            msg_len: usize,
+            _opts: &InvokeOpts,
+            out: &mut CycleLedger,
+        ) -> u64 {
+            out.charge(Phase::Trap, self.base);
+            out.charge(Phase::Transfer, msg_len as u64);
+            msg_len as u64
         }
         fn migrating_threads(&self) -> bool {
             self.migrating
@@ -1219,11 +1016,30 @@ mod tests {
             .build(fixed)
     }
 
+    fn oneway(sys: &mut impl IpcSystem, bytes: usize) -> Invocation {
+        Invocation::priced(|l| sys.oneway_into(bytes, &InvokeOpts::call(), l))
+    }
+
+    /// One one-way hop `from → to` on a fresh-or-shared world at t = 0.
+    fn hop(mw: &mut MultiWorld, from: CoreId, to: CoreId, bytes: u64) -> Completion {
+        mw.exec(from, Step::Oneway { from, to, bytes }, 0)
+    }
+
+    fn assign(policy: &Placement, r: u64, n_services: usize, mw: &MultiWorld) -> Vec<CoreId> {
+        let mut map = Vec::new();
+        policy.assign_into(r, n_services, mw, &mut map).unwrap();
+        map
+    }
+
+    fn compute(mw: &mut MultiWorld, core: CoreId, cycles: u64) -> u64 {
+        mw.exec(core, Step::Compute { at: core, cycles }, 0).done
+    }
+
     #[test]
     fn adapter_adds_the_surcharge_into_the_ledger() {
         let mut cc = CrossCore::new(fixed());
         for bytes in [0usize, 64, 4096] {
-            let inv = cc.oneway(bytes, &InvokeOpts::call());
+            let inv = oneway(&mut cc, bytes);
             let expect = XCoreCost::u500().hop_extra(bytes as u64);
             assert_eq!(inv.ledger.get(Phase::CrossCore), expect);
             assert_eq!(inv.total, inv.ledger.total());
@@ -1235,7 +1051,7 @@ mod tests {
     #[test]
     fn migrating_systems_cross_for_free() {
         let mut cc = CrossCore::new(migrating());
-        let inv = cc.oneway(4096, &InvokeOpts::call());
+        let inv = oneway(&mut cc, 4096);
         assert_eq!(inv.ledger.get(Phase::CrossCore), 0);
         // The zero-cost span is still recorded: the hop *did* cross.
         assert!(inv
@@ -1275,10 +1091,10 @@ mod tests {
     #[test]
     fn same_core_hops_pay_no_surcharge() {
         let mut mw = world(2);
-        let (done, inv) = mw.exec_oneway(0, 0, 64, &InvokeOpts::call(), 0);
-        assert_eq!(inv.ledger.get(Phase::CrossCore), 0);
-        assert_eq!(done, 164);
-        let (_, inv) = mw.exec_oneway(0, 1, 64, &InvokeOpts::call(), 0);
+        let c = hop(&mut mw, 0, 0, 64);
+        assert_eq!(c.inv.ledger.get(Phase::CrossCore), 0);
+        assert_eq!(c.done, 164);
+        let inv = hop(&mut mw, 0, 1, 64).inv;
         assert_eq!(
             inv.ledger.get(Phase::CrossCore),
             XCoreCost::u500().hop_extra(64)
@@ -1291,13 +1107,13 @@ mod tests {
             .topology(Topology::dual_socket())
             .build(fixed);
         // Intra-socket (0 → 1): flat surcharge.
-        let (_, local) = mw.exec_oneway(0, 1, 64, &InvokeOpts::call(), 0);
+        let local = hop(&mut mw, 0, 1, 64).inv;
         assert_eq!(
             local.ledger.get(Phase::CrossCore),
             XCoreCost::u500().hop_extra(64)
         );
         // Cross-socket (0 → 4): distance-2 surcharge, 2x at numa_x10 = 5.
-        let (_, remote) = mw.exec_oneway(0, 4, 64, &InvokeOpts::call(), 0);
+        let remote = hop(&mut mw, 0, 4, 64).inv;
         assert_eq!(
             remote.ledger.get(Phase::CrossCore),
             2 * XCoreCost::u500().hop_extra(64)
@@ -1311,21 +1127,21 @@ mod tests {
             .topology(Topology::dual_socket())
             .build(migrating);
         // Intra-socket: completely free, no CrossCore span at all.
-        let (_, local) = mw.exec_oneway(0, 3, 4096, &InvokeOpts::call(), 0);
+        let local = hop(&mut mw, 0, 3, 4096).inv;
         assert!(!local
             .ledger
             .spans()
             .iter()
             .any(|(p, _)| *p == Phase::CrossCore));
         // Cross-socket: only the cache-line distance term.
-        let (_, remote) = mw.exec_oneway(0, 4, 4096, &InvokeOpts::call(), 0);
+        let remote = hop(&mut mw, 0, 4, 4096).inv;
         assert_eq!(
             remote.ledger.get(Phase::CrossCore),
             XCoreCost::u500().migrating_hop_extra(4096, 2)
         );
         // A zero-byte migrating hop stays free even across sockets (the
         // generic `Fixed` models no x-entry shard).
-        let (_, zero) = mw.exec_oneway(0, 4, 0, &InvokeOpts::call(), 0);
+        let zero = hop(&mut mw, 0, 4, 0).inv;
         assert_eq!(zero.ledger.get(Phase::CrossCore), 0);
     }
 
@@ -1383,31 +1199,6 @@ mod tests {
         assert_eq!(c_fused.inv.total, c_plain.inv.total);
         assert_eq!(fused.core(1).cycles, plain.core(1).cycles);
         assert_eq!(fused.core(1).stats.ipc_count, 1);
-    }
-
-    #[test]
-    fn fused_exec_into_matches_fused_exec() {
-        let program = crate::program::Recipe::new(0)
-            .hop(1, 64)
-            .compute(200)
-            .hop(2, 128)
-            .reply(16)
-            .build()
-            .unwrap();
-        let mut a = world(3);
-        let id_a = a.register_program(program.clone());
-        let c = a.exec(0, Step::Fused(id_a), 0);
-        let mut b = world(3);
-        let id_b = b.register_program(program);
-        let mut out = CycleLedger::new();
-        let done = b.exec_into(0, Step::Fused(id_b), 0, &mut out);
-        assert_eq!(done, c.done);
-        assert_eq!(out, c.inv.ledger);
-        // The identity-map exec and the explicit identity map agree.
-        let mut d = world(3);
-        let id_d = d.register_program(b.program(id_b).clone());
-        let c_mapped = d.exec_fused(0, id_d, &[0, 1, 2], 0);
-        assert_eq!(c_mapped, c);
     }
 
     #[test]
@@ -1476,13 +1267,15 @@ mod tests {
             fn name(&self) -> String {
                 "hand-fixed".into()
             }
-            fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-                Invocation::from_ledger(
-                    CycleLedger::new()
-                        .with(Phase::Trap, 100)
-                        .with(Phase::Transfer, msg_len as u64),
-                    msg_len as u64,
-                )
+            fn oneway_into(
+                &mut self,
+                msg_len: usize,
+                _opts: &InvokeOpts,
+                out: &mut CycleLedger,
+            ) -> u64 {
+                out.charge(Phase::Trap, 100);
+                out.charge(Phase::Transfer, msg_len as u64);
+                msg_len as u64
             }
             fn supports_handover(&self) -> bool {
                 true
@@ -1501,19 +1294,8 @@ mod tests {
     }
 
     #[test]
-    fn unified_exec_matches_the_wrappers() {
-        let step = Step::Roundtrip {
-            from: 0,
-            to: 1,
-            request: 10,
-            response: 20,
-        };
+    fn compute_steps_complete_with_an_empty_invocation() {
         let mut a = world(2);
-        let c = a.exec(0, step, 0);
-        let mut b = world(2);
-        let (done, inv) = b.exec_roundtrip(0, 1, 10, 20, 0);
-        assert_eq!((c.done, c.inv), (done, inv));
-        // Compute steps complete with an empty invocation.
         let c = a.exec(1, Step::Compute { at: 1, cycles: 50 }, 0);
         assert_eq!(c.inv, Invocation::default());
         assert_eq!(c.done, a.free_at(1));
@@ -1524,10 +1306,10 @@ mod tests {
         let mut mw = world(2);
         // Two 100-cycle computes both ready at t=0 on core 0: the second
         // queues behind the first.
-        assert_eq!(mw.exec_compute(0, 100, 0), 100);
-        assert_eq!(mw.exec_compute(0, 100, 0), 200);
+        assert_eq!(compute(&mut mw, 0, 100), 100);
+        assert_eq!(compute(&mut mw, 0, 100), 200);
         // A third on core 1 runs immediately.
-        assert_eq!(mw.exec_compute(1, 100, 0), 100);
+        assert_eq!(compute(&mut mw, 1, 100), 100);
         assert_eq!(mw.free_at(0), 200);
         assert_eq!(mw.busy_cycles(), 300);
     }
@@ -1535,10 +1317,10 @@ mod tests {
     #[test]
     fn least_loaded_prefers_the_idle_core() {
         let mut mw = world(3);
-        mw.exec_compute(0, 500, 0);
-        mw.exec_compute(1, 200, 0);
+        compute(&mut mw, 0, 500);
+        compute(&mut mw, 1, 200);
         assert_eq!(mw.least_loaded(), 2);
-        mw.exec_compute(2, 900, 0);
+        compute(&mut mw, 2, 900);
         assert_eq!(mw.least_loaded(), 1);
     }
 
@@ -1552,13 +1334,13 @@ mod tests {
         // Load up socket 0 lightly: the remote socket is idle but must
         // beat the local queue by more than its distance penalty.
         for c in 0..4 {
-            mw.exec_compute(c, 10, 0);
+            compute(&mut mw, c, 10);
         }
         assert_eq!(mw.least_loaded_weighted(), 0, "10 cycles < the penalty");
         assert_eq!(mw.least_loaded(), 4, "the naive policy jumps sockets");
         // Pile enough work on socket 0 and the remote socket pays off.
         for c in 0..4 {
-            mw.exec_compute(c, 1_000_000, 0);
+            compute(&mut mw, c, 1_000_000);
         }
         assert_eq!(mw.least_loaded_weighted(), 4);
     }
@@ -1566,29 +1348,13 @@ mod tests {
     #[test]
     fn placement_policies_map_services() {
         let mw = world(4);
-        assert_eq!(
-            Placement::SameCore.assign(7, 3, &mw).unwrap(),
-            vec![0, 0, 0]
-        );
-        assert_eq!(
-            Placement::Pinned(vec![0, 1, 2, 3])
-                .assign(0, 4, &mw)
-                .unwrap(),
-            vec![0, 1, 2, 3]
-        );
+        assert_eq!(assign(&Placement::SameCore, 7, 3, &mw), vec![0, 0, 0]);
+        let pinned = Placement::Pinned(vec![0, 1, 2, 3]);
+        assert_eq!(assign(&pinned, 0, 4, &mw), vec![0, 1, 2, 3]);
         // Round robin keeps the client (service 0) on core 0.
-        assert_eq!(
-            Placement::RoundRobin.assign(5, 3, &mw).unwrap(),
-            vec![0, 1, 1]
-        );
-        assert_eq!(
-            Placement::RoundRobin.assign(4, 3, &mw).unwrap(),
-            vec![0, 0, 0]
-        );
-        assert_eq!(
-            Placement::LeastLoaded.assign(0, 2, &mw).unwrap(),
-            vec![0, 0]
-        );
+        assert_eq!(assign(&Placement::RoundRobin, 5, 3, &mw), vec![0, 1, 1]);
+        assert_eq!(assign(&Placement::RoundRobin, 4, 3, &mw), vec![0, 0, 0]);
+        assert_eq!(assign(&Placement::LeastLoaded, 0, 2, &mw), vec![0, 0]);
     }
 
     #[test]
@@ -1596,7 +1362,7 @@ mod tests {
         // Regression: the 1-core/many-services corner must map every
         // service (and every policy) to core 0, never out of range.
         let mut mw = world(1);
-        mw.exec_compute(0, 100, 0);
+        compute(&mut mw, 0, 100);
         for policy in [
             Placement::SameCore,
             Placement::Pinned(vec![7, 3, 9, 2, 11]),
@@ -1604,7 +1370,7 @@ mod tests {
             Placement::LeastLoaded,
         ] {
             for r in 0..5 {
-                let map = policy.assign(r, 5, &mw).unwrap();
+                let map = assign(&policy, r, 5, &mw);
                 assert_eq!(map.len(), 5, "{}", policy.label());
                 assert!(
                     map.iter().all(|&c| c < mw.n_cores()),
@@ -1616,13 +1382,44 @@ mod tests {
     }
 
     #[test]
+    fn zero_call_batch_is_the_empty_invocation() {
+        // A caller-supplied `calls: 0` used to reach an `assert!` in the
+        // batch pricing. It prices as nothing: no spans (not even a
+        // zero-cycle cross-core one), no bytes, no IPC calls — the step
+        // still takes its FIFO turn on the serving core.
+        let mut mw = world(2);
+        compute(&mut mw, 1, 500);
+        let empty = Step::Batch {
+            from: 0,
+            to: 1,
+            calls: 0,
+            bytes_each: 64,
+        };
+        let c = mw.exec(0, empty, 0);
+        assert_eq!(c.inv, Invocation::default());
+        assert_eq!(c.done, 500, "queued behind the core's earlier work");
+        assert_eq!(mw.core(1).stats.ipc_count, 0);
+        assert_eq!(mw.core(1).stats.ipc_cycles, 0);
+        // The adapter agrees: an empty burst crosses nothing.
+        let mut cc = CrossCore::new(fixed());
+        let inv = Invocation::priced(|l| cc.invoke_batch_into(0, 64, &InvokeOpts::call(), l));
+        assert_eq!(inv, Invocation::default());
+    }
+
+    #[test]
     fn cross_core_surcharge_is_per_call_in_a_batch() {
         // `Fixed` has no IpcLogic phase, so the default amortization
         // amortizes nothing: a batch of n costs exactly n oneway calls —
         // and crossing cores must still pay n full surcharges.
         let mut mw = world(2);
         let n = 8u64;
-        let (_, inv) = mw.exec_batch(0, 1, n, 64, &InvokeOpts::call(), 0);
+        let batch = |from, to| Step::Batch {
+            from,
+            to,
+            calls: n,
+            bytes_each: 64,
+        };
+        let inv = mw.exec(0, batch(0, 1), 0).inv;
         assert_eq!(
             inv.ledger.get(Phase::CrossCore),
             n * XCoreCost::u500().hop_extra(64)
@@ -1630,14 +1427,14 @@ mod tests {
         assert_eq!(inv.total, n * (100 + 64 + XCoreCost::u500().hop_extra(64)));
         assert_eq!(mw.core(1).stats.ipc_count, n);
         // Same-core batches pay none.
-        let (_, inv) = mw.exec_batch(0, 0, n, 64, &InvokeOpts::call(), 0);
+        let inv = mw.exec(0, batch(0, 0), 0).inv;
         assert_eq!(inv.ledger.get(Phase::CrossCore), 0);
     }
 
     #[test]
     fn cross_core_adapter_batches_like_the_multiworld() {
         let mut cc = CrossCore::new(fixed());
-        let inv = cc.invoke_batch(4, 16, &InvokeOpts::call());
+        let inv = Invocation::priced(|l| cc.invoke_batch_into(4, 16, &InvokeOpts::call(), l));
         assert_eq!(
             inv.ledger.get(Phase::CrossCore),
             4 * XCoreCost::u500().hop_extra(16)
@@ -1649,7 +1446,13 @@ mod tests {
     #[test]
     fn roundtrip_charges_the_serving_core() {
         let mut mw = world(2);
-        let (done, inv) = mw.exec_roundtrip(0, 1, 10, 20, 0);
+        let step = Step::Roundtrip {
+            from: 0,
+            to: 1,
+            request: 10,
+            response: 20,
+        };
+        let Completion { done, inv } = mw.exec(0, step, 0);
         // Two legs of 100 + bytes, each surcharged.
         let extra = XCoreCost::u500();
         let expect = 100 + 10 + extra.hop_extra(10) + 100 + 20 + extra.hop_extra(20);
@@ -1657,6 +1460,9 @@ mod tests {
         assert_eq!(done, expect);
         assert_eq!(mw.core(1).cycles, expect);
         assert_eq!(mw.core(0).cycles, 0);
-        assert_eq!(mw.merged_ledger().total(), expect);
+        assert_eq!(
+            inv.copied_bytes, 30,
+            "both legs' copies reach the completion"
+        );
     }
 }

@@ -1015,7 +1015,7 @@ pub fn serve_with(
 mod tests {
     use super::*;
     use crate::ipc::IpcSystem;
-    use crate::ledger::{Invocation, InvokeOpts, PhaseTotals};
+    use crate::ledger::{InvokeOpts, PhaseTotals};
     use crate::topology::Topology;
 
     struct Fixed;
@@ -1023,13 +1023,15 @@ mod tests {
         fn name(&self) -> String {
             "fixed".into()
         }
-        fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::from_ledger(
-                CycleLedger::new()
-                    .with(Phase::Trap, 100)
-                    .with(Phase::Transfer, msg_len as u64),
-                msg_len as u64,
-            )
+        fn oneway_into(
+            &mut self,
+            msg_len: usize,
+            _opts: &InvokeOpts,
+            out: &mut CycleLedger,
+        ) -> u64 {
+            out.charge(Phase::Trap, 100);
+            out.charge(Phase::Transfer, msg_len as u64);
+            msg_len as u64
         }
     }
 
@@ -1223,6 +1225,41 @@ mod tests {
             .unwrap()
         };
         assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
+    fn zero_call_batches_in_a_recipe_price_as_nothing() {
+        // `calls: 0` in a caller-supplied recipe used to panic inside the
+        // batch pricing; the open loop serves it as an empty step.
+        let mut with_empty = recipe();
+        with_empty.insert(
+            0,
+            Step::Batch {
+                from: 0,
+                to: 1,
+                calls: 0,
+                bytes_each: 64,
+            },
+        );
+        let tr = gen(3_000).trace(500, 1).unwrap();
+        let mut scratch = ServeScratch::new();
+        let mut arena = LedgerArena::new();
+        let mut go = |recipe: Vec<Step>| {
+            serve_with(
+                &mut mw(2),
+                &ServePolicy::Static(Placement::RoundRobin),
+                2,
+                &[recipe],
+                &tr,
+                &spec2(),
+                &mut scratch,
+                Attribution::Full(&mut arena),
+            )
+            .unwrap()
+        };
+        let r = go(with_empty);
+        assert_eq!(r.ipc_calls, 2 * r.admitted, "the empty burst made no calls");
+        assert_eq!(r, go(recipe()));
     }
 
     #[test]

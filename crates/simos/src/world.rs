@@ -3,18 +3,17 @@
 //! A [`World`] owns a cycle clock, the active IPC system, and the
 //! accounting that Figure 1 is made of: how many cycles went to IPC vs
 //! everything else, and the per-message-size distribution of IPC time.
-//! Every charge flows through an [`Invocation`], so the world's stats
-//! also carry a merged [`CycleLedger`] attributing all IPC time to
-//! phases.
+//! Every IPC charge is priced into a [`CycleLedger`], so the world's
+//! stats also carry a merged ledger attributing all IPC time to phases.
 
 use crate::cost::CostModel;
 use crate::ipc::{EngineCacheStats, IpcSystem};
-use crate::ledger::{CycleLedger, Invocation, InvokeOpts, Phase};
+use crate::ledger::{CycleLedger, InvokeOpts, Phase};
 
 /// Byte counts cross from the u64 cycle domain into the `usize` message
 /// lengths [`IpcSystem`] takes here; on 64-bit targets the check folds
 /// to nothing.
-fn msg_len(bytes: u64) -> usize {
+pub(crate) fn msg_len(bytes: u64) -> usize {
     usize::try_from(bytes).expect("message length fits usize")
 }
 
@@ -89,6 +88,9 @@ pub struct World {
     ipc: Box<dyn IpcSystem>,
     /// Accounting.
     pub stats: WorldStats,
+    /// Reused sink [`ipc_roundtrip`](Self::ipc_roundtrip) /
+    /// [`ipc_oneway`](Self::ipc_oneway) price through.
+    scratch: CycleLedger,
 }
 
 impl std::fmt::Debug for World {
@@ -108,6 +110,7 @@ impl World {
             cost: CostModel::u500(),
             ipc,
             stats: WorldStats::default(),
+            scratch: CycleLedger::new(),
         }
     }
 
@@ -127,64 +130,12 @@ impl World {
         self.ipc.migrating_threads()
     }
 
-    /// Price one one-way hop *without* charging it. The multicore layer
-    /// prices hops here, wraps them with cross-core cost when the call
-    /// leaves the core, then charges them via
-    /// [`charge_invocation`](Self::charge_invocation).
-    pub fn price_oneway(&mut self, bytes: u64, opts: &InvokeOpts) -> Invocation {
-        self.ipc.oneway(msg_len(bytes), opts)
-    }
-
-    /// Price a round trip *without* charging it (see
-    /// [`price_oneway`](Self::price_oneway)).
-    pub fn price_roundtrip(&mut self, request: u64, response: u64) -> Invocation {
-        self.ipc.roundtrip(msg_len(request), msg_len(response))
-    }
-
-    /// Price a burst of `calls` one-way hops of `bytes_each` submitted
-    /// together *without* charging it (see
-    /// [`IpcSystem::invoke_batch`]).
-    pub fn price_batch(&mut self, calls: u64, bytes_each: u64, opts: &InvokeOpts) -> Invocation {
-        self.ipc.invoke_batch(calls, msg_len(bytes_each), opts)
-    }
-
-    /// Sink-path [`price_oneway`](Self::price_oneway): charge the hop's
-    /// phases into `out` (accumulating) and return the bytes copied.
-    pub fn price_oneway_into(
-        &mut self,
-        bytes: u64,
-        opts: &InvokeOpts,
-        out: &mut CycleLedger,
-    ) -> u64 {
-        self.ipc.oneway_into(msg_len(bytes), opts, out)
-    }
-
-    /// Sink-path [`price_batch`](Self::price_batch): charge the batch's
-    /// phases into `out` (which must be empty — see
-    /// [`IpcSystem::invoke_batch_into`]) and return the bytes copied.
-    pub fn price_batch_into(
-        &mut self,
-        calls: u64,
-        bytes_each: u64,
-        opts: &InvokeOpts,
-        out: &mut CycleLedger,
-    ) -> u64 {
-        self.ipc
-            .invoke_batch_into(calls, msg_len(bytes_each), opts, out)
-    }
-
-    /// Sink-path pricing of hop `hop_index` of a fused call program (see
-    /// [`IpcSystem::fused_hop_into`]): charge into `out` and return the
-    /// bytes copied.
-    pub fn price_fused_hop_into(
-        &mut self,
-        hop_index: u64,
-        bytes: u64,
-        opts: &InvokeOpts,
-        out: &mut CycleLedger,
-    ) -> u64 {
-        self.ipc
-            .fused_hop_into(hop_index, msg_len(bytes), opts, out)
+    /// The active system, for pricing hops *without* charging them: the
+    /// multicore layer prices into its own sink here, adds cross-core
+    /// cost when the call leaves the core, then charges the spans via
+    /// [`charge_spans`](Self::charge_spans).
+    pub(crate) fn ipc(&mut self) -> &mut dyn IpcSystem {
+        self.ipc.as_mut()
     }
 
     /// Protection-boundary crossings a fused program of `hops` hops
@@ -201,61 +152,66 @@ impl World {
     /// Charge one IPC round trip carrying `request` bytes out and
     /// `response` bytes back.
     pub fn ipc_roundtrip(&mut self, request: u64, response: u64) {
-        let inv = self.price_roundtrip(request, response);
-        self.charge_invocation(request + response, inv);
+        self.scratch.clear();
+        self.ipc
+            .oneway_into(msg_len(request), &InvokeOpts::call(), &mut self.scratch);
+        self.ipc.oneway_into(
+            msg_len(response),
+            &InvokeOpts::reply_leg(),
+            &mut self.scratch,
+        );
+        self.charge_scratch(request + response);
     }
 
     /// Charge a one-way IPC (calls into a chain that will not reply yet).
     pub fn ipc_oneway(&mut self, bytes: u64) {
-        let inv = self.price_oneway(bytes, &InvokeOpts::call());
-        self.charge_invocation(bytes, inv);
+        self.scratch.clear();
+        self.ipc
+            .oneway_into(msg_len(bytes), &InvokeOpts::call(), &mut self.scratch);
+        self.charge_scratch(bytes);
     }
 
-    /// Charge an already-priced invocation carrying `payload` bytes into
-    /// the clock, the IPC/compute split, and the merged ledger.
-    pub fn charge_invocation(&mut self, payload: u64, inv: Invocation) {
-        self.charge_batch(1, payload, inv);
+    /// Charge the invocation just priced into `scratch`, carrying
+    /// `payload` bytes: the clock, the IPC/compute split, one Figure 1(b)
+    /// size-histogram event, and the merged ledger.
+    fn charge_scratch(&mut self, payload: u64) {
+        let priced = std::mem::take(&mut self.scratch);
+        self.charge_spans(1, payload, &priced);
+        self.stats.events.push((payload, priced.total()));
+        self.stats.ledger.merge(&priced);
+        self.scratch = priced;
     }
 
-    /// Charge an already-priced batch of `calls` invocations carrying
-    /// `payload` bytes total: one size-histogram event (the burst was one
-    /// submission), `calls` IPC invocations.
-    pub fn charge_batch(&mut self, calls: u64, payload: u64, inv: Invocation) {
-        self.cycles += inv.total;
-        self.stats.ipc_cycles += inv.total;
-        self.stats.ipc_transfer_cycles += inv.ledger.get(Phase::Transfer);
-        self.stats.events.push((payload, inv.total));
-        self.stats.ipc_count += calls;
-        self.stats.payload_bytes += payload;
-        self.stats.ledger.merge(&inv.ledger);
-    }
-
-    /// Lean sink-path charge for an already-priced batch whose spans live
-    /// in a caller-owned `ledger`: advances the clock and the scalar
-    /// counters only. Deliberately skips the per-event size histogram and
-    /// the per-world merged ledger — on the arena hot path the
+    /// Lean charge for an already-priced batch of `calls` invocations
+    /// whose spans live in a caller-owned `ledger`: advances the clock
+    /// and the scalar counters only (saturating — a step priced from an
+    /// absurd count pins them at `u64::MAX` instead of wrapping).
+    /// Deliberately skips the per-event size histogram and the per-world
+    /// merged ledger — under a [`MultiWorld`](crate::MultiWorld) the
     /// [`Attribution`](crate::ledger::Attribution) sink owns phase
     /// attribution, and neither is read by the load reports.
-    pub fn charge_spans(&mut self, calls: u64, payload: u64, ledger: &CycleLedger) {
+    pub(crate) fn charge_spans(&mut self, calls: u64, payload: u64, ledger: &CycleLedger) {
         let total = ledger.total();
-        self.cycles += total;
-        self.stats.ipc_cycles += total;
-        self.stats.ipc_transfer_cycles += ledger.get(Phase::Transfer);
-        self.stats.ipc_count += calls;
-        self.stats.payload_bytes += payload;
+        let stats = &mut self.stats;
+        self.cycles = self.cycles.saturating_add(total);
+        stats.ipc_cycles = stats.ipc_cycles.saturating_add(total);
+        stats.ipc_transfer_cycles = stats
+            .ipc_transfer_cycles
+            .saturating_add(ledger.get(Phase::Transfer));
+        stats.ipc_count = stats.ipc_count.saturating_add(calls);
+        stats.payload_bytes = stats.payload_bytes.saturating_add(payload);
     }
 
-    /// Charge non-IPC compute cycles.
+    /// Charge non-IPC compute cycles (saturating).
     pub fn compute(&mut self, cycles: u64) {
-        self.cycles += cycles;
-        self.stats.other_cycles += cycles;
+        self.cycles = self.cycles.saturating_add(cycles);
+        self.stats.other_cycles = self.stats.other_cycles.saturating_add(cycles);
     }
 
     /// Charge one pass over `bytes` of data (memcpy-grade work) outside
     /// IPC — e.g. a ramdisk filling a buffer, AES with a multiplier.
     pub fn data_pass(&mut self, bytes: u64, intensity_x10: u64) {
-        let c = self.cost.copy_cycles(bytes) * intensity_x10 / 10;
-        self.compute(c);
+        self.compute(self.cost.data_pass_cycles(bytes, intensity_x10));
     }
 
     /// Elapsed wall time in microseconds at the model clock.
@@ -286,20 +242,21 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::{CycleLedger, InvokeOpts};
 
     struct Fixed;
     impl IpcSystem for Fixed {
         fn name(&self) -> String {
             "fixed".into()
         }
-        fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::from_ledger(
-                CycleLedger::new()
-                    .with(Phase::Trap, 100)
-                    .with(Phase::Transfer, msg_len as u64),
-                msg_len as u64,
-            )
+        fn oneway_into(
+            &mut self,
+            msg_len: usize,
+            _opts: &InvokeOpts,
+            out: &mut CycleLedger,
+        ) -> u64 {
+            out.charge(Phase::Trap, 100);
+            out.charge(Phase::Transfer, msg_len as u64);
+            msg_len as u64
         }
     }
 

@@ -8,23 +8,19 @@
 //! built on it. The lint drives each system through the same invocation
 //! shapes the experiments use (one-way call and reply legs across the
 //! message-size sweep, round trips, batched submissions) and verifies
-//! the invariant on every result.
-//!
-//! Since the arena refactor the hot path prices through the *sink*
-//! methods (`oneway_into` / `invoke_batch_into`) while tables and ad-hoc
-//! callers still use the allocating ones, so the lint also runs both
-//! sides of each pair and flags any divergence — same spans in the same
-//! order, same copied bytes — as ledger drift.
+//! the invariant on every result — plus the one the figures lean on when
+//! they sum legs: a round trip priced into one sink equals its call leg
+//! merged with its reply leg.
 
 use crate::finding::{Finding, Verdict};
 use simos::ipc::IpcSystem;
-use simos::ledger::{CycleLedger, Invocation, InvokeOpts};
+use simos::ledger::{Invocation, InvokeOpts};
 
 /// Message sizes the lint sweeps — the experiments' sweep points plus
 /// byte-odd sizes that would expose rounding drift.
 const SWEEP: [usize; 6] = [0, 1, 64, 1024, 4096, 65536];
 
-/// Batch sizes exercised against `invoke_batch`.
+/// Batch sizes exercised against `invoke_batch_into`.
 const BATCHES: [u64; 3] = [1, 8, 64];
 
 /// Lint one invocation: `total` must equal the ledger sum.
@@ -45,75 +41,59 @@ pub fn lint_invocation(system: &str, what: &str, inv: &Invocation) -> Option<Fin
     })
 }
 
-/// Lint one alloc-vs-sink pair: the sink path must reproduce the
-/// allocating path span for span (order included) and byte for byte.
-pub fn lint_sink_pair(
+/// Lint one round trip against its legs: both legs priced into one
+/// sink must equal the call leg merged with the reply leg, span for
+/// span. A model whose price drifts from hop to hop, or depends on what
+/// the sink already holds, breaks every chain and round trip summed
+/// from it.
+pub fn lint_roundtrip(
     system: &str,
     what: &str,
-    alloc: &Invocation,
-    sink: &CycleLedger,
-    sink_copied: u64,
+    roundtrip: &Invocation,
+    call: Invocation,
+    reply: Invocation,
 ) -> Option<Finding> {
-    if alloc.ledger == *sink && alloc.copied_bytes == sink_copied {
+    let legs = call.plus(reply);
+    if *roundtrip == legs {
         return None;
     }
     Some(Finding {
         verdict: Verdict::LedgerDrift,
         site: format!("{system}: {what}"),
         detail: format!(
-            "sink path diverges from allocating path: \
-             spans {:?} vs {:?}, copied {} vs {}",
-            sink.spans(),
-            alloc.ledger.spans(),
-            sink_copied,
-            alloc.copied_bytes
+            "round trip prices {:?} (copied {}) but its legs sum to {:?} (copied {})",
+            roundtrip.ledger.spans(),
+            roundtrip.copied_bytes,
+            legs.ledger.spans(),
+            legs.copied_bytes
         ),
         op_index: None,
     })
 }
 
 /// Drive `sys` through the experiments' invocation shapes and lint
-/// every resulting ledger, including the sink-vs-alloc differentials.
+/// every resulting ledger.
 pub fn lint_system(sys: &mut dyn IpcSystem) -> Vec<Finding> {
     let name = sys.name();
     let mut findings = Vec::new();
-    let mut note = |f: Option<Finding>| findings.extend(f);
-    let mut sink = CycleLedger::new();
+    let (call_opts, reply_opts) = (InvokeOpts::call(), InvokeOpts::reply_leg());
     for &len in &SWEEP {
-        for opts in [InvokeOpts::call(), InvokeOpts::reply_leg()] {
-            let leg = if opts.reply { "reply" } else { "oneway" };
-            let inv = sys.oneway(len, &opts);
-            note(lint_invocation(&name, &format!("{leg}({len})"), &inv));
-            sink.clear();
-            let copied = sys.oneway_into(len, &opts, &mut sink);
-            note(lint_sink_pair(
-                &name,
-                &format!("{leg}_into({len})"),
-                &inv,
-                &sink,
-                copied,
-            ));
-        }
-        note(lint_invocation(
-            &name,
-            &format!("roundtrip({len})"),
-            &sys.roundtrip(len, len),
-        ));
+        let call = Invocation::priced(|l| sys.oneway_into(len, &call_opts, l));
+        findings.extend(lint_invocation(&name, &format!("oneway({len})"), &call));
+        let reply = Invocation::priced(|l| sys.oneway_into(len, &reply_opts, l));
+        findings.extend(lint_invocation(&name, &format!("reply({len})"), &reply));
+        let roundtrip = Invocation::priced(|l| {
+            sys.oneway_into(len, &call_opts, l) + sys.oneway_into(len, &reply_opts, l)
+        });
+        let what = format!("roundtrip({len})");
+        findings.extend(lint_invocation(&name, &what, &roundtrip));
+        findings.extend(lint_roundtrip(&name, &what, &roundtrip, call, reply));
         for &calls in &BATCHES {
-            let inv = sys.invoke_batch(calls, len, &InvokeOpts::call());
-            note(lint_invocation(
+            let inv = Invocation::priced(|l| sys.invoke_batch_into(calls, len, &call_opts, l));
+            findings.extend(lint_invocation(
                 &name,
                 &format!("batch({calls}x{len})"),
                 &inv,
-            ));
-            sink.clear();
-            let copied = sys.invoke_batch_into(calls, len, &InvokeOpts::call(), &mut sink);
-            note(lint_sink_pair(
-                &name,
-                &format!("batch_into({calls}x{len})"),
-                &inv,
-                &sink,
-                copied,
             ));
         }
     }
@@ -141,42 +121,11 @@ mod tests {
         assert_eq!(f.cause(), None, "drift predicts no hardware trap");
     }
 
-    struct Drifting;
+    /// A model whose price creeps up one cycle per hop.
+    struct Drifting(u64);
     impl IpcSystem for Drifting {
         fn name(&self) -> String {
             "drifting".into()
-        }
-        fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            let mut inv =
-                Invocation::from_ledger(CycleLedger::new().with(Phase::Trap, 100), msg_len as u64);
-            inv.total += 1; // one unattributed cycle per hop
-            inv
-        }
-    }
-
-    #[test]
-    fn lint_system_catches_a_drifting_model() {
-        let findings = lint_system(&mut Drifting);
-        assert!(!findings.is_empty());
-        assert!(findings.iter().all(|f| f.verdict == Verdict::LedgerDrift));
-        // The default `oneway_into` delegates to `oneway`, so a model
-        // that only drifts its total never trips the sink differential.
-        assert!(
-            findings.iter().all(|f| !f.detail.contains("sink path")),
-            "{:?}",
-            findings.first()
-        );
-    }
-
-    /// A model whose native sink path disagrees with its allocating path
-    /// — the regression the differential lint exists to catch.
-    struct SinkDiverging;
-    impl IpcSystem for SinkDiverging {
-        fn name(&self) -> String {
-            "sink-diverging".into()
-        }
-        fn oneway(&mut self, msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-            Invocation::from_ledger(CycleLedger::new().with(Phase::Trap, 100), msg_len as u64)
         }
         fn oneway_into(
             &mut self,
@@ -184,20 +133,18 @@ mod tests {
             _opts: &InvokeOpts,
             out: &mut CycleLedger,
         ) -> u64 {
-            out.charge(Phase::Trap, 90); // ten cycles short
+            self.0 += 1;
+            out.charge(Phase::Trap, 100 + self.0);
             msg_len as u64
         }
     }
 
     #[test]
-    fn lint_system_catches_a_diverging_sink_path() {
-        let findings = lint_system(&mut SinkDiverging);
+    fn lint_system_catches_a_drifting_model() {
+        let findings = lint_system(&mut Drifting(0));
         assert!(!findings.is_empty());
-        assert!(findings.iter().any(|f| f.site.contains("oneway_into")));
-        // The amortized batch default prices through the broken sink, so
-        // the batch differential pair stays consistent with itself — the
-        // oneway pair is what exposes the bug.
         assert!(findings.iter().all(|f| f.verdict == Verdict::LedgerDrift));
+        assert!(findings.iter().all(|f| f.site.contains("roundtrip")));
     }
 
     #[test]

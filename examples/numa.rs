@@ -17,7 +17,7 @@
 
 use xpc_repro::kernels::{IpcSystem, Sel4, Sel4Transfer, XpcIpc, Zircon};
 use xpc_repro::services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
-use xpc_repro::simos::{load, InvokeOpts, LoadGen, MultiWorld, Phase, Placement, Topology};
+use xpc_repro::simos::{load, LoadGen, MultiWorld, Phase, Placement, Step, Topology};
 
 fn main() {
     type Mk = fn() -> Box<dyn IpcSystem>;
@@ -37,7 +37,12 @@ fn main() {
             let mut mw = MultiWorld::builder()
                 .topology(Topology::dual_socket())
                 .build(mk);
-            mw.exec_oneway(0, to, 4096, &InvokeOpts::call(), 0).1
+            let step = Step::Oneway {
+                from: 0,
+                to,
+                bytes: 4096,
+            };
+            mw.exec(0, step, 0).inv
         };
         let local = hop(1);
         let remote = hop(4);

@@ -47,7 +47,7 @@ fn main() {
             .collect();
         for policy in &policies {
             let mut mw = MultiWorld::builder().cores(4).build(mk);
-            let r = load::run(&mut mw, policy, CHAIN_SERVICES, &recipes, &spec);
+            let r = load::run_windowed(&mut mw, policy, CHAIN_SERVICES, &recipes, &spec, 1);
             println!(
                 "{:12} {:12} {:>9.0} {:>9.1} {:>9.1} {:>9.1} {:>6.0}%",
                 r.system,

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use xpc_repro::services::aes::Aes128;
 use xpc_repro::services::fs::Xv6Fs;
 use xpc_repro::simos::ipc::IpcSystem;
-use xpc_repro::simos::ledger::{Invocation, InvokeOpts, Phase};
+use xpc_repro::simos::ledger::{CycleLedger, InvokeOpts, Phase};
 use xpc_repro::xpc::handover::shrink_windows;
 use xpc_repro::xpc::layout::{RELAY_REGION_LEN, RELAY_REGION_VA};
 use xpc_repro::xpc::palloc::FrameAlloc;
@@ -21,8 +21,9 @@ impl IpcSystem for FreeIpc {
     fn name(&self) -> String {
         "free".into()
     }
-    fn oneway(&mut self, _msg_len: usize, _opts: &InvokeOpts) -> Invocation {
-        Invocation::single(Phase::Trap, 1)
+    fn oneway_into(&mut self, _len: usize, _opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
+        out.charge(Phase::Trap, 1);
+        0
     }
 }
 
