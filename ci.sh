@@ -124,6 +124,18 @@ if grep -rnE 'fn oneway\(&mut self|oneway_invocation|lint_sink_pair|pre_refactor
   exit 1
 fi
 
+echo "== one-request-engine gate (load.rs + serve.rs are front doors over simos::engine) =="
+if grep -rnE 'resolve_step|step_route|fused_route|exec_fused_into|fn run_request\b|struct ServeScratch' crates/; then
+  echo "ci: a deleted twin of the request engine is back" >&2
+  exit 1
+fi
+for f in crates/simos/src/load.rs crates/simos/src/serve.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'ReqSink \{|sort_unstable|Attribution::Sampled \{'; then
+    echo "ci: $f prices or reduces on its own; that belongs to crates/simos/src/engine.rs" >&2
+    exit 1
+  fi
+done
+
 echo "== simspeed (arena steady state + parallel sweep) =="
 # The binary itself exits non-zero on slab growth after warmup, a
 # parallel grid that is not byte-identical to the serial oracle, a pool

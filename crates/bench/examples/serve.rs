@@ -9,21 +9,25 @@
 use kernels::XpcIpc;
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::{
-    ArrivalProcess, MultiWorld, OpenLoopGen, Placement, ServePolicy, ServeSpec, TenantClass,
+    ArrivalProcess, MultiWorld, OpenLoopGen, Placement, ServePolicy, ServeSpec, Step, TenantClass,
     Topology,
 };
 
-fn main() {
-    let mk = || Box::new(XpcIpc::sel4_xpc()) as Box<dyn simos::IpcSystem>;
-    let recipes: Vec<_> = [1024u64, 4096, 16384]
+fn roster(_: &mut MultiWorld) -> Vec<Vec<Step>> {
+    [1024u64, 4096, 16384]
         .iter()
         .map(|&len| chain_steps("/index.html", len, ChainSpec::default().with_handover(true)))
-        .collect();
+        .collect()
+}
+
+fn main() {
+    let mk = || Box::new(XpcIpc::sel4_xpc()) as Box<dyn simos::IpcSystem>;
 
     // Measure this (mechanism, topology, recipe mix)'s saturation
     // period, then express offered load as a fraction of it.
     let topo = Topology::u500();
-    let period = xpc_bench::experiments::serve::calibrate_capacity_period(&topo, mk, &recipes);
+    let period =
+        xpc_bench::experiments::serve::calibrate_capacity_period(&topo, mk, CHAIN_SERVICES, roster);
     println!("calibrated capacity: one request per {period} cycles at saturation\n");
 
     let spec = ServeSpec {
@@ -45,6 +49,7 @@ fn main() {
         };
         let trace = gen.trace(4_000, 3).expect("valid trace spec");
         let mut mw = MultiWorld::builder().topology(topo.clone()).build(mk);
+        let recipes = roster(&mut mw);
         let r = simos::serve::serve(
             &mut mw,
             &ServePolicy::Static(Placement::RoundRobin),

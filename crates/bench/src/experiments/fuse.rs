@@ -21,14 +21,9 @@
 //! [`super::verify::gate_program`] refuses cap-violating, over-deep, or
 //! handover-stealing chains outright.
 
-use super::Report;
-use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
-use simos::serve::{serve_with, ServeScratch};
-use simos::{
-    ArrivalProcess, ArrivalTrace, Attribution, CallProgram, IpcSystem, LedgerArena, MultiWorld,
-    OpenLoopGen, PhaseTotals, Placement, Recipe, ServePolicy, ServeReport, ServeSpec, Step,
-    TenantClass, Topology,
-};
+use super::{serve, Report};
+use kernels::{paired_roster_factories, Factory};
+use simos::{CallProgram, MultiWorld, Placement, Recipe, ServePolicy, ServeReport, Step, Topology};
 
 /// Chain depths the grid sweeps.
 pub const DEPTHS: [usize; 6] = [1, 2, 3, 4, 5, 6];
@@ -44,20 +39,6 @@ pub const REPLY_BYTES: u64 = 256;
 
 /// Chain depth of the open-loop knee view.
 pub const KNEE_DEPTH: usize = 4;
-
-/// Retain 1-in-N spans; totals stay exact.
-const SAMPLE_EVERY: u64 = 32;
-
-type Mk = fn() -> Box<dyn IpcSystem>;
-
-fn mechanisms() -> Vec<Mk> {
-    vec![
-        || Box::new(Zircon::new()),
-        || Box::new(XpcIpc::zircon_xpc()),
-        || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
-        || Box::new(XpcIpc::sel4_xpc()),
-    ]
-}
 
 /// A uniform `depth`-hop chain program: client 0 calls services
 /// `1..=depth` in order, [`HOP_REQUEST`] bytes and [`HOP_COMPUTE`]
@@ -111,8 +92,8 @@ pub fn grid_results() -> Vec<FuseCell> {
             );
         }
     }
-    let mut cells: Vec<(Mk, usize, bool)> = Vec::new();
-    for mk in mechanisms() {
+    let mut cells: Vec<(Factory, usize, bool)> = Vec::new();
+    for mk in paired_roster_factories() {
         for depth in DEPTHS {
             for handover in [false, true] {
                 cells.push((mk, depth, handover));
@@ -151,85 +132,11 @@ pub struct FuseKneeCell {
     pub report: ServeReport,
 }
 
-fn knee_spec() -> ServeSpec {
-    ServeSpec {
-        tenants: super::serve::TENANTS,
-        classes: vec![TenantClass {
-            // Generous: the fused knee shows queueing, not shedding.
-            queue_cap: 1 << 20,
-            slo_p99_us: super::serve::SLO_P99_US,
-        }],
-        backlog_cap_cycles: 0,
-    }
-}
-
-fn poisson(mean: u64) -> OpenLoopGen {
-    OpenLoopGen {
-        process: ArrivalProcess::Poisson,
-        mean_interarrival_cycles: mean,
-        tenants: super::serve::TENANTS,
-        users: 1_000_000,
-        seed: super::serve::SEED,
-    }
-}
-
-fn world(mk: Mk) -> MultiWorld {
-    MultiWorld::builder().topology(Topology::u500()).build(mk)
-}
-
-/// Register the knee program in `mw` and return the one-step fused
-/// recipe roster the serve driver replays.
-fn fused_recipes(mw: &mut MultiWorld) -> Vec<Vec<Step>> {
+/// The knee roster: register the depth-4 handover chain in `mw` and
+/// return the one-step fused recipe the serve driver replays.
+fn fused_roster(mw: &mut MultiWorld) -> Vec<Vec<Step>> {
     let pid = mw.register_program(chain(KNEE_DEPTH, true));
     vec![vec![Step::Fused(pid)]]
-}
-
-/// Measured saturation period for the fused chain on a mechanism: a
-/// back-to-back probe trace served on a cold world, makespan over
-/// request count (the fused sibling of
-/// [`super::serve::calibrate_capacity_period`], which cannot be reused
-/// because the program must be registered in the probed world).
-fn calibrate(mk: Mk) -> u64 {
-    let probe = poisson(1)
-        .trace(super::serve::CAPACITY_PROBE, 1)
-        .expect("probe trace spec is valid");
-    let mut mw = world(mk);
-    let recipes = fused_recipes(&mut mw);
-    let r = simos::serve::serve(
-        &mut mw,
-        &ServePolicy::Static(Placement::RoundRobin),
-        KNEE_DEPTH + 1,
-        &recipes,
-        &probe,
-        &knee_spec(),
-    )
-    .expect("fused calibration probe must serve");
-    (r.makespan_cycles / super::serve::CAPACITY_PROBE).max(1)
-}
-
-fn run_cell(
-    mw: &mut MultiWorld,
-    recipes: &[Vec<Step>],
-    trace: &ArrivalTrace,
-    scratch: &mut ServeScratch,
-    arena: &mut LedgerArena,
-) -> ServeReport {
-    let mut totals = PhaseTotals::new();
-    serve_with(
-        mw,
-        &ServePolicy::Static(Placement::RoundRobin),
-        KNEE_DEPTH + 1,
-        recipes,
-        trace,
-        &knee_spec(),
-        scratch,
-        Attribution::Sampled {
-            every: SAMPLE_EVERY,
-            totals: &mut totals,
-            arena,
-        },
-    )
-    .expect("fused serve cell must be runnable")
 }
 
 /// The fused knee: mechanism × offered load on u500, same seed at every
@@ -237,21 +144,32 @@ fn run_cell(
 /// own pool phase, then the ρ cells fan out with the period pinned.
 pub fn knee_results() -> Vec<FuseKneeCell> {
     super::verify::gate_program("Fuse-knee", KNEE_DEPTH + 1, &chain(KNEE_DEPTH, true));
-    let calibrated = simos::par::map_cells(mechanisms(), |_, mk, _| (mk, calibrate(mk)));
-    let mut cells: Vec<(Mk, u64, u64)> = Vec::new();
+    let topo = Topology::u500();
+    let calibrated = simos::par::map_cells(paired_roster_factories(), |_, mk, _| {
+        let period = serve::calibrate_capacity_period(&topo, mk, KNEE_DEPTH + 1, fused_roster);
+        (mk, period)
+    });
+    let mut cells: Vec<(Factory, u64, u64)> = Vec::new();
     for (mk, period) in calibrated {
-        for rho_x10 in super::serve::RHO_X10 {
+        for rho_x10 in serve::RHO_X10 {
             cells.push((mk, period, rho_x10));
         }
     }
     simos::par::map_cells(cells, |_, (mk, period, rho_x10), cs| {
-        let mean = (period * 10 / rho_x10).max(1);
-        let trace = poisson(mean)
-            .trace(super::serve::REQUESTS, 1)
+        let trace = serve::poisson(serve::interarrival(period, rho_x10))
+            .trace(serve::REQUESTS, 1)
             .expect("fused knee trace spec is valid");
-        let mut mw = world(mk);
-        let recipes = fused_recipes(&mut mw);
-        let report = run_cell(&mut mw, &recipes, &trace, &mut cs.serve, &mut cs.arena);
+        let mut mw = serve::world(&topo, mk);
+        let recipes = fused_roster(&mut mw);
+        let report = serve::run_cell(
+            &mut mw,
+            &ServePolicy::Static(Placement::RoundRobin),
+            KNEE_DEPTH + 1,
+            &recipes,
+            &trace,
+            &serve::knee_spec(),
+            cs,
+        );
         FuseKneeCell {
             rho_x10,
             capacity_period_cycles: period,

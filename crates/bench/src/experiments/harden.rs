@@ -19,7 +19,7 @@
 
 use super::Report;
 use crate::sweep::SIZES;
-use kernels::{CycleLedger, InvokeOpts, Phase, Sel4, Sel4Transfer, XpcIpc, Zircon};
+use kernels::{paired_roster_factories, CycleLedger, InvokeOpts, Phase};
 use simos::{Hardening, IpcSystem};
 
 /// The mitigation sets the grid sweeps, in column order.
@@ -52,17 +52,6 @@ pub const SETS: [(&str, Hardening); 5] = [
     ("all", Hardening::ALL),
 ];
 
-type Mk = fn() -> Box<dyn IpcSystem>;
-
-fn mechanisms() -> Vec<Mk> {
-    vec![
-        || Box::new(Zircon::new()),
-        || Box::new(XpcIpc::zircon_xpc()),
-        || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
-        || Box::new(XpcIpc::sel4_xpc()),
-    ]
-}
-
 /// One grid cell: a mechanism pricing one hardened one-way invocation.
 #[derive(Debug, Clone)]
 pub struct HardenCell {
@@ -84,7 +73,7 @@ pub struct HardenCell {
 /// mechanism: the sets share the mechanism's unhardened baseline, so a
 /// worker prices all 25 points and taxes them locally.
 pub fn results() -> Vec<Vec<HardenCell>> {
-    simos::par::map_cells(mechanisms(), |_, mk, _| {
+    simos::par::map_cells(paired_roster_factories(), |_, mk, _| {
         let mut s = mk();
         let system = s.name();
         let mut ledger = CycleLedger::new();

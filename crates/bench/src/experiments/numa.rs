@@ -20,7 +20,7 @@
 //!   the trade.
 
 use super::Report;
-use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
+use kernels::{paired_roster_factories, Factory};
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::{
     Attribution, Invocation, IpcSystem, LoadGen, LoadReport, MultiWorld, Phase, Placement, Step,
@@ -33,8 +33,6 @@ pub const HOP_BYTES: u64 = 4096;
 
 /// Requests each windowed client keeps outstanding in the load grid.
 pub const WINDOW: usize = 4;
-
-type Mk = fn() -> Box<dyn IpcSystem>;
 
 /// One roster system's local-socket vs remote-socket pricing on the
 /// dual-socket topology.
@@ -77,15 +75,6 @@ pub fn hops() -> Vec<Hop> {
     })
 }
 
-fn mechanisms() -> Vec<Mk> {
-    vec![
-        || Box::new(Zircon::new()),
-        || Box::new(XpcIpc::zircon_xpc()),
-        || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
-        || Box::new(XpcIpc::sel4_xpc()),
-    ]
-}
-
 fn topologies() -> Vec<(&'static str, Topology)> {
     vec![
         ("u500", Topology::u500()),
@@ -116,9 +105,9 @@ pub fn results() -> Vec<(&'static str, LoadReport)> {
     let spec = LoadGen::default();
     // Pre-flight serially, then fan the 16 (mechanism, topology,
     // policy) cells through the pool with per-worker scratch.
-    type GridCell = (Mk, Vec<Vec<Step>>, &'static str, Topology, Placement);
+    type GridCell = (Factory, Vec<Vec<Step>>, &'static str, Topology, Placement);
     let mut cells: Vec<GridCell> = Vec::new();
-    for mk in mechanisms() {
+    for mk in paired_roster_factories() {
         let handover = mk().supports_handover();
         let recipes = recipes(handover);
         super::verify::gate("NUMA", CHAIN_SERVICES, &recipes);

@@ -10,8 +10,8 @@
 //! closed-loop generator (pinned by a test below).
 
 use super::Report;
-use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
-use simos::{Attribution, CostModel, IpcSystem, LoadGen, LoadReport, MultiWorld, Placement, Step};
+use kernels::{paired_roster_factories, Factory};
+use simos::{Attribution, CostModel, LoadGen, LoadReport, MultiWorld, Placement, Step};
 
 /// Cores in the pipeline world (client core + service core).
 pub const CORES: usize = 2;
@@ -27,17 +27,6 @@ const BYTES_EACH: u64 = 64;
 
 /// Service-side handling cycles per call.
 const HANDLE_CYCLES_PER_CALL: u64 = 150;
-
-type Mk = fn() -> Box<dyn IpcSystem>;
-
-fn mechanisms() -> Vec<Mk> {
-    vec![
-        || Box::new(Zircon::new()),
-        || Box::new(XpcIpc::zircon_xpc()),
-        || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
-        || Box::new(XpcIpc::sel4_xpc()),
-    ]
-}
 
 /// The generator spec every cell runs under (fixed seed: the whole grid
 /// is deterministic).
@@ -81,8 +70,8 @@ pub fn results() -> Vec<(u64, LoadReport)> {
     super::verify::gate("Pipeline", 2, &all_bursts);
     // 36 (mechanism, window, batch) cells through the pool; per-worker
     // scratch keeps each worker's steady state allocation-free.
-    let mut cells: Vec<(Mk, usize, u64)> = Vec::new();
-    for mk in mechanisms() {
+    let mut cells: Vec<(Factory, usize, u64)> = Vec::new();
+    for mk in paired_roster_factories() {
         for &window in &WINDOWS {
             for &batch in &BATCHES {
                 cells.push((mk, window, batch));
@@ -205,7 +194,7 @@ mod tests {
     fn closed_loop_corner_is_bit_identical_to_run() {
         // The acceptance pin: window=1, batch=1 must reproduce the
         // pre-windowed closed-loop report exactly, with no Queue spans.
-        let mk = || -> Box<dyn IpcSystem> { Box::new(XpcIpc::sel4_xpc()) };
+        let mk = paired_roster_factories()[3]; // seL4-XPC
         let mut mw = MultiWorld::builder().cores(CORES).build(mk);
         let closed =
             simos::load::run_windowed(&mut mw, &Placement::RoundRobin, 2, &[recipe(1)], &spec(), 1);

@@ -7,25 +7,12 @@
 //! derive from per-request virtual-time spans and invocation ledgers.
 
 use super::Report;
-use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
+use kernels::{paired_roster_factories, Factory};
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::{Attribution, IpcSystem, LoadGen, LoadReport, MultiWorld, Placement, Step};
 
 /// Cores in the scale-out world.
 pub const CORES: usize = 4;
-
-/// The mechanism roster: baselines and their XPC variants, as
-/// constructors so every (mechanism, policy) cell starts cold.
-type Mk = fn() -> Box<dyn IpcSystem>;
-
-fn mechanisms() -> Vec<Mk> {
-    vec![
-        || Box::new(Zircon::new()),
-        || Box::new(XpcIpc::zircon_xpc()),
-        || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
-        || Box::new(XpcIpc::sel4_xpc()),
-    ]
-}
 
 fn policies() -> Vec<Placement> {
     vec![
@@ -60,8 +47,8 @@ pub fn results() -> Vec<LoadReport> {
     // fan the 16 (mechanism, policy) cells through the pool. Each
     // worker reuses one scratch + arena across the cells it draws, so
     // steady state stays allocation-free per worker.
-    let mut cells: Vec<(Mk, Vec<Vec<Step>>, Placement)> = Vec::new();
-    for mk in mechanisms() {
+    let mut cells: Vec<(Factory, Vec<Vec<Step>>, Placement)> = Vec::new();
+    for mk in paired_roster_factories() {
         let handover = mk().supports_handover();
         let recipes = recipes(handover);
         super::verify::gate("Scale-out", CHAIN_SERVICES, &recipes);

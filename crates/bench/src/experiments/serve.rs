@@ -31,13 +31,12 @@
 //!   observed backlog.
 
 use super::Report;
-use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
+use kernels::{paired_roster_factories, Factory, XpcIpc};
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
-use simos::serve::{serve_with, ServeScratch};
+use simos::serve::serve_with;
 use simos::{
-    ArrivalProcess, ArrivalTrace, Attribution, AutoscaleCfg, IpcSystem, LedgerArena, MultiWorld,
-    OpenLoopGen, PhaseTotals, Placement, ServePolicy, ServeReport, ServeSpec, Step, TenantClass,
-    Topology,
+    ArrivalProcess, ArrivalTrace, Attribution, AutoscaleCfg, CellScratch, MultiWorld, OpenLoopGen,
+    PhaseTotals, Placement, ServePolicy, ServeReport, ServeSpec, Step, TenantClass, Topology,
 };
 
 /// Offered load grid, in tenths of the calibrated capacity
@@ -66,17 +65,6 @@ pub const SLO_P99_US: f64 = 2_000.0;
 /// sampled mode).
 const SAMPLE_EVERY: u64 = 32;
 
-type Mk = fn() -> Box<dyn IpcSystem>;
-
-fn mechanisms() -> Vec<Mk> {
-    vec![
-        || Box::new(Zircon::new()),
-        || Box::new(XpcIpc::zircon_xpc()),
-        || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
-        || Box::new(XpcIpc::sel4_xpc()),
-    ]
-}
-
 fn topologies() -> Vec<(&'static str, Topology)> {
     vec![
         ("u500", Topology::u500()),
@@ -97,12 +85,21 @@ fn recipes(handover: bool) -> Vec<Vec<Step>> {
         .collect()
 }
 
-fn world(topo: &Topology, mk: Mk) -> MultiWorld {
+pub(super) fn world(topo: &Topology, mk: Factory) -> MultiWorld {
     MultiWorld::builder().topology(topo.clone()).build(mk)
 }
 
 /// Arrivals in the capacity-calibration probe.
 pub const CAPACITY_PROBE: u64 = 512;
+
+/// Builds a cell's recipe roster against the world that will serve it:
+/// a fused roster has to register its program there.
+pub type Roster = fn(&mut MultiWorld) -> Vec<Vec<Step>>;
+
+/// The HTTP chain roster, handing over where the world's mechanism can.
+fn chain_roster(mw: &mut MultiWorld) -> Vec<Vec<Step>> {
+    recipes(mw.core(0).handover())
+}
 
 /// Measured saturation period — mean cycles per completed request at
 /// full throughput — for a (mechanism, topology, recipe mix): a
@@ -113,17 +110,23 @@ pub const CAPACITY_PROBE: u64 = 512;
 /// multi-core chain suffers under round-robin maps, which cap effective
 /// utilization well below `cores / per-request-work`. ρ expressed
 /// against it makes ρ = 1.0 the true knife edge.
-pub fn calibrate_capacity_period(topo: &Topology, mk: Mk, recipes: &[Vec<Step>]) -> u64 {
+pub fn calibrate_capacity_period(
+    topo: &Topology,
+    mk: Factory,
+    n_services: usize,
+    roster: Roster,
+) -> u64 {
+    let mut mw = world(topo, mk);
+    let recipes = roster(&mut mw);
     let n_recipes = u32::try_from(recipes.len()).expect("roster fits u32");
     let probe = poisson(1)
         .trace(CAPACITY_PROBE, n_recipes)
         .expect("probe trace spec is valid");
-    let mut mw = world(topo, mk);
     let r = simos::serve::serve(
         &mut mw,
         &ServePolicy::Static(Placement::RoundRobin),
-        CHAIN_SERVICES,
-        recipes,
+        n_services,
+        &recipes,
         &probe,
         &knee_spec(),
     )
@@ -133,11 +136,11 @@ pub fn calibrate_capacity_period(topo: &Topology, mk: Mk, recipes: &[Vec<Step>])
 
 /// Mean interarrival (cycles) putting `rho_x10`/10 of the measured
 /// capacity on offer: `period / ρ`.
-fn interarrival(capacity_period_cycles: u64, rho_x10: u64) -> u64 {
+pub(super) fn interarrival(capacity_period_cycles: u64, rho_x10: u64) -> u64 {
     (capacity_period_cycles * 10 / rho_x10).max(1)
 }
 
-fn knee_spec() -> ServeSpec {
+pub(super) fn knee_spec() -> ServeSpec {
     ServeSpec {
         tenants: TENANTS,
         classes: vec![TenantClass {
@@ -149,7 +152,7 @@ fn knee_spec() -> ServeSpec {
     }
 }
 
-fn poisson(mean: u64) -> OpenLoopGen {
+pub(super) fn poisson(mean: u64) -> OpenLoopGen {
     OpenLoopGen {
         process: ArrivalProcess::Poisson,
         mean_interarrival_cycles: mean,
@@ -159,30 +162,30 @@ fn poisson(mean: u64) -> OpenLoopGen {
     }
 }
 
-/// Serve one cell with shared scratch and sampled attribution (exact
-/// totals, 1-in-N retained spans).
-fn run_cell(
+/// Serve one cell with the worker's scratch and sampled attribution
+/// (exact totals, 1-in-N retained spans).
+pub(super) fn run_cell(
     mw: &mut MultiWorld,
     policy: &ServePolicy,
+    n_services: usize,
     recipes: &[Vec<Step>],
     trace: &ArrivalTrace,
     spec: &ServeSpec,
-    scratch: &mut ServeScratch,
-    arena: &mut LedgerArena,
+    cs: &mut CellScratch,
 ) -> ServeReport {
     let mut totals = PhaseTotals::new();
     serve_with(
         mw,
         policy,
-        CHAIN_SERVICES,
+        n_services,
         recipes,
         trace,
         spec,
-        scratch,
+        &mut cs.sweep,
         Attribution::Sampled {
             every: SAMPLE_EVERY,
             totals: &mut totals,
-            arena,
+            arena: &mut cs.arena,
         },
     )
     .expect("serve cell must be runnable")
@@ -209,8 +212,8 @@ pub struct KneeCell {
 pub fn knee_results() -> Vec<KneeCell> {
     let spec = knee_spec();
     // Phase A: per-(mechanism, topology) capacity calibration.
-    let mut calib: Vec<(Mk, Vec<Vec<Step>>, &'static str, Topology)> = Vec::new();
-    for mk in mechanisms() {
+    let mut calib: Vec<(Factory, Vec<Vec<Step>>, &'static str, Topology)> = Vec::new();
+    for mk in paired_roster_factories() {
         let handover = mk().supports_handover();
         let recipes = recipes(handover);
         super::verify::gate("Serve", CHAIN_SERVICES, &recipes);
@@ -219,12 +222,12 @@ pub fn knee_results() -> Vec<KneeCell> {
         }
     }
     let calibrated = simos::par::map_cells(calib, |_, (mk, recipes, label, topo), _| {
-        let period = calibrate_capacity_period(&topo, mk, &recipes);
+        let period = calibrate_capacity_period(&topo, mk, CHAIN_SERVICES, chain_roster);
         (mk, recipes, label, topo, period)
     });
     // Phase B: the 48 (mechanism, topology, ρ) serve cells, each
     // carrying its calibrated period and offered ρ.
-    type RhoCell = (Mk, Vec<Vec<Step>>, &'static str, Topology, u64, u64);
+    type RhoCell = (Factory, Vec<Vec<Step>>, &'static str, Topology, u64, u64);
     let mut cells: Vec<RhoCell> = Vec::new();
     for (mk, recipes, label, topo, period) in calibrated {
         for rho_x10 in RHO_X10 {
@@ -243,11 +246,11 @@ pub fn knee_results() -> Vec<KneeCell> {
             let r = run_cell(
                 &mut mw,
                 &ServePolicy::Static(Placement::RoundRobin),
+                CHAIN_SERVICES,
                 &recipes,
                 &trace,
                 &spec,
-                &mut cs.serve,
-                &mut cs.arena,
+                cs,
             );
             KneeCell {
                 topology: label,
@@ -272,11 +275,11 @@ pub struct AdmissionCell {
 /// The admission sweep: seL4-XPC on u500 at ρ = 1.5, queue caps from
 /// tight to loose. Deterministic.
 pub fn admission_results() -> Vec<AdmissionCell> {
-    let mk: Mk = || Box::new(XpcIpc::sel4_xpc());
+    let mk: Factory = || Box::new(XpcIpc::sel4_xpc());
     let recipes = recipes(mk().supports_handover());
     super::verify::gate("Serve-admission", CHAIN_SERVICES, &recipes);
     let topo = Topology::u500();
-    let period = calibrate_capacity_period(&topo, mk, &recipes);
+    let period = calibrate_capacity_period(&topo, mk, CHAIN_SERVICES, chain_roster);
     let mean = interarrival(period, 15);
     let n_recipes = u32::try_from(recipes.len()).expect("roster fits u32");
     let trace = poisson(mean)
@@ -297,11 +300,11 @@ pub fn admission_results() -> Vec<AdmissionCell> {
         let report = run_cell(
             &mut mw,
             &ServePolicy::Static(Placement::RoundRobin),
+            CHAIN_SERVICES,
             &recipes,
             &trace,
             &spec,
-            &mut cs.serve,
-            &mut cs.arena,
+            cs,
         );
         AdmissionCell { queue_cap, report }
     })
@@ -324,14 +327,14 @@ pub fn bursty_results() -> Vec<BurstyCell> {
     // One pool cell per mechanism (each calibrates, then serves its
     // Poisson/on-off pair in order); flattening preserves the serial
     // row order because reduction is index-ordered.
-    let mut mechs: Vec<(Mk, Vec<Vec<Step>>)> = Vec::new();
-    for mk in mechanisms() {
+    let mut mechs: Vec<(Factory, Vec<Vec<Step>>)> = Vec::new();
+    for mk in paired_roster_factories() {
         let recipes = recipes(mk().supports_handover());
         super::verify::gate("Serve-bursty", CHAIN_SERVICES, &recipes);
         mechs.push((mk, recipes));
     }
     simos::par::map_cells(mechs, |_, (mk, recipes), cs| {
-        let period = calibrate_capacity_period(&topo, mk, &recipes);
+        let period = calibrate_capacity_period(&topo, mk, CHAIN_SERVICES, chain_roster);
         let mean = interarrival(period, 8);
         let n_recipes = u32::try_from(recipes.len()).expect("roster fits u32");
         [
@@ -356,11 +359,11 @@ pub fn bursty_results() -> Vec<BurstyCell> {
             let report = run_cell(
                 &mut mw,
                 &ServePolicy::Static(Placement::RoundRobin),
+                CHAIN_SERVICES,
                 &recipes,
                 &trace,
                 &spec,
-                &mut cs.serve,
-                &mut cs.arena,
+                cs,
             );
             BurstyCell {
                 process: label,
@@ -388,11 +391,11 @@ pub struct AutoscaleCell {
 /// capacity, vs a static all-cores round-robin baseline on the same
 /// trace. Deterministic.
 pub fn autoscale_results() -> Vec<AutoscaleCell> {
-    let mk: Mk = || Box::new(XpcIpc::sel4_xpc());
+    let mk: Factory = || Box::new(XpcIpc::sel4_xpc());
     let recipes = recipes(mk().supports_handover());
     super::verify::gate("Serve-autoscale", CHAIN_SERVICES, &recipes);
     let topo = Topology::dual_socket();
-    let period = calibrate_capacity_period(&topo, mk, &recipes);
+    let period = calibrate_capacity_period(&topo, mk, CHAIN_SERVICES, chain_roster);
     let mean = interarrival(period, 8);
     let n_recipes = u32::try_from(recipes.len()).expect("roster fits u32");
     let trace = poisson(mean)
@@ -418,11 +421,11 @@ pub fn autoscale_results() -> Vec<AutoscaleCell> {
         let report = run_cell(
             &mut mw,
             &policy,
+            CHAIN_SERVICES,
             &recipes,
             &trace,
             &spec,
-            &mut cs.serve,
-            &mut cs.arena,
+            cs,
         );
         AutoscaleCell {
             policy: label,

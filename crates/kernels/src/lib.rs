@@ -42,11 +42,25 @@ pub fn all_systems() -> Vec<Box<dyn IpcSystem>> {
     ]
 }
 
+/// A constructor for one system. For anything that needs *fresh*
+/// instances — a [`simos::MultiWorld`] builds one system per core, a
+/// sweep starts every cell cold — a boxed-roster walk cannot help.
+pub type Factory = fn() -> Box<dyn IpcSystem>;
+
+/// The paired roster of the scenario grids: each trap-based baseline
+/// next to its XPC variant (Zircon, Zircon-XPC, seL4-onecopy, seL4-XPC).
+pub fn paired_roster_factories() -> Vec<Factory> {
+    vec![
+        || Box::new(Zircon::new()),
+        || Box::new(XpcIpc::zircon_xpc()),
+        || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
+        || Box::new(XpcIpc::sel4_xpc()),
+    ]
+}
+
 /// Factories for the full roster, one per system, in [`full_roster`]
-/// order. For anything that needs *fresh* instances per core — e.g. a
-/// [`simos::MultiWorld`] builds one system per core from a factory — a
-/// boxed-roster walk cannot help, so this is the list to iterate.
-pub fn full_roster_factories() -> Vec<fn() -> Box<dyn IpcSystem>> {
+/// order.
+pub fn full_roster_factories() -> Vec<Factory> {
     vec![
         || Box::new(Zircon::new()),
         || Box::new(XpcIpc::zircon_xpc()),

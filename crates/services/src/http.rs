@@ -446,8 +446,8 @@ mod tests {
         // Replay on a 1-core MultiWorld (no cross-core surcharge) must
         // land on the same cycle count as the real server.
         use kernels::{Sel4, Sel4Transfer, XpcIpc};
-        use simos::load::run_request;
-        use simos::MultiWorld;
+        use simos::load::run_windowed;
+        use simos::{LoadGen, MultiWorld, Placement};
 
         let path = "/index.html";
         let file = b"<html><body>42</body></html>".to_vec();
@@ -474,14 +474,26 @@ mod tests {
                     .with_handover(handover);
                 let steps = chain_steps(path, file.len() as u64, spec);
                 let mut mw = MultiWorld::builder().cores(1).build(mk);
-                let (done, ledger) = run_request(&mut mw, &[0; CHAIN_SERVICES], &steps, 0);
+                let one = LoadGen {
+                    clients: 1,
+                    requests: 1,
+                    ..LoadGen::default()
+                };
+                let r = run_windowed(
+                    &mut mw,
+                    &Placement::SameCore,
+                    CHAIN_SERVICES,
+                    &[steps],
+                    &one,
+                    1,
+                );
                 assert_eq!(
-                    done, w.cycles,
+                    r.makespan_cycles, w.cycles,
                     "recipe diverged from handle() (handover={handover}, aes={encrypt})"
                 );
                 // The request ledger carries the IPC phases only —
                 // compute lands in the clock, exactly as in `World`.
-                assert_eq!(ledger.total(), w.stats.ipc_cycles);
+                assert_eq!(r.ledger.total(), w.stats.ipc_cycles);
             }
         }
     }

@@ -33,9 +33,14 @@
 //!   [`program::Recipe`] builder produces bounded [`program::CallProgram`]s
 //!   that a world registers and dispatches as one `Step::Fused`,
 //!   executing server-side without returning to the client between hops;
-//! * [`load`] — a deterministic closed-loop traffic generator reporting
-//!   throughput and p50/p95/p99 latency from per-request ledgers;
-//! * [`serve`] — the open-loop sibling: seeded Poisson/bursty arrival
+//! * `engine` (private) — the one request engine: issue → place →
+//!   price → record → reduce, generic over where the next request comes
+//!   from and what a full owner queue means. [`load`] and [`serve`] are
+//!   its two front doors;
+//! * [`load`] — the closed-loop door: windowed clients whose next issue
+//!   is triggered by their own completion, reporting throughput and
+//!   p50/p95/p99 latency from per-request ledgers;
+//! * [`serve`] — the open-loop door: seeded Poisson/bursty arrival
 //!   traces ([`serve::ArrivalTrace`]) replayed with per-tenant admission
 //!   control, SLO targets, and an autoscaling placement controller —
 //!   the layer that exposes the tail-vs-load saturation knee a closed
@@ -48,6 +53,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cost;
+mod engine;
 pub mod ipc;
 pub mod ledger;
 pub mod load;

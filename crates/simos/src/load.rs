@@ -30,13 +30,15 @@
 //!   cross-core, transfer, queueing, …) is the merged per-request
 //!   ledger.
 
+use crate::engine::{self, Clients};
 use crate::ipc::EngineCacheStats;
-use crate::ledger::{Attribution, CycleLedger, LedgerArena, LedgerRef, Phase, PhaseTotals};
-use crate::multicore::{CoreId, MultiWorld, Placement, PlacementError};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::ledger::{Attribution, CycleLedger, LedgerArena, Phase};
+use crate::multicore::{MultiWorld, Placement, PlacementError};
 use std::fmt;
-use ycsb::rng::Rng;
+
+// The scratch buffers are the engine's; named here because threading one
+// through a sweep is this module's vocabulary.
+pub use crate::engine::SweepScratch;
 
 // Recipes are sequences of `Step`s in *service-id* space; the same enum,
 // resolved to core space, is what `MultiWorld::exec` runs. Re-exported
@@ -180,245 +182,6 @@ impl LoadReport {
     }
 }
 
-/// Convert cycles (as f64, so means pass through) to microseconds at
-/// `clock_hz` — the one place the report does this conversion.
-fn cycles_to_us(cycles: f64, clock_hz: u64) -> f64 {
-    cycles / clock_hz as f64 * 1e6
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-///
-/// Convention: the quantile `q ∈ [0, 1]` selects the 1-based rank
-/// `⌈q·n⌉`, clamped to `[1, n]` — so `q = 0.5` over 100 samples is the
-/// 50th smallest, `q = 0` the minimum, `q = 1` the maximum, and the
-/// empty slice reports 0 at every quantile. `q` outside `[0, 1]` is a
-/// contract violation (debug-asserted): `q > 1` would silently clamp to
-/// the maximum, a negative `q` to the minimum, and a NaN rank would
-/// reach the `f64 → usize` cast whose result for NaN is an
-/// implementation artifact (0) rather than a defined quantile.
-pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {
-    debug_assert!(
-        (0.0..=1.0).contains(&q),
-        "percentile: q = {q} outside [0, 1] (NaN included) has no nearest-rank meaning"
-    );
-    if sorted.is_empty() {
-        return 0;
-    }
-    // q is in [0, 1] (asserted above), so the rank is bounded by len and
-    // the cast back from f64 cannot truncate.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Resolve a recipe step from service-id space to core space via `map`;
-/// from here on [`MultiWorld::exec`] / [`MultiWorld::exec_into`] do the
-/// rest.
-fn resolve_step(map: &[CoreId], step: &Step) -> Step {
-    match *step {
-        Step::Oneway { from, to, bytes } => Step::Oneway {
-            from: map[from],
-            to: map[to],
-            bytes,
-        },
-        Step::Batch {
-            from,
-            to,
-            calls,
-            bytes_each,
-        } => Step::Batch {
-            from: map[from],
-            to: map[to],
-            calls,
-            bytes_each,
-        },
-        Step::Roundtrip {
-            from,
-            to,
-            request,
-            response,
-        } => Step::Roundtrip {
-            from: map[from],
-            to: map[to],
-            request,
-            response,
-        },
-        Step::Compute { at, cycles } => Step::Compute {
-            at: map[at],
-            cycles,
-        },
-        Step::DataPass {
-            at,
-            bytes,
-            intensity_x10,
-        } => Step::DataPass {
-            at: map[at],
-            bytes,
-            intensity_x10,
-        },
-        // Fused programs resolve their services inside
-        // `MultiWorld::exec_fused_into` (the id carries no service fields
-        // to rewrite); the request driver intercepts the variant before
-        // this resolver runs.
-        Step::Fused(id) => Step::Fused(id),
-    }
-}
-
-/// The issuing core, serving core, and IPC-call count of a core-space
-/// step.
-fn step_route(resolved: &Step) -> (CoreId, CoreId, u64) {
-    match *resolved {
-        Step::Oneway { from, to, .. } | Step::Roundtrip { from, to, .. } => (from, to, 1),
-        Step::Batch {
-            from, to, calls, ..
-        } => (from, to, calls),
-        Step::Compute { at, .. } | Step::DataPass { at, .. } => (at, at, 0),
-        // Routing a fused step needs the world's program table
-        // (`MultiWorld::fused_route`); the drivers handle the variant
-        // before calling here.
-        Step::Fused(_) => unreachable!("fused steps route through MultiWorld::fused_route"),
-    }
-}
-
-/// Run one request's steps starting at virtual time `t0` with services
-/// mapped to cores by `map`. Returns the completion time and the merged
-/// IPC ledger of the request (no queue attribution). Convenience over
-/// the sink driver the load generators run, for pricing a single
-/// request outside a load run.
-pub fn run_request(
-    mw: &mut MultiWorld,
-    map: &[CoreId],
-    steps: &[Step],
-    t0: u64,
-) -> (u64, CycleLedger) {
-    let mut arena = LedgerArena::new();
-    let h = arena.begin();
-    let mut sink = ReqSink {
-        totals: None,
-        arena: Some((&mut arena, h)),
-    };
-    let mut step_ledger = CycleLedger::new();
-    let (done, _) = run_request_sink(mw, map, steps, t0, false, &mut step_ledger, &mut sink);
-    (done, arena.to_ledger(h))
-}
-
-/// Where one request's spans go: always into the flat totals when
-/// sampling, and into an arena ledger when this request keeps span-level
-/// detail (every request in `Full` mode, 1-in-N in `Sampled`).
-pub(crate) struct ReqSink<'a> {
-    pub(crate) totals: Option<&'a mut PhaseTotals>,
-    pub(crate) arena: Option<(&'a mut LedgerArena, LedgerRef)>,
-}
-
-impl ReqSink<'_> {
-    fn charge(&mut self, phase: Phase, cycles: u64) {
-        if let Some(t) = &mut self.totals {
-            t.charge(phase, cycles);
-        }
-        if let Some((a, h)) = &mut self.arena {
-            a.charge(*h, phase, cycles);
-        }
-    }
-
-    fn merge(&mut self, ledger: &CycleLedger) {
-        if let Some(t) = &mut self.totals {
-            t.add_ledger(ledger);
-        }
-        if let Some((a, h)) = &mut self.arena {
-            a.merge_ledger(*h, ledger);
-        }
-    }
-}
-
-/// The request driver: steps execute through
-/// [`MultiWorld::exec_into`] with `step_ledger` as scratch and the
-/// request's spans land in `sink`. When `attribute_queue`, the wait each
-/// step spends behind its serving core's earlier work (`free_at - t`) is
-/// charged to [`Phase::Queue`]. Returns `(done, ipc_calls)`. Shared with
-/// the open-loop [`crate::serve`] engine.
-pub(crate) fn run_request_sink(
-    mw: &mut MultiWorld,
-    map: &[CoreId],
-    steps: &[Step],
-    t0: u64,
-    attribute_queue: bool,
-    step_ledger: &mut CycleLedger,
-    sink: &mut ReqSink<'_>,
-) -> (u64, u64) {
-    let mut t = t0;
-    let mut ipc_calls = 0u64;
-    for step in steps {
-        if let Step::Fused(id) = step {
-            let (issuer, serving, calls) = mw.fused_route(*id, map);
-            if attribute_queue {
-                sink.charge(Phase::Queue, mw.free_at(serving).saturating_sub(t));
-            }
-            let done = mw.exec_fused_into(issuer, *id, map, t, step_ledger);
-            sink.merge(step_ledger);
-            ipc_calls += calls;
-            t = done;
-            continue;
-        }
-        let resolved = resolve_step(map, step);
-        let (issuer, serving, calls) = step_route(&resolved);
-        if attribute_queue {
-            sink.charge(Phase::Queue, mw.free_at(serving).saturating_sub(t));
-        }
-        let done = mw.exec_into(issuer, resolved, t, step_ledger);
-        sink.merge(step_ledger);
-        ipc_calls += calls;
-        t = done;
-    }
-    (t, ipc_calls)
-}
-
-/// Reusable buffers for a load run, meant to be threaded across the
-/// cells of a sweep (mechanism × policy × window × batch) so a grid of
-/// [`run_windowed_with`] calls performs its per-request work without
-/// heap allocation: the latency sample, the per-request core map, the
-/// per-step scratch ledger, and both event queues (issue heap and
-/// per-client outstanding heaps) all reach steady-state capacity in the
-/// first cell and are reused by every later one.
-#[derive(Default)]
-pub struct SweepScratch {
-    latencies: Vec<u64>,
-    map: Vec<CoreId>,
-    step_ledger: CycleLedger,
-    /// Min-heap of `(next issue time, client index)` — pops in exactly
-    /// the historical "lowest issue-time first, ties to lowest client
-    /// index" order, replacing the O(clients) linear scan.
-    issue: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Per-client min-heaps of outstanding completion (+ think) times,
-    /// replacing the O(window) linear min-scan.
-    outstanding: Vec<BinaryHeap<Reverse<u64>>>,
-}
-
-impl SweepScratch {
-    /// Fresh (empty) scratch; buffers grow to steady state on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clear every buffer's *contents* while keeping their capacity —
-    /// called on entry by [`run_windowed_with`] so no state can leak
-    /// from one sweep cell into the next. The contamination risk this
-    /// forecloses: a large cell leaves `outstanding` with more per-client
-    /// heaps than a following smaller cell has clients, and
-    /// `resize_with` only ever *grows* the vec — so without an explicit
-    /// clear, a cell that exited abnormally (or any future driver that
-    /// forgets to drain `issue`) would replay stale issue times and
-    /// completion heaps into the next cell's schedule.
-    pub fn clear(&mut self) {
-        self.latencies.clear();
-        self.map.clear();
-        self.step_ledger.clear();
-        self.issue.clear();
-        for heap in &mut self.outstanding {
-            heap.clear();
-        }
-    }
-}
-
 /// Drive `spec.requests` requests from `spec.clients` *windowed*
 /// clients through `mw` under `policy`: each client keeps up to `window`
 /// requests outstanding (`window = 1` is the closed loop), issuing a
@@ -461,7 +224,8 @@ pub fn run_windowed(
 ///   arena (truncating back after folding it into the report), and the
 ///   report is **bit-identical** to [`run_windowed`]'s.
 /// * `Attribution::Sampled` accumulates every request into flat
-///   [`PhaseTotals`] (per-phase totals *exactly* equal to full mode's —
+///   [`PhaseTotals`](crate::ledger::PhaseTotals) (per-phase totals
+///   *exactly* equal to full mode's —
 ///   flat sums commute with span merging) and additionally retains the
 ///   span ledger of 1-in-`every` requests in the arena. The report's
 ///   `ledger` is rendered from the totals in canonical [`Phase::ALL`]
@@ -486,7 +250,7 @@ pub fn run_windowed_with(
     spec: &LoadGen,
     window: usize,
     scratch: &mut SweepScratch,
-    mut att: Attribution<'_>,
+    att: Attribution<'_>,
 ) -> Result<LoadReport, LoadError> {
     if recipes.is_empty() {
         return Err(LoadError::EmptyRecipes);
@@ -497,135 +261,35 @@ pub fn run_windowed_with(
     if window == 0 {
         return Err(LoadError::ZeroWindow);
     }
-    let attribute_queue = window > 1;
-    let mut rng = Rng::seed_from_u64(spec.seed);
-    // Cross-cell hygiene: drop every buffer's contents (capacity kept)
-    // before touching any of them, so a previous cell's issue times or
-    // outstanding heaps can never contaminate this one.
-    scratch.clear();
-    // Per client: the earliest time it may issue its next request (the
-    // issue heap), and the completion (+ think) times of its outstanding
-    // requests (one min-heap per client).
-    for c in 0..spec.clients {
-        scratch.issue.push(Reverse((0, c)));
-    }
-    if scratch.outstanding.len() < spec.clients {
-        scratch
-            .outstanding
-            .resize_with(spec.clients, BinaryHeap::new);
-    }
-    scratch
-        .latencies
-        .reserve(usize::try_from(spec.requests).expect("request count fits usize"));
-    let mut ledger = CycleLedger::new();
-    let mut makespan = 0u64;
-    let mut ipc_calls = 0u64;
-    for r in 0..spec.requests {
-        // Next issuer: earliest-issuable client, ties to the lowest
-        // index — exactly the historical linear scan's order, since the
-        // heap pops the least `(issue time, client index)` pair.
-        let Reverse((t0, c)) = scratch.issue.pop().expect("one entry per client");
-        let pick = usize::try_from(rng.below(recipes.len() as u64)).expect("index fits usize");
-        let recipe = &recipes[pick];
-        policy.assign_into(r, n_services, mw, &mut scratch.map)?;
-        let (done, calls) = match &mut att {
-            Attribution::Full(arena) => {
-                let mark = arena.mark();
-                let h = arena.begin();
-                let mut sink = ReqSink {
-                    totals: None,
-                    arena: Some((arena, h)),
-                };
-                let out = run_request_sink(
-                    mw,
-                    &scratch.map,
-                    recipe,
-                    t0,
-                    attribute_queue,
-                    &mut scratch.step_ledger,
-                    &mut sink,
-                );
-                // Fold the request's spans into the report ledger in
-                // first-charge order (what `merge(&req_ledger)` did),
-                // then roll the arena back for reuse.
-                for (p, cy) in arena.spans(h) {
-                    ledger.charge(p, cy);
-                }
-                arena.truncate(mark);
-                out
-            }
-            Attribution::Sampled {
-                every,
-                totals,
-                arena,
-            } => {
-                let keep = *every != 0 && r % *every == 0;
-                let h = if keep { Some(arena.begin()) } else { None };
-                let mut sink = ReqSink {
-                    totals: Some(totals),
-                    arena: h.map(|h| (&mut **arena, h)),
-                };
-                run_request_sink(
-                    mw,
-                    &scratch.map,
-                    recipe,
-                    t0,
-                    attribute_queue,
-                    &mut scratch.step_ledger,
-                    &mut sink,
-                )
-            }
-        };
-        ipc_calls += calls;
-        scratch.latencies.push(done - t0);
-        makespan = makespan.max(done);
-        scratch.outstanding[c].push(Reverse(done + spec.think_cycles));
-        let next_avail = if scratch.outstanding[c].len() >= window {
-            // Window full: the next issue replaces the outstanding
-            // request that completes earliest.
-            let Reverse(first_done) = scratch.outstanding[c].pop().expect("window >= 1");
-            t0.max(first_done)
-        } else {
-            t0
-        };
-        scratch.issue.push(Reverse((next_avail, c)));
-    }
-    if let Attribution::Sampled { totals, .. } = &att {
-        ledger = totals.to_ledger();
-    }
-    scratch.latencies.sort_unstable();
-    let latencies = &scratch.latencies;
-    let clock_hz = mw.core(0).cost.clock_hz;
-    let mean = latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64;
+    let mut clients = Clients::new(policy, n_services, recipes.len(), spec, window, scratch);
+    let out = engine::run(mw, recipes, &mut clients, scratch, att)?;
     Ok(LoadReport {
-        system: mw.core(0).ipc_name(),
+        throughput_rps: out.per_second(out.priced),
+        system: out.system,
         policy: policy.label(),
-        cores: mw.n_cores(),
+        cores: out.cores,
         clients: spec.clients,
         window,
-        requests: spec.requests,
-        ipc_calls,
-        makespan_cycles: makespan,
-        busy_cycles: mw.busy_cycles(),
-        throughput_rps: if makespan == 0 {
-            0.0
-        } else {
-            spec.requests as f64 * clock_hz as f64 / makespan as f64
-        },
-        mean_us: cycles_to_us(mean, clock_hz),
-        p50_us: cycles_to_us(percentile(latencies, 0.50) as f64, clock_hz),
-        p95_us: cycles_to_us(percentile(latencies, 0.95) as f64, clock_hz),
-        p99_us: cycles_to_us(percentile(latencies, 0.99) as f64, clock_hz),
-        ledger,
-        engine_cache: mw.engine_cache_stats(),
+        requests: out.priced,
+        ipc_calls: out.ipc_calls,
+        makespan_cycles: out.makespan_cycles,
+        busy_cycles: out.busy_cycles,
+        mean_us: out.tail.mean_us,
+        p50_us: out.tail.p50_us,
+        p95_us: out.tail.p95_us,
+        p99_us: out.tail.p99_us,
+        ledger: out.ledger,
+        engine_cache: out.engine_cache,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{drive_request, percentile, ReqSink};
     use crate::ipc::IpcSystem;
     use crate::ledger::InvokeOpts;
+    use crate::multicore::CoreId;
     use crate::topology::Topology;
 
     struct Fixed;
@@ -952,6 +616,34 @@ mod tests {
         assert_eq!(percentile(&[5, 5, 5, 7], 0.76), 7);
     }
 
+    /// One request through the engine's request driver, its spans as an
+    /// owned ledger — what the two oracles below price with.
+    fn price_one(
+        mw: &mut MultiWorld,
+        map: &[CoreId],
+        steps: &[Step],
+        t0: u64,
+        attribute_queue: bool,
+    ) -> (u64, CycleLedger) {
+        let mut arena = LedgerArena::new();
+        let h = arena.begin();
+        let mut sink = ReqSink {
+            totals: None,
+            arena: Some((&mut arena, h)),
+        };
+        let mut step_ledger = CycleLedger::new();
+        let (done, _) = drive_request(
+            mw,
+            map,
+            steps,
+            t0,
+            attribute_queue,
+            &mut step_ledger,
+            &mut sink,
+        );
+        (done, arena.to_ledger(h))
+    }
+
     /// The closed-loop driver exactly as it existed before the windowed
     /// refactor — kept here as the issue-order oracle that pins
     /// `run_windowed(window = 1)` to the historical behavior bit for bit.
@@ -981,7 +673,7 @@ mod tests {
             policy
                 .assign_into(r, n_services, mw, &mut map)
                 .expect("placement rejected the core map");
-            let (done, req_ledger) = run_request(mw, &map, recipe, t0);
+            let (done, req_ledger) = price_one(mw, &map, recipe, t0, false);
             ledger.merge(&req_ledger);
             latencies.push(done - t0);
             makespan = makespan.max(done);
@@ -1055,22 +747,7 @@ mod tests {
             policy
                 .assign_into(r, n_services, mw, &mut map)
                 .expect("placement rejected the core map");
-            let mut arena = LedgerArena::new();
-            let h = arena.begin();
-            let mut sink = ReqSink {
-                totals: None,
-                arena: Some((&mut arena, h)),
-            };
-            let (done, _) = run_request_sink(
-                mw,
-                &map,
-                recipe,
-                t0,
-                attribute_queue,
-                &mut CycleLedger::new(),
-                &mut sink,
-            );
-            let req_ledger = arena.to_ledger(h);
+            let (done, req_ledger) = price_one(mw, &map, recipe, t0, attribute_queue);
             ledger.merge(&req_ledger);
             latencies.push(done - t0);
             makespan = makespan.max(done);

@@ -148,6 +148,50 @@ pub struct Completion {
     pub inv: Invocation,
 }
 
+/// How a [`Step`]'s `from`/`to`/`at` (and a fused program's service)
+/// ids name cores — the one thing that differs between a step handed to
+/// [`MultiWorld::exec`] and a step sitting in a request recipe.
+#[derive(Clone, Copy)]
+pub(crate) enum Space<'m> {
+    /// Core space ([`MultiWorld::exec`]'s contract): ids are core ids
+    /// and the issuing core is the one given here, superseding
+    /// `from`/`at`.
+    Core(CoreId),
+    /// Service space: ids index the request's [`Placement`] map.
+    Service(&'m [CoreId]),
+}
+
+impl Space<'_> {
+    fn issuer(self, id: usize) -> CoreId {
+        match self {
+            Space::Core(core) => core,
+            Space::Service(map) => map[id],
+        }
+    }
+
+    fn core(self, id: usize) -> CoreId {
+        match self {
+            Space::Core(_) => id,
+            Space::Service(map) => map[id],
+        }
+    }
+}
+
+/// What one executed step did in virtual time, as the request engine
+/// consumes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stepped {
+    /// Completion time.
+    pub(crate) done: u64,
+    /// Cycles the step waited behind its serving core's earlier work.
+    pub(crate) wait: u64,
+    /// IPC invocations issued (a batch of n counts n, a fused program
+    /// its hop count, compute 0).
+    pub(crate) calls: u64,
+    /// Payload bytes physically copied.
+    pub(crate) copied: u64,
+}
+
 /// The cross-core surcharge of §5.2, split into its physical parts and
 /// scaled by socket distance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -654,9 +698,12 @@ impl MultiWorld {
         }
     }
 
-    /// Total busy cycles over all cores (utilization numerator).
+    /// Total busy cycles over all cores (utilization numerator),
+    /// saturating like every other virtual-time sum.
     pub fn busy_cycles(&self) -> u64 {
-        self.cores.iter().map(|w| w.cycles).sum()
+        self.cores
+            .iter()
+            .fold(0, |sum, w| sum.saturating_add(w.cycles))
     }
 
     /// Engine-cache counters summed over every core's system ([`None`]
@@ -690,23 +737,11 @@ impl MultiWorld {
         self.programs.len()
     }
 
-    /// Route of a fused step under a service → core `map`:
-    /// `(client core, entry core, ipc calls)`. The entry core — the
-    /// first hop's — serves the whole program as one FIFO interval, and
-    /// the call count is the hop count (one `xcall`/kernel entry per
-    /// hop, however the mechanism prices it).
-    pub(crate) fn fused_route(&self, id: ProgramId, map: &[CoreId]) -> (CoreId, CoreId, u64) {
-        let p = &self.programs[id.index()];
-        let calls = u64::try_from(p.depth()).expect("hop count fits u64");
-        (map[p.client()], map[p.hops()[0].service], calls)
-    }
-
     /// Fused-program pricing: charge every hop and the final reply leg
-    /// into `out` (accumulating), clock the entry core once for the
-    /// whole program, and return `(done, copied_bytes)`.
-    ///
-    /// `map` resolves the program's service ids to cores; `None` is the
-    /// identity map (ids already are core ids — `exec`'s contract).
+    /// into `out` (accumulating) and clock the entry core — the first
+    /// hop's — once for the whole program; the call count is the hop
+    /// count (one `xcall`/kernel entry per hop, however the mechanism
+    /// prices it).
     ///
     /// The model follows AnyCall's submit-once shape: the client issues
     /// one submission to the entry service, which drives the remaining
@@ -720,22 +755,16 @@ impl MultiWorld {
     /// [`HANDOVER_DESC_BYTES`] descriptor. A depth-1 program with no
     /// handover and no compute prices span-for-span identically to the
     /// equivalent [`Step::Roundtrip`].
-    fn fused_into_with(
+    fn fused_into(
         &mut self,
-        issuer: CoreId,
+        space: Space<'_>,
         id: ProgramId,
-        map: Option<&[CoreId]>,
         ready: u64,
         out: &mut CycleLedger,
-    ) -> (u64, u64) {
-        let core_of = |service: usize| -> CoreId {
-            match map {
-                Some(m) => m[service],
-                None => service,
-            }
-        };
+    ) -> Stepped {
         let depth = self.programs[id.index()].depth();
-        let entry = core_of(self.programs[id.index()].hops()[0].service);
+        let issuer = space.issuer(self.programs[id.index()].client());
+        let entry = space.core(self.programs[id.index()].hops()[0].service);
         let mut prev = issuer;
         let mut copied = 0u64;
         let mut payload = 0u64;
@@ -743,7 +772,7 @@ impl MultiWorld {
         let mut calls = 0u64;
         for i in 0..depth {
             let hop = self.programs[id.index()].hops()[i];
-            let to = core_of(hop.service);
+            let to = space.core(hop.service);
             let bytes = if hop.handover && self.cores[to].handover() {
                 HANDOVER_DESC_BYTES.min(hop.request)
             } else {
@@ -766,29 +795,16 @@ impl MultiWorld {
             .oneway_into(msg_len(response), &reply_opts, out);
         self.surcharge_into(issuer, prev, response, 1, out);
         payload += response;
-        let done = self.clock(entry, ready, out.total().saturating_add(compute));
+        let at = self.clock(entry, ready, out.total().saturating_add(compute));
         if compute > 0 {
             self.cores[entry].compute(compute);
         }
         self.cores[entry].charge_spans(calls, payload, out);
-        (done, copied)
-    }
-
-    /// Execute a registered program under an explicit service → core
-    /// `map` (the load/serve drivers' path — [`Step::Fused`] through
-    /// [`exec`](Self::exec) uses the identity map instead): charge the
-    /// program's spans into `out` (cleared first) and return the
-    /// completion time. `issuer` is the client's core.
-    pub(crate) fn exec_fused_into(
-        &mut self,
-        issuer: CoreId,
-        id: ProgramId,
-        map: &[CoreId],
-        ready: u64,
-        out: &mut CycleLedger,
-    ) -> u64 {
-        out.clear();
-        self.fused_into_with(issuer, id, Some(map), ready, out).0
+        Stepped {
+            calls,
+            copied,
+            ..at
+        }
     }
 
     /// Crossings-per-request the entry core's mechanism charges a fused
@@ -836,13 +852,20 @@ impl MultiWorld {
         out.charge(Phase::CrossCore, extra);
     }
 
-    /// Serve `cycles` of work on `core` no earlier than `ready`; the
-    /// completion time saturates at `u64::MAX` rather than wrapping.
-    fn clock(&mut self, core: CoreId, ready: u64, cycles: u64) -> u64 {
+    /// Serve `cycles` of work on `core` no earlier than `ready`: the
+    /// completion time (saturating at `u64::MAX` rather than wrapping)
+    /// and how long the work sat behind the core's earlier work, with
+    /// `calls`/`copied` left at 0 for the caller to fill in.
+    fn clock(&mut self, core: CoreId, ready: u64, cycles: u64) -> Stepped {
         let start = ready.max(self.free_at[core]);
         let done = start.saturating_add(cycles);
         self.free_at[core] = done;
-        done
+        Stepped {
+            done,
+            wait: start - ready,
+            calls: 0,
+            copied: 0,
+        }
     }
 
     /// The unified execution entry point: run one [`Step`] (already
@@ -862,9 +885,9 @@ impl MultiWorld {
     pub fn exec(&mut self, core: CoreId, step: Step, ready: u64) -> Completion {
         let mut done = ready;
         let inv = Invocation::priced(|out| {
-            let (at, copied) = self.exec_step(core, step, ready, out);
-            done = at;
-            copied
+            let stepped = self.exec_step(Space::Core(core), step, ready, out);
+            done = stepped.done;
+            stepped.copied
         });
         Completion { done, inv }
     }
@@ -872,9 +895,8 @@ impl MultiWorld {
     /// Run one [`Step`] and charge its phase spans into `out` (cleared
     /// first). Returns the completion time.
     ///
-    /// The load generators' per-step entry point: no allocation, no
-    /// per-world event histogram — worlds are clocked and only their
-    /// scalar counters charged.
+    /// No allocation, no per-world event histogram — worlds are clocked
+    /// and only their scalar counters charged.
     pub fn exec_into(
         &mut self,
         core: CoreId,
@@ -883,57 +905,68 @@ impl MultiWorld {
         out: &mut CycleLedger,
     ) -> u64 {
         out.clear();
-        self.exec_step(core, step, ready, out).0
+        self.exec_step(Space::Core(core), step, ready, out).done
     }
 
-    /// The one pricing path behind [`exec`](Self::exec) and
-    /// [`exec_into`](Self::exec_into): price `step` into `out` (which
-    /// must be empty), clock and charge the serving core, and return
-    /// `(done, copied_bytes)`. Inlined so the load generators' per-step
-    /// `exec_into` stays one call deep.
+    /// The one pricing path behind [`exec`](Self::exec),
+    /// [`exec_into`](Self::exec_into) and the request engine: price
+    /// `step`, its ids read in `space`, into `out` (which must be
+    /// empty), clock and charge the serving core. Inlined so the
+    /// engine's per-step dispatch stays one call deep.
     #[inline]
-    fn exec_step(
+    pub(crate) fn exec_step(
         &mut self,
-        core: CoreId,
+        space: Space<'_>,
         step: Step,
         ready: u64,
         out: &mut CycleLedger,
-    ) -> (u64, u64) {
+    ) -> Stepped {
         let opts = InvokeOpts::call();
         match step {
-            Step::Oneway { to, bytes, .. } => {
+            Step::Oneway { from, to, bytes } => {
+                let (core, to) = (space.issuer(from), space.core(to));
                 let opts = self.shard_opts(core, to, &opts);
                 let copied = self.cores[to].ipc().oneway_into(msg_len(bytes), &opts, out);
                 self.surcharge_into(core, to, bytes, 1, out);
-                let done = self.clock(to, ready, out.total());
+                let at = self.clock(to, ready, out.total());
                 self.cores[to].charge_spans(1, bytes, out);
-                (done, copied)
+                Stepped {
+                    calls: 1,
+                    copied,
+                    ..at
+                }
             }
             Step::Batch {
+                from,
                 to,
                 calls,
                 bytes_each,
-                ..
             } => {
+                let (core, to) = (space.issuer(from), space.core(to));
                 let opts = self.shard_opts(core, to, &opts);
                 let copied =
                     self.cores[to]
                         .ipc()
                         .invoke_batch_into(calls, msg_len(bytes_each), &opts, out);
                 self.surcharge_into(core, to, bytes_each, calls, out);
-                let done = self.clock(to, ready, out.total());
+                let at = self.clock(to, ready, out.total());
                 self.cores[to].charge_spans(calls, calls.saturating_mul(bytes_each), out);
-                (done, copied)
+                Stepped {
+                    calls,
+                    copied,
+                    ..at
+                }
             }
             Step::Roundtrip {
+                from,
                 to,
                 request,
                 response,
-                ..
             } => {
                 // Both legs charge one sink in sequence, so first-
                 // occurrence span order is call spans, call surcharge,
                 // then reply-only spans.
+                let (core, to) = (space.issuer(from), space.core(to));
                 let call_opts = self.shard_opts(core, to, &opts);
                 let call = self.cores[to]
                     .ipc()
@@ -944,27 +977,33 @@ impl MultiWorld {
                     .ipc()
                     .oneway_into(msg_len(response), &reply_opts, out);
                 self.surcharge_into(core, to, response, 1, out);
-                let done = self.clock(to, ready, out.total());
+                let at = self.clock(to, ready, out.total());
                 self.cores[to].charge_spans(1, request + response, out);
-                (done, call + reply)
+                Stepped {
+                    calls: 1,
+                    copied: call + reply,
+                    ..at
+                }
             }
-            Step::Compute { cycles, .. } => {
-                let done = self.clock(core, ready, cycles);
-                self.cores[core].compute(cycles);
-                (done, 0)
-            }
+            Step::Compute { at, cycles } => self.compute_step(space.issuer(at), ready, cycles),
             Step::DataPass {
+                at,
                 bytes,
                 intensity_x10,
-                ..
             } => {
+                let core = space.issuer(at);
                 let cycles = self.cores[core].cost.data_pass_cycles(bytes, intensity_x10);
-                let done = self.clock(core, ready, cycles);
-                self.cores[core].compute(cycles);
-                (done, 0)
+                self.compute_step(core, ready, cycles)
             }
-            Step::Fused(id) => self.fused_into_with(core, id, None, ready, out),
+            Step::Fused(id) => self.fused_into(space, id, ready, out),
         }
+    }
+
+    /// Clock and charge `cycles` of non-IPC work on `core`.
+    fn compute_step(&mut self, core: CoreId, ready: u64, cycles: u64) -> Stepped {
+        let at = self.clock(core, ready, cycles);
+        self.cores[core].compute(cycles);
+        at
     }
 }
 
@@ -1212,9 +1251,20 @@ mod tests {
             .unwrap();
         let mut mw = world(3);
         let id = mw.register_program(program);
-        let (client, entry, calls) = mw.fused_route(id, &[0, 1, 2]);
-        assert_eq!((client, entry, calls), (0, 1, 3));
+        // Service space under the identity placement is core space.
+        let mut twin = world(3);
+        let twin_id = twin.register_program(mw.program(id).clone());
+        let mut out = CycleLedger::new();
+        let stepped = twin.exec_step(
+            Space::Service(&[0, 1, 2]),
+            Step::Fused(twin_id),
+            0,
+            &mut out,
+        );
+        assert_eq!((stepped.calls, stepped.wait), (3, 0));
         let c = mw.exec(0, Step::Fused(id), 0);
+        assert_eq!((stepped.done, &out), (c.done, &c.inv.ledger));
+        assert_eq!(stepped.copied, c.inv.copied_bytes);
         // All busy time (and the 3 ipc calls) land on the entry core.
         assert_eq!(mw.core(1).cycles, c.inv.total);
         assert_eq!(mw.core(1).stats.ipc_count, 3);

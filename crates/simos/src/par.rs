@@ -16,7 +16,7 @@
 //! * **Index-ordered reduction** — results land in a slot vector by cell
 //!   index and are drained `0..n`, so completion order is invisible.
 //! * **Per-worker arenas** — each worker owns one [`CellScratch`]
-//!   (sweep + serve scratch + ledger arena) reused across the cells it
+//!   (engine scratch + ledger arena) reused across the cells it
 //!   happens to draw. Scratch reuse is a pure allocation optimisation:
 //!   both `run_windowed_with` and `serve_with` clear scratch on entry,
 //!   and the cross-cell hygiene is pinned by tests in `load`/`serve`.
@@ -52,19 +52,15 @@ use std::thread;
 
 use crate::ledger::LedgerArena;
 use crate::load::SweepScratch;
-use crate::serve::ServeScratch;
 
 /// The reusable buffers one pool worker carries across the cells it
-/// executes: closed-loop sweep scratch, open-loop serve scratch, and a
-/// ledger arena. A cell uses whichever parts it needs; the unused parts
-/// stay empty and cost nothing.
+/// executes: the request engine's scratch and a ledger arena.
 #[derive(Default)]
 pub struct CellScratch {
-    /// Closed-loop scratch for [`crate::load::run_windowed_with`].
+    /// Engine scratch for [`crate::load::run_windowed_with`] and
+    /// [`crate::serve::serve_with`] alike.
     pub sweep: SweepScratch,
-    /// Open-loop scratch for [`crate::serve::serve_with`].
-    pub serve: ServeScratch,
-    /// Ledger arena threaded through either driver's `Attribution`.
+    /// Ledger arena threaded through either front door's `Attribution`.
     pub arena: LedgerArena,
 }
 
@@ -271,7 +267,6 @@ mod tests {
         // crate's differential tests).
         let got = map_cells_on(2, (0..6u64).collect::<Vec<_>>(), |i, c, scratch| {
             scratch.sweep.clear();
-            scratch.serve.clear();
             scratch.arena.reset();
             (i as u64) + c
         });

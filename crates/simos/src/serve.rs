@@ -47,12 +47,11 @@
 //! offered load crosses capacity they diverge, and that divergence *is*
 //! the knee curve the `serve` experiment plots.
 
+use crate::engine::{self, Trace};
 use crate::ipc::EngineCacheStats;
 use crate::ledger::{Attribution, CycleLedger, LedgerArena, Phase};
-use crate::load::{percentile, run_request_sink, LoadError, ReqSink};
-use crate::multicore::{CoreId, MultiWorld, Placement, Step};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::load::LoadError;
+use crate::multicore::{MultiWorld, Placement, Step};
 use std::fmt;
 use ycsb::rng::Rng;
 
@@ -644,42 +643,9 @@ impl From<LoadError> for ServeError {
     }
 }
 
-/// Reusable buffers for serve runs, the open-loop sibling of
-/// [`crate::load::SweepScratch`]: thread one across the cells of a
-/// sweep and every cell after the first serves without heap allocation
-/// on the per-arrival path.
-#[derive(Default)]
-pub struct ServeScratch {
-    latencies: Vec<u64>,
-    tenant_latencies: Vec<Vec<u64>>,
-    map: Vec<CoreId>,
-    step_ledger: CycleLedger,
-    /// Per-tenant min-heaps of outstanding completion times — the
-    /// bounded admission queues.
-    outstanding: Vec<BinaryHeap<Reverse<u64>>>,
-}
-
-impl ServeScratch {
-    /// Fresh (empty) scratch; buffers grow to steady state on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clear every buffer's contents (capacity kept) — called on entry
-    /// by [`serve_with`], the same cross-cell hygiene as
-    /// [`crate::load::SweepScratch::clear`].
-    pub fn clear(&mut self) {
-        self.latencies.clear();
-        for v in &mut self.tenant_latencies {
-            v.clear();
-        }
-        self.map.clear();
-        self.step_ledger.clear();
-        for heap in &mut self.outstanding {
-            heap.clear();
-        }
-    }
-}
+/// The engine's scratch buffers under the name open-loop callers
+/// thread through [`serve_with`].
+pub type ServeScratch = crate::engine::SweepScratch;
 
 /// Replay `trace` through `mw` under `policy` and `spec` with fresh
 /// scratch and full span attribution. Convenience wrapper over
@@ -728,7 +694,6 @@ pub fn serve(
 /// a map — all structural problems, reported before (or instead of)
 /// pricing anything. Shed arrivals are *not* errors.
 #[allow(clippy::too_many_arguments)] // the sweep axes are the signature
-#[allow(clippy::too_many_lines)] // one arrival loop, kept whole on purpose
 pub fn serve_with(
     mw: &mut MultiWorld,
     policy: &ServePolicy,
@@ -737,7 +702,7 @@ pub fn serve_with(
     trace: &ArrivalTrace,
     spec: &ServeSpec,
     scratch: &mut ServeScratch,
-    mut att: Attribution<'_>,
+    att: Attribution<'_>,
 ) -> Result<ServeReport, ServeError> {
     if recipes.is_empty() {
         return Err(ServeError::Load(LoadError::EmptyRecipes));
@@ -754,260 +719,44 @@ pub fn serve_with(
     if spec.classes.iter().any(|c| c.queue_cap == 0) {
         return Err(ServeError::ZeroQueueCap);
     }
-    let n_cores = mw.n_cores();
-    // Autoscale controller state: the active set is the core prefix
-    // [0, active); static policies keep every core active.
-    let (mut active, auto) = match policy {
-        ServePolicy::Static(_) => (n_cores, None),
-        ServePolicy::Autoscale(cfg) => {
-            if cfg.min_cores == 0 {
-                return Err(ServeError::BadAutoscale {
-                    why: "min_cores must be >= 1",
-                });
-            }
-            if cfg.epoch_arrivals == 0 {
-                return Err(ServeError::BadAutoscale {
-                    why: "epoch_arrivals must be >= 1",
-                });
-            }
-            let max = cfg.max_cores.min(n_cores);
-            if cfg.min_cores > max {
-                return Err(ServeError::BadAutoscale {
-                    why: "min_cores exceeds max_cores (after clamping to the world)",
-                });
-            }
-            if cfg.shrink_backlog_cycles >= cfg.grow_backlog_cycles {
-                return Err(ServeError::BadAutoscale {
-                    why: "shrink threshold must sit below the grow threshold",
-                });
-            }
-            (cfg.min_cores, Some((cfg, max)))
-        }
-    };
-    let n_tenants = spec.tenants as usize;
-    scratch.clear();
-    if scratch.outstanding.len() < n_tenants {
-        scratch.outstanding.resize_with(n_tenants, BinaryHeap::new);
+    let mut src = Trace::new(
+        policy,
+        n_services,
+        recipes.len(),
+        trace,
+        spec,
+        mw.n_cores(),
+        scratch,
+    )?;
+    let out = engine::run(mw, recipes, &mut src, scratch, att)?;
+    for (tn, t) in src.tenants.iter_mut().enumerate() {
+        let tail = scratch.owner_tail(tn, out.clock_hz);
+        (t.p50_us, t.p99_us) = (tail.p50_us, tail.p99_us);
+        t.slo_met = t.p99_us <= t.slo_p99_us;
     }
-    if scratch.tenant_latencies.len() < n_tenants {
-        scratch.tenant_latencies.resize_with(n_tenants, Vec::new);
-    }
-    scratch.latencies.reserve(trace.len());
-    let mut offered = vec![0u64; n_tenants];
-    let mut admitted = vec![0u64; n_tenants];
-    let mut shed_queue = vec![0u64; n_tenants];
-    let mut shed_backlog = vec![0u64; n_tenants];
-    let mut ledger = CycleLedger::new();
-    let mut makespan = 0u64;
-    let mut ipc_calls = 0u64;
-    let mut admitted_total = 0u64;
-    let mut since_epoch = 0u64;
-    let (mut grow_events, mut shrink_events) = (0u64, 0u64);
-    let (mut min_active, mut max_active) = (active, active);
-    for (i, a) in trace.arrivals().iter().enumerate() {
-        let t = a.at;
-        let tenant = a.tenant as usize;
-        if tenant >= n_tenants {
-            return Err(ServeError::TenantOutOfRange {
-                index: i,
-                tenant: a.tenant,
-                tenants: spec.tenants,
-            });
-        }
-        let recipe = recipes.get(a.recipe as usize).ok_or({
-            ServeError::RecipeOutOfRange {
-                index: i,
-                recipe: a.recipe,
-                n_recipes: recipes.len(),
-            }
-        })?;
-        offered[tenant] += 1;
-        // The feedback controller: every epoch of *arrivals* (admitted
-        // or shed — sheds are pressure too), compare the mean backlog
-        // over the active set against the thresholds. Sampled before
-        // this arrival dispatches, so an idle system reads as idle
-        // instead of as its own just-issued request's footprint.
-        if let Some((cfg, max)) = auto {
-            since_epoch += 1;
-            if since_epoch >= cfg.epoch_arrivals {
-                since_epoch = 0;
-                let mean_lag = (0..active).map(|c| mw.backlog(c, t)).sum::<u64>() / active as u64;
-                if mean_lag > cfg.grow_backlog_cycles && active < max {
-                    active += 1;
-                    grow_events += 1;
-                } else if mean_lag < cfg.shrink_backlog_cycles && active > cfg.min_cores {
-                    active -= 1;
-                    shrink_events += 1;
-                }
-                min_active = min_active.min(active);
-                max_active = max_active.max(active);
-            }
-        }
-        // Retire completions: an admitted request leaves its tenant's
-        // queue the moment virtual time passes its completion.
-        let heap = &mut scratch.outstanding[tenant];
-        while heap.peek().is_some_and(|Reverse(done)| *done <= t) {
-            heap.pop();
-        }
-        // Admission, stage 1: the tenant's bounded queue.
-        if heap.len() >= spec.class_of(a.tenant).queue_cap {
-            shed_queue[tenant] += 1;
-            continue;
-        }
-        // Placement: static policies map by arrival index (as the
-        // closed loop maps by request index); the autoscaler dispatches
-        // to the least-loaded active core.
-        match policy {
-            ServePolicy::Static(p) => {
-                p.assign_into(i as u64, n_services, mw, &mut scratch.map)
-                    .map_err(LoadError::Placement)?;
-            }
-            ServePolicy::Autoscale(_) => {
-                // Whole chain on the least-loaded active core: an
-                // open-loop arrival has no pinned client core, so the
-                // controller behaves like a front-end load balancer
-                // assigning the request to one worker — active cores
-                // are independent capacity, with no cross-core tax
-                // introduced by the scaling itself.
-                let chain = mw.least_loaded_among(active);
-                scratch.map.clear();
-                scratch.map.resize(n_services, chain);
-            }
-        }
-        // Admission, stage 2: the global backlog bound — shed instead
-        // of joining a queue the request would wait `> cap` cycles in.
-        if spec.backlog_cap_cycles > 0 {
-            let lag = scratch
-                .map
-                .iter()
-                .map(|&c| mw.backlog(c, t))
-                .max()
-                .unwrap_or(0);
-            if lag > spec.backlog_cap_cycles {
-                shed_backlog[tenant] += 1;
-                continue;
-            }
-        }
-        // Admit: price the request through the attribution sink, spans
-        // landing exactly as on the closed-loop hot path. Queue waiting
-        // is always attributed — an open loop's whole point is that the
-        // wait behind earlier work is visible, not folded away.
-        let (done, calls) = match &mut att {
-            Attribution::Full(arena) => {
-                let mark = arena.mark();
-                let h = arena.begin();
-                let mut sink = ReqSink {
-                    totals: None,
-                    arena: Some((arena, h)),
-                };
-                let out = run_request_sink(
-                    mw,
-                    &scratch.map,
-                    recipe,
-                    t,
-                    true,
-                    &mut scratch.step_ledger,
-                    &mut sink,
-                );
-                for (p, cy) in arena.spans(h) {
-                    ledger.charge(p, cy);
-                }
-                arena.truncate(mark);
-                out
-            }
-            Attribution::Sampled {
-                every,
-                totals,
-                arena,
-            } => {
-                let keep = *every != 0 && admitted_total.is_multiple_of(*every);
-                let h = if keep { Some(arena.begin()) } else { None };
-                let mut sink = ReqSink {
-                    totals: Some(totals),
-                    arena: h.map(|h| (&mut **arena, h)),
-                };
-                run_request_sink(
-                    mw,
-                    &scratch.map,
-                    recipe,
-                    t,
-                    true,
-                    &mut scratch.step_ledger,
-                    &mut sink,
-                )
-            }
-        };
-        admitted[tenant] += 1;
-        admitted_total += 1;
-        ipc_calls += calls;
-        let latency = done - t;
-        scratch.latencies.push(latency);
-        scratch.tenant_latencies[tenant].push(latency);
-        makespan = makespan.max(done);
-        scratch.outstanding[tenant].push(Reverse(done));
-    }
-    if let Attribution::Sampled { totals, .. } = &att {
-        ledger = totals.to_ledger();
-    }
-    scratch.latencies.sort_unstable();
-    let clock_hz = mw.core(0).cost.clock_hz;
-    let to_us = |cycles: f64| cycles / clock_hz as f64 * 1e6;
-    let latencies = &scratch.latencies;
-    let mean = latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64;
-    let tenants = (0..n_tenants)
-        .map(|tn| {
-            let lat = &mut scratch.tenant_latencies[tn];
-            lat.sort_unstable();
-            let p50 = to_us(percentile(lat, 0.50) as f64);
-            let p99 = to_us(percentile(lat, 0.99) as f64);
-            let tenant = u32::try_from(tn).expect("tenant fits u32");
-            let class = spec.class_of(tenant);
-            TenantReport {
-                tenant,
-                offered: offered[tn],
-                admitted: admitted[tn],
-                shed_queue_full: shed_queue[tn],
-                shed_backlog: shed_backlog[tn],
-                p50_us: p50,
-                p99_us: p99,
-                slo_p99_us: class.slo_p99_us,
-                slo_met: p99 <= class.slo_p99_us,
-            }
-        })
-        .collect();
-    let offered_total = trace.len() as u64;
+    let offered = trace.len() as u64;
     Ok(ServeReport {
-        system: mw.core(0).ipc_name(),
+        goodput_rps: out.per_second(out.priced),
+        system: out.system,
         policy: policy.label(),
-        cores: n_cores,
-        offered: offered_total,
-        admitted: admitted_total,
-        shed_queue_full: shed_queue.iter().sum(),
-        shed_backlog: shed_backlog.iter().sum(),
-        ipc_calls,
-        makespan_cycles: makespan,
-        busy_cycles: mw.busy_cycles(),
-        offered_rps: offered_total as f64 * clock_hz as f64 / trace.span_cycles().max(1) as f64,
-        goodput_rps: if makespan == 0 {
-            0.0
-        } else {
-            admitted_total as f64 * clock_hz as f64 / makespan as f64
-        },
-        mean_us: to_us(mean),
-        p50_us: to_us(percentile(latencies, 0.50) as f64),
-        p95_us: to_us(percentile(latencies, 0.95) as f64),
-        p99_us: to_us(percentile(latencies, 0.99) as f64),
-        max_us: to_us(latencies.last().copied().unwrap_or(0) as f64),
-        ledger,
-        tenants,
-        autoscale: auto.map(|_| AutoscaleReport {
-            grow_events,
-            shrink_events,
-            min_active,
-            max_active,
-            final_active: active,
-        }),
-        engine_cache: mw.engine_cache_stats(),
+        cores: out.cores,
+        offered,
+        admitted: out.priced,
+        shed_queue_full: src.tenants.iter().map(|t| t.shed_queue_full).sum(),
+        shed_backlog: src.tenants.iter().map(|t| t.shed_backlog).sum(),
+        ipc_calls: out.ipc_calls,
+        makespan_cycles: out.makespan_cycles,
+        busy_cycles: out.busy_cycles,
+        offered_rps: offered as f64 * out.clock_hz as f64 / trace.span_cycles().max(1) as f64,
+        mean_us: out.tail.mean_us,
+        p50_us: out.tail.p50_us,
+        p95_us: out.tail.p95_us,
+        p99_us: out.tail.p99_us,
+        max_us: out.tail.max_us,
+        ledger: out.ledger,
+        autoscale: src.autoscale(),
+        tenants: src.tenants,
+        engine_cache: out.engine_cache,
     })
 }
 

@@ -1309,12 +1309,14 @@ impl XpcKernel {
     pub fn run(&mut self, max_instr: u64) -> Result<KernelEvent, XpcError> {
         let mut budget = max_instr;
         loop {
+            // `RunResult::instret` is the machine's cumulative counter;
+            // this call's budget pays only for what it retired itself.
+            let before = self.machine.core.instret;
             let r = self
                 .machine
                 .run(budget)
                 .map_err(|e| XpcError::GuestFault(e.to_string()))?;
-            let spent = r.instret;
-            budget = budget.saturating_sub(spent.min(budget));
+            budget = budget.saturating_sub(r.instret - before);
             match r.exit {
                 Exit::LimitReached => return Ok(KernelEvent::Timeout),
                 Exit::Exited(code) => return Ok(KernelEvent::ThreadExit(code)),

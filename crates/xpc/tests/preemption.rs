@@ -163,3 +163,35 @@ fn preemption_preserves_xpc_state_across_a_call() {
         "xret survived the preemption"
     );
 }
+
+#[test]
+fn run_budget_counts_only_its_own_instructions() {
+    // Regression: `run` subtracted the machine's *cumulative* instret
+    // from its budget, so on a kernel that had already retired more
+    // instructions than the budget, the first internally-handled trap
+    // (here `syscall::YIELD`) collapsed the remainder to 0 and a guest
+    // with plenty of budget left reported `Timeout`.
+    let mut k = XpcKernel::boot(XpcKernelConfig::default());
+    let warm_proc = k.create_process().unwrap();
+    let warm = k.create_thread(warm_proc).unwrap();
+    let (ctr_va, _) = k.alloc_data(warm_proc, 1).unwrap();
+    let warm_code = k
+        .load_code(warm_proc, &counting_thread(ctr_va, 400))
+        .unwrap();
+    k.enter_thread(warm, warm_code, &[]).unwrap();
+    assert_eq!(k.run(1_000_000).unwrap(), KernelEvent::ThreadExit(400));
+
+    let proc = k.create_process().unwrap();
+    let tid = k.create_thread(proc).unwrap();
+    let mut a = Assembler::new(USER_CODE_VA);
+    for _ in 0..2 {
+        a.li(reg::A7, syscall::YIELD as i64);
+        a.ecall();
+    }
+    a.li(reg::A0, 7);
+    a.li(reg::A7, syscall::EXIT as i64);
+    a.ecall();
+    let code = k.load_code(proc, &a.assemble()).unwrap();
+    k.enter_thread(tid, code, &[]).unwrap();
+    assert_eq!(k.run(1_000).unwrap(), KernelEvent::ThreadExit(7));
+}

@@ -15,24 +15,19 @@
 //! cargo run --release --example numa
 //! ```
 
-use xpc_repro::kernels::{IpcSystem, Sel4, Sel4Transfer, XpcIpc, Zircon};
+use xpc_repro::kernels::paired_roster_factories;
 use xpc_repro::services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use xpc_repro::simos::{load, LoadGen, MultiWorld, Phase, Placement, Step, Topology};
 
 fn main() {
-    type Mk = fn() -> Box<dyn IpcSystem>;
-    let mechanisms: [Mk; 3] = [
-        || Box::new(Zircon::new()),
-        || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
-        || Box::new(XpcIpc::sel4_xpc()),
-    ];
+    let mechanisms = paired_roster_factories();
 
     println!("one 4KiB call on a dual-socket box (2x4 cores, distance 2)\n");
     println!(
         "{:14} {:>10} {:>10} {:>10} {:>11}",
         "system", "local cyc", "remote cyc", "x-core", "shard miss"
     );
-    for mk in mechanisms {
+    for &mk in &mechanisms {
         let hop = |to: usize| {
             let mut mw = MultiWorld::builder()
                 .topology(Topology::dual_socket())

@@ -10,7 +10,7 @@
 //! cargo run --release --example pipeline
 //! ```
 
-use xpc_repro::kernels::{IpcSystem, Sel4, Sel4Transfer, XpcIpc};
+use xpc_repro::kernels::paired_roster_factories;
 use xpc_repro::simos::{load, CostModel, LoadGen, MultiWorld, Placement, Step};
 
 fn recipe(batch: u64) -> Vec<Step> {
@@ -35,11 +35,7 @@ fn recipe(batch: u64) -> Vec<Step> {
 }
 
 fn main() {
-    type Mk = fn() -> Box<dyn IpcSystem>;
-    let mechanisms: [Mk; 2] = [
-        || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
-        || Box::new(XpcIpc::sel4_xpc()),
-    ];
+    let mechanisms = paired_roster_factories();
     let spec = LoadGen {
         clients: 8,
         requests: 240,

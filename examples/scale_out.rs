@@ -8,16 +8,12 @@
 //! cargo run --release --example scale_out
 //! ```
 
-use xpc_repro::kernels::{IpcSystem, XpcIpc, Zircon};
+use xpc_repro::kernels::paired_roster_factories;
 use xpc_repro::services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use xpc_repro::simos::{load, LoadGen, MultiWorld, Placement};
 
 fn main() {
-    type Mk = fn() -> Box<dyn IpcSystem>;
-    let mechanisms: [Mk; 2] = [
-        || Box::new(Zircon::new()),
-        || Box::new(XpcIpc::zircon_xpc()),
-    ];
+    let mechanisms = paired_roster_factories();
     let policies = [
         Placement::SameCore,
         Placement::Pinned(vec![0, 1, 2, 3]),
