@@ -38,11 +38,25 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== tests (release: emulator, engine, kernel model) =="
+# Overflow checks are off in release, so a guest-reachable arithmetic
+# overflow fails differently there (an out-of-bounds index instead of
+# "attempt to add with overflow"); release is the profile that ships.
+cargo test -q --release -p rv64 -p xpc-engine -p xpc
+
 echo "== benchmark package (frozen API surface, offline) =="
 # benchmark/ is its own workspace and calls the crates' public API
 # directly; building and testing it here makes an API removal that
 # breaks that surface fail CI instead of the next benchmark run.
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "== guest smoke (benchmark binary checks every guest result itself) =="
+# Exits non-zero when a guest checksum, buffer or round trip disagrees
+# with the host recomputation.
+for workload in guest_alu guest_xcall; do
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 > /dev/null
+done
 
 echo "== static verifier (recipes + crafted refutations + ledger lint) =="
 cargo run --release -p xpc-bench --bin verify
@@ -135,6 +149,16 @@ for f in crates/simos/src/load.rs crates/simos/src/serve.rs; do
     exit 1
   fi
 done
+
+echo "== one-interpreter-loop gate (rv64 hot path: no divisions, no knob) =="
+if grep -nE '/ self\.cfg\.|is_multiple_of\(size\)' crates/rv64/src/cache.rs crates/rv64/src/machine.rs; then
+  echo "ci: a runtime division is back on the rv64 per-instruction path" >&2
+  exit 1
+fi
+if sed -n '/pub struct MachineConfig/,/^}/p' crates/rv64/src/config.rs | grep -nE 'decode_cache|fast_path'; then
+  echo "ci: the rv64 fast path grew a MachineConfig knob; there is one loop" >&2
+  exit 1
+fi
 
 echo "== simspeed (arena steady state + parallel sweep) =="
 # The binary itself exits non-zero on slab growth after warmup, a

@@ -29,6 +29,12 @@ pub struct CacheAccess {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// log2(line_bytes), `sets - 1` and log2(line_bytes * sets): the
+    /// constructor proves both are powers of two, so `access` is
+    /// shift-and-mask.
+    line_shift: u32,
+    set_mask: usize,
+    tag_shift: u32,
     lines: Vec<Line>,
     stamp: u64,
     /// Total hits observed.
@@ -41,13 +47,23 @@ pub struct Cache {
 
 impl Cache {
     /// Build an empty (all-invalid) cache for `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sets` and `line_bytes` are powers of two and
+    /// `ways >= 1`.
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.sets.is_power_of_two(), "sets must be a power of two");
         assert!(
             cfg.line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(cfg.ways >= 1, "a cache needs at least one way");
+        let line_shift = cfg.line_bytes.trailing_zeros();
         Cache {
+            line_shift,
+            set_mask: cfg.sets - 1,
+            tag_shift: line_shift + cfg.sets.trailing_zeros(),
             lines: vec![Line::default(); cfg.sets * cfg.ways],
             cfg,
             stamp: 0,
@@ -57,19 +73,12 @@ impl Cache {
         }
     }
 
-    fn set_index(&self, pa: u64) -> usize {
-        ((pa as usize) / self.cfg.line_bytes) & (self.cfg.sets - 1)
-    }
-
-    fn tag(&self, pa: u64) -> u64 {
-        pa / (self.cfg.line_bytes * self.cfg.sets) as u64
-    }
-
     /// Access `pa`; fills the line on miss and returns the priced outcome.
+    #[inline]
     pub fn access(&mut self, pa: u64) -> CacheAccess {
         self.stamp += 1;
-        let set = self.set_index(pa);
-        let tag = self.tag(pa);
+        let set = (pa >> self.line_shift) as usize & self.set_mask;
+        let tag = pa >> self.tag_shift;
         let base = set * self.cfg.ways;
         let ways = &mut self.lines[base..base + self.cfg.ways];
         if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
@@ -80,11 +89,19 @@ impl Cache {
                 cycles: self.cfg.hit_extra,
             };
         }
-        // Miss: fill into LRU (or first invalid) way.
-        let victim = ways
+        self.fill(base, tag, pa)
+    }
+
+    /// Miss: fill into the LRU (or first invalid) way of the set at `base`.
+    /// Out of line so that the hit path above stays small enough to inline.
+    #[inline(never)]
+    fn fill(&mut self, base: usize, tag: u64, pa: u64) -> CacheAccess {
+        let Some(victim) = self.lines[base..base + self.cfg.ways]
             .iter_mut()
             .min_by_key(|l| if l.valid { l.lru } else { 0 })
-            .expect("cache has at least one way");
+        else {
+            unreachable!("Cache::new asserts ways >= 1");
+        };
         victim.valid = true;
         victim.tag = tag;
         victim.lru = self.stamp;
@@ -167,6 +184,28 @@ mod tests {
         c.access(0x8000_0100); // evicts 0x...080
         assert!(c.access(0x8000_0000).hit);
         assert!(!c.access(0x8000_0080).hit, "was LRU victim");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one way")]
+    fn zero_ways_is_rejected_at_construction() {
+        let mut cfg = *tiny().config();
+        cfg.ways = 0;
+        let _ = Cache::new(cfg);
+    }
+
+    #[test]
+    fn shift_and_mask_geometry_matches_division() {
+        // 64 sets x 64 B lines: set = (pa / 64) % 64, tag = pa / 4096.
+        let mut c = Cache::new(crate::MachineConfig::rocket_u500().dcache);
+        c.access(0x8000_0000);
+        assert!(c.access(0x8000_003f).hit, "same line");
+        assert!(!c.access(0x8000_0040).hit, "next set");
+        for way in 1..=4 {
+            assert!(!c.access(0x8000_0000 + way * 4096).hit, "same set, new tag");
+        }
+        assert!(!c.access(0x8000_0000).hit, "evicted by four newer tags");
+        assert!(c.access(0x8000_0040).hit, "other set untouched");
     }
 
     #[test]

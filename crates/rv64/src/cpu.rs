@@ -57,6 +57,7 @@ impl Cpu {
     }
 
     /// Read integer register `idx` (x0 reads as zero).
+    #[inline]
     pub fn x(&self, idx: u8) -> u64 {
         if idx == 0 {
             0
@@ -66,6 +67,7 @@ impl Cpu {
     }
 
     /// Write integer register `idx` (writes to x0 are discarded).
+    #[inline]
     pub fn set_x(&mut self, idx: u8, value: u64) {
         if idx != 0 {
             self.regs[idx as usize & 31] = value;

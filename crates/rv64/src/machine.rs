@@ -17,6 +17,10 @@ pub const MTIE: u64 = 1 << 7;
 /// `mcause` value of a machine timer interrupt (interrupt bit | 7).
 pub const MCAUSE_TIMER: u64 = (1 << 63) | 7;
 
+/// Slots of the decode memo: direct-mapped on the word's physical
+/// address, 24 KiB per [`Core`], allocated once.
+const MEMO_SLOTS: usize = 1024;
+
 /// Why `run` stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exit {
@@ -79,6 +83,10 @@ pub struct Core {
     pub instret: u64,
     /// LR/SC reservation (physical address), single-hart semantics.
     reservation: Option<u64>,
+    /// Decode memo: `(word, inst::decode(word))` per slot. The tag is the
+    /// word itself and `decode` is pure, so a slot can never be stale —
+    /// there is nothing to invalidate on stores, `fence.i` or `satp`.
+    memo: Box<[(u32, Option<Inst>)]>,
 }
 
 impl Core {
@@ -94,22 +102,31 @@ impl Core {
             cycles: 0,
             instret: 0,
             reservation: None,
+            memo: vec![(0, inst::decode(0)); MEMO_SLOTS].into(),
         }
     }
 
     /// Charge `n` cycles to the clock.
+    #[inline]
     pub fn charge(&mut self, n: u64) {
         self.cycles += n;
     }
 
     /// Current `satp` fields.
+    #[inline]
     pub fn satp(&self) -> Satp {
         Satp::from_raw(self.cpu.csr.satp)
     }
 
     /// Translate a data/fetch address, charging walk cycles.
+    #[inline]
     pub fn translate(&mut self, va: u64, size: u64, access: Access) -> Result<u64, Trap> {
         let satp = self.satp();
+        // Bare and no relay window: `Mmu::translate` would return `va` at
+        // zero cycles and touch no counter, so the call can be skipped.
+        if self.mmu.seg_window.is_none() && (self.cpu.mode == Mode::Machine || !satp.enabled) {
+            return Ok(va);
+        }
         let t = self.mmu.translate(
             va,
             size,
@@ -131,8 +148,9 @@ impl Core {
     /// # Errors
     ///
     /// Misaligned-load or translation/access traps.
+    #[inline]
     pub fn load(&mut self, va: u64, size: u64) -> Result<u64, Trap> {
-        if !va.is_multiple_of(size) {
+        if va & (size - 1) != 0 {
             return Err(Trap::new(Cause::LoadAddrMisaligned, va));
         }
         let pa = self.translate(va, size, Access::Load)?;
@@ -146,8 +164,9 @@ impl Core {
     /// # Errors
     ///
     /// Misaligned-store or translation/access traps.
+    #[inline]
     pub fn store(&mut self, va: u64, size: u64, value: u64) -> Result<(), Trap> {
-        if !va.is_multiple_of(size) {
+        if va & (size - 1) != 0 {
             return Err(Trap::new(Cause::StoreAddrMisaligned, va));
         }
         let pa = self.translate(va, size, Access::Store)?;
@@ -171,9 +190,13 @@ impl Core {
         self.mem.write(pa, size, value)
     }
 
-    /// Fetch the instruction word at `pc`.
-    fn fetch(&mut self, pc: u64) -> Result<u32, Trap> {
-        if !pc.is_multiple_of(4) {
+    /// Fetch the instruction word at `pc` and its decoding (`None` for a
+    /// word the base ISA does not implement). Translation, the I-cache
+    /// charge and the memory read happen on every fetch; only the pure
+    /// `inst::decode` is memoised.
+    #[inline]
+    fn fetch(&mut self, pc: u64) -> Result<(u32, Option<Inst>), Trap> {
+        if pc & 3 != 0 {
             return Err(Trap::new(Cause::InstAddrMisaligned, pc));
         }
         let pa = self.translate(pc, 4, Access::Fetch)?;
@@ -182,8 +205,12 @@ impl Core {
         let w = self
             .mem
             .read(pa, 4)
-            .map_err(|_| Trap::new(Cause::InstAccessFault, pc))?;
-        Ok(w as u32)
+            .map_err(|_| Trap::new(Cause::InstAccessFault, pc))? as u32;
+        let slot = &mut self.memo[(pa >> 2) as usize & (MEMO_SLOTS - 1)];
+        if slot.0 != w {
+            *slot = (w, inst::decode(w));
+        }
+        Ok(*slot)
     }
 
     /// Deliver a trap: route to M or S mode per `medeleg`, update status
@@ -279,6 +306,7 @@ impl Core {
         Err(Trap::new(Cause::IllegalInst, addr as u64))
     }
 
+    #[inline]
     fn alu(op: AluOp, a: u64, b: u64) -> u64 {
         match op {
             AluOp::Add => a.wrapping_add(b),
@@ -324,6 +352,7 @@ impl Core {
         }
     }
 
+    #[inline]
     fn alu32(op: AluOp, a: u64, b: u64) -> u64 {
         let a32 = a as u32;
         let b32 = b as u32;
@@ -366,6 +395,7 @@ impl Core {
     }
 
     /// Execute one decoded instruction; `pc` advancement included.
+    #[inline]
     fn execute(&mut self, i: Inst, ext: &mut dyn IsaExtension) -> Result<(), Trap> {
         let pc = self.cpu.pc;
         let mut next = pc.wrapping_add(4);
@@ -518,7 +548,7 @@ impl Core {
             Inst::Lr { rd, rs1, word } => {
                 let size = if word { 4 } else { 8 };
                 let va = self.cpu.x(rs1);
-                if !va.is_multiple_of(size) {
+                if va & (size - 1) != 0 {
                     return Err(Trap::new(Cause::LoadAddrMisaligned, va));
                 }
                 let pa = self.translate(va, size, Access::Load)?;
@@ -536,7 +566,7 @@ impl Core {
             Inst::Sc { rd, rs1, rs2, word } => {
                 let size = if word { 4 } else { 8 };
                 let va = self.cpu.x(rs1);
-                if !va.is_multiple_of(size) {
+                if va & (size - 1) != 0 {
                     return Err(Trap::new(Cause::StoreAddrMisaligned, va));
                 }
                 let pa = self.translate(va, size, Access::Store)?;
@@ -559,7 +589,7 @@ impl Core {
             } => {
                 let size = if word { 4 } else { 8 };
                 let va = self.cpu.x(rs1);
-                if !va.is_multiple_of(size) {
+                if va & (size - 1) != 0 {
                     return Err(Trap::new(Cause::StoreAddrMisaligned, va));
                 }
                 let pa = self.translate(va, size, Access::Store)?;
@@ -714,20 +744,21 @@ impl Machine {
     /// # Errors
     ///
     /// [`SimError`] on unrecoverable guest state.
+    #[inline]
     pub fn step(&mut self) -> Result<Option<Exit>, SimError> {
         if self.check_timer()? {
             return Ok(None);
         }
         let pc = self.core.cpu.pc;
         self.core.charge(1); // base issue cost
-        let raw = match self.core.fetch(pc) {
-            Ok(w) => w,
+        let (raw, decoded) = match self.core.fetch(pc) {
+            Ok(f) => f,
             Err(t) => {
                 self.core.take_trap(t)?;
                 return Ok(None);
             }
         };
-        let result = match inst::decode(raw) {
+        let result = match decoded {
             Some(Inst::Ebreak) => return Ok(Some(Exit::Break)),
             Some(i) => {
                 self.core.instret += 1;
@@ -975,6 +1006,169 @@ mod tests {
             a.ebreak();
         });
         assert_eq!(m.core.cpu.x(reg::A0), 0x1234);
+    }
+
+    /// `main` loaded at [`DRAM_BASE`] and `routines` at their addresses;
+    /// `mtvec` points at [`TRAP`], a lone `ebreak` unless a routine is
+    /// loaded over it.
+    fn boot(main: Assembler, routines: &[(u64, Vec<u32>)]) -> Machine {
+        let mut m = Machine::new(MachineConfig::rocket_u500());
+        let mut h = Assembler::new(TRAP);
+        h.ebreak();
+        m.load_program_at(TRAP, &h.assemble());
+        for (pa, words) in routines {
+            m.load_program_at(*pa, words);
+        }
+        m.load_program(&main.assemble());
+        m.core.cpu.csr.mtvec = TRAP;
+        m
+    }
+
+    fn run_to_break(mut m: Machine) -> Machine {
+        let r = m.run(100_000).expect("no sim error");
+        assert_eq!(r.exit, Exit::Break, "program should hit ebreak");
+        m
+    }
+
+    const TRAP: u64 = DRAM_BASE + 0xf00;
+
+    fn encoding(build: impl FnOnce(&mut Assembler)) -> u32 {
+        let mut a = Assembler::new(0);
+        build(&mut a);
+        a.assemble()[0]
+    }
+
+    fn untouched(core: &Core) -> bool {
+        core.memo.iter().all(|s| *s == (0, inst::decode(0)))
+    }
+
+    #[test]
+    fn self_modifying_code_needs_no_fence_i() {
+        // Pass 1 executes `addi a0, a0, 1`, then overwrites it with
+        // `addi a0, a0, 2`; pass 2 must see the new word.
+        let mut a = Assembler::new(DRAM_BASE);
+        a.li(reg::T1, encoding(|e| e.addi(reg::A0, reg::A0, 2)) as i64);
+        a.li(reg::S1, 2);
+        a.auipc(reg::T0, 0);
+        a.label("loop");
+        a.addi(reg::A0, reg::A0, 1); // at t0 + 4
+        a.sw(reg::T1, reg::T0, 4);
+        a.addi(reg::S1, reg::S1, -1);
+        a.bne(reg::S1, reg::ZERO, "loop");
+        a.ebreak();
+        let m = run_to_break(boot(a, &[]));
+        assert_eq!(m.core.cpu.x(reg::A0), 1 + 2);
+    }
+
+    #[test]
+    fn aliasing_routines_share_a_memo_slot_correctly() {
+        let (first, second) = (
+            DRAM_BASE + 0x1000,
+            DRAM_BASE + 0x1000 + 4 * MEMO_SLOTS as u64,
+        );
+        let routine = |at: u64, add: i64| {
+            let mut r = Assembler::new(at);
+            r.addi(reg::A0, reg::A0, add);
+            r.ret();
+            (at, r.assemble())
+        };
+        let mut a = Assembler::new(DRAM_BASE);
+        a.li(reg::S1, 100);
+        a.li(reg::S2, first as i64);
+        a.li(reg::S3, second as i64);
+        a.label("loop");
+        a.jalr(reg::RA, reg::S2, 0);
+        a.jalr(reg::RA, reg::S3, 0);
+        a.addi(reg::S1, reg::S1, -1);
+        a.bne(reg::S1, reg::ZERO, "loop");
+        a.ebreak();
+        let m = run_to_break(boot(a, &[routine(first, 1), routine(second, 3)]));
+        assert_eq!(m.core.cpu.x(reg::A0), 100 * (1 + 3));
+    }
+
+    #[test]
+    fn undecodable_word_traps_identically_every_time() {
+        // The handler records mtval and returns to the same word once.
+        let mut h = Assembler::new(TRAP);
+        h.bne(reg::S5, reg::ZERO, "second");
+        h.li(reg::S5, 1);
+        h.csrr(reg::A1, csr_addr::MTVAL);
+        h.mret(); // mepc still points at the bad word
+        h.label("second");
+        h.csrr(reg::A2, csr_addr::MTVAL);
+        h.ebreak();
+        let mut a = Assembler::new(DRAM_BASE);
+        a.raw(0xffff_ffff);
+        let m = run_to_break(boot(a, &[(TRAP, h.assemble())]));
+        assert_eq!(m.core.cpu.csr.mcause, Cause::IllegalInst.code());
+        assert_eq!(m.core.cpu.x(reg::A1), 0xffff_ffff);
+        assert_eq!(m.core.cpu.x(reg::A2), 0xffff_ffff);
+    }
+
+    #[test]
+    fn faulting_fetches_trap_and_leave_the_memo_alone() {
+        let mut core = Core::new(MachineConfig::rocket_u500());
+        let e = core.fetch(DRAM_BASE + 2).unwrap_err();
+        assert_eq!(
+            (e.cause, e.tval),
+            (Cause::InstAddrMisaligned, DRAM_BASE + 2)
+        );
+        for pc in [0x1000, u64::MAX - 3] {
+            let e = core.fetch(pc).unwrap_err();
+            assert_eq!((e.cause, e.tval), (Cause::InstAccessFault, pc));
+        }
+        assert!(untouched(&core));
+
+        // The same through the machine: jump to an odd halfword.
+        let mut a = Assembler::new(DRAM_BASE);
+        a.li(reg::T0, (DRAM_BASE + 0x102) as i64);
+        a.jalr(reg::ZERO, reg::T0, 0);
+        let m = run_to_break(boot(a, &[]));
+        assert_eq!(m.core.cpu.csr.mcause, Cause::InstAddrMisaligned.code());
+        assert_eq!(m.core.cpu.csr.mtval, DRAM_BASE + 0x102);
+    }
+
+    /// `mcause` after `access` (addressing through `t1` = `addr`) traps
+    /// into the lone-`ebreak` handler.
+    fn fault_cause(
+        window: Option<crate::mmu::SegWindow>,
+        addr: i64,
+        access: impl FnOnce(&mut Assembler),
+    ) -> u64 {
+        let mut a = Assembler::new(DRAM_BASE);
+        a.li(reg::T1, addr);
+        access(&mut a);
+        let mut m = boot(a, &[]);
+        m.core.mmu.seg_window = window;
+        let m = run_to_break(m);
+        assert_eq!(m.core.cpu.pc, TRAP, "ended in the handler");
+        m.core.cpu.csr.mcause
+    }
+
+    #[test]
+    fn accesses_wrapping_the_address_space_fault_instead_of_panicking() {
+        // pa + len used to overflow: a host panic reachable from the guest.
+        let (load, store) = (
+            Cause::LoadAccessFault.code(),
+            Cause::StoreAccessFault.code(),
+        );
+        assert_eq!(fault_cause(None, -8, |a| a.ld(reg::A0, reg::T1, 0)), load);
+        assert_eq!(fault_cause(None, -8, |a| a.sd(reg::A0, reg::T1, 0)), store);
+
+        // With a relay window installed the window check sees va + size
+        // first (va = u64::MAX - 3).
+        let window = Some(crate::mmu::SegWindow {
+            va_base: 0x5000_0000,
+            pa_base: DRAM_BASE + 0x1_0000,
+            len: 4096,
+            writable: true,
+            paged: false,
+        });
+        assert_eq!(fault_cause(window, -4, |a| a.lw(reg::A0, reg::T1, 0)), load);
+        assert_eq!(
+            fault_cause(window, -4, |a| a.sw(reg::A0, reg::T1, 0)),
+            store
+        );
     }
 }
 

@@ -37,11 +37,17 @@ impl Memory {
         self.dram.len()
     }
 
-    /// Whether `pa..pa+len` lies entirely inside DRAM.
+    /// Whether `pa..pa+len` lies entirely inside DRAM (a range that
+    /// wraps the address space does not).
+    #[inline]
     pub fn in_dram(&self, pa: u64, len: u64) -> bool {
-        pa >= DRAM_BASE && pa + len <= DRAM_BASE + self.dram.len() as u64
+        pa >= DRAM_BASE
+            && pa
+                .checked_add(len)
+                .is_some_and(|end| end <= DRAM_BASE + self.dram.len() as u64)
     }
 
+    #[inline]
     fn offset(&self, pa: u64, len: u64, store: bool) -> Result<usize, Trap> {
         if self.in_dram(pa, len) {
             Ok((pa - DRAM_BASE) as usize)
@@ -60,14 +66,13 @@ impl Memory {
     /// # Errors
     ///
     /// Returns a load access fault if the range is outside DRAM.
+    #[inline]
     pub fn read(&self, pa: u64, size: u64) -> Result<u64, Trap> {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8));
         let off = self.offset(pa, size, false)?;
-        let mut v: u64 = 0;
-        for i in 0..size as usize {
-            v |= (self.dram[off + i] as u64) << (8 * i);
-        }
-        Ok(v)
+        let mut bytes = [0u8; 8];
+        bytes[..size as usize].copy_from_slice(&self.dram[off..off + size as usize]);
+        Ok(u64::from_le_bytes(bytes))
     }
 
     /// Write `size` (1/2/4/8) bytes at physical address `pa`.
@@ -78,6 +83,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns a store access fault if the range is neither DRAM nor MMIO.
+    #[inline]
     pub fn write(&mut self, pa: u64, size: u64, value: u64) -> Result<(), Trap> {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8));
         if pa == MMIO_PUTCHAR {
@@ -89,9 +95,7 @@ impl Memory {
             return Ok(());
         }
         let off = self.offset(pa, size, true)?;
-        for i in 0..size as usize {
-            self.dram[off + i] = (value >> (8 * i)) as u8;
-        }
+        self.dram[off..off + size as usize].copy_from_slice(&value.to_le_bytes()[..size as usize]);
         Ok(())
     }
 
@@ -160,6 +164,22 @@ mod tests {
         assert!(m.read(0x0, 8).is_err());
         assert!(m.write(DRAM_BASE + 4095, 8, 0).is_err());
         assert_eq!(m.read(0x10, 4).unwrap_err().cause, Cause::LoadAccessFault);
+    }
+
+    #[test]
+    fn range_wrapping_the_address_space_is_outside_dram() {
+        let mut m = Memory::new(4096);
+        assert!(!m.in_dram(u64::MAX - 7, 8));
+        assert!(!m.in_dram(DRAM_BASE, u64::MAX));
+        assert_eq!(
+            m.read(u64::MAX - 7, 8).unwrap_err().cause,
+            Cause::LoadAccessFault
+        );
+        assert_eq!(
+            m.write(u64::MAX - 7, 8, 0).unwrap_err().cause,
+            Cause::StoreAccessFault
+        );
+        assert!(m.in_dram(DRAM_BASE + 4088, 8), "last doubleword is inside");
     }
 
     #[test]

@@ -58,9 +58,15 @@ pub struct SegWindow {
 }
 
 impl SegWindow {
-    /// Does `va..va+size` fall inside the window?
+    /// Does `va..va+size` fall inside the window? (Compared as offsets
+    /// from `va_base`, so no address near the top of the space can wrap.)
+    #[inline]
     pub fn contains(&self, va: u64, size: u64) -> bool {
-        self.len > 0 && va >= self.va_base && va + size <= self.va_base + self.len
+        self.len > 0
+            && va >= self.va_base
+            && (va - self.va_base)
+                .checked_add(size)
+                .is_some_and(|end| end <= self.len)
     }
 
     /// Translate an address inside a *contiguous* window.
@@ -269,6 +275,7 @@ impl Mmu {
         unreachable!("walk loop always returns");
     }
 
+    #[inline]
     fn check_perms(
         perms: u64,
         access: Access,
@@ -557,6 +564,25 @@ mod tests {
                 &cfg
             )
             .is_ok());
+    }
+
+    #[test]
+    fn seg_window_contains_never_wraps() {
+        let mut w = SegWindow {
+            va_base: 0x5000_0000,
+            pa_base: DRAM_BASE,
+            len: 4096,
+            writable: true,
+            paged: false,
+        };
+        assert!(w.contains(0x5000_0ff8, 8));
+        assert!(!w.contains(0x5000_0ffc, 8), "straddles the end");
+        assert!(!w.contains(u64::MAX - 3, 4), "va + size wraps");
+        assert!(!w.contains(0x5000_0000, u64::MAX), "size wraps");
+        // A window ending at the top of the address space still works.
+        w.va_base = u64::MAX - 4095;
+        assert!(w.contains(u64::MAX - 3, 4));
+        assert!(!w.contains(u64::MAX - 3, 8));
     }
 
     #[test]

@@ -60,7 +60,12 @@ pub struct Tlb {
 
 impl Tlb {
     /// An empty TLB with `entries` slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` is 0 (a fill needs a victim).
     pub fn new(entries: usize, tagged: bool) -> Self {
+        assert!(entries >= 1, "a TLB needs at least one entry");
         Tlb {
             entries: vec![
                 TlbEntry {
@@ -93,12 +98,14 @@ impl Tlb {
         self.flush_all();
     }
 
+    #[inline]
     fn vpn_matches(e: &TlbEntry, vpn: u64) -> bool {
         let shift = 9 * e.level as u64;
         (vpn >> shift) == (e.vpn >> shift)
     }
 
     /// Look up `vpn` under `asid`; counts hit/miss statistics.
+    #[inline]
     pub fn lookup(&mut self, vpn: u64, asid: u16) -> Option<TlbEntry> {
         self.stamp += 1;
         let stamp = self.stamp;
@@ -133,11 +140,14 @@ impl Tlb {
             .find(|e| e.valid && Self::vpn_matches(e, vpn) && (!tagged || e.asid == asid))
         {
             existing
-        } else {
+        } else if let Some(lru) =
             self.entries
                 .iter_mut()
                 .min_by_key(|e| if e.valid { e.lru } else { 0 })
-                .expect("tlb has at least one entry")
+        {
+            lru
+        } else {
+            unreachable!("Tlb::new asserts entries >= 1");
         };
         *victim = TlbEntry {
             vpn,
@@ -222,6 +232,12 @@ mod tests {
         t.flush_asid(1);
         assert!(t.lookup(0x10, 1).is_none());
         assert!(t.lookup(0x20, 2).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one entry")]
+    fn zero_entries_is_rejected_at_construction() {
+        let _ = Tlb::new(0, false);
     }
 
     #[test]

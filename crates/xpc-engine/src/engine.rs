@@ -678,6 +678,51 @@ mod tests {
     }
 
     #[test]
+    fn swapseg_in_a_loop_reaches_the_engine_every_iteration() {
+        // The machine memoises "not a base instruction" for the custom-0
+        // word; every execution must still be handed to the engine.
+        const ITERS: u64 = 50;
+        let mut m = fixture(XpcEngineConfig::paper_default());
+        let list = DRAM_BASE + 0x14_0000;
+        let seg = |va_base, pa_base| SegReg {
+            va_base,
+            pa_base,
+            len: 4096,
+            writable: true,
+            paged: false,
+        };
+        let (seg0, slot_seg) = (
+            seg(0x4000_0000, DRAM_BASE + 0x20_0000),
+            seg(0x5000_0000, DRAM_BASE + 0x21_0000),
+        );
+        SegDescriptor {
+            seg: slot_seg,
+            valid: true,
+        }
+        .store(&mut m.core, list, 3)
+        .unwrap();
+        {
+            let eng = engine(&mut m);
+            eng.regs.seg = seg0;
+            eng.regs.seg_list = list;
+            eng.regs.seg_list_size = 8;
+        }
+        let exit = run_caller(&mut m, |a| {
+            a.li(rv64::reg::A0, 3);
+            a.li(rv64::reg::S1, ITERS as i64);
+            a.label("loop");
+            a.swapseg(rv64::reg::A0);
+            a.addi(rv64::reg::S1, rv64::reg::S1, -1);
+            a.bne(rv64::reg::S1, rv64::reg::ZERO, "loop");
+            a.ebreak();
+        });
+        assert_eq!(exit, Exit::Break);
+        let eng = engine(&mut m);
+        assert_eq!(eng.stats.swapsegs, ITERS);
+        assert_eq!(eng.regs.seg, seg0, "an even number of swaps");
+    }
+
+    #[test]
     fn swapseg_invalid_slot_raises() {
         let mut m = fixture(XpcEngineConfig::paper_default());
         {
