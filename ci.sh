@@ -38,11 +38,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== tests (release: emulator, engine, kernel model) =="
+echo "== tests (release: emulator, engine, kernel model, storage stack) =="
 # Overflow checks are off in release, so a guest-reachable arithmetic
 # overflow fails differently there (an out-of-bounds index instead of
-# "attempt to add with overflow"); release is the profile that ships.
-cargo test -q --release -p rv64 -p xpc-engine -p xpc
+# "attempt to add with overflow"), and so does block-index arithmetic on
+# the ramdisk's flat image; release is the profile that ships.
+cargo test -q --release -p rv64 -p xpc-engine -p xpc -p services -p minidb
 
 echo "== benchmark package (frozen API surface, offline) =="
 # benchmark/ is its own workspace and calls the crates' public API
@@ -50,13 +51,22 @@ echo "== benchmark package (frozen API surface, offline) =="
 # breaks that surface fail CI instead of the next benchmark run.
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== guest smoke (benchmark binary checks every guest result itself) =="
+echo "== benchmark smoke (the binary checks every result itself) =="
 # Exits non-zero when a guest checksum, buffer or round trip disagrees
-# with the host recomputation.
-for workload in guest_alu guest_xcall; do
+# with the host recomputation, or (figures_all) when a rendered report
+# differs from its figures/golden.txt section.
+for workload in guest_alu guest_xcall figures_all; do
   cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 1 > /dev/null
+    --workload "$workload" --seed 1 --seconds 1 > target/ci-smoke.json
 done
+# A figures pass that pins more than a few MiB is writing ramdisk blocks
+# nobody asked for (a fill, an eager clone, a per-block constructor):
+# every world's 128 MiB image must stay lazily zeroed.
+rss=$(tail -n 1 target/ci-smoke.json | sed -n 's/.*"peak_rss_mib": {"value": \([0-9]*\).*/\1/p')
+if [ -z "$rss" ] || [ "$rss" -ge 64 ]; then
+  echo "ci: figures_all peak RSS is '${rss}' MiB (limit 64): untouched ramdisk blocks are being written" >&2
+  exit 1
+fi
 
 echo "== static verifier (recipes + crafted refutations + ledger lint) =="
 cargo run --release -p xpc-bench --bin verify
@@ -157,6 +167,21 @@ if grep -nE '/ self\.cfg\.|is_multiple_of\(size\)' crates/rv64/src/cache.rs crat
 fi
 if sed -n '/pub struct MachineConfig/,/^}/p' crates/rv64/src/config.rs | grep -nE 'decode_cache|fast_path'; then
   echo "ci: the rv64 fast path grew a MachineConfig knob; there is one loop" >&2
+  exit 1
+fi
+
+echo "== storage hot path gate (one ramdisk image, one inode serialiser, no knob) =="
+if grep -nF 'vec![vec![' crates/services/src/blockdev.rs; then
+  echo "ci: the ramdisk is a vector of per-block vectors again; it is one lazily-zeroed image" >&2
+  exit 1
+fi
+if [ "$(grep -cE 'Inode::to_bytes|\.to_bytes\(\)' crates/services/src/fs.rs)" -gt 1 ]; then
+  echo "ci: fs.rs serialises inodes in more than one place; flush_inodes_staged refreshes the image" >&2
+  exit 1
+fi
+if grep -rniE 'env::var[a-z_]*\("[^"]*(nblocks|sparse|lazy)|feature *= *"[^"]*(nblocks|sparse|lazy)' crates/ src/ \
+  || grep -niE '^(nblocks|sparse|lazy)[a-z0-9_-]* *=' Cargo.toml crates/*/Cargo.toml; then
+  echo "ci: the storage stack grew an environment variable or cargo feature; there is one block store" >&2
   exit 1
 fi
 

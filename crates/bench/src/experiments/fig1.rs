@@ -17,14 +17,12 @@ fn spec(wl: Workload) -> WorkloadSpec {
 
 /// IPC fraction per workload (Figure 1a).
 pub fn ipc_fractions() -> Vec<(&'static str, f64)> {
-    Workload::ALL
-        .iter()
-        .map(|&wl| {
-            let mut w = World::new(Box::new(Sel4::new(Sel4Transfer::TwoCopy)));
-            let r = run_workload(&mut w, &spec(wl));
-            (wl.name(), r.ipc_fraction)
-        })
-        .collect()
+    // Six independent worlds through the pool.
+    simos::par::map_cells(Workload::ALL.to_vec(), |_, wl, _| {
+        let mut w = World::new(Box::new(Sel4::new(Sel4Transfer::TwoCopy)));
+        let r = run_workload(&mut w, &spec(wl));
+        (wl.name(), r.ipc_fraction)
+    })
 }
 
 /// Regenerate Figure 1(a).

@@ -2,7 +2,7 @@
 //! Zircon (a) and seL4 (b), and HTTP server throughput (c).
 
 use super::Report;
-use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
+use kernels::{Factory, Sel4, Sel4Transfer, XpcIpc, Zircon};
 use minidb::run_workload;
 use services::aes::AesServer;
 use services::filecache::FileCache;
@@ -17,22 +17,31 @@ fn spec(wl: Workload) -> WorkloadSpec {
     }
 }
 
-fn ops(mech: Box<dyn IpcSystem>, wl: Workload) -> f64 {
-    let mut w = World::new(mech);
-    run_workload(&mut w, &spec(wl)).ops_per_sec
-}
-
 /// Normalized YCSB throughput: (workload, Zircon-XPC/Zircon,
 /// seL4-onecopy/seL4-twocopy, seL4-XPC/seL4-twocopy).
 pub fn normalized() -> Vec<(&'static str, f64, f64, f64)> {
+    let systems: [Factory; 5] = [
+        || Box::new(Zircon::new()),
+        || Box::new(XpcIpc::zircon_xpc()),
+        || Box::new(Sel4::new(Sel4Transfer::TwoCopy)),
+        || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
+        || Box::new(XpcIpc::sel4_xpc()),
+    ];
+    // 30 independent (workload, system) worlds through the pool.
+    let cells: Vec<(Workload, Factory)> = Workload::ALL
+        .iter()
+        .flat_map(|&wl| systems.map(|mk| (wl, mk)))
+        .collect();
+    let ops = simos::par::map_cells(cells, |_, (wl, mk), _| {
+        run_workload(&mut World::new(mk()), &spec(wl)).ops_per_sec
+    });
     Workload::ALL
         .iter()
-        .map(|&wl| {
-            let z = ops(Box::new(Zircon::new()), wl);
-            let zx = ops(Box::new(XpcIpc::zircon_xpc()), wl);
-            let s2 = ops(Box::new(Sel4::new(Sel4Transfer::TwoCopy)), wl);
-            let s1 = ops(Box::new(Sel4::new(Sel4Transfer::OneCopy)), wl);
-            let sx = ops(Box::new(XpcIpc::sel4_xpc()), wl);
+        .zip(ops.chunks_exact(systems.len()))
+        .map(|(wl, o)| {
+            let &[z, zx, s2, s1, sx] = o else {
+                unreachable!("one chunk per workload, one cell per system")
+            };
             (wl.name(), zx / z, s1 / s2, sx / s2)
         })
         .collect()

@@ -73,6 +73,18 @@ fn serve_grids_are_worker_count_invariant() {
 }
 
 #[test]
+fn storage_grids_are_worker_count_invariant() {
+    // The minidb -> fs -> blockdev grids: one world per cell.
+    assert_worker_count_invariant("storage", || {
+        format!(
+            "{}\n{}",
+            experiments::fig1::fig1a().render(),
+            experiments::fig8::fig8ab().render()
+        )
+    });
+}
+
+#[test]
 fn verify_rows_are_worker_count_invariant() {
     assert_worker_count_invariant("verify", || {
         format!(

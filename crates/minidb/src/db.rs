@@ -193,7 +193,9 @@ impl MiniDb {
         FsClient::write(&mut self.fs, w, self.table_ino, self.append_off, &rec);
         self.append_off += rec.len() as u64;
         self.index.remove(key);
-        self.cache.remove(key);
+        if self.cache.remove(key).is_some() {
+            self.cache_order.retain(|k| k != key);
+        }
         w.compute(60_000); // SQL delete path
         true
     }
@@ -342,5 +344,22 @@ mod tests {
         assert!(db.read_modify_write(&mut w, "k", &[7u8; 5]));
         let row = db.read(&mut w, "k").unwrap();
         assert_eq!(&row[..5], &[7u8; 5]);
+    }
+
+    #[test]
+    fn delete_leaves_no_stale_eviction_entry() {
+        let mut w = world();
+        let mut db = MiniDb::create(&mut w, 1 << 14);
+        db.set_cache_rows(2);
+        db.insert(&mut w, "a", b"1");
+        db.insert(&mut w, "b", b"2");
+        assert!(db.delete(&mut w, "a"));
+        db.insert(&mut w, "a", b"3");
+        db.insert(&mut w, "c", b"4"); // evicts "b", the oldest live row
+        let misses = db.cache_misses;
+        assert_eq!(db.read(&mut w, "a").as_deref(), Some(b"3".as_ref()));
+        assert_eq!(db.read(&mut w, "c").as_deref(), Some(b"4".as_ref()));
+        assert_eq!(db.cache_misses, misses, "both live rows are still cached");
+        assert_eq!(db.cache_order.len(), db.cache.len());
     }
 }

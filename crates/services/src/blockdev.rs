@@ -9,9 +9,12 @@ pub const BLOCK_SIZE: usize = 4096;
 /// An in-memory block store. Each request costs one pass over the block
 /// (the ramdisk moving data between its store and the message), charged
 /// to the [`World`]; the IPC hop itself is charged by the caller.
+///
+/// The store is one contiguous image from a zeroed allocation, so the
+/// host pays time and memory only for the blocks that are written.
 #[derive(Debug, Clone)]
 pub struct BlockDev {
-    blocks: Vec<Vec<u8>>,
+    data: Vec<u8>,
     /// Reads served.
     pub reads: u64,
     /// Writes served.
@@ -20,9 +23,16 @@ pub struct BlockDev {
 
 impl BlockDev {
     /// A ramdisk with `nblocks` zeroed blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `nblocks * BLOCK_SIZE` overflows `usize`.
     pub fn new(nblocks: usize) -> Self {
+        let bytes = nblocks
+            .checked_mul(BLOCK_SIZE)
+            .expect("ramdisk size overflows usize");
         BlockDev {
-            blocks: vec![vec![0u8; BLOCK_SIZE]; nblocks],
+            data: vec![0u8; bytes],
             reads: 0,
             writes: 0,
         }
@@ -30,12 +40,19 @@ impl BlockDev {
 
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.data.len() / BLOCK_SIZE
     }
 
     /// Whether the device has no blocks.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.data.is_empty()
+    }
+
+    /// Byte range of block `idx`; slicing with it panics when the block
+    /// is out of range (also in release, where the multiply wraps).
+    fn span(idx: u64) -> std::ops::Range<usize> {
+        let start = (idx as usize).saturating_mul(BLOCK_SIZE);
+        start..start.saturating_add(BLOCK_SIZE)
     }
 
     /// Serve a block read.
@@ -43,10 +60,10 @@ impl BlockDev {
     /// # Panics
     ///
     /// Panics on an out-of-range block (FS bug, not user input).
-    pub fn read(&mut self, w: &mut World, idx: u64) -> Vec<u8> {
+    pub fn read(&mut self, w: &mut World, idx: u64) -> &[u8] {
         w.data_pass(BLOCK_SIZE as u64, 10);
         self.reads += 1;
-        self.blocks[idx as usize].clone()
+        &self.data[Self::span(idx)]
     }
 
     /// Serve a block write.
@@ -58,12 +75,16 @@ impl BlockDev {
         assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
         w.data_pass(BLOCK_SIZE as u64, 10);
         self.writes += 1;
-        self.blocks[idx as usize].copy_from_slice(data);
+        self.data[Self::span(idx)].copy_from_slice(data);
     }
 
     /// Host-side peek without cycle charge (test inspection).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range block.
     pub fn peek(&self, idx: u64) -> &[u8] {
-        &self.blocks[idx as usize]
+        &self.data[Self::span(idx)]
     }
 }
 
@@ -114,5 +135,46 @@ mod tests {
         let mut w = world();
         let mut d = BlockDev::new(2);
         d.write(&mut w, 0, &[1, 2, 3]);
+    }
+
+    #[test]
+    fn fresh_blocks_read_zero_and_clone_is_deep() {
+        let mut w = world();
+        let mut d = BlockDev::new(1 << 15);
+        assert_eq!(d.len(), 1 << 15);
+        for idx in [0, 16_383, 32_767] {
+            assert!(d.read(&mut w, idx).iter().all(|&b| b == 0), "block {idx}");
+        }
+        let mut copy = d.clone();
+        copy.write(&mut w, 7, &[0xee; BLOCK_SIZE]);
+        assert!(d.peek(7).iter().all(|&b| b == 0), "clone shares no storage");
+        assert_eq!(copy.peek(7), &[0xee; BLOCK_SIZE]);
+        assert_eq!(copy.peek(6), d.peek(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn read_out_of_range_panics() {
+        let _ = BlockDev::new(4).read(&mut world(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn write_out_of_range_panics() {
+        BlockDev::new(4).write(&mut world(), 4, &[0; BLOCK_SIZE]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn peek_out_of_range_panics() {
+        // A block number whose byte offset wraps `usize`: must not alias
+        // a low block in release, where the multiply does not trap.
+        let _ = BlockDev::new(4).peek(u64::MAX / BLOCK_SIZE as u64 + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "ramdisk size overflows usize")]
+    fn oversized_ramdisk_rejected() {
+        let _ = BlockDev::new(usize::MAX / BLOCK_SIZE + 1);
     }
 }

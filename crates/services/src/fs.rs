@@ -23,7 +23,7 @@
 
 use crate::blockdev::{BlockDev, BLOCK_SIZE};
 use simos::World;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 const SUPER_BLOCK: u64 = 0;
 const JOURNAL_HEADER: u64 = 1;
@@ -35,6 +35,7 @@ const INODE_BLOCKS: u64 = 4;
 const INODE_BYTES: usize = 128;
 /// Number of inodes.
 pub const NINODES: usize = (INODE_BLOCKS as usize * BLOCK_SIZE) / INODE_BYTES;
+const _: () = assert!(NINODES <= 128, "Xv6Fs::dirty is a u128 mask");
 /// Block allocation bitmap (2 blocks cover 64 Ki blocks = 256 MiB).
 const BITMAP_START: u64 = 38;
 const BITMAP_BLOCKS: u64 = 2;
@@ -45,6 +46,8 @@ const MAGIC: u64 = 0x7876_3666_735f_7870; // "xv6fs_xp"
 
 /// Root directory inode.
 pub const ROOT_INO: u64 = 0;
+
+static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Inode {
@@ -89,17 +92,80 @@ pub struct FsStats {
     pub journaled_blocks: u64,
 }
 
+// ---- block server boundary (IPC charged here) ---------------------------
+// These and `stage` take the fields they touch, not the whole `Xv6Fs`,
+// so a caller can copy between the device, the mirrors and the staged
+// blocks without an intermediate buffer.
+
+fn dev_read<'d>(dev: &'d mut BlockDev, w: &mut World, blk: u64) -> &'d [u8] {
+    w.ipc_roundtrip(64, BLOCK_SIZE as u64);
+    dev.read(w, blk)
+}
+
+fn dev_write(dev: &mut BlockDev, w: &mut World, blk: u64, data: &[u8]) {
+    w.ipc_roundtrip(64 + BLOCK_SIZE as u64, 16);
+    dev.write(w, blk, data);
+}
+
+/// Stage a whole-block write of `src` into the open transaction and
+/// return the staged copy: over the block's staged buffer if it has
+/// one, else in a buffer from the `pool` free list.
+fn stage<'s>(
+    staged: &'s mut BTreeMap<u64, Vec<u8>>,
+    pool: &mut Vec<Vec<u8>>,
+    blk: u64,
+    src: &[u8],
+) -> &'s mut [u8] {
+    debug_assert_eq!(src.len(), BLOCK_SIZE);
+    match staged.entry(blk) {
+        Entry::Occupied(e) => {
+            let buf = e.into_mut();
+            buf.copy_from_slice(src);
+            buf
+        }
+        Entry::Vacant(e) => {
+            let mut buf = pool.pop().unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(src);
+            e.insert(buf)
+        }
+    }
+}
+
+/// Stage every block of a metadata mirror that starts at block `first`.
+fn stage_image(
+    staged: &mut BTreeMap<u64, Vec<u8>>,
+    pool: &mut Vec<Vec<u8>>,
+    first: u64,
+    image: &[u8],
+) {
+    for (b, src) in image.chunks_exact(BLOCK_SIZE).enumerate() {
+        stage(staged, pool, first + b as u64, src);
+    }
+}
+
 /// The file system server. See the [module docs](self).
 #[derive(Debug)]
 pub struct Xv6Fs {
     /// The block device server behind this FS (public for inspection).
     pub dev: BlockDev,
+    /// Written only through [`Xv6Fs::inode_mut`].
     inodes: Vec<Inode>,
+    /// In-memory mirror of the on-disk inode table, stale for exactly
+    /// the inodes whose bit is set in `dirty`.
+    inode_img: Vec<u8>,
+    dirty: u128,
     dir: Vec<(String, u64)>,
     /// In-memory mirror of the on-disk block bitmap (bit = block used).
     bitmap: Vec<u8>,
     alloc_cursor: u64,
     staged: BTreeMap<u64, Vec<u8>>,
+    /// Free list of block buffers: `stage` draws from it, `sync` returns
+    /// a transaction's buffers to it after install.
+    pool: Vec<Vec<u8>>,
+    /// `sync`'s transaction vector and journal header, kept for reuse.
+    txn: Vec<(u64, Vec<u8>)>,
+    hdr: Vec<u8>,
     /// Commit after every operation (the paper's Sqlite3 runs journaled).
     pub sync_mode: bool,
     /// Statistics.
@@ -107,24 +173,42 @@ pub struct Xv6Fs {
 }
 
 impl Xv6Fs {
-    /// Format a fresh ramdisk of `nblocks` and mount it.
-    pub fn mkfs(w: &mut World, nblocks: usize) -> Self {
-        let mut fs = Xv6Fs {
-            dev: BlockDev::new(nblocks),
+    fn with_dev(dev: BlockDev) -> Self {
+        Xv6Fs {
+            dev,
             inodes: vec![Inode::default(); NINODES],
+            inode_img: vec![0; NINODES * INODE_BYTES],
+            dirty: 0,
             dir: Vec::new(),
             bitmap: vec![0; (BITMAP_BLOCKS as usize) * BLOCK_SIZE],
             alloc_cursor: DATA_START,
             staged: BTreeMap::new(),
+            pool: Vec::new(),
+            txn: Vec::new(),
+            hdr: Vec::new(),
             sync_mode: true,
             stats: FsStats::default(),
-        };
+        }
+    }
+
+    /// Format a fresh ramdisk of `nblocks` and mount it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `nblocks > DATA_START` (the metadata area plus at
+    /// least one data block).
+    pub fn mkfs(w: &mut World, nblocks: usize) -> Self {
+        assert!(
+            nblocks as u64 > DATA_START,
+            "ramdisk of {nblocks} blocks has no room for data past block {DATA_START}"
+        );
+        let mut fs = Self::with_dev(BlockDev::new(nblocks));
         // Metadata blocks are permanently allocated.
         for b in 0..DATA_START {
             fs.bitmap_set(b, true);
         }
         // Root directory inode.
-        fs.inodes[ROOT_INO as usize].used = true;
+        fs.inode_mut(ROOT_INO).used = true;
         fs.flush_superblock(w);
         fs.flush_inodes(w);
         fs.flush_bitmap_staged();
@@ -135,80 +219,60 @@ impl Xv6Fs {
 
     /// Mount an existing device, running journal recovery first.
     pub fn mount(w: &mut World, dev: BlockDev) -> Self {
-        let mut fs = Xv6Fs {
-            dev,
-            inodes: Vec::new(),
-            dir: Vec::new(),
-            bitmap: Vec::new(),
-            alloc_cursor: DATA_START,
-            staged: BTreeMap::new(),
-            sync_mode: true,
-            stats: FsStats::default(),
-        };
+        let mut fs = Self::with_dev(dev);
         fs.recover(w);
         // Superblock.
-        let sb = fs.dev_read(w, SUPER_BLOCK);
+        let sb = dev_read(&mut fs.dev, w, SUPER_BLOCK);
         let magic = u64::from_le_bytes(sb[0..8].try_into().unwrap());
         assert_eq!(magic, MAGIC, "not an xv6fs device");
         fs.alloc_cursor = u64::from_le_bytes(sb[8..16].try_into().unwrap());
-        // Block bitmap.
-        let mut bitmap = Vec::with_capacity((BITMAP_BLOCKS as usize) * BLOCK_SIZE);
-        for b in 0..BITMAP_BLOCKS {
-            bitmap.extend(fs.dev_read(w, BITMAP_START + b));
+        // Block bitmap, then inode table.
+        for (b, blk) in fs.bitmap.chunks_exact_mut(BLOCK_SIZE).enumerate() {
+            blk.copy_from_slice(dev_read(&mut fs.dev, w, BITMAP_START + b as u64));
         }
-        fs.bitmap = bitmap;
-        // Inode table.
-        let mut inodes = Vec::with_capacity(NINODES);
-        for b in 0..INODE_BLOCKS {
-            let blk = fs.dev_read(w, INODE_START + b);
-            for i in 0..(BLOCK_SIZE / INODE_BYTES) {
-                inodes.push(Inode::from_bytes(
-                    &blk[i * INODE_BYTES..(i + 1) * INODE_BYTES],
-                ));
-            }
+        for (b, blk) in fs.inode_img.chunks_exact_mut(BLOCK_SIZE).enumerate() {
+            blk.copy_from_slice(dev_read(&mut fs.dev, w, INODE_START + b as u64));
         }
-        fs.inodes = inodes;
+        let table = fs.inode_img.chunks_exact(INODE_BYTES);
+        fs.inodes = table.map(Inode::from_bytes).collect();
         // Root directory.
         fs.dir = fs.load_dir(w);
         fs
     }
 
-    // ---- block server boundary (IPC charged here) -----------------------
-
-    fn dev_read(&mut self, w: &mut World, blk: u64) -> Vec<u8> {
-        w.ipc_roundtrip(64, BLOCK_SIZE as u64);
-        self.dev.read(w, blk)
-    }
-
-    fn dev_write(&mut self, w: &mut World, blk: u64, data: &[u8]) {
-        w.ipc_roundtrip(64 + BLOCK_SIZE as u64, 16);
-        self.dev.write(w, blk, data);
-    }
-
     // ---- journal ---------------------------------------------------------
 
     fn clear_journal(&mut self, w: &mut World) {
-        self.dev_write(w, JOURNAL_HEADER, &vec![0u8; BLOCK_SIZE]);
+        dev_write(&mut self.dev, w, JOURNAL_HEADER, &ZERO_BLOCK);
     }
 
     fn recover(&mut self, w: &mut World) {
-        let hdr = self.dev_read(w, JOURNAL_HEADER);
+        let hdr = dev_read(&mut self.dev, w, JOURNAL_HEADER).to_vec();
         let n = u64::from_le_bytes(hdr[0..8].try_into().unwrap()) as usize;
         if n == 0 || n > JOURNAL_CAP {
             return;
         }
         for i in 0..n {
             let target = u64::from_le_bytes(hdr[8 + 8 * i..16 + 8 * i].try_into().unwrap());
-            let data = self.dev_read(w, JOURNAL_DATA + i as u64);
-            self.dev_write(w, target, &data);
+            let data = dev_read(&mut self.dev, w, JOURNAL_DATA + i as u64).to_vec();
+            dev_write(&mut self.dev, w, target, &data);
         }
         self.clear_journal(w);
     }
 
-    /// Stage a whole-block write into the current transaction.
-    fn stage(&mut self, blk: u64, data: Vec<u8>) {
-        debug_assert_eq!(data.len(), BLOCK_SIZE);
-        self.staged.insert(blk, data);
+    /// Steps 1–2 of a commit: log `chunk`, then write the header (the
+    /// commit point).
+    fn log_and_commit(&mut self, w: &mut World, chunk: &[(u64, Vec<u8>)]) {
+        for (i, (_, data)) in chunk.iter().enumerate() {
+            dev_write(&mut self.dev, w, JOURNAL_DATA + i as u64, data);
+        }
+        self.hdr.clear();
+        self.hdr.resize(BLOCK_SIZE, 0);
+        self.hdr[0..8].copy_from_slice(&(chunk.len() as u64).to_le_bytes());
+        for (i, (blk, _)) in chunk.iter().enumerate() {
+            self.hdr[8 + 8 * i..16 + 8 * i].copy_from_slice(&blk.to_le_bytes());
+        }
+        dev_write(&mut self.dev, w, JOURNAL_HEADER, &self.hdr);
     }
 
     /// Commit the staged transaction: log, commit point, install, clear.
@@ -216,74 +280,52 @@ impl Xv6Fs {
         if self.staged.is_empty() {
             return;
         }
-        let staged = std::mem::take(&mut self.staged);
+        let mut txn = std::mem::take(&mut self.txn);
+        txn.extend(std::mem::take(&mut self.staged));
         // Large transactions commit in journal-capacity chunks.
-        let entries: Vec<(u64, Vec<u8>)> = staged.into_iter().collect();
-        for chunk in entries.chunks(JOURNAL_CAP) {
-            // 1. Log.
-            for (i, (_, data)) in chunk.iter().enumerate() {
-                self.dev_write(w, JOURNAL_DATA + i as u64, data);
-            }
-            // 2. Commit point.
-            let mut hdr = vec![0u8; BLOCK_SIZE];
-            hdr[0..8].copy_from_slice(&(chunk.len() as u64).to_le_bytes());
-            for (i, (blk, _)) in chunk.iter().enumerate() {
-                hdr[8 + 8 * i..16 + 8 * i].copy_from_slice(&blk.to_le_bytes());
-            }
-            self.dev_write(w, JOURNAL_HEADER, &hdr);
+        for chunk in txn.chunks(JOURNAL_CAP) {
+            self.log_and_commit(w, chunk);
             // 3. Install.
             for (blk, data) in chunk {
-                self.dev_write(w, *blk, data);
+                dev_write(&mut self.dev, w, *blk, data);
             }
             // 4. Clear.
             self.clear_journal(w);
             self.stats.commits += 1;
             self.stats.journaled_blocks += chunk.len() as u64;
         }
+        self.pool.extend(txn.drain(..).map(|(_, buf)| buf));
+        self.txn = txn;
     }
 
     /// Failure injection: run steps 1–2 of [`Xv6Fs::sync`] (log + commit
     /// point) and then "crash" — staged data reaches only the journal.
     /// A subsequent [`Xv6Fs::mount`] must recover it.
     pub fn sync_crash_before_install(&mut self, w: &mut World) -> BlockDev {
-        let staged = std::mem::take(&mut self.staged);
-        let entries: Vec<(u64, Vec<u8>)> = staged.into_iter().collect();
-        let chunk = &entries[..entries.len().min(JOURNAL_CAP)];
-        for (i, (_, data)) in chunk.iter().enumerate() {
-            self.dev_write(w, JOURNAL_DATA + i as u64, data);
-        }
-        let mut hdr = vec![0u8; BLOCK_SIZE];
-        hdr[0..8].copy_from_slice(&(chunk.len() as u64).to_le_bytes());
-        for (i, (blk, _)) in chunk.iter().enumerate() {
-            hdr[8 + 8 * i..16 + 8 * i].copy_from_slice(&blk.to_le_bytes());
-        }
-        self.dev_write(w, JOURNAL_HEADER, &hdr);
+        let mut txn = Vec::from_iter(std::mem::take(&mut self.staged));
+        txn.truncate(JOURNAL_CAP);
+        self.log_and_commit(w, &txn);
         // Crash: hand the raw device to the caller.
         self.dev.clone()
     }
 
     // ---- metadata persistence -------------------------------------------
 
+    /// The one write access to an inode: marks it stale in `inode_img`.
+    fn inode_mut(&mut self, ino: u64) -> &mut Inode {
+        self.dirty |= 1 << ino;
+        &mut self.inodes[ino as usize]
+    }
+
     fn flush_superblock(&mut self, w: &mut World) {
-        let mut sb = vec![0u8; BLOCK_SIZE];
-        sb[0..8].copy_from_slice(&MAGIC.to_le_bytes());
-        sb[8..16].copy_from_slice(&self.alloc_cursor.to_le_bytes());
-        self.stage(SUPER_BLOCK, sb);
+        self.flush_superblock_staged();
         if self.sync_mode {
             self.sync(w);
         }
     }
 
     fn flush_inodes(&mut self, w: &mut World) {
-        for b in 0..INODE_BLOCKS {
-            let mut blk = vec![0u8; BLOCK_SIZE];
-            for i in 0..(BLOCK_SIZE / INODE_BYTES) {
-                let ino = b as usize * (BLOCK_SIZE / INODE_BYTES) + i;
-                blk[i * INODE_BYTES..(i + 1) * INODE_BYTES]
-                    .copy_from_slice(&self.inodes[ino].to_bytes());
-            }
-            self.stage(INODE_START + b, blk);
-        }
+        self.flush_inodes_staged();
         if self.sync_mode {
             self.sync(w);
         }
@@ -312,21 +354,18 @@ impl Xv6Fs {
             raw.extend_from_slice(&ino.to_le_bytes());
         }
         // The directory may shrink (unlink): reset its size first.
-        self.inodes[ROOT_INO as usize].size = 0;
+        self.inode_mut(ROOT_INO).size = 0;
         self.write(w, ROOT_INO, 0, &raw);
         // An emptied directory still needs its metadata journaled.
         if raw.is_empty() {
-            self.flush_inodes_staged();
-            if self.sync_mode {
-                self.sync(w);
-            }
+            self.flush_inodes(w);
         }
     }
 
     // ---- block mapping ----------------------------------------------------
 
     /// Map file block index -> device block, allocating when `alloc`.
-    fn bmap(&mut self, w: &mut World, ino: u64, fbn: u64, alloc: bool) -> u64 {
+    fn bmap(&mut self, ino: u64, fbn: u64, alloc: bool) -> u64 {
         let per_block = (BLOCK_SIZE / 8) as u64;
         if fbn < NDIRECT as u64 {
             let cur = self.inodes[ino as usize].direct[fbn as usize];
@@ -334,7 +373,7 @@ impl Xv6Fs {
                 return cur;
             }
             let blk = self.alloc_block();
-            self.inodes[ino as usize].direct[fbn as usize] = blk;
+            self.inode_mut(ino).direct[fbn as usize] = blk;
             return blk;
         }
         let idx = fbn - NDIRECT as u64;
@@ -346,23 +385,30 @@ impl Xv6Fs {
                 return 0;
             }
             itable_blk = self.alloc_block();
-            self.inodes[ino as usize].indirect = itable_blk;
-            self.stage(itable_blk, vec![0u8; BLOCK_SIZE]);
+            self.inode_mut(ino).indirect = itable_blk;
+            stage(&mut self.staged, &mut self.pool, itable_blk, &ZERO_BLOCK);
         }
-        let mut table = self
-            .staged
-            .get(&itable_blk)
-            .cloned()
-            .unwrap_or_else(|| self.dev.peek(itable_blk).to_vec());
+        // Read the slot in place; the table is copied only to change it.
+        let table = match self.staged.get(&itable_blk) {
+            Some(st) => st,
+            None => self.dev.peek(itable_blk),
+        };
         let slot = idx as usize * 8;
         let cur = u64::from_le_bytes(table[slot..slot + 8].try_into().unwrap());
         if cur != 0 || !alloc {
-            let _ = w;
             return cur;
         }
         let blk = self.alloc_block();
+        let table = match self.staged.get_mut(&itable_blk) {
+            Some(st) => st,
+            None => stage(
+                &mut self.staged,
+                &mut self.pool,
+                itable_blk,
+                self.dev.peek(itable_blk),
+            ),
+        };
         table[slot..slot + 8].copy_from_slice(&blk.to_le_bytes());
-        self.stage(itable_blk, table);
         blk
     }
 
@@ -380,13 +426,7 @@ impl Xv6Fs {
     }
 
     fn flush_bitmap_staged(&mut self) {
-        for b in 0..BITMAP_BLOCKS {
-            let start = (b as usize) * BLOCK_SIZE;
-            self.stage(
-                BITMAP_START + b,
-                self.bitmap[start..start + BLOCK_SIZE].to_vec(),
-            );
-        }
+        stage_image(&mut self.staged, &mut self.pool, BITMAP_START, &self.bitmap);
     }
 
     /// Allocate a data block from the bitmap (rotating first-fit).
@@ -415,16 +455,19 @@ impl Xv6Fs {
     ///
     /// # Panics
     ///
-    /// Panics when the inode table is exhausted or the name is taken.
+    /// Panics when the inode table is exhausted, the name is taken, or
+    /// the name is longer than the 255 bytes a directory entry can hold.
     pub fn create(&mut self, w: &mut World, name: &str) -> u64 {
+        assert!(name.len() <= 255, "file name longer than 255 bytes");
         assert!(self.lookup(name).is_none(), "file exists: {name}");
         let ino = self
             .inodes
             .iter()
             .position(|i| !i.used)
             .expect("inode table full") as u64;
-        self.inodes[ino as usize].used = true;
-        self.inodes[ino as usize].size = 0;
+        let inode = self.inode_mut(ino);
+        inode.used = true;
+        inode.size = 0;
         self.dir.push((name.to_string(), ino));
         self.store_dir(w);
         self.flush_inodes(w);
@@ -462,7 +505,7 @@ impl Xv6Fs {
             self.free_block(inode.indirect);
             self.staged.remove(&inode.indirect);
         }
-        self.inodes[ino as usize] = Inode::default();
+        *self.inode_mut(ino) = Inode::default();
         self.dir.retain(|(n, _)| n != name);
         self.store_dir(w);
         self.flush_inodes_staged();
@@ -525,7 +568,7 @@ impl Xv6Fs {
             let fbn = pos / BLOCK_SIZE as u64;
             let boff = (pos % BLOCK_SIZE as u64) as usize;
             let take = ((BLOCK_SIZE - boff) as u64).min(end - pos) as usize;
-            let blk = self.bmap(w, ino, fbn, false);
+            let blk = self.bmap(ino, fbn, false);
             spans.push(Span { blk, boff, take });
             pos += take as u64;
         }
@@ -564,6 +607,12 @@ impl Xv6Fs {
 
     /// Write `data` at `off` (journaled; commits immediately in
     /// `sync_mode`, otherwise at the next [`Xv6Fs::sync`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics with "file too large for single indirect" when the write
+    /// ends past 2 MiB + 48 KiB (12 direct blocks plus one indirect
+    /// table), and with "ramdisk full" when no data block is free.
     pub fn write(&mut self, w: &mut World, ino: u64, off: u64, data: &[u8]) {
         w.compute(2500); // inode lock, bmap/alloc, log bookkeeping
         let mut pos = 0usize;
@@ -572,21 +621,22 @@ impl Xv6Fs {
             let fbn = fpos / BLOCK_SIZE as u64;
             let boff = (fpos % BLOCK_SIZE as u64) as usize;
             let take = (BLOCK_SIZE - boff).min(data.len() - pos);
-            let blk = self.bmap(w, ino, fbn, true);
-            let mut buf = if let Some(st) = self.staged.get(&blk) {
-                st.clone()
+            let blk = self.bmap(ino, fbn, true);
+            let chunk = &data[pos..pos + take];
+            if let Some(st) = self.staged.get_mut(&blk) {
+                st[boff..boff + take].copy_from_slice(chunk);
             } else if take == BLOCK_SIZE {
-                vec![0u8; BLOCK_SIZE]
+                stage(&mut self.staged, &mut self.pool, blk, chunk);
             } else {
                 // Partial block: read-modify-write.
-                self.dev_read(w, blk)
-            };
-            buf[boff..boff + take].copy_from_slice(&data[pos..pos + take]);
-            self.stage(blk, buf);
+                let old = dev_read(&mut self.dev, w, blk);
+                stage(&mut self.staged, &mut self.pool, blk, old)[boff..boff + take]
+                    .copy_from_slice(chunk);
+            }
             pos += take;
         }
-        let ino_ref = &mut self.inodes[ino as usize];
-        ino_ref.size = ino_ref.size.max(off + data.len() as u64);
+        let inode = self.inode_mut(ino);
+        inode.size = inode.size.max(off + data.len() as u64);
         self.flush_inodes_staged();
         self.flush_superblock_staged();
         self.flush_bitmap_staged();
@@ -596,22 +646,27 @@ impl Xv6Fs {
     }
 
     fn flush_inodes_staged(&mut self) {
-        for b in 0..INODE_BLOCKS {
-            let mut blk = vec![0u8; BLOCK_SIZE];
-            for i in 0..(BLOCK_SIZE / INODE_BYTES) {
-                let ino = b as usize * (BLOCK_SIZE / INODE_BYTES) + i;
-                blk[i * INODE_BYTES..(i + 1) * INODE_BYTES]
-                    .copy_from_slice(&self.inodes[ino].to_bytes());
-            }
-            self.stage(INODE_START + b, blk);
+        // Bring the image up to date for the inodes written since the
+        // last flush, then stage the whole table: all four blocks are
+        // journaled on every flush.
+        while self.dirty != 0 {
+            let ino = self.dirty.trailing_zeros() as usize;
+            self.dirty &= self.dirty - 1;
+            self.inode_img[ino * INODE_BYTES..][..INODE_BYTES]
+                .copy_from_slice(&self.inodes[ino].to_bytes());
         }
+        stage_image(
+            &mut self.staged,
+            &mut self.pool,
+            INODE_START,
+            &self.inode_img,
+        );
     }
 
     fn flush_superblock_staged(&mut self) {
-        let mut sb = vec![0u8; BLOCK_SIZE];
+        let sb = stage(&mut self.staged, &mut self.pool, SUPER_BLOCK, &ZERO_BLOCK);
         sb[0..8].copy_from_slice(&MAGIC.to_le_bytes());
         sb[8..16].copy_from_slice(&self.alloc_cursor.to_le_bytes());
-        self.stage(SUPER_BLOCK, sb);
     }
 }
 
@@ -845,5 +900,72 @@ mod tests {
             write_ipcs,
             rd.stats.ipc_count
         );
+    }
+
+    #[test]
+    fn steady_state_appends_reuse_their_buffers() {
+        let mut w = world();
+        let mut fs = Xv6Fs::mkfs(&mut w, 1 << 14);
+        let ino = fs.create(&mut w, "table.db");
+        let row = [0x5au8; 1018];
+        let mut off = 0;
+        let mut append = |fs: &mut Xv6Fs, n: usize| {
+            for _ in 0..n {
+                FsClient::write(fs, &mut w, ino, off, &row);
+                off += row.len() as u64;
+            }
+        };
+        append(&mut fs, 50); // past the direct blocks, into the indirect table
+        let buffers = fs.pool.len() + fs.staged.len();
+        let (txn_cap, hdr_cap) = (fs.txn.capacity(), fs.hdr.capacity());
+        assert!(buffers > 0 && txn_cap > 0 && hdr_cap >= BLOCK_SIZE);
+        append(&mut fs, 200);
+        assert_eq!(fs.pool.len() + fs.staged.len(), buffers, "free list grew");
+        assert_eq!((fs.txn.capacity(), fs.hdr.capacity()), (txn_cap, hdr_cap));
+        assert!(fs.pool.iter().all(|b| b.len() == BLOCK_SIZE));
+    }
+
+    #[test]
+    fn name_of_255_bytes_round_trips_through_mount() {
+        let mut w = world();
+        let mut fs = Xv6Fs::mkfs(&mut w, 4096);
+        let name = "n".repeat(255);
+        let ino = fs.create(&mut w, &name);
+        let fs2 = Xv6Fs::mount(&mut w, fs.dev.clone());
+        assert_eq!(fs2.lookup(&name), Some(ino));
+    }
+
+    #[test]
+    #[should_panic(expected = "file name longer than 255 bytes")]
+    fn name_over_255_bytes_rejected() {
+        let mut w = world();
+        let mut fs = Xv6Fs::mkfs(&mut w, 4096);
+        fs.create(&mut w, &"n".repeat(256));
+    }
+
+    #[test]
+    #[should_panic(expected = "has no room for data")]
+    fn mkfs_without_a_data_block_rejected() {
+        let _ = Xv6Fs::mkfs(&mut world(), DATA_START as usize);
+    }
+
+    #[test]
+    fn smallest_ramdisk_holds_one_block() {
+        let mut w = world();
+        let mut fs = Xv6Fs::mkfs(&mut w, DATA_START as usize + 1);
+        assert_eq!(fs.free_blocks(), 1);
+        fs.create(&mut w, "f"); // the directory takes the only data block
+        assert_eq!(fs.free_blocks(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "file too large for single indirect")]
+    fn write_past_the_indirect_table_rejected() {
+        let mut w = world();
+        let mut fs = Xv6Fs::mkfs(&mut w, 4096);
+        let ino = fs.create(&mut w, "big");
+        let limit = ((NDIRECT + BLOCK_SIZE / 8) * BLOCK_SIZE) as u64; // 2 MiB + 48 KiB
+        fs.write(&mut w, ino, limit - 1, b"x"); // last byte that fits
+        fs.write(&mut w, ino, limit, b"x");
     }
 }
