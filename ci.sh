@@ -21,8 +21,10 @@ cargo clippy --workspace --all-targets -- -D warnings -A clippy::cast-possible-t
 echo "== clippy (simos: cast_possible_truncation promoted to error) =="
 # The invocation hot path lives in simos; there every u64 -> usize (and
 # f64 -> int) crossing is either proven in-range or an explicit allow
-# with the bound stated.
-cargo clippy -p simos --all-targets -- -D warnings -D clippy::cast-possible-truncation
+# with the bound stated. --no-deps scopes the promotion to the crate
+# itself (its request_pin test dev-depends on kernels for real roster
+# systems, and kernels' model math casts deliberately).
+cargo clippy -p simos --all-targets --no-deps -- -D warnings -D clippy::cast-possible-truncation
 
 echo "== clippy (xpc-verify: missing_panics_doc promoted to error) =="
 # The verifier is the library other tools call blind; every pub fn that
@@ -53,9 +55,13 @@ cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== benchmark smoke (the binary checks every result itself) =="
 # Exits non-zero when a guest checksum, buffer or round trip disagrees
-# with the host recomputation, or (figures_all) when a rendered report
-# differs from its figures/golden.txt section.
-for workload in guest_alu guest_xcall figures_all; do
+# with the host recomputation, (closed_sweep / open_serve) when requests
+# completed != asked, admitted + shed != offered, a ledger total is not
+# the sum of its phases, sampled totals differ from the ledger total or
+# the tails are unordered, or (figures_all) when a rendered report
+# differs from its figures/golden.txt section. figures_all stays last:
+# the RSS gate below reads the last file written.
+for workload in guest_alu guest_xcall closed_sweep open_serve figures_all; do
   cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 > target/ci-smoke.json
 done

@@ -47,9 +47,9 @@ pub struct SweepScratch {
     owner_latencies: Vec<Vec<u64>>,
     map: Vec<CoreId>,
     step_ledger: CycleLedger,
-    /// Min-heap of `(next issue time, client index)` — pops in "lowest
-    /// issue-time first, ties to lowest client index" order.
-    issue: BinaryHeap<Reverse<(u64, usize)>>,
+    /// The closed loop's `(next issue time, client index)` per client —
+    /// "lowest issue-time first, ties to lowest client index".
+    issue: IssueQueue,
     /// Per-owner min-heaps of the times outstanding requests free their
     /// slot: a client's window, a tenant's bounded admission queue.
     outstanding: Vec<BinaryHeap<Reverse<u64>>>,
@@ -76,7 +76,7 @@ impl SweepScratch {
         }
         self.map.clear();
         self.step_ledger.clear();
-        self.issue.clear();
+        self.issue.keys.clear();
         for heap in &mut self.outstanding {
             heap.clear();
         }
@@ -92,22 +92,83 @@ impl SweepScratch {
         self.latencies.reserve(issues);
     }
 
-    /// Sort owner `owner`'s latency sample and reduce it.
+    /// Reduce owner `owner`'s latency sample (reordering it).
     pub(crate) fn owner_tail(&mut self, owner: usize, clock_hz: u64) -> Tail {
         tail(&mut self.owner_latencies[owner], clock_hz)
     }
 }
 
-/// Where one request's spans go: always into the flat totals when
-/// sampling, and into an arena ledger when this request keeps span-level
-/// detail (every request in `Full` mode, 1-in-N in `Sampled`).
+/// The closed loop's issue queue: one `(issue time, client)` entry per
+/// client, as an implicit 4-ary min-heap over `time << 64 | client` (one
+/// integer compare orders by time, then client index). The closed loop
+/// only ever reads the earliest entry and replaces it with that client's
+/// next issue, so those are the only operations. Keys are distinct (one
+/// per client), so any correct priority queue yields the same minima.
+#[derive(Default)]
+struct IssueQueue {
+    keys: Vec<u128>,
+}
+
+impl IssueQueue {
+    fn key(t: u64, client: usize) -> u128 {
+        u128::from(t) << 64 | client as u128
+    }
+
+    /// Append entries whose keys ascend, onto a queue whose keys are all
+    /// smaller (an ascending array is a valid heap as it stands).
+    fn extend_sorted(&mut self, entries: impl Iterator<Item = (u64, usize)>) {
+        self.keys.extend(entries.map(|(t, c)| Self::key(t, c)));
+        debug_assert!(self.keys.is_sorted());
+    }
+
+    /// The earliest `(issue time, client)`, ties to the lowest client.
+    #[allow(clippy::cast_possible_truncation)] // the halves `key` packed
+    fn peek(&self) -> Option<(u64, usize)> {
+        let unpack = |&k: &u128| ((k >> 64) as u64, k as u64 as usize);
+        self.keys.first().map(unpack)
+    }
+
+    /// Replace the earliest entry with `(t, client)`: one sift down.
+    fn replace_min(&mut self, t: u64, client: usize) {
+        let key = Self::key(t, client);
+        let n = self.keys.len();
+        let mut hole = 0;
+        loop {
+            let first = 4 * hole + 1;
+            if first >= n {
+                break;
+            }
+            let children = &self.keys[first..n.min(first + 4)];
+            let (mut at, mut least) = (0, children[0]);
+            for (i, &k) in children.iter().enumerate().skip(1) {
+                if k < least {
+                    (at, least) = (i, k);
+                }
+            }
+            if key <= least {
+                break;
+            }
+            self.keys[hole] = least;
+            hole = first + at;
+        }
+        self.keys[hole] = key;
+    }
+}
+
+/// Where one request's spans go: into the run ledger in `Full` mode;
+/// when sampling, always into the flat totals, and into an arena ledger
+/// for the 1-in-N requests that keep span-level detail.
 pub(crate) struct ReqSink<'a> {
+    pub(crate) run: Option<&'a mut CycleLedger>,
     pub(crate) totals: Option<&'a mut PhaseTotals>,
     pub(crate) arena: Option<(&'a mut LedgerArena, LedgerRef)>,
 }
 
 impl ReqSink<'_> {
     fn charge(&mut self, phase: Phase, cycles: u64) {
+        if let Some(l) = &mut self.run {
+            l.charge(phase, cycles);
+        }
         if let Some(t) = &mut self.totals {
             t.charge(phase, cycles);
         }
@@ -117,6 +178,9 @@ impl ReqSink<'_> {
     }
 
     fn merge(&mut self, ledger: &CycleLedger) {
+        if let Some(l) = &mut self.run {
+            l.merge(ledger);
+        }
         if let Some(t) = &mut self.totals {
             t.add_ledger(ledger);
         }
@@ -150,7 +214,7 @@ pub(crate) fn drive_request(
             sink.charge(Phase::Queue, stepped.wait);
         }
         sink.merge(step_ledger);
-        ipc_calls += stepped.calls;
+        ipc_calls = ipc_calls.saturating_add(stepped.calls);
         t = stepped.done;
     }
     (t, ipc_calls)
@@ -239,44 +303,66 @@ fn cycles_to_us(cycles: f64, clock_hz: u64) -> f64 {
     cycles / clock_hz as f64 * 1e6
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice.
+/// 0-based index of the nearest-rank quantile `q` in an ascending sample
+/// of `n >= 1` values.
 ///
 /// Convention: the quantile `q ∈ [0, 1]` selects the 1-based rank
 /// `⌈q·n⌉`, clamped to `[1, n]` — so `q = 0.5` over 100 samples is the
-/// 50th smallest, `q = 0` the minimum, `q = 1` the maximum, and the
-/// empty slice reports 0 at every quantile. `q` outside `[0, 1]` is a
-/// contract violation (debug-asserted): `q > 1` would silently clamp to
-/// the maximum, a negative `q` to the minimum, and a NaN rank would
-/// reach the `f64 → usize` cast whose result for NaN is an
-/// implementation artifact (0) rather than a defined quantile.
-pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {
+/// 50th smallest, `q = 0` the minimum, `q = 1` the maximum. `q` outside
+/// `[0, 1]` is a contract violation (debug-asserted): `q > 1` would
+/// silently clamp to the maximum, a negative `q` to the minimum, and a
+/// NaN rank would reach the `f64 → usize` cast whose result for NaN is
+/// an implementation artifact (0) rather than a defined quantile.
+fn rank_index(n: usize, q: f64) -> usize {
     debug_assert!(
         (0.0..=1.0).contains(&q),
         "percentile: q = {q} outside [0, 1] (NaN included) has no nearest-rank meaning"
     );
+    // q is in [0, 1] (asserted above), so the rank is bounded by n and
+    // the cast back from f64 cannot truncate.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let rank = (q * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
+}
+
+/// Nearest-rank percentile over an ascending-sorted slice (see
+/// [`rank_index`]; the empty slice reports 0 at every quantile) — the
+/// sort-based reference the tests hold [`tail`] to.
+#[cfg(test)]
+pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    // q is in [0, 1] (asserted above), so the rank is bounded by len and
-    // the cast back from f64 cannot truncate.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[rank_index(sorted.len(), q)]
 }
 
-/// Sort a latency sample (cycles) and reduce it. The mean accumulates
-/// in `u128`: eight latencies near `u64::MAX / 2` already overflow a
-/// `u64` sum.
+/// Reduce a latency sample (cycles), reordering it: the percentiles are
+/// selections, not a sort — highest first, each leaving every smaller
+/// rank in the prefix the next one partitions. The mean accumulates in
+/// `u128`: eight latencies near `u64::MAX / 2` overflow a `u64` sum.
 fn tail(sample: &mut [u64], clock_hz: u64) -> Tail {
-    sample.sort_unstable();
-    let sum: u128 = sample.iter().map(|&l| u128::from(l)).sum();
     let us = |cycles: u64| cycles_to_us(cycles as f64, clock_hz);
+    let n = sample.len();
+    let (sum, max) = sample.iter().fold((0u128, 0), |(sum, max), &l| {
+        (sum + u128::from(l), l.max(max))
+    });
+    let mut prefix = n;
+    let mut nth = |q: f64| {
+        if n == 0 {
+            return 0.0;
+        }
+        let rank = rank_index(n, q);
+        let (_, &mut cycles, _) = sample[..prefix].select_nth_unstable(rank);
+        prefix = rank + 1;
+        us(cycles)
+    };
+    let (p99_us, p95_us, p50_us) = (nth(0.99), nth(0.95), nth(0.50));
     Tail {
-        mean_us: cycles_to_us(sum as f64 / sample.len().max(1) as f64, clock_hz),
-        p50_us: us(percentile(sample, 0.50)),
-        p95_us: us(percentile(sample, 0.95)),
-        p99_us: us(percentile(sample, 0.99)),
-        max_us: us(sample.last().copied().unwrap_or(0)),
+        mean_us: cycles_to_us(sum as f64 / n.max(1) as f64, clock_hz),
+        p50_us,
+        p95_us,
+        p99_us,
+        max_us: us(max),
     }
 }
 
@@ -296,23 +382,21 @@ pub(crate) fn run<S: Source>(
     let mut ledger = CycleLedger::new();
     let (mut priced, mut ipc_calls, mut makespan) = (0u64, 0u64, 0u64);
     while let Some(issue) = src.issue(mw, scratch)? {
-        // Where this request's spans go: staged through the arena and
-        // folded back (`Full`), or flat totals plus a 1-in-N kept ledger.
-        let (totals, arena, mark) = match &mut att {
-            Attribution::Full(arena) => {
-                let mark = arena.mark();
-                (None, Some(&mut **arena), Some(mark))
-            }
+        // Where this request's spans go: straight into the run ledger
+        // (`Full`), or flat totals plus a 1-in-N kept arena ledger.
+        let (run, totals, arena) = match &mut att {
+            Attribution::Full(_) => (Some(&mut ledger), None, None),
             Attribution::Sampled {
                 every,
                 totals,
                 arena,
             } => {
                 let keep = *every != 0 && priced.is_multiple_of(*every);
-                (Some(&mut **totals), keep.then_some(&mut **arena), None)
+                (None, Some(&mut **totals), keep.then_some(&mut **arena))
             }
         };
         let mut sink = ReqSink {
+            run,
             totals,
             arena: arena.map(|a| {
                 let h = a.begin();
@@ -328,16 +412,8 @@ pub(crate) fn run<S: Source>(
             &mut scratch.step_ledger,
             &mut sink,
         );
-        if let (Some(mark), Some((arena, h))) = (mark, sink.arena) {
-            // Fold the request's spans into the run ledger in
-            // first-charge order, then roll the arena back for reuse.
-            for (p, cy) in arena.spans(h) {
-                ledger.charge(p, cy);
-            }
-            arena.truncate(mark);
-        }
         priced += 1;
-        ipc_calls += calls;
+        ipc_calls = ipc_calls.saturating_add(calls);
         let latency = done - issue.t0;
         scratch.latencies.push(latency);
         makespan = makespan.max(done);
@@ -388,7 +464,7 @@ impl<'a> Clients<'a> {
         scratch.reset(spec.clients, requests);
         scratch
             .issue
-            .extend((0..spec.clients).map(|c| Reverse((0, c))));
+            .extend_sorted((0..spec.clients).map(|c| (0, c)));
         Clients {
             policy,
             n_services,
@@ -423,9 +499,9 @@ impl Source for Clients<'_> {
         if self.issued == self.spec.requests {
             return Ok(None);
         }
-        // Earliest-issuable client, ties to the lowest index: the heap
-        // pops the least `(issue time, client index)` pair.
-        let Reverse((t0, owner)) = scratch.issue.pop().expect("one entry per client");
+        // Earliest-issuable client, ties to the lowest index; its entry
+        // stays at the head until `completed` replaces it.
+        let (t0, owner) = scratch.issue.peek().expect("one entry per client");
         let recipe = usize::try_from(self.rng.below(self.n_recipes)).expect("index fits usize");
         self.policy
             .assign_into(self.issued, self.n_services, mw, &mut scratch.map)?;
@@ -444,7 +520,7 @@ impl Source for Clients<'_> {
         } else {
             issue.t0
         };
-        scratch.issue.push(Reverse((next, issue.owner)));
+        scratch.issue.replace_min(next, issue.owner);
     }
 }
 
@@ -670,7 +746,7 @@ mod tests {
     use super::*;
     use crate::ipc::IpcSystem;
     use crate::ledger::InvokeOpts;
-    use crate::load::run_windowed;
+    use crate::load::{run_windowed, run_windowed_with};
     use crate::program::Recipe;
     use crate::serve::{serve, serve_with, ServeReport, TenantClass};
     use crate::topology::Topology;
@@ -886,6 +962,115 @@ mod tests {
             assert_eq!(r.makespan_cycles, u64::MAX, "w={window}");
             assert!(r.p50_us <= r.p99_us);
         }
+    }
+
+    #[test]
+    fn the_issue_queue_is_a_priority_queue() {
+        // Against the heap it replaced, doing pop + push: client counts
+        // that leave the last 4-group empty, partial and full.
+        for clients in [1usize, 2, 4, 5, 6, 17, 2048] {
+            let mut rng = Rng::seed_from_u64(0x155e + clients as u64);
+            let mut queue = IssueQueue::default();
+            queue.extend_sorted((0..clients).map(|c| (0, c)));
+            let mut oracle: BinaryHeap<_> = (0..clients).map(|c| Reverse((0u64, c))).collect();
+            for _ in 0..12_000 {
+                let Reverse((t, client)) = oracle.pop().expect("one entry per client");
+                assert_eq!(queue.peek(), Some((t, client)), "{clients} clients");
+                let next = match rng.below(16) {
+                    0 => t,                // replaced by the same key
+                    1 => u64::MAX,         // unbounded think time
+                    2 => rng.below(1_000), // back from the end of time
+                    // Runs of equal times: ties go to the lowest client.
+                    _ => t.saturating_add(rng.below(3)),
+                };
+                oracle.push(Reverse((next, client)));
+                queue.replace_min(next, client);
+            }
+        }
+    }
+
+    #[test]
+    fn tails_by_selection_match_sort_then_percentile() {
+        let hz = 1_000_000_000;
+        let mut rng = Rng::seed_from_u64(0x7a11);
+        for n in [0usize, 1, 2, 3, 100, 100_000] {
+            // Heavy duplication (eight distinct values), then a spread.
+            for distinct in [8u64, u64::MAX] {
+                let mut sample: Vec<u64> = (0..n).map(|_| rng.below(distinct)).collect();
+                let mut sorted = sample.clone();
+                sorted.sort_unstable();
+                let sum: u128 = sorted.iter().map(|&l| u128::from(l)).sum();
+                let us = |cycles: u64| cycles_to_us(cycles as f64, hz);
+                let want = Tail {
+                    mean_us: cycles_to_us(sum as f64 / n.max(1) as f64, hz),
+                    p50_us: us(percentile(&sorted, 0.50)),
+                    p95_us: us(percentile(&sorted, 0.95)),
+                    p99_us: us(percentile(&sorted, 0.99)),
+                    max_us: us(sorted.last().copied().unwrap_or(0)),
+                };
+                assert_eq!(tail(&mut sample, hz), want, "n={n} distinct={distinct}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_absurd_batch_saturates_every_accumulator() {
+        // `calls: u64::MAX` over >= 2 requests used to overflow the
+        // `ipc_calls` sums (Full) and `PhaseTotals::charge` (Sampled):
+        // a debug panic, a release wrap.
+        let absurd = vec![vec![Step::Batch {
+            from: 0,
+            to: 1,
+            calls: u64::MAX,
+            bytes_each: 64,
+        }]];
+        let spec = LoadGen {
+            clients: 2,
+            requests: 4,
+            ..spec()
+        };
+        let world = || {
+            MultiWorld::builder()
+                .topology(Topology::single_socket(2))
+                .build(|| Box::new(Fixed))
+        };
+        let mut scratch = SweepScratch::new();
+        let mut arena = LedgerArena::new();
+        let mut totals = PhaseTotals::new();
+        let full = Attribution::Full(&mut arena);
+        let full = run_windowed_with(
+            &mut world(),
+            &Placement::RoundRobin,
+            2,
+            &absurd,
+            &spec,
+            1,
+            &mut scratch,
+            full,
+        )
+        .expect("priced, not panicked");
+        let sampled = Attribution::Sampled {
+            every: 2,
+            totals: &mut totals,
+            arena: &mut arena,
+        };
+        let sampled = run_windowed_with(
+            &mut world(),
+            &Placement::RoundRobin,
+            2,
+            &absurd,
+            &spec,
+            1,
+            &mut scratch,
+            sampled,
+        )
+        .expect("priced, not panicked");
+        for r in [&full, &sampled] {
+            assert_eq!(r.requests, 4);
+            assert_eq!(r.ledger.total(), u64::MAX);
+            assert_eq!(r.ipc_calls, u64::MAX);
+        }
+        assert_eq!(totals.total(), sampled.ledger.total());
     }
 
     #[test]

@@ -89,6 +89,7 @@ impl Phase {
 
     /// Stable dense index into [`Phase::ALL`]-ordered arrays (declaration
     /// order matches `ALL`, so the discriminant *is* the index).
+    #[inline]
     pub const fn index(self) -> usize {
         self as usize
     }
@@ -148,9 +149,35 @@ impl Phase {
 /// phases occur; charging the same phase twice accumulates. Zero-cycle
 /// charges are recorded (Table 1 prints "Message Transfer 0" for a 0 B
 /// message), so a phase's *presence* is part of the model.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct CycleLedger {
     spans: Vec<(Phase, u64)>,
+    /// Where each phase's span sits (see [`SlotMap`]) — a function of
+    /// `spans`, so the derived equality is span equality.
+    slots: SlotMap,
+}
+
+/// Per-phase position of a ledger's span, keyed by [`Phase::index`]:
+/// `0` = not charged yet, else 1 + the span's position — so `charge` and
+/// `get` index instead of scanning the spans.
+type SlotMap = [u8; Phase::COUNT];
+
+const _: () = assert!(Phase::COUNT < 256, "a slot is a u8");
+
+/// The [`SlotMap`] entry for the span at `position` (one span per phase
+/// at most, so `position < COUNT < 256`).
+#[inline]
+#[allow(clippy::cast_possible_truncation)]
+fn slot_of(position: usize) -> u8 {
+    position as u8 + 1
+}
+
+impl std::fmt::Debug for CycleLedger {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CycleLedger")
+            .field("spans", &self.spans)
+            .finish()
+    }
 }
 
 impl CycleLedger {
@@ -161,11 +188,17 @@ impl CycleLedger {
 
     /// Charge `cycles` to `phase` (accumulates, saturating at
     /// `u64::MAX`; records zero charges).
+    #[inline]
     pub fn charge(&mut self, phase: Phase, cycles: u64) {
-        if let Some(span) = self.spans.iter_mut().find(|(p, _)| *p == phase) {
-            span.1 = span.1.saturating_add(cycles);
-        } else {
-            self.spans.push((phase, cycles));
+        match self.slots[phase.index()] {
+            0 => {
+                self.spans.push((phase, cycles));
+                self.slots[phase.index()] = slot_of(self.spans.len() - 1);
+            }
+            slot => {
+                let span = &mut self.spans[usize::from(slot) - 1];
+                span.1 = span.1.saturating_add(cycles);
+            }
         }
     }
 
@@ -177,16 +210,18 @@ impl CycleLedger {
     }
 
     /// Cycles attributed to `phase` (0 when absent).
+    #[inline]
     pub fn get(&self, phase: Phase) -> u64 {
-        self.spans
-            .iter()
-            .find(|(p, _)| *p == phase)
-            .map_or(0, |(_, c)| *c)
+        match self.slots[phase.index()] {
+            0 => 0,
+            slot => self.spans[usize::from(slot) - 1].1,
+        }
     }
 
     /// Sum over all phases (saturating: a ledger priced from an absurd
     /// caller-supplied count totals `u64::MAX`, never a wrapped small
     /// number).
+    #[inline]
     pub fn total(&self) -> u64 {
         self.spans
             .iter()
@@ -207,8 +242,10 @@ impl CycleLedger {
 
     /// Drop every span but keep the allocation — the reset half of the
     /// reuse-a-scratch-ledger pattern the arena hot path runs on.
+    #[inline]
     pub fn clear(&mut self) {
         self.spans.clear();
+        self.slots = [0; Phase::COUNT];
     }
 
     /// Number of recorded spans (distinct phases charged so far).
@@ -243,7 +280,7 @@ impl CycleLedger {
                 .map(|&(p, c)| (p, c as i64 - baseline.get(p) as i64)),
         );
         for &(p, c) in &baseline.spans {
-            if self.spans.iter().all(|(q, _)| *q != p) {
+            if self.slots[p.index()] == 0 {
                 out.push((p, -(c as i64)));
             }
         }
@@ -277,9 +314,13 @@ impl PhaseTotals {
         Self::default()
     }
 
-    /// Add `cycles` to `phase`.
+    /// Add `cycles` to `phase` (saturating at `u64::MAX`, like
+    /// [`CycleLedger::charge`], so sampled totals keep equalling the
+    /// ledger total under an absurd caller-supplied count).
+    #[inline]
     pub fn charge(&mut self, phase: Phase, cycles: u64) {
-        self.cycles[phase.index()] += cycles;
+        let c = &mut self.cycles[phase.index()];
+        *c = c.saturating_add(cycles);
     }
 
     /// Cycles accumulated for `phase`.
@@ -287,9 +328,9 @@ impl PhaseTotals {
         self.cycles[phase.index()]
     }
 
-    /// Sum over all phases.
+    /// Sum over all phases (saturating).
     pub fn total(&self) -> u64 {
-        self.cycles.iter().sum()
+        self.cycles.iter().fold(0, |sum, &c| sum.saturating_add(c))
     }
 
     /// Whether nothing has been charged.
@@ -298,6 +339,7 @@ impl PhaseTotals {
     }
 
     /// Fold a ledger's spans in.
+    #[inline]
     pub fn add_ledger(&mut self, ledger: &CycleLedger) {
         for &(p, c) in ledger.spans() {
             self.charge(p, c);
@@ -307,7 +349,7 @@ impl PhaseTotals {
     /// Fold another totals array in.
     pub fn merge(&mut self, other: &PhaseTotals) {
         for (a, b) in self.cycles.iter_mut().zip(other.cycles.iter()) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
     }
 
@@ -352,6 +394,12 @@ pub struct LedgerArena {
     cycles: Vec<u64>,
     /// Per-ledger `(start, len)` into the slabs.
     ranges: Vec<(usize, usize)>,
+    /// [`SlotMap`] of the one chargeable (most recently begun) ledger,
+    /// positions relative to its `start`.
+    tail_slots: SlotMap,
+    /// Cleared by `truncate`, which may make an older ledger the tail:
+    /// the next `charge` then rebuilds the map from that ledger's spans.
+    tail_mapped: bool,
 }
 
 impl LedgerArena {
@@ -369,6 +417,7 @@ impl LedgerArena {
             phases: Vec::with_capacity(spans),
             cycles: Vec::with_capacity(spans),
             ranges: Vec::with_capacity(ledgers),
+            ..Self::default()
         }
     }
 
@@ -378,16 +427,20 @@ impl LedgerArena {
     pub fn begin(&mut self) -> LedgerRef {
         let start = self.phases.len();
         self.ranges.push((start, 0));
+        self.tail_slots = [0; Phase::COUNT];
+        self.tail_mapped = true;
         LedgerRef(self.ranges.len() - 1)
     }
 
-    /// Charge `cycles` to `phase` in ledger `h` (accumulating per phase
-    /// and recording zero charges, exactly like [`CycleLedger::charge`]).
+    /// Charge `cycles` to `phase` in ledger `h` (accumulating per phase,
+    /// saturating, and recording zero charges, exactly like
+    /// [`CycleLedger::charge`]).
     ///
     /// # Panics
     ///
     /// When `h` is not the most recently begun ledger (its spans would
     /// no longer sit at the slab tail).
+    #[inline]
     pub fn charge(&mut self, h: LedgerRef, phase: Phase, cycles: u64) {
         assert_eq!(
             h.0 + 1,
@@ -395,18 +448,29 @@ impl LedgerArena {
             "only the most recently begun arena ledger may be charged"
         );
         let (start, len) = self.ranges[h.0];
-        for i in start..start + len {
-            if self.phases[i] == phase {
-                self.cycles[i] += cycles;
-                return;
+        if !self.tail_mapped {
+            self.tail_slots = [0; Phase::COUNT];
+            for (i, p) in self.phases[start..start + len].iter().enumerate() {
+                self.tail_slots[p.index()] = slot_of(i);
+            }
+            self.tail_mapped = true;
+        }
+        match self.tail_slots[phase.index()] {
+            0 => {
+                self.phases.push(phase);
+                self.cycles.push(cycles);
+                self.ranges[h.0].1 += 1;
+                self.tail_slots[phase.index()] = slot_of(len);
+            }
+            slot => {
+                let c = &mut self.cycles[start + usize::from(slot) - 1];
+                *c = c.saturating_add(cycles);
             }
         }
-        self.phases.push(phase);
-        self.cycles.push(cycles);
-        self.ranges[h.0].1 += 1;
     }
 
     /// Fold a ledger's spans into arena ledger `h`.
+    #[inline]
     pub fn merge_ledger(&mut self, h: LedgerRef, ledger: &CycleLedger) {
         for &(p, c) in ledger.spans() {
             self.charge(h, p, c);
@@ -419,10 +483,12 @@ impl LedgerArena {
         (start..start + len).map(|i| (self.phases[i], self.cycles[i]))
     }
 
-    /// Total cycles of ledger `h`.
+    /// Total cycles of ledger `h` (saturating).
     pub fn total(&self, h: LedgerRef) -> u64 {
         let (start, len) = self.ranges[h.0];
-        self.cycles[start..start + len].iter().sum()
+        self.cycles[start..start + len]
+            .iter()
+            .fold(0, |sum, &c| sum.saturating_add(c))
     }
 
     /// Copy ledger `h` out into an owned [`CycleLedger`].
@@ -477,6 +543,7 @@ impl LedgerArena {
         self.ranges.truncate(mark.ledgers);
         self.phases.truncate(mark.spans);
         self.cycles.truncate(mark.spans);
+        self.tail_mapped = false;
     }
 
     /// Drop every ledger, keep the slabs.
@@ -491,14 +558,15 @@ impl LedgerArena {
 /// Where the load generators record phase attribution — the
 /// caller-provided sink of the arena hot path.
 ///
-/// `Full` keeps a complete span ledger for *every* request (the arena is
-/// used as reset-and-reuse scratch; the report ledger merges every
-/// request's spans in first-charge order). `Sampled` accumulates every request
-/// into flat [`PhaseTotals`] (exact per-phase sums — see the
-/// `PhaseTotals` docs) and additionally retains a full span ledger in
-/// the arena for one request in `every`.
+/// `Full` gives *every* request complete span attribution: each step's
+/// spans are folded straight into the report ledger, in first-charge
+/// order (the arena it carries is left untouched). `Sampled` accumulates
+/// every request into flat [`PhaseTotals`] (exact per-phase sums — see
+/// the `PhaseTotals` docs) and additionally retains a full span ledger
+/// in the arena for one request in `every`.
 pub enum Attribution<'a> {
-    /// Full span attribution for every request, staged through `arena`.
+    /// Full span attribution for every request. The arena is untouched:
+    /// it comes back as it was handed in (same ledgers, same capacity).
     Full(&'a mut LedgerArena),
     /// Flat totals for all requests; 1-in-`every` requests also keep
     /// their span ledger in `arena`.
@@ -845,6 +913,164 @@ mod tests {
             arena.spans(h).collect::<Vec<_>>(),
             vec![(Phase::Trampoline, 76), (Phase::Xcall, 18)]
         );
+    }
+
+    /// [`CycleLedger`] as it was before the slot map: one linear scan per
+    /// charge. The reference the indexed ledger is held to.
+    #[derive(Clone, Default, PartialEq)]
+    struct ScanLedger(Vec<(Phase, u64)>);
+
+    impl ScanLedger {
+        fn charge(&mut self, phase: Phase, cycles: u64) {
+            if let Some(span) = self.0.iter_mut().find(|(p, _)| *p == phase) {
+                span.1 = span.1.saturating_add(cycles);
+            } else {
+                self.0.push((phase, cycles));
+            }
+        }
+
+        fn get(&self, phase: Phase) -> u64 {
+            self.0
+                .iter()
+                .find(|(p, _)| *p == phase)
+                .map_or(0, |(_, c)| *c)
+        }
+
+        fn total(&self) -> u64 {
+            self.0.iter().fold(0, |sum, &(_, c)| sum.saturating_add(c))
+        }
+
+        fn diff(&self, baseline: &ScanLedger) -> Vec<(Phase, i64)> {
+            let mut out: Vec<_> = self
+                .0
+                .iter()
+                .map(|&(p, c)| (p, c as i64 - baseline.get(p) as i64))
+                .collect();
+            for &(p, c) in &baseline.0 {
+                if self.0.iter().all(|(q, _)| *q != p) {
+                    out.push((p, -(c as i64)));
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn indexed_ledger_matches_the_linear_scan_reference() {
+        use ycsb::rng::Rng;
+        let mut rng = Rng::seed_from_u64(0x1ed6e5);
+        let mut pick = |n: usize| usize::try_from(rng.below(n as u64)).expect("below a usize");
+        let mut pool: Vec<(CycleLedger, ScanLedger)> = vec![Default::default(); 4];
+        let mut diff = Vec::new();
+        for _ in 0..20_000 {
+            let i = pick(4);
+            let j = (i + 1 + pick(3)) % 4;
+            match pick(16) {
+                0 => {
+                    // Clear and reuse: stale slots must not survive.
+                    pool[i].0.clear();
+                    pool[i].1 .0.clear();
+                }
+                1 => pool[i] = pool[j].clone(),
+                2 => {
+                    let (other, other_ref) = pool[j].clone();
+                    pool[i].0.merge(&other);
+                    for (p, c) in other_ref.0 {
+                        pool[i].1.charge(p, c);
+                    }
+                }
+                3 => {
+                    let scale = |_: Phase, c: u64| c.saturating_mul(3) / 2;
+                    pool[i].0.map_cycles(scale);
+                    for (p, c) in &mut pool[i].1 .0 {
+                        *c = scale(*p, *c);
+                    }
+                }
+                _ => {
+                    let phase = Phase::ALL[pick(Phase::COUNT)];
+                    let cycles = match pick(64) {
+                        0 => u64::MAX - pick(3) as u64,
+                        1..=8 => 0,
+                        _ => pick(5_000) as u64,
+                    };
+                    pool[i].0.charge(phase, cycles);
+                    pool[i].1.charge(phase, cycles);
+                }
+            }
+            let (got, want) = &pool[i];
+            assert_eq!(got.spans(), &want.0[..], "order, zero spans, saturation");
+            assert_eq!(
+                (got.len(), got.is_empty()),
+                (want.0.len(), want.0.is_empty())
+            );
+            assert_eq!(got.total(), want.total());
+            for p in Phase::ALL {
+                assert_eq!(got.get(p), want.get(p), "{p:?}");
+            }
+            // `diff_into` is signed: it is only defined below i64::MAX.
+            if got.total().max(pool[j].0.total()) < 1 << 62 {
+                got.diff_into(&pool[j].0, &mut diff);
+                assert_eq!(diff, want.diff(&pool[j].1));
+            }
+            assert_eq!(*got == pool[j].0, *want == pool[j].1, "== is span equality");
+        }
+        // Equality sees the spans only: a cleared-and-recharged ledger
+        // (every phase once slotted) equals a fresh one.
+        let mut reused = CycleLedger::new();
+        for p in Phase::ALL {
+            reused.charge(p, 9);
+        }
+        reused.clear();
+        reused.charge(Phase::Xcall, 18);
+        let fresh = CycleLedger::new().with(Phase::Xcall, 18);
+        assert_eq!(reused, fresh);
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+        assert_eq!(reused.get(Phase::Trap), 0);
+    }
+
+    #[test]
+    fn arena_recharges_an_older_ledger_after_truncate() {
+        let mut arena = LedgerArena::new();
+        let mut want = ScanLedger::default();
+        let a = arena.begin();
+        for (p, c) in [(Phase::Trap, 100), (Phase::Transfer, 0), (Phase::Xcall, 18)] {
+            arena.charge(a, p, c);
+            want.charge(p, c);
+        }
+        let mark = arena.mark();
+        let b = arena.begin();
+        arena.charge(b, Phase::Xcall, 1);
+        arena.charge(b, Phase::Driver, 2);
+        arena.truncate(mark);
+        // `a` is the tail again: its spans accumulate where they were,
+        // not B's, and a new phase lands behind them.
+        let again = [
+            (Phase::Xcall, 5),
+            (Phase::Driver, 7),
+            (Phase::Trap, u64::MAX),
+            (Phase::Transfer, 3),
+        ];
+        for (p, c) in again {
+            arena.charge(a, p, c);
+            want.charge(p, c);
+        }
+        assert_eq!(arena.to_ledger(a).spans(), &want.0[..]);
+        assert_eq!(arena.total(a), u64::MAX, "saturating, like the ledger");
+        assert_eq!(arena.len(), 1);
+    }
+
+    #[test]
+    fn flat_totals_saturate_like_the_ledger() {
+        let mut t = PhaseTotals::new();
+        t.charge(Phase::Trap, u64::MAX);
+        t.charge(Phase::Trap, 1);
+        t.charge(Phase::Xcall, 18);
+        assert_eq!(t.get(Phase::Trap), u64::MAX);
+        assert_eq!(t.total(), u64::MAX);
+        let mut u = t.clone();
+        u.merge(&t);
+        assert_eq!(u.get(Phase::Trap), u64::MAX);
+        assert_eq!(u.get(Phase::Xcall), 36);
     }
 
     #[test]

@@ -628,6 +628,7 @@ mod tests {
         let mut arena = LedgerArena::new();
         let h = arena.begin();
         let mut sink = ReqSink {
+            run: None,
             totals: None,
             arena: Some((&mut arena, h)),
         };

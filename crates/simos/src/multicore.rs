@@ -554,10 +554,14 @@ impl MultiWorldBuilder {
             self.topo.cores_per_socket,
             self.topo.n_cores()
         );
+        let topo = &self.topo;
         MultiWorld {
             cores: (0..n).map(|_| World::new(mk())).collect(),
             free_at: vec![0; n],
             xc: self.xc,
+            dist: (0..n * n)
+                .map(|i| topo.core_distance(i / n, i % n))
+                .collect(),
             topo: self.topo,
             programs: Vec::new(),
         }
@@ -578,6 +582,10 @@ pub struct MultiWorld {
     free_at: Vec<u64>,
     xc: XCoreCost,
     topo: Topology,
+    /// `topo.core_distance(a, b)` at `a * n_cores + b`, tabulated at build
+    /// time (every priced leg reads one; `socket_of` divides). Owned here,
+    /// not by [`Topology`], whose `pub` fields could leave a table stale.
+    dist: Vec<u64>,
     programs: Vec<CallProgram>,
 }
 
@@ -619,6 +627,12 @@ impl MultiWorld {
     /// The world of core `i`, mutably.
     pub fn core_mut(&mut self, i: CoreId) -> &mut World {
         &mut self.cores[i]
+    }
+
+    /// Socket distance between two of the world's cores.
+    #[inline]
+    fn core_distance(&self, a: CoreId, b: CoreId) -> u64 {
+        self.dist[a * self.cores.len() + b]
     }
 
     /// Virtual time at which core `i` is next free.
@@ -686,7 +700,7 @@ impl MultiWorld {
     /// the distance-dependent slice of the surcharge (plus the x-entry
     /// shard fetch for migrating/sharded systems). Zero intra-socket.
     fn placement_penalty(&self, core: CoreId) -> u64 {
-        let dist = self.topo.core_distance(0, core);
+        let dist = self.core_distance(0, core);
         if dist == 0 {
             return 0;
         }
@@ -819,8 +833,7 @@ impl MultiWorld {
     /// `opts` with the x-entry shard distance of a `from → to` hop
     /// filled in (0 when both cores share a socket).
     fn shard_opts(&self, from: CoreId, to: CoreId, opts: &InvokeOpts) -> InvokeOpts {
-        opts.clone()
-            .at_shard_distance(self.topo.core_distance(from, to))
+        opts.clone().at_shard_distance(self.core_distance(from, to))
     }
 
     /// Charge the cross-core extra for `calls` deliveries over a
@@ -839,7 +852,7 @@ impl MultiWorld {
         if from == to || calls == 0 {
             return;
         }
-        let dist = self.topo.core_distance(from, to);
+        let dist = self.core_distance(from, to);
         let extra = if self.cores[to].migrating_threads() {
             let extra = calls.saturating_mul(self.xc.migrating_hop_extra(bytes, dist));
             if extra == 0 {
