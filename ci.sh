@@ -66,8 +66,9 @@ for workload in guest_alu guest_xcall closed_sweep open_serve figures_all; do
     --workload "$workload" --seed 1 --seconds 1 > target/ci-smoke.json
 done
 # A figures pass that pins more than a few MiB is writing ramdisk blocks
-# nobody asked for (a fill, an eager clone, a per-block constructor):
-# every world's 128 MiB image must stay lazily zeroed.
+# nobody asked for (a fill, a `BlockDev::clone` that copies past the
+# written prefix, a per-block constructor): every world's 128 MiB image,
+# forked ones included, must stay lazily zeroed.
 rss=$(tail -n 1 target/ci-smoke.json | sed -n 's/.*"peak_rss_mib": {"value": \([0-9]*\).*/\1/p')
 if [ -z "$rss" ] || [ "$rss" -ge 64 ]; then
   echo "ci: figures_all peak RSS is '${rss}' MiB (limit 64): untouched ramdisk blocks are being written" >&2

@@ -4,7 +4,7 @@
 
 use super::Report;
 use kernels::{Sel4, Sel4Transfer};
-use minidb::run_workload;
+use minidb::{load, run_loaded, run_workload};
 use simos::World;
 use ycsb::{Workload, WorkloadSpec};
 
@@ -17,10 +17,12 @@ fn spec(wl: Workload) -> WorkloadSpec {
 
 /// IPC fraction per workload (Figure 1a).
 pub fn ipc_fractions() -> Vec<(&'static str, f64)> {
+    let sel4 = || World::new(Box::new(Sel4::new(Sel4Transfer::TwoCopy)));
+    // One table load (§5.4), forked per mix; see `fig8::normalized`.
+    let loaded = load(&mut sel4(), &spec(Workload::A));
     // Six independent worlds through the pool.
     simos::par::map_cells(Workload::ALL.to_vec(), |_, wl, _| {
-        let mut w = World::new(Box::new(Sel4::new(Sel4Transfer::TwoCopy)));
-        let r = run_workload(&mut w, &spec(wl));
+        let r = run_loaded(&mut sel4(), loaded.clone(), &spec(wl));
         (wl.name(), r.ipc_fraction)
     })
 }

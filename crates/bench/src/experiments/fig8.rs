@@ -3,7 +3,7 @@
 
 use super::Report;
 use kernels::{Factory, Sel4, Sel4Transfer, XpcIpc, Zircon};
-use minidb::run_workload;
+use minidb::{load, run_loaded};
 use services::aes::AesServer;
 use services::filecache::FileCache;
 use services::http::{http_throughput_ops, HttpServer};
@@ -27,13 +27,18 @@ pub fn normalized() -> Vec<(&'static str, f64, f64, f64)> {
         || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
         || Box::new(XpcIpc::sel4_xpc()),
     ];
+    // §5.4 loads one 1 000-record table and runs the six mixes against
+    // it. The table does not depend on the mix or on who priced the load
+    // (`run_loaded` discards those charges), so load it once, here, and
+    // give each cell its own world and its own fork.
+    let loaded = load(&mut World::new(systems[0]()), &spec(Workload::A));
     // 30 independent (workload, system) worlds through the pool.
     let cells: Vec<(Workload, Factory)> = Workload::ALL
         .iter()
         .flat_map(|&wl| systems.map(|mk| (wl, mk)))
         .collect();
     let ops = simos::par::map_cells(cells, |_, (wl, mk), _| {
-        run_workload(&mut World::new(mk()), &spec(wl)).ops_per_sec
+        run_loaded(&mut World::new(mk()), loaded.clone(), &spec(wl)).ops_per_sec
     });
     Workload::ALL
         .iter()

@@ -9,8 +9,11 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 /// the read request well" but not perfectly (§5.4).
 pub const DEFAULT_CACHE_ROWS: usize = 512;
 
-/// The embedded table store. One instance owns its FS stack.
-#[derive(Debug)]
+/// The embedded table store. One instance owns its FS stack, so a clone
+/// is an independent database: index, row cache, counters and (through
+/// [`BlockDev`](services::blockdev::BlockDev)'s prefix-copy `Clone`) the
+/// device image. Writes to either side never reach the other.
+#[derive(Debug, Clone)]
 pub struct MiniDb {
     /// The file system server stack underneath (public for stats).
     pub fs: Xv6Fs,
@@ -123,7 +126,32 @@ impl MiniDb {
     }
 
     /// Insert (or overwrite) a row; journaled through the FS.
+    ///
+    /// A zero-length value is how the log encodes a tombstone, so an
+    /// empty `row` *is* a delete: it behaves as [`MiniDb::delete`] does,
+    /// here and after [`MiniDb::reopen`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is written, when `key` is longer than
+    /// `u16::MAX` bytes or `row` longer than `u32::MAX` bytes: the record
+    /// header cannot frame them, and a truncated length would make
+    /// `reopen` lose every later record.
     pub fn insert(&mut self, w: &mut World, key: &str, row: &[u8]) {
+        assert!(
+            u16::try_from(key.len()).is_ok(),
+            "key longer than {} bytes cannot be framed",
+            u16::MAX
+        );
+        assert!(
+            u32::try_from(row.len()).is_ok(),
+            "row longer than {} bytes cannot be framed",
+            u32::MAX
+        );
+        if row.is_empty() {
+            self.delete(w, key);
+            return;
+        }
         // Record framing: [klen u16][key][vlen u32][row].
         let mut rec = Vec::with_capacity(6 + key.len() + row.len());
         rec.extend_from_slice(&(key.len() as u16).to_le_bytes());
@@ -334,6 +362,41 @@ mod tests {
         let mut db2 = MiniDb::reopen(&mut w, dev);
         assert_eq!(db2.read(&mut w, "drop"), None, "tombstone replayed");
         assert_eq!(db2.read(&mut w, "keep").as_deref(), Some(b"k".as_ref()));
+    }
+
+    #[test]
+    fn over_long_key_is_rejected_before_anything_is_written() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut w = world();
+        let mut db = MiniDb::create(&mut w, 1 << 14);
+        let longest = "k".repeat(usize::from(u16::MAX));
+        db.insert(&mut w, &longest, b"fits");
+        let writes = db.fs.dev.writes;
+        let over = "k".repeat(70_000);
+        let panic = catch_unwind(AssertUnwindSafe(|| db.insert(&mut w, &over, b"v")))
+            .expect_err("a key the u16 header cannot frame");
+        let msg = panic.downcast_ref::<String>().expect("assert message");
+        assert!(msg.contains("key longer than 65535 bytes"), "{msg}");
+        assert_eq!(db.fs.dev.writes, writes, "rejected before any write");
+        db.insert(&mut w, "later", b"record");
+        let mut db2 = MiniDb::reopen(&mut w, db.fs.dev.clone());
+        assert_eq!(db2.len(), 2, "the log still parses end to end");
+        assert_eq!(db2.read(&mut w, &longest).as_deref(), Some(&b"fits"[..]));
+        assert_eq!(db2.read(&mut w, "later").as_deref(), Some(&b"record"[..]));
+    }
+
+    #[test]
+    fn empty_row_is_a_delete_on_both_sides_of_reopen() {
+        let mut w = world();
+        let mut db = MiniDb::create(&mut w, 1 << 14);
+        db.insert(&mut w, "e", b"full");
+        db.insert(&mut w, "e", b""); // the tombstone encoding
+        db.insert(&mut w, "never", b""); // nothing to delete: no record
+        assert_eq!(db.read(&mut w, "e"), None);
+        assert_eq!(db.len(), 0);
+        let mut db2 = MiniDb::reopen(&mut w, db.fs.dev.clone());
+        assert_eq!(db2.read(&mut w, "e"), None);
+        assert_eq!((db2.len(), db2.append_off), (0, db.append_off));
     }
 
     #[test]

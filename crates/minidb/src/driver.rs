@@ -1,6 +1,6 @@
-//! The YCSB-on-minidb driver: loads the table, replays an operation
-//! stream, and reports throughput plus the IPC accounting Figures 1 and
-//! 8 are built from.
+//! The YCSB-on-minidb driver: loads the table ([`load`]), replays an
+//! operation stream against it ([`run_loaded`]), and reports throughput
+//! plus the IPC accounting Figures 1 and 8 are built from.
 
 use crate::db::MiniDb;
 use simos::World;
@@ -35,16 +35,41 @@ pub struct YcsbResult {
     pub latency_p99: u64,
 }
 
-/// Load the table and run `spec` against a fresh database in `world`.
-/// Loading happens before measurement starts.
-pub fn run_workload(world: &mut World, spec: &WorkloadSpec) -> YcsbResult {
+/// Load `spec`'s table into a fresh database: `spec.records` journaled
+/// inserts of `spec.row_bytes` rows, charged to `world`.
+///
+/// The result depends on `spec.{records, fields, field_len, seed}` only —
+/// not on the workload mix, the op count or `world`'s IPC mechanism — so
+/// one load serves every run over that table: clone it per run (a
+/// [`MiniDb`] clone copies the written prefix of the ramdisk, not the
+/// image) and hand each clone to [`run_loaded`], as §5.4 loads one table
+/// and then runs the six mixes.
+pub fn load(world: &mut World, spec: &WorkloadSpec) -> MiniDb {
     let mut db = MiniDb::create(world, 1 << 15);
     let mut rng = Rng::seed_from_u64(spec.seed ^ 0x10ad);
     for n in 0..spec.records {
         let row = spec.row_bytes(&mut rng);
         db.insert(world, &spec.key(n), &row);
     }
-    // Reset accounting after the load phase.
+    db
+}
+
+/// Load the table and run `spec` against it in `world`:
+/// [`run_loaded`] on a fresh [`load`].
+pub fn run_workload(world: &mut World, spec: &WorkloadSpec) -> YcsbResult {
+    let db = load(world, spec);
+    run_loaded(world, db, spec)
+}
+
+/// Run `spec`'s operation stream against `db`, a table [`load`]ed for
+/// `spec` (by this `world` or any other), and report the run phase only:
+/// `world`'s accounting is reset first and cycles count from here, so
+/// whatever `world` was charged before — a load, or nothing — is not in
+/// the result. No roster mechanism prices from its history, which is why
+/// a fresh `World` over a forked load reports exactly what
+/// [`run_workload`] does (pinned by `forked_load_equals_fresh_load`).
+pub fn run_loaded(world: &mut World, mut db: MiniDb, spec: &WorkloadSpec) -> YcsbResult {
+    // Measurement starts here: drop whatever the load charged.
     world.stats = simos::WorldStats::default();
     let start = world.cycles;
 

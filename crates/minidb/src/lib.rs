@@ -17,5 +17,5 @@ pub mod db;
 pub mod driver;
 
 pub use db::MiniDb;
-pub use driver::{run_workload, YcsbResult};
+pub use driver::{load, run_loaded, run_workload, YcsbResult};
 pub use ycsb::rng;

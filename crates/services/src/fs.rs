@@ -145,7 +145,10 @@ fn stage_image(
 }
 
 /// The file system server. See the [module docs](self).
-#[derive(Debug)]
+///
+/// A clone is an independent server over a [`BlockDev::clone`] of the
+/// device: same files, same counters, nothing shared.
+#[derive(Debug, Clone)]
 pub struct Xv6Fs {
     /// The block device server behind this FS (public for inspection).
     pub dev: BlockDev,
@@ -549,7 +552,8 @@ impl Xv6Fs {
 
     fn read_inode(&mut self, w: &mut World, ino: u64, off: u64, len: u64) -> Vec<u8> {
         let size = self.inodes[ino as usize].size;
-        let end = (off + len).min(size);
+        // `len` is the caller's: "read to EOF" may pass `u64::MAX`.
+        let end = off.saturating_add(len).min(size);
         if off >= end {
             return Vec::new();
         }
@@ -572,7 +576,7 @@ impl Xv6Fs {
             spans.push(Span { blk, boff, take });
             pos += take as u64;
         }
-        let mut out = Vec::with_capacity(len as usize);
+        let mut out = Vec::with_capacity((end - off) as usize);
         let mut i = 0;
         while i < spans.len() {
             let s = &spans[i];
@@ -676,10 +680,16 @@ impl Xv6Fs {
 pub struct FsClient;
 
 impl FsClient {
-    /// Client read: VFS layer + request + data-carrying reply.
+    /// Client read: VFS layer + request + data-carrying reply. `len` may
+    /// run past the end of the file (`u64::MAX` reads to EOF): the reply
+    /// is priced for the bytes the file holds from `off`, exactly as the
+    /// read of that length is. A read that *starts* at or past EOF keeps
+    /// its asked-for reply length, capped at the file size.
     pub fn read(fs: &mut Xv6Fs, w: &mut World, ino: u64, off: u64, len: u64) -> Vec<u8> {
         w.compute(1500); // client VFS: fd table, offset bookkeeping
-        w.ipc_roundtrip(64, len);
+        let size = fs.size(ino);
+        let avail = if off < size { size - off } else { size };
+        w.ipc_roundtrip(64, len.min(avail));
         fs.read(w, ino, off, len)
     }
 
@@ -900,6 +910,34 @@ mod tests {
             write_ipcs,
             rd.stats.ipc_count
         );
+    }
+
+    #[test]
+    fn reads_clamp_to_eof_for_any_len() {
+        let mut setup = world();
+        let mut fs = Xv6Fs::mkfs(&mut setup, 4096);
+        let ino = fs.create(&mut setup, "f");
+        let data: Vec<u8> = (0..5_000u32).map(|i| (i % 251) as u8).collect();
+        fs.write(&mut setup, ino, 0, &data);
+        for off in [0u64, 10, 4_999] {
+            let charges = |w: &World| {
+                let s = &w.stats;
+                (w.cycles, s.ipc_count, s.payload_bytes, s.other_cycles)
+            };
+            let mut exact = world();
+            let want = FsClient::read(&mut fs, &mut exact, ino, off, 5_000 - off);
+            assert_eq!(want, &data[off as usize..]);
+            for len in [u64::MAX, u64::MAX - off, 5_001] {
+                let mut w = world();
+                assert_eq!(FsClient::read(&mut fs, &mut w, ino, off, len), want);
+                assert_eq!(charges(&w), charges(&exact), "off {off} len {len}");
+            }
+        }
+        // Starting at or past EOF returns nothing, for any `len`.
+        for off in [5_000, 1 << 30, u64::MAX] {
+            let got = FsClient::read(&mut fs, &mut world(), ino, off, u64::MAX);
+            assert!(got.is_empty(), "off {off}");
+        }
     }
 
     #[test]

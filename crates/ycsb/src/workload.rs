@@ -91,20 +91,26 @@ impl WorkloadSpec {
 
     /// A full row payload (fields concatenated, deterministic content).
     pub fn row_bytes(&self, rng: &mut Rng) -> Vec<u8> {
-        let mut row = Vec::with_capacity(self.fields * self.field_len);
-        for _ in 0..self.fields * self.field_len {
-            row.push(rng.byte());
-        }
-        row
+        random_bytes(rng, self.fields * self.field_len)
     }
 
     /// One field's worth of fresh bytes (update payload).
     pub fn field_bytes(&self, rng: &mut Rng) -> Vec<u8> {
-        (0..self.field_len).map(|_| rng.byte()).collect()
+        random_bytes(rng, self.field_len)
     }
 
     /// Generate the operation stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `records` is 0: the zipfian and latest generators have
+    /// no key to draw, and there is no "last inserted" record for
+    /// workloads D and E to count up from.
     pub fn generate(&self) -> Vec<Op> {
+        assert!(
+            self.records > 0,
+            "WorkloadSpec::generate: an empty table (records = 0) has no key to draw"
+        );
         let mut rng = Rng::seed_from_u64(self.seed);
         let zipf = ScrambledZipfian::new(self.records);
         let latest = LatestGen::new(self.records);
@@ -164,6 +170,11 @@ impl WorkloadSpec {
         }
         ops
     }
+}
+
+/// `n` bytes, one [`Rng::byte`] draw each, into one exact-size allocation.
+fn random_bytes(rng: &mut Rng, n: usize) -> Vec<u8> {
+    (0..n).map(|_| rng.byte()).collect()
 }
 
 #[cfg(test)]
@@ -229,6 +240,52 @@ mod tests {
         let a = WorkloadSpec::paper(Workload::A).generate();
         let b = WorkloadSpec::paper(Workload::A).generate();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "an empty table (records = 0) has no key to draw")]
+    fn empty_table_is_refused() {
+        let spec = WorkloadSpec {
+            records: 0,
+            ..WorkloadSpec::paper(Workload::D)
+        };
+        let _ = spec.generate();
+    }
+
+    #[test]
+    fn payload_bytes_are_one_draw_per_byte() {
+        // Captured before `row_bytes` stopped pushing byte by byte: the
+        // loaded table and every update payload hang off this stream.
+        let spec = WorkloadSpec {
+            fields: 3,
+            field_len: 5,
+            ..WorkloadSpec::paper(Workload::A)
+        };
+        let mut rng = Rng::seed_from_u64(0x5eed ^ 0x10ad);
+        let want: [(&[u8], &[u8]); 3] = [
+            (
+                &[
+                    96, 89, 90, 76, 132, 164, 82, 78, 250, 192, 77, 68, 99, 34, 146,
+                ],
+                &[111, 23, 244, 33, 185],
+            ),
+            (
+                &[
+                    221, 72, 210, 171, 216, 124, 124, 129, 2, 198, 138, 58, 103, 83, 204,
+                ],
+                &[206, 175, 245, 111, 150],
+            ),
+            (
+                &[
+                    177, 171, 116, 113, 115, 7, 205, 11, 208, 86, 240, 83, 248, 107, 40,
+                ],
+                &[151, 99, 152, 102, 23],
+            ),
+        ];
+        for (row, field) in want {
+            assert_eq!(spec.row_bytes(&mut rng), row);
+            assert_eq!(spec.field_bytes(&mut rng), field);
+        }
     }
 
     #[test]
