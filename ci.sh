@@ -98,6 +98,13 @@ XPC_BENCH_THREADS=4 cargo run --release -p xpc-bench --bin figures -- --json --n
   > /dev/null
 cmp target/ci-bench-figures-t1.json BENCH_figures.json \
   || { echo "ci: BENCH_figures.json differs across worker counts under --no-simspeed" >&2; exit 1; }
+# After `all`, each scenario grid's JSON section is handed the grid its
+# table computed; after `table1` every section computes its own. The
+# shipped binary must write the same document either way.
+cargo run --release -p xpc-bench --bin figures -- --threads 1 --json --no-simspeed table1 \
+  > /dev/null
+cmp target/ci-bench-figures-t1.json BENCH_figures.json \
+  || { echo "ci: BENCH_figures.json depends on which tables were printed before it (grid hand-off is visible)" >&2; exit 1; }
 
 echo "== figures (+ BENCH_figures.json phase dump) =="
 cargo run --release -p xpc-bench --bin figures -- --json all > /dev/null

@@ -2,7 +2,7 @@
 //! and TCP throughput (c) across the five systems.
 
 use super::Report;
-use kernels::{Sel4, Sel4Transfer, XpcIpc, Zircon};
+use kernels::{Factory, Sel4, Sel4Transfer, XpcIpc, Zircon};
 use services::fs::{FsClient, Xv6Fs};
 use services::net::tcp_throughput_mb_s;
 use simos::{IpcSystem, World};
@@ -13,14 +13,33 @@ pub const FS_BUFS: [u64; 4] = [2048, 4096, 8192, 16384];
 /// Buffer sizes of Figure 7(c) in bytes.
 pub const TCP_BUFS: [u64; 6] = [128, 256, 512, 1024, 2048, 4096];
 
-fn systems() -> Vec<Box<dyn IpcSystem>> {
-    vec![
-        Box::new(Zircon::new()),
-        Box::new(XpcIpc::zircon_xpc()),
-        Box::new(Sel4::new(Sel4Transfer::OneCopy)),
-        Box::new(Sel4::new(Sel4Transfer::TwoCopy)),
-        Box::new(XpcIpc::sel4_xpc()),
-    ]
+/// The five systems of Figure 7(a)/(b); (c) compares the first two.
+const SYSTEMS: [Factory; 5] = [
+    || Box::new(Zircon::new()),
+    || Box::new(XpcIpc::zircon_xpc()),
+    || Box::new(Sel4::new(Sel4Transfer::OneCopy)),
+    || Box::new(Sel4::new(Sel4Transfer::TwoCopy)),
+    || Box::new(XpcIpc::sel4_xpc()),
+];
+
+/// One curve per system over `bufs`: the independent (system, buffer)
+/// cells go through the sweep pool, each building its own mechanism and
+/// world, and are reduced in cell order.
+fn curves(
+    systems: &[Factory],
+    bufs: &[u64],
+    mb_s: impl Fn(Box<dyn IpcSystem>, u64) -> f64 + Sync,
+) -> Vec<(String, Vec<f64>)> {
+    let cells: Vec<(Factory, u64)> = systems
+        .iter()
+        .flat_map(|&mk| bufs.iter().map(move |&b| (mk, b)))
+        .collect();
+    let vals = simos::par::map_cells(cells, |_, (mk, b), _| mb_s(mk(), b));
+    systems
+        .iter()
+        .zip(vals.chunks_exact(bufs.len()))
+        .map(|(mk, v)| (mk().name(), v.to_vec()))
+        .collect()
 }
 
 /// FS throughput in MB/s for one system and buffer size.
@@ -48,24 +67,7 @@ pub fn fs_throughput(mech: Box<dyn IpcSystem>, buf: u64, write: bool) -> f64 {
 
 /// All Figure 7(a)/(b) curves: (system, buf -> MB/s).
 pub fn fs_curves(write: bool) -> Vec<(String, Vec<f64>)> {
-    systems()
-        .into_iter()
-        .map(|m| {
-            let name = m.name();
-            // Rebuild the mechanism per size (boxed mechanisms are stateless).
-            let vals = FS_BUFS
-                .iter()
-                .map(|&b| {
-                    let mech = systems()
-                        .into_iter()
-                        .find(|x| x.name() == name)
-                        .expect("system");
-                    fs_throughput(mech, b, write)
-                })
-                .collect();
-            (name, vals)
-        })
-        .collect()
+    curves(&SYSTEMS, &FS_BUFS, |mech, b| fs_throughput(mech, b, write))
 }
 
 fn fs_report(id: &'static str, caption: &'static str, write: bool) -> Report {
@@ -104,25 +106,9 @@ pub fn fig7ab() -> Report {
 
 /// TCP curves for Figure 7(c): (system, buf -> MB/s).
 pub fn tcp_curves() -> Vec<(String, Vec<f64>)> {
-    let mk: Vec<Box<dyn IpcSystem>> = vec![Box::new(Zircon::new()), Box::new(XpcIpc::zircon_xpc())];
-    mk.into_iter()
-        .map(|m| {
-            let name = m.name();
-            let vals = TCP_BUFS
-                .iter()
-                .map(|&b| {
-                    let mech: Box<dyn IpcSystem> = if name == "Zircon" {
-                        Box::new(Zircon::new())
-                    } else {
-                        Box::new(XpcIpc::zircon_xpc())
-                    };
-                    let mut w = World::new(mech);
-                    tcp_throughput_mb_s(&mut w, b as usize, 1 << 20)
-                })
-                .collect();
-            (name, vals)
-        })
-        .collect()
+    curves(&SYSTEMS[..2], &TCP_BUFS, |mech, b| {
+        tcp_throughput_mb_s(&mut World::new(mech), b as usize, 1 << 20)
+    })
 }
 
 /// Regenerate Figure 7(c).

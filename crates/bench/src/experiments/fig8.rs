@@ -78,46 +78,50 @@ pub fn fig8ab() -> Report {
     }
 }
 
+/// File sizes of Figure 8(c) in bytes.
+const HTTP_SIZES: [usize; 4] = [512, 1024, 2048, 4096];
+
 /// HTTP throughput in ops/s: (label, file size -> ops/s).
 pub fn http_curves() -> Vec<(String, Vec<f64>)> {
-    let sizes = [512usize, 1024, 2048, 4096];
-    let mut out = Vec::new();
-    for encrypt in [true, false] {
-        for xpc in [false, true] {
-            let label = format!(
-                "{}Zircon{}",
-                if encrypt { "encry-" } else { "" },
-                if xpc { "-XPC" } else { "" }
-            );
-            let vals = sizes
-                .iter()
-                .map(|&s| {
-                    let mech: Box<dyn IpcSystem> = if xpc {
-                        Box::new(XpcIpc::zircon_xpc())
-                    } else {
-                        Box::new(Zircon::new())
-                    };
-                    let mut w = World::new(mech);
-                    let mut cache = FileCache::new();
-                    cache.put("/index.html", vec![b'x'; s]);
-                    let aes = encrypt.then(|| AesServer::new(b"0123456789abcdef"));
-                    let mut srv = HttpServer::new(cache, aes);
-                    http_throughput_ops(&mut w, &mut srv, "/index.html", 50)
-                })
-                .collect();
-            out.push((label, vals));
-        }
-    }
-    out
+    let zircon: Factory = || Box::new(Zircon::new());
+    let zircon_xpc: Factory = || Box::new(XpcIpc::zircon_xpc());
+    // (encrypted, system) per curve, in column order.
+    let curves = [
+        (true, zircon),
+        (true, zircon_xpc),
+        (false, zircon),
+        (false, zircon_xpc),
+    ];
+    // 16 independent (encryption, system, size) worlds through the pool,
+    // reduced in cell order.
+    let cells: Vec<(bool, Factory, usize)> = curves
+        .iter()
+        .flat_map(|&(encrypt, mk)| HTTP_SIZES.map(|s| (encrypt, mk, s)))
+        .collect();
+    let ops = simos::par::map_cells(cells, |_, (encrypt, mk, s), _| {
+        let mut w = World::new(mk());
+        let mut cache = FileCache::new();
+        cache.put("/index.html", vec![b'x'; s]);
+        let aes = encrypt.then(|| AesServer::new(b"0123456789abcdef"));
+        let mut srv = HttpServer::new(cache, aes);
+        http_throughput_ops(&mut w, &mut srv, "/index.html", 50)
+    });
+    curves
+        .iter()
+        .zip(ops.chunks_exact(HTTP_SIZES.len()))
+        .map(|(&(encrypt, mk), v)| {
+            let label = format!("{}{}", if encrypt { "encry-" } else { "" }, mk().name());
+            (label, v.to_vec())
+        })
+        .collect()
 }
 
 /// Regenerate Figure 8(c).
 pub fn fig8c() -> Report {
     let curves = http_curves();
-    let sizes = [512usize, 1024, 2048, 4096];
     let mut headers = vec!["File size".to_string()];
     headers.extend(curves.iter().map(|(n, _)| n.clone()));
-    let rows = sizes
+    let rows = HTTP_SIZES
         .iter()
         .enumerate()
         .map(|(i, s)| {

@@ -1,7 +1,9 @@
 //! **Fuse** — fused multi-hop call programs (the AnyCall submit-once
 //! shape): the client issues *one* submission and the chain of services
 //! drives itself server-side, so the mechanism decides what a hop
-//! costs. Two views share the `"fuse"` section of `BENCH_figures.json`:
+//! costs. Two views share the table and the `"fuse"` section of
+//! `BENCH_figures.json` (a [`run`] hands what it computed to the
+//! [`json_section`] that follows it on the same thread):
 //!
 //! * **grid** — mechanism × chain depth {1..6} × handover on/off, each
 //!   cell one fused program on an idle world. The headline metric is
@@ -24,6 +26,7 @@
 use super::{serve, Report};
 use kernels::{paired_roster_factories, Factory};
 use simos::{CallProgram, MultiWorld, Placement, Recipe, ServePolicy, ServeReport, Step, Topology};
+use std::cell::RefCell;
 
 /// Chain depths the grid sweeps.
 pub const DEPTHS: [usize; 6] = [1, 2, 3, 4, 5, 6];
@@ -178,9 +181,30 @@ pub fn knee_results() -> Vec<FuseKneeCell> {
     })
 }
 
+/// What the table and the JSON section both read: the grid and the knee.
+type Parked = (Vec<FuseCell>, Vec<FuseKneeCell>);
+
+thread_local! {
+    /// The views [`run`] computed, parked for the [`json_section`] that
+    /// follows it; take-once and thread-local, see the hand-off note in
+    /// [`super`].
+    static PARKED: RefCell<Option<Parked>> = const { RefCell::new(None) };
+}
+
+fn compute() -> Parked {
+    (grid_results(), knee_results())
+}
+
 /// Regenerate the fuse table (the grid, with the knee appended).
 pub fn run() -> Report {
-    let mut rows: Vec<Vec<String>> = grid_results()
+    let views = compute();
+    let report = table(&views);
+    PARKED.set(Some(views));
+    report
+}
+
+fn table((grid, knee): &Parked) -> Report {
+    let mut rows: Vec<Vec<String>> = grid
         .iter()
         .map(|c| {
             vec![
@@ -193,7 +217,7 @@ pub fn run() -> Report {
             ]
         })
         .collect();
-    for c in knee_results() {
+    for c in knee {
         let r = &c.report;
         rows.push(vec![
             format!("{} rho={}.{}", r.system, c.rho_x10 / 10, c.rho_x10 % 10),
@@ -219,9 +243,11 @@ pub fn run() -> Report {
     }
 }
 
-/// The `"fuse"` section of `BENCH_figures.json`: grid + knee.
+/// The `"fuse"` section of `BENCH_figures.json`: grid + knee, taken
+/// from the [`run`] before it, else computed here.
 pub fn json_section() -> String {
-    let grid = grid_results()
+    let (grid, knee) = PARKED.take().unwrap_or_else(compute);
+    let grid = grid
         .iter()
         .map(|c| {
             format!(
@@ -232,7 +258,7 @@ pub fn json_section() -> String {
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    let knee = knee_results()
+    let knee = knee
         .iter()
         .map(|c| {
             let r = &c.report;
@@ -259,6 +285,15 @@ pub fn json_section() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_grid_is_handed_off_once() {
+        crate::experiments::assert_hand_off(
+            || PARKED.with_borrow(Option::is_some),
+            run,
+            json_section,
+        );
+    }
 
     fn cell<'a>(cells: &'a [FuseCell], sys: &str, depth: usize, handover: bool) -> &'a FuseCell {
         cells

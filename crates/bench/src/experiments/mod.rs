@@ -1,5 +1,30 @@
 //! One module per paper table/figure; each produces a [`Report`] that the
 //! `figures` binary prints and tests assert on.
+//!
+//! # The hand-off: a grid is computed once per pass and rendered twice
+//!
+//! `figures --json all` prints the `serve` / `fuse` / `numa` / `scale` /
+//! `pipeline` tables and then the same grids again as JSON sections, and
+//! Figure 1(b) reads the YCSB-E cell Figure 1(a) has just run. Each of
+//! those six modules keeps one private `thread_local!`
+//! `RefCell<Option<…>>` slot holding exactly what both renderers read:
+//! `run()` computes the grid, builds its table from a borrow and parks
+//! the grid; `json_section()` (`fig1b()`) takes the slot, or computes the
+//! grid itself when the slot is empty.
+//!
+//! * **Take-once**: a pass computes each grid once and nothing survives
+//!   into the next pass. (A process-lifetime memo would make every later
+//!   pass of a long-lived caller a cache hit that no `figures` process,
+//!   which runs each experiment once, ever sees.)
+//! * **Thread-local**, like `simos::par`'s worker-count override: test
+//!   threads pinned to different worker counts never hand each other a
+//!   grid, and there is no lock, poisoning or `Send` bound to reason
+//!   about.
+//! * **Invisible**: every grid is a pure function of compiled-in
+//!   constants and byte-identical at any worker count, so parked ≡
+//!   recomputed. A slot left full (a `run()` nobody followed with a
+//!   `json_section()`) holds only what the next `json_section()` on that
+//!   thread would have computed anyway.
 
 pub mod ablations;
 pub mod fig1;
@@ -143,6 +168,30 @@ fn edit_distance(a: &str, b: &str) -> usize {
         std::mem::swap(&mut prev, &mut cur);
     }
     prev[b.len()]
+}
+
+/// The hand-off contract, checked by each module that keeps a slot:
+/// `first` (`run` / `fig1a`) parks, `second` (`json_section` / `fig1b`
+/// rendered) takes, and cold ≡ handed-off ≡ the call after, at 1 and 4
+/// pool workers. Test threads each have their own slots, so every
+/// caller starts empty.
+#[cfg(test)]
+fn assert_hand_off(parked: fn() -> bool, first: fn() -> Report, second: impl Fn() -> String) {
+    let outputs = [1, 4].map(|workers| {
+        simos::par::with_threads(workers, || {
+            assert!(!parked(), "the slot starts empty");
+            let cold = second();
+            assert!(!parked(), "a cold second renderer parks nothing");
+            first();
+            assert!(parked(), "the first renderer parks what it computed");
+            let handed_off = second();
+            assert!(!parked(), "the second renderer takes it");
+            assert_eq!(handed_off, cold, "handed-off != cold at {workers} workers");
+            assert_eq!(second(), cold, "the call after a hand-off != cold");
+            cold
+        })
+    });
+    assert_eq!(outputs[0], outputs[1], "1 worker != 4 workers");
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! **Serve** — open-loop trace-driven serving: the tail-vs-load knee
 //! curve a closed loop structurally cannot show.
 //!
-//! Four views share the `"serve"` section of `BENCH_figures.json`:
+//! Four views share the `"serve"` section of `BENCH_figures.json`; the
+//! table shows the first two, and a [`run`] hands the grid it computed to
+//! the [`json_section`] that follows it on the same thread:
 //!
 //! * **knee** — mechanism × topology × offered load. Per (mechanism,
 //!   topology) the saturation throughput is measured by serving a
@@ -38,6 +40,7 @@ use simos::{
     ArrivalProcess, ArrivalTrace, Attribution, AutoscaleCfg, CellScratch, MultiWorld, OpenLoopGen,
     PhaseTotals, Placement, ServePolicy, ServeReport, ServeSpec, Step, TenantClass, Topology,
 };
+use std::cell::RefCell;
 
 /// Offered load grid, in tenths of the calibrated capacity
 /// (ρ × 10): from far below the knee to 1.5× past it.
@@ -438,10 +441,32 @@ fn fmt_rho(rho_x10: u64) -> String {
     format!("{}.{}", rho_x10 / 10, rho_x10 % 10)
 }
 
+/// What the table and the JSON section both read: the knee grid and the
+/// admission sweep.
+type Parked = (Vec<KneeCell>, Vec<AdmissionCell>);
+
+thread_local! {
+    /// The views [`run`] computed, parked for the [`json_section`] that
+    /// follows it; take-once and thread-local, see the hand-off note in
+    /// [`super`].
+    static PARKED: RefCell<Option<Parked>> = const { RefCell::new(None) };
+}
+
+fn compute() -> Parked {
+    (knee_results(), admission_results())
+}
+
 /// Regenerate the serve table (the knee grid, with the admission sweep
 /// appended; bursty and autoscale live in the JSON section).
 pub fn run() -> Report {
-    let mut rows: Vec<Vec<String>> = knee_results()
+    let grid = compute();
+    let report = table(&grid);
+    PARKED.set(Some(grid));
+    report
+}
+
+fn table((knee, admission): &Parked) -> Report {
+    let mut rows: Vec<Vec<String>> = knee
         .iter()
         .map(|c| {
             let r = &c.report;
@@ -459,7 +484,7 @@ pub fn run() -> Report {
             ]
         })
         .collect();
-    for c in admission_results() {
+    for c in admission {
         let r = &c.report;
         rows.push(vec![
             format!("{} cap={}", r.system, c.queue_cap),
@@ -539,12 +564,15 @@ fn report_core_json(r: &ServeReport) -> String {
     )
 }
 
-/// The `"serve"` section of `BENCH_figures.json`: knee + admission +
-/// bursty + autoscale. Fully deterministic (virtual time only — no
-/// wall-clock numbers, unlike `simspeed`).
+/// The `"serve"` section of `BENCH_figures.json`: knee + admission
+/// (taken from the [`run`] before it, else computed here) + bursty +
+/// autoscale (computed here; only the JSON shows them). Fully
+/// deterministic (virtual time only — no wall-clock numbers, unlike
+/// `simspeed`).
 pub fn json_section() -> String {
-    let knee = knee_json(&knee_results());
-    let admission = admission_results()
+    let (knee, admission) = PARKED.take().unwrap_or_else(compute);
+    let knee = knee_json(&knee);
+    let admission = admission
         .iter()
         .map(|c| {
             format!(
@@ -596,6 +624,15 @@ pub fn json_section() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_grid_is_handed_off_once() {
+        crate::experiments::assert_hand_off(
+            || PARKED.with_borrow(Option::is_some),
+            run,
+            json_section,
+        );
+    }
 
     #[test]
     fn knee_grid_covers_mechanisms_topologies_loads() {

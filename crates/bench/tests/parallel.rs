@@ -8,7 +8,10 @@
 //!
 //! `with_threads` pins the worker count via a *thread-local* override,
 //! so these tests cannot race each other under the parallel test
-//! harness.
+//! harness. The once-per-pass hand-off slots (`xpc_bench::experiments`)
+//! are thread-local for the same reason: where a closure below calls
+//! `run()` and then `json_section()`, the section renders the grid that
+//! `run()` computed at that worker count.
 
 use simos::par::with_threads;
 use xpc_bench::{experiments, sweep};
@@ -65,11 +68,68 @@ fn numa_grid_is_worker_count_invariant() {
 
 #[test]
 fn serve_grids_are_worker_count_invariant() {
-    // json_section runs all four serve views (knee, admission, bursty,
-    // autoscale) including their calibration phases; render re-runs the
-    // knee + admission views through the table path.
-    assert_worker_count_invariant("serve json", experiments::serve::json_section);
-    assert_worker_count_invariant("serve render", || experiments::serve::run().render());
+    // Cold, json_section computes all four serve views (knee, admission,
+    // bursty, autoscale) including their calibration phases; after a
+    // run() it computes bursty + autoscale and formats the knee +
+    // admission views run() parked.
+    assert_worker_count_invariant("serve json (cold)", experiments::serve::json_section);
+    assert_worker_count_invariant("serve render + json", || {
+        format!(
+            "{}\n{}",
+            experiments::serve::run().render(),
+            experiments::serve::json_section()
+        )
+    });
+}
+
+#[test]
+fn fuse_grids_are_worker_count_invariant() {
+    assert_worker_count_invariant("fuse json (cold)", experiments::fuse::json_section);
+    assert_worker_count_invariant("fuse render + json", || {
+        format!(
+            "{}\n{}",
+            experiments::fuse::run().render(),
+            experiments::fuse::json_section()
+        )
+    });
+}
+
+#[test]
+fn harden_rows_are_worker_count_invariant() {
+    assert_worker_count_invariant("harden", || {
+        format!(
+            "{}\n{}",
+            experiments::harden::run().render(),
+            experiments::harden::json_section()
+        )
+    });
+}
+
+#[test]
+fn service_curves_are_worker_count_invariant() {
+    // fs, tcp and http curves: one world per (system, size) cell.
+    assert_worker_count_invariant("fig7ab / fig7c / fig8c", || {
+        format!(
+            "{}\n{}\n{}",
+            experiments::fig7::fig7ab().render(),
+            experiments::fig7::fig7c().render(),
+            experiments::fig8::fig8c().render()
+        )
+    });
+}
+
+#[test]
+fn fig1b_is_worker_count_invariant_cold_and_handed_off() {
+    // Cold, fig1b runs YCSB-E itself (serially); after fig1a it prints
+    // the E cell a pool worker ran.
+    assert_worker_count_invariant("fig1b (cold)", || experiments::fig1::fig1b().render());
+    assert_worker_count_invariant("fig1a + fig1b", || {
+        format!(
+            "{}\n{}",
+            experiments::fig1::fig1a().render(),
+            experiments::fig1::fig1b().render()
+        )
+    });
 }
 
 #[test]
