@@ -44,7 +44,10 @@ echo "== tests (release: emulator, engine, kernel model, storage stack) =="
 # Overflow checks are off in release, so a guest-reachable arithmetic
 # overflow fails differently there (an out-of-bounds index instead of
 # "attempt to add with overflow"), and so does block-index arithmetic on
-# the ramdisk's flat image; release is the profile that ships.
+# the ramdisk's flat image; release is the profile that ships. The relay
+# window with `seg-pa` near the top of memory is the case where the two
+# profiles used to differ (a panic here, a silent wrap there): both must
+# now end as the same access fault.
 cargo test -q --release -p rv64 -p xpc-engine -p xpc -p services -p minidb
 
 echo "== benchmark package (frozen API surface, offline) =="

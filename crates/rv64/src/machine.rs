@@ -1,5 +1,13 @@
 //! The machine: one hart (core) plus an optional ISA extension, with the
 //! fetch/decode/execute loop and trap delivery.
+//!
+//! The page memo in front of [`Mmu::translate`] is a cache keyed by value
+//! on everything the TLB-hit path reads (`va >> 12`, raw `satp`, mode and
+//! `mstatus.{SUM, MXR}`, per [`Access`] kind) plus the private `Tlb::gen`.
+//! Nothing outside `tlb.rs` has to invalidate it: the engine and the kernel
+//! model write those `pub` fields directly and a changed value just fails
+//! the compare; TLB residency, the one input it cannot see by value, bumps
+//! the generation whenever it changes.
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
@@ -20,6 +28,18 @@ pub const MCAUSE_TIMER: u64 = (1 << 63) | 7;
 /// Slots of the decode memo: direct-mapped on the word's physical
 /// address, 24 KiB per [`Core`], allocated once.
 const MEMO_SLOTS: usize = 1024;
+
+/// One page-memo entry: the inputs of a TLB hit, by value, and its answer.
+#[derive(Debug, Clone, Copy)]
+struct PageMemo {
+    /// `(va >> 12, raw satp, mode | mstatus.{SUM, MXR}, Tlb::gen)`: all 52
+    /// bits of the page, so no non-canonical alias (or `u64::MAX`) matches.
+    key: (u64, u64, u64, u64),
+    /// TLB slot that hit.
+    slot: usize,
+    /// Physical address of the page.
+    pa_page: u64,
+}
 
 /// Why `run` stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +107,8 @@ pub struct Core {
     /// word itself and `decode` is pure, so a slot can never be stale —
     /// there is nothing to invalidate on stores, `fence.i` or `satp`.
     memo: Box<[(u32, Option<Inst>)]>,
+    /// Page memo, indexed by [`Access`] kind (see the module doc).
+    page_memo: [PageMemo; 3],
 }
 
 impl Core {
@@ -103,6 +125,11 @@ impl Core {
             instret: 0,
             reservation: None,
             memo: vec![(0, inst::decode(0)); MEMO_SLOTS].into(),
+            page_memo: [PageMemo {
+                key: (u64::MAX, 0, 0, 0),
+                slot: 0,
+                pa_page: 0,
+            }; 3],
         }
     }
 
@@ -118,27 +145,67 @@ impl Core {
         Satp::from_raw(self.cpu.csr.satp)
     }
 
-    /// Translate a data/fetch address, charging walk cycles.
+    /// What a page-memo entry for `va` must have been recorded under.
     #[inline]
+    fn memo_key(&self, va: u64) -> (u64, u64, u64, u64) {
+        let csr = &self.cpu.csr;
+        let ctx = self.cpu.mode.to_bits() | (csr.mstatus & (mstatus::SUM | mstatus::MXR));
+        (va >> 12, csr.satp, ctx, self.mmu.tlb.gen())
+    }
+
+    /// Translate a data/fetch address, charging walk cycles. Answers only
+    /// what [`Mmu::translate`] would have, in its order: bare mode is the
+    /// identity, a contiguous-window load or permitted store is the add,
+    /// and a page-memo hit replays the TLB hit it recorded.
+    ///
+    /// # Errors
+    ///
+    /// The page fault of [`Mmu::translate`].
+    #[inline(always)]
     pub fn translate(&mut self, va: u64, size: u64, access: Access) -> Result<u64, Trap> {
-        let satp = self.satp();
-        // Bare and no relay window: `Mmu::translate` would return `va` at
-        // zero cycles and touch no counter, so the call can be skipped.
-        if self.mmu.seg_window.is_none() && (self.cpu.mode == Mode::Machine || !satp.enabled) {
-            return Ok(va);
+        let satp = self.cpu.csr.satp;
+        let bare = self.cpu.mode == Mode::Machine || satp >> 60 != 8;
+        match &self.mmu.seg_window {
+            None if bare => return Ok(va),
+            Some(seg) if seg.contains(va, size) => {
+                let plain = access == Access::Load || (access == Access::Store && seg.writable);
+                if plain && !seg.paged {
+                    return Ok(seg.translate(va));
+                }
+                return self.translate_slow(va, size, access);
+            }
+            _ => {}
         }
+        let m = &self.page_memo[access as usize];
+        if m.key == self.memo_key(va) {
+            self.mmu.tlb.touch(m.slot);
+            return Ok(m.pa_page | (va & 0xfff));
+        }
+        self.translate_slow(va, size, access)
+    }
+
+    /// [`Mmu::translate`], recording a TLB hit in the page memo.
+    #[inline(never)]
+    fn translate_slow(&mut self, va: u64, size: u64, access: Access) -> Result<u64, Trap> {
         let t = self.mmu.translate(
             va,
             size,
             access,
             self.cpu.mode,
-            satp,
+            self.satp(),
             self.cpu.csr.sum(),
             self.cpu.csr.mxr(),
             &mut self.mem,
             &mut self.dcache,
             &self.cfg,
         )?;
+        if let Some(slot) = t.tlb_slot {
+            self.page_memo[access as usize] = PageMemo {
+                key: self.memo_key(va),
+                slot,
+                pa_page: t.pa & !0xfff,
+            };
+        }
         self.cycles += t.cycles;
         Ok(t.pa)
     }

@@ -5,6 +5,12 @@
 //! `seg-reg`) is checked *before* the page table, maps a contiguous virtual
 //! range to contiguous physical memory, and needs no TLB entries — hence no
 //! shootdown when its ownership moves between address spaces.
+//!
+//! [`Mmu::translate`] is the single source of truth and the only slow
+//! path. `Core::translate` puts a page memo in front of it — a cache
+//! keyed by value on everything the hit path reads, plus `Tlb::gen` —
+//! that can only answer what this function would have answered; a hit
+//! here reports its TLB slot so the memo can replay it (`Tlb::touch`).
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
@@ -69,15 +75,17 @@ impl SegWindow {
                 .is_some_and(|end| end <= self.len)
     }
 
-    /// Translate an address inside a *contiguous* window.
+    /// Translate an address inside a *contiguous* window. `pa_base` is
+    /// guest-writable, so the sum wraps and `Memory` faults the access.
     ///
     /// # Panics
     ///
     /// Debug-asserts the window is not paged (paged translation needs
     /// memory access and lives in [`Mmu::translate`]).
+    #[inline]
     pub fn translate(&self, va: u64) -> u64 {
         debug_assert!(!self.paged);
-        self.pa_base + (va - self.va_base)
+        self.pa_base.wrapping_add(va - self.va_base)
     }
 }
 
@@ -89,6 +97,18 @@ pub struct Translation {
     pub pa: u64,
     /// Extra cycles spent (TLB-miss walk; 0 on hit or bare mode).
     pub cycles: u64,
+    /// TLB slot that hit (`None` for the window, bare mode and a walk).
+    pub(crate) tlb_slot: Option<usize>,
+}
+
+impl Translation {
+    fn untimed(pa: u64) -> Self {
+        Translation {
+            pa,
+            cycles: 0,
+            tlb_slot: None,
+        }
+    }
 }
 
 /// MMU: seg window slot + TLB + Sv39 walker state/statistics.
@@ -152,6 +172,7 @@ impl Mmu {
     /// or permission-violating mapping, or a seg-window permission error as
     /// a store page fault.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn translate(
         &mut self,
         va: u64,
@@ -166,43 +187,15 @@ impl Mmu {
         cfg: &MachineConfig,
     ) -> Result<Translation, Trap> {
         // 1. Relay segment window: higher priority than the page table.
-        if let Some(seg) = self.seg_window {
+        if let Some(seg) = &self.seg_window {
             if seg.contains(va, size) {
-                if access == Access::Store && !seg.writable {
-                    return Err(Trap::new(Cause::StorePageFault, va));
-                }
-                if access == Access::Fetch {
-                    // The relay segment carries data, never code.
-                    return Err(Trap::new(Cause::InstPageFault, va));
-                }
-                if !seg.paged {
-                    return Ok(Translation {
-                        pa: seg.translate(va),
-                        cycles: 0,
-                    });
-                }
-                // Relay page table (§6.2): one extra walk level through
-                // the D-cache; the window never spans page boundaries
-                // mid-access because accesses are <= 8 B aligned.
-                let off = va - seg.va_base;
-                let slot_pa = seg.pa_base + (off >> 12) * 8;
-                let walk = dcache.access(slot_pa).cycles + cfg.ptw_level_cycles;
-                let ppn = mem
-                    .read(slot_pa, 8)
-                    .map_err(|_| Trap::new(access.page_fault(), va))?;
-                if ppn == 0 {
-                    return Err(Trap::new(access.page_fault(), va));
-                }
-                return Ok(Translation {
-                    pa: (ppn << 12) | (off & 0xfff),
-                    cycles: walk,
-                });
+                return Self::window(seg, va, access, mem, dcache, cfg);
             }
         }
 
         // 2. Bare translation.
         if mode == Mode::Machine || !satp.enabled {
-            return Ok(Translation { pa: va, cycles: 0 });
+            return Ok(Translation::untimed(va));
         }
 
         // Sv39 requires bits 63..39 to be sign-extension of bit 38.
@@ -214,18 +207,79 @@ impl Mmu {
         let vpn = (va >> 12) & ((1 << 27) - 1);
 
         // 3. TLB.
-        if let Some(e) = self.tlb.lookup(vpn, satp.asid) {
+        if let Some((slot, e)) = self.tlb.lookup_slot(vpn, satp.asid) {
             Self::check_perms(e.perms, access, mode, sum, mxr, va)?;
             let off_bits = 12 + 9 * e.level as u64;
             // e.ppn is superpage-aligned, so adding the in-superpage offset
             // is exact for 4K, 2M and 1G leaves alike.
-            let pa = (e.ppn << 12) + (va & ((1 << off_bits) - 1));
-            return Ok(Translation { pa, cycles: 0 });
+            return Ok(Translation {
+                pa: (e.ppn << 12) + (va & ((1 << off_bits) - 1)),
+                cycles: 0,
+                tlb_slot: Some(slot),
+            });
         }
 
         // 4. Page walk.
-        let mut cycles = 0;
-        let mut table_ppn = satp.root_ppn;
+        self.walk(va, access, mode, satp, sum, mxr, mem, dcache, cfg)
+    }
+
+    /// An access inside the relay window.
+    #[inline(never)]
+    fn window(
+        seg: &SegWindow,
+        va: u64,
+        access: Access,
+        mem: &Memory,
+        dcache: &mut Cache,
+        cfg: &MachineConfig,
+    ) -> Result<Translation, Trap> {
+        if access == Access::Store && !seg.writable {
+            return Err(Trap::new(Cause::StorePageFault, va));
+        }
+        if access == Access::Fetch {
+            // The relay segment carries data, never code.
+            return Err(Trap::new(Cause::InstPageFault, va));
+        }
+        if !seg.paged {
+            return Ok(Translation::untimed(seg.translate(va)));
+        }
+        // Relay page table (§6.2): one extra walk level through the
+        // D-cache; the window never spans page boundaries mid-access
+        // because accesses are <= 8 B aligned. The slot address wraps
+        // like the contiguous sum does.
+        let off = va - seg.va_base;
+        let slot_pa = seg.pa_base.wrapping_add((off >> 12) * 8);
+        let walk = dcache.access(slot_pa).cycles + cfg.ptw_level_cycles;
+        let ppn = mem
+            .read(slot_pa, 8)
+            .map_err(|_| Trap::new(access.page_fault(), va))?;
+        if ppn == 0 {
+            return Err(Trap::new(access.page_fault(), va));
+        }
+        Ok(Translation {
+            pa: (ppn << 12) | (off & 0xfff),
+            cycles: walk,
+            tlb_slot: None,
+        })
+    }
+
+    /// The Sv39 walk after a TLB miss, charged through the D-cache.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn walk(
+        &mut self,
+        va: u64,
+        access: Access,
+        mode: Mode,
+        satp: Satp,
+        sum: bool,
+        mxr: bool,
+        mem: &mut Memory,
+        dcache: &mut Cache,
+        cfg: &MachineConfig,
+    ) -> Result<Translation, Trap> {
+        let vpn = (va >> 12) & ((1 << 27) - 1);
+        let (mut cycles, mut table_ppn) = (0, satp.root_ppn);
         for level in (0..3u8).rev() {
             let idx = (vpn >> (9 * level as u64)) & 0x1ff;
             let pte_pa = (table_ppn << 12) + idx * 8;
@@ -270,6 +324,7 @@ impl Mmu {
             return Ok(Translation {
                 pa: (ppn << 12) + (va & ((1 << off_bits) - 1)),
                 cycles,
+                tlb_slot: None,
             });
         }
         unreachable!("walk loop always returns");
@@ -613,5 +668,58 @@ mod tests {
                 &cfg
             )
             .is_err());
+    }
+
+    #[test]
+    fn window_base_near_the_top_wraps_into_an_access_fault() {
+        // `seg-pa` is guest-writable: `pa_base + offset` used to overflow
+        // (a host panic in debug builds, a silent wrap in release).
+        let (mut mmu, mut mem, mut dc, cfg) = setup();
+        let satp = Satp::from_raw(0);
+        let mut window = SegWindow {
+            va_base: 0x5000_0000,
+            pa_base: u64::MAX - 7,
+            len: 2 * 4096,
+            writable: true,
+            paged: false,
+        };
+        mmu.seg_window = Some(window);
+        for (off, pa) in [(0, u64::MAX - 7), (8, 0), (4096, 4088)] {
+            let t = mmu
+                .translate(
+                    window.va_base + off,
+                    8,
+                    Access::Load,
+                    Mode::User,
+                    satp,
+                    false,
+                    false,
+                    &mut mem,
+                    &mut dc,
+                    &cfg,
+                )
+                .expect("a contiguous window translates without touching memory");
+            assert_eq!(t.pa, pa);
+            assert_eq!(mem.read(t.pa, 8).unwrap_err().cause, Cause::LoadAccessFault);
+        }
+        // Paged: the slot of window page 1 is at pa_base + 8 = 0, outside
+        // DRAM, so the relay walk itself faults.
+        window.paged = true;
+        mmu.seg_window = Some(window);
+        let e = mmu
+            .translate(
+                window.va_base + 4096,
+                8,
+                Access::Store,
+                Mode::User,
+                satp,
+                false,
+                false,
+                &mut mem,
+                &mut dc,
+                &cfg,
+            )
+            .unwrap_err();
+        assert_eq!(e.cause, Cause::StorePageFault);
     }
 }

@@ -5,6 +5,11 @@
 //! "+Tagged-TLB" optimization keeps entries alive across address-space
 //! switches by tagging them with the ASID; both behaviours live here behind
 //! [`Tlb::set_tagged`].
+//!
+//! Every change of *residency* — [`Tlb::fill`], [`Tlb::flush_all`],
+//! [`Tlb::flush_asid`], hence [`Tlb::set_tagged`] — bumps a generation; an
+//! LRU touch does not. While it stands still a lookup of the same (vpn,
+//! asid) finds the same slot, so `Core`'s page memo can `touch` it instead.
 
 /// Page-permission bits as stored in a PTE / TLB entry.
 pub mod pte {
@@ -50,6 +55,8 @@ pub struct Tlb {
     entries: Vec<TlbEntry>,
     tagged: bool,
     stamp: u64,
+    /// Residency generation (see the module doc).
+    gen: u64,
     /// Lookup hits.
     pub hits: u64,
     /// Lookup misses.
@@ -81,6 +88,7 @@ impl Tlb {
             ],
             tagged,
             stamp: 0,
+            gen: 0,
             hits: 0,
             misses: 0,
             flushes: 0,
@@ -104,59 +112,73 @@ impl Tlb {
         (vpn >> shift) == (e.vpn >> shift)
     }
 
+    #[inline]
+    fn matches(&self, e: &TlbEntry, vpn: u64, asid: u16) -> bool {
+        e.valid && Self::vpn_matches(e, vpn) && (!self.tagged || e.asid == asid)
+    }
+
     /// Look up `vpn` under `asid`; counts hit/miss statistics.
     #[inline]
     pub fn lookup(&mut self, vpn: u64, asid: u16) -> Option<TlbEntry> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let tagged = self.tagged;
-        let found = self
-            .entries
-            .iter_mut()
-            .find(|e| e.valid && Self::vpn_matches(e, vpn) && (!tagged || e.asid == asid));
-        match found {
-            Some(e) => {
-                e.lru = stamp;
-                self.hits += 1;
-                Some(*e)
-            }
+        self.lookup_slot(vpn, asid).map(|(_, e)| e)
+    }
+
+    /// [`Tlb::lookup`] that also reports which slot hit.
+    #[inline]
+    pub(crate) fn lookup_slot(&mut self, vpn: u64, asid: u16) -> Option<(usize, TlbEntry)> {
+        let slot = self.entries.iter().position(|e| self.matches(e, vpn, asid));
+        match slot {
+            Some(slot) => self.touch(slot),
             None => {
+                self.stamp += 1;
                 self.misses += 1;
-                None
             }
         }
+        slot.map(|slot| (slot, self.entries[slot]))
+    }
+
+    /// The residency generation: moves on every fill and flush.
+    #[inline]
+    pub(crate) fn gen(&self) -> u64 {
+        self.gen
+    }
+
+    /// Replay a hit on `slot`: exactly what a [`Tlb::lookup`] that finds
+    /// the entry there does to the LRU order and the counters.
+    #[inline]
+    pub(crate) fn touch(&mut self, slot: usize) {
+        self.stamp += 1;
+        self.entries[slot].lru = self.stamp;
+        self.hits += 1;
     }
 
     /// Insert a translation filled by the page walker. A refill of an
     /// already-resident (vpn, asid) updates that entry in place rather
-    /// than duplicating it (duplicates would make lookups ambiguous).
+    /// than duplicating it (duplicates would make lookups ambiguous);
+    /// otherwise the first invalid slot, else the first least-recently
+    /// used one, is replaced.
     pub fn fill(&mut self, vpn: u64, level: u8, asid: u16, ppn: u64, perms: u64) {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let tagged = self.tagged;
-        let victim = if let Some(existing) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.valid && Self::vpn_matches(e, vpn) && (!tagged || e.asid == asid))
-        {
-            existing
-        } else if let Some(lru) =
-            self.entries
-                .iter_mut()
-                .min_by_key(|e| if e.valid { e.lru } else { 0 })
-        {
-            lru
-        } else {
-            unreachable!("Tlb::new asserts entries >= 1");
-        };
-        *victim = TlbEntry {
+        self.gen += 1;
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for (slot, e) in self.entries.iter().enumerate() {
+            if self.matches(e, vpn, asid) {
+                victim = slot;
+                break;
+            }
+            let age = if e.valid { e.lru } else { 0 };
+            if age < oldest {
+                (victim, oldest) = (slot, age);
+            }
+        }
+        self.entries[victim] = TlbEntry {
             vpn,
             level,
             asid,
             ppn,
             perms,
             valid: true,
-            lru: stamp,
+            lru: self.stamp,
         };
     }
 
@@ -167,6 +189,7 @@ impl Tlb {
             e.valid = false;
         }
         self.flushes += 1;
+        self.gen += 1;
     }
 
     /// Flush entries for one ASID (tagged `sfence.vma` with ASID operand).
@@ -177,11 +200,42 @@ impl Tlb {
             }
         }
         self.flushes += 1;
+        self.gen += 1;
     }
 
     /// Count of currently valid entries.
     pub fn valid_entries(&self) -> usize {
         self.entries.iter().filter(|e| e.valid).count()
+    }
+}
+
+#[cfg(test)]
+impl Tlb {
+    /// [`Tlb::fill`] as it was before it became one pass: a scan for a
+    /// resident match, then a `min_by_key` scan for the victim.
+    fn fill_two_scans(&mut self, vpn: u64, level: u8, asid: u16, ppn: u64, perms: u64) {
+        self.stamp += 1;
+        self.gen += 1;
+        let resident = (0..self.entries.len()).find(|&i| self.matches(&self.entries[i], vpn, asid));
+        let victim = resident.or_else(|| {
+            (0..self.entries.len()).min_by_key(|&i| {
+                let e = &self.entries[i];
+                if e.valid {
+                    e.lru
+                } else {
+                    0
+                }
+            })
+        });
+        self.entries[victim.expect("Tlb::new asserts entries >= 1")] = TlbEntry {
+            vpn,
+            level,
+            asid,
+            ppn,
+            perms,
+            valid: true,
+            lru: self.stamp,
+        };
     }
 }
 
@@ -249,5 +303,100 @@ mod tests {
         t.fill(0x3, 0, 0, 0x3, pte::V); // evicts vpn 0x2
         assert!(t.lookup(0x1, 0).is_some());
         assert!(t.lookup(0x2, 0).is_none());
+    }
+
+    /// Slot holding `vpn`, without touching LRU order or counters.
+    fn slot_of(t: &Tlb, vpn: u64) -> usize {
+        (0..t.entries.len())
+            .find(|&i| t.matches(&t.entries[i], vpn, 0))
+            .expect("resident")
+    }
+
+    #[test]
+    fn touch_is_a_repeated_lookup() {
+        // Same counters, same LRU order, hence the same next victim.
+        for refreshed in [0x1, 0x2] {
+            let mut looked = Tlb::new(2, false);
+            looked.fill(0x1, 0, 0, 0x1, pte::V);
+            looked.fill(0x2, 0, 0, 0x2, pte::V);
+            let mut touched = looked.clone();
+            looked.lookup(refreshed, 0).expect("resident");
+            touched.touch(slot_of(&touched, refreshed));
+            assert_eq!(format!("{touched:?}"), format!("{looked:?}"));
+            for t in [&mut looked, &mut touched] {
+                t.fill(0x3, 0, 0, 0x3, pte::V);
+                assert!(t.lookup(refreshed, 0).is_some(), "the other one went");
+                assert!(t.lookup(refreshed ^ 0x3, 0).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn gen_moves_with_residency_and_only_with_it() {
+        let mut t = Tlb::new(4, true);
+        let mut last = t.gen();
+        let mut moved = |t: &Tlb| {
+            let moved = t.gen() != last;
+            last = t.gen();
+            moved
+        };
+        t.fill(0x10, 0, 1, 0x1, pte::V);
+        assert!(moved(&t), "fill");
+        t.fill(0x10, 0, 1, 0x2, pte::V);
+        assert!(moved(&t), "refill in place");
+        t.lookup(0x10, 1);
+        t.lookup(0x11, 1);
+        t.touch(0);
+        assert!(!moved(&t), "hit, miss, touch");
+        t.flush_asid(2);
+        assert!(moved(&t), "flush_asid, even of nothing");
+        t.flush_all();
+        assert!(moved(&t), "flush_all");
+        t.set_tagged(false);
+        assert!(moved(&t), "set_tagged");
+    }
+
+    #[test]
+    fn one_pass_fill_picks_the_two_scan_victim() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        };
+        for (entries, tagged) in [(1, false), (2, false), (3, true), (4, true), (32, false)] {
+            let mut one = Tlb::new(entries, tagged);
+            let mut two = one.clone();
+            for step in 0..4_000 {
+                // Few pages and two leaf levels, so refills in place,
+                // superpage overlaps and evictions all happen.
+                let (vpn, asid) = (next(12) << (9 * next(2)), next(3) as u16);
+                match next(16) {
+                    0 => {
+                        one.flush_all();
+                        two.flush_all();
+                    }
+                    1 => {
+                        one.flush_asid(asid);
+                        two.flush_asid(asid);
+                    }
+                    2..=8 => {
+                        let hit = one.lookup(vpn, asid).map(|e| e.ppn);
+                        assert_eq!(hit, two.lookup(vpn, asid).map(|e| e.ppn));
+                    }
+                    _ => {
+                        let (level, ppn) = (next(2) as u8, next(1 << 20));
+                        one.fill(vpn, level, asid, ppn, pte::V | pte::R);
+                        two.fill_two_scans(vpn, level, asid, ppn, pte::V | pte::R);
+                    }
+                }
+                assert_eq!(
+                    format!("{one:?}"),
+                    format!("{two:?}"),
+                    "{entries} entries, tagged {tagged}, step {step}"
+                );
+            }
+        }
     }
 }

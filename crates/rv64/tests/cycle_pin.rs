@@ -1,12 +1,16 @@
-//! Cycle-exact pin of three guest kernels on both platform presets.
+//! Cycle-exact pin of four guest kernels on both platform presets.
 //!
 //! A change meant only to speed up the interpreter must leave every
-//! simulated statistic identical. The literals below were captured on
-//! the commit *before* the fetch → decode → execute fast path landed;
-//! they move only when the timing model itself is changed on purpose.
+//! simulated statistic identical. The literals of the first three
+//! kernels were captured on the commit *before* the fetch → decode →
+//! execute fast path landed, those of the address-space switch kernel on
+//! the commit before the translation fast path (the page memo in front
+//! of `Mmu::translate`); they move only when the timing model itself is
+//! changed on purpose.
 
 use rv64::csr::addr as csr;
 use rv64::mem::DRAM_BASE;
+use rv64::mmu::SegWindow;
 use rv64::tlb::pte;
 use rv64::{reg, Assembler, Exit, Machine, MachineConfig};
 
@@ -22,7 +26,7 @@ struct Pin {
     walks: u64,
 }
 
-fn run_to_break(mut m: Machine) -> Pin {
+fn run_to_break(m: &mut Machine) -> Pin {
     let r = m.run(10_000_000).expect("no sim error");
     assert_eq!(r.exit, Exit::Break, "kernel ends at its ebreak");
     let c = &m.core;
@@ -65,7 +69,7 @@ fn alu(cfg: MachineConfig) -> Pin {
     a.ebreak();
     let mut m = Machine::new(cfg);
     m.load_program(&a.assemble());
-    run_to_break(m)
+    run_to_break(&mut m)
 }
 
 /// Two passes of one `ld` per 64 B line over 1 MiB: every load a miss.
@@ -87,7 +91,7 @@ fn sweep(cfg: MachineConfig) -> Pin {
     a.ebreak();
     let mut m = Machine::new(cfg);
     m.load_program(&a.assemble());
-    run_to_break(m)
+    run_to_break(&mut m)
 }
 
 /// A U-mode loop under Sv39 over two data pages. Its first `ecall` has
@@ -170,7 +174,134 @@ fn sv39(cfg: MachineConfig) -> Pin {
     ] {
         mem.write(slot, 8, entry).expect("page table in DRAM");
     }
-    run_to_break(m)
+    run_to_break(&mut m)
+}
+
+/// The `guest_xcall` shape without the engine: two address spaces with
+/// code and a private data page at the same virtual addresses, and a
+/// contiguous relay window both can reach. Space A fills 64 words of the
+/// window and `ecall`s; the M-mode handler writes the other `satp` (a
+/// flush on an untagged TLB) and resumes space B, which sums the window
+/// and `ecall`s back. 400 switches.
+fn switch(cfg: MachineConfig) -> Pin {
+    const HANDLER: u64 = DRAM_BASE + 0x1000;
+    const TABLES: u64 = DRAM_BASE + 0x10_0000;
+    const CODE_PA: [u64; 2] = [DRAM_BASE + 0x1_0000, DRAM_BASE + 0x2_0000];
+    const DATA_PA: [u64; 2] = [DRAM_BASE + 0x20_0000, DRAM_BASE + 0x20_1000];
+    const WINDOW_PA: u64 = DRAM_BASE + 0x30_0000;
+    const CODE_VA: u64 = 0x1_0000;
+    const DATA_VA: u64 = 0x4000_0000;
+    const WINDOW_VA: u64 = 0x5000_0000;
+    const FILL_BYTES: u64 = 64 * 8;
+    const LCG_A: u64 = 6_364_136_223_846_793_005;
+    let satp = |space: u64| (8 << 60) | ((space + 1) << 44) | ((TABLES + space * 0x5000) >> 12);
+
+    let mut boot = Assembler::new(DRAM_BASE);
+    boot.li(reg::T0, HANDLER as i64);
+    boot.csrw(csr::MTVEC, reg::T0);
+    boot.li(reg::T0, satp(0) as i64);
+    boot.csrw(csr::SATP, reg::T0);
+    boot.li(reg::S4, 400);
+    boot.li(reg::S5, (satp(0) ^ satp(1)) as i64);
+    boot.li(reg::S6, CODE_VA as i64); // where the other space resumes
+    boot.li(reg::T0, CODE_VA as i64);
+    boot.csrw(csr::MEPC, reg::T0);
+    boot.mret(); // MPP is User after reset
+
+    let mut h = Assembler::new(HANDLER);
+    h.addi(reg::S4, reg::S4, -1);
+    h.beq(reg::S4, reg::ZERO, "done");
+    h.csrr(reg::T0, csr::SATP);
+    h.xor(reg::T0, reg::T0, reg::S5);
+    h.csrw(csr::SATP, reg::T0);
+    h.csrr(reg::T0, csr::MEPC);
+    h.addi(reg::T0, reg::T0, 4);
+    h.csrw(csr::MEPC, reg::S6);
+    h.mv(reg::S6, reg::T0);
+    h.mret();
+    h.label("done");
+    h.ebreak();
+
+    // Space A: fill the window from an LCG, count the round in its page.
+    let mut fill = Assembler::new(CODE_VA);
+    fill.li(reg::S0, WINDOW_VA as i64);
+    fill.li(reg::S1, DATA_VA as i64);
+    fill.li(reg::S2, LCG_A as i64);
+    fill.li(reg::A0, 12345);
+    fill.label("round");
+    fill.mv(reg::T1, reg::S0);
+    fill.addi(reg::T2, reg::S0, FILL_BYTES as i64);
+    fill.label("word");
+    fill.mul(reg::A0, reg::A0, reg::S2);
+    fill.addi(reg::A0, reg::A0, 1);
+    fill.sd(reg::A0, reg::T1, 0);
+    fill.addi(reg::T1, reg::T1, 8);
+    fill.bltu(reg::T1, reg::T2, "word");
+    fill.ld(reg::T3, reg::S1, 0);
+    fill.addi(reg::T3, reg::T3, 1);
+    fill.sd(reg::T3, reg::S1, 0);
+    fill.ecall();
+    fill.j("round");
+
+    // Space B: sum the window into its page.
+    let mut sum = Assembler::new(CODE_VA);
+    sum.li(reg::S7, WINDOW_VA as i64);
+    sum.li(reg::S8, DATA_VA as i64);
+    sum.label("round");
+    sum.mv(reg::T4, reg::S7);
+    sum.addi(reg::T5, reg::S7, FILL_BYTES as i64);
+    sum.ld(reg::A1, reg::S8, 8);
+    sum.label("word");
+    sum.ld(reg::T6, reg::T4, 0);
+    sum.add(reg::A1, reg::A1, reg::T6);
+    sum.addi(reg::T4, reg::T4, 8);
+    sum.bltu(reg::T4, reg::T5, "word");
+    sum.sd(reg::A1, reg::S8, 8);
+    sum.ecall();
+    sum.j("round");
+
+    let mut m = Machine::new(cfg);
+    m.load_program(&boot.assemble());
+    m.load_program_at(HANDLER, &h.assemble());
+    m.load_program_at(CODE_PA[0], &fill.assemble());
+    m.load_program_at(CODE_PA[1], &sum.assemble());
+    m.core.mmu.seg_window = Some(SegWindow {
+        va_base: WINDOW_VA,
+        pa_base: WINDOW_PA,
+        len: 4096,
+        writable: true,
+        paged: false,
+    });
+    // Per space: root[0] -> l1a[0] -> l0a[0x10] = code; root[1] -> l1b[0] -> l0b[0] = data.
+    let table = |pa: u64| ((pa >> 12) << 10) | pte::V;
+    let leaf = |pa: u64, perms: u64| table(pa) | perms | pte::U;
+    for space in 0..2 {
+        let root = TABLES + space as u64 * 0x5000;
+        let (l1a, l0a, l1b, l0b) = (root + 0x1000, root + 0x2000, root + 0x3000, root + 0x4000);
+        for (slot, entry) in [
+            (root, table(l1a)),
+            (root + 8, table(l1b)),
+            (l1a, table(l0a)),
+            (l1b, table(l0b)),
+            (l0a + 0x10 * 8, leaf(CODE_PA[space], pte::R | pte::X)),
+            (l0b, leaf(DATA_PA[space], pte::R | pte::W)),
+        ] {
+            m.core
+                .mem
+                .write(slot, 8, entry)
+                .expect("page table in DRAM");
+        }
+    }
+    let pin = run_to_break(&mut m);
+    // What the guest computed: 200 rounds on either side.
+    let word = |pa: u64| m.core.mem.read(pa, 8).expect("in DRAM");
+    let (mut x, mut sum) = (12345u64, 0u64);
+    for _ in 0..200 * FILL_BYTES / 8 {
+        x = x.wrapping_mul(LCG_A).wrapping_add(1);
+        sum = sum.wrapping_add(x);
+    }
+    assert_eq!((word(DATA_PA[0]), word(DATA_PA[1] + 8)), (200, sum));
+    pin
 }
 
 /// Shorthand for the literals below.
@@ -241,6 +372,32 @@ fn sv39_loop_with_satp_rewrite_is_cycle_exact() {
             (19_888, 133),
             (90_015, 6, 2),
             6
+        )
+    );
+}
+
+#[test]
+fn address_space_switches_over_a_relay_window_are_cycle_exact() {
+    assert_eq!(
+        switch(MachineConfig::rocket_u500()),
+        pin(
+            226_355,
+            121_839,
+            (121_834, 6),
+            (26_594, 2_210),
+            (117_815, 800, 400),
+            800
+        )
+    );
+    assert_eq!(
+        switch(MachineConfig::rocket_u500_tagged()),
+        pin(
+            177_619,
+            121_839,
+            (121_834, 6),
+            (26_394, 22),
+            (118_611, 4, 0),
+            4
         )
     );
 }

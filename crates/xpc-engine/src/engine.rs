@@ -893,6 +893,53 @@ mod tests {
     }
 
     #[test]
+    fn seg_pa_near_the_top_of_memory_ends_as_an_access_fault() {
+        // S-mode may write any `seg-pa`; `pa_base + offset` used to
+        // overflow on the host (a panic in debug builds).
+        use rv64::csr::{addr, mstatus};
+        const HANDLER: u64 = DRAM_BASE + 0x8000;
+        const KERNEL: u64 = DRAM_BASE + 0x4000;
+        const USER: u64 = DRAM_BASE + 0x5000;
+        const SEG_VA: u64 = 0x4000_0000;
+        let mut m = fixture(XpcEngineConfig::paper_default());
+        let mut h = Assembler::new(HANDLER);
+        h.csrr(rv64::reg::A0, addr::MCAUSE);
+        h.csrr(rv64::reg::A2, addr::MTVAL);
+        h.ebreak();
+        m.load_program_at(HANDLER, &h.assemble());
+        let mut k = Assembler::new(KERNEL);
+        for (csr, value) in [
+            (csr::XPC_SEG_VA, SEG_VA),
+            (csr::XPC_SEG_PA, u64::MAX - 7),
+            (csr::XPC_SEG_LEN_PERM, 4096),
+            (addr::SEPC, USER),
+        ] {
+            k.li(rv64::reg::T1, value as i64);
+            k.csrw(csr, rv64::reg::T1);
+        }
+        k.sret(); // SPP is User after reset
+        m.load_program_at(KERNEL, &k.assemble());
+        let mut u = Assembler::new(USER);
+        u.li(rv64::reg::T1, SEG_VA as i64);
+        u.ld(rv64::reg::A1, rv64::reg::T1, 0);
+        u.ebreak();
+        m.load_program_at(USER, &u.assemble());
+        let exit = run_caller(&mut m, |a| {
+            for (csr, value) in [(addr::MTVEC, HANDLER), (addr::MEPC, KERNEL)] {
+                a.li(rv64::reg::T1, value as i64);
+                a.csrw(csr, rv64::reg::T1);
+            }
+            a.li(rv64::reg::T1, (1 << mstatus::MPP_SHIFT) as i64); // MPP = S
+            a.csrrs(rv64::reg::ZERO, addr::MSTATUS, rv64::reg::T1);
+            a.mret();
+        });
+        assert_eq!(exit, Exit::Break);
+        assert_eq!(m.core.cpu.pc, HANDLER + 8, "stopped in the handler");
+        assert_eq!(m.core.cpu.x(rv64::reg::A0), Cause::LoadAccessFault.code());
+        assert_eq!(m.core.cpu.x(rv64::reg::A2), u64::MAX - 7, "the wrapped PA");
+    }
+
+    #[test]
     fn user_mode_cannot_write_seg_reg() {
         // Core blocks 0x5xx addresses for U-mode; the engine must itself
         // block user writes to the kernel-owned 0x8xx registers while

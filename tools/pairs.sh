@@ -2,27 +2,35 @@
 # Alternating parent/change benchmark pairs — the protocol PRs 14-16
 # measured with, and the table a perf PR's description must contain.
 #
-#   tools/pairs.sh <parent-checkout> <change-checkout> [pairs=10] [first-seed=501]
+#   tools/pairs.sh <parent-checkout> <change-checkout> [pairs=10] [first-seed=501] [workload...]
 #
 # Builds `benchmark/` offline in both checkouts, then runs every workload
 # `pairs` times per side at the benchmark's own run length (10 s): pair i
 # uses seed first-seed + i on both sides, parent first when i is even,
-# change first when i is odd. Every run is printed as it finishes; the
+# change first when i is odd. Workloads named after the two numbers
+# restrict the run to those (a change to `rv64` alone can get its ten
+# pairs of guest_alu and guest_xcall without 20 minutes of untouched
+# workloads); the output format is the same. Every run is printed as it finishes; the
 # summary gives, per (workload, metric), each side's median and quartiles
 # (the method of `xpc-benchmark compare`), the pairs the change won (ties
 # count for neither side) and the ratio of medians with its base.
 # Exits 1 when any run failed an output check.
 #
-# POSIX sh + sort + awk; about pairs x 5 workloads x 2 sides x 12 s.
+# POSIX sh + sort + awk; about pairs x workloads x 2 sides x 12 s.
 set -eu
 
-usage="usage: tools/pairs.sh <parent-checkout> <change-checkout> [pairs=10] [first-seed=501]"
-[ $# -ge 2 ] && [ $# -le 4 ] || { echo "$usage" >&2; exit 2; }
+all="guest_alu guest_xcall closed_sweep open_serve figures_all"
+usage="usage: tools/pairs.sh <parent-checkout> <change-checkout> [pairs=10] [first-seed=501] [workload...]"
+[ $# -ge 2 ] || { echo "$usage" >&2; exit 2; }
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 pairs=${3:-10}
 seed0=${4:-501}
 case "$pairs$seed0" in *[!0-9]*) echo "$usage" >&2; exit 2 ;; esac
+if [ $# -gt 4 ]; then shift 4; workloads=$*; else workloads=$all; fi
+for workload in $workloads; do
+    case " $all " in *" $workload "*) ;; *) echo "unknown workload '$workload' (one of: $all)" >&2; exit 2 ;; esac
+done
 [ "$pairs" -ge 2 ] || { echo "quartiles need at least 2 pairs" >&2; exit 2; }
 [ "$parent" != "$change" ] || { echo "parent and change are the same checkout" >&2; exit 2; }
 
@@ -61,7 +69,7 @@ run() {
 }
 
 w=0
-for workload in guest_alu guest_xcall closed_sweep open_serve figures_all; do
+for workload in $workloads; do
     w=$((w + 1))
     i=0
     while [ "$i" -lt "$pairs" ]; do
