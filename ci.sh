@@ -44,7 +44,7 @@ echo "== tests (release: emulator, engine, kernel model, storage stack) =="
 # Overflow checks are off in release, so a guest-reachable arithmetic
 # overflow fails differently there (an out-of-bounds index instead of
 # "attempt to add with overflow"), and so does block-index arithmetic on
-# the ramdisk's flat image; release is the profile that ships. The relay
+# the ramdisk's block table; release is the profile that ships. The relay
 # window with `seg-pa` near the top of memory is the case where the two
 # profiles used to differ (a panic here, a silent wrap there): both must
 # now end as the same access fault.
@@ -68,13 +68,13 @@ for workload in guest_alu guest_xcall closed_sweep open_serve figures_all; do
   cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 > target/ci-smoke.json
 done
-# A figures pass that pins more than a few MiB is writing ramdisk blocks
-# nobody asked for (a fill, a `BlockDev::clone` that copies past the
-# written prefix, a per-block constructor): every world's 128 MiB image,
-# forked ones included, must stay lazily zeroed.
+# A figures pass that pins more than a few MiB is holding ramdisk blocks
+# nobody wrote (a fill, a per-block constructor, a fork that copies the
+# blocks it shares): the sparse table behind every world's 128 MiB
+# device, forked ones included, stores written blocks only, once.
 rss=$(tail -n 1 target/ci-smoke.json | sed -n 's/.*"peak_rss_mib": {"value": \([0-9]*\).*/\1/p')
-if [ -z "$rss" ] || [ "$rss" -ge 64 ]; then
-  echo "ci: figures_all peak RSS is '${rss}' MiB (limit 64): untouched ramdisk blocks are being written" >&2
+if [ -z "$rss" ] || [ "$rss" -ge 32 ]; then
+  echo "ci: figures_all peak RSS is '${rss}' MiB (limit 32): unwritten or shared ramdisk blocks are being stored" >&2
   exit 1
 fi
 
@@ -187,11 +187,7 @@ if sed -n '/pub struct MachineConfig/,/^}/p' crates/rv64/src/config.rs | grep -n
   exit 1
 fi
 
-echo "== storage hot path gate (one ramdisk image, one inode serialiser, no knob) =="
-if grep -nF 'vec![vec![' crates/services/src/blockdev.rs; then
-  echo "ci: the ramdisk is a vector of per-block vectors again; it is one lazily-zeroed image" >&2
-  exit 1
-fi
+echo "== storage hot path gate (one block store, one inode serialiser, no knob) =="
 if [ "$(grep -cE 'Inode::to_bytes|\.to_bytes\(\)' crates/services/src/fs.rs)" -gt 1 ]; then
   echo "ci: fs.rs serialises inodes in more than one place; flush_inodes_staged refreshes the image" >&2
   exit 1

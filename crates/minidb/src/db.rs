@@ -1,27 +1,100 @@
 //! The embedded store.
+//!
+//! Forking a loaded table is what the YCSB figures do per cell, so the
+//! store shares rather than copies: keys are interned (`Arc<str>`, one
+//! allocation shared by the index, the row cache and its eviction queue,
+//! and by every fork), cached rows sit behind an `Arc`, and the device
+//! underneath shares its blocks. Rows are *visited* — [`MiniDb::read_with`]
+//! and [`MiniDb::scan_each`] lend each row to a closure straight from the
+//! cache — and [`MiniDb::read`] / [`MiniDb::scan`] are the collecting
+//! wrappers over them.
 
 use services::fs::{FsClient, Xv6Fs};
 use simos::World;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Bound;
+use std::sync::Arc;
 
 /// Default row-cache capacity (rows). Small enough that a zipfian
 /// workload still misses sometimes — Sqlite3's page cache "can handle
 /// the read request well" but not perfectly (§5.4).
 pub const DEFAULT_CACHE_ROWS: usize = 512;
 
+/// Key -> `(offset, length)` of the newest version's value in the table file.
+type Index = BTreeMap<Arc<str>, (u64, u64)>;
+
+/// The FIFO row cache: `order` holds exactly the keys of `rows`, oldest
+/// insert first.
+#[derive(Debug, Clone)]
+struct RowCache {
+    rows: HashMap<Arc<str>, Arc<Vec<u8>>>,
+    order: VecDeque<Arc<str>>,
+    cap: usize,
+}
+
+impl RowCache {
+    fn put(&mut self, key: &Arc<str>, row: Vec<u8>) {
+        if self.rows.insert(Arc::clone(key), Arc::new(row)).is_none() {
+            self.order.push_back(Arc::clone(key));
+        }
+        self.evict_to_cap();
+    }
+
+    fn evict_to_cap(&mut self) {
+        while self.order.len() > self.cap {
+            if let Some(evict) = self.order.pop_front() {
+                self.rows.remove(&evict);
+            }
+        }
+    }
+}
+
+/// What a row access works on: every part of a [`MiniDb`] but its index,
+/// so a scan can walk the index while rows are fetched and cached.
+struct RowPath<'a> {
+    fs: &'a mut Xv6Fs,
+    table_ino: u64,
+    cache: &'a mut RowCache,
+    hits: &'a mut u64,
+    misses: &'a mut u64,
+}
+
+impl RowPath<'_> {
+    /// Lend `visit` the row of `key`: the cached copy, else the one its
+    /// index `entry` (looked up only now) locates in the table file,
+    /// which then goes into the cache.
+    fn visit<'i, R>(
+        &mut self,
+        w: &mut World,
+        key: &str,
+        entry: impl FnOnce() -> Option<(&'i Arc<str>, &'i (u64, u64))>,
+        visit: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
+        w.compute(30_000); // SQL parse/plan, btree descent
+        if let Some(row) = self.cache.rows.get(key) {
+            *self.hits += 1;
+            return Some(visit(row));
+        }
+        let (key, &(off, len)) = entry()?;
+        *self.misses += 1;
+        let row = FsClient::read(self.fs, w, self.table_ino, off, len);
+        let seen = visit(&row);
+        self.cache.put(key, row);
+        Some(seen)
+    }
+}
+
 /// The embedded table store. One instance owns its FS stack, so a clone
-/// is an independent database: index, row cache, counters and (through
-/// [`BlockDev`](services::blockdev::BlockDev)'s prefix-copy `Clone`) the
-/// device image. Writes to either side never reach the other.
+/// is an independent database: index, row cache, counters and device
+/// image. Keys, cached rows and device blocks are shared with the clone
+/// until one side replaces them; writes to either never reach the other.
 #[derive(Debug, Clone)]
 pub struct MiniDb {
     /// The file system server stack underneath (public for stats).
     pub fs: Xv6Fs,
     table_ino: u64,
-    index: BTreeMap<String, (u64, u64)>,
-    cache: HashMap<String, Vec<u8>>,
-    cache_order: VecDeque<String>,
-    cache_cap: usize,
+    index: Index,
+    cache: RowCache,
     append_off: u64,
     /// Row-cache hits.
     pub cache_hits: u64,
@@ -30,21 +103,27 @@ pub struct MiniDb {
 }
 
 impl MiniDb {
+    fn over(fs: Xv6Fs, table_ino: u64, index: Index, append_off: u64) -> Self {
+        MiniDb {
+            fs,
+            table_ino,
+            index,
+            cache: RowCache {
+                rows: HashMap::new(),
+                order: VecDeque::new(),
+                cap: DEFAULT_CACHE_ROWS,
+            },
+            append_off,
+            cache_hits: 0,
+            cache_misses: 0,
+        }
+    }
+
     /// Create a database on a fresh ramdisk of `nblocks`.
     pub fn create(w: &mut World, nblocks: usize) -> Self {
         let mut fs = Xv6Fs::mkfs(w, nblocks);
         let table_ino = fs.create(w, "table.db");
-        MiniDb {
-            fs,
-            table_ino,
-            index: BTreeMap::new(),
-            cache: HashMap::new(),
-            cache_order: VecDeque::new(),
-            cache_cap: DEFAULT_CACHE_ROWS,
-            append_off: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-        }
+        Self::over(fs, table_ino, Index::new(), 0)
     }
 
     /// Reopen a database from an existing device: mount the FS, find the
@@ -59,14 +138,14 @@ impl MiniDb {
         let table_ino = fs.lookup("table.db").expect("not a minidb image");
         let size = fs.size(table_ino);
         let raw = fs.read(w, table_ino, 0, size);
-        let mut index = BTreeMap::new();
+        let mut index = Index::new();
         let mut off = 0usize;
         while off + 6 <= raw.len() {
             let klen = u16::from_le_bytes(raw[off..off + 2].try_into().unwrap()) as usize;
             if off + 2 + klen + 4 > raw.len() {
                 break;
             }
-            let key = String::from_utf8_lossy(&raw[off + 2..off + 2 + klen]).into_owned();
+            let key = String::from_utf8_lossy(&raw[off + 2..off + 2 + klen]);
             let vlen =
                 u32::from_le_bytes(raw[off + 2 + klen..off + 6 + klen].try_into().unwrap()) as u64;
             let voff = (off + 6 + klen) as u64;
@@ -74,34 +153,20 @@ impl MiniDb {
                 break;
             }
             if vlen == 0 {
-                index.remove(&key); // tombstone
+                index.remove(&*key); // tombstone
             } else {
-                index.insert(key, (voff, vlen));
+                index.insert(Arc::from(key), (voff, vlen));
             }
             off = (voff + vlen) as usize;
         }
         w.compute(2000 * index.len() as u64 / 100 + 5000); // scan/parse cost
-        MiniDb {
-            fs,
-            table_ino,
-            index,
-            cache: HashMap::new(),
-            cache_order: VecDeque::new(),
-            cache_cap: DEFAULT_CACHE_ROWS,
-            append_off: size,
-            cache_hits: 0,
-            cache_misses: 0,
-        }
+        Self::over(fs, table_ino, index, size)
     }
 
     /// Set the row-cache capacity.
     pub fn set_cache_rows(&mut self, rows: usize) {
-        self.cache_cap = rows;
-        while self.cache_order.len() > self.cache_cap {
-            if let Some(evict) = self.cache_order.pop_front() {
-                self.cache.remove(&evict);
-            }
-        }
+        self.cache.cap = rows;
+        self.cache.evict_to_cap();
     }
 
     /// Number of live keys.
@@ -114,15 +179,16 @@ impl MiniDb {
         self.index.is_empty()
     }
 
-    fn cache_put(&mut self, key: &str, row: Vec<u8>) {
-        if self.cache.insert(key.to_string(), row).is_none() {
-            self.cache_order.push_back(key.to_string());
-        }
-        while self.cache_order.len() > self.cache_cap {
-            if let Some(evict) = self.cache_order.pop_front() {
-                self.cache.remove(&evict);
-            }
-        }
+    /// The index, and the rest of `self` as the row path over it.
+    fn split(&mut self) -> (&Index, RowPath<'_>) {
+        let rows = RowPath {
+            fs: &mut self.fs,
+            table_ino: self.table_ino,
+            cache: &mut self.cache,
+            hits: &mut self.cache_hits,
+            misses: &mut self.cache_misses,
+        };
+        (&self.index, rows)
     }
 
     /// Insert (or overwrite) a row; journaled through the FS.
@@ -161,26 +227,33 @@ impl MiniDb {
         let off = self.append_off;
         FsClient::write(&mut self.fs, w, self.table_ino, off, &rec);
         self.append_off += rec.len() as u64;
-        self.index.insert(
-            key.to_string(),
-            (off + 6 + key.len() as u64, row.len() as u64),
-        );
-        self.cache_put(key, row.to_vec());
+        let loc = (off + 6 + key.len() as u64, row.len() as u64);
+        // One allocation per key, however many versions and forks it has.
+        let key = match self.index.get_key_value(key) {
+            Some((interned, _)) => Arc::clone(interned),
+            None => Arc::from(key),
+        };
+        self.cache.put(&key, row.to_vec());
+        self.index.insert(key, loc);
         w.compute(120_000); // SQL parse/plan, btree update, VFS, journal bookkeeping
     }
 
-    /// Read a full row.
+    /// Lend the row of `key` to `visit`, straight from the row cache
+    /// (after filling it from the FS on a miss): no copy of the row is
+    /// made. `None`, and `visit` not called, when the key is not live.
+    pub fn read_with<R>(
+        &mut self,
+        w: &mut World,
+        key: &str,
+        visit: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
+        let (index, mut rows) = self.split();
+        rows.visit(w, key, || index.get_key_value(key), visit)
+    }
+
+    /// Read a full row: [`MiniDb::read_with`], copied out.
     pub fn read(&mut self, w: &mut World, key: &str) -> Option<Vec<u8>> {
-        w.compute(30_000); // SQL parse/plan, btree descent
-        if let Some(row) = self.cache.get(key) {
-            self.cache_hits += 1;
-            return Some(row.clone());
-        }
-        let &(off, len) = self.index.get(key)?;
-        self.cache_misses += 1;
-        let row = FsClient::read(&mut self.fs, w, self.table_ino, off, len);
-        self.cache_put(key, row.clone());
-        Some(row)
+        self.read_with(w, key, <[u8]>::to_vec)
     }
 
     /// Update one field's worth of a row (appends a new version).
@@ -194,15 +267,22 @@ impl MiniDb {
         true
     }
 
-    /// Scan `n` rows starting at `key` (inclusive), in key order.
+    /// Lend up to `n` rows to `visit`, one [`MiniDb::read_with`] each,
+    /// starting at `key` (inclusive) and in key order.
+    pub fn scan_each(&mut self, w: &mut World, key: &str, n: usize, mut visit: impl FnMut(&[u8])) {
+        let (index, mut rows) = self.split();
+        let from = (Bound::Included(key), Bound::Unbounded);
+        for entry in index.range::<str, _>(from).take(n) {
+            rows.visit(w, entry.0, || Some(entry), &mut visit);
+        }
+    }
+
+    /// Scan `n` rows starting at `key` (inclusive), in key order:
+    /// [`MiniDb::scan_each`], copied out.
     pub fn scan(&mut self, w: &mut World, key: &str, n: usize) -> Vec<Vec<u8>> {
-        let keys: Vec<String> = self
-            .index
-            .range(key.to_string()..)
-            .take(n)
-            .map(|(k, _)| k.clone())
-            .collect();
-        keys.iter().filter_map(|k| self.read(w, k)).collect()
+        let mut rows = Vec::new();
+        self.scan_each(w, key, n, |row| rows.push(row.to_vec()));
+        rows
     }
 
     /// Delete a key: writes a tombstone record (zero-length value) to the
@@ -221,8 +301,8 @@ impl MiniDb {
         FsClient::write(&mut self.fs, w, self.table_ino, self.append_off, &rec);
         self.append_off += rec.len() as u64;
         self.index.remove(key);
-        if self.cache.remove(key).is_some() {
-            self.cache_order.retain(|k| k != key);
+        if self.cache.rows.remove(key).is_some() {
+            self.cache.order.retain(|k| &**k != key);
         }
         w.compute(60_000); // SQL delete path
         true
@@ -423,6 +503,6 @@ mod tests {
         assert_eq!(db.read(&mut w, "a").as_deref(), Some(b"3".as_ref()));
         assert_eq!(db.read(&mut w, "c").as_deref(), Some(b"4".as_ref()));
         assert_eq!(db.cache_misses, misses, "both live rows are still cached");
-        assert_eq!(db.cache_order.len(), db.cache.len());
+        assert_eq!(db.cache.order.len(), db.cache.rows.len());
     }
 }

@@ -24,7 +24,8 @@ pub struct YcsbResult {
     pub transfer_fraction: f64,
     /// `(message_bytes, ipc_cycles)` events for the Figure 1b CDF.
     pub events: Vec<(u64, u64)>,
-    /// Throughput in operations per second at the model clock.
+    /// Throughput in operations per second at the model clock; `0.0`,
+    /// not `0 / 0`, for a run that charged no cycle (an empty op stream).
     pub ops_per_sec: f64,
     /// Per-operation latency percentiles in cycles (p50, p95, p99) —
     /// YCSB's standard latency report.
@@ -41,9 +42,9 @@ pub struct YcsbResult {
 /// The result depends on `spec.{records, fields, field_len, seed}` only —
 /// not on the workload mix, the op count or `world`'s IPC mechanism — so
 /// one load serves every run over that table: clone it per run (a
-/// [`MiniDb`] clone copies the written prefix of the ramdisk, not the
-/// image) and hand each clone to [`run_loaded`], as §5.4 loads one table
-/// and then runs the six mixes.
+/// [`MiniDb`] clone shares keys, cached rows and ramdisk blocks with its
+/// origin instead of copying them) and hand each clone to [`run_loaded`],
+/// as §5.4 loads one table and then runs the six mixes.
 pub fn load(world: &mut World, spec: &WorkloadSpec) -> MiniDb {
     let mut db = MiniDb::create(world, 1 << 15);
     let mut rng = Rng::seed_from_u64(spec.seed ^ 0x10ad);
@@ -79,15 +80,13 @@ pub fn run_loaded(world: &mut World, mut db: MiniDb, spec: &WorkloadSpec) -> Ycs
         let op_start = world.cycles;
         match op {
             Op::Read(k) => {
-                let _ = db.read(world, k);
+                let _ = db.read_with(world, k, |_| ());
             }
             Op::Update(k, f) => {
                 let _ = db.update(world, k, f);
             }
             Op::Insert(k, row) => db.insert(world, k, row),
-            Op::Scan(k, n) => {
-                let _ = db.scan(world, k, *n);
-            }
+            Op::Scan(k, n) => db.scan_each(world, k, *n, |_| ()),
             Op::ReadModifyWrite(k, f) => {
                 let _ = db.read_modify_write(world, k, f);
             }
@@ -113,7 +112,11 @@ pub fn run_loaded(world: &mut World, mut db: MiniDb, spec: &WorkloadSpec) -> Ycs
         ipc_fraction: world.stats.ipc_fraction(),
         transfer_fraction: world.stats.transfer_fraction_of_ipc(),
         events: world.stats.events.clone(),
-        ops_per_sec: ops.len() as f64 / secs,
+        ops_per_sec: if cycles == 0 {
+            0.0
+        } else {
+            ops.len() as f64 / secs
+        },
         latency_p50: pct(50),
         latency_p95: pct(95),
         latency_p99: pct(99),

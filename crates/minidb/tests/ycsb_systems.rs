@@ -160,6 +160,12 @@ struct Checked {
 impl Checked {
     /// One random operation, its result checked against the oracle.
     fn step(&mut self, w: &mut World, rng: &mut Rng) {
+        self.step_by(w, rng, false);
+    }
+
+    /// [`Checked::step`], reading through `read_with` / `scan_each` when
+    /// `visiting` and through `read` / `scan` otherwise.
+    fn step_by(&mut self, w: &mut World, rng: &mut Rng, visiting: bool) {
         let Checked { db, oracle } = self;
         let key = format!("k{:02}", rng.below(48));
         let bytes = |rng: &mut Rng, max| -> Vec<u8> {
@@ -198,15 +204,23 @@ impl Checked {
                 let had = oracle.remove(&key).is_some();
                 assert_eq!(db.delete(w, &key), had, "delete {key}");
             }
+            4 if visiting => {
+                let want = oracle.get(&key).map(Vec::as_slice);
+                let seen = db.read_with(w, &key, |row| assert_eq!(Some(row), want, "read {key}"));
+                assert_eq!(seen.is_some(), want.is_some(), "read {key}");
+            }
             4 => assert_eq!(db.read(w, &key).as_ref(), oracle.get(&key), "read {key}"),
             _ => {
                 let n = 1 + rng.below(12) as usize;
-                let want: Vec<_> = oracle
-                    .range(key.clone()..)
-                    .take(n)
-                    .map(|(_, v)| v)
-                    .collect();
-                assert_eq!(db.scan(w, &key, n).iter().collect::<Vec<_>>(), want);
+                let mut want = oracle.range(key.clone()..).take(n).map(|(_, v)| v);
+                if visiting {
+                    db.scan_each(w, &key, n, |row| {
+                        assert_eq!(Some(row), want.next().map(Vec::as_slice), "scan {key}");
+                    });
+                    assert_eq!(want.next(), None, "scan {key} stopped early");
+                } else {
+                    assert!(db.scan(w, &key, n).iter().eq(want), "scan {key}");
+                }
             }
         }
     }
@@ -272,4 +286,94 @@ fn fork_is_isolated_under_churn() {
             fork.verify(&mut w, &who);
         }
     }
+}
+
+/// Everything a row access may move, next to the same run done the other
+/// way; `events` from `since` on (the earlier ones were compared before).
+fn observed<'a>(
+    c: &'a Checked,
+    w: &'a World,
+    since: usize,
+) -> impl PartialEq + std::fmt::Debug + 'a {
+    let (db, stats) = (&c.db, &w.stats);
+    (
+        (
+            w.cycles,
+            stats.ipc_count,
+            stats.payload_bytes,
+            stats.other_cycles,
+        ),
+        (stats.events.len(), &stats.events[since..]),
+        (
+            db.cache_hits,
+            db.cache_misses,
+            db.fs.dev.reads,
+            db.fs.dev.writes,
+        ),
+    )
+}
+
+#[test]
+fn visiting_equals_materialising() {
+    // `read` / `scan` copy rows out of the visits `read_with` / `scan_each`
+    // make; nothing else about a run may tell the two apart. Capacity 0
+    // evicts every row by its own insert: the visitor must still see it.
+    for cache_rows in [0, 8, minidb::db::DEFAULT_CACHE_ROWS] {
+        for seed in [0x5eed, 0xf02c, 0xc4a5] {
+            let mk = || World::new(Box::new(XpcIpc::sel4_xpc()));
+            let mut db = MiniDb::create(&mut mk(), 256);
+            db.set_cache_rows(cache_rows);
+            let origin = Checked {
+                db,
+                oracle: BTreeMap::new(),
+            };
+            // Two forks of one database, a world and an op stream each.
+            let mut sides = [false, true]
+                .map(|visiting| (origin.clone(), mk(), Rng::seed_from_u64(seed), visiting));
+            for op in 0..2_000 {
+                let since = sides[0].1.stats.events.len();
+                for (side, w, rng, visiting) in &mut sides {
+                    side.step_by(w, rng, *visiting);
+                }
+                let [(a, wa, ..), (b, wb, ..)] = &sides;
+                let who = format!("{cache_rows} cached rows, seed {seed:#x}, op {op}");
+                assert_eq!(observed(b, wb, since), observed(a, wa, since), "{who}");
+                let (dev_a, dev_b) = (&a.db.fs.dev, &b.db.fs.dev);
+                assert!(
+                    (0..dev_a.len() as u64).all(|blk| dev_a.peek(blk) == dev_b.peek(blk)),
+                    "{who}: device images differ"
+                );
+            }
+            for (side, w, ..) in &mut sides {
+                // Past the last key, and no rows asked for: nothing is
+                // visited and nothing is charged.
+                let before = w.cycles;
+                side.db
+                    .scan_each(w, "l", 5, |_| panic!("no key follows k47"));
+                side.db
+                    .scan_each(w, "", 0, |_| panic!("no row was asked for"));
+                assert!(side.db.scan(w, "l", 5).is_empty() && side.db.scan(w, "", 0).is_empty());
+                assert_eq!(w.cycles, before);
+            }
+            let [(a, ..), (b, ..)] = &sides;
+            assert!(!a.oracle.is_empty() && a.oracle == b.oracle);
+        }
+    }
+}
+
+#[test]
+fn an_empty_run_reports_zero_not_nan() {
+    // No op, no cycle: throughput is 0 / 0 unless the driver says otherwise.
+    let spec = WorkloadSpec {
+        ops: 0,
+        ..WorkloadSpec::paper(Workload::E)
+    };
+    let mut world = World::new(Box::new(XpcIpc::sel4_xpc()));
+    let db = MiniDb::create(&mut world, 1 << 10);
+    let r = run_loaded(&mut world, db, &spec);
+    assert_eq!((r.ops, r.cycles), (0, 0));
+    assert_eq!(r.ops_per_sec.to_bits(), 0.0f64.to_bits());
+    assert_eq!((r.ipc_fraction, r.transfer_fraction), (0.0, 0.0));
+    assert_eq!((r.latency_p50, r.latency_p95, r.latency_p99), (0, 0, 0));
+    assert!(r.events.is_empty());
 }

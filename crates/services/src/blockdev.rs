@@ -1,23 +1,31 @@
 //! The ramdisk block device server (the paper's "in-memory ram disk
 //! server" behind the file system, §5.3).
+//!
+//! The store is a sparse table of shared blocks: a slot per block up to
+//! the highest ever written, each still zero (no storage) or an `Arc`'d
+//! 4 KiB block. A clone bumps one refcount per written block and a write
+//! un-shares only the block it lands on: forking a loaded table is cheap.
 
 use simos::World;
+use std::sync::Arc;
 
 /// Block size in bytes (matches the FS and the paper's 4 KiB transfers).
 pub const BLOCK_SIZE: usize = 4096;
+
+/// What every never-written block reads as.
+pub(crate) static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
 
 /// An in-memory block store. Each request costs one pass over the block
 /// (the ramdisk moving data between its store and the message), charged
 /// to the [`World`]; the IPC hop itself is charged by the caller.
 ///
-/// The store is one contiguous image from a zeroed allocation, so the
-/// host pays time and memory only for the blocks that are written.
-#[derive(Debug)]
+/// A clone is an independent device with the same contents and counters;
+/// the host pays time and memory only for the blocks either side writes.
+#[derive(Debug, Clone)]
 pub struct BlockDev {
-    data: Vec<u8>,
-    /// High-water mark of [`BlockDev::write`]: every byte at or past it
-    /// is still the zero the allocation started with.
-    touched: usize,
+    /// Slot `i` is block `i`; `None`, or past the end, is still zero.
+    blocks: Vec<Option<Arc<[u8]>>>,
+    nblocks: usize,
     /// Reads served.
     pub reads: u64,
     /// Writes served.
@@ -31,12 +39,13 @@ impl BlockDev {
     ///
     /// Panics when `nblocks * BLOCK_SIZE` overflows `usize`.
     pub fn new(nblocks: usize) -> Self {
-        let bytes = nblocks
-            .checked_mul(BLOCK_SIZE)
-            .expect("ramdisk size overflows usize");
+        assert!(
+            nblocks.checked_mul(BLOCK_SIZE).is_some(),
+            "ramdisk size overflows usize"
+        );
         BlockDev {
-            data: vec![0u8; bytes],
-            touched: 0,
+            blocks: Vec::new(),
+            nblocks,
             reads: 0,
             writes: 0,
         }
@@ -44,19 +53,20 @@ impl BlockDev {
 
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.data.len() / BLOCK_SIZE
+        self.nblocks
     }
 
     /// Whether the device has no blocks.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.nblocks == 0
     }
 
-    /// Byte range of block `idx`; slicing with it panics when the block
-    /// is out of range (also in release, where the multiply wraps).
-    fn span(idx: u64) -> std::ops::Range<usize> {
-        let start = (idx as usize).saturating_mul(BLOCK_SIZE);
-        start..start.saturating_add(BLOCK_SIZE)
+    /// Slot of block `idx`, checked before the table grows to hold it.
+    fn slot(&self, idx: u64) -> usize {
+        match usize::try_from(idx) {
+            Ok(slot) if slot < self.nblocks => slot,
+            _ => panic!("block {idx} out of range for {} blocks", self.nblocks),
+        }
     }
 
     /// Serve a block read.
@@ -67,7 +77,7 @@ impl BlockDev {
     pub fn read(&mut self, w: &mut World, idx: u64) -> &[u8] {
         w.data_pass(BLOCK_SIZE as u64, 10);
         self.reads += 1;
-        &self.data[Self::span(idx)]
+        self.peek(idx)
     }
 
     /// Serve a block write.
@@ -79,9 +89,15 @@ impl BlockDev {
         assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
         w.data_pass(BLOCK_SIZE as u64, 10);
         self.writes += 1;
-        let span = Self::span(idx);
-        self.data[span.clone()].copy_from_slice(data);
-        self.touched = self.touched.max(span.end);
+        let slot = self.slot(idx);
+        if slot >= self.blocks.len() {
+            self.blocks.resize(slot + 1, None);
+        }
+        // In place when no clone shares the block, else a block of our own.
+        match self.blocks[slot].as_mut().and_then(Arc::get_mut) {
+            Some(own) => own.copy_from_slice(data),
+            None => self.blocks[slot] = Some(Arc::from(data)),
+        }
     }
 
     /// Host-side peek without cycle charge (test inspection).
@@ -90,25 +106,9 @@ impl BlockDev {
     ///
     /// Panics on an out-of-range block.
     pub fn peek(&self, idx: u64) -> &[u8] {
-        &self.data[Self::span(idx)]
-    }
-}
-
-/// A clone is an independent device with the same contents and counters.
-/// It costs the host the written prefix only: a fresh zeroed image (so
-/// the untouched tail stays unmapped in both devices) plus one copy of
-/// the bytes below the write high-water mark — ~1.1 MiB of the 128 MiB
-/// image behind a loaded YCSB table, which is what lets an experiment
-/// load the table once and fork it per cell.
-impl Clone for BlockDev {
-    fn clone(&self) -> Self {
-        let mut data = vec![0u8; self.data.len()];
-        data[..self.touched].copy_from_slice(&self.data[..self.touched]);
-        BlockDev {
-            data,
-            touched: self.touched,
-            reads: self.reads,
-            writes: self.writes,
+        match self.blocks.get(self.slot(idx)) {
+            Some(Some(block)) => block,
+            _ => &ZERO_BLOCK,
         }
     }
 }
@@ -177,32 +177,101 @@ mod tests {
         assert_eq!(copy.peek(6), d.peek(6));
     }
 
+    /// FNV-1a over the whole image, as `tests/storage_pin.rs` takes it.
+    fn image_digest(dev: &BlockDev) -> u64 {
+        (0..dev.len() as u64).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            dev.peek(b).iter().fold(h, |h, &byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// Whether slot `k` is one allocation on both sides.
+    fn shared(a: &BlockDev, b: &BlockDev, k: usize) -> bool {
+        match (&a.blocks[k], &b.blocks[k]) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        }
+    }
+
     #[test]
-    fn clone_copies_the_written_prefix_only() {
+    fn a_fork_shares_every_block_until_it_is_written() {
         let mut w = world();
-        let mut d = BlockDev::new(1 << 15);
+        let mut d = BlockDev::new(1 << 11);
         d.write(&mut w, 1_000, &[0xa1; BLOCK_SIZE]);
-        d.write(&mut w, 3, &[0xb2; BLOCK_SIZE]); // below the mark: must not lower it
+        d.write(&mut w, 3, &[0xb2; BLOCK_SIZE]);
         let _ = d.read(&mut w, 3);
-        assert_eq!(d.touched, 1_001 * BLOCK_SIZE);
 
         let mut copy = d.clone();
         assert_eq!(copy.len(), d.len());
         assert_eq!((copy.reads, copy.writes), (1, 2), "counters carried over");
-        for b in 0..d.len() as u64 {
-            assert_eq!(copy.peek(b), d.peek(b), "block {b}");
+        assert_eq!(copy.blocks.len(), 1_001);
+        for (k, slot) in d.blocks.iter().enumerate() {
+            assert_eq!(slot.is_some(), k == 3 || k == 1_000, "slot {k}");
+            assert_eq!(shared(&d, &copy, k), slot.is_some(), "slot {k}");
         }
-        assert!(copy.peek(32_767).iter().all(|&b| b == 0), "zero tail");
+        let digest = image_digest(&d);
+        assert_eq!(image_digest(&copy), digest);
 
-        // Past both marks, one side at a time: neither write leaks.
-        copy.write(&mut w, 20_000, &[0xc3; BLOCK_SIZE]);
-        assert!(d.peek(20_000).iter().all(|&b| b == 0));
-        d.write(&mut w, 20_001, &[0xd4; BLOCK_SIZE]);
-        assert!(copy.peek(20_001).iter().all(|&b| b == 0));
-        assert_eq!(copy.peek(20_000), &[0xc3; BLOCK_SIZE]);
-        assert_eq!((d.writes, copy.writes), (3, 3));
-        // A clone of the clone carries the raised mark.
-        assert_eq!(copy.clone().peek(20_000), &[0xc3; BLOCK_SIZE]);
+        // A write on the fork un-shares that block only and leaves the origin alone.
+        copy.write(&mut w, 3, &[0xc3; BLOCK_SIZE]);
+        assert!(!shared(&d, &copy, 3) && shared(&d, &copy, 1_000));
+        assert_eq!(d.peek(3), &[0xb2; BLOCK_SIZE]);
+        assert_eq!(image_digest(&d), digest, "the fork wrote its origin");
+        // A second write to it is in place: the block is the fork's own now.
+        let own = Arc::as_ptr(copy.blocks[3].as_ref().unwrap());
+        copy.write(&mut w, 3, &[0xc4; BLOCK_SIZE]);
+        assert_eq!(Arc::as_ptr(copy.blocks[3].as_ref().unwrap()), own);
+        assert_eq!(copy.peek(3), &[0xc4; BLOCK_SIZE]);
+
+        // The same from the origin's side, on the other block and past both tables.
+        let fork_digest = image_digest(&copy);
+        d.write(&mut w, 1_000, &[0xd5; BLOCK_SIZE]);
+        d.write(&mut w, 2_000, &[0xe6; BLOCK_SIZE]);
+        assert!(!shared(&d, &copy, 1_000));
+        assert_eq!(copy.peek(1_000), &[0xa1; BLOCK_SIZE]);
+        assert!(copy.peek(2_000).iter().all(|&b| b == 0));
+        assert_eq!(
+            image_digest(&copy),
+            fork_digest,
+            "the origin wrote its fork"
+        );
+        assert_eq!((d.writes, copy.writes), (4, 4));
+        // A fork of the fork carries what the fork wrote.
+        assert_eq!(copy.clone().peek(3), &[0xc4; BLOCK_SIZE]);
+    }
+
+    #[test]
+    fn a_high_block_costs_one_block_not_the_prefix() {
+        let mut w = world();
+        let mut d = BlockDev::new(1 << 15);
+        let last = d.len() as u64 - 1;
+        d.write(&mut w, last, &[0x77; BLOCK_SIZE]);
+        assert_eq!(d.blocks.iter().flatten().count(), 1, "blocks allocated");
+        assert_eq!(d.peek(last), &[0x77; BLOCK_SIZE]);
+        for b in 0..last {
+            assert!(std::ptr::eq(d.peek(b), &ZERO_BLOCK[..]), "block {b}");
+        }
+    }
+
+    #[test]
+    fn write_past_the_end_panics_and_allocates_nothing() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut w = world();
+        let mut d = BlockDev::new(4);
+        // The first block past the end, one whose byte offset wraps
+        // `usize`, and the index a wrapped subtraction would produce.
+        for idx in [4, u64::MAX / BLOCK_SIZE as u64 + 2, u64::MAX] {
+            let panic = catch_unwind(AssertUnwindSafe(|| {
+                d.write(&mut w, idx, &[1; BLOCK_SIZE]);
+            }))
+            .expect_err("a write past the end");
+            let msg = panic.downcast_ref::<String>().expect("panic message");
+            assert!(msg.contains("out of range"), "{msg}");
+            assert_eq!(d.blocks.capacity(), 0, "block {idx} grew the table");
+        }
+        d.write(&mut w, 3, &[1; BLOCK_SIZE]);
+        assert_eq!(d.blocks.len(), 4);
     }
 
     #[test]

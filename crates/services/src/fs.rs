@@ -21,7 +21,7 @@
 //! from XPC: "write operations … cause many IPCs and data transfers
 //! between the file system server and the block device server".
 
-use crate::blockdev::{BlockDev, BLOCK_SIZE};
+use crate::blockdev::{BlockDev, BLOCK_SIZE, ZERO_BLOCK};
 use simos::World;
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -46,8 +46,6 @@ const MAGIC: u64 = 0x7876_3666_735f_7870; // "xv6fs_xp"
 
 /// Root directory inode.
 pub const ROOT_INO: u64 = 0;
-
-static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Inode {
@@ -146,8 +144,8 @@ fn stage_image(
 
 /// The file system server. See the [module docs](self).
 ///
-/// A clone is an independent server over a [`BlockDev::clone`] of the
-/// device: same files, same counters, nothing shared.
+/// A clone is an independent server over a clone of the device: same
+/// files, same counters, and no write of one reaches the other.
 #[derive(Debug, Clone)]
 pub struct Xv6Fs {
     /// The block device server behind this FS (public for inspection).
