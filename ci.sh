@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus figure regeneration, fully offline (the workspace has
-# no external dependencies — see Cargo.toml's [features] note).
+# no external dependencies: every crate, the property harness included,
+# is in-tree).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -38,7 +39,15 @@ echo "== rustdoc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 echo "== tests =="
-cargo test -q --workspace
+# The tier-1 command: the root manifest's default-members make it test
+# every crate, property suites included.
+cargo test -q
+
+echo "== one test configuration gate (no cargo features, no cfg(feature) gates) =="
+if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml || grep -rn 'cfg(feature' crates/ src/ tests/; then
+  echo "ci: a cargo feature or cfg(feature) gate is back; every test runs in the one default configuration" >&2
+  exit 1
+fi
 
 echo "== tests (release: emulator, engine, kernel model, storage stack) =="
 # Overflow checks are off in release, so a guest-reachable arithmetic
@@ -47,7 +56,8 @@ echo "== tests (release: emulator, engine, kernel model, storage stack) =="
 # the ramdisk's block table; release is the profile that ships. The relay
 # window with `seg-pa` near the top of memory is the case where the two
 # profiles used to differ (a panic here, a silent wrap there): both must
-# now end as the same access fault.
+# now end as the same access fault. The rv64 and xpc-engine property
+# suites run here as well, so their cases also see wrapping arithmetic.
 cargo test -q --release -p rv64 -p xpc-engine -p xpc -p services -p minidb
 
 echo "== benchmark package (frozen API surface, offline) =="

@@ -84,7 +84,7 @@ impl Default for BinderConfig {
 
 impl BinderConfig {
     fn per_byte(&self, millis: u64, bytes: u64) -> u64 {
-        bytes * millis / 1000
+        bytes.saturating_mul(millis) / 1000
     }
 
     /// The XPC control path split into phases: the `xcall`/`xret` pair
@@ -216,7 +216,7 @@ impl IpcSystem for BinderIpc {
         let hw = self.system != BinderSystem::Binder;
         self.cost.charge_hardening(hw, msg_len, opts, out);
         match (self.system, self.ashmem) {
-            (BinderSystem::Binder, false) => 2 * bytes,
+            (BinderSystem::Binder, false) => bytes.saturating_mul(2),
             (BinderSystem::Binder, true) => bytes,
             _ => 0, // relay segment: handover, no copies
         }

@@ -75,11 +75,11 @@ impl Sel4 {
         if bytes <= REG_MSG_MAX {
             0
         } else if bytes <= BUF_MSG_MAX {
-            2 * bytes
+            bytes.saturating_mul(2)
         } else {
             match self.transfer {
                 Sel4Transfer::OneCopy => bytes,
-                Sel4Transfer::TwoCopy => 2 * bytes,
+                Sel4Transfer::TwoCopy => bytes.saturating_mul(2),
             }
         }
     }

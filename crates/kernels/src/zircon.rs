@@ -66,13 +66,13 @@ impl IpcSystem for Zircon {
             Phase::Schedule,
             c.zircon_oneway_base.saturating_sub(kernel_entries),
         );
-        out.charge(Phase::Transfer, 2 * c.copy_cycles(bytes));
+        out.charge(Phase::Transfer, c.copy_cycles(bytes).saturating_mul(2));
         if self.cross_core {
             out.charge(Phase::CrossCore, c.cross_core_base);
         }
         // Software-equivalent temporal mitigations in the kernel path.
         self.cost.charge_hardening(false, msg_len, opts, out);
-        2 * bytes
+        bytes.saturating_mul(2)
     }
 }
 

@@ -1,6 +1,5 @@
 //! Sampling-soundness properties of the [`Attribution`] hot path, looped
-//! over plain `#[test]` grids (the offline build policy keeps `proptest`
-//! out; these sweeps cover the same ground deterministically):
+//! over plain `#[test]` grids of the whole roster:
 //!
 //! * **Full mode is the old path**: `run_windowed_with(...,
 //!   Attribution::Full)` reproduces `run_windowed` bit for bit across

@@ -1,6 +1,6 @@
-//! Property-style invariants, exhaustively looped over plain `#[test]`
-//! grids (the former `proptest` suites are gated off by the offline
-//! build policy — these cover the same ground deterministically).
+//! Invariants of the 12-system roster, looped over plain `#[test]`
+//! grids of boundary values, plus a generated sweep of step byte fields
+//! on the in-tree property harness (`ycsb::check`).
 
 use kernels::{
     full_roster, full_roster_cross_core, CrossCore, Invocation, InvokeOpts, Phase, Sel4,
@@ -412,6 +412,24 @@ fn extreme_step_fields_saturate_instead_of_wrapping() {
                 calls: v,
                 bytes_each: 64,
             },
+            Step::Batch {
+                from: 0,
+                to: 4,
+                calls: 2,
+                bytes_each: v,
+            },
+            Step::Roundtrip {
+                from: 0,
+                to: 4,
+                request: v,
+                response: 64,
+            },
+            Step::Roundtrip {
+                from: 0,
+                to: 4,
+                request: 64,
+                response: v,
+            },
             Step::DataPass {
                 at: 4,
                 bytes: v,
@@ -430,7 +448,8 @@ fn extreme_step_fields_saturate_instead_of_wrapping() {
             for step in steps(v) {
                 for ready in EDGES {
                     let core = match step {
-                        Step::Batch { .. } => 0, // cross-socket into core 4
+                        // Cross-socket into core 4.
+                        Step::Batch { .. } | Step::Roundtrip { .. } => 0,
                         _ => 4,
                     };
                     let before = mw.free_at(4);
@@ -444,4 +463,59 @@ fn extreme_step_fields_saturate_instead_of_wrapping() {
         }
         assert_eq!(mw.free_at(4), u64::MAX, "{name}: the sweep ends saturated");
     }
+}
+
+#[test]
+fn random_message_bytes_never_panic_the_host() {
+    // Every byte field a caller can hand a step, drawn over the whole
+    // u64 range (half the draws are >= u64::MAX / 2), on every roster
+    // system and at any ready time: pricing saturates, it never panics.
+    let factories = kernels::full_roster_factories();
+    ycsb::check(
+        "random_message_bytes_never_panic_the_host",
+        2000,
+        &[],
+        |rng, size| {
+            let sys = rng.below(factories.len() as u64) as usize;
+            let (a, b) = (rng.below(size), rng.below(size));
+            let step = match rng.below(3) {
+                0 => Step::Oneway {
+                    from: 0,
+                    to: 4,
+                    bytes: a,
+                },
+                1 => Step::Batch {
+                    from: 0,
+                    to: 4,
+                    calls: rng.below(64.min(size)),
+                    bytes_each: a,
+                },
+                _ => Step::Roundtrip {
+                    from: 0,
+                    to: 4,
+                    request: a,
+                    response: b,
+                },
+            };
+            (sys, step, rng.below(size))
+        },
+        |&(sys, step, ready)| {
+            let mut mw = MultiWorld::builder()
+                .topology(Topology::dual_socket())
+                .build(factories[sys]);
+            let c = mw.exec(0, step, ready);
+            let name = factories[sys]().name();
+            if c.done < ready {
+                return Err(format!("{name}: done {} before ready {ready}", c.done));
+            }
+            if c.inv.total != c.inv.ledger.total() {
+                return Err(format!(
+                    "{name}: total {} but the ledger sums to {}",
+                    c.inv.total,
+                    c.inv.ledger.total()
+                ));
+            }
+            Ok(())
+        },
+    );
 }

@@ -1,5 +1,4 @@
-//! Open-loop serving properties, roster-wide (plain `#[test]` grids —
-//! the offline build policy keeps `proptest` out):
+//! Open-loop serving properties, roster-wide (plain `#[test]` grids):
 //!
 //! * **Replay determinism**: the same seed produces the same
 //!   [`ArrivalTrace`] and the same trace produces a byte-identical

@@ -1,57 +1,102 @@
-//! Property tests of the TLB against a reference map, and machine-level
-//! timer-interrupt behaviour.
-//!
-//! Gated behind the off-by-default `proptest` feature: enabling it
-//! requires adding the external `proptest` crate back to this package's
-//! dev-dependencies (kept out of the graph by the offline build policy).
-#![cfg(feature = "proptest")]
+//! Property tests of the TLB against a reference map (on the in-tree
+//! harness `ycsb::check`), and machine-level timer-interrupt behaviour.
 
-use proptest::prelude::*;
 use rv64::csr::addr as csr;
 use rv64::machine::{MCAUSE_TIMER, MTIE};
 use rv64::mem::DRAM_BASE;
 use rv64::tlb::{pte, Tlb};
 use rv64::{reg, Assembler, Exit, Machine, MachineConfig};
 use std::collections::HashMap;
+use ycsb::{check, Rng};
 
-proptest! {
-    /// A tagged TLB never returns a translation filled under a different
-    /// ASID, and always returns the latest fill for (vpn, asid) while the
-    /// entry is resident.
-    #[test]
-    fn tagged_tlb_matches_reference(ops in prop::collection::vec(
-        (0u64..64, 0u16..4, 0u64..1 << 20), 1..200)) {
-        // Large TLB so nothing is evicted — isolates tagging semantics.
-        let mut tlb = Tlb::new(1024, true);
-        let mut reference: HashMap<(u64, u16), u64> = HashMap::new();
-        for (vpn, asid, ppn) in ops {
-            tlb.fill(vpn, 0, asid, ppn, pte::V | pte::R);
-            reference.insert((vpn, asid), ppn);
-            // Probe a few keys.
-            for probe_asid in 0..4u16 {
-                let got = tlb.lookup(vpn, probe_asid).map(|e| e.ppn);
-                let want = reference.get(&(vpn, probe_asid)).copied();
-                prop_assert_eq!(got, want, "vpn {} asid {}", vpn, probe_asid);
+/// A draw from `lo..hi` whose span the harness's `size` caps.
+fn range(rng: &mut Rng, size: u64, lo: u64, hi: u64) -> u64 {
+    lo + rng.below((hi - lo).min(size))
+}
+
+/// `lo..hi` elements (the count capped by `size`), each drawn by `item`.
+fn vec_of<T>(
+    rng: &mut Rng,
+    size: u64,
+    (lo, hi): (u64, u64),
+    mut item: impl FnMut(&mut Rng) -> T,
+) -> Vec<T> {
+    let n = range(rng, size, lo, hi);
+    (0..n).map(|_| item(rng)).collect()
+}
+
+/// Fill `ops` as `(vpn, asid, ppn)` into a TLB too large to evict, and
+/// after each fill probe the vpn under every ASID against a reference map.
+fn tlb_agrees_with_reference(ops: &[(u64, u16, u64)]) -> Result<(), String> {
+    // Large TLB so nothing is evicted — isolates tagging semantics.
+    let mut tlb = Tlb::new(1024, true);
+    let mut reference: HashMap<(u64, u16), u64> = HashMap::new();
+    for &(vpn, asid, ppn) in ops {
+        tlb.fill(vpn, 0, asid, ppn, pte::V | pte::R);
+        reference.insert((vpn, asid), ppn);
+        for probe_asid in 0..4u16 {
+            let got = tlb.lookup(vpn, probe_asid).map(|e| e.ppn);
+            let want = reference.get(&(vpn, probe_asid)).copied();
+            if got != want {
+                return Err(format!(
+                    "vpn {vpn} asid {probe_asid}: {got:?}, want {want:?}"
+                ));
             }
         }
     }
+    Ok(())
+}
 
-    /// flush_asid removes exactly that ASID's entries.
-    #[test]
-    fn flush_asid_is_exact(fills in prop::collection::vec((0u64..32, 0u16..4), 1..64),
-                           victim in 0u16..4) {
-        let mut tlb = Tlb::new(256, true);
-        for (vpn, asid) in &fills {
-            tlb.fill(*vpn, 0, *asid, 0x100 + vpn, pte::V);
-        }
-        tlb.flush_asid(victim);
-        for (vpn, asid) in &fills {
-            let hit = tlb.lookup(*vpn, *asid).is_some();
-            if *asid == victim {
-                prop_assert!(!hit, "victim asid survived");
+/// A tagged TLB never returns a translation filled under a different
+/// ASID, and always returns the latest fill for (vpn, asid) while the
+/// entry is resident.
+#[test]
+fn tagged_tlb_matches_reference() {
+    // A refill of one (vpn, asid): the latest fill must win.
+    tlb_agrees_with_reference(&[(49, 2, 0), (49, 2, 1)]).unwrap();
+    check(
+        "tagged_tlb_matches_reference",
+        500,
+        &[],
+        |rng, size| {
+            vec_of(rng, size, (1, 200), |rng| {
+                let vpn = range(rng, size, 0, 64);
+                let asid = range(rng, size, 0, 4) as u16;
+                (vpn, asid, range(rng, size, 0, 1 << 20))
+            })
+        },
+        |ops| tlb_agrees_with_reference(ops),
+    );
+}
+
+/// flush_asid removes exactly that ASID's entries.
+#[test]
+fn flush_asid_is_exact() {
+    check(
+        "flush_asid_is_exact",
+        1000,
+        &[],
+        |rng, size| {
+            let fills = vec_of(rng, size, (1, 64), |rng| {
+                (range(rng, size, 0, 32), range(rng, size, 0, 4) as u16)
+            });
+            (fills, range(rng, size, 0, 4) as u16)
+        },
+        |(fills, victim)| {
+            let mut tlb = Tlb::new(256, true);
+            for &(vpn, asid) in fills {
+                tlb.fill(vpn, 0, asid, 0x100 + vpn, pte::V);
             }
-        }
-    }
+            tlb.flush_asid(*victim);
+            match fills
+                .iter()
+                .find(|&&(vpn, asid)| asid == *victim && tlb.lookup(vpn, asid).is_some())
+            {
+                Some((vpn, _)) => Err(format!("victim asid {victim} survived at vpn {vpn}")),
+                None => Ok(()),
+            }
+        },
+    );
 }
 
 #[test]

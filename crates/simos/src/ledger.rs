@@ -272,19 +272,30 @@ impl CycleLedger {
     /// `out` (cleared first, so sweep grids comparing many ledger pairs
     /// reuse one allocation). The Figure 5 bars are exactly these diffs
     /// between ablation configurations.
+    ///
+    /// Each delta is taken exactly (in `i128`) and then clamped to
+    /// `i64::MIN..=i64::MAX`: spans are `u64` and saturate at `u64::MAX`,
+    /// so a difference past either end of `i64` reads as that end rather
+    /// than wrapping to the wrong sign.
     pub fn diff_into(&self, baseline: &CycleLedger, out: &mut Vec<(Phase, i64)>) {
         out.clear();
         out.extend(
             self.spans
                 .iter()
-                .map(|&(p, c)| (p, c as i64 - baseline.get(p) as i64)),
+                .map(|&(p, c)| (p, clamped_delta(c, baseline.get(p)))),
         );
         for &(p, c) in &baseline.spans {
             if self.slots[p.index()] == 0 {
-                out.push((p, -(c as i64)));
+                out.push((p, clamped_delta(0, c)));
             }
         }
     }
+}
+
+/// `a - b`, computed in `i128` and clamped to the range of `i64`.
+fn clamped_delta(a: u64, b: u64) -> i64 {
+    let exact = i128::from(a) - i128::from(b);
+    i64::try_from(exact).unwrap_or(if exact > 0 { i64::MAX } else { i64::MIN })
 }
 
 /// Flat per-phase cycle totals: a `[u64; Phase::COUNT]` keyed by
@@ -944,14 +955,23 @@ mod tests {
             let mut out: Vec<_> = self
                 .0
                 .iter()
-                .map(|&(p, c)| (p, c as i64 - baseline.get(p) as i64))
+                .map(|&(p, c)| (p, saturating_sub_i64(c, baseline.get(p))))
                 .collect();
             for &(p, c) in &baseline.0 {
                 if self.0.iter().all(|(q, _)| *q != p) {
-                    out.push((p, -(c as i64)));
+                    out.push((p, saturating_sub_i64(0, c)));
                 }
             }
             out
+        }
+    }
+
+    /// `a - b` saturated to `i64` by comparison, without wide integers.
+    fn saturating_sub_i64(a: u64, b: u64) -> i64 {
+        if a >= b {
+            i64::try_from(a - b).unwrap_or(i64::MAX)
+        } else {
+            i64::try_from(b - a).map_or(i64::MIN, |d| -d)
         }
     }
 
@@ -1007,11 +1027,8 @@ mod tests {
             for p in Phase::ALL {
                 assert_eq!(got.get(p), want.get(p), "{p:?}");
             }
-            // `diff_into` is signed: it is only defined below i64::MAX.
-            if got.total().max(pool[j].0.total()) < 1 << 62 {
-                got.diff_into(&pool[j].0, &mut diff);
-                assert_eq!(diff, want.diff(&pool[j].1));
-            }
+            got.diff_into(&pool[j].0, &mut diff);
+            assert_eq!(diff, want.diff(&pool[j].1));
             assert_eq!(*got == pool[j].0, *want == pool[j].1, "== is span equality");
         }
         // Equality sees the spans only: a cleared-and-recharged ledger

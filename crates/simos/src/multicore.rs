@@ -991,10 +991,10 @@ impl MultiWorld {
                     .oneway_into(msg_len(response), &reply_opts, out);
                 self.surcharge_into(core, to, response, 1, out);
                 let at = self.clock(to, ready, out.total());
-                self.cores[to].charge_spans(1, request + response, out);
+                self.cores[to].charge_spans(1, request.saturating_add(response), out);
                 Stepped {
                     calls: 1,
-                    copied: call + reply,
+                    copied: call.saturating_add(reply),
                     ..at
                 }
             }

@@ -72,7 +72,7 @@ impl Transport {
     pub fn transfer_cycles(self, cost: &CostModel, bytes: u64, hops: u64) -> u64 {
         match self {
             Transport::TwofoldCopy | Transport::SharedInPlace | Transport::SharedOneCopy => {
-                self.copies(hops) * cost.copy_cycles(bytes)
+                self.copies(hops).saturating_mul(cost.copy_cycles(bytes))
             }
             Transport::Remap => hops * REMAP_HOP_CYCLES,
             Transport::RelaySeg => 0,
@@ -91,7 +91,7 @@ impl Transport {
             }
             _ => ledger.charge(Phase::Transfer, self.transfer_cycles(cost, bytes, hops)),
         }
-        self.copies(hops) * bytes
+        self.copies(hops).saturating_mul(bytes)
     }
 
     /// Whether the receiver is safe from sender mutation after the check

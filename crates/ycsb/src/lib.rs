@@ -16,10 +16,12 @@
 
 #![forbid(unsafe_code)]
 
+mod check;
 pub mod generator;
 pub mod rng;
 pub mod workload;
 
+pub use check::check;
 pub use generator::{LatestGen, ScrambledZipfian, UniformGen, ZipfianGen};
 pub use rng::{stream_seed, Rng, SplitMix64, Xoshiro256StarStar};
 pub use workload::{Op, Workload, WorkloadSpec};
