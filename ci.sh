@@ -49,16 +49,19 @@ if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml || grep -rn 'cfg(featu
   exit 1
 fi
 
-echo "== tests (release: emulator, engine, kernel model, storage stack) =="
+echo "== tests (release: emulator, engine, kernel models, request engine, storage stack) =="
 # Overflow checks are off in release, so a guest-reachable arithmetic
 # overflow fails differently there (an out-of-bounds index instead of
 # "attempt to add with overflow"), and so does block-index arithmetic on
 # the ramdisk's block table; release is the profile that ships. The relay
 # window with `seg-pa` near the top of memory is the case where the two
 # profiles used to differ (a panic here, a silent wrap there): both must
-# now end as the same access fault. The rv64 and xpc-engine property
-# suites run here as well, so their cases also see wrapping arithmetic.
-cargo test -q --release -p rv64 -p xpc-engine -p xpc -p services -p minidb
+# now end as the same access fault. The rv64, xpc-engine and simos
+# property suites run here as well (the simos ones: the issue queue
+# against a BinaryHeap, generated rosters through both request front
+# doors), so their cases also see wrapping arithmetic, and so does the
+# request_pin.rs pin of the request engine over the kernel models.
+cargo test -q --release -p rv64 -p xpc-engine -p xpc -p services -p minidb -p simos -p kernels
 
 echo "== benchmark package (frozen API surface, offline) =="
 # benchmark/ is its own workspace and calls the crates' public API

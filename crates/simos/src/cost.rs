@@ -117,6 +117,7 @@ impl CostModel {
     /// Cycles for one pass over `bytes` (one copy). The product
     /// saturates, so a byte count near `u64::MAX` prices as a huge pass
     /// rather than wrapping to a small one.
+    #[inline]
     pub fn copy_cycles(&self, bytes: u64) -> u64 {
         bytes.saturating_mul(self.copy_num) / self.copy_den
     }
@@ -124,6 +125,7 @@ impl CostModel {
     /// Cycles for one pass over `bytes` of data at `intensity_x10 / 10`
     /// × memcpy-grade work per byte (saturating, like
     /// [`copy_cycles`](Self::copy_cycles)).
+    #[inline]
     pub fn data_pass_cycles(&self, bytes: u64, intensity_x10: u64) -> u64 {
         self.copy_cycles(bytes).saturating_mul(intensity_x10) / 10
     }
@@ -136,6 +138,7 @@ impl CostModel {
 
     /// Charge Table 1's first four rows into `out` (they sum to
     /// [`sel4_fastpath_base`](Self::sel4_fastpath_base)).
+    #[inline]
     pub fn sel4_fastpath_into(&self, out: &mut CycleLedger) {
         out.charge(Phase::Trap, self.trap);
         out.charge(Phase::IpcLogic, self.ipc_logic);
@@ -146,6 +149,7 @@ impl CostModel {
     /// One-way XPC cost: trampoline + xcall + TLB refill (Figure 5's
     /// rightmost decomposition; `full_ctx` picks the trampoline flavour,
     /// `tagged_tlb` removes the refill penalty).
+    #[inline]
     pub fn xpc_oneway(&self, full_ctx: bool, tagged_tlb: bool) -> u64 {
         let mut l = CycleLedger::new();
         self.xpc_oneway_into(full_ctx, tagged_tlb, &mut l);
@@ -155,6 +159,7 @@ impl CostModel {
     /// Charge the Figure 5 decomposition behind
     /// [`xpc_oneway`](Self::xpc_oneway) into `out`: trampoline, `xcall`,
     /// and (untagged only) TLB refill.
+    #[inline]
     pub fn xpc_oneway_into(&self, full_ctx: bool, tagged_tlb: bool, out: &mut CycleLedger) {
         let tramp = if full_ctx {
             self.trampoline_full
@@ -168,9 +173,11 @@ impl CostModel {
         }
     }
 
-    /// Cycles for one zeroing pass over `bytes` (store-only).
+    /// Cycles for one zeroing pass over `bytes` (store-only; the product
+    /// saturates, like [`copy_cycles`](Self::copy_cycles)).
+    #[inline]
     pub fn scrub_cycles(&self, bytes: u64) -> u64 {
-        bytes * self.scrub_num / self.scrub_den
+        bytes.saturating_mul(self.scrub_num) / self.scrub_den
     }
 
     /// Charge the temporal mitigations `opts.hardening` asks for into
@@ -184,6 +191,12 @@ impl CostModel {
     /// With [`Hardening::NONE`](crate::ledger::Hardening::NONE) this
     /// charges nothing (no spans appear), keeping unhardened ledgers
     /// byte-identical to the pre-hardening model.
+    ///
+    /// Always inlined: every model calls it once per leg from the
+    /// `kernels` crate, and as an out-of-line call it cost more than the
+    /// three flag tests it makes when every mitigation is off (plain
+    /// `#[inline]` leaves it out of line).
+    #[inline(always)]
     pub fn charge_hardening(
         &self,
         hw: bool,
@@ -334,6 +347,16 @@ mod tests {
         assert_eq!(r.get(Phase::Xret), c.flow_tag);
         assert_eq!(r.get(Phase::Xcall), 0);
         assert_eq!(r.get(Phase::Scrub), 0);
+    }
+
+    #[test]
+    fn per_byte_passes_saturate() {
+        // `bytes * scrub_num` used to overflow past ~9 PB: a debug panic,
+        // a release wrap to a small scrub.
+        let c = CostModel::u500();
+        assert_eq!(c.scrub_cycles(u64::MAX), u64::MAX / c.scrub_den);
+        assert_eq!(c.copy_cycles(u64::MAX), u64::MAX / c.copy_den);
+        assert_eq!(c.scrub_cycles(4096), 2005);
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl SweepScratch {
         }
         self.map.clear();
         self.step_ledger.clear();
-        self.issue.keys.clear();
+        self.issue.clear();
         for heap in &mut self.outstanding {
             heap.clear();
         }
@@ -99,14 +99,34 @@ impl SweepScratch {
 }
 
 /// The closed loop's issue queue: one `(issue time, client)` entry per
-/// client, as an implicit 4-ary min-heap over `time << 64 | client` (one
-/// integer compare orders by time, then client index). The closed loop
-/// only ever reads the earliest entry and replaces it with that client's
-/// next issue, so those are the only operations. Keys are distinct (one
-/// per client), so any correct priority queue yields the same minima.
+/// client, keyed `time << 64 | client` (one integer compare orders by
+/// time, then client index). The closed loop only ever reads the
+/// earliest entry and replaces it with that client's next issue, so
+/// those are the only operations. Keys are distinct (one per client), so
+/// any correct priority queue yields the same minima.
+///
+/// It is a loser (tournament) tree over `n` leaves, one per entry, in
+/// the implicit layout where leaf `i` sits at position `n + i` and node
+/// `p`'s children are `2p` and `2p + 1`. Internal node `p ∈ 1..n` holds
+/// the leaf that *lost* the match played there, and `tree[0]` the
+/// overall winner. Replacing the winner's key replays only its own
+/// leaf-to-root path, one compare per level (11 at 2 048 clients). The
+/// path is fixed by the leaf, so no load address depends on a compare,
+/// and each level is three selects that compile to conditional moves. A
+/// branch there would mispredict often: in `closed_sweep` the outcome at
+/// a level repeats the previous request's at most 77 % of the time. A
+/// heap's choice of child is such a branch, and its outcome also decides
+/// which node the next level loads.
 #[derive(Default)]
 struct IssueQueue {
+    /// Leaf `i`'s key.
     keys: Vec<u128>,
+    /// `tree[0]`: the winning leaf; `tree[p]`, `p ∈ 1..n`: the leaf that
+    /// lost at node `p`.
+    tree: Vec<usize>,
+    /// Build buffer: the winner at every position (kept so a rebuild
+    /// allocates nothing after the first cell).
+    winners: Vec<usize>,
 }
 
 impl IssueQueue {
@@ -114,44 +134,64 @@ impl IssueQueue {
         u128::from(t) << 64 | client as u128
     }
 
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.tree.clear();
+    }
+
     /// Append entries whose keys ascend, onto a queue whose keys are all
-    /// smaller (an ascending array is a valid heap as it stands).
+    /// smaller, and play the tournament over every leaf.
     fn extend_sorted(&mut self, entries: impl Iterator<Item = (u64, usize)>) {
         self.keys.extend(entries.map(|(t, c)| Self::key(t, c)));
         debug_assert!(self.keys.is_sorted());
+        let n = self.keys.len();
+        self.winners.clear();
+        self.winners.resize(n, 0);
+        self.winners.extend(0..n);
+        self.tree.clear();
+        self.tree.resize(n, 0);
+        for p in (1..n).rev() {
+            let (a, b) = (self.winners[2 * p], self.winners[2 * p + 1]);
+            let (win, lose) = if self.keys[a] < self.keys[b] {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            self.winners[p] = win;
+            self.tree[p] = lose;
+        }
+        if n > 0 {
+            // Position 1 is the root match, or the lone leaf when n = 1.
+            self.tree[0] = self.winners[1];
+        }
     }
 
     /// The earliest `(issue time, client)`, ties to the lowest client.
     #[allow(clippy::cast_possible_truncation)] // the halves `key` packed
     fn peek(&self) -> Option<(u64, usize)> {
-        let unpack = |&k: &u128| ((k >> 64) as u64, k as u64 as usize);
-        self.keys.first().map(unpack)
+        let k = self.keys[*self.tree.first()?];
+        Some(((k >> 64) as u64, k as u64 as usize))
     }
 
-    /// Replace the earliest entry with `(t, client)`: one sift down.
+    /// Replace the earliest entry with `(t, client)`: rewrite the
+    /// winner's leaf and replay its path to the root, branch-free.
     fn replace_min(&mut self, t: u64, client: usize) {
-        let key = Self::key(t, client);
         let n = self.keys.len();
-        let mut hole = 0;
-        loop {
-            let first = 4 * hole + 1;
-            if first >= n {
-                break;
-            }
-            let children = &self.keys[first..n.min(first + 4)];
-            let (mut at, mut least) = (0, children[0]);
-            for (i, &k) in children.iter().enumerate().skip(1) {
-                if k < least {
-                    (at, least) = (i, k);
-                }
-            }
-            if key <= least {
-                break;
-            }
-            self.keys[hole] = least;
-            hole = first + at;
+        let leaf = self.tree[0];
+        let key = Self::key(t, client);
+        self.keys[leaf] = key;
+        let (mut winner, mut winner_key) = (leaf, key);
+        let mut node = (n + leaf) / 2;
+        while node > 0 {
+            let other = self.tree[node];
+            let other_key = self.keys[other];
+            let other_wins = other_key < winner_key;
+            self.tree[node] = if other_wins { winner } else { other };
+            winner = if other_wins { other } else { winner };
+            winner_key = if other_wins { other_key } else { winner_key };
+            node /= 2;
         }
-        self.keys[hole] = key;
+        self.tree[0] = winner;
     }
 }
 
@@ -633,7 +673,10 @@ impl<'a> Trace<'a> {
         }
         self.since_epoch = 0;
         let active = self.active;
-        let mean_lag = (0..active).map(|c| mw.backlog(c, t)).sum::<u64>() / active as u64;
+        // Summed in u128: two cores whose clocks saturated at u64::MAX
+        // overflow a u64 sum. A mean of u64s fits a u64.
+        let lag: u128 = (0..active).map(|c| u128::from(mw.backlog(c, t))).sum();
+        let mean_lag = u64::try_from(lag / active as u128).unwrap_or(u64::MAX);
         if mean_lag > cfg.grow_backlog_cycles && active < self.max_active {
             self.active += 1;
             self.events.grow_events += 1;
@@ -964,29 +1007,71 @@ mod tests {
         }
     }
 
+    /// One `replace_min` of the issue-queue property: what the popped
+    /// client's next issue time is, relative to the time it was popped at.
+    #[derive(Debug, Clone, Copy)]
+    enum Next {
+        /// Replaced by the same key.
+        Same,
+        /// Unbounded think time.
+        Max,
+        /// Back from the end of time, to an absolute time.
+        Back(u64),
+        /// A step of 0–2 cycles: runs of equal times, ties to the lowest
+        /// client.
+        Tie(u64),
+    }
+
     #[test]
     fn the_issue_queue_is_a_priority_queue() {
-        // Against the heap it replaced, doing pop + push: client counts
-        // that leave the last 4-group empty, partial and full.
-        for clients in [1usize, 2, 4, 5, 6, 17, 2048] {
-            let mut rng = Rng::seed_from_u64(0x155e + clients as u64);
-            let mut queue = IssueQueue::default();
-            queue.extend_sorted((0..clients).map(|c| (0, c)));
-            let mut oracle: BinaryHeap<_> = (0..clients).map(|c| Reverse((0u64, c))).collect();
-            for _ in 0..12_000 {
-                let Reverse((t, client)) = oracle.pop().expect("one entry per client");
-                assert_eq!(queue.peek(), Some((t, client)), "{clients} clients");
-                let next = match rng.below(16) {
-                    0 => t,                // replaced by the same key
-                    1 => u64::MAX,         // unbounded think time
-                    2 => rng.below(1_000), // back from the end of time
-                    // Runs of equal times: ties go to the lowest client.
-                    _ => t.saturating_add(rng.below(3)),
+        // Against a `BinaryHeap` doing pop + push, at client counts from
+        // 1 to 2 048 (tiny ones, the benchmark's 2 048 and everything
+        // between, powers of two or not); the op count is the size the
+        // harness halves when a case fails.
+        ycsb::check(
+            "the_issue_queue_is_a_priority_queue",
+            48,
+            &[],
+            |rng, size| {
+                let clients = match rng.below(4) {
+                    0 => 1 + rng.below(8),
+                    1 => 2048,
+                    _ => 1 + rng.below(2048),
                 };
-                oracle.push(Reverse((next, client)));
-                queue.replace_min(next, client);
-            }
-        }
+                let ops = (0..rng.below(12_000.min(size)))
+                    .map(|_| match rng.below(16) {
+                        0 => Next::Same,
+                        1 => Next::Max,
+                        2 => Next::Back(rng.below(1_000)),
+                        _ => Next::Tie(rng.below(3)),
+                    })
+                    .collect::<Vec<_>>();
+                (usize::try_from(clients).expect("at most 2 048"), ops)
+            },
+            |(clients, ops)| {
+                let mut queue = IssueQueue::default();
+                queue.extend_sorted((0..*clients).map(|c| (0, c)));
+                let mut oracle: BinaryHeap<_> = (0..*clients).map(|c| Reverse((0u64, c))).collect();
+                for (i, op) in ops.iter().enumerate() {
+                    let Reverse((t, client)) = oracle.pop().expect("one entry per client");
+                    if queue.peek() != Some((t, client)) {
+                        return Err(format!(
+                            "op {i}: queue head {:?}, oracle ({t}, {client})",
+                            queue.peek()
+                        ));
+                    }
+                    let next = match *op {
+                        Next::Same => t,
+                        Next::Max => u64::MAX,
+                        Next::Back(at) => at,
+                        Next::Tie(step) => t.saturating_add(step),
+                    };
+                    oracle.push(Reverse((next, client)));
+                    queue.replace_min(next, client);
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -155,6 +155,11 @@ pub struct CycleLedger {
     /// Where each phase's span sits (see [`SlotMap`]) — a function of
     /// `spans`, so the derived equality is span equality.
     slots: SlotMap,
+    /// The saturating sum of the spans' cycles, kept up to date by every
+    /// mutator — also a function of `spans`. A saturating sum of
+    /// non-negative terms is `min(Σ, u64::MAX)` whatever the grouping,
+    /// so accumulating charge by charge equals folding the spans.
+    total: u64,
 }
 
 /// Per-phase position of a ledger's span, keyed by [`Phase::index`]:
@@ -190,6 +195,7 @@ impl CycleLedger {
     /// `u64::MAX`; records zero charges).
     #[inline]
     pub fn charge(&mut self, phase: Phase, cycles: u64) {
+        self.total = self.total.saturating_add(cycles);
         match self.slots[phase.index()] {
             0 => {
                 self.spans.push((phase, cycles));
@@ -220,12 +226,10 @@ impl CycleLedger {
 
     /// Sum over all phases (saturating: a ledger priced from an absurd
     /// caller-supplied count totals `u64::MAX`, never a wrapped small
-    /// number).
+    /// number). O(1): the sum is kept as the spans are charged.
     #[inline]
     pub fn total(&self) -> u64 {
-        self.spans
-            .iter()
-            .fold(0, |sum, &(_, c)| sum.saturating_add(c))
+        self.total
     }
 
     /// The spans in first-charge order.
@@ -246,6 +250,7 @@ impl CycleLedger {
     pub fn clear(&mut self) {
         self.spans.clear();
         self.slots = [0; Phase::COUNT];
+        self.total = 0;
     }
 
     /// Number of recorded spans (distinct phases charged so far).
@@ -262,9 +267,12 @@ impl CycleLedger {
     /// keeping span order. This is how batched pricing rescales a
     /// first-call ledger into an n-call ledger without reallocating.
     pub fn map_cycles(&mut self, mut f: impl FnMut(Phase, u64) -> u64) {
+        let mut total = 0u64;
         for (p, c) in &mut self.spans {
             *c = f(*p, *c);
+            total = total.saturating_add(*c);
         }
+        self.total = total;
     }
 
     /// Per-phase delta `self - baseline` over the union of phases (this

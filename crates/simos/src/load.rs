@@ -86,6 +86,30 @@ pub enum LoadError {
     ZeroWindow,
     /// The placement policy rejected a service → core map.
     Placement(PlacementError),
+    /// A recipe step (or the fused program it dispatches) names a
+    /// service outside the `n_services` a placement maps.
+    ServiceOutOfRange {
+        /// Roster index of the recipe.
+        recipe: usize,
+        /// Index of the step within the recipe.
+        step: usize,
+        /// The largest service id the step names.
+        service: usize,
+        /// Services the placement maps.
+        n_services: usize,
+    },
+    /// A [`Step::Fused`] names a program this world never registered
+    /// (an id from another world's table, say).
+    UnknownProgram {
+        /// Roster index of the recipe.
+        recipe: usize,
+        /// Index of the step within the recipe.
+        step: usize,
+        /// [`ProgramId::index`](crate::ProgramId::index) of the id.
+        program: usize,
+        /// Programs registered on this world.
+        n_programs: usize,
+    },
 }
 
 impl fmt::Display for LoadError {
@@ -100,8 +124,70 @@ impl fmt::Display for LoadError {
                 )
             }
             LoadError::Placement(e) => write!(f, "placement rejected the core map: {e}"),
+            LoadError::ServiceOutOfRange {
+                recipe,
+                step,
+                service,
+                n_services,
+            } => write!(
+                f,
+                "recipe {recipe} step {step} names service {service} of {n_services}"
+            ),
+            LoadError::UnknownProgram {
+                recipe,
+                step,
+                program,
+                n_programs,
+            } => write!(
+                f,
+                "recipe {recipe} step {step} dispatches program {program}, \
+                 but this world registered {n_programs}"
+            ),
         }
     }
+}
+
+/// Check every step of `recipes` against `mw` and the `n_services` a
+/// placement maps, once, before any request is priced: every service id
+/// a step names (`from` / `to` / `at`, and a fused program's client and
+/// hop services) is below `n_services`, and every [`Step::Fused`] id is
+/// registered on `mw`. The per-request path indexes the placement map
+/// and the program table by these ids unchecked.
+pub(crate) fn check_roster(
+    mw: &MultiWorld,
+    n_services: usize,
+    recipes: &[Vec<Step>],
+) -> Result<(), LoadError> {
+    for (recipe, steps) in recipes.iter().enumerate() {
+        for (step, &s) in steps.iter().enumerate() {
+            let service = match s {
+                Step::Oneway { from, to, .. }
+                | Step::Batch { from, to, .. }
+                | Step::Roundtrip { from, to, .. } => from.max(to),
+                Step::Compute { at, .. } | Step::DataPass { at, .. } => at,
+                Step::Fused(id) => {
+                    if id.index() >= mw.n_programs() {
+                        return Err(LoadError::UnknownProgram {
+                            recipe,
+                            step,
+                            program: id.index(),
+                            n_programs: mw.n_programs(),
+                        });
+                    }
+                    mw.program(id).max_service()
+                }
+            };
+            if service >= n_services {
+                return Err(LoadError::ServiceOutOfRange {
+                    recipe,
+                    step,
+                    service,
+                    n_services,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 impl std::error::Error for LoadError {
@@ -238,9 +324,11 @@ pub fn run_windowed(
 /// # Errors
 ///
 /// [`LoadError`] when the recipe roster is empty, the client population
-/// is zero, the window is zero, or the placement policy rejects a
-/// service → core map — all checked at entry (or, for placement, at the
-/// offending request), before/without pricing anything.
+/// is zero, the window is zero, a step names a service outside
+/// `n_services` or a program `mw` never registered, or the placement
+/// policy rejects a service → core map — all checked at entry (or, for
+/// placement, at the offending request), before/without pricing
+/// anything.
 #[allow(clippy::too_many_arguments)] // the sweep axes are the signature
 pub fn run_windowed_with(
     mw: &mut MultiWorld,
@@ -261,6 +349,7 @@ pub fn run_windowed_with(
     if window == 0 {
         return Err(LoadError::ZeroWindow);
     }
+    check_roster(mw, n_services, recipes)?;
     let mut clients = Clients::new(policy, n_services, recipes.len(), spec, window, scratch);
     let out = engine::run(mw, recipes, &mut clients, scratch, att)?;
     Ok(LoadReport {
@@ -290,6 +379,7 @@ mod tests {
     use crate::ipc::IpcSystem;
     use crate::ledger::InvokeOpts;
     use crate::multicore::CoreId;
+    use crate::program::ProgramId;
     use crate::topology::Topology;
 
     struct Fixed;
@@ -504,6 +594,106 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, LoadError::Placement(_)), "{err}");
+    }
+
+    /// `recipes` through both front doors on a fresh 2-core world
+    /// (`programs` fused programs registered on it): the closed loop's
+    /// error, and the open loop's.
+    fn both_front_doors(
+        programs: usize,
+        n_services: usize,
+        recipes: &[Vec<Step>],
+    ) -> (LoadError, crate::serve::ServeError) {
+        use crate::serve::{serve, ArrivalTrace, ServePolicy, ServeSpec};
+        let world = || {
+            let mut w = mw(2);
+            for _ in 0..programs {
+                let program = crate::program::Recipe::new(0).hop(1, 64).build().unwrap();
+                let _ = w.register_program(program);
+            }
+            w
+        };
+        let mut scratch = SweepScratch::new();
+        let mut arena = LedgerArena::new();
+        let closed = run_windowed_with(
+            &mut world(),
+            &Placement::RoundRobin,
+            n_services,
+            recipes,
+            &spec(),
+            1,
+            &mut scratch,
+            Attribution::Full(&mut arena),
+        )
+        .unwrap_err();
+        let trace = ArrivalTrace::from_arrivals(vec![crate::serve::Arrival {
+            at: 0,
+            tenant: 0,
+            recipe: 0,
+        }])
+        .unwrap();
+        let policy = ServePolicy::Static(Placement::RoundRobin);
+        let open = serve(
+            &mut world(),
+            &policy,
+            n_services,
+            recipes,
+            &trace,
+            &ServeSpec::default(),
+        )
+        .unwrap_err();
+        (closed, open)
+    }
+
+    #[test]
+    fn a_step_naming_a_service_outside_the_map_is_a_typed_error() {
+        // Service 3 of a 3-service map used to index past the placement
+        // map on the first request that drew the recipe: a host panic.
+        let stray = vec![recipe(), vec![Step::Compute { at: 3, cycles: 10 }]];
+        let want = LoadError::ServiceOutOfRange {
+            recipe: 1,
+            step: 0,
+            service: 3,
+            n_services: 3,
+        };
+        let (closed, open) = both_front_doors(0, 3, &stray);
+        assert_eq!(closed, want);
+        assert_eq!(open, crate::serve::ServeError::Load(want));
+        assert!(closed.to_string().contains("names service 3 of 3"));
+        // A fused program's hop services are checked as well.
+        let (closed, _) = both_front_doors(1, 1, &[vec![Step::Fused(ProgramId::from_index(0))]]);
+        assert_eq!(
+            closed,
+            LoadError::ServiceOutOfRange {
+                recipe: 0,
+                step: 0,
+                service: 1,
+                n_services: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn a_fused_step_from_another_world_is_a_typed_error() {
+        // Program 2 of a world with three registered, dispatched on a
+        // world with one: the program-table index used to panic.
+        let mut other = mw(2);
+        let mut foreign = ProgramId::from_index(0);
+        for _ in 0..3 {
+            let program = crate::program::Recipe::new(0).hop(1, 64).build().unwrap();
+            foreign = other.register_program(program);
+        }
+        let roster = [vec![Step::Fused(foreign)]];
+        let want = LoadError::UnknownProgram {
+            recipe: 0,
+            step: 0,
+            program: 2,
+            n_programs: 1,
+        };
+        let (closed, open) = both_front_doors(1, 3, &roster);
+        assert_eq!(closed, want);
+        assert_eq!(open, crate::serve::ServeError::Load(want));
+        assert!(closed.to_string().contains("registered 1"));
     }
 
     #[test]

@@ -231,6 +231,7 @@ impl XCoreCost {
 
     /// `x` scaled by socket distance: `x * (10 + dist * numa_x10) / 10`
     /// (exactly `x` at distance 0).
+    #[inline]
     fn at_distance(&self, x: u64, dist: u64) -> u64 {
         x * (10 + dist * self.numa_x10) / 10
     }
@@ -244,6 +245,7 @@ impl XCoreCost {
     /// Surcharge for one hop carrying `payload_bytes` between cores whose
     /// sockets sit `dist` distance units apart: IPI, remote wakeup, and
     /// cache-line transfer each scale with the distance.
+    #[inline]
     pub fn hop_extra_at(&self, payload_bytes: u64, dist: u64) -> u64 {
         let lines = payload_bytes.div_ceil(self.line_bytes.max(1));
         (self.at_distance(self.ipi, dist) + self.at_distance(self.remote_wakeup, dist))
@@ -255,6 +257,7 @@ impl XCoreCost {
     /// and only the distance-dependent part of the cache-line transfer
     /// cross-socket (the relay segment's lines are pulled across the
     /// interconnect on first touch).
+    #[inline]
     pub fn migrating_hop_extra(&self, payload_bytes: u64, dist: u64) -> u64 {
         let lines = payload_bytes.div_ceil(self.line_bytes.max(1));
         lines.saturating_mul(self.at_distance(self.line_transfer, dist) - self.line_transfer)
@@ -793,22 +796,26 @@ impl MultiWorld {
                 hop.request
             };
             let opts = self.shard_opts(prev, to, &InvokeOpts::call());
-            copied += self.cores[to]
+            let hop_copied = self.cores[to]
                 .ipc()
                 .fused_hop_into(calls, msg_len(bytes), &opts, out);
             self.surcharge_into(prev, to, bytes, 1, out);
-            payload += bytes;
-            compute += hop.compute;
+            // Saturating, like every virtual-time sum: a program's byte
+            // and compute counts are caller-supplied.
+            copied = copied.saturating_add(hop_copied);
+            payload = payload.saturating_add(bytes);
+            compute = compute.saturating_add(hop.compute);
             calls += 1;
             prev = to;
         }
         let response = self.programs[id.index()].response();
         let reply_opts = self.shard_opts(issuer, prev, &InvokeOpts::reply_leg());
-        copied += self.cores[prev]
+        let reply_copied = self.cores[prev]
             .ipc()
             .oneway_into(msg_len(response), &reply_opts, out);
         self.surcharge_into(issuer, prev, response, 1, out);
-        payload += response;
+        copied = copied.saturating_add(reply_copied);
+        payload = payload.saturating_add(response);
         let at = self.clock(entry, ready, out.total().saturating_add(compute));
         if compute > 0 {
             self.cores[entry].compute(compute);

@@ -50,7 +50,7 @@
 use crate::engine::{self, Trace};
 use crate::ipc::EngineCacheStats;
 use crate::ledger::{Attribution, CycleLedger, LedgerArena, Phase};
-use crate::load::LoadError;
+use crate::load::{check_roster, LoadError};
 use crate::multicore::{MultiWorld, Placement, Step};
 use std::fmt;
 use ycsb::rng::Rng;
@@ -531,7 +531,8 @@ impl ServeReport {
 /// distinct from shedding, which is a priced outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
-    /// A load-layer precondition failed (empty roster, placement).
+    /// A load-layer precondition failed (empty roster, a step naming a
+    /// service or program out of range, placement).
     Load(LoadError),
     /// The trace has no arrivals.
     EmptyTrace,
@@ -688,7 +689,8 @@ pub fn serve(
 ///
 /// # Errors
 ///
-/// [`ServeError`] when the roster is empty, the trace is empty or
+/// [`ServeError`] when the roster is empty or names a service or program
+/// out of range ([`ServeError::Load`]), the trace is empty or
 /// references tenants/recipes outside bounds, a tenant class can never
 /// admit, the autoscale configuration cannot act, or placement rejects
 /// a map — all structural problems, reported before (or instead of)
@@ -719,6 +721,7 @@ pub fn serve_with(
     if spec.classes.iter().any(|c| c.queue_cap == 0) {
         return Err(ServeError::ZeroQueueCap);
     }
+    check_roster(mw, n_services, recipes)?;
     let mut src = Trace::new(
         policy,
         n_services,

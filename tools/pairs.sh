@@ -4,19 +4,22 @@
 #
 #   tools/pairs.sh <parent-checkout> <change-checkout> [pairs=10] [first-seed=501] [workload...]
 #
-# Builds `benchmark/` offline in both checkouts, then runs every workload
-# `pairs` times per side at the benchmark's own run length (10 s): pair i
-# uses seed first-seed + i on both sides, parent first when i is even,
-# change first when i is odd. Workloads named after the two numbers
-# restrict the run to those (a change to `rv64` alone can get its ten
-# pairs of guest_alu and guest_xcall without 20 minutes of untouched
-# workloads); the output format is the same. Every run is printed as it finishes; the
-# summary gives, per (workload, metric), each side's median and quartiles
-# (the method of `xpc-benchmark compare`), the pairs the change won (ties
-# count for neither side) and the ratio of medians with its base.
-# Exits 1 when any run failed an output check.
+# Builds `benchmark/` offline from each checkout's source into its own
+# fresh target directory under $TMPDIR (removed on exit, so no binary
+# left over from an earlier build with other settings is ever measured),
+# then runs every workload `pairs` times per side at the benchmark's own
+# run length (10 s): pair i uses seed first-seed + i on both sides,
+# parent first when i is even, change first when i is odd. Workloads
+# named after the two numbers restrict the run to those (a change to
+# `rv64` alone can get its ten pairs of guest_alu and guest_xcall without
+# 20 minutes of untouched workloads); the output format is the same.
+# Every run is printed as it finishes; the summary names both binaries
+# by sha256 and gives, per (workload, metric), each side's median and
+# quartiles (the method of `xpc-benchmark compare`), the pairs the change
+# won (ties count for neither side) and the ratio of medians with its
+# base. Exits 1 when any run failed an output check.
 #
-# POSIX sh + sort + awk; about pairs x workloads x 2 sides x 12 s.
+# POSIX sh + sort + awk + sha256sum; about pairs x workloads x 2 sides x 12 s.
 set -eu
 
 all="guest_alu guest_xcall closed_sweep open_serve figures_all"
@@ -34,22 +37,26 @@ done
 [ "$pairs" -ge 2 ] || { echo "quartiles need at least 2 pairs" >&2; exit 2; }
 [ "$parent" != "$change" ] || { echo "parent and change are the same checkout" >&2; exit 2; }
 
-# One shared target directory would have the second build overwrite the first.
-unset CARGO_TARGET_DIR
-for side in "$parent" "$change"; do
-    cargo build --release --offline --quiet --manifest-path "$side/benchmark/Cargo.toml"
-done
-bin=benchmark/target/release/xpc-benchmark
-
-rows=${TMPDIR:-/tmp}/pairs.$$
-trap 'rm -f "$rows"' EXIT
+work=$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+rows=$work/rows
 : >"$rows"
 
-# run <workload-index> <workload> <pair> <side> <checkout> <seed>
+# A fresh target directory per side: a shared one would have the second
+# build overwrite the first, and a checkout's own may hold a stale binary.
+for side in parent change; do
+    eval "checkout=\$$side"
+    CARGO_TARGET_DIR="$work/$side" \
+        cargo build --release --offline --quiet --manifest-path "$checkout/benchmark/Cargo.toml"
+done
+parent_bin=$work/parent/release/xpc-benchmark
+change_bin=$work/change/release/xpc-benchmark
+
+# run <workload-index> <workload> <pair> <side> <binary> <seed>
 # Appends "widx workload midx metric side pair value" rows (failed runs too:
 # midx 4 is the failed-operation count).
 run() {
-    out=$("$5/$bin" --workload "$2" --seed "$6") || true
+    out=$("$5" --workload "$2" --seed "$6") || true
     echo "$out" | awk -v w="$1" -v wl="$2" -v p="$3" -v side="$4" -v seed="$6" -v rows="$rows" '
         $1 == "ops_per_s"    { m[1] = $2 }
         $1 == "peak_rss_mib" { m[2] = $2 }
@@ -75,19 +82,19 @@ for workload in $workloads; do
     while [ "$i" -lt "$pairs" ]; do
         seed=$((seed0 + i))
         if [ $((i % 2)) -eq 0 ]; then
-            run "$w" "$workload" "$i" parent "$parent" "$seed"
-            run "$w" "$workload" "$i" change "$change" "$seed"
+            run "$w" "$workload" "$i" parent "$parent_bin" "$seed"
+            run "$w" "$workload" "$i" change "$change_bin" "$seed"
         else
-            run "$w" "$workload" "$i" change "$change" "$seed"
-            run "$w" "$workload" "$i" parent "$parent" "$seed"
+            run "$w" "$workload" "$i" change "$change_bin" "$seed"
+            run "$w" "$workload" "$i" parent "$parent_bin" "$seed"
         fi
         i=$((i + 1))
     done
 done
 
 echo
-echo "parent $parent"
-echo "change $change"
+echo "parent $parent (xpc-benchmark sha256 $(sha256sum <"$parent_bin" | cut -d' ' -f1))"
+echo "change $change (xpc-benchmark sha256 $(sha256sum <"$change_bin" | cut -d' ' -f1))"
 echo "$pairs pairs per workload, seeds $seed0..$((seed0 + pairs - 1)); ratio = change median / parent median"
 # Values of one (workload, metric, side) arrive in ascending order.
 sort -k1,1n -k3,3n -k5,5 -k7,7n "$rows" | awk -v pairs="$pairs" '
