@@ -4,7 +4,7 @@
 //! cargo run -p xpc-bench --bin figures -- all
 //! cargo run -p xpc-bench --bin figures -- table3 fig6
 //! cargo run -p xpc-bench --bin figures -- --json
-//! cargo run -p xpc-bench --bin figures -- --threads 4 --json --no-simspeed all
+//! cargo run -p xpc-bench --bin figures -- --threads 4 --json all
 //! ```
 //!
 //! `--json` additionally sweeps the full kernel-model roster and dumps
@@ -12,11 +12,11 @@
 //! ablation ledgers and one section per scenario grid) to
 //! `BENCH_figures.json`; a grid whose table was printed above is handed
 //! to its JSON section, not computed again (see `xpc_bench::experiments`).
-//! `--no-simspeed` drops the wall-clock `simspeed` section so that dump
-//! is byte-reproducible. `--threads N` pins the sweep pool's worker count
-//! (overriding `XPC_BENCH_THREADS` and the machine's parallelism); the
-//! rendered output is byte-identical at any setting. A closed stdout
-//! (`figures all | head`) ends the run quietly with exit 0.
+//! `--threads N` pins the sweep pool's worker count (overriding
+//! `XPC_BENCH_THREADS` and the machine's parallelism); the rendered
+//! output and the dump, virtual time only, are byte-identical at any
+//! setting. A closed stdout (`figures all | head`) ends the run quietly
+//! with exit 0.
 
 use std::io::Write;
 use xpc_bench::experiments;
@@ -44,8 +44,6 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
     args.retain(|a| a != "--json");
-    let no_simspeed = args.iter().any(|a| a == "--no-simspeed");
-    args.retain(|a| a != "--no-simspeed");
 
     let mut i = 0;
     while i < args.len() {
@@ -96,47 +94,14 @@ fn main() {
     }
 
     if json {
-        let rows = sweep::roster_sweep();
-        let fig5: Vec<(String, kernels::Invocation)> = experiments::fig5::invocations()
-            .into_iter()
-            .map(|(name, inv)| (name.to_string(), inv))
-            .collect();
-        let mut raw = vec![
-            ("scale", experiments::scale::json_section()),
-            ("pipeline", experiments::pipeline::json_section()),
-            ("ablations", experiments::ablations::json_section()),
-            ("numa", experiments::numa::json_section()),
-            ("verify", experiments::verify::json_section()),
-            ("serve", experiments::serve::json_section()),
-            ("fuse", experiments::fuse::json_section()),
-            ("harden", experiments::harden::json_section()),
-        ];
-        if !no_simspeed {
-            // Wall-clock simulator throughput; lives only in the JSON
-            // dump (never in golden.txt — the numbers are real-time,
-            // not modeled) and is suppressed by --no-simspeed when the
-            // dump itself must be byte-reproducible.
-            let serial = experiments::simspeed::measure(experiments::simspeed::REQUESTS);
-            let par = experiments::simspeed::measure_par();
-            raw.push((
-                "simspeed",
-                experiments::simspeed::json_section(&serial, &par),
-            ));
-        }
-        let doc = sweep::json_dump(&rows, &[("fig5", fig5)], &raw);
         let path = "BENCH_figures.json";
-        if let Err(e) = std::fs::write(path, &doc) {
+        if let Err(e) = std::fs::write(path, experiments::json_document()) {
             fail(&format!("failed to write {path}: {e}"));
         }
         eprintln!(
-            "wrote {path}: {} systems x {} sizes, phase-attributed{}",
-            rows.len(),
+            "wrote {path}: {} systems x {} sizes, phase-attributed",
+            kernels::full_roster_factories().len(),
             sweep::SIZES.len(),
-            if no_simspeed {
-                ", simspeed skipped"
-            } else {
-                ""
-            }
         );
     }
 }

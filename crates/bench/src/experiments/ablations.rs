@@ -4,8 +4,9 @@
 //! relay page table (§6.2) versus the contiguous relay segment, the last
 //! one measured on the emulator.
 
-use super::Report;
+use super::{Experiment, Report};
 use crate::harness::{CallBench, CallBenchConfig};
+use crate::json::Value;
 use kernels::XpcIpc;
 use rv64::{reg, Assembler};
 use simos::cost::CostModel;
@@ -123,68 +124,109 @@ pub fn engine_batch_rows() -> Vec<(u64, f64, EngineCacheStats)> {
         .collect()
 }
 
-/// Regenerate the ablation report.
-pub fn run() -> Report {
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    rows.push(vec!["-- transports: 1MiB over 4 hops --".into()]);
-    for (name, cycles, safe, handover) in transport_rows() {
-        rows.push(vec![
-            name,
-            format!("{cycles} cycles"),
-            format!("tocttou-safe: {safe}"),
-            format!("handover: {handover}"),
-        ]);
+/// The ablation experiment: every row group of the table.
+pub struct Ablations;
+
+/// What the ablation table shows, one field per row group (the JSON view
+/// shows the engine-cache group).
+#[derive(Debug, Clone)]
+pub struct AblationRows {
+    /// [`transport_rows`].
+    pub transports: Vec<(String, u64, bool, bool)>,
+    /// [`cap_rows`].
+    pub caps: Vec<(String, u64, usize)>,
+    /// [`context_rows`].
+    pub contexts: Vec<(String, u64)>,
+    /// [`relay_pt_rows`].
+    pub relay: Vec<(String, u64)>,
+    /// [`engine_batch_rows`].
+    pub engine_batch: Vec<(u64, f64, EngineCacheStats)>,
+}
+
+impl Experiment for Ablations {
+    type Grid = AblationRows;
+
+    fn compute() -> Self::Grid {
+        AblationRows {
+            transports: transport_rows(),
+            caps: cap_rows(),
+            contexts: context_rows(),
+            relay: relay_pt_rows(),
+            engine_batch: engine_batch_rows(),
+        }
     }
-    rows.push(vec!["-- xcall-cap stores (sparse 2^20 IDs) --".into()]);
-    for (name, words, bytes) in cap_rows() {
-        rows.push(vec![
-            name,
-            format!("{words} words/probe"),
-            format!("{bytes} B footprint"),
-        ]);
+
+    fn table(grid: &Self::Grid) -> Report {
+        let mut rows: Vec<Vec<String>> = Vec::new();
+        rows.push(vec!["-- transports: 1MiB over 4 hops --".into()]);
+        for (name, cycles, safe, handover) in &grid.transports {
+            rows.push(vec![
+                name.clone(),
+                format!("{cycles} cycles"),
+                format!("tocttou-safe: {safe}"),
+                format!("handover: {handover}"),
+            ]);
+        }
+        rows.push(vec!["-- xcall-cap stores (sparse 2^20 IDs) --".into()]);
+        for (name, words, bytes) in &grid.caps {
+            rows.push(vec![
+                name.clone(),
+                format!("{words} words/probe"),
+                format!("{bytes} B footprint"),
+            ]);
+        }
+        rows.push(vec!["-- caller context convention --".into()]);
+        for (name, cycles) in &grid.contexts {
+            rows.push(vec![name.clone(), format!("{cycles} cycles/call")]);
+        }
+        rows.push(vec!["-- 512B guest read through the window --".into()]);
+        for (name, cycles) in &grid.relay {
+            rows.push(vec![name.clone(), format!("{cycles} cycles")]);
+        }
+        rows.push(vec!["-- engine cache under batching (64B bursts) --".into()]);
+        for (n, per_call, stats) in &grid.engine_batch {
+            rows.push(vec![
+                format!("batch {n}"),
+                format!("{per_call:.1} cycles/call"),
+                format!("prefetches: {}", stats.prefetches),
+                format!("cache hits: {}", stats.cache_hits),
+            ]);
+        }
+        Report {
+            id: "Ablations",
+            caption:
+                "Design-choice sweeps (transport family, cap stores, context modes, relay page table)",
+            headers: vec!["Variant".into(), "Cost".into(), "".into(), "".into()],
+            rows,
+        }
     }
-    rows.push(vec!["-- caller context convention --".into()]);
-    for (name, cycles) in context_rows() {
-        rows.push(vec![name, format!("{cycles} cycles/call")]);
-    }
-    rows.push(vec!["-- 512B guest read through the window --".into()]);
-    for (name, cycles) in relay_pt_rows() {
-        rows.push(vec![name, format!("{cycles} cycles")]);
-    }
-    rows.push(vec!["-- engine cache under batching (64B bursts) --".into()]);
-    for (n, per_call, stats) in engine_batch_rows() {
-        rows.push(vec![
-            format!("batch {n}"),
-            format!("{per_call:.1} cycles/call"),
-            format!("prefetches: {}", stats.prefetches),
-            format!("cache hits: {}", stats.cache_hits),
-        ]);
-    }
-    Report {
-        id: "Ablations",
-        caption:
-            "Design-choice sweeps (transport family, cap stores, context modes, relay page table)",
-        headers: vec!["Variant".into(), "Cost".into(), "".into(), "".into()],
-        rows,
+
+    /// Engine-cache efficacy under batching, surfaced as counters rather
+    /// than inferred from totals.
+    fn json(grid: &Self::Grid) -> Value {
+        let cells = grid.engine_batch.iter().map(|(n, per_call, stats)| {
+            Value::Object(vec![
+                ("batch", (*n).into()),
+                ("per_call_cycles", Value::Fixed(*per_call, 1)),
+                ("prefetches", stats.prefetches.into()),
+                ("cache_hits", stats.cache_hits.into()),
+            ])
+        });
+        Value::Object(vec![(
+            "engine_cache_batching",
+            Value::Array(cells.collect()),
+        )])
     }
 }
 
-/// The `"ablations"` section of `BENCH_figures.json`: engine-cache
-/// efficacy under batching, surfaced as counters rather than inferred
-/// from totals.
+/// Regenerate the ablation report.
+pub fn run() -> Report {
+    super::run::<Ablations>()
+}
+
+/// The `"ablations"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    let cells = engine_batch_rows()
-        .iter()
-        .map(|(n, per_call, stats)| {
-            format!(
-                "    {{\"batch\": {n}, \"per_call_cycles\": {per_call:.1}, \
-                 \"prefetches\": {}, \"cache_hits\": {}}}",
-                stats.prefetches, stats.cache_hits
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\"engine_cache_batching\": [\n{cells}\n  ]}}")
+    super::json_section::<Ablations>()
 }
 
 #[cfg(test)]

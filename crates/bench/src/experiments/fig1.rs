@@ -8,22 +8,16 @@ use super::Report;
 use kernels::{Sel4, Sel4Transfer};
 use minidb::{load, run_loaded, run_workload};
 use simos::World;
-use std::cell::RefCell;
 use ycsb::{Workload, WorkloadSpec};
 
 /// Message-length bounds of the Figure 1(b) CDF.
 const BOUNDS: [u64; 8] = [4, 16, 64, 256, 1024, 4096, 8192, 1 << 20];
 
 /// What Figure 1(b) prints: the CDF at [`BOUNDS`] and the data-transfer
-/// share of IPC time.
-type ECdf = (Vec<(u64, f64)>, f64);
-
-thread_local! {
-    /// The YCSB-E cell of the last [`ipc_fractions`], parked for the
-    /// [`fig1b`] that follows it — eight pairs and a float, not the
-    /// world's event list. Take-once and thread-local.
-    static PARKED: RefCell<Option<ECdf>> = const { RefCell::new(None) };
-}
+/// share of IPC time. The YCSB-E cell of [`ipc_fractions`] parks one for
+/// the [`fig1b`] that follows it — eight pairs and a float, not the
+/// world's event list.
+struct ECdf(Vec<(u64, f64)>, f64);
 
 fn spec(wl: Workload) -> WorkloadSpec {
     WorkloadSpec {
@@ -42,10 +36,13 @@ pub fn ipc_fractions() -> Vec<(&'static str, f64)> {
     let mut cells = simos::par::map_cells(Workload::ALL.to_vec(), |_, wl, _| {
         let mut w = sel4();
         let r = run_loaded(&mut w, loaded.clone(), &spec(wl));
-        let cdf = (wl == Workload::E).then(|| (w.stats.cdf_by_size(&BOUNDS), r.transfer_fraction));
+        let cdf =
+            (wl == Workload::E).then(|| ECdf(w.stats.cdf_by_size(&BOUNDS), r.transfer_fraction));
         (wl.name(), r.ipc_fraction, cdf)
     });
-    PARKED.set(cells.iter_mut().find_map(|cell| cell.2.take()));
+    if let Some(cdf) = cells.iter_mut().find_map(|cell| cell.2.take()) {
+        super::park(cdf);
+    }
     cells.into_iter().map(|(name, f, _)| (name, f)).collect()
 }
 
@@ -73,7 +70,7 @@ pub fn ycsb_e_cdf() -> (Vec<(u64, f64)>, f64) {
 /// Regenerate Figure 1(b), from the YCSB-E cell of the [`fig1a`] before
 /// it, else from its own run.
 pub fn fig1b() -> Report {
-    let (cdf, transfer) = PARKED.take().unwrap_or_else(ycsb_e_cdf);
+    let (cdf, transfer) = super::take().map_or_else(ycsb_e_cdf, |ECdf(cdf, t)| (cdf, t));
     let mut rows: Vec<Vec<String>> = cdf
         .into_iter()
         .map(|(b, f)| vec![format!("<= {b}B"), format!("{:.3}", f)])
@@ -96,11 +93,7 @@ mod tests {
 
     #[test]
     fn the_ycsb_e_cell_is_handed_off_once() {
-        crate::experiments::assert_hand_off(
-            || PARKED.with_borrow(Option::is_some),
-            fig1a,
-            || fig1b().render(),
-        );
+        crate::experiments::assert_invisible_hand_off::<ECdf>(fig1a, || fig1b().render());
     }
 
     #[test]

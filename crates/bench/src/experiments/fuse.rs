@@ -2,8 +2,7 @@
 //! shape): the client issues *one* submission and the chain of services
 //! drives itself server-side, so the mechanism decides what a hop
 //! costs. Two views share the table and the `"fuse"` section of
-//! `BENCH_figures.json` (a [`run`] hands what it computed to the
-//! [`json_section`] that follows it on the same thread):
+//! `BENCH_figures.json`:
 //!
 //! * **grid** — mechanism × chain depth {1..6} × handover on/off, each
 //!   cell one fused program on an idle world. The headline metric is
@@ -23,10 +22,10 @@
 //! [`super::verify::gate_program`] refuses cap-violating, over-deep, or
 //! handover-stealing chains outright.
 
-use super::{serve, Report};
+use super::{serve, Experiment, Report};
+use crate::json::Value;
 use kernels::{paired_roster_factories, Factory};
 use simos::{CallProgram, MultiWorld, Placement, Recipe, ServePolicy, ServeReport, Step, Topology};
-use std::cell::RefCell;
 
 /// Chain depths the grid sweeps.
 pub const DEPTHS: [usize; 6] = [1, 2, 3, 4, 5, 6];
@@ -181,118 +180,114 @@ pub fn knee_results() -> Vec<FuseKneeCell> {
     })
 }
 
-/// What the table and the JSON section both read: the grid and the knee.
-type Parked = (Vec<FuseCell>, Vec<FuseKneeCell>);
+/// The fuse experiment: the grid and the knee.
+pub struct Fuse;
 
-thread_local! {
-    /// The views [`run`] computed, parked for the [`json_section`] that
-    /// follows it; take-once and thread-local, see the hand-off note in
-    /// [`super`].
-    static PARKED: RefCell<Option<Parked>> = const { RefCell::new(None) };
-}
+impl Experiment for Fuse {
+    type Grid = (Vec<FuseCell>, Vec<FuseKneeCell>);
 
-fn compute() -> Parked {
-    (grid_results(), knee_results())
+    fn compute() -> Self::Grid {
+        (grid_results(), knee_results())
+    }
+
+    /// The grid, with the knee appended.
+    fn table((grid, knee): &Self::Grid) -> Report {
+        let mut rows: Vec<Vec<String>> = grid
+            .iter()
+            .map(|c| {
+                vec![
+                    c.system.clone(),
+                    c.depth.to_string(),
+                    if c.handover { "yes" } else { "no" }.to_string(),
+                    c.cycles.to_string(),
+                    c.crossings.to_string(),
+                    c.copied_bytes.to_string(),
+                ]
+            })
+            .collect();
+        for c in knee {
+            let r = &c.report;
+            rows.push(vec![
+                format!("{} rho={}.{}", r.system, c.rho_x10 / 10, c.rho_x10 % 10),
+                KNEE_DEPTH.to_string(),
+                "yes".to_string(),
+                format!("p99us={:.1}", r.p99_us),
+                format!("goodput/s={:.0}", r.goodput_rps),
+                format!("shed={}", r.shed()),
+            ]);
+        }
+        Report {
+            id: "Fuse",
+            caption: "Fused call programs: crossings-per-request stay at 1 under XPC at every depth while trap baselines scale linearly; depth-4 open-loop knee appended",
+            headers: vec![
+                "System".into(),
+                "Depth".into(),
+                "Handover".into(),
+                "Cycles".into(),
+                "Crossings".into(),
+                "Copied B".into(),
+            ],
+            rows,
+        }
+    }
+
+    fn json((grid, knee): &Self::Grid) -> Value {
+        let grid = grid.iter().map(|c| {
+            Value::Object(vec![
+                ("system", c.system.as_str().into()),
+                ("depth", c.depth.into()),
+                ("handover", c.handover.into()),
+                ("cycles", c.cycles.into()),
+                ("crossings", c.crossings.into()),
+                ("copied_bytes", c.copied_bytes.into()),
+            ])
+        });
+        let knee = knee.iter().map(|c| {
+            let r = &c.report;
+            Value::Object(vec![
+                ("system", r.system.as_str().into()),
+                ("rho_x10", c.rho_x10.into()),
+                ("capacity_period_cycles", c.capacity_period_cycles.into()),
+                ("offered", r.offered.into()),
+                ("admitted", r.admitted.into()),
+                ("shed", r.shed().into()),
+                ("goodput_rps", Value::Fixed(r.goodput_rps, 1)),
+                ("p50_us", Value::Fixed(r.p50_us, 2)),
+                ("p99_us", Value::Fixed(r.p99_us, 2)),
+            ])
+        });
+        Value::Object(vec![
+            ("grid", Value::Array(grid.collect())),
+            ("knee", Value::Array(knee.collect())),
+        ])
+    }
 }
 
 /// Regenerate the fuse table (the grid, with the knee appended).
 pub fn run() -> Report {
-    let views = compute();
-    let report = table(&views);
-    PARKED.set(Some(views));
-    report
+    super::run::<Fuse>()
 }
 
-fn table((grid, knee): &Parked) -> Report {
-    let mut rows: Vec<Vec<String>> = grid
-        .iter()
-        .map(|c| {
-            vec![
-                c.system.clone(),
-                c.depth.to_string(),
-                if c.handover { "yes" } else { "no" }.to_string(),
-                c.cycles.to_string(),
-                c.crossings.to_string(),
-                c.copied_bytes.to_string(),
-            ]
-        })
-        .collect();
-    for c in knee {
-        let r = &c.report;
-        rows.push(vec![
-            format!("{} rho={}.{}", r.system, c.rho_x10 / 10, c.rho_x10 % 10),
-            KNEE_DEPTH.to_string(),
-            "yes".to_string(),
-            format!("p99us={:.1}", r.p99_us),
-            format!("goodput/s={:.0}", r.goodput_rps),
-            format!("shed={}", r.shed()),
-        ]);
-    }
-    Report {
-        id: "Fuse",
-        caption: "Fused call programs: crossings-per-request stay at 1 under XPC at every depth while trap baselines scale linearly; depth-4 open-loop knee appended",
-        headers: vec![
-            "System".into(),
-            "Depth".into(),
-            "Handover".into(),
-            "Cycles".into(),
-            "Crossings".into(),
-            "Copied B".into(),
-        ],
-        rows,
-    }
-}
-
-/// The `"fuse"` section of `BENCH_figures.json`: grid + knee, taken
-/// from the [`run`] before it, else computed here.
+/// The `"fuse"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    let (grid, knee) = PARKED.take().unwrap_or_else(compute);
-    let grid = grid
-        .iter()
-        .map(|c| {
-            format!(
-                "      {{\"system\": \"{}\", \"depth\": {}, \"handover\": {}, \"cycles\": {}, \
-                 \"crossings\": {}, \"copied_bytes\": {}}}",
-                c.system, c.depth, c.handover, c.cycles, c.crossings, c.copied_bytes
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let knee = knee
-        .iter()
-        .map(|c| {
-            let r = &c.report;
-            format!(
-                "      {{\"system\": \"{}\", \"rho_x10\": {}, \"capacity_period_cycles\": {}, \
-                 \"offered\": {}, \"admitted\": {}, \"shed\": {}, \"goodput_rps\": {:.1}, \
-                 \"p50_us\": {:.2}, \"p99_us\": {:.2}}}",
-                r.system,
-                c.rho_x10,
-                c.capacity_period_cycles,
-                r.offered,
-                r.admitted,
-                r.shed(),
-                r.goodput_rps,
-                r.p50_us,
-                r.p99_us
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\n    \"grid\": [\n{grid}\n    ],\n    \"knee\": [\n{knee}\n    ]\n  }}")
+    super::json_section::<Fuse>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{any_cell, assert_invisible_hand_off, cells_at, Parked};
 
     #[test]
     fn the_grid_is_handed_off_once() {
-        crate::experiments::assert_hand_off(
-            || PARKED.with_borrow(Option::is_some),
-            run,
-            json_section,
-        );
+        assert_invisible_hand_off::<Parked<Fuse>>(run, json_section);
+    }
+
+    #[test]
+    fn json_section_is_shaped() {
+        let s = Fuse::json(&Fuse::compute());
+        assert!(any_cell(cells_at(&s, "grid"), "crossings", 1u64));
+        assert!(any_cell(cells_at(&s, "knee"), "rho_x10", 10u64));
     }
 
     fn cell<'a>(cells: &'a [FuseCell], sys: &str, depth: usize, handover: bool) -> &'a FuseCell {
@@ -400,14 +395,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn json_section_is_shaped() {
-        let s = json_section();
-        assert!(s.contains("\"grid\""));
-        assert!(s.contains("\"knee\""));
-        assert!(s.contains("\"crossings\": 1"));
-        assert!(s.contains("\"rho_x10\": 10"));
     }
 }

@@ -17,7 +17,8 @@
 //! to the unhardened sweeps (the `none` rows reprice the same
 //! invocations the other figures already snapshot).
 
-use super::Report;
+use super::{Experiment, Report};
+use crate::json::Value;
 use crate::sweep::SIZES;
 use kernels::{paired_roster_factories, CycleLedger, InvokeOpts, Phase};
 use simos::{Hardening, IpcSystem};
@@ -101,57 +102,98 @@ pub fn results() -> Vec<Vec<HardenCell>> {
     })
 }
 
+/// The harden experiment: the grid of [`results`].
+pub struct Harden;
+
+impl Experiment for Harden {
+    type Grid = Vec<Vec<HardenCell>>;
+
+    fn compute() -> Self::Grid {
+        results()
+    }
+
+    fn table(grid: &Self::Grid) -> Report {
+        let rows = grid
+            .iter()
+            .flatten()
+            .map(|c| {
+                vec![
+                    c.system.clone(),
+                    c.set.to_string(),
+                    format!("{}B", c.msg_len),
+                    c.cycles.to_string(),
+                    c.tax_cycles.to_string(),
+                    c.scrub_cycles.to_string(),
+                ]
+            })
+            .collect();
+        Report {
+            id: "Harden",
+            caption: "Security tax of the temporal mitigations: hardened one-way cycles over the unhardened baseline, per mechanism and message size",
+            headers: vec![
+                "System".into(),
+                "Mitigations".into(),
+                "Size".into(),
+                "Cycles".into(),
+                "Tax".into(),
+                "Scrub".into(),
+            ],
+            rows,
+        }
+    }
+
+    fn json(grid: &Self::Grid) -> Value {
+        Value::Array(
+            grid.iter()
+                .flatten()
+                .map(|c| {
+                    Value::Object(vec![
+                        ("system", c.system.as_str().into()),
+                        ("set", c.set.into()),
+                        ("msg_len", c.msg_len.into()),
+                        ("cycles", c.cycles.into()),
+                        ("tax_cycles", c.tax_cycles.into()),
+                        ("scrub_cycles", c.scrub_cycles.into()),
+                    ])
+                })
+                .collect(),
+        )
+    }
+}
+
 /// Regenerate the harden table.
 pub fn run() -> Report {
-    let rows = results()
-        .iter()
-        .flatten()
-        .map(|c| {
-            vec![
-                c.system.clone(),
-                c.set.to_string(),
-                format!("{}B", c.msg_len),
-                c.cycles.to_string(),
-                c.tax_cycles.to_string(),
-                c.scrub_cycles.to_string(),
-            ]
-        })
-        .collect();
-    Report {
-        id: "Harden",
-        caption: "Security tax of the temporal mitigations: hardened one-way cycles over the unhardened baseline, per mechanism and message size",
-        headers: vec![
-            "System".into(),
-            "Mitigations".into(),
-            "Size".into(),
-            "Cycles".into(),
-            "Tax".into(),
-            "Scrub".into(),
-        ],
-        rows,
-    }
+    super::run::<Harden>()
 }
 
 /// The `"harden"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    let cells = results()
-        .iter()
-        .flatten()
-        .map(|c| {
-            format!(
-                "    {{\"system\": \"{}\", \"set\": \"{}\", \"msg_len\": {}, \
-                 \"cycles\": {}, \"tax_cycles\": {}, \"scrub_cycles\": {}}}",
-                c.system, c.set, c.msg_len, c.cycles, c.tax_cycles, c.scrub_cycles
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("[\n{cells}\n  ]")
+    super::json_section::<Harden>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::any_cell;
+
+    #[test]
+    fn json_section_is_shaped() {
+        let Value::Array(cells) = Harden::json(&Harden::compute()) else {
+            panic!("the harden section is not an array");
+        };
+        assert!(any_cell(&cells, "set", "all"));
+        assert!(cells[0].get("scrub_cycles").is_some());
+        let none = cells
+            .iter()
+            .filter(|c| c.get("set") == Some(&"none".into()));
+        let mut seen = 0;
+        for c in none {
+            assert_eq!(c.get("tax_cycles"), Some(&0u64.into()), "{c:?}");
+            assert_eq!(c.get("scrub_cycles"), Some(&0u64.into()), "{c:?}");
+            seen += 1;
+        }
+        assert!(seen > 0, "no \"none\" cells");
+    }
 
     fn cell<'a>(cells: &'a [Vec<HardenCell>], sys: &str, set: &str, b: usize) -> &'a HardenCell {
         cells
@@ -231,14 +273,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn json_section_is_shaped() {
-        let s = json_section();
-        assert!(s.contains("\"set\": \"none\""));
-        assert!(s.contains("\"set\": \"all\""));
-        assert!(s.contains("\"tax_cycles\": 0"));
-        assert!(s.contains("\"scrub_cycles\""));
     }
 }

@@ -19,14 +19,14 @@
 //!   [`Phase::Queue`] / [`Phase::CrossCore`] split in the ledger shows
 //!   the trade.
 
-use super::Report;
+use super::{Experiment, Report};
+use crate::json::Value;
 use kernels::{paired_roster_factories, Factory};
-use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
+use services::http::CHAIN_SERVICES;
 use simos::{
     Attribution, Invocation, IpcSystem, LoadGen, LoadReport, MultiWorld, Phase, Placement, Step,
     Topology,
 };
-use std::cell::RefCell;
 
 /// Payload for the hop comparison (the paper's 4 KiB page regime, where
 /// the cache-line distance term is visible even for migrating threads).
@@ -76,7 +76,8 @@ pub fn hops() -> Vec<Hop> {
     })
 }
 
-fn topologies() -> Vec<(&'static str, Topology)> {
+/// The topologies the NUMA and serve grids sweep.
+pub(super) fn topologies() -> Vec<(&'static str, Topology)> {
     vec![
         ("u500", Topology::u500()),
         ("dual-socket", Topology::dual_socket()),
@@ -85,19 +86,6 @@ fn topologies() -> Vec<(&'static str, Topology)> {
 
 fn policies() -> Vec<Placement> {
     vec![Placement::RoundRobin, Placement::LeastLoaded]
-}
-
-fn recipes(handover: bool) -> Vec<Vec<Step>> {
-    [1024u64, 4096, 16384]
-        .iter()
-        .map(|&len| {
-            chain_steps(
-                "/index.html",
-                len,
-                ChainSpec::default().with_handover(handover),
-            )
-        })
-        .collect()
 }
 
 /// Run the (mechanism × topology × placement) windowed-load grid; each
@@ -110,7 +98,7 @@ pub fn results() -> Vec<(&'static str, LoadReport)> {
     let mut cells: Vec<GridCell> = Vec::new();
     for mk in paired_roster_factories() {
         let handover = mk().supports_handover();
-        let recipes = recipes(handover);
+        let recipes = super::scale::recipes(handover);
         super::verify::gate("NUMA", CHAIN_SERVICES, &recipes);
         for (label, topo) in topologies() {
             for policy in policies() {
@@ -135,126 +123,137 @@ pub fn results() -> Vec<(&'static str, LoadReport)> {
     })
 }
 
-thread_local! {
-    /// The load grid [`run`] computed, parked for the [`json_section`] that
-    /// follows it; take-once and thread-local, see the hand-off note in
-    /// [`super`].
-    static PARKED: RefCell<Option<Vec<(&'static str, LoadReport)>>> = const { RefCell::new(None) };
-}
+/// The NUMA experiment: the [`hops`] (only the JSON view shows them) and
+/// the windowed-load grid of [`results`].
+pub struct Numa;
 
-/// Regenerate the NUMA table (the load grid; the hop comparison lives in
-/// the JSON section).
-pub fn run() -> Report {
-    let grid = results();
-    let report = table(&grid);
-    PARKED.set(Some(grid));
-    report
-}
+impl Experiment for Numa {
+    type Grid = (Vec<Hop>, Vec<(&'static str, LoadReport)>);
 
-fn table(grid: &[(&'static str, LoadReport)]) -> Report {
-    let rows = grid
-        .iter()
-        .map(|(topo, r)| {
-            vec![
-                r.system.clone(),
-                topo.to_string(),
-                r.policy.to_string(),
-                r.cores.to_string(),
-                format!("{:.0}", r.throughput_rps),
-                format!("{:.1}", r.p50_us),
-                format!("{:.1}", r.p99_us),
-                format!("{:.0}%", r.cross_core_fraction() * 100.0),
-                format!("{:.0}%", r.queue_fraction() * 100.0),
-                match r.engine_cache {
-                    Some(s) => s.shard_misses.to_string(),
-                    None => "-".into(),
-                },
-            ]
-        })
-        .collect();
-    Report {
-        id: "NUMA",
-        caption: "HTTP chain under W=4 windowed load: topology x placement (16 clients x 400 reqs)",
-        headers: vec![
-            "System".into(),
-            "Topology".into(),
-            "Placement".into(),
-            "Cores".into(),
-            "Req/s".into(),
-            "p50 us".into(),
-            "p99 us".into(),
-            "x-core".into(),
-            "queue".into(),
-            "shard miss".into(),
-        ],
-        rows,
+    fn compute() -> Self::Grid {
+        (hops(), results())
+    }
+
+    /// The load grid; the hop comparison lives in the JSON view.
+    fn table((_, load): &Self::Grid) -> Report {
+        let rows = load
+            .iter()
+            .map(|(topo, r)| {
+                vec![
+                    r.system.clone(),
+                    topo.to_string(),
+                    r.policy.to_string(),
+                    r.cores.to_string(),
+                    format!("{:.0}", r.throughput_rps),
+                    format!("{:.1}", r.p50_us),
+                    format!("{:.1}", r.p99_us),
+                    format!("{:.0}%", r.cross_core_fraction() * 100.0),
+                    format!("{:.0}%", r.queue_fraction() * 100.0),
+                    match r.engine_cache {
+                        Some(s) => s.shard_misses.to_string(),
+                        None => "-".into(),
+                    },
+                ]
+            })
+            .collect();
+        Report {
+            id: "NUMA",
+            caption:
+                "HTTP chain under W=4 windowed load: topology x placement (16 clients x 400 reqs)",
+            headers: vec![
+                "System".into(),
+                "Topology".into(),
+                "Placement".into(),
+                "Cores".into(),
+                "Req/s".into(),
+                "p50 us".into(),
+                "p99 us".into(),
+                "x-core".into(),
+                "queue".into(),
+                "shard miss".into(),
+            ],
+            rows,
+        }
+    }
+
+    /// The per-system hop comparison plus the windowed-load grid.
+    fn json((hops, load): &Self::Grid) -> Value {
+        let hops = hops.iter().map(|h| {
+            Value::Object(vec![
+                ("system", h.system.as_str().into()),
+                ("migrating", h.migrating.into()),
+                ("payload_bytes", HOP_BYTES.into()),
+                ("local_cycles", h.local.total.into()),
+                ("remote_cycles", h.remote.total.into()),
+                (
+                    "local_cross_core",
+                    h.local.ledger.get(Phase::CrossCore).into(),
+                ),
+                (
+                    "remote_cross_core",
+                    h.remote.ledger.get(Phase::CrossCore).into(),
+                ),
+                (
+                    "remote_shard_miss",
+                    h.remote.ledger.get(Phase::ShardMiss).into(),
+                ),
+            ])
+        });
+        let load = load.iter().map(|(topo, r)| {
+            Value::Object(vec![
+                ("system", r.system.as_str().into()),
+                ("topology", (*topo).into()),
+                ("policy", r.policy.into()),
+                ("cores", r.cores.into()),
+                ("window", r.window.into()),
+                ("throughput_rps", Value::Fixed(r.throughput_rps, 1)),
+                ("p50_us", Value::Fixed(r.p50_us, 2)),
+                ("p99_us", Value::Fixed(r.p99_us, 2)),
+                (
+                    "cross_core_fraction",
+                    Value::Fixed(r.cross_core_fraction(), 4),
+                ),
+                ("queue_fraction", Value::Fixed(r.queue_fraction(), 4)),
+                (
+                    "shard_misses",
+                    r.engine_cache.map(|s| s.shard_misses).into(),
+                ),
+            ])
+        });
+        Value::Object(vec![
+            ("hops", Value::Array(hops.collect())),
+            ("load", Value::Array(load.collect())),
+        ])
     }
 }
 
-/// The `"numa"` section of `BENCH_figures.json`: the per-system hop
-/// comparison (computed here; only the JSON shows it) plus the
-/// windowed-load grid of the [`run`] before it, else computed here.
+/// Regenerate the NUMA table.
+pub fn run() -> Report {
+    super::run::<Numa>()
+}
+
+/// The `"numa"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    let hop_cells = hops()
-        .iter()
-        .map(|h| {
-            format!(
-                "      {{\"system\": \"{}\", \"migrating\": {}, \"payload_bytes\": {HOP_BYTES}, \
-                 \"local_cycles\": {}, \"remote_cycles\": {}, \
-                 \"local_cross_core\": {}, \"remote_cross_core\": {}, \
-                 \"remote_shard_miss\": {}}}",
-                h.system,
-                h.migrating,
-                h.local.total,
-                h.remote.total,
-                h.local.ledger.get(Phase::CrossCore),
-                h.remote.ledger.get(Phase::CrossCore),
-                h.remote.ledger.get(Phase::ShardMiss),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let load_cells = PARKED
-        .take()
-        .unwrap_or_else(results)
-        .iter()
-        .map(|(topo, r)| {
-            let shard_misses = match r.engine_cache {
-                Some(s) => s.shard_misses.to_string(),
-                None => "null".into(),
-            };
-            format!(
-                "      {{\"system\": \"{}\", \"topology\": \"{topo}\", \"policy\": \"{}\", \
-                 \"cores\": {}, \"window\": {}, \"throughput_rps\": {:.1}, \
-                 \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"cross_core_fraction\": {:.4}, \
-                 \"queue_fraction\": {:.4}, \"shard_misses\": {shard_misses}}}",
-                r.system,
-                r.policy,
-                r.cores,
-                r.window,
-                r.throughput_rps,
-                r.p50_us,
-                r.p99_us,
-                r.cross_core_fraction(),
-                r.queue_fraction(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\n    \"hops\": [\n{hop_cells}\n    ],\n    \"load\": [\n{load_cells}\n    ]\n  }}")
+    super::json_section::<Numa>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{assert_invisible_hand_off, cells_at, Parked};
 
     #[test]
     fn the_grid_is_handed_off_once() {
-        crate::experiments::assert_hand_off(
-            || PARKED.with_borrow(Option::is_some),
-            run,
-            json_section,
-        );
+        assert_invisible_hand_off::<Parked<Numa>>(run, json_section);
+    }
+
+    #[test]
+    fn json_section_is_shaped() {
+        let s = Numa::json(&Numa::compute());
+        assert!(!cells_at(&s, "load").is_empty());
+        let hops = cells_at(&s, "hops");
+        assert!(!hops.is_empty());
+        assert!(hops.iter().all(|h| h.get("remote_shard_miss").is_some()));
     }
 
     #[test]
@@ -301,13 +300,5 @@ mod tests {
         // And on the single socket, XPC keeps the crossing entirely free.
         let local = cell("seL4-XPC", "u500", "round-robin");
         assert_eq!(local.ledger.get(Phase::CrossCore), 0);
-    }
-
-    #[test]
-    fn json_section_is_shaped() {
-        let s = json_section();
-        assert!(s.contains("\"hops\""));
-        assert!(s.contains("\"load\""));
-        assert!(s.contains("\"remote_shard_miss\""));
     }
 }

@@ -9,10 +9,10 @@
 //! opens. The `window = 1, batch = 1` corner is bit-identical to the
 //! closed-loop generator (pinned by a test below).
 
-use super::Report;
+use super::{Experiment, Report};
+use crate::json::Value;
 use kernels::{paired_roster_factories, Factory};
 use simos::{Attribution, CostModel, LoadGen, LoadReport, MultiWorld, Placement, Step};
-use std::cell::RefCell;
 
 /// Cores in the pipeline world (client core + service core).
 pub const CORES: usize = 2;
@@ -104,105 +104,102 @@ pub fn calls_per_sec(r: &LoadReport) -> f64 {
     r.ipc_calls as f64 * CostModel::u500().clock_hz as f64 / r.makespan_cycles as f64
 }
 
-thread_local! {
-    /// The grid [`run`] computed, parked for the [`json_section`] that
-    /// follows it; take-once and thread-local, see the hand-off note in
-    /// [`super`].
-    static PARKED: RefCell<Option<Vec<(u64, LoadReport)>>> = const { RefCell::new(None) };
+/// The pipeline experiment: the (mechanism × window × batch) grid of
+/// [`results`].
+pub struct Pipeline;
+
+impl Experiment for Pipeline {
+    type Grid = Vec<(u64, LoadReport)>;
+
+    fn compute() -> Self::Grid {
+        results()
+    }
+
+    fn table(grid: &Self::Grid) -> Report {
+        let rows = grid
+            .iter()
+            .map(|(batch, r)| {
+                vec![
+                    r.system.clone(),
+                    r.window.to_string(),
+                    batch.to_string(),
+                    format!("{:.0}", calls_per_sec(r)),
+                    format!("{:.1}", r.p50_us),
+                    format!("{:.1}", r.p99_us),
+                    format!("{:.0}%", r.queue_fraction() * 100.0),
+                    match r.engine_cache {
+                        Some(s) => format!("{}", s.cache_hits),
+                        None => "-".into(),
+                    },
+                ]
+            })
+            .collect();
+        Report {
+            id: "Pipeline",
+            caption: "Windowed async pipeline: calls/s and latency by (window, batch), 64B calls on 2 cores (8 clients x 240 reqs)",
+            headers: vec![
+                "System".into(),
+                "Window".into(),
+                "Batch".into(),
+                "Calls/s".into(),
+                "p50 us".into(),
+                "p99 us".into(),
+                "queue".into(),
+                "cache hits".into(),
+            ],
+            rows,
+        }
+    }
+
+    /// One object per (mechanism, window, batch) cell, engine-cache
+    /// counters included.
+    fn json(grid: &Self::Grid) -> Value {
+        Value::Array(
+            grid.iter()
+                .map(|(batch, r)| {
+                    let engine = r.engine_cache.map(|s| {
+                        Value::Object(vec![
+                            ("prefetches", s.prefetches.into()),
+                            ("cache_hits", s.cache_hits.into()),
+                        ])
+                    });
+                    Value::Object(vec![
+                        ("system", r.system.as_str().into()),
+                        ("window", r.window.into()),
+                        ("batch", (*batch).into()),
+                        ("requests", r.requests.into()),
+                        ("ipc_calls", r.ipc_calls.into()),
+                        ("calls_per_sec", Value::Fixed(calls_per_sec(r), 1)),
+                        ("p50_us", Value::Fixed(r.p50_us, 2)),
+                        ("p99_us", Value::Fixed(r.p99_us, 2)),
+                        ("queue_fraction", Value::Fixed(r.queue_fraction(), 4)),
+                        ("engine_cache", engine.into()),
+                    ])
+                })
+                .collect(),
+        )
+    }
 }
 
 /// Regenerate the pipeline table.
 pub fn run() -> Report {
-    let grid = results();
-    let report = table(&grid);
-    PARKED.set(Some(grid));
-    report
+    super::run::<Pipeline>()
 }
 
-fn table(grid: &[(u64, LoadReport)]) -> Report {
-    let rows = grid
-        .iter()
-        .map(|(batch, r)| {
-            vec![
-                r.system.clone(),
-                r.window.to_string(),
-                batch.to_string(),
-                format!("{:.0}", calls_per_sec(r)),
-                format!("{:.1}", r.p50_us),
-                format!("{:.1}", r.p99_us),
-                format!("{:.0}%", r.queue_fraction() * 100.0),
-                match r.engine_cache {
-                    Some(s) => format!("{}", s.cache_hits),
-                    None => "-".into(),
-                },
-            ]
-        })
-        .collect();
-    Report {
-        id: "Pipeline",
-        caption: "Windowed async pipeline: calls/s and latency by (window, batch), 64B calls on 2 cores (8 clients x 240 reqs)",
-        headers: vec![
-            "System".into(),
-            "Window".into(),
-            "Batch".into(),
-            "Calls/s".into(),
-            "p50 us".into(),
-            "p99 us".into(),
-            "queue".into(),
-            "cache hits".into(),
-        ],
-        rows,
-    }
-}
-
-/// The `"pipeline"` section of `BENCH_figures.json`: one object per
-/// (mechanism, window, batch) cell, engine-cache counters included, from
-/// the grid of the [`run`] before it, else computed here.
+/// The `"pipeline"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    let cells = PARKED
-        .take()
-        .unwrap_or_else(results)
-        .iter()
-        .map(|(batch, r)| {
-            let engine = match r.engine_cache {
-                Some(s) => format!(
-                    "{{\"prefetches\": {}, \"cache_hits\": {}}}",
-                    s.prefetches, s.cache_hits
-                ),
-                None => "null".into(),
-            };
-            format!(
-                "    {{\"system\": \"{}\", \"window\": {}, \"batch\": {batch}, \
-                 \"requests\": {}, \"ipc_calls\": {}, \"calls_per_sec\": {:.1}, \
-                 \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"queue_fraction\": {:.4}, \
-                 \"engine_cache\": {engine}}}",
-                r.system,
-                r.window,
-                r.requests,
-                r.ipc_calls,
-                calls_per_sec(r),
-                r.p50_us,
-                r.p99_us,
-                r.queue_fraction()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("[\n{cells}\n  ]")
+    super::json_section::<Pipeline>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{assert_invisible_hand_off, Parked};
     use simos::Phase;
 
     #[test]
     fn the_grid_is_handed_off_once() {
-        crate::experiments::assert_hand_off(
-            || PARKED.with_borrow(Option::is_some),
-            run,
-            json_section,
-        );
+        assert_invisible_hand_off::<Parked<Pipeline>>(run, json_section);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! cross cores for free. Throughput and the latency percentiles all
 //! derive from per-request virtual-time spans and invocation ledgers.
 
-use super::Report;
+use super::{Experiment, Report};
+use crate::json::Value;
 use kernels::{paired_roster_factories, Factory};
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::{Attribution, IpcSystem, LoadGen, LoadReport, MultiWorld, Placement, Step};
-use std::cell::RefCell;
 
 /// Cores in the scale-out world.
 pub const CORES: usize = 4;
@@ -26,7 +26,8 @@ fn policies() -> Vec<Placement> {
 
 /// The request mix: encrypted GETs over three file sizes around the
 /// paper's web-server working set (Figure 8(c) serves 1K–16K pages).
-fn recipes(handover: bool) -> Vec<Vec<Step>> {
+/// The NUMA and serve grids run the same mix.
+pub(super) fn recipes(handover: bool) -> Vec<Vec<Step>> {
     [1024u64, 4096, 16384]
         .iter()
         .map(|&len| {
@@ -75,95 +76,93 @@ pub fn results() -> Vec<LoadReport> {
     })
 }
 
-thread_local! {
-    /// The grid [`run`] computed, parked for the [`json_section`] that
-    /// follows it; take-once and thread-local, see the hand-off note in
-    /// [`super`].
-    static PARKED: RefCell<Option<Vec<LoadReport>>> = const { RefCell::new(None) };
+/// The scale-out experiment: the (mechanism × policy) grid of [`results`].
+pub struct Scale;
+
+impl Experiment for Scale {
+    type Grid = Vec<LoadReport>;
+
+    fn compute() -> Self::Grid {
+        results()
+    }
+
+    fn table(grid: &Self::Grid) -> Report {
+        let rows = grid
+            .iter()
+            .map(|r| {
+                vec![
+                    r.system.clone(),
+                    r.policy.to_string(),
+                    format!("{:.0}", r.throughput_rps),
+                    format!("{:.1}", r.p50_us),
+                    format!("{:.1}", r.p95_us),
+                    format!("{:.1}", r.p99_us),
+                    format!("{:.0}%", r.cross_core_fraction() * 100.0),
+                ]
+            })
+            .collect();
+        Report {
+            id: "Scale-out",
+            caption: "HTTP chain on 4 cores: throughput/latency by placement (closed loop, 16 clients x 400 reqs)",
+            headers: vec![
+                "System".into(),
+                "Placement".into(),
+                "Req/s".into(),
+                "p50 us".into(),
+                "p95 us".into(),
+                "p99 us".into(),
+                "x-core".into(),
+            ],
+            rows,
+        }
+    }
+
+    /// One object per (mechanism, policy) cell with the ledger-derived
+    /// metrics.
+    fn json(grid: &Self::Grid) -> Value {
+        Value::Array(
+            grid.iter()
+                .map(|r| {
+                    Value::Object(vec![
+                        ("system", r.system.as_str().into()),
+                        ("policy", r.policy.into()),
+                        ("cores", r.cores.into()),
+                        ("clients", r.clients.into()),
+                        ("requests", r.requests.into()),
+                        ("throughput_rps", Value::Fixed(r.throughput_rps, 1)),
+                        ("mean_us", Value::Fixed(r.mean_us, 2)),
+                        ("p50_us", Value::Fixed(r.p50_us, 2)),
+                        ("p95_us", Value::Fixed(r.p95_us, 2)),
+                        ("p99_us", Value::Fixed(r.p99_us, 2)),
+                        (
+                            "cross_core_fraction",
+                            Value::Fixed(r.cross_core_fraction(), 4),
+                        ),
+                    ])
+                })
+                .collect(),
+        )
+    }
 }
 
 /// Regenerate the scale-out table.
 pub fn run() -> Report {
-    let grid = results();
-    let report = table(&grid);
-    PARKED.set(Some(grid));
-    report
+    super::run::<Scale>()
 }
 
-fn table(grid: &[LoadReport]) -> Report {
-    let rows = grid
-        .iter()
-        .map(|r| {
-            vec![
-                r.system.clone(),
-                r.policy.to_string(),
-                format!("{:.0}", r.throughput_rps),
-                format!("{:.1}", r.p50_us),
-                format!("{:.1}", r.p95_us),
-                format!("{:.1}", r.p99_us),
-                format!("{:.0}%", r.cross_core_fraction() * 100.0),
-            ]
-        })
-        .collect();
-    Report {
-        id: "Scale-out",
-        caption: "HTTP chain on 4 cores: throughput/latency by placement (closed loop, 16 clients x 400 reqs)",
-        headers: vec![
-            "System".into(),
-            "Placement".into(),
-            "Req/s".into(),
-            "p50 us".into(),
-            "p95 us".into(),
-            "p99 us".into(),
-            "x-core".into(),
-        ],
-        rows,
-    }
-}
-
-/// The `"scale"` section of `BENCH_figures.json`: one object per
-/// (mechanism, policy) cell with the ledger-derived metrics, from the
-/// grid of the [`run`] before it, else computed here.
+/// The `"scale"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    let cells = PARKED
-        .take()
-        .unwrap_or_else(results)
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"system\": \"{}\", \"policy\": \"{}\", \"cores\": {}, \"clients\": {}, \
-                 \"requests\": {}, \"throughput_rps\": {:.1}, \"mean_us\": {:.2}, \
-                 \"p50_us\": {:.2}, \"p95_us\": {:.2}, \"p99_us\": {:.2}, \
-                 \"cross_core_fraction\": {:.4}}}",
-                r.system,
-                r.policy,
-                r.cores,
-                r.clients,
-                r.requests,
-                r.throughput_rps,
-                r.mean_us,
-                r.p50_us,
-                r.p95_us,
-                r.p99_us,
-                r.cross_core_fraction()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("[\n{cells}\n  ]")
+    super::json_section::<Scale>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{assert_invisible_hand_off, Parked};
 
     #[test]
     fn the_grid_is_handed_off_once() {
-        crate::experiments::assert_hand_off(
-            || PARKED.with_borrow(Option::is_some),
-            run,
-            json_section,
-        );
+        assert_invisible_hand_off::<Parked<Scale>>(run, json_section);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! curve a closed loop structurally cannot show.
 //!
 //! Four views share the `"serve"` section of `BENCH_figures.json`; the
-//! table shows the first two, and a [`run`] hands the grid it computed to
-//! the [`json_section`] that follows it on the same thread:
+//! table shows the first two:
 //!
 //! * **knee** — mechanism × topology × offered load. Per (mechanism,
 //!   topology) the saturation throughput is measured by serving a
@@ -32,15 +31,17 @@
 //!   counts. The controller starts at one core and earns the rest from
 //!   observed backlog.
 
-use super::Report;
+use super::numa::topologies;
+use super::scale::recipes;
+use super::{Experiment, Report};
+use crate::json::Value;
 use kernels::{paired_roster_factories, Factory, XpcIpc};
-use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
+use services::http::CHAIN_SERVICES;
 use simos::serve::serve_with;
 use simos::{
     ArrivalProcess, ArrivalTrace, Attribution, AutoscaleCfg, CellScratch, MultiWorld, OpenLoopGen,
     PhaseTotals, Placement, ServePolicy, ServeReport, ServeSpec, Step, TenantClass, Topology,
 };
-use std::cell::RefCell;
 
 /// Offered load grid, in tenths of the calibrated capacity
 /// (ρ × 10): from far below the knee to 1.5× past it.
@@ -67,26 +68,6 @@ pub const SLO_P99_US: f64 = 2_000.0;
 /// Retain 1-in-N spans; totals stay exact (same as the closed-loop
 /// sampled mode).
 const SAMPLE_EVERY: u64 = 32;
-
-fn topologies() -> Vec<(&'static str, Topology)> {
-    vec![
-        ("u500", Topology::u500()),
-        ("dual-socket", Topology::dual_socket()),
-    ]
-}
-
-fn recipes(handover: bool) -> Vec<Vec<Step>> {
-    [1024u64, 4096, 16384]
-        .iter()
-        .map(|&len| {
-            chain_steps(
-                "/index.html",
-                len,
-                ChainSpec::default().with_handover(handover),
-            )
-        })
-        .collect()
-}
 
 pub(super) fn world(topo: &Topology, mk: Factory) -> MultiWorld {
     MultiWorld::builder().topology(topo.clone()).build(mk)
@@ -441,39 +422,55 @@ fn fmt_rho(rho_x10: u64) -> String {
     format!("{}.{}", rho_x10 / 10, rho_x10 % 10)
 }
 
-/// What the table and the JSON section both read: the knee grid and the
-/// admission sweep.
-type Parked = (Vec<KneeCell>, Vec<AdmissionCell>);
+/// The serve experiment: the four views of the module doc.
+pub struct Serve;
 
-thread_local! {
-    /// The views [`run`] computed, parked for the [`json_section`] that
-    /// follows it; take-once and thread-local, see the hand-off note in
-    /// [`super`].
-    static PARKED: RefCell<Option<Parked>> = const { RefCell::new(None) };
+/// What the serve views read.
+#[derive(Debug, Clone)]
+pub struct ServeGrid {
+    /// [`knee_results`].
+    pub knee: Vec<KneeCell>,
+    /// [`admission_results`].
+    pub admission: Vec<AdmissionCell>,
+    /// [`bursty_results`] (only the JSON view shows them).
+    pub bursty: Vec<BurstyCell>,
+    /// [`autoscale_results`] (only the JSON view shows them).
+    pub autoscale: Vec<AutoscaleCell>,
 }
 
-fn compute() -> Parked {
-    (knee_results(), admission_results())
+/// The shed, goodput and tail fields every non-knee serve cell carries.
+fn report_core(r: &ServeReport) -> [(&'static str, Value); 8] {
+    [
+        ("offered", r.offered.into()),
+        ("admitted", r.admitted.into()),
+        ("shed_queue_full", r.shed_queue_full.into()),
+        ("shed_backlog", r.shed_backlog.into()),
+        ("shed_rate", Value::Fixed(r.shed_rate(), 4)),
+        ("goodput_rps", Value::Fixed(r.goodput_rps, 1)),
+        ("p50_us", Value::Fixed(r.p50_us, 2)),
+        ("p99_us", Value::Fixed(r.p99_us, 2)),
+    ]
 }
 
-/// Regenerate the serve table (the knee grid, with the admission sweep
-/// appended; bursty and autoscale live in the JSON section).
-pub fn run() -> Report {
-    let grid = compute();
-    let report = table(&grid);
-    PARKED.set(Some(grid));
-    report
-}
+impl Experiment for Serve {
+    type Grid = ServeGrid;
 
-fn table((knee, admission): &Parked) -> Report {
-    let mut rows: Vec<Vec<String>> = knee
-        .iter()
-        .map(|c| {
-            let r = &c.report;
+    fn compute() -> Self::Grid {
+        ServeGrid {
+            knee: knee_results(),
+            admission: admission_results(),
+            bursty: bursty_results(),
+            autoscale: autoscale_results(),
+        }
+    }
+
+    /// The knee grid, with the admission sweep appended.
+    fn table(grid: &Self::Grid) -> Report {
+        let row = |label: String, topology: &str, rho_x10: u64, r: &ServeReport| {
             vec![
-                r.system.clone(),
-                c.topology.to_string(),
-                fmt_rho(c.rho_x10),
+                label,
+                topology.to_string(),
+                fmt_rho(rho_x10),
                 format!("{:.0}", r.offered_rps),
                 format!("{:.0}", r.goodput_rps),
                 format!("{:.2}%", r.shed_rate() * 100.0),
@@ -482,156 +479,128 @@ fn table((knee, admission): &Parked) -> Report {
                 format!("{:.0}%", r.queue_fraction() * 100.0),
                 r.tenants.iter().filter(|t| t.slo_met).count().to_string(),
             ]
-        })
-        .collect();
-    for c in admission {
-        let r = &c.report;
-        rows.push(vec![
-            format!("{} cap={}", r.system, c.queue_cap),
-            "u500".into(),
-            fmt_rho(15),
-            format!("{:.0}", r.offered_rps),
-            format!("{:.0}", r.goodput_rps),
-            format!("{:.2}%", r.shed_rate() * 100.0),
-            format!("{:.1}", r.p50_us),
-            format!("{:.1}", r.p99_us),
-            format!("{:.0}%", r.queue_fraction() * 100.0),
-            r.tenants.iter().filter(|t| t.slo_met).count().to_string(),
-        ]);
+        };
+        let mut rows: Vec<Vec<String>> = grid
+            .knee
+            .iter()
+            .map(|c| row(c.report.system.clone(), c.topology, c.rho_x10, &c.report))
+            .collect();
+        for c in &grid.admission {
+            let label = format!("{} cap={}", c.report.system, c.queue_cap);
+            rows.push(row(label, "u500", 15, &c.report));
+        }
+        Report {
+            id: "Serve",
+            caption: "Open-loop Poisson serving: p99 vs offered load (rho of calibrated capacity), 4k arrivals/cell, plus the rho=1.5 admission sweep",
+            headers: vec![
+                "System".into(),
+                "Topology".into(),
+                "rho".into(),
+                "Offered/s".into(),
+                "Goodput/s".into(),
+                "Shed".into(),
+                "p50 us".into(),
+                "p99 us".into(),
+                "queue".into(),
+                "SLO met".into(),
+            ],
+            rows,
+        }
     }
-    Report {
-        id: "Serve",
-        caption: "Open-loop Poisson serving: p99 vs offered load (rho of calibrated capacity), 4k arrivals/cell, plus the rho=1.5 admission sweep",
-        headers: vec![
-            "System".into(),
-            "Topology".into(),
-            "rho".into(),
-            "Offered/s".into(),
-            "Goodput/s".into(),
-            "Shed".into(),
-            "p50 us".into(),
-            "p99 us".into(),
-            "queue".into(),
-            "SLO met".into(),
-        ],
-        rows,
-    }
-}
 
-fn knee_json(cells: &[KneeCell]) -> String {
-    cells
-        .iter()
-        .map(|c| {
+    /// Knee + admission + bursty + autoscale, virtual time only.
+    fn json(grid: &Self::Grid) -> Value {
+        let knee = grid.knee.iter().map(|c| {
             let r = &c.report;
-            format!(
-                "      {{\"system\": \"{}\", \"topology\": \"{}\", \"rho_x10\": {}, \
-                 \"capacity_period_cycles\": {}, \"offered\": {}, \"admitted\": {}, \"shed\": {}, \
-                 \"offered_rps\": {:.1}, \"goodput_rps\": {:.1}, \"p50_us\": {:.2}, \
-                 \"p95_us\": {:.2}, \"p99_us\": {:.2}, \"queue_fraction\": {:.4}, \
-                 \"slo_met_tenants\": {}}}",
-                r.system,
-                c.topology,
-                c.rho_x10,
-                c.capacity_period_cycles,
-                r.offered,
-                r.admitted,
-                r.shed(),
-                r.offered_rps,
-                r.goodput_rps,
-                r.p50_us,
-                r.p95_us,
-                r.p99_us,
-                r.queue_fraction(),
-                r.tenants.iter().filter(|t| t.slo_met).count(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n")
-}
-
-fn report_core_json(r: &ServeReport) -> String {
-    format!(
-        "\"offered\": {}, \"admitted\": {}, \"shed_queue_full\": {}, \"shed_backlog\": {}, \
-         \"shed_rate\": {:.4}, \"goodput_rps\": {:.1}, \"p50_us\": {:.2}, \"p99_us\": {:.2}",
-        r.offered,
-        r.admitted,
-        r.shed_queue_full,
-        r.shed_backlog,
-        r.shed_rate(),
-        r.goodput_rps,
-        r.p50_us,
-        r.p99_us,
-    )
-}
-
-/// The `"serve"` section of `BENCH_figures.json`: knee + admission
-/// (taken from the [`run`] before it, else computed here) + bursty +
-/// autoscale (computed here; only the JSON shows them). Fully
-/// deterministic (virtual time only — no wall-clock numbers, unlike
-/// `simspeed`).
-pub fn json_section() -> String {
-    let (knee, admission) = PARKED.take().unwrap_or_else(compute);
-    let knee = knee_json(&knee);
-    let admission = admission
-        .iter()
-        .map(|c| {
-            format!(
-                "      {{\"system\": \"{}\", \"queue_cap\": {}, {}}}",
-                c.report.system,
-                c.queue_cap,
-                report_core_json(&c.report)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let bursty = bursty_results()
-        .iter()
-        .map(|c| {
-            format!(
-                "      {{\"system\": \"{}\", \"process\": \"{}\", {}}}",
-                c.report.system,
-                c.process,
-                report_core_json(&c.report)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let autoscale = autoscale_results()
-        .iter()
-        .map(|c| {
-            let auto = c.report.autoscale.map_or("null".to_string(), |a| {
-                format!(
-                    "{{\"grow_events\": {}, \"shrink_events\": {}, \"max_active\": {}, \
-                     \"final_active\": {}}}",
-                    a.grow_events, a.shrink_events, a.max_active, a.final_active
-                )
+            Value::Object(vec![
+                ("system", r.system.as_str().into()),
+                ("topology", c.topology.into()),
+                ("rho_x10", c.rho_x10.into()),
+                ("capacity_period_cycles", c.capacity_period_cycles.into()),
+                ("offered", r.offered.into()),
+                ("admitted", r.admitted.into()),
+                ("shed", r.shed().into()),
+                ("offered_rps", Value::Fixed(r.offered_rps, 1)),
+                ("goodput_rps", Value::Fixed(r.goodput_rps, 1)),
+                ("p50_us", Value::Fixed(r.p50_us, 2)),
+                ("p95_us", Value::Fixed(r.p95_us, 2)),
+                ("p99_us", Value::Fixed(r.p99_us, 2)),
+                ("queue_fraction", Value::Fixed(r.queue_fraction(), 4)),
+                (
+                    "slo_met_tenants",
+                    r.tenants.iter().filter(|t| t.slo_met).count().into(),
+                ),
+            ])
+        });
+        let admission = grid.admission.iter().map(|c| {
+            let head = [
+                ("system", c.report.system.as_str().into()),
+                ("queue_cap", c.queue_cap.into()),
+            ];
+            Value::Object(head.into_iter().chain(report_core(&c.report)).collect())
+        });
+        let bursty = grid.bursty.iter().map(|c| {
+            let head = [
+                ("system", c.report.system.as_str().into()),
+                ("process", c.process.into()),
+            ];
+            Value::Object(head.into_iter().chain(report_core(&c.report)).collect())
+        });
+        let autoscale = grid.autoscale.iter().map(|c| {
+            let head = [
+                ("system", c.report.system.as_str().into()),
+                ("policy", c.policy.into()),
+            ];
+            let controller = c.report.autoscale.map(|a| {
+                Value::Object(vec![
+                    ("grow_events", a.grow_events.into()),
+                    ("shrink_events", a.shrink_events.into()),
+                    ("max_active", a.max_active.into()),
+                    ("final_active", a.final_active.into()),
+                ])
             });
-            format!(
-                "      {{\"system\": \"{}\", \"policy\": \"{}\", {}, \"controller\": {auto}}}",
-                c.report.system,
-                c.policy,
-                report_core_json(&c.report)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n    \"knee\": [\n{knee}\n    ],\n    \"admission\": [\n{admission}\n    ],\n    \
-         \"bursty\": [\n{bursty}\n    ],\n    \"autoscale\": [\n{autoscale}\n    ]\n  }}"
-    )
+            let tail = [("controller", controller.into())];
+            let fields = head.into_iter().chain(report_core(&c.report)).chain(tail);
+            Value::Object(fields.collect())
+        });
+        Value::Object(vec![
+            ("knee", Value::Array(knee.collect())),
+            ("admission", Value::Array(admission.collect())),
+            ("bursty", Value::Array(bursty.collect())),
+            ("autoscale", Value::Array(autoscale.collect())),
+        ])
+    }
+}
+
+/// Regenerate the serve table (the knee grid, with the admission sweep
+/// appended; bursty and autoscale live in the JSON section).
+pub fn run() -> Report {
+    super::run::<Serve>()
+}
+
+/// The `"serve"` section of `BENCH_figures.json`.
+pub fn json_section() -> String {
+    super::json_section::<Serve>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{any_cell, assert_invisible_hand_off, cells_at, Parked};
 
     #[test]
     fn the_grid_is_handed_off_once() {
-        crate::experiments::assert_hand_off(
-            || PARKED.with_borrow(Option::is_some),
-            run,
-            json_section,
-        );
+        assert_invisible_hand_off::<Parked<Serve>>(run, json_section);
+    }
+
+    #[test]
+    fn json_section_is_shaped() {
+        let s = Serve::json(&Serve::compute());
+        assert!(any_cell(cells_at(&s, "knee"), "rho_x10", 10u64));
+        assert!(cells_at(&s, "admission")[0].get("shed_rate").is_some());
+        assert!(!cells_at(&s, "bursty").is_empty());
+        let controller = cells_at(&s, "autoscale")[0].get("controller");
+        assert!(controller.and_then(|c| c.get("grow_events")).is_some());
     }
 
     #[test]
@@ -757,16 +726,5 @@ mod tests {
         for c in &cells {
             assert_eq!(c.report.admitted + c.report.shed(), c.report.offered);
         }
-    }
-
-    #[test]
-    fn json_section_is_shaped() {
-        let s = json_section();
-        for key in ["\"knee\"", "\"admission\"", "\"bursty\"", "\"autoscale\""] {
-            assert!(s.contains(key), "missing {key}");
-        }
-        assert!(s.contains("\"rho_x10\": 10"));
-        assert!(s.contains("\"shed_rate\""));
-        assert!(s.contains("\"grow_events\""));
     }
 }

@@ -22,7 +22,8 @@
 //!   invocation shape the experiments use must decompose exactly into
 //!   its phase ledger.
 
-use super::{pipeline, Report};
+use super::{pipeline, Experiment, Report};
+use crate::json::Value;
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::{CallProgram, Step};
 use xpc_verify::{crafted, lint, preflight, preflight_program, verify};
@@ -176,56 +177,89 @@ pub fn results() -> Vec<Row> {
     rows
 }
 
+/// The verify experiment: the rows of [`results`].
+pub struct Verify;
+
+impl Experiment for Verify {
+    type Grid = Vec<Row>;
+
+    fn compute() -> Self::Grid {
+        results()
+    }
+
+    fn table(grid: &Self::Grid) -> Report {
+        let rows = grid
+            .iter()
+            .map(|r| {
+                vec![
+                    r.group.to_string(),
+                    r.subject.clone(),
+                    r.expected.clone(),
+                    r.verdict.clone(),
+                    r.findings.to_string(),
+                    if r.ok { "yes" } else { "NO" }.to_string(),
+                ]
+            })
+            .collect();
+        Report {
+            id: "Verify",
+            caption:
+                "Static pre-flight: crafted plans refuted with the predicted Cause, figure recipes and roster ledgers proved clean",
+            headers: vec![
+                "Group".into(),
+                "Subject".into(),
+                "Expected".into(),
+                "Verdict".into(),
+                "Findings".into(),
+                "OK".into(),
+            ],
+            rows,
+        }
+    }
+
+    fn json(grid: &Self::Grid) -> Value {
+        Value::Array(
+            grid.iter()
+                .map(|r| {
+                    Value::Object(vec![
+                        ("group", r.group.into()),
+                        ("subject", r.subject.as_str().into()),
+                        ("expected", r.expected.as_str().into()),
+                        ("verdict", r.verdict.as_str().into()),
+                        ("findings", r.findings.into()),
+                        ("ok", r.ok.into()),
+                    ])
+                })
+                .collect(),
+        )
+    }
+}
+
 /// Regenerate the verify table.
 pub fn run() -> Report {
-    let rows = results()
-        .iter()
-        .map(|r| {
-            vec![
-                r.group.to_string(),
-                r.subject.clone(),
-                r.expected.clone(),
-                r.verdict.clone(),
-                r.findings.to_string(),
-                if r.ok { "yes" } else { "NO" }.to_string(),
-            ]
-        })
-        .collect();
-    Report {
-        id: "Verify",
-        caption:
-            "Static pre-flight: crafted plans refuted with the predicted Cause, figure recipes and roster ledgers proved clean",
-        headers: vec![
-            "Group".into(),
-            "Subject".into(),
-            "Expected".into(),
-            "Verdict".into(),
-            "Findings".into(),
-            "OK".into(),
-        ],
-        rows,
-    }
+    super::run::<Verify>()
 }
 
 /// The `"verify"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    let cells = results()
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"group\": \"{}\", \"subject\": \"{}\", \"expected\": \"{}\", \
-                 \"verdict\": \"{}\", \"findings\": {}, \"ok\": {}}}",
-                r.group, r.subject, r.expected, r.verdict, r.findings, r.ok
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("[\n{cells}\n  ]")
+    super::json_section::<Verify>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::any_cell;
+
+    #[test]
+    fn json_section_is_shaped() {
+        let Value::Array(rows) = Verify::json(&Verify::compute()) else {
+            panic!("the verify section is not an array");
+        };
+        assert!(any_cell(&rows, "group", "crafted"));
+        assert!(any_cell(&rows, "verdict", "invalid-linkage"));
+        assert!(any_cell(&rows, "ok", true));
+        assert!(!any_cell(&rows, "ok", false), "a verify row is not ok");
+    }
 
     #[test]
     fn every_row_is_ok() {
@@ -279,14 +313,5 @@ mod tests {
             bytes: 8,
         }]];
         gate("test-figure", 2, &rogue);
-    }
-
-    #[test]
-    fn json_section_is_shaped() {
-        let s = json_section();
-        assert!(s.contains("\"group\": \"crafted\""));
-        assert!(s.contains("\"verdict\": \"invalid-linkage\""));
-        assert!(s.contains("\"ok\": true"));
-        assert!(!s.contains("\"ok\": false"));
     }
 }

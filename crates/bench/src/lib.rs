@@ -19,6 +19,7 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod json;
 pub mod sweep;
 
 pub use harness::{CallBench, CallBenchConfig, EmulatedXpc};

@@ -1,6 +1,6 @@
 //! Registry-driven sweep harness: run any roster of [`IpcSystem`]s over a
 //! size axis and render the resulting [`Invocation`]s — as cycle tables,
-//! as phase-attributed ledger tables, or as a JSON dump for plotting.
+//! as phase-attributed ledger tables, or as `BENCH_figures.json` sections.
 //!
 //! Every per-figure module used to hand-roll its own loop over systems
 //! and sizes; they now all call [`sweep`] and format the shared
@@ -8,6 +8,7 @@
 //! view of the ledger".
 
 use crate::experiments::Report;
+use crate::json::{self, Value};
 use kernels::{Invocation, InvokeOpts, IpcSystem};
 
 /// The default message-size axis (bytes) for sweep-driven figures.
@@ -123,87 +124,87 @@ pub fn ledger_table(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// One invocation as a JSON object: size, total, copied bytes and the
+/// per-phase cycles in first-charge order.
+fn invocation_json(msg_len: usize, inv: &Invocation) -> Value {
+    let phases = inv.ledger.spans().iter().map(|&(p, c)| (p.key(), c.into()));
+    Value::Object(vec![
+        ("msg_len", msg_len.into()),
+        ("total", inv.total.into()),
+        ("copied_bytes", inv.copied_bytes.into()),
+        ("phases", Value::Object(phases.collect())),
+    ])
 }
 
-fn json_invocation(msg_len: usize, inv: &Invocation) -> String {
-    let phases = inv
-        .ledger
-        .spans()
-        .iter()
-        .map(|(p, c)| format!("\"{}\": {c}", p.key()))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"msg_len\": {msg_len}, \"total\": {}, \"copied_bytes\": {}, \"phases\": {{{phases}}}}}",
-        inv.total, inv.copied_bytes
+/// The `"systems"` section of `BENCH_figures.json`: per-system,
+/// per-size, per-phase cycle attributions.
+pub(crate) fn systems_json(rows: &[SweepRow]) -> Value {
+    Value::Array(
+        rows.iter()
+            .map(|r| {
+                let points = r.points.iter().map(|(b, inv)| invocation_json(*b, inv));
+                Value::Object(vec![
+                    ("name", r.system.as_str().into()),
+                    ("points", Value::Array(points.collect())),
+                ])
+            })
+            .collect(),
     )
 }
 
-/// Serialize sweep rows plus extra labelled invocations (e.g. the Figure 5
-/// ablation ladder) as the `BENCH_figures.json` document: per-system,
-/// per-size, per-phase cycle attributions. `raw` appends pre-rendered
-/// JSON values as further top-level sections (e.g. the scale-out grid,
-/// whose rows are load reports rather than invocations).
-pub fn json_dump(
-    rows: &[SweepRow],
-    extra: &[(&str, Vec<(String, Invocation)>)],
-    raw: &[(&str, String)],
-) -> String {
-    let mut out = String::from("{\n  \"systems\": [\n");
-    let systems = rows
-        .iter()
-        .map(|r| {
-            let points = r
-                .points
-                .iter()
-                .map(|(b, inv)| format!("      {}", json_invocation(*b, inv)))
-                .collect::<Vec<_>>()
-                .join(",\n");
-            format!(
-                "    {{\"name\": \"{}\", \"points\": [\n{points}\n    ]}}",
-                json_escape(&r.system)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    out.push_str(&systems);
-    out.push_str("\n  ]");
-    for (key, cols) in extra {
-        out.push_str(&format!(",\n  \"{}\": [\n", json_escape(key)));
-        let items = cols
-            .iter()
+/// Labelled invocations (e.g. the Figure 5 ablation ladder) as
+/// `{"name", "invocation"}` objects.
+pub(crate) fn ledgers_json<S: AsRef<str>>(cols: &[(S, Invocation)]) -> Value {
+    Value::Array(
+        cols.iter()
             .map(|(name, inv)| {
-                format!(
-                    "    {{\"name\": \"{}\", \"invocation\": {}}}",
-                    json_escape(name),
-                    json_invocation(0, inv)
-                )
+                Value::Object(vec![
+                    ("name", name.as_ref().into()),
+                    ("invocation", invocation_json(0, inv)),
+                ])
             })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        out.push_str(&items);
-        out.push_str("\n  ]");
-    }
-    for (key, value) in raw {
-        out.push_str(&format!(",\n  \"{}\": {value}", json_escape(key)));
+            .collect(),
+    )
+}
+
+/// The top-level frame of `BENCH_figures.json`: one `"key": section`
+/// entry per line, each section already rendered at indent 2.
+pub(crate) fn frame<'a>(sections: impl IntoIterator<Item = (&'a str, String)>) -> String {
+    let mut out = String::from("{\n");
+    for (i, (key, section)) in sections.into_iter().enumerate() {
+        out.push_str(if i == 0 { "  " } else { ",\n  " });
+        json::write_str(&mut out, key);
+        out.push_str(": ");
+        out.push_str(&section);
     }
     out.push_str("\n}\n");
     out
 }
 
+/// Serialize sweep rows plus extra labelled invocations (e.g. the Figure 5
+/// ablation ladder) as the `BENCH_figures.json` document: per-system,
+/// per-size, per-phase cycle attributions. `raw` appends pre-rendered
+/// JSON values as further top-level sections (e.g. an experiment's
+/// `json_section()`).
+pub fn json_dump(
+    rows: &[SweepRow],
+    extra: &[(&str, Vec<(String, Invocation)>)],
+    raw: &[(&str, String)],
+) -> String {
+    let mut sections = vec![("systems", systems_json(rows).render(2))];
+    sections.extend(
+        extra
+            .iter()
+            .map(|(key, cols)| (*key, ledgers_json(cols).render(2))),
+    );
+    sections.extend(raw.iter().map(|(key, section)| (*key, section.clone())));
+    frame(sections)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kernels::{Phase, Sel4, Sel4Transfer};
+    use kernels::{Sel4, Sel4Transfer};
 
     #[test]
     fn roster_sweep_covers_every_system_and_size() {
@@ -244,25 +245,27 @@ mod tests {
 
     #[test]
     fn json_dump_is_parseable_shape() {
+        // The frame `benchmark/` builds its document through: the sweep,
+        // the labelled ledgers, then pre-rendered sections verbatim.
         let rows = sweep(
             vec![Box::new(Sel4::new(Sel4Transfer::OneCopy))],
             &[0, 64],
             &InvokeOpts::call(),
         );
-        let extra = vec![(
+        let extra = [(
             "fig5",
             vec![("bar".to_string(), rows[0].points[0].1.clone())],
         )];
-        let raw = vec![("scale", "[{\"x\": 1}]".to_string())];
+        let raw = [("scale", "[{\"x\": 1}]".to_string())];
         let j = json_dump(&rows, &extra, &raw);
-        assert!(j.starts_with("{\n"));
-        assert!(j.trim_end().ends_with('}'));
-        assert!(j.contains("\"seL4-onecopy\""), "{j}");
-        assert!(j.contains(&format!("\"{}\"", Phase::Trap.key())));
-        assert!(j.contains("\"fig5\""));
-        assert!(j.contains("\"scale\": [{\"x\": 1}]"));
-        // Balanced braces/brackets — a cheap well-formedness proxy.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let system = "{\n  \"systems\": [\n    {\"name\": \"seL4-onecopy\", \"points\": [\n      \
+                      {\"msg_len\": 0, \"total\": ";
+        assert!(j.starts_with(system), "{j}");
+        assert!(j.contains("\"phases\": {\"trap\": "), "{j}");
+        assert!(j.contains(",\n  \"fig5\": [\n    {\"name\": \"bar\", \"invocation\": {"));
+        assert!(
+            j.ends_with("}}\n  ],\n  \"scale\": [{\"x\": 1}]\n}\n"),
+            "{j}"
+        );
     }
 }

@@ -8,6 +8,8 @@
 //! cargo run --release -p xpc-bench --bin figures -- all > figures/golden.txt
 //! ```
 
+mod common;
+
 use xpc_bench::experiments;
 
 fn render_all() -> String {
@@ -21,16 +23,5 @@ fn render_all() -> String {
 fn figures_match_the_committed_golden() {
     let golden = include_str!("../../../figures/golden.txt");
     let fresh = render_all();
-    if golden != fresh {
-        // Report the first diverging line, not a 300-line dump.
-        for (i, (g, f)) in golden.lines().zip(fresh.lines()).enumerate() {
-            assert_eq!(g, f, "figures/golden.txt diverges at line {}", i + 1);
-        }
-        assert_eq!(
-            golden.lines().count(),
-            fresh.lines().count(),
-            "figures/golden.txt has a different number of lines"
-        );
-        panic!("golden mismatch not attributable to a single line");
-    }
+    common::assert_same_lines("figures/golden.txt", golden, &fresh);
 }

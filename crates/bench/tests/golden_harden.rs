@@ -5,9 +5,10 @@
 //! noise.
 //!
 //! To refresh after an intentional change, write the output of
-//! `experiments::harden::json_section()` back to the file (see ci.sh's
-//! harden gate, or regenerate `BENCH_figures.json` and copy the
-//! section).
+//! `experiments::harden::json_section()` back to the file (or regenerate
+//! `BENCH_figures.json` with `figures --json` and copy the section).
+
+mod common;
 
 use xpc_bench::experiments;
 
@@ -15,22 +16,7 @@ use xpc_bench::experiments;
 fn harden_section_matches_the_committed_golden() {
     let golden = include_str!("../../../figures/golden_harden.json");
     let fresh = experiments::harden::json_section();
-    if golden != fresh {
-        for (i, (g, f)) in golden.lines().zip(fresh.lines()).enumerate() {
-            assert_eq!(
-                g,
-                f,
-                "figures/golden_harden.json diverges at line {}",
-                i + 1
-            );
-        }
-        assert_eq!(
-            golden.lines().count(),
-            fresh.lines().count(),
-            "figures/golden_harden.json has a different number of lines"
-        );
-        panic!("harden golden mismatch not attributable to a single line");
-    }
+    common::assert_same_lines("figures/golden_harden.json", golden, &fresh);
 }
 
 #[test]

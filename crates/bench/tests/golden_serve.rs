@@ -1,12 +1,13 @@
 //! Snapshot test: the committed `figures/golden_serve.json` must match
 //! the `"serve"` JSON section produced in-process today. The section is
-//! fully deterministic (virtual time only — unlike `simspeed`, whose
-//! wall-clock numbers stay out of any snapshot), so any drift is a real
-//! model change, not noise.
+//! fully deterministic (virtual time only), so any drift is a real model
+//! change, not noise.
 //!
 //! To refresh after an intentional change, write the output of
-//! `experiments::serve::json_section()` back to the file (see ci.sh's
-//! serve gate, or regenerate `BENCH_figures.json` and copy the section).
+//! `experiments::serve::json_section()` back to the file (or regenerate
+//! `BENCH_figures.json` with `figures --json` and copy the section).
+
+mod common;
 
 use xpc_bench::experiments;
 
@@ -14,17 +15,7 @@ use xpc_bench::experiments;
 fn serve_section_matches_the_committed_golden() {
     let golden = include_str!("../../../figures/golden_serve.json");
     let fresh = experiments::serve::json_section();
-    if golden != fresh {
-        for (i, (g, f)) in golden.lines().zip(fresh.lines()).enumerate() {
-            assert_eq!(g, f, "figures/golden_serve.json diverges at line {}", i + 1);
-        }
-        assert_eq!(
-            golden.lines().count(),
-            fresh.lines().count(),
-            "figures/golden_serve.json has a different number of lines"
-        );
-        panic!("serve golden mismatch not attributable to a single line");
-    }
+    common::assert_same_lines("figures/golden_serve.json", golden, &fresh);
 }
 
 #[test]

@@ -8,13 +8,16 @@
 //!
 //! `with_threads` pins the worker count via a *thread-local* override,
 //! so these tests cannot race each other under the parallel test
-//! harness. The once-per-pass hand-off slots (`xpc_bench::experiments`)
-//! are thread-local for the same reason: where a closure below calls
-//! `run()` and then `json_section()`, the section renders the grid that
-//! `run()` computed at that worker count.
+//! harness. The hand-off slot (`xpc_bench::experiments`) is thread-local
+//! for the same reason: where a closure below calls `run()` and then
+//! `json_section()`, the section renders the grid that `run()` computed
+//! at that worker count.
 
 use simos::par::with_threads;
-use xpc_bench::{experiments, sweep};
+use xpc_bench::experiments::{
+    self, fuse, harden, numa, pipeline, scale, serve, verify, Experiment,
+};
+use xpc_bench::sweep;
 
 /// The parallel worker counts diffed against the 1-worker oracle: one
 /// below the typical cell count and one above several grids' axes (8
@@ -31,78 +34,50 @@ fn assert_worker_count_invariant(label: &str, produce: impl Fn() -> String) {
     }
 }
 
+/// `E`'s table and its JSON section rendered from the grid the table
+/// computed.
+fn assert_grid_invariant<E: Experiment>(label: &str) {
+    assert_worker_count_invariant(label, || {
+        let table = experiments::run::<E>().render();
+        format!("{table}\n{}", experiments::json_section::<E>())
+    });
+}
+
 #[test]
 fn scale_grid_is_worker_count_invariant() {
-    assert_worker_count_invariant("scale", || {
-        format!(
-            "{}\n{}",
-            experiments::scale::run().render(),
-            experiments::scale::json_section()
-        )
-    });
+    assert_grid_invariant::<scale::Scale>("scale");
 }
 
 #[test]
 fn pipeline_grid_is_worker_count_invariant() {
-    assert_worker_count_invariant("pipeline", || {
-        format!(
-            "{}\n{}",
-            experiments::pipeline::run().render(),
-            experiments::pipeline::json_section()
-        )
-    });
+    assert_grid_invariant::<pipeline::Pipeline>("pipeline");
 }
 
 #[test]
 fn numa_grid_is_worker_count_invariant() {
-    // json_section covers both the hop cells and the load grid; render
-    // covers the table path.
-    assert_worker_count_invariant("numa", || {
-        format!(
-            "{}\n{}",
-            experiments::numa::run().render(),
-            experiments::numa::json_section()
-        )
-    });
+    // The JSON section covers the hop cells and the load grid; the
+    // table covers the load grid's table path.
+    assert_grid_invariant::<numa::Numa>("numa");
 }
 
 #[test]
 fn serve_grids_are_worker_count_invariant() {
     // Cold, json_section computes all four serve views (knee, admission,
     // bursty, autoscale) including their calibration phases; after a
-    // run() it computes bursty + autoscale and formats the knee +
-    // admission views run() parked.
-    assert_worker_count_invariant("serve json (cold)", experiments::serve::json_section);
-    assert_worker_count_invariant("serve render + json", || {
-        format!(
-            "{}\n{}",
-            experiments::serve::run().render(),
-            experiments::serve::json_section()
-        )
-    });
+    // run() it formats the views run() computed and parked.
+    assert_worker_count_invariant("serve json (cold)", serve::json_section);
+    assert_grid_invariant::<serve::Serve>("serve render + json");
 }
 
 #[test]
 fn fuse_grids_are_worker_count_invariant() {
-    assert_worker_count_invariant("fuse json (cold)", experiments::fuse::json_section);
-    assert_worker_count_invariant("fuse render + json", || {
-        format!(
-            "{}\n{}",
-            experiments::fuse::run().render(),
-            experiments::fuse::json_section()
-        )
-    });
+    assert_worker_count_invariant("fuse json (cold)", fuse::json_section);
+    assert_grid_invariant::<fuse::Fuse>("fuse render + json");
 }
 
 #[test]
 fn harden_rows_are_worker_count_invariant() {
-    assert_worker_count_invariant("harden", || {
-        format!(
-            "{}\n{}",
-            experiments::harden::run().render(),
-            experiments::harden::json_section()
-        )
-    });
+    assert_grid_invariant::<harden::Harden>("harden");
 }
 
 #[test]
@@ -146,13 +121,7 @@ fn storage_grids_are_worker_count_invariant() {
 
 #[test]
 fn verify_rows_are_worker_count_invariant() {
-    assert_worker_count_invariant("verify", || {
-        format!(
-            "{}\n{}",
-            experiments::verify::run().render(),
-            experiments::verify::json_section()
-        )
-    });
+    assert_grid_invariant::<verify::Verify>("verify");
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The scale-out experiment end to end: determinism of the seeded load
 //! generator, the §5.2 scale-out story in the numbers, and the JSON
-//! section's shape.
+//! section's cells.
 
-use xpc_bench::experiments::scale;
+use xpc_bench::experiments::{scale, Experiment};
+use xpc_bench::json::Value;
 
 #[test]
 fn same_seed_reproduces_the_whole_grid() {
@@ -26,27 +27,29 @@ fn xpc_round_robin_beats_its_same_core_placement() {
 
 #[test]
 fn json_section_has_the_grid_and_the_metrics() {
-    let s = scale::json_section();
-    assert!(s.trim_start().starts_with('['));
-    assert!(s.trim_end().ends_with(']'));
-    assert_eq!(
-        s.matches("\"system\"").count(),
-        16,
-        "4 mechanisms x 4 policies"
-    );
-    for key in [
-        "\"policy\"",
-        "\"cores\": 4",
-        "\"throughput_rps\"",
-        "\"p50_us\"",
-        "\"p95_us\"",
-        "\"p99_us\"",
-        "\"cross_core_fraction\"",
-    ] {
-        assert!(s.contains(key), "missing {key} in {s}");
+    let Value::Array(cells) = scale::Scale::json(&scale::Scale::compute()) else {
+        panic!("the scale section is not an array");
+    };
+    assert_eq!(cells.len(), 16, "4 mechanisms x 4 policies");
+    for c in &cells {
+        assert_eq!(c.get("cores"), Some(&4u64.into()), "{c:?}");
+        for key in [
+            "system",
+            "policy",
+            "throughput_rps",
+            "p50_us",
+            "p95_us",
+            "p99_us",
+            "cross_core_fraction",
+        ] {
+            assert!(c.get(key).is_some(), "missing {key} in {c:?}");
+        }
     }
     for policy in ["same-core", "pinned", "round-robin", "least-loaded"] {
-        assert!(s.contains(policy), "missing policy {policy}");
+        let want = Value::from(policy);
+        assert!(
+            cells.iter().any(|c| c.get("policy") == Some(&want)),
+            "missing policy {policy}"
+        );
     }
-    assert_eq!(s.matches('{').count(), s.matches('}').count());
 }

@@ -49,14 +49,16 @@ impl FrameAlloc {
     ///
     /// # Errors
     ///
-    /// [`XpcError::OutOfMemory`] when the bump region cannot fit them.
+    /// [`XpcError::OutOfMemory`] when the bump region cannot fit them,
+    /// including a count whose byte size does not fit a `u64`.
     pub fn alloc_contig(&mut self, n: u64) -> Result<u64, XpcError> {
-        let bytes = n * FRAME_BYTES;
-        if self.next + bytes > self.limit {
-            return Err(XpcError::OutOfMemory);
-        }
+        let end = n
+            .checked_mul(FRAME_BYTES)
+            .and_then(|bytes| self.next.checked_add(bytes))
+            .filter(|&end| end <= self.limit)
+            .ok_or(XpcError::OutOfMemory)?;
         let base = self.next;
-        self.next += bytes;
+        self.next = end;
         Ok(base)
     }
 
@@ -108,6 +110,19 @@ mod tests {
         a.alloc().unwrap();
         assert_eq!(a.alloc().unwrap_err(), XpcError::OutOfMemory);
         assert_eq!(a.alloc_contig(1).unwrap_err(), XpcError::OutOfMemory);
+    }
+
+    #[test]
+    fn oversized_contig_requests_are_refused_without_moving_the_allocator() {
+        let base = 0x8010_0000;
+        let mut a = FrameAlloc::new(base, 16 * FRAME_BYTES);
+        // 2^52 frames is exactly 2^64 bytes; u64::MAX frames wraps to
+        // just under it.
+        for n in [1 << 52, u64::MAX, u64::MAX / FRAME_BYTES] {
+            assert_eq!(a.alloc_contig(n), Err(XpcError::OutOfMemory), "{n} frames");
+        }
+        assert_eq!(a.remaining(), 16 * FRAME_BYTES);
+        assert_eq!(a.alloc(), Ok(base));
     }
 
     #[test]
