@@ -12,14 +12,24 @@
 //! ablation ledgers and one section per scenario grid) to
 //! `BENCH_figures.json`; a grid whose table was printed above is handed
 //! to its JSON section, not computed again (see `xpc_bench::experiments`).
-//! `--threads N` pins the sweep pool's worker count (overriding
-//! `XPC_BENCH_THREADS` and the machine's parallelism); the rendered
-//! output and the dump, virtual time only, are byte-identical at any
-//! setting. A closed stdout (`figures all | head`) ends the run quietly
-//! with exit 0.
+//! `--threads N` pins the sweep pool's worker count (default: the
+//! machine's parallelism); the rendered output and the dump, virtual time
+//! only, are byte-identical at any setting. Every argument is checked
+//! before the first experiment runs: an unknown flag exits 2, an unknown
+//! experiment 1, both with stdout empty. A closed stdout
+//! (`figures all | head`) ends the run quietly with exit 0.
+//!
+//! Both committed snapshots, `figures/golden.txt` and
+//! `BENCH_figures.json`, are this binary's output, pinned by
+//! `crates/bench/tests/snapshots.rs`. After an intentional model change,
+//! refresh both with
+//!
+//! ```text
+//! cargo run --release -p xpc-bench --bin figures -- --threads 1 --json all > figures/golden.txt
+//! ```
 
 use std::io::Write;
-use xpc_bench::experiments;
+use xpc_bench::experiments::{self, Entry};
 use xpc_bench::sweep;
 
 fn fail(msg: &str) -> ! {
@@ -27,69 +37,67 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_threads(what: &str, v: &str) -> usize {
+fn parse_threads(v: &str) -> usize {
     match v.parse::<usize>() {
         Ok(n) if n > 0 => n,
-        _ => fail(&format!("{what} wants a positive integer, got '{v}'")),
+        _ => fail(&format!("--threads wants a positive integer, got '{v}'")),
     }
 }
 
 fn main() {
-    // `simos::par` skips an unparsable XPC_BENCH_THREADS and uses every
-    // core; here a typo gets the answer `--threads` gives.
-    if let Some(v) = std::env::var_os("XPC_BENCH_THREADS") {
-        parse_threads("XPC_BENCH_THREADS", v.to_string_lossy().trim());
-    }
-
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--json");
-
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix("--threads=") {
-            simos::par::set_threads(Some(parse_threads("--threads", v)));
-            args.remove(i);
-        } else if args[i] == "--threads" {
-            match args.get(i + 1) {
-                Some(v) => simos::par::set_threads(Some(parse_threads("--threads", v))),
+    let mut json = false;
+    let mut threads = None;
+    let mut keys = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--json" {
+            json = true;
+        } else if arg == "--threads" {
+            match args.next() {
+                Some(v) => threads = Some(parse_threads(&v)),
                 None => fail("--threads wants a value"),
             }
-            args.drain(i..=i + 1);
+        } else if let Some(v) = arg.strip_prefix("--threads=") {
+            threads = Some(parse_threads(v));
+        } else if arg.starts_with('-') {
+            fail(&format!("unknown flag '{arg}'"));
         } else {
-            i += 1;
+            keys.push(arg);
         }
     }
 
     let registry = experiments::all();
-    let keys: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        registry.iter().map(|(k, _)| *k).collect()
+    let find = |key: &str| registry.iter().find(|(k, _)| *k == key).copied();
+    if let Some(key) = keys.iter().find(|k| *k != "all" && find(k).is_none()) {
+        let hint = experiments::suggest(key)
+            .map(|s| format!(" (did you mean '{s}'?)"))
+            .unwrap_or_default();
+        let available: Vec<&str> = registry.iter().map(|(k, _)| *k).collect();
+        eprintln!(
+            "unknown experiment '{key}'{hint}; available: {}",
+            available.join(", ")
+        );
+        std::process::exit(1);
+    }
+    let chosen: Vec<Entry> = if keys.is_empty() || keys.iter().any(|k| k == "all") {
+        registry
     } else {
-        args.iter().map(|s| s.as_str()).collect()
+        keys.iter().filter_map(|k| find(k)).collect()
     };
+
+    let workers = threads.unwrap_or_else(simos::par::threads);
+    simos::par::with_threads(workers, || run(&chosen, json));
+}
+
+/// Print each chosen report, then write the JSON document if asked.
+fn run(chosen: &[Entry], json: bool) {
     let mut out = std::io::stdout().lock();
-    for key in keys {
-        match registry.iter().find(|(k, _)| *k == key) {
-            Some((_, run)) => match writeln!(out, "{}", run().render()) {
-                Ok(()) => {}
-                // The reader has seen enough.
-                Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
-                Err(e) => fail(&format!("failed to write to stdout: {e}")),
-            },
-            None => {
-                let hint = experiments::suggest(key)
-                    .map(|s| format!(" (did you mean '{s}'?)"))
-                    .unwrap_or_default();
-                eprintln!(
-                    "unknown experiment '{key}'{hint}; available: {}",
-                    registry
-                        .iter()
-                        .map(|(k, _)| *k)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                std::process::exit(1);
-            }
+    for (_, report) in chosen {
+        match writeln!(out, "{}", report().render()) {
+            Ok(()) => {}
+            // The reader has seen enough.
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+            Err(e) => fail(&format!("failed to write to stdout: {e}")),
         }
     }
 

@@ -75,7 +75,7 @@ pub use load::{LoadError, LoadGen, LoadReport, SweepScratch};
 pub use multicore::{
     Completion, CoreId, CrossCore, MultiWorld, MultiWorldBuilder, Placement, Step, XCoreCost,
 };
-pub use par::{map_cells, map_cells_on, set_threads, threads, with_threads, CellScratch};
+pub use par::{map_cells, map_cells_on, threads, with_threads, CellScratch};
 pub use program::{
     CallProgram, Hop, ProgramError, ProgramId, Recipe, HANDOVER_DESC_BYTES, MAX_PROGRAM_HOPS,
 };

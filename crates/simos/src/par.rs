@@ -39,15 +39,14 @@
 //! so they never cross a thread boundary and `IpcSystem` needs no
 //! `Send` supertrait.
 //!
-//! Thread-count resolution for [`map_cells`] (first match wins):
-//! a thread-local override ([`set_threads`] / [`with_threads`] — used by
-//! the `--threads` flag and the differential tests), the
-//! `XPC_BENCH_THREADS` environment variable, then
+//! Thread-count resolution for [`map_cells`]: the thread-local
+//! [`with_threads`] override (used by `figures --threads N` and the
+//! snapshot test) if one is set, else
 //! [`std::thread::available_parallelism`].
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::thread;
 
 use crate::ledger::LedgerArena;
@@ -78,18 +77,11 @@ thread_local! {
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Set (or with `None`, clear) this thread's worker-count override —
-/// the strongest setting in the resolution order. `Some(0)` is
-/// normalised to one worker. The `figures` binary maps `--threads N`
-/// here.
-pub fn set_threads(n: Option<usize>) {
-    OVERRIDE.with(|c| c.set(n));
-}
-
-/// Run `f` with this thread's worker count pinned to `n`, restoring the
-/// previous override afterwards (also on panic). This is the hook the
-/// differential tests use to render the same experiment at 1, 2, and 8
-/// workers inside one process.
+/// Run `f` with this thread's worker count pinned to `n` (0 counts as
+/// one worker), restoring the previous override afterwards (also on
+/// panic). The `figures` binary runs its body under `--threads N` here,
+/// and the snapshot test renders every experiment at 1, 2 and 8 workers
+/// inside one process.
 pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -101,30 +93,14 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// `XPC_BENCH_THREADS`, read once per process (the pool consults this
-/// on every grid, so repeated env lookups would be wasted work).
-fn env_threads() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("XPC_BENCH_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    })
-}
-
 /// The worker count [`map_cells`] will use on this thread: the
-/// [`set_threads`] / [`with_threads`] override if present, else
-/// `XPC_BENCH_THREADS`, else the machine's available parallelism.
-/// Always at least 1.
+/// [`with_threads`] override if present, else the machine's available
+/// parallelism. Always at least 1.
 pub fn threads() -> usize {
-    if let Some(n) = OVERRIDE.with(Cell::get) {
-        return n.max(1);
+    match OVERRIDE.with(Cell::get) {
+        Some(n) => n.max(1),
+        None => thread::available_parallelism().map_or(1, NonZeroUsize::get),
     }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
 /// Fan `cells` over [`threads`] workers; see [`map_cells_on`].
@@ -224,28 +200,27 @@ mod tests {
     }
 
     #[test]
-    fn override_beats_env_and_restores_after_with_threads() {
-        set_threads(None);
+    fn with_threads_nests_and_restores() {
+        let machine = threads();
+        assert!(machine >= 1);
         with_threads(3, || {
             assert_eq!(threads(), 3);
             with_threads(7, || assert_eq!(threads(), 7));
             assert_eq!(threads(), 3);
+            with_threads(0, || {
+                assert_eq!(threads(), 1, "zero normalises to one worker")
+            });
         });
-        set_threads(Some(2));
-        assert_eq!(threads(), 2);
-        set_threads(Some(0));
-        assert_eq!(threads(), 1, "zero normalises to one worker");
-        set_threads(None);
-        assert!(threads() >= 1);
+        assert_eq!(threads(), machine);
     }
 
     #[test]
     fn with_threads_restores_on_panic() {
-        set_threads(Some(5));
-        let caught = std::panic::catch_unwind(|| with_threads(2, || panic!("boom")));
-        assert!(caught.is_err());
-        assert_eq!(threads(), 5);
-        set_threads(None);
+        with_threads(5, || {
+            let caught = std::panic::catch_unwind(|| with_threads(2, || panic!("boom")));
+            assert!(caught.is_err());
+            assert_eq!(threads(), 5);
+        });
     }
 
     #[test]
@@ -263,8 +238,8 @@ mod tests {
     fn scratch_is_usable_and_cleared_between_cells_by_the_drivers() {
         // Smoke: cells can dirty the scratch; determinism still holds
         // because the drivers clear on entry (this test just exercises
-        // the plumbing — the byte-identity proof lives in the bench
-        // crate's differential tests).
+        // the plumbing — the byte-identity proof is the bench crate's
+        // snapshot test at 1, 2 and 8 workers).
         let got = map_cells_on(2, (0..6u64).collect::<Vec<_>>(), |i, c, scratch| {
             scratch.sweep.clear();
             scratch.arena.reset();
