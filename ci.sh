@@ -21,13 +21,15 @@ echo "== clippy =="
 # review, not a gate.
 cargo clippy --workspace --all-targets -- -D warnings -A clippy::cast-possible-truncation
 
-echo "== clippy (simos: cast_possible_truncation promoted to error) =="
+echo "== clippy (simos: cast_possible_truncation and missing_panics_doc promoted to error) =="
 # The invocation hot path lives in simos; there every u64 -> usize (and
 # f64 -> int) crossing is either proven in-range or an explicit allow
-# with the bound stated. --no-deps scopes the promotion to the crate
-# itself (its request_pin test dev-depends on kernels for real roster
-# systems, and kernels' model math casts deliberately).
-cargo clippy -p simos --all-targets --no-deps -- -D warnings -D clippy::cast-possible-truncation
+# with the bound stated, and every pub fn that can panic documents its
+# # Panics contract. --no-deps scopes the promotion to the crate itself
+# (its request_pin test dev-depends on kernels for real roster systems,
+# and kernels' model math casts deliberately).
+cargo clippy -p simos --all-targets --no-deps -- \
+  -D warnings -D clippy::cast-possible-truncation -D clippy::missing-panics-doc
 
 echo "== clippy (xpc-verify: missing_panics_doc promoted to error) =="
 # The verifier is the library other tools call blind; every pub fn that

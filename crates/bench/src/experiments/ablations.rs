@@ -19,7 +19,7 @@ use xpc::trampoline::ContextMode;
 use xpc_engine::cap::{BitmapCaps, CapStore, RadixCaps};
 
 /// Transport family: cycles to move 1 MiB over a 4-hop chain.
-pub fn transport_rows() -> Vec<(String, u64, bool, bool)> {
+pub(crate) fn transport_rows() -> Vec<(String, u64, bool, bool)> {
     let cost = CostModel::u500();
     Transport::ALL
         .iter()
@@ -36,7 +36,7 @@ pub fn transport_rows() -> Vec<(String, u64, bool, bool)> {
 
 /// Capability stores: probe cost (words) and footprint for a sparse
 /// grant set over a 2^20 ID space.
-pub fn cap_rows() -> Vec<(String, u64, usize)> {
+pub(crate) fn cap_rows() -> Vec<(String, u64, usize)> {
     let mut bitmap = BitmapCaps::new(1 << 20);
     let mut radix = RadixCaps::new();
     for id in (0..1u64 << 20).step_by(4099) {
@@ -58,7 +58,7 @@ pub fn cap_rows() -> Vec<(String, u64, usize)> {
 }
 
 /// Caller context convention: measured wrapped-call cycles.
-pub fn context_rows() -> Vec<(String, u64)> {
+pub(crate) fn context_rows() -> Vec<(String, u64)> {
     [ContextMode::Full, ContextMode::Partial]
         .into_iter()
         .map(|mode| {
@@ -72,7 +72,7 @@ pub fn context_rows() -> Vec<(String, u64)> {
 
 /// Relay segment vs relay page table: guest loop summing 512 bytes
 /// through each window, measured on the emulator.
-pub fn relay_pt_rows() -> Vec<(String, u64)> {
+pub(crate) fn relay_pt_rows() -> Vec<(String, u64)> {
     fn run_sum(paged: bool) -> u64 {
         let mut k = XpcKernel::boot(XpcKernelConfig::default());
         let pa = k.create_process().expect("process");
@@ -112,7 +112,7 @@ pub fn relay_pt_rows() -> Vec<(String, u64)> {
 /// Engine-cache efficacy under batching: per-call cycles and cache
 /// counters for 64 B bursts through the cost-model `XpcIpc` (first call
 /// fetches the x-entry, repeats pay the cached `xcall`).
-pub fn engine_batch_rows() -> Vec<(u64, f64, EngineCacheStats)> {
+pub(crate) fn engine_batch_rows() -> Vec<(u64, f64, EngineCacheStats)> {
     [1u64, 8, 64]
         .into_iter()
         .map(|n| {
@@ -131,15 +131,15 @@ pub struct Ablations;
 /// shows the engine-cache group).
 #[derive(Debug, Clone)]
 pub struct AblationRows {
-    /// [`transport_rows`].
+    /// `transport_rows`.
     pub transports: Vec<(String, u64, bool, bool)>,
-    /// [`cap_rows`].
+    /// `cap_rows`.
     pub caps: Vec<(String, u64, usize)>,
-    /// [`context_rows`].
+    /// `context_rows`.
     pub contexts: Vec<(String, u64)>,
-    /// [`relay_pt_rows`].
+    /// `relay_pt_rows`.
     pub relay: Vec<(String, u64)>,
-    /// [`engine_batch_rows`].
+    /// `engine_batch_rows`.
     pub engine_batch: Vec<(u64, f64, EngineCacheStats)>,
 }
 
@@ -220,7 +220,7 @@ impl Experiment for Ablations {
 }
 
 /// Regenerate the ablation report.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     super::run::<Ablations>()
 }
 

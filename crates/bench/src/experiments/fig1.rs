@@ -1,7 +1,7 @@
 //! **Figure 1** — the motivation measurements: (a) fraction of CPU time
 //! Sqlite3/YCSB spends in IPC on seL4; (b) CDF of IPC time by message
 //! length for YCSB-E. (b)'s run is (a)'s YCSB-E cell — same mechanism,
-//! spec and seed — so [`ipc_fractions`] hands it over (see the hand-off
+//! spec and seed — so `ipc_fractions` hands it over (see the hand-off
 //! note in [`super`]).
 
 use super::Report;
@@ -27,7 +27,7 @@ fn spec(wl: Workload) -> WorkloadSpec {
 }
 
 /// IPC fraction per workload (Figure 1a).
-pub fn ipc_fractions() -> Vec<(&'static str, f64)> {
+pub(crate) fn ipc_fractions() -> Vec<(&'static str, f64)> {
     let sel4 = || World::new(Box::new(Sel4::new(Sel4Transfer::TwoCopy)));
     // One table load (§5.4), forked per mix; see `fig8::normalized`.
     let loaded = load(&mut sel4(), &spec(Workload::A));
@@ -47,7 +47,7 @@ pub fn ipc_fractions() -> Vec<(&'static str, f64)> {
 }
 
 /// Regenerate Figure 1(a).
-pub fn fig1a() -> Report {
+pub(crate) fn fig1a() -> Report {
     let rows = ipc_fractions()
         .into_iter()
         .map(|(n, f)| vec![n.to_string(), format!("{:.1}%", f * 100.0)])
@@ -61,7 +61,7 @@ pub fn fig1a() -> Report {
 }
 
 /// The Figure 1(b) CDF and transfer fraction for YCSB-E.
-pub fn ycsb_e_cdf() -> (Vec<(u64, f64)>, f64) {
+pub(crate) fn ycsb_e_cdf() -> (Vec<(u64, f64)>, f64) {
     let mut w = World::new(Box::new(Sel4::new(Sel4Transfer::TwoCopy)));
     let r = run_workload(&mut w, &spec(Workload::E));
     (w.stats.cdf_by_size(&BOUNDS), r.transfer_fraction)
@@ -69,7 +69,7 @@ pub fn ycsb_e_cdf() -> (Vec<(u64, f64)>, f64) {
 
 /// Regenerate Figure 1(b), from the YCSB-E cell of the [`fig1a`] before
 /// it, else from its own run.
-pub fn fig1b() -> Report {
+pub(crate) fn fig1b() -> Report {
     let (cdf, transfer) = super::take().map_or_else(ycsb_e_cdf, |ECdf(cdf, t)| (cdf, t));
     let mut rows: Vec<Vec<String>> = cdf
         .into_iter()

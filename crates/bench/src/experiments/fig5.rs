@@ -58,7 +58,7 @@ pub fn bars() -> Vec<Fig5Bar> {
             };
             let bar = Fig5Bar {
                 config,
-                total: inv.total,
+                total: inv.total(),
                 xcall: inv.ledger.get(Phase::Xcall),
                 xret: inv.ledger.get(Phase::Xret),
                 delta,
@@ -71,7 +71,7 @@ pub fn bars() -> Vec<Fig5Bar> {
 }
 
 /// Regenerate Figure 5.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let rows = bars()
         .into_iter()
         .map(|b| {

@@ -28,14 +28,14 @@ pub fn curves() -> Vec<(String, Vec<u64>)> {
         .into_iter()
         .zip(labels)
         .map(|(row, l)| {
-            let vals = row.points.into_iter().map(|(_, inv)| inv.total).collect();
+            let vals = row.points.into_iter().map(|(_, inv)| inv.total()).collect();
             (l.to_string(), vals)
         })
         .collect()
 }
 
 /// Regenerate Figure 6.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let c = curves();
     let mut headers = vec!["Message size".to_string()];
     headers.extend(c.iter().map(|(l, _)| l.clone()));

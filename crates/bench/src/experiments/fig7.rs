@@ -43,7 +43,7 @@ fn curves(
 }
 
 /// FS throughput in MB/s for one system and buffer size.
-pub fn fs_throughput(mech: Box<dyn IpcSystem>, buf: u64, write: bool) -> f64 {
+pub(crate) fn fs_throughput(mech: Box<dyn IpcSystem>, buf: u64, write: bool) -> f64 {
     let mut w = World::new(mech);
     let mut fs = Xv6Fs::mkfs(&mut w, 1 << 14);
     let ino = fs.create(&mut w, "bench");
@@ -66,7 +66,7 @@ pub fn fs_throughput(mech: Box<dyn IpcSystem>, buf: u64, write: bool) -> f64 {
 }
 
 /// All Figure 7(a)/(b) curves: (system, buf -> MB/s).
-pub fn fs_curves(write: bool) -> Vec<(String, Vec<f64>)> {
+pub(crate) fn fs_curves(write: bool) -> Vec<(String, Vec<f64>)> {
     curves(&SYSTEMS, &FS_BUFS, |mech, b| fs_throughput(mech, b, write))
 }
 
@@ -92,7 +92,7 @@ fn fs_report(id: &'static str, caption: &'static str, write: bool) -> Report {
 }
 
 /// Regenerate Figure 7(a)+(b) as one report pair.
-pub fn fig7ab() -> Report {
+pub(crate) fn fig7ab() -> Report {
     let mut r = fs_report(
         "Figure 7(a,b)",
         "FS read/write throughput (MB/s); read rows first, then write rows",
@@ -105,14 +105,14 @@ pub fn fig7ab() -> Report {
 }
 
 /// TCP curves for Figure 7(c): (system, buf -> MB/s).
-pub fn tcp_curves() -> Vec<(String, Vec<f64>)> {
+pub(crate) fn tcp_curves() -> Vec<(String, Vec<f64>)> {
     curves(&SYSTEMS[..2], &TCP_BUFS, |mech, b| {
         tcp_throughput_mb_s(&mut World::new(mech), b as usize, 1 << 20)
     })
 }
 
 /// Regenerate Figure 7(c).
-pub fn fig7c() -> Report {
+pub(crate) fn fig7c() -> Report {
     let curves = tcp_curves();
     let mut headers = vec!["Buffer".to_string()];
     headers.extend(curves.iter().map(|(n, _)| n.clone()));

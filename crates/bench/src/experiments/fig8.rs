@@ -19,7 +19,7 @@ fn spec(wl: Workload) -> WorkloadSpec {
 
 /// Normalized YCSB throughput: (workload, Zircon-XPC/Zircon,
 /// seL4-onecopy/seL4-twocopy, seL4-XPC/seL4-twocopy).
-pub fn normalized() -> Vec<(&'static str, f64, f64, f64)> {
+pub(crate) fn normalized() -> Vec<(&'static str, f64, f64, f64)> {
     let systems: [Factory; 5] = [
         || Box::new(Zircon::new()),
         || Box::new(XpcIpc::zircon_xpc()),
@@ -53,7 +53,7 @@ pub fn normalized() -> Vec<(&'static str, f64, f64, f64)> {
 }
 
 /// Regenerate Figure 8(a)+(b).
-pub fn fig8ab() -> Report {
+pub(crate) fn fig8ab() -> Report {
     let rows = normalized()
         .into_iter()
         .map(|(n, zx, s1, sx)| {
@@ -82,7 +82,7 @@ pub fn fig8ab() -> Report {
 const HTTP_SIZES: [usize; 4] = [512, 1024, 2048, 4096];
 
 /// HTTP throughput in ops/s: (label, file size -> ops/s).
-pub fn http_curves() -> Vec<(String, Vec<f64>)> {
+pub(crate) fn http_curves() -> Vec<(String, Vec<f64>)> {
     let zircon: Factory = || Box::new(Zircon::new());
     let zircon_xpc: Factory = || Box::new(XpcIpc::zircon_xpc());
     // (encrypted, system) per curve, in column order.
@@ -117,7 +117,7 @@ pub fn http_curves() -> Vec<(String, Vec<f64>)> {
 }
 
 /// Regenerate Figure 8(c).
-pub fn fig8c() -> Report {
+pub(crate) fn fig8c() -> Report {
     let curves = http_curves();
     let mut headers = vec!["File size".to_string()];
     headers.extend(curves.iter().map(|(n, _)| n.clone()));

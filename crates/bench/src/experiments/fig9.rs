@@ -20,7 +20,7 @@ pub const ASHMEM_SIZES: [u64; 8] = [
 ];
 
 /// Regenerate Figure 9(a).
-pub fn fig9a() -> Report {
+pub(crate) fn fig9a() -> Report {
     let rows = BUF_SIZES
         .iter()
         .map(|&s| {
@@ -48,7 +48,7 @@ pub fn fig9a() -> Report {
 }
 
 /// Regenerate Figure 9(b).
-pub fn fig9b() -> Report {
+pub(crate) fn fig9b() -> Report {
     let rows = ASHMEM_SIZES
         .iter()
         .map(|&s| {

@@ -19,7 +19,7 @@
 //!   pressure.
 //!
 //! Every program is verified before it is priced:
-//! [`super::verify::gate_program`] refuses cap-violating, over-deep, or
+//! `super::verify::gate_program` refuses cap-violating, over-deep, or
 //! handover-stealing chains outright.
 
 use super::{serve, Experiment, Report};
@@ -47,7 +47,7 @@ pub const KNEE_DEPTH: usize = 4;
 /// cycles per hop, [`REPLY_BYTES`] back. With `handover` every edge
 /// declares relay-segment intent (mechanisms that cannot handover
 /// still copy the full payload).
-pub fn chain(depth: usize, handover: bool) -> CallProgram {
+pub(crate) fn chain(depth: usize, handover: bool) -> CallProgram {
     let mut r = Recipe::new(0);
     for svc in 1..=depth {
         r = if handover {
@@ -82,7 +82,7 @@ pub struct FuseCell {
 
 /// The (mechanism × depth × handover) grid. Deterministic: every cell
 /// builds a cold world and prices exactly one program.
-pub fn grid_results() -> Vec<FuseCell> {
+pub(crate) fn grid_results() -> Vec<FuseCell> {
     // Pre-flight each distinct program serially (the gate panics with
     // figure context), then fan the 48 cells through the pool.
     for depth in DEPTHS {
@@ -144,7 +144,7 @@ fn fused_roster(mw: &mut MultiWorld) -> Vec<Vec<Step>> {
 /// The fused knee: mechanism × offered load on u500, same seed at every
 /// ρ. Deterministic at any pool worker count: calibration runs as its
 /// own pool phase, then the ρ cells fan out with the period pinned.
-pub fn knee_results() -> Vec<FuseKneeCell> {
+pub(crate) fn knee_results() -> Vec<FuseKneeCell> {
     super::verify::gate_program("Fuse-knee", KNEE_DEPTH + 1, &chain(KNEE_DEPTH, true));
     let topo = Topology::u500();
     let calibrated = simos::par::map_cells(paired_roster_factories(), |_, mk, _| {
@@ -264,7 +264,7 @@ impl Experiment for Fuse {
 }
 
 /// Regenerate the fuse table (the grid, with the knee appended).
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     super::run::<Fuse>()
 }
 

@@ -73,7 +73,7 @@ pub struct HardenCell {
 /// The (mechanism × mitigation set × size) grid. One pool cell per
 /// mechanism: the sets share the mechanism's unhardened baseline, so a
 /// worker prices all 25 points and taxes them locally.
-pub fn results() -> Vec<Vec<HardenCell>> {
+pub(crate) fn results() -> Vec<Vec<HardenCell>> {
     simos::par::map_cells(paired_roster_factories(), |_, mk, _| {
         let mut s = mk();
         let system = s.name();
@@ -102,7 +102,7 @@ pub fn results() -> Vec<Vec<HardenCell>> {
     })
 }
 
-/// The harden experiment: the grid of [`results`].
+/// The harden experiment: the grid of `results`.
 pub struct Harden;
 
 impl Experiment for Harden {
@@ -162,7 +162,7 @@ impl Experiment for Harden {
 }
 
 /// Regenerate the harden table.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     super::run::<Harden>()
 }
 

@@ -8,16 +8,16 @@
 //! [`Experiment`]: [`compute`](Experiment::compute) builds everything
 //! either view reads, [`table`](Experiment::table) and
 //! [`json`](Experiment::json) only read it. Each module's `run()` /
-//! `json_section()` pair is a two-line call into [`run`] /
-//! [`json_section`], kept because `benchmark/` calls those names.
+//! `json_section()` pair is a two-line call into `run` /
+//! `json_section`, kept because `benchmark/` calls those names.
 //!
 //! # The hand-off slot
 //!
 //! A pass (`figures --json all`, `benchmark/`'s `figures_all`) calls the
 //! registry's `run()`s and then the eight `json_section()`s, and Figure
 //! 1(b) reads the YCSB-E cell Figure 1(a) has just run. So that each grid
-//! is computed once per pass, [`run`] parks the grid it computed in one
-//! thread-local slot keyed by experiment, and [`json_section`] takes it
+//! is computed once per pass, `run` parks the grid it computed in one
+//! thread-local slot keyed by experiment, and `json_section` takes it
 //! (or computes the grid when the slot holds none); `fig1a` parks its E
 //! cell for `fig1b` the same way.
 //!
@@ -149,7 +149,7 @@ fn take<T: Any>() -> Option<T> {
 
 /// Compute `E`'s grid, render its table, and park the grid for the
 /// [`json_section`] that follows on this thread.
-pub fn run<E: Experiment>() -> Report {
+pub(crate) fn run<E: Experiment>() -> Report {
     let grid = E::compute();
     let report = E::table(&grid);
     park(Parked::<E>(grid));
@@ -167,7 +167,7 @@ fn json<E: Experiment>() -> Value {
 
 /// `E`'s section of `BENCH_figures.json`, as [`sweep::json_dump`] takes
 /// it.
-pub fn json_section<E: Experiment>() -> String {
+pub(crate) fn json_section<E: Experiment>() -> String {
     json::<E>().render(2)
 }
 

@@ -51,7 +51,7 @@ pub struct Hop {
 
 /// Price one local-socket and one remote-socket hop for every system in
 /// the full roster, each on a fresh dual-socket world.
-pub fn hops() -> Vec<Hop> {
+pub(crate) fn hops() -> Vec<Hop> {
     // One pool cell per roster system; each worker builds its worlds
     // from the factory pointer, so no `Box<dyn IpcSystem>` crosses a
     // thread boundary.
@@ -90,7 +90,7 @@ fn policies() -> Vec<Placement> {
 
 /// Run the (mechanism × topology × placement) windowed-load grid; each
 /// cell is `(topology_label, report)`. Deterministic (fixed seed).
-pub fn results() -> Vec<(&'static str, LoadReport)> {
+pub(crate) fn results() -> Vec<(&'static str, LoadReport)> {
     let spec = LoadGen::default();
     // Pre-flight serially, then fan the 16 (mechanism, topology,
     // policy) cells through the pool with per-worker scratch.
@@ -123,8 +123,8 @@ pub fn results() -> Vec<(&'static str, LoadReport)> {
     })
 }
 
-/// The NUMA experiment: the [`hops`] (only the JSON view shows them) and
-/// the windowed-load grid of [`results`].
+/// The NUMA experiment: the `hops` (only the JSON view shows them) and
+/// the windowed-load grid of `results`.
 pub struct Numa;
 
 impl Experiment for Numa {
@@ -183,8 +183,8 @@ impl Experiment for Numa {
                 ("system", h.system.as_str().into()),
                 ("migrating", h.migrating.into()),
                 ("payload_bytes", HOP_BYTES.into()),
-                ("local_cycles", h.local.total.into()),
-                ("remote_cycles", h.remote.total.into()),
+                ("local_cycles", h.local.total().into()),
+                ("remote_cycles", h.remote.total().into()),
                 (
                     "local_cross_core",
                     h.local.ledger.get(Phase::CrossCore).into(),
@@ -228,7 +228,7 @@ impl Experiment for Numa {
 }
 
 /// Regenerate the NUMA table.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     super::run::<Numa>()
 }
 

@@ -31,7 +31,7 @@ const HANDLE_CYCLES_PER_CALL: u64 = 150;
 
 /// The generator spec every cell runs under (fixed seed: the whole grid
 /// is deterministic).
-pub fn spec() -> LoadGen {
+pub(crate) fn spec() -> LoadGen {
     LoadGen {
         clients: 8,
         requests: 240,
@@ -42,7 +42,7 @@ pub fn spec() -> LoadGen {
 
 /// One pipelined request: a burst of `batch` calls into the service,
 /// per-call handling there, and a batched reply burst back.
-pub fn recipe(batch: u64) -> Vec<Step> {
+pub(crate) fn recipe(batch: u64) -> Vec<Step> {
     vec![
         Step::Batch {
             from: 0,
@@ -65,7 +65,7 @@ pub fn recipe(batch: u64) -> Vec<Step> {
 
 /// Run the full (mechanism × window × batch) grid; each cell is
 /// `(batch, report)` (the window is in the report).
-pub fn results() -> Vec<(u64, LoadReport)> {
+pub(crate) fn results() -> Vec<(u64, LoadReport)> {
     let spec = spec();
     let all_bursts: Vec<Vec<Step>> = BATCHES.iter().map(|&b| recipe(b)).collect();
     super::verify::gate("Pipeline", 2, &all_bursts);
@@ -97,7 +97,7 @@ pub fn results() -> Vec<(u64, LoadReport)> {
 }
 
 /// Completed IPC calls per second of virtual time.
-pub fn calls_per_sec(r: &LoadReport) -> f64 {
+pub(crate) fn calls_per_sec(r: &LoadReport) -> f64 {
     if r.makespan_cycles == 0 {
         return 0.0;
     }
@@ -105,7 +105,7 @@ pub fn calls_per_sec(r: &LoadReport) -> f64 {
 }
 
 /// The pipeline experiment: the (mechanism × window × batch) grid of
-/// [`results`].
+/// `results`.
 pub struct Pipeline;
 
 impl Experiment for Pipeline {
@@ -182,7 +182,7 @@ impl Experiment for Pipeline {
 }
 
 /// Regenerate the pipeline table.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     super::run::<Pipeline>()
 }
 

@@ -146,7 +146,7 @@ impl Experiment for Scale {
 }
 
 /// Regenerate the scale-out table.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     super::run::<Scale>()
 }
 

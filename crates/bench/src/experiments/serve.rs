@@ -193,7 +193,7 @@ pub struct KneeCell {
 /// every ρ. Deterministic at any pool worker count: calibration runs as
 /// its own pool phase (periods depend only on the (mechanism, topology)
 /// pair), then the ρ cells fan out with the period pinned per cell.
-pub fn knee_results() -> Vec<KneeCell> {
+pub(crate) fn knee_results() -> Vec<KneeCell> {
     let spec = knee_spec();
     // Phase A: per-(mechanism, topology) capacity calibration.
     let mut calib: Vec<(Factory, Vec<Vec<Step>>, &'static str, Topology)> = Vec::new();
@@ -258,7 +258,7 @@ pub struct AdmissionCell {
 
 /// The admission sweep: seL4-XPC on u500 at ρ = 1.5, queue caps from
 /// tight to loose. Deterministic.
-pub fn admission_results() -> Vec<AdmissionCell> {
+pub(crate) fn admission_results() -> Vec<AdmissionCell> {
     let mk: Factory = || Box::new(XpcIpc::sel4_xpc());
     let recipes = recipes(mk().supports_handover());
     super::verify::gate("Serve-admission", CHAIN_SERVICES, &recipes);
@@ -305,7 +305,7 @@ pub struct BurstyCell {
 
 /// Poisson vs on-off at the same long-run offered load (ρ = 0.8) for
 /// every mechanism on u500. Deterministic.
-pub fn bursty_results() -> Vec<BurstyCell> {
+pub(crate) fn bursty_results() -> Vec<BurstyCell> {
     let topo = Topology::u500();
     let spec = knee_spec();
     // One pool cell per mechanism (each calibrates, then serves its
@@ -374,7 +374,7 @@ pub struct AutoscaleCell {
 /// The controller on the dual-socket box at ρ = 0.8 of the full 8-core
 /// capacity, vs a static all-cores round-robin baseline on the same
 /// trace. Deterministic.
-pub fn autoscale_results() -> Vec<AutoscaleCell> {
+pub(crate) fn autoscale_results() -> Vec<AutoscaleCell> {
     let mk: Factory = || Box::new(XpcIpc::sel4_xpc());
     let recipes = recipes(mk().supports_handover());
     super::verify::gate("Serve-autoscale", CHAIN_SERVICES, &recipes);
@@ -428,13 +428,13 @@ pub struct Serve;
 /// What the serve views read.
 #[derive(Debug, Clone)]
 pub struct ServeGrid {
-    /// [`knee_results`].
+    /// `knee_results`.
     pub knee: Vec<KneeCell>,
-    /// [`admission_results`].
+    /// `admission_results`.
     pub admission: Vec<AdmissionCell>,
-    /// [`bursty_results`] (only the JSON view shows them).
+    /// `bursty_results` (only the JSON view shows them).
     pub bursty: Vec<BurstyCell>,
-    /// [`autoscale_results`] (only the JSON view shows them).
+    /// `autoscale_results` (only the JSON view shows them).
     pub autoscale: Vec<AutoscaleCell>,
 }
 
@@ -574,7 +574,7 @@ impl Experiment for Serve {
 
 /// Regenerate the serve table (the knee grid, with the admission sweep
 /// appended; bursty and autoscale live in the JSON section).
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     super::run::<Serve>()
 }
 

@@ -11,7 +11,7 @@ use crate::sweep::ledger_table;
 use kernels::{Invocation, InvokeOpts, IpcSystem, Sel4, Sel4Transfer};
 
 /// The two invocations whose ledgers are the table's columns.
-pub fn invocations() -> (Invocation, Invocation) {
+pub(crate) fn invocations() -> (Invocation, Invocation) {
     let mut s = Sel4::new(Sel4Transfer::OneCopy);
     let mut at = |bytes| Invocation::priced(|l| s.oneway_into(bytes, &InvokeOpts::call(), l));
     (at(0), at(4096))
@@ -32,7 +32,7 @@ pub fn phases() -> Vec<(&'static str, u64, u64)> {
 }
 
 /// Regenerate Table 1.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let (i0, i4k) = invocations();
     ledger_table(
         "Table 1",
@@ -44,24 +44,18 @@ pub fn run() -> Report {
     )
 }
 
-/// Column totals (paper: 664 and 4804).
-pub fn totals() -> (u64, u64) {
-    let (i0, i4k) = invocations();
-    (i0.total, i4k.total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sum_0b_is_664() {
-        assert_eq!(totals().0, 664, "paper Table 1 total");
+        assert_eq!(invocations().0.total(), 664, "paper Table 1 total");
     }
 
     #[test]
     fn sum_4k_close_to_4804() {
-        let (_, t) = totals();
+        let t = invocations().1.total();
         // Paper: 4804. Our model omits the small phase inflation the
         // paper observed under 4K buffers (their phases grew a few
         // cycles); we land within 3%.

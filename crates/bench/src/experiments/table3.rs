@@ -13,7 +13,7 @@ pub fn measure() -> (u64, u64, u64) {
 }
 
 /// Regenerate Table 3.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let (xcall, xret, swapseg) = measure();
     Report {
         id: "Table 3",

@@ -5,7 +5,7 @@ use super::Report;
 use rv64::MachineConfig;
 
 /// Regenerate Table 4.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let c = MachineConfig::arm_hpi();
     Report {
         id: "Table 4",

@@ -3,7 +3,7 @@
 //!
 //! The paper replayed a recorded seL4 `fastpath_call` /
 //! `fastpath_reply_recv` instruction trace in GEM5. We do not have their
-//! trace, so [`emit_fastpath_logic`] synthesizes an instruction sequence
+//! trace, so `emit_fastpath_logic` synthesizes an instruction sequence
 //! with the same *shape* — capability fetch and validation, endpoint
 //! checks, badge/thread-state bookkeeping — whose warm-cache cost on the
 //! HPI model lands in the measured band (66/79 cycles). The XPC side is
@@ -19,7 +19,7 @@ use xpc_engine::{XpcEngineConfig, XpcTimings};
 
 /// Synthesize the seL4 fastpath IPC-logic instruction mix. `ret_path`
 /// selects the (longer) `fastpath_reply_recv` shape.
-pub fn emit_fastpath_logic(a: &mut Assembler, data: u64, ret_path: bool) {
+pub(crate) fn emit_fastpath_logic(a: &mut Assembler, data: u64, ret_path: bool) {
     let uniq = a.here();
     let l = |n: &str| format!("fp_{n}_{uniq:x}");
     a.li(reg::T0, data as i64);
@@ -57,7 +57,7 @@ pub fn emit_fastpath_logic(a: &mut Assembler, data: u64, ret_path: bool) {
 }
 
 /// Measure the synthetic baseline logic on the HPI machine, warm.
-pub fn baseline_logic_cycles(ret_path: bool) -> u64 {
+pub(crate) fn baseline_logic_cycles(ret_path: bool) -> u64 {
     let mut a = Assembler::new(DRAM_BASE);
     a.li(reg::S1, 4);
     a.label("loop");
@@ -92,7 +92,7 @@ pub fn baseline_logic_cycles(ret_path: bool) -> u64 {
 
 /// Measure XPC call/ret on the HPI machine with ARM engine timings.
 /// Returns totals including the 58-cycle barrier.
-pub fn xpc_cycles() -> (u64, u64) {
+pub(crate) fn xpc_cycles() -> (u64, u64) {
     let cfg = CallBenchConfig {
         machine: MachineConfig::arm_hpi_pipelined(),
         engine: XpcEngineConfig {
@@ -109,7 +109,7 @@ pub fn xpc_cycles() -> (u64, u64) {
 }
 
 /// Regenerate Table 5.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let base_call = baseline_logic_cycles(false);
     let base_ret = baseline_logic_cycles(true);
     let (xc, xr) = xpc_cycles();

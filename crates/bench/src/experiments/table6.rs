@@ -7,7 +7,7 @@ use super::Report;
 use xpc_engine::hwcost::{estimated_engine_cost, published_table6};
 
 /// Regenerate Table 6.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let mut rows: Vec<Vec<String>> = published_table6()
         .into_iter()
         .map(|r| {

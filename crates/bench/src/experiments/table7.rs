@@ -14,7 +14,7 @@ fn mark(b: bool) -> &'static str {
 }
 
 /// Regenerate Table 7.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     let rows = table7()
         .into_iter()
         .map(|r| {

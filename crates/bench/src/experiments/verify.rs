@@ -16,11 +16,10 @@
 //!   `XpcKernel` and assert the engine faults identically);
 //! * **preflight** — the recipes the scale / pipeline / NUMA grids
 //!   actually run, re-verified here; all must prove clean (the grids
-//!   themselves call [`gate`] and panic rather than price an
+//!   themselves call `gate` and panic rather than price an
 //!   unverifiable recipe);
 //! * **ledger** — the lint pass over the full 12-system roster: every
-//!   invocation shape the experiments use must decompose exactly into
-//!   its phase ledger.
+//!   round trip must price as exactly its call leg plus its reply leg.
 
 use super::{pipeline, Experiment, Report};
 use crate::json::Value;
@@ -31,7 +30,7 @@ use xpc_verify::{crafted, lint, preflight, preflight_program, verify};
 /// Refuse to run a figure whose recipes the verifier cannot prove
 /// clean: panics with every finding. Called by the scale / pipeline /
 /// NUMA grids before pricing anything.
-pub fn gate(figure: &str, n_services: usize, recipes: &[Vec<Step>]) {
+pub(crate) fn gate(figure: &str, n_services: usize, recipes: &[Vec<Step>]) {
     let named: Vec<(String, Vec<Step>)> = recipes
         .iter()
         .enumerate()
@@ -51,7 +50,7 @@ pub fn gate(figure: &str, n_services: usize, recipes: &[Vec<Step>]) {
 /// program the verifier cannot prove clean — per-hop grant caps, the
 /// exact fused depth bound, single-owner handover. Called by the fuse
 /// grid before pricing anything.
-pub fn gate_program(figure: &str, n_services: usize, program: &CallProgram) {
+pub(crate) fn gate_program(figure: &str, n_services: usize, program: &CallProgram) {
     if let Err(findings) = preflight_program(n_services, figure, program) {
         let list = findings
             .iter()
@@ -236,7 +235,7 @@ impl Experiment for Verify {
 }
 
 /// Regenerate the verify table.
-pub fn run() -> Report {
+pub(crate) fn run() -> Report {
     super::run::<Verify>()
 }
 

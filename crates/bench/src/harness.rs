@@ -24,7 +24,7 @@ pub struct CallBenchConfig {
 
 impl CallBenchConfig {
     /// Figure 5 "Full-Cxt": full context, blocking stack, untagged TLB.
-    pub fn full_ctx() -> Self {
+    pub(crate) fn full_ctx() -> Self {
         CallBenchConfig {
             machine: MachineConfig::rocket_u500(),
             engine: XpcEngineConfig::minimal(),
@@ -34,7 +34,7 @@ impl CallBenchConfig {
     }
 
     /// Figure 5 "Partial-Cxt".
-    pub fn partial_ctx() -> Self {
+    pub(crate) fn partial_ctx() -> Self {
         CallBenchConfig {
             context: ContextMode::Partial,
             ..Self::full_ctx()
@@ -42,7 +42,7 @@ impl CallBenchConfig {
     }
 
     /// Figure 5 "+Tagged-TLB".
-    pub fn tagged_tlb() -> Self {
+    pub(crate) fn tagged_tlb() -> Self {
         CallBenchConfig {
             machine: MachineConfig::rocket_u500_tagged(),
             ..Self::partial_ctx()
@@ -50,7 +50,7 @@ impl CallBenchConfig {
     }
 
     /// Figure 5 "+Nonblock Link Stack".
-    pub fn nonblock() -> Self {
+    pub(crate) fn nonblock() -> Self {
         let mut c = Self::tagged_tlb();
         c.engine.nonblocking_link_stack = true;
         c
@@ -65,7 +65,7 @@ impl CallBenchConfig {
     }
 
     /// The five Figure 5 configurations in bar order.
-    pub fn fig5_ladder() -> Vec<(&'static str, CallBenchConfig)> {
+    pub(crate) fn fig5_ladder() -> Vec<(&'static str, CallBenchConfig)> {
         vec![
             ("Full-Cxt", Self::full_ctx()),
             ("Partial-Cxt", Self::partial_ctx()),
@@ -253,7 +253,7 @@ pub struct EmulatedXpc {
 impl EmulatedXpc {
     /// Boot the scenario for one [`CallBenchConfig`] (e.g. a Figure 5
     /// ablation rung) and warm it.
-    pub fn new(label: &'static str, cfg: &CallBenchConfig) -> Self {
+    pub(crate) fn new(label: &'static str, cfg: &CallBenchConfig) -> Self {
         EmulatedXpc {
             label,
             bench: CallBench::new(cfg),

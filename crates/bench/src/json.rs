@@ -37,7 +37,7 @@ impl Value {
 
     /// Render as if the value started on a line indented by `indent`
     /// spaces (a top-level section of `BENCH_figures.json` opens at 2).
-    pub fn render(&self, indent: usize) -> String {
+    pub(crate) fn render(&self, indent: usize) -> String {
         let mut out = String::new();
         self.write(&mut out, indent);
         out

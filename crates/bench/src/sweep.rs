@@ -3,7 +3,7 @@
 //! as phase-attributed ledger tables, or as `BENCH_figures.json` sections.
 //!
 //! Every per-figure module used to hand-roll its own loop over systems
-//! and sizes; they now all call [`sweep`] and format the shared
+//! and sizes; they now all call `sweep` and format the shared
 //! [`SweepRow`]s, so a figure is just "which systems, which sizes, which
 //! view of the ledger".
 
@@ -36,7 +36,7 @@ fn sweep_row(s: &mut dyn IpcSystem, sizes: &[usize], opts: &InvokeOpts) -> Sweep
 }
 
 /// Drive every system over every size with the same [`InvokeOpts`].
-pub fn sweep(
+pub(crate) fn sweep(
     mut systems: Vec<Box<dyn IpcSystem>>,
     sizes: &[usize],
     opts: &InvokeOpts,
@@ -58,32 +58,11 @@ pub fn roster_sweep() -> Vec<SweepRow> {
     })
 }
 
-/// Render sweep rows as a size-by-system cycle table (the Figure 6 shape:
-/// one row per size, one column per system, cells are total cycles).
-pub fn cycles_table(id: &'static str, caption: &'static str, rows: &[SweepRow]) -> Report {
-    let mut headers = vec!["Message size".to_string()];
-    headers.extend(rows.iter().map(|r| r.system.clone()));
-    let n = rows.first().map_or(0, |r| r.points.len());
-    let table = (0..n)
-        .map(|i| {
-            let mut row = vec![format!("{}B", rows[0].points[i].0)];
-            row.extend(rows.iter().map(|r| r.points[i].1.total.to_string()));
-            row
-        })
-        .collect();
-    Report {
-        id,
-        caption,
-        headers,
-        rows: table,
-    }
-}
-
 /// Render labelled invocations as a phase-by-column ledger table (the
 /// Table 1 shape: one row per phase in first-charge order, one column per
 /// invocation, plus a Sum row). Columns may attribute different phase
 /// sets; absent phases print as "-".
-pub fn ledger_table(
+pub(crate) fn ledger_table(
     id: &'static str,
     caption: &'static str,
     cols: &[(String, Invocation)],
@@ -114,7 +93,7 @@ pub fn ledger_table(
         })
         .collect();
     let mut sum = vec!["Sum".to_string()];
-    sum.extend(cols.iter().map(|(_, inv)| inv.total.to_string()));
+    sum.extend(cols.iter().map(|(_, inv)| inv.total().to_string()));
     rows.push(sum);
     Report {
         id,
@@ -130,7 +109,7 @@ fn invocation_json(msg_len: usize, inv: &Invocation) -> Value {
     let phases = inv.ledger.spans().iter().map(|&(p, c)| (p.key(), c.into()));
     Value::Object(vec![
         ("msg_len", msg_len.into()),
-        ("total", inv.total.into()),
+        ("total", inv.total().into()),
         ("copied_bytes", inv.copied_bytes.into()),
         ("phases", Value::Object(phases.collect())),
     ])
@@ -212,18 +191,7 @@ mod tests {
         assert_eq!(rows.len(), kernels::full_roster().len());
         for r in &rows {
             assert_eq!(r.points.len(), SIZES.len(), "{}", r.system);
-            for (b, inv) in &r.points {
-                assert_eq!(inv.total, inv.ledger.total(), "{} at {b}B", r.system);
-            }
         }
-    }
-
-    #[test]
-    fn cycles_table_has_one_row_per_size() {
-        let rows = roster_sweep();
-        let t = cycles_table("T", "test", &rows);
-        assert_eq!(t.rows.len(), SIZES.len());
-        assert_eq!(t.headers.len(), rows.len() + 1);
     }
 
     #[test]
@@ -239,8 +207,8 @@ mod tests {
         ];
         let t = ledger_table("T", "test", &cols);
         let sum = t.rows.last().unwrap();
-        assert_eq!(sum[1], cols[0].1.total.to_string());
-        assert_eq!(sum[2], cols[1].1.total.to_string());
+        assert_eq!(sum[1], cols[0].1.total().to_string());
+        assert_eq!(sum[2], cols[1].1.total().to_string());
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum BinderSystem {
 
 impl BinderSystem {
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             BinderSystem::Binder => "Binder",
             BinderSystem::BinderXpc => "Binder-XPC",
@@ -99,7 +99,7 @@ impl BinderConfig {
     }
 
     /// Charge the phases of the *buffer* path (Figure 9a) into `out`.
-    pub fn buffer_into(
+    pub(crate) fn buffer_into(
         &self,
         system: BinderSystem,
         bytes: u64,
@@ -125,7 +125,7 @@ impl BinderConfig {
     }
 
     /// Charge the phases of the *ashmem* path (Figure 9b) into `out`.
-    pub fn ashmem_into(
+    pub(crate) fn ashmem_into(
         &self,
         system: BinderSystem,
         bytes: u64,
@@ -154,14 +154,14 @@ impl BinderConfig {
     }
 
     /// Transaction latency in cycles for the *buffer* path (Figure 9a).
-    pub fn buffer_cycles(&self, system: BinderSystem, bytes: u64, cost: &CostModel) -> u64 {
+    pub(crate) fn buffer_cycles(&self, system: BinderSystem, bytes: u64, cost: &CostModel) -> u64 {
         let mut l = CycleLedger::new();
         self.buffer_into(system, bytes, cost, &mut l);
         l.total()
     }
 
     /// Transaction latency in cycles for the *ashmem* path (Figure 9b).
-    pub fn ashmem_cycles(&self, system: BinderSystem, bytes: u64, cost: &CostModel) -> u64 {
+    pub(crate) fn ashmem_cycles(&self, system: BinderSystem, bytes: u64, cost: &CostModel) -> u64 {
         let mut l = CycleLedger::new();
         self.ashmem_into(system, bytes, cost, &mut l);
         l.total()
@@ -317,8 +317,7 @@ mod tests {
             let mut sys = BinderIpc::new(system, ashmem);
             for bytes in [0usize, 2048, 16384, 1 << 20] {
                 let inv = oneway(&mut sys, bytes, &InvokeOpts::call());
-                assert_eq!(inv.total, inv.ledger.total());
-                let us = CostModel::u500().cycles_to_us(inv.total);
+                let us = CostModel::u500().cycles_to_us(inv.total());
                 let reference = binder_latency_us(system, ashmem, bytes as u64);
                 assert!(
                     (us - reference).abs() < 1e-9,

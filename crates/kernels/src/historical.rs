@@ -23,7 +23,7 @@ pub struct Mach {
 
 impl Mach {
     /// A Mach-3.0 model on the U500 calibration.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Mach {
             cost: CostModel::u500(),
         }
@@ -66,7 +66,7 @@ pub struct Lrpc {
 
 impl Lrpc {
     /// An LRPC model on the U500 calibration.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Lrpc {
             cost: CostModel::u500(),
         }
@@ -115,7 +115,7 @@ const TEMP_MAP_CYCLES: u64 = 260;
 
 impl L4TempMap {
     /// An L4 temporary-mapping model on the U500 calibration.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         L4TempMap {
             cost: CostModel::u500(),
         }
@@ -157,7 +157,7 @@ pub struct PpcRemap {
 
 impl PpcRemap {
     /// A Tornado/PPC remapping model on the U500 calibration.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PpcRemap {
             cost: CostModel::u500(),
         }
@@ -257,7 +257,7 @@ mod tests {
     use crate::{Sel4, Sel4Transfer, XpcIpc};
 
     fn cycles(sys: &mut impl IpcSystem, bytes: usize) -> u64 {
-        oneway(sys, bytes, &InvokeOpts::call()).total
+        oneway(sys, bytes, &InvokeOpts::call()).total()
     }
 
     #[test]
@@ -276,7 +276,7 @@ mod tests {
     fn lrpc_beats_mach_but_keeps_a_copy() {
         let l = oneway(&mut Lrpc::new(), 4096, &InvokeOpts::call());
         let m = oneway(&mut Mach::new(), 4096, &InvokeOpts::call());
-        assert!(l.total < m.total);
+        assert!(l.total() < m.total());
         assert_eq!(l.copied_bytes, 4096, "one A-stack copy");
     }
 
@@ -284,7 +284,7 @@ mod tests {
     fn l4_pays_mapping_over_lrpc_but_is_safe() {
         let l4inv = oneway(&mut L4TempMap::new(), 4096, &InvokeOpts::call());
         let lrpc = cycles(&mut Lrpc::new(), 4096);
-        assert!(l4inv.total > lrpc, "temporary mapping costs kernel work");
+        assert!(l4inv.total() > lrpc, "temporary mapping costs kernel work");
         assert_eq!(l4inv.ledger.get(Phase::Mapping), TEMP_MAP_CYCLES);
         // Safety is encoded in Table 7:
         let t7 = table7();
@@ -300,7 +300,7 @@ mod tests {
         let inv = oneway(&mut r, 4096, &InvokeOpts::call());
         assert!(inv.ledger.get(Phase::Mapping) > 0, "remap pays TLB work");
         assert_eq!(inv.copied_bytes, 0);
-        assert!(inv.total > cycles(&mut XpcIpc::sel4_xpc(), 4096));
+        assert!(inv.total() > cycles(&mut XpcIpc::sel4_xpc(), 4096));
     }
 
     #[test]

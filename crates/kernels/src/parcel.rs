@@ -59,18 +59,8 @@ pub struct Parcel {
 
 impl Parcel {
     /// An empty parcel.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Wrap received bytes for reading.
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        Parcel { bytes }
-    }
-
-    /// The wire bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
     }
 
     /// Wire size in bytes (what the transaction buffer / relay segment
@@ -85,7 +75,7 @@ impl Parcel {
     }
 
     /// Append a value.
-    pub fn write(&mut self, v: &Value) {
+    pub(crate) fn write(&mut self, v: &Value) {
         match v {
             Value::I32(x) => {
                 self.bytes.push(TAG_I32);
@@ -204,7 +194,7 @@ mod tests {
         for v in &vals {
             p.write(v);
         }
-        let back = Parcel::from_bytes(p.as_bytes().to_vec());
+        let back = Parcel { bytes: p.bytes };
         assert_eq!(back.read_all().unwrap(), vals);
     }
 
@@ -212,10 +202,10 @@ mod tests {
     fn truncated_input_is_rejected() {
         let mut p = Parcel::new();
         p.write(&Value::Blob(vec![1; 100]));
-        let mut cut = p.as_bytes().to_vec();
+        let mut cut = p.bytes;
         cut.truncate(20);
         assert_eq!(
-            Parcel::from_bytes(cut).read_all(),
+            Parcel { bytes: cut }.read_all(),
             Err(ParcelError::Truncated)
         );
     }
@@ -223,7 +213,7 @@ mod tests {
     #[test]
     fn bad_tag_is_rejected() {
         assert_eq!(
-            Parcel::from_bytes(vec![99]).read_all(),
+            Parcel { bytes: vec![99] }.read_all(),
             Err(ParcelError::BadTag(99))
         );
     }
@@ -233,10 +223,7 @@ mod tests {
         let mut bytes = vec![3u8]; // TAG_STR
         bytes.extend_from_slice(&2u32.to_le_bytes());
         bytes.extend_from_slice(&[0xff, 0xfe]);
-        assert_eq!(
-            Parcel::from_bytes(bytes).read_all(),
-            Err(ParcelError::BadUtf8)
-        );
+        assert_eq!(Parcel { bytes }.read_all(), Err(ParcelError::BadUtf8));
     }
 
     #[test]
@@ -245,10 +232,7 @@ mod tests {
         let mut bytes = vec![4u8]; // TAG_BLOB
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         bytes.extend_from_slice(&[1, 2, 3]);
-        assert_eq!(
-            Parcel::from_bytes(bytes).read_all(),
-            Err(ParcelError::Truncated)
-        );
+        assert_eq!(Parcel { bytes }.read_all(), Err(ParcelError::Truncated));
     }
 
     #[test]

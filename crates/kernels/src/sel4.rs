@@ -125,9 +125,9 @@ mod tests {
     #[test]
     fn fastpath_0b_is_table1_sum() {
         let mut s = Sel4::new(Sel4Transfer::OneCopy);
-        assert_eq!(oneway(&mut s, 0, &InvokeOpts::call()).total, 664);
+        assert_eq!(oneway(&mut s, 0, &InvokeOpts::call()).total(), 664);
         assert_eq!(
-            oneway(&mut s, 32, &InvokeOpts::call()).total,
+            oneway(&mut s, 32, &InvokeOpts::call()).total(),
             664,
             "register messages are free"
         );
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn medium_messages_take_slow_path() {
         let mut s = Sel4::new(Sel4Transfer::OneCopy);
-        let c = oneway(&mut s, 64, &InvokeOpts::call()).total;
+        let c = oneway(&mut s, 64, &InvokeOpts::call()).total();
         // §2.2 measured 2182 cycles for a 64 B IPC.
         assert!((2100..2350).contains(&c), "64B slow path: {c}");
     }
@@ -153,8 +153,8 @@ mod tests {
             4096,
             &InvokeOpts::call(),
         );
-        assert_eq!(one.total, 664 + 4010);
-        assert_eq!(two.total, 664 + 2 * 4010);
+        assert_eq!(one.total(), 664 + 4010);
+        assert_eq!(two.total(), 664 + 2 * 4010);
         assert_eq!(one.copied_bytes, 4096);
         assert_eq!(two.copied_bytes, 8192);
     }
@@ -168,7 +168,6 @@ mod tests {
             assert_eq!(inv.ledger.get(Phase::IpcLogic), 212);
             assert_eq!(inv.ledger.get(Phase::Switch), 146);
             assert_eq!(inv.ledger.get(Phase::Restore), 199);
-            assert_eq!(inv.total, inv.ledger.total());
             // Transfer is present even at 0 B (Table 1 prints the row).
             assert!(inv
                 .ledger
@@ -187,13 +186,13 @@ mod tests {
             0,
             &InvokeOpts::call(),
         )
-        .total;
+        .total();
         let cross = oneway(
             &mut Sel4::cross_core(Sel4Transfer::OneCopy),
             0,
             &InvokeOpts::call(),
         )
-        .total;
+        .total();
         assert_eq!(cross - same, CostModel::u500().cross_core_base);
         let inv = oneway(
             &mut Sel4::cross_core(Sel4Transfer::OneCopy),

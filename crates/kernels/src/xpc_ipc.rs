@@ -47,16 +47,6 @@ impl XpcIpc {
         }
     }
 
-    /// A custom-labelled configuration (ablation benches).
-    pub fn custom(label: &'static str, full_ctx: bool, tagged_tlb: bool) -> Self {
-        XpcIpc {
-            label,
-            full_ctx,
-            tagged_tlb,
-            ..Self::sel4_xpc()
-        }
-    }
-
     /// Cross-core: the migrating-thread model runs the server's code on
     /// the client's core, so the cost is unchanged (§5.2 "Multi-core
     /// IPC") — provided for symmetry with the baselines.
@@ -190,8 +180,18 @@ mod tests {
     use crate::sel4::{Sel4, Sel4Transfer};
     use crate::testing::{batch, oneway};
 
+    /// A custom-labelled configuration (the ablation variants).
+    fn custom(label: &'static str, full_ctx: bool, tagged_tlb: bool) -> XpcIpc {
+        XpcIpc {
+            label,
+            full_ctx,
+            tagged_tlb,
+            ..XpcIpc::sel4_xpc()
+        }
+    }
+
     fn call(sys: &mut impl IpcSystem, bytes: usize) -> u64 {
-        oneway(sys, bytes, &InvokeOpts::call()).total
+        oneway(sys, bytes, &InvokeOpts::call()).total()
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
         // 76 trampoline + 18 xcall + 40 TLB (Figure 5, Full-Cxt +
         // non-blocking link stack).
         let inv = oneway(&mut XpcIpc::sel4_xpc(), 0, &InvokeOpts::call());
-        assert_eq!(inv.total, 134);
+        assert_eq!(inv.total(), 134);
         assert_eq!(inv.ledger.get(Phase::Trampoline), 76);
         assert_eq!(inv.ledger.get(Phase::Xcall), 18);
         assert_eq!(inv.ledger.get(Phase::TlbRefill), 40);
@@ -216,13 +216,9 @@ mod tests {
     fn reply_leg_pays_xret() {
         let inv = oneway(&mut XpcIpc::sel4_xpc(), 0, &InvokeOpts::reply_leg());
         assert_eq!(inv.ledger.get(Phase::Xret), 23);
-        assert_eq!(inv.total, 23 + 40);
-        let tagged = oneway(
-            &mut XpcIpc::custom("t", true, true),
-            0,
-            &InvokeOpts::reply_leg(),
-        );
-        assert_eq!(tagged.total, 23);
+        assert_eq!(inv.total(), 23 + 40);
+        let tagged = oneway(&mut custom("t", true, true), 0, &InvokeOpts::reply_leg());
+        assert_eq!(tagged.total(), 23);
     }
 
     #[test]
@@ -259,7 +255,7 @@ mod tests {
         assert_eq!(inv.ledger.get(Phase::Trampoline), 76);
         assert_eq!(inv.ledger.get(Phase::Xcall), 18 + 63 * 6);
         assert_eq!(inv.ledger.get(Phase::TlbRefill), 64 * 40);
-        assert_eq!(inv.total, 134 + 63 * 46);
+        assert_eq!(inv.total(), 134 + 63 * 46);
         assert_eq!(inv.copied_bytes, 0, "relay segment: still zero copies");
         assert_eq!(
             x.engine_cache_stats(),
@@ -278,7 +274,7 @@ mod tests {
         let remote = oneway(&mut x, 0, &InvokeOpts::call().at_shard_distance(2));
         // One cache-line pull per distance unit: 2 × 50.
         assert_eq!(remote.ledger.get(Phase::ShardMiss), 100);
-        assert_eq!(remote.total, local.total + 100);
+        assert_eq!(remote.total(), local.total() + 100);
         // Reply legs walk the link stack, never the x-entry table.
         let reply = oneway(&mut x, 0, &InvokeOpts::reply_leg().at_shard_distance(2));
         assert_eq!(reply.ledger.get(Phase::ShardMiss), 0);
@@ -303,7 +299,7 @@ mod tests {
         // Amortization aside, a remote batch still costs strictly more
         // than a local one.
         let local = batch(&mut XpcIpc::sel4_xpc(), 64, 0, &InvokeOpts::call());
-        assert_eq!(inv.total, local.total + 3 * 50);
+        assert_eq!(inv.total(), local.total() + 3 * 50);
     }
 
     #[test]
@@ -326,7 +322,7 @@ mod tests {
         let mut x = XpcIpc::sel4_xpc();
         let inv = batch(&mut x, 8, 0, &InvokeOpts::reply_leg());
         // xret has no cached variant: 8 full reply legs.
-        assert_eq!(inv.total, 8 * (23 + 40));
+        assert_eq!(inv.total(), 8 * (23 + 40));
         assert_eq!(x.engine_cache_stats(), Some(EngineCacheStats::default()));
     }
 
@@ -355,9 +351,9 @@ mod tests {
 
     #[test]
     fn tagged_tlb_and_partial_ctx_reduce_cost() {
-        let full = call(&mut XpcIpc::custom("a", true, false), 0);
-        let part = call(&mut XpcIpc::custom("b", false, false), 0);
-        let tagged = call(&mut XpcIpc::custom("c", false, true), 0);
+        let full = call(&mut custom("a", true, false), 0);
+        let part = call(&mut custom("b", false, false), 0);
+        let tagged = call(&mut custom("c", false, true), 0);
         assert!(part < full);
         assert!(tagged < part);
     }

@@ -42,7 +42,7 @@ fn depth_one_program_prices_identically_to_roundtrip_across_the_roster() {
             fused.inv.ledger, rt.inv.ledger,
             "{name}: fused depth-1 ledger diverges from the roundtrip"
         );
-        assert_eq!(fused.inv.total, rt.inv.total, "{name}: total");
+        assert_eq!(fused.inv.total(), rt.inv.total(), "{name}: total");
         assert_eq!(
             fused.inv.copied_bytes, rt.inv.copied_bytes,
             "{name}: copied bytes"

@@ -12,8 +12,8 @@ fn oneway(sys: &mut dyn IpcSystem, len: usize, opts: &InvokeOpts) -> Invocation 
 }
 
 fn tax(sys: &mut dyn IpcSystem, len: usize, h: Hardening) -> u64 {
-    let base = oneway(sys, len, &InvokeOpts::call()).total;
-    let hard = oneway(sys, len, &InvokeOpts::call().hardened(h)).total;
+    let base = oneway(sys, len, &InvokeOpts::call()).total();
+    let hard = oneway(sys, len, &InvokeOpts::call().hardened(h)).total();
     hard - base
 }
 
@@ -98,7 +98,7 @@ fn reply_legs_reverify_flow_tags_but_not_epochs() {
     for factory in full_roster_factories() {
         let mut sys = factory();
         let name = sys.name();
-        let base = oneway(sys.as_mut(), 0, &InvokeOpts::reply_leg()).total;
+        let base = oneway(sys.as_mut(), 0, &InvokeOpts::reply_leg()).total();
         let epochs = oneway(
             sys.as_mut(),
             0,
@@ -107,7 +107,7 @@ fn reply_legs_reverify_flow_tags_but_not_epochs() {
                 ..Hardening::NONE
             }),
         )
-        .total;
+        .total();
         assert_eq!(epochs, base, "{name}: the cap was checked on the call leg");
         let flow = oneway(
             sys.as_mut(),
@@ -117,7 +117,7 @@ fn reply_legs_reverify_flow_tags_but_not_epochs() {
                 ..Hardening::NONE
             }),
         )
-        .total;
+        .total();
         let want = if name.contains("XPC") {
             c.flow_tag
         } else {

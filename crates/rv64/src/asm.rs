@@ -116,11 +116,6 @@ impl Assembler {
         self.base + 4 * self.words.len() as u64
     }
 
-    /// Base address the program was created with.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
     /// Define `name` at the current address.
     ///
     /// # Panics
@@ -131,11 +126,6 @@ impl Assembler {
         let prev = self.labels.insert(name.to_string(), addr);
         assert!(prev.is_none(), "duplicate label {name}");
         addr
-    }
-
-    /// Address of an already-defined label.
-    pub fn label_addr(&self, name: &str) -> Option<u64> {
-        self.labels.get(name).copied()
     }
 
     /// Emit a raw instruction word (extension encodings).
@@ -186,7 +176,7 @@ impl Assembler {
     }
 
     /// `jal rd, label`.
-    pub fn jal(&mut self, rd: u8, label: &str) {
+    pub(crate) fn jal(&mut self, rd: u8, label: &str) {
         self.fixups
             .push((self.words.len(), label.to_string(), FixKind::Jal));
         self.raw(jtype(0, rd, 0b110_1111));
@@ -195,11 +185,6 @@ impl Assembler {
     /// `j label` (pseudo).
     pub fn j(&mut self, label: &str) {
         self.jal(0, label);
-    }
-
-    /// `call label` (pseudo: `jal ra, label`).
-    pub fn call(&mut self, label: &str) {
-        self.jal(1, label);
     }
 
     /// `jalr rd, imm(rs1)`.

@@ -113,14 +113,6 @@ impl Cache {
         }
     }
 
-    /// Pre-load the line holding `pa` without charging cycles (used to model
-    /// a warm cache at benchmark start).
-    pub fn warm(&mut self, pa: u64) {
-        let _ = self.access(pa);
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// Fill the line holding `pa` without charging cycles or counting
     /// statistics — models a buffered store draining into the cache off
     /// the critical path (the non-blocking link stack of XPC §3.2).
@@ -136,11 +128,6 @@ impl Cache {
         for l in &mut self.lines {
             l.valid = false;
         }
-    }
-
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 }
 
@@ -189,7 +176,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one way")]
     fn zero_ways_is_rejected_at_construction() {
-        let mut cfg = *tiny().config();
+        let mut cfg = tiny().cfg;
         cfg.ways = 0;
         let _ = Cache::new(cfg);
     }
@@ -214,13 +201,5 @@ mod tests {
         c.access(0x8000_0000);
         c.flush();
         assert!(!c.access(0x8000_0000).hit);
-    }
-
-    #[test]
-    fn warm_does_not_count() {
-        let mut c = tiny();
-        c.warm(0x8000_0000);
-        assert_eq!(c.misses, 0);
-        assert!(c.access(0x8000_0000).hit);
     }
 }

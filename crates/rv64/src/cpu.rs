@@ -15,7 +15,7 @@ pub enum Mode {
 
 impl Mode {
     /// Encoding used in `mstatus.MPP`.
-    pub fn to_bits(self) -> u64 {
+    pub(crate) fn to_bits(self) -> u64 {
         match self {
             Mode::User => 0,
             Mode::Supervisor => 1,
@@ -24,7 +24,7 @@ impl Mode {
     }
 
     /// Decode from `mstatus.MPP` bits (2 maps to Machine defensively).
-    pub fn from_bits(bits: u64) -> Mode {
+    pub(crate) fn from_bits(bits: u64) -> Mode {
         match bits & 0b11 {
             0 => Mode::User,
             1 => Mode::Supervisor,
@@ -47,7 +47,7 @@ pub struct Cpu {
 
 impl Cpu {
     /// Reset state: PC 0, M-mode, zeroed registers.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Cpu {
             regs: [0; 32],
             pc: 0,

@@ -89,7 +89,7 @@ pub struct CsrFile {
 
 impl CsrFile {
     /// A freshly reset CSR file.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -113,7 +113,7 @@ impl CsrFile {
     /// # Errors
     ///
     /// Illegal-instruction trap on insufficient privilege.
-    pub fn read(
+    pub(crate) fn read(
         &self,
         addr: u16,
         mode: Mode,
@@ -159,7 +159,12 @@ impl CsrFile {
     /// # Errors
     ///
     /// Illegal-instruction trap on insufficient privilege or read-only CSRs.
-    pub fn write(&mut self, addr: u16, value: u64, mode: Mode) -> Option<Result<bool, Trap>> {
+    pub(crate) fn write(
+        &mut self,
+        addr: u16,
+        value: u64,
+        mode: Mode,
+    ) -> Option<Result<bool, Trap>> {
         if mode < Self::required_mode(addr) || Self::read_only(addr) {
             return Some(Err(Trap::new(Cause::IllegalInst, addr as u64)));
         }

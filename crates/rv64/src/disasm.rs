@@ -68,7 +68,7 @@ pub fn disasm(raw: u32) -> String {
 }
 
 /// Render a decoded instruction.
-pub fn render(i: Inst) -> String {
+pub(crate) fn render(i: Inst) -> String {
     let r = reg::name;
     match i {
         Inst::Lui { rd, imm } => format!("lui {}, {:#x}", r(rd), (imm as u64 >> 12) & 0xfffff),
@@ -209,16 +209,6 @@ pub fn render(i: Inst) -> String {
     }
 }
 
-/// Disassemble a whole program with addresses (one line per word).
-pub fn disasm_program(base: u64, words: &[u32]) -> String {
-    words
-        .iter()
-        .enumerate()
-        .map(|(i, w)| format!("{:#010x}: {}", base + 4 * i as u64, disasm(*w)))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,15 +254,5 @@ mod tests {
     #[test]
     fn unknown_renders_as_raw() {
         assert!(disasm(0xffff_ffff).starts_with(".insn"));
-    }
-
-    #[test]
-    fn program_listing_has_addresses() {
-        let mut a = Assembler::new(0x1000);
-        a.nop();
-        a.ebreak();
-        let listing = disasm_program(0x1000, &a.assemble());
-        assert!(listing.contains("0x00001000:"));
-        assert!(listing.contains("0x00001004: ebreak"));
     }
 }

@@ -147,7 +147,7 @@ pub enum LoadOp {
 
 impl LoadOp {
     /// Access size in bytes.
-    pub fn size(self) -> u64 {
+    pub(crate) fn size(self) -> u64 {
         match self {
             LoadOp::Lb | LoadOp::Lbu => 1,
             LoadOp::Lh | LoadOp::Lhu => 2,
@@ -168,7 +168,7 @@ pub enum StoreOp {
 
 impl StoreOp {
     /// Access size in bytes.
-    pub fn size(self) -> u64 {
+    pub(crate) fn size(self) -> u64 {
         match self {
             StoreOp::Sb => 1,
             StoreOp::Sh => 2,

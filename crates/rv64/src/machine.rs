@@ -141,7 +141,7 @@ impl Core {
 
     /// Current `satp` fields.
     #[inline]
-    pub fn satp(&self) -> Satp {
+    pub(crate) fn satp(&self) -> Satp {
         Satp::from_raw(self.cpu.csr.satp)
     }
 
@@ -216,7 +216,7 @@ impl Core {
     ///
     /// Misaligned-load or translation/access traps.
     #[inline]
-    pub fn load(&mut self, va: u64, size: u64) -> Result<u64, Trap> {
+    pub(crate) fn load(&mut self, va: u64, size: u64) -> Result<u64, Trap> {
         if va & (size - 1) != 0 {
             return Err(Trap::new(Cause::LoadAddrMisaligned, va));
         }
@@ -232,7 +232,7 @@ impl Core {
     ///
     /// Misaligned-store or translation/access traps.
     #[inline]
-    pub fn store(&mut self, va: u64, size: u64, value: u64) -> Result<(), Trap> {
+    pub(crate) fn store(&mut self, va: u64, size: u64, value: u64) -> Result<(), Trap> {
         if va & (size - 1) != 0 {
             return Err(Trap::new(Cause::StoreAddrMisaligned, va));
         }
@@ -286,7 +286,7 @@ impl Core {
     /// # Errors
     ///
     /// [`SimError::UnhandledTrap`] when the target `tvec` is 0.
-    pub fn take_trap(&mut self, trap: Trap) -> Result<(), SimError> {
+    pub(crate) fn take_trap(&mut self, trap: Trap) -> Result<(), SimError> {
         let code = trap.cause.code();
         let delegate =
             self.cpu.mode != Mode::Machine && code < 64 && (self.cpu.csr.medeleg >> code) & 1 == 1;
@@ -1022,7 +1022,7 @@ mod tests {
             a.sb(reg::T1, reg::T0, 0);
             a.ebreak();
         });
-        assert_eq!(m.core.mem.console_string(), "X");
+        assert_eq!(m.core.mem.console, b"X");
     }
 
     #[test]

@@ -32,15 +32,10 @@ impl Memory {
         }
     }
 
-    /// DRAM size in bytes.
-    pub fn size(&self) -> usize {
-        self.dram.len()
-    }
-
     /// Whether `pa..pa+len` lies entirely inside DRAM (a range that
     /// wraps the address space does not).
     #[inline]
-    pub fn in_dram(&self, pa: u64, len: u64) -> bool {
+    pub(crate) fn in_dram(&self, pa: u64, len: u64) -> bool {
         pa >= DRAM_BASE
             && pa
                 .checked_add(len)
@@ -125,11 +120,6 @@ impl Memory {
         let off = (pa - DRAM_BASE) as usize;
         self.dram[off..off + len].to_vec()
     }
-
-    /// Console contents as a lossy string.
-    pub fn console_string(&self) -> String {
-        String::from_utf8_lossy(&self.console).into_owned()
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +179,7 @@ mod tests {
             m.write(MMIO_PUTCHAR, 1, *b as u64).unwrap();
         }
         m.write(MMIO_EXIT, 8, 7).unwrap();
-        assert_eq!(m.console_string(), "hi");
+        assert_eq!(m.console, b"hi");
         assert_eq!(m.exit_code, Some(7));
     }
 

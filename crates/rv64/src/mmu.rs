@@ -67,7 +67,7 @@ impl SegWindow {
     /// Does `va..va+size` fall inside the window? (Compared as offsets
     /// from `va_base`, so no address near the top of the space can wrap.)
     #[inline]
-    pub fn contains(&self, va: u64, size: u64) -> bool {
+    pub(crate) fn contains(&self, va: u64, size: u64) -> bool {
         self.len > 0
             && va >= self.va_base
             && (va - self.va_base)
@@ -83,7 +83,7 @@ impl SegWindow {
     /// Debug-asserts the window is not paged (paged translation needs
     /// memory access and lives in [`Mmu::translate`]).
     #[inline]
-    pub fn translate(&self, va: u64) -> u64 {
+    pub(crate) fn translate(&self, va: u64) -> u64 {
         debug_assert!(!self.paged);
         self.pa_base.wrapping_add(va - self.va_base)
     }

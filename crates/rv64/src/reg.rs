@@ -70,7 +70,7 @@ pub const T5: u8 = 30;
 pub const T6: u8 = 31;
 
 /// ABI name for a register index (for disassembly / traces).
-pub fn name(idx: u8) -> &'static str {
+pub(crate) fn name(idx: u8) -> &'static str {
     const NAMES: [&str; 32] = [
         "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
         "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",

@@ -157,7 +157,7 @@ impl Trap {
     }
 
     /// Construct a trap with a zero trap value.
-    pub fn bare(cause: Cause) -> Self {
+    pub(crate) fn bare(cause: Cause) -> Self {
         Trap { cause, tval: 0 }
     }
 }

@@ -104,7 +104,7 @@ impl Aes128 {
     }
 
     /// Encrypt one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    pub(crate) fn encrypt_block(&self, block: &mut [u8; 16]) {
         Self::add_round_key(block, &self.round_keys[0]);
         for round in 1..10 {
             Self::sub_bytes(block);

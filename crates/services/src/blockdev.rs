@@ -38,7 +38,7 @@ impl BlockDev {
     /// # Panics
     ///
     /// Panics when `nblocks * BLOCK_SIZE` overflows `usize`.
-    pub fn new(nblocks: usize) -> Self {
+    pub(crate) fn new(nblocks: usize) -> Self {
         assert!(
             nblocks.checked_mul(BLOCK_SIZE).is_some(),
             "ramdisk size overflows usize"
@@ -74,7 +74,7 @@ impl BlockDev {
     /// # Panics
     ///
     /// Panics on an out-of-range block (FS bug, not user input).
-    pub fn read(&mut self, w: &mut World, idx: u64) -> &[u8] {
+    pub(crate) fn read(&mut self, w: &mut World, idx: u64) -> &[u8] {
         w.data_pass(BLOCK_SIZE as u64, 10);
         self.reads += 1;
         self.peek(idx)
@@ -85,7 +85,7 @@ impl BlockDev {
     /// # Panics
     ///
     /// Panics on an out-of-range block or a wrong-sized buffer.
-    pub fn write(&mut self, w: &mut World, idx: u64, data: &[u8]) {
+    pub(crate) fn write(&mut self, w: &mut World, idx: u64, data: &[u8]) {
         assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
         w.data_pass(BLOCK_SIZE as u64, 10);
         self.writes += 1;

@@ -28,7 +28,7 @@ impl FileCache {
 
     /// Serve a file request: one pass to move the file into the reply
     /// message (or relay segment), plus a small lookup cost.
-    pub fn get(&mut self, w: &mut World, path: &str) -> Option<Vec<u8>> {
+    pub(crate) fn get(&mut self, w: &mut World, path: &str) -> Option<Vec<u8>> {
         w.compute(120); // hash lookup
         match self.files.get(path) {
             Some(data) => {

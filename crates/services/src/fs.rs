@@ -277,7 +277,7 @@ impl Xv6Fs {
     }
 
     /// Commit the staged transaction: log, commit point, install, clear.
-    pub fn sync(&mut self, w: &mut World) {
+    pub(crate) fn sync(&mut self, w: &mut World) {
         if self.staged.is_empty() {
             return;
         }
@@ -299,7 +299,7 @@ impl Xv6Fs {
         self.txn = txn;
     }
 
-    /// Failure injection: run steps 1–2 of [`Xv6Fs::sync`] (log + commit
+    /// Failure injection: run steps 1–2 of `Xv6Fs::sync` (log + commit
     /// point) and then "crash" — staged data reaches only the journal.
     /// A subsequent [`Xv6Fs::mount`] must recover it.
     pub fn sync_crash_before_install(&mut self, w: &mut World) -> BlockDev {
@@ -517,23 +517,9 @@ impl Xv6Fs {
         true
     }
 
-    /// Count of free data blocks (bitmap census, for tests/tools).
-    pub fn free_blocks(&self) -> u64 {
-        let limit = (self.dev.len() as u64).min(self.bitmap.len() as u64 * 8);
-        (DATA_START..limit).filter(|&b| !self.bitmap_get(b)).count() as u64
-    }
-
     /// Look up a file by name.
     pub fn lookup(&self, name: &str) -> Option<u64> {
         self.dir.iter().find(|(n, _)| n == name).map(|(_, i)| *i)
-    }
-
-    /// List the root directory: (name, inode, size) per file.
-    pub fn list(&self) -> Vec<(String, u64, u64)> {
-        self.dir
-            .iter()
-            .map(|(n, i)| (n.clone(), *i, self.inodes[*i as usize].size))
-            .collect()
     }
 
     /// File size.
@@ -608,7 +594,7 @@ impl Xv6Fs {
     }
 
     /// Write `data` at `off` (journaled; commits immediately in
-    /// `sync_mode`, otherwise at the next [`Xv6Fs::sync`]).
+    /// `sync_mode`, otherwise at the next `Xv6Fs::sync`).
     ///
     /// # Panics
     ///
@@ -716,6 +702,13 @@ mod tests {
     use super::*;
     use simos::{CycleLedger, InvokeOpts, IpcSystem, Phase};
 
+    /// Count of free data blocks: a bitmap census, the oracle the
+    /// allocation tests check `unlink` and `mkfs` against.
+    fn free_blocks(fs: &Xv6Fs) -> u64 {
+        let limit = (fs.dev.len() as u64).min(fs.bitmap.len() as u64 * 8);
+        (DATA_START..limit).filter(|&b| !fs.bitmap_get(b)).count() as u64
+    }
+
     struct Free;
     impl IpcSystem for Free {
         fn name(&self) -> String {
@@ -778,25 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn list_reports_names_and_sizes() {
-        let mut w = world();
-        let mut fs = Xv6Fs::mkfs(&mut w, 4096);
-        let a = fs.create(&mut w, "a.txt");
-        fs.write(&mut w, a, 0, &[1u8; 10]);
-        fs.create(&mut w, "b.txt");
-        let mut names: Vec<(String, u64)> = fs
-            .list()
-            .into_iter()
-            .map(|(n, _, size)| (n, size))
-            .collect();
-        names.sort();
-        assert_eq!(
-            names,
-            vec![("a.txt".to_string(), 10), ("b.txt".to_string(), 0)]
-        );
-    }
-
-    #[test]
     fn persistence_across_mount() {
         let mut w = world();
         let mut fs = Xv6Fs::mkfs(&mut w, 4096);
@@ -845,15 +819,15 @@ mod tests {
     fn unlink_frees_blocks_for_reuse() {
         let mut w = world();
         let mut fs = Xv6Fs::mkfs(&mut w, 4096);
-        let free0 = fs.free_blocks();
+        let free0 = free_blocks(&fs);
         let ino = fs.create(&mut w, "victim");
         fs.write(&mut w, ino, 0, &vec![7u8; 100_000]); // forces indirect
-        let free_after_write = fs.free_blocks();
+        let free_after_write = free_blocks(&fs);
         assert!(free_after_write < free0);
         assert!(fs.unlink(&mut w, "victim"));
         assert!(fs.lookup("victim").is_none());
         assert!(
-            fs.free_blocks() > free_after_write + 20,
+            free_blocks(&fs) > free_after_write + 20,
             "data + indirect blocks returned"
         );
         assert!(!fs.unlink(&mut w, "victim"), "second unlink is a no-op");
@@ -989,9 +963,9 @@ mod tests {
     fn smallest_ramdisk_holds_one_block() {
         let mut w = world();
         let mut fs = Xv6Fs::mkfs(&mut w, DATA_START as usize + 1);
-        assert_eq!(fs.free_blocks(), 1);
+        assert_eq!(free_blocks(&fs), 1);
         fs.create(&mut w, "f"); // the directory takes the only data block
-        assert_eq!(fs.free_blocks(), 0);
+        assert_eq!(free_blocks(&fs), 0);
     }
 
     #[test]

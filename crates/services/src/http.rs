@@ -8,7 +8,7 @@
 
 use crate::aes::AesServer;
 use crate::filecache::FileCache;
-use simos::{CallProgram, CostModel, Recipe, Step, World};
+use simos::{Step, World};
 
 /// Service index of the client in the [`chain_steps`] recipe.
 pub const SVC_CLIENT: usize = 0;
@@ -31,7 +31,7 @@ pub struct Request {
 }
 
 /// Parse the request line of an HTTP/1.x request.
-pub fn parse_request(raw: &str) -> Option<Request> {
+pub(crate) fn parse_request(raw: &str) -> Option<Request> {
     let line = raw.lines().next()?;
     let mut parts = line.split_whitespace();
     let method = parts.next()?.to_string();
@@ -158,33 +158,8 @@ pub fn http_throughput_ops(
     requests as f64 / secs
 }
 
-/// A mixed-path request workload: serve each (path, count) pair and
-/// report total ops/s plus the per-status tally — closer to a real
-/// webserver trace than a single hot file.
-pub fn http_mixed_workload(
-    w: &mut World,
-    server: &mut HttpServer,
-    requests: &[(&str, u64)],
-) -> (f64, u64, u64) {
-    let start = w.cycles;
-    let (mut ok, mut not_found) = (0u64, 0u64);
-    for (path, count) in requests {
-        let raw = format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n");
-        for _ in 0..*count {
-            match server.handle(w, &raw).0 {
-                Status::Ok => ok += 1,
-                Status::NotFound => not_found += 1,
-                Status::BadRequest => {}
-            }
-        }
-    }
-    let total: u64 = requests.iter().map(|(_, c)| c).sum();
-    let secs = (w.cycles - start) as f64 / w.cost.clock_hz as f64;
-    (total as f64 / secs, ok, not_found)
-}
-
-/// Options for the §5.4 chain recipes ([`chain_steps`] and
-/// [`chain_program`]), replacing the former positional bool pair.
+/// Options for the §5.4 chain recipe ([`chain_steps`]), replacing the
+/// former positional bool pair.
 ///
 /// The default is the paper's headline configuration: encryption on
 /// (the full three-server chain of Figure 8(c)), handover off (the
@@ -211,22 +186,9 @@ impl Default for ChainSpec {
 }
 
 impl ChainSpec {
-    /// The unencrypted two-server chain (client → HTTP → cache).
-    pub fn plain() -> Self {
-        ChainSpec {
-            encrypt: false,
-            handover: false,
-        }
-    }
-
     /// The same spec with `handover` matched to a mechanism.
     pub fn with_handover(self, handover: bool) -> Self {
         ChainSpec { handover, ..self }
-    }
-
-    /// The same spec with encryption toggled.
-    pub fn with_encrypt(self, encrypt: bool) -> Self {
-        ChainSpec { encrypt, ..self }
     }
 }
 
@@ -302,41 +264,6 @@ pub fn chain_steps(path: &str, file_len: u64, spec: ChainSpec) -> Vec<Step> {
         bytes: header_len + file_len,
     });
     steps
-}
-
-/// The same chain re-expressed as a fused [`CallProgram`] (AnyCall
-/// style): the request is submitted once and chains client → HTTP →
-/// cache (→ AES) server-side, with the response as the single return
-/// leg — no intermediate returns to the client.
-///
-/// Unlike [`chain_steps`], handover is *not* a spec knob here: payload
-/// edges are declared as handover edges and each mechanism prices them
-/// per its own capability (a relay segment moves a 16-byte descriptor,
-/// a copy mechanism moves the body). `spec.handover` is ignored.
-/// Per-service data passes fold into hop compute using `cost`'s copy
-/// pricing, exactly as `Step::DataPass` would charge them.
-pub fn chain_program(path: &str, file_len: u64, spec: ChainSpec, cost: &CostModel) -> CallProgram {
-    let raw_len = format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").len() as u64;
-    let header_len = format!(
-        "{}\r\nContent-Length: {}\r\n\r\n",
-        Status::Ok.line(),
-        file_len
-    )
-    .len() as u64;
-    let mut r = Recipe::new(SVC_CLIENT)
-        .hop(SVC_HTTP, raw_len)
-        .compute(200)
-        .handover(SVC_CACHE, path.len() as u64)
-        .compute(120 + cost.copy_cycles(file_len));
-    if spec.encrypt {
-        r = r
-            .handover(SVC_AES, file_len)
-            .compute(cost.copy_cycles(file_len) * 25 / 10);
-    }
-    r.compute(150)
-        .reply(header_len + file_len)
-        .build()
-        .expect("chain depth is far below MAX_PROGRAM_HOPS")
 }
 
 /// World extensions used by the chain: payload-bearing replies and
@@ -429,17 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_workload_tallies_statuses() {
-        let mut w = simos::World::new(Box::new(Free));
-        let mut s = server(false);
-        let (ops, ok, nf) =
-            http_mixed_workload(&mut w, &mut s, &[("/index.html", 5), ("/missing", 2)]);
-        assert!(ops > 0.0);
-        assert_eq!(ok, 5);
-        assert_eq!(nf, 2);
-    }
-
-    #[test]
     fn chain_steps_is_anchored_to_handle() {
         // The recipe must price exactly what `handle()` charges — for a
         // copying system and a handover system, with and without AES.
@@ -469,9 +385,7 @@ mod tests {
                 assert_eq!(st, Status::Ok);
 
                 let handover = mk().supports_handover();
-                let spec = ChainSpec::default()
-                    .with_encrypt(encrypt)
-                    .with_handover(handover);
+                let spec = ChainSpec { encrypt, handover };
                 let steps = chain_steps(path, file.len() as u64, spec);
                 let mut mw = MultiWorld::builder().cores(1).build(mk);
                 let one = LoadGen {
@@ -496,21 +410,6 @@ mod tests {
                 assert_eq!(r.ledger.total(), w.stats.ipc_cycles);
             }
         }
-    }
-
-    #[test]
-    fn chain_program_mirrors_the_chain_shape() {
-        let cost = simos::CostModel::u500();
-        let p = chain_program("/index.html", 4096, ChainSpec::default(), &cost);
-        assert_eq!(p.client(), SVC_CLIENT);
-        assert_eq!(p.depth(), 3, "http, cache, aes");
-        assert_eq!(p.hops()[1].service, SVC_CACHE);
-        assert!(p.hops()[1].handover, "the payload edges hand over");
-        assert!(p.hops()[2].handover);
-        assert!(!p.hops()[0].handover, "the request edge is a plain call");
-        let plain = chain_program("/index.html", 4096, ChainSpec::plain(), &cost);
-        assert_eq!(plain.depth(), 2, "no AES hop");
-        assert!(plain.response() > 4096, "header + body ride the reply");
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub struct Loopback {
 
 impl Loopback {
     /// Forward one packet (one pass over the payload).
-    pub fn send(&mut self, w: &mut World, bytes: usize) {
+    pub(crate) fn send(&mut self, w: &mut World, bytes: usize) {
         w.data_pass(bytes as u64, 10);
         self.packets += 1;
     }
@@ -49,7 +49,7 @@ pub struct TcpStack {
 
 impl TcpStack {
     /// A fresh connection over a loopback device.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TcpStack {
             dev: Loopback::default(),
             delivered: 0,
@@ -61,7 +61,7 @@ impl TcpStack {
     /// Client `send(buf)`: one client→stack IPC carrying the buffer, then
     /// segmentation; each segment pays protocol work and a stack→device
     /// IPC (the loopback reflects it straight into our receive path).
-    pub fn send(&mut self, w: &mut World, buf: &[u8]) {
+    pub(crate) fn send(&mut self, w: &mut World, buf: &[u8]) {
         // Client-side socket library, then client → network stack server.
         w.compute(SEND_COMPUTE);
         w.ipc_roundtrip(buf.len() as u64 + 64, 16);
@@ -76,19 +76,6 @@ impl TcpStack {
             self.seq = self.seq.wrapping_add(seg.len() as u32);
             self.delivered += seg.len() as u64;
         }
-    }
-
-    /// Drain received bytes (the echo client reading its own traffic).
-    pub fn recv(&mut self, w: &mut World, len: usize) -> Vec<u8> {
-        let take = len.min(self.rx.len());
-        // Stack → client delivery.
-        w.ipc_roundtrip(64, take as u64);
-        self.rx.drain(..take).collect()
-    }
-
-    /// Packets the device forwarded.
-    pub fn packets(&self) -> u64 {
-        self.dev.packets
     }
 }
 
@@ -142,9 +129,8 @@ mod tests {
         let mut tcp = TcpStack::new();
         let msg: Vec<u8> = (0..5000u32).map(|i| (i % 256) as u8).collect();
         tcp.send(&mut w, &msg);
-        let got = tcp.recv(&mut w, 5000);
-        assert_eq!(got, msg);
-        assert_eq!(tcp.packets(), 5000_u64.div_ceil(MSS as u64));
+        assert_eq!(tcp.rx, msg);
+        assert_eq!(tcp.dev.packets, 5000_u64.div_ceil(MSS as u64));
     }
 
     #[test]

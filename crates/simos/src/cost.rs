@@ -126,7 +126,7 @@ impl CostModel {
     /// × memcpy-grade work per byte (saturating, like
     /// [`copy_cycles`](Self::copy_cycles)).
     #[inline]
-    pub fn data_pass_cycles(&self, bytes: u64, intensity_x10: u64) -> u64 {
+    pub(crate) fn data_pass_cycles(&self, bytes: u64, intensity_x10: u64) -> u64 {
         self.copy_cycles(bytes).saturating_mul(intensity_x10) / 10
     }
 

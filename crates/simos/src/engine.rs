@@ -69,7 +69,7 @@ impl SweepScratch {
     /// *grows* the vec — so without an explicit clear, a cell that
     /// exited abnormally would replay stale issue times and completion
     /// heaps into the next cell's schedule.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.latencies.clear();
         for v in &mut self.owner_latencies {
             v.clear();

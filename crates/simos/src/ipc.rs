@@ -34,7 +34,7 @@ pub struct EngineCacheStats {
 
 impl EngineCacheStats {
     /// Fold another counter set in (summing per-core stats).
-    pub fn merge(&mut self, other: EngineCacheStats) {
+    pub(crate) fn merge(&mut self, other: EngineCacheStats) {
         self.prefetches = self.prefetches.saturating_add(other.prefetches);
         self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
         self.shard_misses = self.shard_misses.saturating_add(other.shard_misses);
@@ -271,11 +271,10 @@ mod tests {
             m.oneway_into(10, &InvokeOpts::call(), l)
                 + m.oneway_into(20, &InvokeOpts::reply_leg(), l)
         });
-        assert_eq!(rt.total, 100 + 10 + 100 + 20);
+        assert_eq!(rt.total(), 100 + 10 + 100 + 20);
         assert_eq!(rt.copied_bytes, 30);
         assert_eq!(rt.ledger.get(Phase::Trap), 200);
         assert_eq!(rt.ledger.get(Phase::Transfer), 30);
-        assert_eq!(rt.total, rt.ledger.total());
     }
 
     #[test]
@@ -287,7 +286,7 @@ mod tests {
     fn boxed_system_forwards() {
         let mut b: Box<dyn IpcSystem> = Box::new(Fixed(3));
         assert_eq!(b.name(), "fixed");
-        assert_eq!(oneway(&mut b, 1).total, 4);
+        assert_eq!(oneway(&mut b, 1).total(), 4);
     }
 
     struct Amortizing;
@@ -327,13 +326,12 @@ mod tests {
         assert_eq!(b.ledger.get(Phase::Trap), 4 * 100);
         assert_eq!(b.ledger.get(Phase::IpcLogic), 50 + 3 * 25);
         assert_eq!(b.ledger.get(Phase::Transfer), 4 * 64);
-        assert_eq!(b.total, b.ledger.total());
         assert_eq!(b.copied_bytes, 4 * 64);
     }
 
     #[test]
     fn per_call_cost_decreases_with_batch_size() {
-        let per = |n: u64| batch(&mut Amortizing, n, 64).total as f64 / n as f64;
+        let per = |n: u64| batch(&mut Amortizing, n, 64).total() as f64 / n as f64;
         assert!(per(8) < per(1));
         assert!(per(64) < per(8));
         // ...but never below the unamortized per-call floor.

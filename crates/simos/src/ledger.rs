@@ -90,7 +90,7 @@ impl Phase {
     /// Stable dense index into [`Phase::ALL`]-ordered arrays (declaration
     /// order matches `ALL`, so the discriminant *is* the index).
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 
@@ -208,9 +208,10 @@ impl CycleLedger {
         }
     }
 
-    /// Builder-style [`charge`](Self::charge).
+    /// Builder-style [`charge`](Self::charge): the tests' ledger fixture.
+    #[cfg(test)]
     #[must_use]
-    pub fn with(mut self, phase: Phase, cycles: u64) -> Self {
+    pub(crate) fn with(mut self, phase: Phase, cycles: u64) -> Self {
         self.charge(phase, cycles);
         self
     }
@@ -238,7 +239,7 @@ impl CycleLedger {
     }
 
     /// Fold another ledger in, phase by phase.
-    pub fn merge(&mut self, other: &CycleLedger) {
+    pub(crate) fn merge(&mut self, other: &CycleLedger) {
         for &(p, c) in &other.spans {
             self.charge(p, c);
         }
@@ -253,20 +254,15 @@ impl CycleLedger {
         self.total = 0;
     }
 
-    /// Number of recorded spans (distinct phases charged so far).
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
     /// Whether no span has been charged yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.spans.is_empty()
     }
 
     /// Rewrite every span's cycles in place as `f(phase, cycles)`,
     /// keeping span order. This is how batched pricing rescales a
     /// first-call ledger into an n-call ledger without reallocating.
-    pub fn map_cycles(&mut self, mut f: impl FnMut(Phase, u64) -> u64) {
+    pub(crate) fn map_cycles(&mut self, mut f: impl FnMut(Phase, u64) -> u64) {
         let mut total = 0u64;
         for (p, c) in &mut self.spans {
             *c = f(*p, *c);
@@ -307,7 +303,7 @@ fn clamped_delta(a: u64, b: u64) -> i64 {
 }
 
 /// Flat per-phase cycle totals: a `[u64; Phase::COUNT]` keyed by
-/// [`Phase::index`] (i.e. [`Phase::ALL`] order).
+/// `Phase::index` (i.e. [`Phase::ALL`] order).
 ///
 /// This is the sampled-attribution accumulator: adding a span is one
 /// array add — no span scan, no ordering metadata — and the result is
@@ -352,23 +348,11 @@ impl PhaseTotals {
         self.cycles.iter().fold(0, |sum, &c| sum.saturating_add(c))
     }
 
-    /// Whether nothing has been charged.
-    pub fn is_empty(&self) -> bool {
-        self.cycles.iter().all(|&c| c == 0)
-    }
-
     /// Fold a ledger's spans in.
     #[inline]
-    pub fn add_ledger(&mut self, ledger: &CycleLedger) {
+    pub(crate) fn add_ledger(&mut self, ledger: &CycleLedger) {
         for &(p, c) in ledger.spans() {
             self.charge(p, c);
-        }
-    }
-
-    /// Fold another totals array in.
-    pub fn merge(&mut self, other: &PhaseTotals) {
-        for (a, b) in self.cycles.iter_mut().zip(other.cycles.iter()) {
-            *a = a.saturating_add(*b);
         }
     }
 
@@ -402,7 +386,7 @@ pub struct ArenaMark {
 /// two flat slabs, each ledger is a `(start, len)` range over them.
 ///
 /// The invocation hot path charges into the arena instead of allocating
-/// a `CycleLedger` per request; [`truncate`](Self::truncate) /
+/// a `CycleLedger` per request; `truncate` /
 /// [`reset`](Self::reset) roll the slabs back without freeing, so a
 /// steady-state sweep performs zero heap allocation per request. Only
 /// the most recently begun ledger may still be charged (its span range
@@ -443,7 +427,7 @@ impl LedgerArena {
     /// Open a fresh (empty) ledger at the slab tail and return its
     /// handle. Charging is only valid for the most recently begun
     /// ledger.
-    pub fn begin(&mut self) -> LedgerRef {
+    pub(crate) fn begin(&mut self) -> LedgerRef {
         let start = self.phases.len();
         self.ranges.push((start, 0));
         self.tail_slots = [0; Phase::COUNT];
@@ -460,7 +444,7 @@ impl LedgerArena {
     /// When `h` is not the most recently begun ledger (its spans would
     /// no longer sit at the slab tail).
     #[inline]
-    pub fn charge(&mut self, h: LedgerRef, phase: Phase, cycles: u64) {
+    pub(crate) fn charge(&mut self, h: LedgerRef, phase: Phase, cycles: u64) {
         assert_eq!(
             h.0 + 1,
             self.ranges.len(),
@@ -490,7 +474,7 @@ impl LedgerArena {
 
     /// Fold a ledger's spans into arena ledger `h`.
     #[inline]
-    pub fn merge_ledger(&mut self, h: LedgerRef, ledger: &CycleLedger) {
+    pub(crate) fn merge_ledger(&mut self, h: LedgerRef, ledger: &CycleLedger) {
         for &(p, c) in ledger.spans() {
             self.charge(h, p, c);
         }
@@ -500,14 +484,6 @@ impl LedgerArena {
     pub fn spans(&self, h: LedgerRef) -> impl Iterator<Item = (Phase, u64)> + '_ {
         let (start, len) = self.ranges[h.0];
         (start..start + len).map(|i| (self.phases[i], self.cycles[i]))
-    }
-
-    /// Total cycles of ledger `h` (saturating).
-    pub fn total(&self, h: LedgerRef) -> u64 {
-        let (start, len) = self.ranges[h.0];
-        self.cycles[start..start + len]
-            .iter()
-            .fold(0, |sum, &c| sum.saturating_add(c))
     }
 
     /// Copy ledger `h` out into an owned [`CycleLedger`].
@@ -524,7 +500,7 @@ impl LedgerArena {
         self.ranges.len()
     }
 
-    /// Handles to every ledger currently held, in [`begin`](Self::begin)
+    /// Handles to every ledger currently held, in `begin`
     /// order (e.g. walking the retained sample after a sampled sweep).
     pub fn handles(&self) -> impl Iterator<Item = LedgerRef> {
         (0..self.ranges.len()).map(LedgerRef)
@@ -547,18 +523,9 @@ impl LedgerArena {
         self.ranges.capacity()
     }
 
-    /// The current high-water mark, for a later
-    /// [`truncate`](Self::truncate).
-    pub fn mark(&self) -> ArenaMark {
-        ArenaMark {
-            ledgers: self.ranges.len(),
-            spans: self.phases.len(),
-        }
-    }
-
     /// Roll back to `mark`, dropping every ledger begun since — without
     /// freeing slab memory (the reuse half of reset-and-reuse).
-    pub fn truncate(&mut self, mark: ArenaMark) {
+    pub(crate) fn truncate(&mut self, mark: ArenaMark) {
         self.ranges.truncate(mark.ledgers);
         self.phases.truncate(mark.spans);
         self.cycles.truncate(mark.spans);
@@ -638,11 +605,6 @@ impl Hardening {
         zero_on_handover: true,
         flow_tags: true,
     };
-
-    /// Whether any mitigation is on.
-    pub fn any(self) -> bool {
-        self.revocation_epochs || self.zero_on_handover || self.flow_tags
-    }
 }
 
 /// Options for one [`IpcSystem`](crate::ipc::IpcSystem) hop.
@@ -706,30 +668,28 @@ impl InvokeOpts {
     }
 }
 
-/// The priced outcome of one IPC invocation: the phase ledger, its total,
-/// and the payload bytes the mechanism copied (0 for handover).
-///
-/// Invariant: `total == ledger.total()` — constructors enforce it and the
-/// cross-crate invariant tests sweep it over every system.
+/// The priced outcome of one IPC invocation: the phase ledger and the
+/// payload bytes the mechanism copied (0 for handover).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Invocation {
     /// Phase-attributed cycle account.
     pub ledger: CycleLedger,
-    /// Total cycles (always the ledger sum).
-    pub total: u64,
     /// Bytes copied moving the payload (0 for relay-segment handover).
     pub copied_bytes: u64,
 }
 
 impl Invocation {
-    /// Build from a ledger; the total is the ledger sum.
-    pub fn from_ledger(ledger: CycleLedger, copied_bytes: u64) -> Self {
-        let total = ledger.total();
+    /// Build from a ledger.
+    pub(crate) fn from_ledger(ledger: CycleLedger, copied_bytes: u64) -> Self {
         Invocation {
             ledger,
-            total,
             copied_bytes,
         }
+    }
+
+    /// Total cycles: the ledger sum (saturating).
+    pub fn total(&self) -> u64 {
+        self.ledger.total()
     }
 
     /// Price into a fresh ledger: run `price` (any of the sink methods —
@@ -749,7 +709,6 @@ impl Invocation {
     #[must_use]
     pub fn plus(mut self, other: Invocation) -> Self {
         self.ledger.merge(&other.ledger);
-        self.total = self.total.saturating_add(other.total);
         self.copied_bytes = self.copied_bytes.saturating_add(other.copied_bytes);
         self
     }
@@ -781,8 +740,7 @@ mod tests {
         );
         let b = Invocation::from_ledger(CycleLedger::new().with(Phase::Xret, 23), 0);
         let sum = a.clone().plus(b);
-        assert_eq!(sum.total, 38);
-        assert_eq!(sum.total, sum.ledger.total());
+        assert_eq!(sum.total(), 38);
         assert_eq!(sum.copied_bytes, 5);
     }
 
@@ -813,17 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn invocation_invariant_total_is_ledger_sum() {
-        let inv = Invocation::from_ledger(
-            CycleLedger::new()
-                .with(Phase::Trap, 107)
-                .with(Phase::Restore, 199),
-            0,
-        );
-        assert_eq!(inv.total, inv.ledger.total());
-    }
-
-    #[test]
     fn phase_count_and_index_match_all() {
         assert_eq!(Phase::ALL.len(), Phase::COUNT);
         for (i, p) in Phase::ALL.iter().enumerate() {
@@ -836,7 +783,7 @@ mod tests {
         let mut l = CycleLedger::new()
             .with(Phase::Trap, 1)
             .with(Phase::Xcall, 2);
-        assert_eq!(l.len(), 2);
+        assert_eq!(l.spans().len(), 2);
         l.clear();
         assert!(l.is_empty());
         assert_eq!(l.total(), 0);
@@ -862,7 +809,7 @@ mod tests {
             .with(Phase::Trap, 7)
             .with(Phase::Xcall, 18);
         let mut t = PhaseTotals::new();
-        assert!(t.is_empty());
+        assert_eq!(t.total(), 0);
         t.add_ledger(&a);
         t.add_ledger(&b);
         assert_eq!(t.get(Phase::Trap), 114);
@@ -889,7 +836,7 @@ mod tests {
         want.charge(Phase::Transfer, 0);
         want.charge(Phase::Trap, 7);
         assert_eq!(l, want, "accumulation, zero spans, and order all match");
-        assert_eq!(arena.total(h), 107);
+        assert_eq!(l.total(), 107);
         assert_eq!(arena.len(), 1);
     }
 
@@ -897,7 +844,10 @@ mod tests {
     fn arena_truncate_and_reset_keep_slab_capacity() {
         let mut arena = LedgerArena::with_capacity(4, 4 * Phase::COUNT);
         let cap = (arena.ledger_capacity(), arena.span_capacity());
-        let mark = arena.mark();
+        let mark = ArenaMark {
+            ledgers: 0,
+            spans: 0,
+        };
         for _ in 0..4 {
             let h = arena.begin();
             for p in Phase::ALL {
@@ -1027,10 +977,7 @@ mod tests {
             }
             let (got, want) = &pool[i];
             assert_eq!(got.spans(), &want.0[..], "order, zero spans, saturation");
-            assert_eq!(
-                (got.len(), got.is_empty()),
-                (want.0.len(), want.0.is_empty())
-            );
+            assert_eq!(got.is_empty(), want.0.is_empty());
             assert_eq!(got.total(), want.total());
             for p in Phase::ALL {
                 assert_eq!(got.get(p), want.get(p), "{p:?}");
@@ -1062,7 +1009,10 @@ mod tests {
             arena.charge(a, p, c);
             want.charge(p, c);
         }
-        let mark = arena.mark();
+        let mark = ArenaMark {
+            ledgers: 1,
+            spans: 3,
+        };
         let b = arena.begin();
         arena.charge(b, Phase::Xcall, 1);
         arena.charge(b, Phase::Driver, 2);
@@ -1080,7 +1030,11 @@ mod tests {
             want.charge(p, c);
         }
         assert_eq!(arena.to_ledger(a).spans(), &want.0[..]);
-        assert_eq!(arena.total(a), u64::MAX, "saturating, like the ledger");
+        assert_eq!(
+            arena.to_ledger(a).total(),
+            u64::MAX,
+            "saturating, like the ledger"
+        );
         assert_eq!(arena.len(), 1);
     }
 
@@ -1092,10 +1046,6 @@ mod tests {
         t.charge(Phase::Xcall, 18);
         assert_eq!(t.get(Phase::Trap), u64::MAX);
         assert_eq!(t.total(), u64::MAX);
-        let mut u = t.clone();
-        u.merge(&t);
-        assert_eq!(u.get(Phase::Trap), u64::MAX);
-        assert_eq!(u.get(Phase::Xcall), 36);
     }
 
     #[test]

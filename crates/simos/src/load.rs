@@ -278,6 +278,12 @@ impl LoadReport {
 /// client index"; cores serve FIFO in virtual time, and (for
 /// `window > 1`) per-step queue waiting is charged to [`Phase::Queue`]
 /// in the report ledger.
+///
+/// # Panics
+///
+/// Panics on an input [`run_windowed_with`] rejects with a
+/// [`LoadError`] (empty recipes, no clients, a zero window, a recipe service id
+/// outside `n_services`, ...).
 pub fn run_windowed(
     mw: &mut MultiWorld,
     policy: &Placement,

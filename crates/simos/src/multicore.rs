@@ -10,7 +10,7 @@
 //!
 //! * [`XCoreCost`] — the IPI + remote-wakeup + cache-transfer surcharge,
 //!   each component scaled by socket distance (see
-//!   [`XCoreCost::hop_extra_at`]); migrating-thread designs stay free
+//!   `XCoreCost::hop_extra_at`); migrating-thread designs stay free
 //!   intra-socket and pay only the cache-line *distance* term when the
 //!   relay segment has to be pulled across the interconnect;
 //! * [`CrossCore`] — an adapter wrapping *any* system so the whole roster
@@ -246,7 +246,7 @@ impl XCoreCost {
     /// sockets sit `dist` distance units apart: IPI, remote wakeup, and
     /// cache-line transfer each scale with the distance.
     #[inline]
-    pub fn hop_extra_at(&self, payload_bytes: u64, dist: u64) -> u64 {
+    pub(crate) fn hop_extra_at(&self, payload_bytes: u64, dist: u64) -> u64 {
         let lines = payload_bytes.div_ceil(self.line_bytes.max(1));
         (self.at_distance(self.ipi, dist) + self.at_distance(self.remote_wakeup, dist))
             .saturating_add(lines.saturating_mul(self.at_distance(self.line_transfer, dist)))
@@ -258,7 +258,7 @@ impl XCoreCost {
     /// cross-socket (the relay segment's lines are pulled across the
     /// interconnect on first touch).
     #[inline]
-    pub fn migrating_hop_extra(&self, payload_bytes: u64, dist: u64) -> u64 {
+    pub(crate) fn migrating_hop_extra(&self, payload_bytes: u64, dist: u64) -> u64 {
         let lines = payload_bytes.div_ceil(self.line_bytes.max(1));
         lines.saturating_mul(self.at_distance(self.line_transfer, dist) - self.line_transfer)
     }
@@ -289,11 +289,6 @@ impl CrossCore {
             inner,
             xc: XCoreCost::u500(),
         }
-    }
-
-    /// Wrap `inner` with a custom surcharge.
-    pub fn with_cost(inner: Box<dyn IpcSystem>, xc: XCoreCost) -> Self {
-        CrossCore { inner, xc }
     }
 }
 
@@ -401,7 +396,7 @@ pub enum Placement {
 
 impl Placement {
     /// Stable label for tables and JSON dumps.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Placement::SameCore => "same-core",
             Placement::Pinned(_) => "pinned",
@@ -422,7 +417,7 @@ impl Placement {
     /// the world. Both used to be `assert!`/`debug_assert!`; release
     /// builds would silently mis-price every hop of a mis-mapped chain
     /// instead of rejecting it.
-    pub fn assign_into(
+    pub(crate) fn assign_into(
         &self,
         r: u64,
         n_services: usize,
@@ -480,7 +475,7 @@ pub enum PlacementError {
     },
     /// A policy produced a core index outside the world.
     CoreOutOfRange {
-        /// [`Placement::label`] of the offending policy.
+        /// `Placement::label` of the offending policy.
         policy: &'static str,
         /// The out-of-range index.
         core: CoreId,
@@ -538,15 +533,12 @@ impl MultiWorldBuilder {
         self
     }
 
-    /// Override the cross-core surcharge calibration.
-    #[must_use]
-    pub fn xcore_cost(mut self, xc: XCoreCost) -> Self {
-        self.xc = xc;
-        self
-    }
-
-    /// Build the world, with a fresh system from `mk` per core. Panics
-    /// when the core count is zero or exceeds what the topology offers.
+    /// Build the world, with a fresh system from `mk` per core.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the core count is zero or exceeds what the topology
+    /// offers.
     pub fn build(self, mk: impl Fn() -> Box<dyn IpcSystem>) -> MultiWorld {
         let n = self.cores.unwrap_or_else(|| self.topo.n_cores());
         assert!(n > 0, "a world needs at least one core");
@@ -613,23 +605,13 @@ impl MultiWorld {
     }
 
     /// Number of (active) cores.
-    pub fn n_cores(&self) -> usize {
+    pub(crate) fn n_cores(&self) -> usize {
         self.cores.len()
-    }
-
-    /// The machine topology the world runs on.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
     }
 
     /// The world of core `i`.
     pub fn core(&self, i: CoreId) -> &World {
         &self.cores[i]
-    }
-
-    /// The world of core `i`, mutably.
-    pub fn core_mut(&mut self, i: CoreId) -> &mut World {
-        &mut self.cores[i]
     }
 
     /// Socket distance between two of the world's cores.
@@ -643,25 +625,14 @@ impl MultiWorld {
         self.free_at[i]
     }
 
-    /// The core that frees up earliest (ties break to the lowest index),
-    /// ignoring topology.
-    pub fn least_loaded(&self) -> CoreId {
-        let mut best = 0;
-        for (i, &t) in self.free_at.iter().enumerate() {
-            if t < self.free_at[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// The core among the first `n_active` that frees up earliest (ties
     /// to the lowest index) — the dispatch primitive of the open-loop
     /// autoscaler ([`crate::serve`]), which grows and shrinks the active
     /// prefix `0..n_active` of the world's cores instead of always
     /// spreading over all of them. `n_active` is clamped to the core
-    /// count; `n_active = n_cores()` is [`least_loaded`](Self::least_loaded).
-    pub fn least_loaded_among(&self, n_active: usize) -> CoreId {
+    /// count; `n_active = n_cores()` picks over every core, ignoring
+    /// topology.
+    pub(crate) fn least_loaded_among(&self, n_active: usize) -> CoreId {
         let n = n_active.clamp(1, self.cores.len());
         let mut best = 0;
         for (i, &t) in self.free_at.iter().enumerate().take(n) {
@@ -676,16 +647,17 @@ impl MultiWorld {
     /// runs: `free_at - now`, saturating at 0 for an idle core. This is
     /// the observed queue-depth signal the open-loop admission control
     /// and the autoscale feedback controller both act on.
-    pub fn backlog(&self, i: CoreId, now: u64) -> u64 {
+    pub(crate) fn backlog(&self, i: CoreId, now: u64) -> u64 {
         self.free_at[i].saturating_sub(now)
     }
 
     /// The core minimizing `free_at + distance penalty` from the client
     /// core (core 0), ties to the lowest index: a remote-socket core
     /// must beat a local one by more than the per-hop surcharge its
-    /// distance would add. Identical to [`least_loaded`](Self::least_loaded)
-    /// on a single-socket topology.
-    pub fn least_loaded_weighted(&self) -> CoreId {
+    /// distance would add. Identical to
+    /// [`least_loaded_among`](Self::least_loaded_among) over every core on
+    /// a single-socket topology.
+    pub(crate) fn least_loaded_weighted(&self) -> CoreId {
         let mut best = 0;
         let mut best_score = u64::MAX;
         for i in 0..self.cores.len() {
@@ -717,7 +689,7 @@ impl MultiWorld {
 
     /// Total busy cycles over all cores (utilization numerator),
     /// saturating like every other virtual-time sum.
-    pub fn busy_cycles(&self) -> u64 {
+    pub(crate) fn busy_cycles(&self) -> u64 {
         self.cores
             .iter()
             .fold(0, |sum, w| sum.saturating_add(w.cycles))
@@ -745,12 +717,12 @@ impl MultiWorld {
 
     /// The registered program behind `id`. Panics on an id from another
     /// world (out of range for this table).
-    pub fn program(&self, id: ProgramId) -> &CallProgram {
+    pub(crate) fn program(&self, id: ProgramId) -> &CallProgram {
         &self.programs[id.index()]
     }
 
     /// Number of programs registered so far.
-    pub fn n_programs(&self) -> usize {
+    pub(crate) fn n_programs(&self) -> usize {
         self.programs.len()
     }
 
@@ -831,6 +803,11 @@ impl MultiWorld {
     /// Crossings-per-request the entry core's mechanism charges a fused
     /// program of `id`'s depth (the `fuse` figure's headline metric;
     /// see [`IpcSystem::fused_crossings`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` was not registered on this world or `map` has no
+    /// core for the program's first hop.
     pub fn fused_crossings(&self, id: ProgramId, map: &[CoreId]) -> u64 {
         let p = &self.programs[id.index()];
         let hops = u64::try_from(p.depth()).expect("hop count fits u64");
@@ -895,7 +872,7 @@ impl MultiWorld {
     /// the computing core itself. IPC steps serve (and charge) on the
     /// core named by the step's `to` field; their `from`/`at` fields are
     /// not consulted (the caller resolves services to cores, see
-    /// [`Placement::assign_into`]). Call legs are priced with
+    /// `Placement::assign_into`). Call legs are priced with
     /// [`InvokeOpts::call`]; x-entry shard distance and cross-core
     /// surcharges fall out of the topology.
     ///
@@ -1101,8 +1078,7 @@ mod tests {
             let inv = oneway(&mut cc, bytes);
             let expect = XCoreCost::u500().hop_extra(bytes as u64);
             assert_eq!(inv.ledger.get(Phase::CrossCore), expect);
-            assert_eq!(inv.total, inv.ledger.total());
-            assert_eq!(inv.total, 100 + bytes as u64 + expect);
+            assert_eq!(inv.total(), 100 + bytes as u64 + expect);
         }
         assert_eq!(cc.name(), "fixed+xcore");
     }
@@ -1118,7 +1094,7 @@ mod tests {
             .spans()
             .iter()
             .any(|(p, _)| *p == Phase::CrossCore));
-        assert_eq!(inv.total, 100 + 4096);
+        assert_eq!(inv.total(), 100 + 4096);
     }
 
     #[test]
@@ -1177,7 +1153,7 @@ mod tests {
             remote.ledger.get(Phase::CrossCore),
             2 * XCoreCost::u500().hop_extra(64)
         );
-        assert!(remote.total > local.total);
+        assert!(remote.total() > local.total());
     }
 
     #[test]
@@ -1209,7 +1185,7 @@ mod tests {
         // Fits: 2 active cores on the 4-core single socket.
         let mw = MultiWorld::builder().cores(2).build(fixed);
         assert_eq!(mw.n_cores(), 2);
-        assert_eq!(mw.topology(), &Topology::u500());
+        assert_eq!(mw.topo, Topology::u500());
         // Default: every core the topology has.
         let mw = MultiWorld::builder()
             .topology(Topology::dual_socket())
@@ -1255,7 +1231,7 @@ mod tests {
         );
         assert_eq!(c_fused.done, c_plain.done);
         assert_eq!(c_fused.inv.ledger, c_plain.inv.ledger);
-        assert_eq!(c_fused.inv.total, c_plain.inv.total);
+        assert_eq!(c_fused.inv.total(), c_plain.inv.total());
         assert_eq!(fused.core(1).cycles, plain.core(1).cycles);
         assert_eq!(fused.core(1).stats.ipc_count, 1);
     }
@@ -1286,7 +1262,7 @@ mod tests {
         assert_eq!((stepped.done, &out), (c.done, &c.inv.ledger));
         assert_eq!(stepped.copied, c.inv.copied_bytes);
         // All busy time (and the 3 ipc calls) land on the entry core.
-        assert_eq!(mw.core(1).cycles, c.inv.total);
+        assert_eq!(mw.core(1).cycles, c.inv.total());
         assert_eq!(mw.core(1).stats.ipc_count, 3);
         assert_eq!(mw.core(2).cycles, 0);
         assert_eq!(mw.free_at(1), c.done);
@@ -1389,9 +1365,9 @@ mod tests {
         let mut mw = world(3);
         compute(&mut mw, 0, 500);
         compute(&mut mw, 1, 200);
-        assert_eq!(mw.least_loaded(), 2);
+        assert_eq!(mw.least_loaded_among(mw.n_cores()), 2);
         compute(&mut mw, 2, 900);
-        assert_eq!(mw.least_loaded(), 1);
+        assert_eq!(mw.least_loaded_among(mw.n_cores()), 1);
     }
 
     #[test]
@@ -1407,7 +1383,11 @@ mod tests {
             compute(&mut mw, c, 10);
         }
         assert_eq!(mw.least_loaded_weighted(), 0, "10 cycles < the penalty");
-        assert_eq!(mw.least_loaded(), 4, "the naive policy jumps sockets");
+        assert_eq!(
+            mw.least_loaded_among(mw.n_cores()),
+            4,
+            "the naive policy jumps sockets"
+        );
         // Pile enough work on socket 0 and the remote socket pays off.
         for c in 0..4 {
             compute(&mut mw, c, 1_000_000);
@@ -1494,7 +1474,10 @@ mod tests {
             inv.ledger.get(Phase::CrossCore),
             n * XCoreCost::u500().hop_extra(64)
         );
-        assert_eq!(inv.total, n * (100 + 64 + XCoreCost::u500().hop_extra(64)));
+        assert_eq!(
+            inv.total(),
+            n * (100 + 64 + XCoreCost::u500().hop_extra(64))
+        );
         assert_eq!(mw.core(1).stats.ipc_count, n);
         // Same-core batches pay none.
         let inv = mw.exec(0, batch(0, 0), 0).inv;
@@ -1509,7 +1492,6 @@ mod tests {
             inv.ledger.get(Phase::CrossCore),
             4 * XCoreCost::u500().hop_extra(16)
         );
-        assert_eq!(inv.total, inv.ledger.total());
         assert_eq!(cc.engine_cache_stats(), None);
     }
 
@@ -1526,7 +1508,7 @@ mod tests {
         // Two legs of 100 + bytes, each surcharged.
         let extra = XCoreCost::u500();
         let expect = 100 + 10 + extra.hop_extra(10) + 100 + 20 + extra.hop_extra(20);
-        assert_eq!(inv.total, expect);
+        assert_eq!(inv.total(), expect);
         assert_eq!(done, expect);
         assert_eq!(mw.core(1).cycles, expect);
         assert_eq!(mw.core(0).cycles, 0);

@@ -65,7 +65,7 @@ pub struct CellScratch {
 
 impl CellScratch {
     /// Fresh (empty) scratch; buffers grow to steady state on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

@@ -101,7 +101,7 @@ impl CallProgram {
 
     /// Reply payload bytes the final hop returns to the client.
     #[must_use]
-    pub fn response(&self) -> u64 {
+    pub(crate) fn response(&self) -> u64 {
         self.response
     }
 
@@ -114,7 +114,7 @@ impl CallProgram {
     /// Largest service id the program names (client or any hop), for
     /// sizing placement maps and verifier plans.
     #[must_use]
-    pub fn max_service(&self) -> usize {
+    pub(crate) fn max_service(&self) -> usize {
         self.hops
             .iter()
             .map(|h| h.service)

@@ -128,8 +128,10 @@ impl OpenLoopGen {
     fn exp_cycles(rng: &mut Rng, mean: f64) -> u64 {
         let u = rng.next_f64();
         // 1 − u ∈ (0, 1], so ln is finite and ≤ 0; |ln(2⁻⁵³)| < 37, so
-        // the result is bounded by 37 × mean — far inside u64 for any
-        // representable mean, and non-negative by construction.
+        // the result is non-negative and at most 37 × mean. An on-off
+        // idle gap's mean is `burst_len ×` the interarrival mean, which
+        // can exceed u64: the cast then saturates at u64::MAX, and the
+        // caller adds gaps with saturating arithmetic.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         {
             (-mean * (1.0 - u).ln()) as u64
@@ -144,7 +146,13 @@ impl OpenLoopGen {
     /// [`ServeError`] when the spec is degenerate: zero recipes, zero
     /// tenants, zero users, a zero mean interarrival, or an on-off
     /// process whose burst acceleration is not strictly faster than the
-    /// long-run rate.
+    /// long-run rate or whose `burst_len` is 2⁶³ or more (burst sizes are
+    /// drawn from `[1, 2·burst_len − 1]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` arrivals do not fit in memory (the trace is
+    /// allocated up front).
     pub fn trace(&self, n: u64, n_recipes: u32) -> Result<ArrivalTrace, ServeError> {
         if n_recipes == 0 {
             return Err(ServeError::Load(LoadError::EmptyRecipes));
@@ -165,7 +173,8 @@ impl OpenLoopGen {
                 burst_len,
                 accel_x10,
             } => {
-                if burst_len == 0 || accel_x10 <= 10 {
+                // Burst sizes are drawn from [1, 2·burst_len − 1].
+                if burst_len == 0 || burst_len.checked_mul(2).is_none() || accel_x10 <= 10 {
                     return Err(ServeError::BadBurstSpec {
                         burst_len,
                         accel_x10,
@@ -191,7 +200,8 @@ impl OpenLoopGen {
                         // long-run mean rate over the whole cycle.
                         left_in_burst = 1 + rng.below(2 * burst_len - 1);
                         let gap_mean = burst_len as f64 * (mean - mean_on);
-                        Self::exp_cycles(&mut rng, gap_mean) + Self::exp_cycles(&mut rng, mean_on)
+                        Self::exp_cycles(&mut rng, gap_mean)
+                            .saturating_add(Self::exp_cycles(&mut rng, mean_on))
                     } else {
                         Self::exp_cycles(&mut rng, mean_on)
                     }
@@ -258,17 +268,17 @@ impl ArrivalTrace {
     }
 
     /// Number of arrivals (the offered load of a [`serve`] run).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.arrivals.len()
     }
 
     /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
     }
 
     /// Virtual-time span from 0 to the last arrival.
-    pub fn span_cycles(&self) -> u64 {
+    pub(crate) fn span_cycles(&self) -> u64 {
         self.arrivals.last().map_or(0, |a| a.at)
     }
 
@@ -336,7 +346,7 @@ impl Default for ServeSpec {
 
 impl ServeSpec {
     /// The class governing `tenant`.
-    pub fn class_of(&self, tenant: u32) -> &TenantClass {
+    pub(crate) fn class_of(&self, tenant: u32) -> &TenantClass {
         &self.classes[tenant as usize % self.classes.len()]
     }
 }
@@ -396,7 +406,7 @@ pub enum ServePolicy {
 
 impl ServePolicy {
     /// Stable label for tables and JSON dumps.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             ServePolicy::Static(p) => format!("static:{}", p.label()),
             ServePolicy::Autoscale(_) => "autoscale".to_string(),
@@ -456,7 +466,7 @@ impl TenantReport {
 pub struct ServeReport {
     /// IPC system under test.
     pub system: String,
-    /// Policy label ([`ServePolicy::label`]).
+    /// Policy label (`ServePolicy::label`).
     pub policy: String,
     /// Cores in the world.
     pub cores: usize,
@@ -565,7 +575,8 @@ pub enum ServeError {
     NoUsers,
     /// The generator's mean interarrival is zero.
     ZeroMeanInterarrival,
-    /// An on-off process with no burst or no acceleration.
+    /// An on-off process with no burst, no acceleration, or a burst
+    /// length of 2⁶³ or more.
     BadBurstSpec {
         /// Configured mean burst length.
         burst_len: u64,
@@ -948,6 +959,33 @@ mod tests {
             bad.trace(10, 1).unwrap_err(),
             ServeError::BadBurstSpec { .. }
         ));
+        // 2·burst_len overflows u64.
+        let huge_burst = OpenLoopGen {
+            process: ArrivalProcess::OnOff {
+                burst_len: u64::MAX,
+                accel_x10: 20,
+            },
+            ..gen(100)
+        };
+        assert_eq!(
+            huge_burst.trace(10, 1).unwrap_err(),
+            ServeError::BadBurstSpec {
+                burst_len: u64::MAX,
+                accel_x10: 20,
+            }
+        );
+        // An idle-gap mean of 100 × 10^18 cycles: the gap draws saturate
+        // instead of overflowing, and time never runs backwards.
+        let long_gaps = OpenLoopGen {
+            process: ArrivalProcess::OnOff {
+                burst_len: 100,
+                accel_x10: 20,
+            },
+            ..gen(1_000_000_000_000_000_000)
+        };
+        let tr = long_gaps.trace(300, 1).unwrap();
+        assert_eq!(tr.arrivals().len(), 300);
+        assert!(tr.arrivals().windows(2).all(|w| w[0].at <= w[1].at));
     }
 
     fn spec2() -> ServeSpec {

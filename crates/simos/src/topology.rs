@@ -39,7 +39,7 @@ pub struct DistanceMatrix {
 impl DistanceMatrix {
     /// Build from a row-major `sockets × sockets` table. Panics unless
     /// the matrix is symmetric with a zero diagonal.
-    pub fn new(sockets: usize, d: Vec<u64>) -> Self {
+    pub(crate) fn new(sockets: usize, d: Vec<u64>) -> Self {
         assert!(sockets > 0, "a machine has at least one socket");
         assert_eq!(d.len(), sockets * sockets, "distance matrix shape");
         for a in 0..sockets {
@@ -57,7 +57,7 @@ impl DistanceMatrix {
 
     /// All sockets at `remote` distance from each other (0 on the
     /// diagonal) — the fully-connected symmetric interconnect.
-    pub fn uniform(sockets: usize, remote: u64) -> Self {
+    pub(crate) fn uniform(sockets: usize, remote: u64) -> Self {
         let d = (0..sockets * sockets)
             .map(|i| {
                 if i / sockets == i % sockets {
@@ -71,12 +71,12 @@ impl DistanceMatrix {
     }
 
     /// Number of sockets the matrix covers.
-    pub fn sockets(&self) -> usize {
+    pub(crate) fn sockets(&self) -> usize {
         self.sockets
     }
 
     /// Distance between sockets `a` and `b` (0 when `a == b`).
-    pub fn get(&self, a: SocketId, b: SocketId) -> u64 {
+    pub(crate) fn get(&self, a: SocketId, b: SocketId) -> u64 {
         self.d[a * self.sockets + b]
     }
 }
@@ -100,7 +100,7 @@ pub struct Topology {
 impl Topology {
     /// A custom topology. Panics unless the distance matrix covers
     /// exactly `sockets` sockets and both counts are nonzero.
-    pub fn new(sockets: usize, cores_per_socket: usize, distance: DistanceMatrix) -> Self {
+    pub(crate) fn new(sockets: usize, cores_per_socket: usize, distance: DistanceMatrix) -> Self {
         assert!(cores_per_socket > 0, "a socket has at least one core");
         assert_eq!(
             distance.sockets(),
@@ -139,12 +139,12 @@ impl Topology {
     }
 
     /// The socket core `core` lives on.
-    pub fn socket_of(&self, core: usize) -> SocketId {
+    pub(crate) fn socket_of(&self, core: usize) -> SocketId {
         core / self.cores_per_socket
     }
 
     /// Distance between the sockets of two cores (0 when they share one).
-    pub fn core_distance(&self, a: usize, b: usize) -> u64 {
+    pub(crate) fn core_distance(&self, a: usize, b: usize) -> u64 {
         self.distance.get(self.socket_of(a), self.socket_of(b))
     }
 }

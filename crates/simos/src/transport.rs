@@ -108,11 +108,6 @@ impl Transport {
     pub fn supports_handover(self) -> bool {
         matches!(self, Transport::RelaySeg)
     }
-
-    /// Byte- vs page-granularity (Table 7 "Granularity").
-    pub fn byte_granular(self) -> bool {
-        !matches!(self, Transport::Remap)
-    }
 }
 
 #[cfg(test)]

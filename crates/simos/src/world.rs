@@ -126,7 +126,7 @@ impl World {
 
     /// Whether the active system migrates the calling thread (cross-core
     /// calls cost the same as same-core, §5.2).
-    pub fn migrating_threads(&self) -> bool {
+    pub(crate) fn migrating_threads(&self) -> bool {
         self.ipc.migrating_threads()
     }
 
@@ -140,12 +140,12 @@ impl World {
 
     /// Protection-boundary crossings a fused program of `hops` hops
     /// costs the active system (see [`IpcSystem::fused_crossings`]).
-    pub fn fused_crossings(&self, hops: u64) -> u64 {
+    pub(crate) fn fused_crossings(&self, hops: u64) -> u64 {
         self.ipc.fused_crossings(hops)
     }
 
     /// Engine-cache counters of the active system, when it models one.
-    pub fn engine_cache_stats(&self) -> Option<EngineCacheStats> {
+    pub(crate) fn engine_cache_stats(&self) -> Option<EngineCacheStats> {
         self.ipc.engine_cache_stats()
     }
 
@@ -212,30 +212,6 @@ impl World {
     /// IPC — e.g. a ramdisk filling a buffer, AES with a multiplier.
     pub fn data_pass(&mut self, bytes: u64, intensity_x10: u64) {
         self.compute(self.cost.data_pass_cycles(bytes, intensity_x10));
-    }
-
-    /// Elapsed wall time in microseconds at the model clock.
-    pub fn elapsed_us(&self) -> f64 {
-        self.cost.cycles_to_us(self.cycles)
-    }
-
-    /// Throughput for `bytes` of useful work over the whole elapsed time.
-    pub fn throughput_mb_s(&self, bytes: u64) -> f64 {
-        self.cost.throughput_mb_s(bytes, self.cycles)
-    }
-
-    /// One-line accounting summary for experiment logs.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}: {} cycles ({:.1} us), {} IPCs, {:.1}% in IPC              ({:.1}% of that moving data), {} payload bytes",
-            self.ipc_name(),
-            self.cycles,
-            self.elapsed_us(),
-            self.stats.ipc_count,
-            self.stats.ipc_fraction() * 100.0,
-            self.stats.transfer_fraction_of_ipc() * 100.0,
-            self.stats.payload_bytes,
-        )
     }
 }
 
@@ -304,21 +280,5 @@ mod tests {
         let one = w.stats.other_cycles;
         w.data_pass(4096, 30);
         assert_eq!(w.stats.other_cycles - one, 3 * one);
-    }
-
-    #[test]
-    fn summary_mentions_the_mechanism_and_counts() {
-        let mut w = world();
-        w.ipc_roundtrip(100, 0);
-        let s = w.summary();
-        assert!(s.contains("fixed"));
-        assert!(s.contains("1 IPCs"));
-    }
-
-    #[test]
-    fn elapsed_time_uses_clock() {
-        let mut w = world();
-        w.compute(100); // 1 us at 100 MHz
-        assert!((w.elapsed_us() - 1.0).abs() < 1e-9);
     }
 }

@@ -48,15 +48,6 @@ impl XpcEngineConfig {
             timings: XpcTimings::rocket(),
         }
     }
-
-    /// Everything on: the "+Engine Cache" rightmost bar of Figure 5.
-    pub fn all_optimizations() -> Self {
-        XpcEngineConfig {
-            engine_cache: true,
-            nonblocking_link_stack: true,
-            timings: XpcTimings::rocket(),
-        }
-    }
 }
 
 impl Default for XpcEngineConfig {
@@ -96,7 +87,7 @@ pub struct XpcTimings {
 
 impl XpcTimings {
     /// Rocket/FPGA calibration (see module docs).
-    pub fn rocket() -> Self {
+    pub(crate) fn rocket() -> Self {
         XpcTimings {
             xcall_logic: 2,
             cap_check_extra: 2,
@@ -147,7 +138,6 @@ mod tests {
     fn presets_differ_in_features() {
         assert!(!XpcEngineConfig::paper_default().engine_cache);
         assert!(XpcEngineConfig::paper_default().nonblocking_link_stack);
-        assert!(XpcEngineConfig::all_optimizations().engine_cache);
         assert!(!XpcEngineConfig::minimal().nonblocking_link_stack);
     }
 

@@ -618,7 +618,10 @@ mod tests {
         });
         let base_cycles = warm.core.cycles;
 
-        let mut cached = fixture(XpcEngineConfig::all_optimizations());
+        let mut cached = fixture(XpcEngineConfig {
+            engine_cache: true,
+            ..XpcEngineConfig::paper_default()
+        });
         run_caller(&mut cached, |a| {
             a.li(rv64::reg::A0, 1);
             a.xcall(rv64::reg::A0);

@@ -38,7 +38,7 @@ impl XEntry {
     /// # Errors
     ///
     /// Propagates physical access faults (bad table pointer).
-    pub fn load(core: &mut Core, table_pa: u64, id: u64) -> Result<XEntry, Trap> {
+    pub(crate) fn load(core: &mut Core, table_pa: u64, id: u64) -> Result<XEntry, Trap> {
         let base = table_pa + id * XENTRY_BYTES;
         Ok(XEntry {
             page_table: core.phys_load(base, 8)?,
@@ -173,7 +173,7 @@ impl SegMask {
     /// segment — page-granular (the relay page table cannot express
     /// sub-page windows; "relay page table can only support page-level
     /// granularity").
-    pub fn valid_for(&self, seg: &SegReg) -> bool {
+    pub(crate) fn valid_for(&self, seg: &SegReg) -> bool {
         if !self.within(seg) {
             return false;
         }
@@ -212,7 +212,7 @@ impl SegDescriptor {
     /// # Errors
     ///
     /// Propagates physical access faults.
-    pub fn load(core: &mut Core, list_pa: u64, idx: u64) -> Result<SegDescriptor, Trap> {
+    pub(crate) fn load(core: &mut Core, list_pa: u64, idx: u64) -> Result<SegDescriptor, Trap> {
         let base = list_pa + idx * SEG_SLOT_BYTES;
         let mut seg = SegReg {
             va_base: core.phys_load(base, 8)?,

@@ -51,7 +51,7 @@ pub struct CapState {
 
 /// Run the setup plan's registrations, grants, and revocations through
 /// the lattice.
-pub fn propagate(plan: &Plan) -> CapState {
+pub(crate) fn propagate(plan: &Plan) -> CapState {
     let n = plan.threads.len();
     let mut st = CapState {
         xcall_caps: vec![HashSet::new(); n],
@@ -118,7 +118,7 @@ pub fn propagate(plan: &Plan) -> CapState {
 /// lattice, mirroring the engine's bounds → cap → validity order.
 /// `None` means the edge is clean; otherwise the finding names the
 /// *first* cause the hardware would trap with.
-pub fn check_call(
+pub(crate) fn check_call(
     plan: &Plan,
     st: &CapState,
     site: String,
@@ -210,7 +210,7 @@ pub fn check_call(
 
 /// Validate every capability-checked call site of every recipe flow,
 /// mirroring the engine's bounds → cap → validity order.
-pub fn check(plan: &Plan, flows: &[(String, RecipeFlow)]) -> Vec<Finding> {
+pub(crate) fn check(plan: &Plan, flows: &[(String, RecipeFlow)]) -> Vec<Finding> {
     let st = propagate(plan);
     let mut findings = Vec::new();
     let mut check_edge = |site: String, caller_svc: usize, callee_svc: usize| {

@@ -428,30 +428,6 @@ pub fn cap_violating_program() -> CraftedProgram {
     }
 }
 
-/// A two-hop fused chain whose tail hop crosses into another tenant:
-/// the fused reply would pop tenant 0's linkage record from tenant 1's
-/// frame, so the verifier refuses the program outright.
-///
-/// # Panics
-///
-/// Never: two hops always build.
-pub fn cross_tenant_program() -> CraftedProgram {
-    let program = Recipe::new(0)
-        .hop(1, 8)
-        .hop(2, 8)
-        .reply(0)
-        .build()
-        .expect("two hops");
-    let mut plan = Plan::for_program(3, &program);
-    plan.tenants = vec![0, 0, 1];
-    CraftedProgram {
-        label: "cross-tenant-chain",
-        expected: Cause::InvalidLinkage,
-        plan,
-        program,
-    }
-}
-
 /// Every crafted scenario: the five spatial exception classes, then the
 /// three temporal-lifecycle classes (revocation epoch, post-handover
 /// widening, cross-tenant linkage), the clean control last.
@@ -473,6 +449,26 @@ pub fn all_crafted() -> Vec<Crafted> {
 mod tests {
     use super::*;
     use crate::verify;
+
+    /// A two-hop fused chain whose tail hop crosses into another tenant:
+    /// the fused reply would pop tenant 0's linkage record from tenant 1's
+    /// frame, so the verifier refuses the program outright.
+    fn cross_tenant_program() -> CraftedProgram {
+        let program = Recipe::new(0)
+            .hop(1, 8)
+            .hop(2, 8)
+            .reply(0)
+            .build()
+            .expect("two hops");
+        let mut plan = Plan::for_program(3, &program);
+        plan.tenants = vec![0, 0, 1];
+        CraftedProgram {
+            label: "cross-tenant-chain",
+            expected: Cause::InvalidLinkage,
+            plan,
+            program,
+        }
+    }
 
     #[test]
     fn each_crafted_plan_yields_exactly_its_expected_cause() {

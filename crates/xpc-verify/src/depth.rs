@@ -11,7 +11,7 @@
 //! is bounded by its longest path, which must fit the configured record
 //! capacity.
 //!
-//! The **tenant-flow** check ([`check_tenants`]) labels every pushed
+//! The **tenant-flow** check (`check_tenants`) labels every pushed
 //! linkage record with the tenant of the frame that pushed it
 //! ([`Plan::tenants`]) and replays each recipe against the link stack.
 //! A *skip-level return* — an `Oneway` back to a service whose record
@@ -29,7 +29,7 @@ use simos::Step;
 
 /// Longest-path / cycle analysis over `plan.calls`, plus the exact
 /// per-recipe depth bound.
-pub fn check(plan: &Plan, flows: &[(String, RecipeFlow)]) -> Vec<Finding> {
+pub(crate) fn check(plan: &Plan, flows: &[(String, RecipeFlow)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (name, f) in flows {
         if f.max_depth > plan.link_capacity_records {
@@ -82,7 +82,7 @@ pub fn check(plan: &Plan, flows: &[(String, RecipeFlow)]) -> Vec<Finding> {
 /// Replay each recipe against a tenant-labeled link stack and refute
 /// every return that would pop another tenant's linkage record. See the
 /// module docs for the exact rule.
-pub fn check_tenants(plan: &Plan, recipes: &[(String, Vec<Step>)]) -> Vec<Finding> {
+pub(crate) fn check_tenants(plan: &Plan, recipes: &[(String, Vec<Step>)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (name, recipe) in recipes {
         // Suspended frames whose linkage records sit on the stack,

@@ -26,7 +26,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// The runtime trap this verdict predicts, if it predicts one.
-    pub fn cause(self) -> Option<Cause> {
+    pub(crate) fn cause(self) -> Option<Cause> {
         match self {
             Verdict::Trap(c) => Some(c),
             Verdict::LedgerDrift | Verdict::DataLeak => None,
@@ -76,7 +76,7 @@ pub struct Finding {
 
 impl Finding {
     /// Construct a trap-predicting finding.
-    pub fn trap(cause: Cause, site: impl Into<String>, detail: impl Into<String>) -> Self {
+    pub(crate) fn trap(cause: Cause, site: impl Into<String>, detail: impl Into<String>) -> Self {
         Finding {
             verdict: Verdict::Trap(cause),
             site: site.into(),
@@ -86,7 +86,7 @@ impl Finding {
     }
 
     /// Construct a trap-predicting finding anchored at a seg-op index.
-    pub fn trap_at(
+    pub(crate) fn trap_at(
         cause: Cause,
         op_index: usize,
         site: impl Into<String>,
@@ -101,7 +101,11 @@ impl Finding {
     }
 
     /// Construct a data-leak finding anchored at a seg-op index.
-    pub fn leak_at(op_index: usize, site: impl Into<String>, detail: impl Into<String>) -> Self {
+    pub(crate) fn leak_at(
+        op_index: usize,
+        site: impl Into<String>,
+        detail: impl Into<String>,
+    ) -> Self {
         Finding {
             verdict: Verdict::DataLeak,
             site: site.into(),

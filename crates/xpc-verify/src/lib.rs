@@ -23,8 +23,8 @@
 //!   interleaving, seg-mask windows only shrink (even across a
 //!   handover), and a **taint automaton** flags any tainted segment
 //!   handed across processes without an interposed [`SegOp::Zero`];
-//! * **(d) ledger hygiene** ([`lint`]) — every [`simos`] `Invocation` a
-//!   kernel model produces decomposes exactly into its phase ledger.
+//! * **(d) ledger hygiene** ([`lint`]) — every [`simos`] kernel model
+//!   prices a round trip as exactly its call leg plus its reply leg.
 //!
 //! Every [`Finding`] carries a [`Verdict`] typed by the
 //! [`rv64::trap::Cause`] the runtime would trap with, so static
@@ -43,7 +43,7 @@ pub mod program;
 pub mod segs;
 
 pub use finding::{Finding, Verdict};
-pub use plan::{flow, CallSite, EntryDecl, Grant, Plan, RecipeFlow, SegOp, ServiceBinding};
+pub use plan::{CallSite, EntryDecl, Grant, Plan, RecipeFlow, SegOp, ServiceBinding};
 pub use program::check_program;
 
 use simos::{CallProgram, Step};
@@ -85,7 +85,7 @@ pub fn verify_program(plan: &Plan, name: &str, prog: &CallProgram) -> Vec<Findin
 }
 
 /// Pre-flight gate for the bench experiments: derive the canonical
-/// [`Plan::for_recipes`] setup an `n_services` deployment implies and
+/// `Plan::for_recipes` setup an `n_services` deployment implies and
 /// verify the recipes against it. `Err` carries the findings; figures
 /// refuse to run an unverifiable recipe.
 pub fn preflight(n_services: usize, recipes: &[(String, Vec<Step>)]) -> Result<(), Vec<Finding>> {

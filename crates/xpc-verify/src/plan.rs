@@ -207,7 +207,7 @@ impl Plan {
     }
 
     /// The tenant a service belongs to (0 when none was declared).
-    pub fn tenant(&self, service: usize) -> u64 {
+    pub(crate) fn tenant(&self, service: usize) -> u64 {
         self.tenants.get(service).copied().unwrap_or(0)
     }
 
@@ -218,7 +218,7 @@ impl Plan {
     /// discovers granted caller ← owner. Service 0 is the client (no
     /// entry). This is what the pre-flight gate verifies before a
     /// figure runs.
-    pub fn for_recipes(n_services: usize, recipes: &[Vec<Step>]) -> Self {
+    pub(crate) fn for_recipes(n_services: usize, recipes: &[Vec<Step>]) -> Self {
         let mut plan = Plan::new();
         plan.threads = (0..n_services).collect();
         plan.services = (0..n_services)
@@ -269,7 +269,7 @@ impl Plan {
     }
 
     /// The canonical plan a fused [`CallProgram`] implies, mirroring
-    /// [`Plan::for_recipes`]: one process + one thread per service,
+    /// `Plan::for_recipes`: one process + one thread per service,
     /// service `i > 0` registered as x-entry `i`, and every consecutive
     /// program edge (client → hop 0 → hop 1 → …) granted caller ←
     /// owner. This is what [`crate::preflight_program`] verifies before
@@ -378,7 +378,7 @@ pub struct RecipeFlow {
 ///   resolve (the program body lives in a `MultiWorld` registry);
 ///   fused programs are verified separately by
 ///   [`crate::verify_program`] against their own derived plan.
-pub fn flow(recipe: &[Step]) -> RecipeFlow {
+pub(crate) fn flow(recipe: &[Step]) -> RecipeFlow {
     let mut stack: Vec<usize> = Vec::new();
     let mut current = 0usize;
     let mut out = RecipeFlow::default();

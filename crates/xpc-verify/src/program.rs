@@ -14,7 +14,7 @@
 //!   so a later hop of the *same* program can violate single-owner
 //!   semantics that no per-plan seg-op sequence expresses.
 //!
-//! Per-hop capability checks reuse [`caps::check_call`] — the identical
+//! Per-hop capability checks reuse `caps::check_call` — the identical
 //! bounds → cap bit → entry validity order `XpcEngine::exec_xcall`
 //! replays — over the consecutive edges client → hop 0 → hop 1 → ….
 

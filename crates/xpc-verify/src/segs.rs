@@ -83,7 +83,7 @@ struct SegMeta {
 /// does not apply), so one bad op does not cascade into noise. The one
 /// exception is a data-leak handover: the transfer itself succeeds at
 /// runtime (nothing traps), so its state effect *does* apply.
-pub fn check(plan: &Plan) -> Vec<Finding> {
+pub(crate) fn check(plan: &Plan) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut states: HashMap<usize, SegState> = HashMap::new();
     let mut taints: HashMap<usize, Taint> = HashMap::new();

@@ -42,7 +42,7 @@ impl ChainNode {
 
     /// `S_all` (§4.4): bytes this server *and any chain below it* may
     /// append — `S_self + max(S_all(callee))`.
-    pub fn negotiate(&self) -> u64 {
+    pub(crate) fn negotiate(&self) -> u64 {
         self.self_bytes
             + self
                 .callees

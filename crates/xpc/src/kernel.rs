@@ -136,11 +136,8 @@ struct Thread {
 
 #[derive(Debug, Clone)]
 struct EntryInfo {
-    owner_process: ProcessId,
     #[allow(dead_code)]
     handler_va: u64,
-    trampoline_va: u64,
-    max_contexts: u64,
     /// Physical address of the §6.1 credit table, when enabled.
     credit_table_pa: Option<u64>,
     /// Credit slots in use: (slot, thread), for uniqueness checks.
@@ -241,10 +238,7 @@ impl XpcKernel {
                 // encoding (negative ID in xcall) cannot express it.
                 let mut v: Vec<Option<EntryInfo>> = vec![None; XENTRY_TABLE_ENTRIES as usize];
                 v[0] = Some(EntryInfo {
-                    owner_process: ProcessId(u64::MAX),
                     handler_va: 0,
-                    trampoline_va: 0,
-                    max_contexts: 0,
                     credit_table_pa: None,
                     credit_slots: Vec::new(),
                     epoch: 0,
@@ -343,15 +337,6 @@ impl XpcKernel {
         self.processes
             .get_mut(pid.0 as usize)
             .ok_or(XpcError::NoSuchProcess(pid.0))
-    }
-
-    /// The raw `satp` of a process.
-    ///
-    /// # Errors
-    ///
-    /// Unknown process.
-    pub fn process_satp(&self, pid: ProcessId) -> Result<u64, XpcError> {
-        Ok(self.process(pid)?.space.satp_raw())
     }
 
     /// Load `words` as code into `pid`'s next code slot; returns its VA.
@@ -557,10 +542,7 @@ impl XpcKernel {
         self.engine().invalidate_cache();
 
         self.entries[id as usize] = Some(EntryInfo {
-            owner_process: pid,
             handler_va,
-            trampoline_va,
-            max_contexts,
             credit_table_pa,
             credit_slots: Vec::new(),
             epoch: 0,
@@ -601,10 +583,7 @@ impl XpcKernel {
             .expect("table in DRAM");
         self.engine().invalidate_cache();
         self.entries[id as usize] = Some(EntryInfo {
-            owner_process: pid,
             handler_va: entry_pc,
-            trampoline_va: entry_pc,
-            max_contexts: 1,
             credit_table_pa: None,
             credit_slots: Vec::new(),
             epoch: 0,
@@ -804,11 +783,6 @@ impl XpcKernel {
     /// Switch the hardening mitigations on or off.
     pub fn set_hardening(&mut self, h: KernelHardening) {
         self.hardening = h;
-    }
-
-    /// The current hardening configuration.
-    pub fn hardening(&self) -> KernelHardening {
-        self.hardening
     }
 
     /// Label `pid` with a tenant for the flow-tag mitigation. Processes
@@ -1598,44 +1572,5 @@ impl XpcKernel {
     /// Unknown process.
     pub fn is_alive(&self, pid: ProcessId) -> Result<bool, XpcError> {
         Ok(self.process(pid)?.alive)
-    }
-
-    /// Info: trampoline VA of an entry (benches target it directly).
-    ///
-    /// # Errors
-    ///
-    /// Unknown entry.
-    pub fn entry_trampoline(&self, id: XEntryId) -> Result<u64, XpcError> {
-        self.entries
-            .get(id.0 as usize)
-            .and_then(|e| e.as_ref())
-            .map(|e| e.trampoline_va)
-            .ok_or(XpcError::NoSuchEntry(id.0))
-    }
-
-    /// Info: owner process of an entry.
-    ///
-    /// # Errors
-    ///
-    /// Unknown entry.
-    pub fn entry_owner(&self, id: XEntryId) -> Result<ProcessId, XpcError> {
-        self.entries
-            .get(id.0 as usize)
-            .and_then(|e| e.as_ref())
-            .map(|e| e.owner_process)
-            .ok_or(XpcError::NoSuchEntry(id.0))
-    }
-
-    /// Info: context count of an entry.
-    ///
-    /// # Errors
-    ///
-    /// Unknown entry.
-    pub fn entry_max_contexts(&self, id: XEntryId) -> Result<u64, XpcError> {
-        self.entries
-            .get(id.0 as usize)
-            .and_then(|e| e.as_ref())
-            .map(|e| e.max_contexts)
-            .ok_or(XpcError::NoSuchEntry(id.0))
     }
 }

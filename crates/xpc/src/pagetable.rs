@@ -40,8 +40,6 @@ impl PagePerms {
 pub struct AddressSpace {
     root_pa: u64,
     asid: u16,
-    /// Mapped virtual ranges, kept for overlap checks `(va, len)`.
-    mappings: Vec<(u64, u64)>,
 }
 
 impl AddressSpace {
@@ -50,28 +48,23 @@ impl AddressSpace {
     /// # Errors
     ///
     /// [`XpcError::OutOfMemory`] if no frame is available for the root.
-    pub fn new(mem: &mut Memory, alloc: &mut FrameAlloc, asid: u16) -> Result<Self, XpcError> {
+    pub(crate) fn new(
+        mem: &mut Memory,
+        alloc: &mut FrameAlloc,
+        asid: u16,
+    ) -> Result<Self, XpcError> {
         let root_pa = alloc.alloc()?;
         zero_frame(mem, root_pa);
-        Ok(AddressSpace {
-            root_pa,
-            asid,
-            mappings: Vec::new(),
-        })
-    }
-
-    /// Root page-table physical address.
-    pub fn root_pa(&self) -> u64 {
-        self.root_pa
+        Ok(AddressSpace { root_pa, asid })
     }
 
     /// ASID of this space.
-    pub fn asid(&self) -> u16 {
+    pub(crate) fn asid(&self) -> u16 {
         self.asid
     }
 
     /// The `satp` value activating this space.
-    pub fn satp(&self) -> Satp {
+    pub(crate) fn satp(&self) -> Satp {
         Satp {
             enabled: true,
             asid: self.asid,
@@ -80,15 +73,8 @@ impl AddressSpace {
     }
 
     /// Raw `satp` CSR value.
-    pub fn satp_raw(&self) -> u64 {
+    pub(crate) fn satp_raw(&self) -> u64 {
         self.satp().to_raw()
-    }
-
-    /// Whether `va..va+len` intersects an existing mapping.
-    pub fn overlaps(&self, va: u64, len: u64) -> bool {
-        self.mappings
-            .iter()
-            .any(|&(mva, mlen)| va < mva + mlen && mva < va + len)
     }
 
     /// Map one 4 KiB page `va -> pa`.
@@ -100,7 +86,7 @@ impl AddressSpace {
     /// # Panics
     ///
     /// Panics on unaligned addresses (kernel bug, not guest input).
-    pub fn map_page(
+    pub(crate) fn map_page(
         &mut self,
         mem: &mut Memory,
         alloc: &mut FrameAlloc,
@@ -128,7 +114,6 @@ impl AddressSpace {
         let leaf = table + vpn[2] * 8;
         mem.write(leaf, 8, ((pa >> 12) << 10) | perms.bits() | pte::V)
             .expect("page table in DRAM");
-        self.mappings.push((va, FRAME_BYTES));
         Ok(())
     }
 
@@ -137,7 +122,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Out-of-memory.
-    pub fn map_fresh(
+    pub(crate) fn map_fresh(
         &mut self,
         mem: &mut Memory,
         alloc: &mut FrameAlloc,
@@ -161,14 +146,13 @@ impl AddressSpace {
     /// Zero the top-level table — the §4.2 fast-termination trick: every
     /// future access in this space page-faults, giving the kernel a hook
     /// without scanning all link stacks eagerly.
-    pub fn zero_root(&mut self, mem: &mut Memory) {
+    pub(crate) fn zero_root(&mut self, mem: &mut Memory) {
         zero_frame(mem, self.root_pa);
-        self.mappings.clear();
     }
 }
 
 /// Zero one physical frame (loader-path, not cycle-charged).
-pub fn zero_frame(mem: &mut Memory, pa: u64) {
+pub(crate) fn zero_frame(mem: &mut Memory, pa: u64) {
     for off in (0..FRAME_BYTES).step_by(8) {
         mem.write(pa + off, 8, 0).expect("frame in DRAM");
     }
@@ -257,19 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_detection() {
-        let (mut mem, mut alloc, _, _, _) = setup();
-        let mut space = AddressSpace::new(&mut mem, &mut alloc, 1).unwrap();
-        let pa = alloc.alloc().unwrap();
-        space
-            .map_page(&mut mem, &mut alloc, 0x1_0000, pa, PagePerms::UserData)
-            .unwrap();
-        assert!(space.overlaps(0x1_0000, 1));
-        assert!(space.overlaps(0xf_f00, 0x200));
-        assert!(!space.overlaps(0x1_1000, 0x1000));
-    }
-
-    #[test]
     fn zero_root_unmaps_everything() {
         let (mut mem, mut alloc, mut mmu, mut dc, cfg) = setup();
         let mut space = AddressSpace::new(&mut mem, &mut alloc, 1).unwrap();
@@ -300,6 +271,6 @@ mod tests {
         let a = AddressSpace::new(&mut mem, &mut alloc, 1).unwrap();
         let b = AddressSpace::new(&mut mem, &mut alloc, 2).unwrap();
         assert_ne!(a.satp_raw(), b.satp_raw());
-        assert_ne!(a.root_pa(), b.root_pa());
+        assert_ne!(a.root_pa, b.root_pa);
     }
 }

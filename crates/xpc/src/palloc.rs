@@ -33,7 +33,7 @@ impl FrameAlloc {
     /// # Errors
     ///
     /// [`XpcError::OutOfMemory`] when exhausted.
-    pub fn alloc(&mut self) -> Result<u64, XpcError> {
+    pub(crate) fn alloc(&mut self) -> Result<u64, XpcError> {
         if let Some(f) = self.free.pop() {
             return Ok(f);
         }
@@ -51,7 +51,7 @@ impl FrameAlloc {
     ///
     /// [`XpcError::OutOfMemory`] when the bump region cannot fit them,
     /// including a count whose byte size does not fit a `u64`.
-    pub fn alloc_contig(&mut self, n: u64) -> Result<u64, XpcError> {
+    pub(crate) fn alloc_contig(&mut self, n: u64) -> Result<u64, XpcError> {
         let end = n
             .checked_mul(FRAME_BYTES)
             .and_then(|bytes| self.next.checked_add(bytes))
@@ -63,13 +63,15 @@ impl FrameAlloc {
     }
 
     /// Return a single frame to the allocator.
-    pub fn free(&mut self, frame: u64) {
+    pub(crate) fn free(&mut self, frame: u64) {
         debug_assert_eq!(frame % FRAME_BYTES, 0);
         self.free.push(frame);
     }
 
-    /// Bytes still available in the bump region.
-    pub fn remaining(&self) -> u64 {
+    /// Bytes still available in the bump region: the oracle the
+    /// allocator and segment tests check leaks against.
+    #[cfg(test)]
+    pub(crate) fn remaining(&self) -> u64 {
         self.limit - self.next + self.free.len() as u64 * FRAME_BYTES
     }
 }

@@ -174,7 +174,7 @@ impl SegRegistry {
     /// # Errors
     ///
     /// Out-of-memory (frames, table, or virtual window).
-    pub fn alloc_paged(
+    pub(crate) fn alloc_paged(
         &mut self,
         alloc: &mut FrameAlloc,
         pages: u64,
@@ -233,7 +233,7 @@ impl SegRegistry {
     }
 
     /// Current owner of `h`.
-    pub fn owner(&self, h: SegHandle) -> SegOwner {
+    pub(crate) fn owner(&self, h: SegHandle) -> SegOwner {
         self.segs[h.0 as usize].owner
     }
 
@@ -278,7 +278,7 @@ impl SegRegistry {
     }
 
     /// All live handles owned by `thread`.
-    pub fn owned_by_thread(&self, thread: u64) -> Vec<SegHandle> {
+    pub(crate) fn owned_by_thread(&self, thread: u64) -> Vec<SegHandle> {
         self.segs
             .iter()
             .enumerate()
@@ -288,7 +288,7 @@ impl SegRegistry {
     }
 
     /// All live handles stashed in `process`'s seg-list.
-    pub fn stashed_in_process(&self, process: u64) -> Vec<SegHandle> {
+    pub(crate) fn stashed_in_process(&self, process: u64) -> Vec<SegHandle> {
         self.segs
             .iter()
             .enumerate()

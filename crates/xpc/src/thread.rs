@@ -23,7 +23,7 @@ pub struct SchedState {
 
 impl SchedState {
     /// Default scheduling parameters.
-    pub fn new(kstack_pa: u64) -> Self {
+    pub(crate) fn new(kstack_pa: u64) -> Self {
         SchedState {
             priority: 100,
             time_slice: 10,
@@ -61,7 +61,7 @@ pub struct RuntimeState {
 
 impl RuntimeState {
     /// Fresh runtime state for a thread that has never run.
-    pub fn new(cap_bitmap_pa: u64, link_stack_pa: u64, seg_list_pa: u64, satp: u64) -> Self {
+    pub(crate) fn new(cap_bitmap_pa: u64, link_stack_pa: u64, seg_list_pa: u64, satp: u64) -> Self {
         RuntimeState {
             gprs: [0; 32],
             cap_bitmap_pa,

@@ -25,7 +25,7 @@ pub const ERR_NO_CONTEXT: i64 = -11;
 pub const ERR_NO_CREDIT: i64 = -12;
 
 /// Slots in a credit table (indexed by caller identity, see
-/// [`credit_slot_for_cap`]).
+/// `credit_slot_for_cap`).
 pub const CREDIT_SLOTS: u64 = 256;
 
 /// The credit-table slot for a caller whose `xcall-cap-reg` is `cap_pa`.
@@ -35,11 +35,11 @@ pub const CREDIT_SLOTS: u64 = 256;
 /// bitmap addresses (see `XpcKernel::create_thread`), so bits 8.. of the
 /// address discriminate callers; the kernel asserts slot uniqueness when
 /// it grants credits.
-pub fn credit_slot_for_cap(cap_pa: u64) -> u64 {
+pub(crate) fn credit_slot_for_cap(cap_pa: u64) -> u64 {
     (cap_pa >> 8) % CREDIT_SLOTS
 }
 
-/// Parameters for [`emit_callee_trampoline`].
+/// Parameters for `emit_callee_trampoline`.
 #[derive(Debug, Clone, Copy)]
 pub struct TrampolineSpec {
     /// VA of the context-flag array (one u64 per context, 0 = idle).
@@ -65,7 +65,7 @@ pub struct TrampolineSpec {
 /// caller's arguments, `t0` the caller identity; everything else is dead.
 /// The handler is a normal function returning through `ra`, result in
 /// `a0`.
-pub fn emit_callee_trampoline(a: &mut Assembler, spec: &TrampolineSpec) {
+pub(crate) fn emit_callee_trampoline(a: &mut Assembler, spec: &TrampolineSpec) {
     let uniq = a.here(); // make labels unique per emission site
     let l = |n: &str| format!("xpc_tramp_{n}_{uniq:x}");
 
@@ -179,27 +179,6 @@ pub fn save_regs(mode: ContextMode) -> &'static [u8] {
     }
 }
 
-/// Emit a caller-side wrapped `xcall`: save registers to `save_area_va`,
-/// place the entry ID in `t6`, `xcall`, restore. The entry ID register is
-/// `t6` (not saved) and `t0` is left holding the caller identity handed
-/// back by hardware.
-pub fn emit_caller_xcall(a: &mut Assembler, mode: ContextMode, save_area_va: u64, entry_id: i64) {
-    let regs: &[u8] = match mode {
-        ContextMode::Full => &FULL_SAVE,
-        ContextMode::Partial => &PARTIAL_SAVE,
-    };
-    a.li(reg::T5, save_area_va as i64);
-    for (i, r) in regs.iter().enumerate() {
-        a.sd(*r, reg::T5, (8 * i) as i64);
-    }
-    a.li(reg::T6, entry_id);
-    a.xcall(reg::T6);
-    a.li(reg::T5, save_area_va as i64);
-    for (i, r) in regs.iter().enumerate() {
-        a.ld(*r, reg::T5, (8 * i) as i64);
-    }
-}
-
 /// Bytes a caller save area must provide.
 pub fn save_area_bytes(mode: ContextMode) -> u64 {
     match mode {
@@ -250,12 +229,5 @@ mod tests {
     #[test]
     fn full_saves_more_than_partial() {
         assert!(save_area_bytes(ContextMode::Full) > save_area_bytes(ContextMode::Partial));
-        let mut full = Assembler::new(0);
-        emit_caller_xcall(&mut full, ContextMode::Full, 0x2000_0000, 1);
-        let full_len = full.assemble().len();
-        let mut part = Assembler::new(0);
-        emit_caller_xcall(&mut part, ContextMode::Partial, 0x2000_0000, 1);
-        let part_len = part.assemble().len();
-        assert!(full_len > 2 * part_len, "full-context wrapper much longer");
     }
 }

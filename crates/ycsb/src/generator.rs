@@ -22,7 +22,7 @@ fn zeta(n: u64, theta: f64) -> f64 {
 
 impl ZipfianGen {
     /// A generator over `items` items with the standard constant.
-    pub fn new(items: u64) -> Self {
+    pub(crate) fn new(items: u64) -> Self {
         let theta = ZIPFIAN_CONSTANT;
         let zetan = zeta(items, theta);
         let zeta2 = zeta(2, theta);
@@ -36,7 +36,7 @@ impl ZipfianGen {
     }
 
     /// Draw the next item (0 is the hottest).
-    pub fn next(&self, rng: &mut Rng) -> u64 {
+    pub(crate) fn next(&self, rng: &mut Rng) -> u64 {
         let u = rng.next_f64();
         let uz = u * self.zetan;
         if uz < 1.0 {
@@ -65,7 +65,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1_0000_0000_01b3;
 
 /// FNV-1a over the 8 bytes of `v` (YCSB's `fnvhash64`).
-pub fn fnv_hash64(v: u64) -> u64 {
+pub(crate) fn fnv_hash64(v: u64) -> u64 {
     let mut h = FNV_OFFSET;
     for i in 0..8 {
         h ^= (v >> (8 * i)) & 0xff;
@@ -76,7 +76,7 @@ pub fn fnv_hash64(v: u64) -> u64 {
 
 impl ScrambledZipfian {
     /// A scrambled generator over `items`.
-    pub fn new(items: u64) -> Self {
+    pub(crate) fn new(items: u64) -> Self {
         ScrambledZipfian {
             inner: ZipfianGen::new(items),
             items,
@@ -84,7 +84,7 @@ impl ScrambledZipfian {
     }
 
     /// Draw the next (scrambled) item.
-    pub fn next(&self, rng: &mut Rng) -> u64 {
+    pub(crate) fn next(&self, rng: &mut Rng) -> u64 {
         fnv_hash64(self.inner.next(rng)) % self.items
     }
 }
@@ -97,12 +97,12 @@ pub struct UniformGen {
 
 impl UniformGen {
     /// A uniform generator over `items`.
-    pub fn new(items: u64) -> Self {
+    pub(crate) fn new(items: u64) -> Self {
         UniformGen { items }
     }
 
     /// Draw the next item.
-    pub fn next(&self, rng: &mut Rng) -> u64 {
+    pub(crate) fn next(&self, rng: &mut Rng) -> u64 {
         rng.below(self.items)
     }
 }
@@ -117,14 +117,14 @@ pub struct LatestGen {
 impl LatestGen {
     /// A latest-distribution generator for an initial keyspace of
     /// `items`.
-    pub fn new(items: u64) -> Self {
+    pub(crate) fn new(items: u64) -> Self {
         LatestGen {
             zipf: ZipfianGen::new(items),
         }
     }
 
     /// Draw, favouring keys close to `max_item`.
-    pub fn next(&self, rng: &mut Rng, max_item: u64) -> u64 {
+    pub(crate) fn next(&self, rng: &mut Rng, max_item: u64) -> u64 {
         let back = self.zipf.next(rng);
         max_item.saturating_sub(back)
     }

@@ -95,7 +95,7 @@ impl WorkloadSpec {
     }
 
     /// One field's worth of fresh bytes (update payload).
-    pub fn field_bytes(&self, rng: &mut Rng) -> Vec<u8> {
+    pub(crate) fn field_bytes(&self, rng: &mut Rng) -> Vec<u8> {
         random_bytes(rng, self.field_len)
     }
 

@@ -44,8 +44,8 @@ fn main() {
         println!(
             "{:14} {:>10} {:>10} {:>10} {:>11}",
             mk().name(),
-            local.total,
-            remote.total,
+            local.total(),
+            remote.total(),
             remote.ledger.get(Phase::CrossCore),
             remote.ledger.get(Phase::ShardMiss),
         );
