@@ -80,7 +80,7 @@ impl IpcSystem for XpcIpc {
                     Phase::ShardMiss,
                     self.cost.xentry_shard_fetch * opts.shard_dist,
                 );
-                self.stats.shard_misses += 1;
+                self.stats.shard_misses = self.stats.shard_misses.saturating_add(1);
             }
         }
         // Temporal mitigations at engine rates: the epoch compare rides
@@ -139,7 +139,7 @@ impl IpcSystem for XpcIpc {
         if !self.tagged_tlb {
             out.charge(Phase::TlbRefill, self.cost.tlb_refill);
         }
-        self.stats.cache_hits += 1;
+        self.stats.cache_hits = self.stats.cache_hits.saturating_add(1);
         // Continuation xcalls still re-check epochs / stamp flow tags /
         // scrub before handing the relay window on.
         self.cost.charge_hardening(true, msg_len, opts, out);
@@ -163,7 +163,7 @@ impl IpcSystem for XpcIpc {
         // Call legs of a burst populate the engine cache once and hit it
         // on every repeat; reply legs (`xret`) never consult it.
         if calls > 1 && !opts.reply {
-            self.stats.prefetches += 1;
+            self.stats.prefetches = self.stats.prefetches.saturating_add(1);
             self.stats.cache_hits = self.stats.cache_hits.saturating_add(calls - 1);
         }
         amortized_batch_into(self, calls, bytes_each, opts, out)
@@ -315,6 +315,26 @@ mod tests {
             Some(EngineCacheStats::default()),
             "a lone call is not a burst"
         );
+    }
+
+    #[test]
+    fn engine_cache_counters_saturate() {
+        // Every counter follows `EngineCacheStats::merge`'s rule: at
+        // u64::MAX a shard miss, a burst and a continuation hop pin it
+        // there instead of panicking (debug) or wrapping (release).
+        let max = EngineCacheStats {
+            prefetches: u64::MAX,
+            cache_hits: u64::MAX,
+            shard_misses: u64::MAX,
+        };
+        let mut x = XpcIpc {
+            stats: max,
+            ..XpcIpc::sel4_xpc()
+        };
+        oneway(&mut x, 64, &InvokeOpts::call().at_shard_distance(2));
+        batch(&mut x, 4, 64, &InvokeOpts::call());
+        x.fused_hop_into(1, 64, &InvokeOpts::call(), &mut CycleLedger::new());
+        assert_eq!(x.engine_cache_stats(), Some(max));
     }
 
     #[test]

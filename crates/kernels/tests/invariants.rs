@@ -8,6 +8,7 @@ use kernels::{
 };
 use simos::cost::CostModel;
 use simos::ipc::IpcSystem;
+use simos::ledger::Hardening;
 use simos::transport::Transport;
 use simos::{MultiWorld, Step, Topology};
 
@@ -27,6 +28,55 @@ fn hop(mw: &mut MultiWorld, to: usize, bytes: u64) -> Invocation {
 /// Size axis: boundary values of every transfer regime (register path,
 /// slow path at 64 B, buffer edge at 120/121, pages, megabytes).
 const SIZES: [usize; 10] = [0, 1, 32, 64, 120, 121, 1024, 4096, 65536, 1 << 20];
+
+#[test]
+fn pricing_is_a_function_of_the_arguments() {
+    // `IpcSystem`'s contract, which the request engine's plan cache
+    // relies on: every pricing method answers the same question the
+    // same way however often, and in whatever order, it is asked. The
+    // whole question list is priced twice on one instance, so history
+    // carried from any earlier question shows up as a difference.
+    for mut sys in full_roster() {
+        let name = sys.name();
+        let mut price_all = || {
+            let mut answers = Vec::new();
+            for reply in [false, true] {
+                for dist in [0, 2] {
+                    for hardening in [Hardening::NONE, Hardening::ALL] {
+                        let base = if reply {
+                            InvokeOpts::reply_leg()
+                        } else {
+                            InvokeOpts::call()
+                        };
+                        let opts = base.at_shard_distance(dist).hardened(hardening);
+                        for len in [0, 64, 4096] {
+                            answers.push(oneway(&mut sys, len, &opts));
+                            for calls in [0, 1, 8] {
+                                answers.push(Invocation::priced(|l| {
+                                    sys.invoke_batch_into(calls, len, &opts, l)
+                                }));
+                            }
+                            for hop in 0..=3 {
+                                answers.push(Invocation::priced(|l| {
+                                    sys.fused_hop_into(hop, len, &opts, l)
+                                }));
+                            }
+                        }
+                    }
+                }
+            }
+            answers
+        };
+        let first = price_all();
+        let again = price_all();
+        for (i, (a, b)) in first.iter().zip(&again).enumerate() {
+            assert_eq!(
+                a, b,
+                "{name}: question {i} priced differently the second time"
+            );
+        }
+    }
+}
 
 #[test]
 fn phases_are_charged_at_most_in_first_charge_order() {

@@ -2,8 +2,9 @@
 //!
 //! Every request, whoever issued it, takes the same path: the engine
 //! takes the next [`Issue`] from a [`Source`], lets the source place it
-//! (or shed it), prices its recipe through the run's [`Attribution`]
-//! sink, charges per-step waiting to [`Phase::Queue`], records the
+//! (or shed it), replays the [`Plan`] its recipe and core map were
+//! priced into once per run, charges waiting to [`Phase::Queue`] and
+//! the plan's spans to the run's [`Attribution`] sink, records the
 //! latency, pushes the completion into the owner's bounded heap of
 //! outstanding requests, and finally reduces the latency sample to
 //! mean / p50 / p95 / p99 / max. The two sources differ in exactly two
@@ -24,7 +25,7 @@
 use crate::ipc::EngineCacheStats;
 use crate::ledger::{Attribution, CycleLedger, LedgerArena, LedgerRef, Phase, PhaseTotals};
 use crate::load::{LoadError, LoadGen};
-use crate::multicore::{CoreId, MultiWorld, Placement, Space, Step};
+use crate::multicore::{CoreId, MultiWorld, Placement, Replay, Space, Step};
 use crate::serve::{
     Arrival, ArrivalTrace, AutoscaleCfg, AutoscaleReport, ServeError, ServePolicy, ServeSpec,
     TenantReport,
@@ -37,16 +38,16 @@ use ycsb::rng::Rng;
 /// cells of a sweep (mechanism × policy × window × load) so a grid of
 /// [`crate::load::run_windowed_with`] / [`crate::serve::serve_with`]
 /// calls performs its per-request work without heap allocation: the
-/// latency samples, the per-request core map, the per-step scratch
-/// ledger, and the event queues all reach steady-state capacity in the
-/// first cell and are reused by every later one.
+/// latency samples, the per-request core map, the plan table, and the
+/// event queues all reach steady-state capacity in the first cell and
+/// are reused by every later one.
 #[derive(Default)]
 pub struct SweepScratch {
     latencies: Vec<u64>,
     /// Per-owner latency samples (kept by [`Trace`] for the tenant tails).
     owner_latencies: Vec<Vec<u64>>,
     map: Vec<CoreId>,
-    step_ledger: CycleLedger,
+    plans: Plans,
     /// The closed loop's `(next issue time, client index)` per client —
     /// "lowest issue-time first, ties to lowest client index".
     issue: IssueQueue,
@@ -75,7 +76,7 @@ impl SweepScratch {
             v.clear();
         }
         self.map.clear();
-        self.step_ledger.clear();
+        self.plans.reset(0, 0);
         self.issue.clear();
         for heap in &mut self.outstanding {
             heap.clear();
@@ -230,34 +231,76 @@ impl ReqSink<'_> {
     }
 }
 
-/// The request driver: run `steps` (service space, resolved by `map`)
-/// from virtual time `t0` with `step_ledger` as per-step scratch, the
-/// request's spans landing in `sink`. When `attribute_queue`, the wait
-/// each step spends behind its serving core's earlier work is charged
-/// to [`Phase::Queue`] ahead of the step's own spans. Returns
-/// `(done, ipc_calls)`.
-pub(crate) fn drive_request(
-    mw: &mut MultiWorld,
-    map: &[CoreId],
-    steps: &[Step],
-    t0: u64,
-    attribute_queue: bool,
-    step_ledger: &mut CycleLedger,
-    sink: &mut ReqSink<'_>,
-) -> (u64, u64) {
-    let mut t = t0;
-    let mut ipc_calls = 0u64;
-    for &step in steps {
-        step_ledger.clear();
-        let stepped = mw.exec_step(Space::Service(map), step, t, step_ledger);
-        if attribute_queue {
-            sink.charge(Phase::Queue, stepped.wait);
-        }
-        sink.merge(step_ledger);
-        ipc_calls = ipc_calls.saturating_add(stepped.calls);
-        t = stepped.done;
+/// One recipe priced for one core map: what every request with that
+/// pair replays.
+#[derive(Default)]
+struct Plan {
+    /// The steps' replay records.
+    records: Vec<Replay>,
+    /// The steps' spans, merged in step order.
+    ledger: CycleLedger,
+    /// IPC invocations issued.
+    calls: u64,
+    /// What pricing the steps advanced the engine-cache counters by.
+    cache: EngineCacheStats,
+}
+
+/// The plans of one run, one per (recipe, core map) priced so far. A
+/// placement's map is a function of its last entry, the chain's core
+/// (see `Placement::assign_into`), which keys it. [`reset`](Self::reset)
+/// empties the table every run, so a plan never outlives its world.
+#[derive(Default)]
+struct Plans {
+    /// `index[recipe * keys + key]`: the plan's position in `plans`
+    /// plus one, 0 while unpriced.
+    index: Vec<usize>,
+    keys: usize,
+    plans: Vec<Plan>,
+    /// Per-step pricing scratch.
+    step_ledger: CycleLedger,
+}
+
+impl Plans {
+    /// Empty the table for `recipes` recipes on a world of `keys` cores.
+    fn reset(&mut self, recipes: usize, keys: usize) {
+        self.index.clear();
+        self.index.resize(recipes.saturating_mul(keys), 0);
+        self.keys = keys;
+        self.plans.clear();
     }
-    (t, ipc_calls)
+
+    /// The plan of `recipe` (`steps`) under core map `map`: priced on
+    /// the pair's first request; every later one counts its engine-cache
+    /// advance again.
+    fn plan(
+        &mut self,
+        mw: &mut MultiWorld,
+        recipe: usize,
+        steps: &[Step],
+        map: &[CoreId],
+    ) -> &Plan {
+        let key = map.last().copied().unwrap_or(0);
+        let slot = &mut self.index[recipe * self.keys + key];
+        if *slot == 0 {
+            let before = mw.engine_cache_stats();
+            let mut plan = Plan::default();
+            for &step in steps {
+                self.step_ledger.clear();
+                let priced = mw.price_step(Space::Service(map), step, &mut self.step_ledger);
+                plan.ledger.merge(&self.step_ledger);
+                plan.calls = plan.calls.saturating_add(priced.calls);
+                plan.records.push(priced);
+            }
+            if let (Some(before), Some(after)) = (before, mw.engine_cache_stats()) {
+                plan.cache = after.since(before);
+            }
+            self.plans.push(plan);
+            *slot = self.plans.len();
+        } else {
+            mw.replayed_cache.merge(self.plans[*slot - 1].cache);
+        }
+        &self.plans[*slot - 1]
+    }
 }
 
 /// One placed request about to be priced.
@@ -312,6 +355,7 @@ pub(crate) struct Tail {
 
 /// What an engine run produced; the front doors shape their reports
 /// from it.
+#[derive(Debug)]
 pub(crate) struct Outcome {
     pub(crate) system: String,
     pub(crate) cores: usize,
@@ -406,10 +450,16 @@ fn tail(sample: &mut [u64], clock_hz: u64) -> Tail {
     }
 }
 
-/// Drive every issue of `src` through `mw`: issue → place → price →
-/// record, then reduce. [`crate::load::run_windowed_with`] documents the
-/// two [`Attribution`] modes; the sampling stride counts *priced*
-/// requests.
+/// Drive every issue of `src` through `mw`: issue → place → replay the
+/// request's plan (priced on the pair's first request) → record, then
+/// reduce. [`crate::load::run_windowed_with`] documents the two
+/// [`Attribution`] modes; the sampling stride counts *priced* requests.
+///
+/// Every output equals pricing each step of each request on its own:
+/// the one [`Phase::Queue`] charge of the summed waits lands where the
+/// first step's did, ahead of the plan's spans (zero waits are still
+/// recorded), saturating sums do not depend on grouping, and each reuse
+/// adds its plan's engine-cache advance to the world.
 pub(crate) fn run<S: Source>(
     mw: &mut MultiWorld,
     recipes: &[Vec<Step>],
@@ -417,6 +467,7 @@ pub(crate) fn run<S: Source>(
     scratch: &mut SweepScratch,
     mut att: Attribution<'_>,
 ) -> Result<Outcome, S::Error> {
+    scratch.plans.reset(recipes.len(), mw.n_cores());
     let attribute_queue = src.attribute_queue();
     let think = src.think_cycles();
     let mut ledger = CycleLedger::new();
@@ -443,17 +494,20 @@ pub(crate) fn run<S: Source>(
                 (a, h)
             }),
         };
-        let (done, calls) = drive_request(
-            mw,
-            &scratch.map,
-            &recipes[issue.recipe],
-            issue.t0,
-            attribute_queue,
-            &mut scratch.step_ledger,
-            &mut sink,
-        );
+        let steps = &recipes[issue.recipe];
+        let plan = scratch.plans.plan(mw, issue.recipe, steps, &scratch.map);
+        let (mut done, mut wait) = (issue.t0, 0u64);
+        for step in &plan.records {
+            let stepped = mw.replay(step, done);
+            wait = wait.saturating_add(stepped.wait);
+            done = stepped.done;
+        }
+        if attribute_queue && !steps.is_empty() {
+            sink.charge(Phase::Queue, wait);
+        }
+        sink.merge(&plan.ledger);
         priced += 1;
-        ipc_calls = ipc_calls.saturating_add(calls);
+        ipc_calls = ipc_calls.saturating_add(plan.calls);
         let latency = done - issue.t0;
         scratch.latencies.push(latency);
         makespan = makespan.max(done);
@@ -756,6 +810,8 @@ impl Source for Trace<'_> {
                     // introduced by the scaling itself.
                     let chain = mw.least_loaded_among(self.active);
                     scratch.map.clear();
+                    // Every service on `chain`: the map is a function of
+                    // its last entry, as `Placement`'s are.
                     scratch.map.resize(self.n_services, chain);
                 }
             }
@@ -785,14 +841,44 @@ impl Source for Trace<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ipc::IpcSystem;
     use crate::ledger::InvokeOpts;
     use crate::load::{run_windowed, run_windowed_with};
-    use crate::program::Recipe;
-    use crate::serve::{serve, serve_with, ServeReport, TenantClass};
+    use crate::program::{CallProgram, ProgramId, Recipe};
+    use crate::serve::{serve, serve_with, AutoscaleCfg, ServeReport, TenantClass};
     use crate::topology::Topology;
+
+    /// The per-step reference the plan cache is held to: run `steps`
+    /// (service space, resolved by `map`) from virtual time `t0`, pricing
+    /// and replaying each step on its own, the request's spans landing in
+    /// `sink`. When `attribute_queue`, the wait each step spends behind its
+    /// serving core's earlier work is charged to [`Phase::Queue`] ahead of
+    /// the step's own spans. Returns `(done, ipc_calls)`.
+    pub(crate) fn drive_request(
+        mw: &mut MultiWorld,
+        map: &[CoreId],
+        steps: &[Step],
+        t0: u64,
+        attribute_queue: bool,
+        sink: &mut ReqSink<'_>,
+    ) -> (u64, u64) {
+        let mut t = t0;
+        let mut ipc_calls = 0u64;
+        let mut step_ledger = CycleLedger::new();
+        for &step in steps {
+            step_ledger.clear();
+            let stepped = mw.exec_step(Space::Service(map), step, t, &mut step_ledger);
+            if attribute_queue {
+                sink.charge(Phase::Queue, stepped.wait);
+            }
+            sink.merge(&step_ledger);
+            ipc_calls = ipc_calls.saturating_add(stepped.calls);
+            t = stepped.done;
+        }
+        (t, ipc_calls)
+    }
 
     struct Fixed;
     impl IpcSystem for Fixed {
@@ -1195,5 +1281,494 @@ mod tests {
         let r = serve(&mut mw, &policy, 2, &heavy, &trace, &ServeSpec::default()).unwrap();
         assert_eq!(r.admitted, 8);
         check(r.mean_us, r.p50_us, r.p99_us);
+    }
+
+    /// [`run`] as it priced before plans: every step of every request
+    /// through [`drive_request`]. The oracle of the replay differential.
+    fn reference_run<S: Source>(
+        mw: &mut MultiWorld,
+        recipes: &[Vec<Step>],
+        src: &mut S,
+        scratch: &mut SweepScratch,
+        mut att: Attribution<'_>,
+    ) -> Result<Outcome, S::Error> {
+        let attribute_queue = src.attribute_queue();
+        let think = src.think_cycles();
+        let mut ledger = CycleLedger::new();
+        let (mut priced, mut ipc_calls, mut makespan) = (0u64, 0u64, 0u64);
+        while let Some(issue) = src.issue(mw, scratch)? {
+            // Where this request's spans go: straight into the run ledger
+            // (`Full`), or flat totals plus a 1-in-N kept arena ledger.
+            let (run, totals, arena) = match &mut att {
+                Attribution::Full(_) => (Some(&mut ledger), None, None),
+                Attribution::Sampled {
+                    every,
+                    totals,
+                    arena,
+                } => {
+                    let keep = *every != 0 && priced.is_multiple_of(*every);
+                    (None, Some(&mut **totals), keep.then_some(&mut **arena))
+                }
+            };
+            let mut sink = ReqSink {
+                run,
+                totals,
+                arena: arena.map(|a| {
+                    let h = a.begin();
+                    (a, h)
+                }),
+            };
+            let steps = &recipes[issue.recipe];
+            let (done, calls) = drive_request(
+                mw,
+                &scratch.map,
+                steps,
+                issue.t0,
+                attribute_queue,
+                &mut sink,
+            );
+            priced += 1;
+            ipc_calls = ipc_calls.saturating_add(calls);
+            let latency = done - issue.t0;
+            scratch.latencies.push(latency);
+            makespan = makespan.max(done);
+            scratch.outstanding[issue.owner].push(Reverse(done.saturating_add(think)));
+            src.completed(&issue, latency, scratch);
+        }
+        if let Attribution::Sampled { totals, .. } = &att {
+            ledger = totals.to_ledger();
+        }
+        let clock_hz = mw.core(0).cost.clock_hz;
+        Ok(Outcome {
+            system: mw.core(0).ipc_name(),
+            cores: mw.n_cores(),
+            clock_hz,
+            priced,
+            ipc_calls,
+            makespan_cycles: makespan,
+            busy_cycles: mw.busy_cycles(),
+            ledger,
+            tail: tail(&mut scratch.latencies, clock_hz),
+            engine_cache: mw.engine_cache_stats(),
+        })
+    }
+
+    /// A `kernels` roster system. `kernels` links the library build of
+    /// this crate, whose types are not this test build's, so the adapter
+    /// translates options, phases, spans and counters both ways.
+    struct Roster(Box<dyn kernels::IpcSystem>);
+
+    fn their_opts(opts: &InvokeOpts) -> kernels::InvokeOpts {
+        let mut theirs = kernels::InvokeOpts::call();
+        theirs.reply = opts.reply;
+        theirs.hops = opts.hops;
+        theirs.shard_dist = opts.shard_dist;
+        theirs.hardening.revocation_epochs = opts.hardening.revocation_epochs;
+        theirs.hardening.zero_on_handover = opts.hardening.zero_on_handover;
+        theirs.hardening.flow_tags = opts.hardening.flow_tags;
+        theirs
+    }
+
+    /// Charge `theirs`' spans into `out` in order: the same ledger as
+    /// charging them one by one, since first-charge order and saturating
+    /// sums survive the regrouping.
+    fn charge_theirs(theirs: &kernels::CycleLedger, out: &mut CycleLedger) {
+        for &(phase, cycles) in theirs.spans() {
+            let at = kernels::Phase::ALL.iter().position(|&p| p == phase);
+            out.charge(Phase::ALL[at.expect("same phase list")], cycles);
+        }
+    }
+
+    impl IpcSystem for Roster {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn oneway_into(&mut self, msg_len: usize, opts: &InvokeOpts, out: &mut CycleLedger) -> u64 {
+            let mut theirs = kernels::CycleLedger::new();
+            let copied = self.0.oneway_into(msg_len, &their_opts(opts), &mut theirs);
+            charge_theirs(&theirs, out);
+            copied
+        }
+        fn supports_handover(&self) -> bool {
+            self.0.supports_handover()
+        }
+        fn migrating_threads(&self) -> bool {
+            self.0.migrating_threads()
+        }
+        fn invoke_batch_into(
+            &mut self,
+            calls: u64,
+            bytes_each: usize,
+            opts: &InvokeOpts,
+            out: &mut CycleLedger,
+        ) -> u64 {
+            let mut theirs = kernels::CycleLedger::new();
+            let copied =
+                self.0
+                    .invoke_batch_into(calls, bytes_each, &their_opts(opts), &mut theirs);
+            charge_theirs(&theirs, out);
+            copied
+        }
+        fn fused_hop_into(
+            &mut self,
+            hop_index: u64,
+            msg_len: usize,
+            opts: &InvokeOpts,
+            out: &mut CycleLedger,
+        ) -> u64 {
+            let mut theirs = kernels::CycleLedger::new();
+            let copied = self
+                .0
+                .fused_hop_into(hop_index, msg_len, &their_opts(opts), &mut theirs);
+            charge_theirs(&theirs, out);
+            copied
+        }
+        fn fused_crossings(&self, hops: u64) -> u64 {
+            self.0.fused_crossings(hops)
+        }
+        fn engine_cache_stats(&self) -> Option<EngineCacheStats> {
+            self.0.engine_cache_stats().map(|s| EngineCacheStats {
+                prefetches: s.prefetches,
+                cache_hits: s.cache_hits,
+                shard_misses: s.shard_misses,
+            })
+        }
+    }
+
+    /// seL4, Zircon, Binder and seL4-XPC.
+    const SYSTEMS: [fn() -> Box<dyn IpcSystem>; 4] = [
+        || {
+            Box::new(Roster(Box::new(kernels::Sel4::new(
+                kernels::Sel4Transfer::OneCopy,
+            ))))
+        },
+        || Box::new(Roster(Box::new(kernels::Zircon::new()))),
+        || {
+            let binder = kernels::BinderIpc::new(kernels::BinderSystem::Binder, false);
+            Box::new(Roster(Box::new(binder)))
+        },
+        || Box::new(Roster(Box::new(kernels::XpcIpc::sel4_xpc()))),
+    ];
+
+    /// Services a generated recipe names (service 0 is the client).
+    const SERVICES: usize = 4;
+
+    /// One generated case of the replay differential.
+    #[derive(Debug)]
+    struct ReplayCase {
+        /// Fused programs, registered in order, so `Step::Fused` ids
+        /// index this list.
+        programs: Vec<CallProgram>,
+        recipes: Vec<Vec<Step>>,
+        pinned: Vec<CoreId>,
+        spec: LoadGen,
+        arrivals: Vec<Arrival>,
+        serve: ServeSpec,
+        autoscale: AutoscaleCfg,
+        every: u64,
+    }
+
+    /// Payload sizes: empty, a register message, a line, a page, a
+    /// large transfer.
+    const BYTES: [u64; 6] = [0, 8, 64, 100, 4096, 1 << 20];
+
+    /// Draws bounded by the harness's shrinking size.
+    struct Draw<'a> {
+        rng: &'a mut Rng,
+        size: u64,
+    }
+
+    impl Draw<'_> {
+        fn below(&mut self, span: u64) -> u64 {
+            self.rng.below(span.min(self.size).max(1))
+        }
+        fn index(&mut self, len: usize) -> usize {
+            usize::try_from(self.below(len as u64)).unwrap()
+        }
+        fn bytes(&mut self) -> u64 {
+            BYTES[self.index(BYTES.len())]
+        }
+        fn service(&mut self) -> usize {
+            self.index(SERVICES)
+        }
+
+        /// A step of `kind` (0–7: one-way, batches of 0, 1 and n calls,
+        /// round trip, compute, data pass, fused) over `programs`.
+        fn step(&mut self, kind: u64, programs: usize) -> Step {
+            let (from, to) = (self.service(), self.service());
+            match kind {
+                0 => Step::Oneway {
+                    from,
+                    to,
+                    bytes: self.bytes(),
+                },
+                1..=3 => Step::Batch {
+                    from,
+                    to,
+                    calls: [0, 1, 2 + self.below(15)][usize::try_from(kind - 1).unwrap()],
+                    bytes_each: self.bytes(),
+                },
+                4 => Step::Roundtrip {
+                    from,
+                    to,
+                    request: self.bytes(),
+                    response: self.bytes(),
+                },
+                5 => Step::Compute {
+                    at: to,
+                    cycles: self.below(20_000),
+                },
+                6 => Step::DataPass {
+                    at: to,
+                    bytes: self.bytes(),
+                    intensity_x10: 1 + self.below(30),
+                },
+                _ => Step::Fused(ProgramId::from_index(self.index(programs))),
+            }
+        }
+    }
+
+    fn gen_case(rng: &mut Rng, size: u64) -> ReplayCase {
+        let mut d = Draw { rng, size };
+        let programs: Vec<_> = (0..1 + d.below(3))
+            .map(|p| {
+                let mut recipe = Recipe::new(d.service());
+                for h in 0..1 + d.below(4) {
+                    let to = d.service();
+                    // Program 0 always hands its first hop over.
+                    recipe = if (p, h) == (0, 0) || d.below(2) == 0 {
+                        recipe.handover(to, d.bytes())
+                    } else {
+                        recipe.hop(to, d.bytes())
+                    };
+                    if d.below(3) == 0 {
+                        recipe = recipe.compute(d.below(5_000));
+                    }
+                }
+                recipe.reply(d.bytes()).build().expect("1 to 4 hops")
+            })
+            .collect();
+        // Recipe 0 tours every kind; the others, the empty recipe
+        // included, are drawn.
+        let mut recipes = vec![(0..8)
+            .map(|kind| d.step(kind, programs.len()))
+            .collect::<Vec<_>>()];
+        for _ in 0..d.below(4) {
+            let recipe = (0..d.below(5)).map(|_| {
+                let kind = d.below(8);
+                d.step(kind, programs.len())
+            });
+            recipes.push(recipe.collect());
+        }
+        let requests = 1 + d.below(48);
+        let mut at = 0;
+        let arrivals = (0..requests)
+            .map(|_| {
+                at += d.below(3_000);
+                Arrival {
+                    at,
+                    tenant: u32::try_from(d.below(2)).unwrap(),
+                    recipe: u32::try_from(d.index(recipes.len())).unwrap(),
+                }
+            })
+            .collect();
+        let grow = 1_000 + d.below(40_000);
+        ReplayCase {
+            pinned: (0..SERVICES).map(|_| d.index(8)).collect(),
+            spec: LoadGen {
+                clients: 1 + d.index(6),
+                requests,
+                seed: d.below(u64::MAX),
+                think_cycles: d.below(2_000),
+            },
+            arrivals,
+            serve: ServeSpec {
+                tenants: 2,
+                classes: vec![
+                    TenantClass {
+                        queue_cap: 1 + d.index(4),
+                        slo_p99_us: f64::INFINITY,
+                    },
+                    TenantClass {
+                        queue_cap: usize::MAX,
+                        slo_p99_us: 1.0,
+                    },
+                ],
+                backlog_cap_cycles: [0, 2_000 + d.below(20_000)][d.index(2)],
+            },
+            autoscale: AutoscaleCfg {
+                min_cores: 1,
+                max_cores: usize::MAX,
+                epoch_arrivals: 1 + d.below(8),
+                grow_backlog_cycles: grow,
+                shrink_backlog_cycles: d.below(grow),
+            },
+            every: 1 + d.below(4),
+            programs,
+            recipes,
+        }
+    }
+
+    /// Which loop a differential run drives.
+    enum Loop {
+        Closed(Placement, usize),
+        Open(ServePolicy),
+    }
+
+    /// Plans, or the per-step reference.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Pricing {
+        Plans,
+        Reference,
+    }
+
+    fn drive<S: Source>(
+        pricing: Pricing,
+        mw: &mut MultiWorld,
+        recipes: &[Vec<Step>],
+        src: &mut S,
+        scratch: &mut SweepScratch,
+        att: Attribution<'_>,
+    ) -> Outcome
+    where
+        S::Error: std::fmt::Debug,
+    {
+        let out = match pricing {
+            Pricing::Plans => run(mw, recipes, src, scratch, att),
+            Pricing::Reference => reference_run(mw, recipes, src, scratch, att),
+        };
+        out.expect("a runnable cell")
+    }
+
+    /// Everything one run leaves behind, a line per item: the outcome
+    /// every report is shaped from (and the tenant and controller
+    /// counters of an open loop), the sampled totals and kept ledgers,
+    /// the engine-cache counters, and every core's clock and counters.
+    fn digest(
+        case: &ReplayCase,
+        mw: &mut MultiWorld,
+        lp: &Loop,
+        sampled: bool,
+        pricing: Pricing,
+        scratch: &mut SweepScratch,
+    ) -> Vec<String> {
+        let mut arena = LedgerArena::new();
+        let mut totals = PhaseTotals::new();
+        let att = if sampled {
+            Attribution::Sampled {
+                every: case.every,
+                totals: &mut totals,
+                arena: &mut arena,
+            }
+        } else {
+            Attribution::Full(&mut arena)
+        };
+        let (recipes, n) = (&case.recipes, case.recipes.len());
+        let mut lines = Vec::new();
+        match lp {
+            Loop::Closed(policy, window) => {
+                let mut src = Clients::new(policy, SERVICES, n, &case.spec, *window, scratch);
+                lines.push(format!(
+                    "{:?}",
+                    drive(pricing, mw, recipes, &mut src, scratch, att)
+                ));
+            }
+            Loop::Open(policy) => {
+                let trace = ArrivalTrace::from_arrivals(case.arrivals.clone()).unwrap();
+                let cores = mw.n_cores();
+                let mut src =
+                    Trace::new(policy, SERVICES, n, &trace, &case.serve, cores, scratch).unwrap();
+                let out = drive(pricing, mw, recipes, &mut src, scratch, att);
+                lines.push(format!("{out:?}"));
+                lines.push(format!("{:?} {:?}", src.tenants, src.autoscale()));
+                for tenant in 0..src.tenants.len() {
+                    lines.push(format!("{:?}", scratch.owner_tail(tenant, out.clock_hz)));
+                }
+            }
+        }
+        lines.push(format!("totals {:?}", totals.to_ledger()));
+        lines.extend(
+            arena
+                .handles()
+                .map(|h| format!("kept {:?}", arena.to_ledger(h))),
+        );
+        lines.push(format!("cache {:?}", mw.engine_cache_stats()));
+        for c in 0..mw.n_cores() {
+            let w = mw.core(c);
+            lines.push(format!(
+                "core {c} free {} cycles {} {:?}",
+                mw.free_at(c),
+                w.cycles,
+                w.stats
+            ));
+        }
+        lines
+    }
+
+    #[test]
+    fn replaying_plans_matches_pricing_every_step() {
+        // Generated rosters through both loops under every placement and
+        // autoscale, both attribution modes and windows 1 and 8, on four
+        // roster systems and two topologies. The plan side reuses one
+        // scratch across every world of the case, so a plan that
+        // outlived its run would replay on the wrong world.
+        ycsb::check(
+            "replaying_plans_matches_pricing_every_step",
+            24,
+            &[],
+            gen_case,
+            |case| {
+                let placements = [
+                    Placement::SameCore,
+                    Placement::Pinned(case.pinned.clone()),
+                    Placement::RoundRobin,
+                    Placement::LeastLoaded,
+                ];
+                let mut loops: Vec<_> = placements
+                    .iter()
+                    .flat_map(|p| [Loop::Closed(p.clone(), 1), Loop::Closed(p.clone(), 8)])
+                    .collect();
+                loops.extend(
+                    placements
+                        .iter()
+                        .map(|p| Loop::Open(ServePolicy::Static(p.clone()))),
+                );
+                loops.push(Loop::Open(ServePolicy::Autoscale(case.autoscale.clone())));
+                let mut scratch = [SweepScratch::new(), SweepScratch::new()];
+                for mk in SYSTEMS {
+                    for topo in [Topology::u500(), Topology::dual_socket()] {
+                        for lp in &loops {
+                            for sampled in [false, true] {
+                                let [got, want] = [Pricing::Plans, Pricing::Reference].map(|p| {
+                                    let mut mw =
+                                        MultiWorld::builder().topology(topo.clone()).build(mk);
+                                    for program in &case.programs {
+                                        mw.register_program(program.clone());
+                                    }
+                                    let scratch =
+                                        &mut scratch[usize::from(p == Pricing::Reference)];
+                                    digest(case, &mut mw, lp, sampled, p, scratch)
+                                });
+                                if let Some(i) = (0..got.len().max(want.len()))
+                                    .find(|&i| got.get(i) != want.get(i))
+                                {
+                                    let (name, mode) =
+                                        (mk().name(), if sampled { "sampled" } else { "full" });
+                                    let what = match lp {
+                                        Loop::Closed(p, w) => format!("closed {} w{w}", p.label()),
+                                        Loop::Open(p) => format!("open {}", p.label()),
+                                    };
+                                    return Err(format!(
+                                        "{name} on {} sockets, {what}, {mode}: line {i}\n  plans     {:?}\n  reference {:?}",
+                                        topo.sockets, got.get(i), want.get(i)
+                                    ));
+                                }
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 }

@@ -39,6 +39,15 @@ impl EngineCacheStats {
         self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
         self.shard_misses = self.shard_misses.saturating_add(other.shard_misses);
     }
+
+    /// The advance since `before`.
+    pub(crate) fn since(self, before: EngineCacheStats) -> EngineCacheStats {
+        EngineCacheStats {
+            prefetches: self.prefetches.saturating_sub(before.prefetches),
+            cache_hits: self.cache_hits.saturating_sub(before.cache_hits),
+            shard_misses: self.shard_misses.saturating_sub(before.shard_misses),
+        }
+    }
 }
 
 /// A synchronous cross-process call system: what one hop costs, phase by
@@ -46,8 +55,20 @@ impl EngineCacheStats {
 ///
 /// Implementations live in the `kernels` crate (seL4 fast/slow path,
 /// Zircon channels, Binder, the historical designs of Table 7, and the
-/// XPC-accelerated variants). `oneway_into` takes `&mut self` so systems
-/// may keep warm state (engine caches, link stacks).
+/// XPC-accelerated variants).
+///
+/// # Contract: pricing has no history
+///
+/// Pricing is a function of the arguments and the system's
+/// configuration: the same question gets the same spans and copied
+/// bytes every time. The only history a system may keep (hence
+/// `&mut self`) is the counters behind
+/// [`engine_cache_stats`](Self::engine_cache_stats). The request engine
+/// relies on it to price each (recipe, core map) once per run;
+/// `kernels/tests/invariants.rs` checks it for the whole roster. The
+/// `Drifting` lint fixture in `xpc-verify` and `bench::EmulatedXpc`
+/// break it by design; neither is ever placed in a
+/// [`MultiWorld`](crate::MultiWorld).
 pub trait IpcSystem {
     /// System name (used in experiment output and JSON dumps).
     fn name(&self) -> String;

@@ -381,7 +381,8 @@ pub fn run_windowed_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{drive_request, percentile, ReqSink};
+    use crate::engine::tests::drive_request;
+    use crate::engine::{percentile, ReqSink};
     use crate::ipc::IpcSystem;
     use crate::ledger::InvokeOpts;
     use crate::multicore::CoreId;
@@ -828,16 +829,7 @@ mod tests {
             totals: None,
             arena: Some((&mut arena, h)),
         };
-        let mut step_ledger = CycleLedger::new();
-        let (done, _) = drive_request(
-            mw,
-            map,
-            steps,
-            t0,
-            attribute_queue,
-            &mut step_ledger,
-            &mut sink,
-        );
+        let (done, _) = drive_request(mw, map, steps, t0, attribute_queue, &mut sink);
         (done, arena.to_ledger(h))
     }
 

@@ -177,8 +177,7 @@ impl Space<'_> {
     }
 }
 
-/// What one executed step did in virtual time, as the request engine
-/// consumes it.
+/// What one executed step did in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Stepped {
     /// Completion time.
@@ -190,6 +189,39 @@ pub(crate) struct Stepped {
     pub(crate) calls: u64,
     /// Payload bytes physically copied.
     pub(crate) copied: u64,
+}
+
+/// A priced step, as [`MultiWorld::replay`] clocks and charges it: the
+/// serving core and what its [`World`] counters take. Pricing reads no
+/// clock, so one record replays at any ready time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Replay {
+    core: CoreId,
+    /// Priced IPC cycles (the step's span total), and of those
+    /// [`Phase::Transfer`].
+    ipc: u64,
+    transfer: u64,
+    /// Non-IPC cycles: compute, a data pass, a fused program's hops.
+    compute: u64,
+    /// As in [`Stepped`].
+    pub(crate) calls: u64,
+    payload: u64,
+    copied: u64,
+}
+
+impl Replay {
+    /// `calls` IPC invocations served on `core`, their spans in `out`.
+    fn ipc(core: CoreId, calls: u64, payload: u64, copied: u64, out: &CycleLedger) -> Self {
+        Replay {
+            core,
+            ipc: out.total(),
+            transfer: out.get(Phase::Transfer),
+            compute: 0,
+            calls,
+            payload,
+            copied,
+        }
+    }
 }
 
 /// The cross-core surcharge of §5.2, split into its physical parts and
@@ -410,6 +442,10 @@ impl Placement {
     /// map allocation). Service 0 is the client; it always sits on core
     /// 0. Every index written is strictly below `mw.n_cores()`.
     ///
+    /// The map is a function of its last entry, the core the chain runs
+    /// on (same-core and pinned map every request alike): the request
+    /// engine keys its priced plans by it.
+    ///
     /// # Errors
     ///
     /// [`PlacementError`] when a pinned map covers fewer services than
@@ -559,6 +595,7 @@ impl MultiWorldBuilder {
                 .collect(),
             topo: self.topo,
             programs: Vec::new(),
+            replayed_cache: EngineCacheStats::default(),
         }
     }
 }
@@ -582,6 +619,8 @@ pub struct MultiWorld {
     /// not by [`Topology`], whose `pub` fields could leave a table stale.
     dist: Vec<u64>,
     programs: Vec<CallProgram>,
+    /// The engine-cache advances of the request engine's replayed plans.
+    pub(crate) replayed_cache: EngineCacheStats,
 }
 
 impl std::fmt::Debug for MultiWorld {
@@ -695,14 +734,17 @@ impl MultiWorld {
             .fold(0, |sum, w| sum.saturating_add(w.cycles))
     }
 
-    /// Engine-cache counters summed over every core's system ([`None`]
-    /// when no core models one).
+    /// Engine-cache counters summed over every core's system and the
+    /// replayed plans ([`None`] when no core models one).
     pub fn engine_cache_stats(&self) -> Option<EngineCacheStats> {
         let mut acc: Option<EngineCacheStats> = None;
         for w in &self.cores {
             if let Some(s) = w.engine_cache_stats() {
                 acc.get_or_insert_with(EngineCacheStats::default).merge(s);
             }
+        }
+        if let Some(acc) = &mut acc {
+            acc.merge(self.replayed_cache);
         }
         acc
     }
@@ -727,10 +769,10 @@ impl MultiWorld {
     }
 
     /// Fused-program pricing: charge every hop and the final reply leg
-    /// into `out` (accumulating) and clock the entry core — the first
-    /// hop's — once for the whole program; the call count is the hop
-    /// count (one `xcall`/kernel entry per hop, however the mechanism
-    /// prices it).
+    /// into `out` (accumulating); the entry core — the first hop's —
+    /// serves the whole program, and the call count is the hop count
+    /// (one `xcall`/kernel entry per hop, however the mechanism prices
+    /// it).
     ///
     /// The model follows AnyCall's submit-once shape: the client issues
     /// one submission to the entry service, which drives the remaining
@@ -744,13 +786,7 @@ impl MultiWorld {
     /// [`HANDOVER_DESC_BYTES`] descriptor. A depth-1 program with no
     /// handover and no compute prices span-for-span identically to the
     /// equivalent [`Step::Roundtrip`].
-    fn fused_into(
-        &mut self,
-        space: Space<'_>,
-        id: ProgramId,
-        ready: u64,
-        out: &mut CycleLedger,
-    ) -> Stepped {
+    fn price_fused(&mut self, space: Space<'_>, id: ProgramId, out: &mut CycleLedger) -> Replay {
         let depth = self.programs[id.index()].depth();
         let issuer = space.issuer(self.programs[id.index()].client());
         let entry = space.core(self.programs[id.index()].hops()[0].service);
@@ -788,15 +824,9 @@ impl MultiWorld {
         self.surcharge_into(issuer, prev, response, 1, out);
         copied = copied.saturating_add(reply_copied);
         payload = payload.saturating_add(response);
-        let at = self.clock(entry, ready, out.total().saturating_add(compute));
-        if compute > 0 {
-            self.cores[entry].compute(compute);
-        }
-        self.cores[entry].charge_spans(calls, payload, out);
-        Stepped {
-            calls,
-            copied,
-            ..at
+        Replay {
+            compute,
+            ..Replay::ipc(entry, calls, payload, copied, out)
         }
     }
 
@@ -849,22 +879,6 @@ impl MultiWorld {
         out.charge(Phase::CrossCore, extra);
     }
 
-    /// Serve `cycles` of work on `core` no earlier than `ready`: the
-    /// completion time (saturating at `u64::MAX` rather than wrapping)
-    /// and how long the work sat behind the core's earlier work, with
-    /// `calls`/`copied` left at 0 for the caller to fill in.
-    fn clock(&mut self, core: CoreId, ready: u64, cycles: u64) -> Stepped {
-        let start = ready.max(self.free_at[core]);
-        let done = start.saturating_add(cycles);
-        self.free_at[core] = done;
-        Stepped {
-            done,
-            wait: start - ready,
-            calls: 0,
-            copied: 0,
-        }
-    }
-
     /// The unified execution entry point: run one [`Step`] (already
     /// resolved to core space) issued by `core` at virtual time `ready`.
     ///
@@ -879,6 +893,13 @@ impl MultiWorld {
     /// Thin adapter over the same path [`exec_into`](Self::exec_into)
     /// runs, for callers that want the step's spans as an owned
     /// [`Invocation`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `core` or a core id the step names is not a core of
+    /// this world, or when a [`Step::Fused`] carries a [`ProgramId`]
+    /// this world did not register (the ids index the world's tables
+    /// unchecked).
     pub fn exec(&mut self, core: CoreId, step: Step, ready: u64) -> Completion {
         let mut done = ready;
         let inv = Invocation::priced(|out| {
@@ -894,6 +915,10 @@ impl MultiWorld {
     ///
     /// No allocation, no per-world event histogram — worlds are clocked
     /// and only their scalar counters charged.
+    ///
+    /// # Panics
+    ///
+    /// As [`exec`](Self::exec).
     pub fn exec_into(
         &mut self,
         core: CoreId,
@@ -905,12 +930,9 @@ impl MultiWorld {
         self.exec_step(Space::Core(core), step, ready, out).done
     }
 
-    /// The one pricing path behind [`exec`](Self::exec),
-    /// [`exec_into`](Self::exec_into) and the request engine: price
-    /// `step`, its ids read in `space`, into `out` (which must be
-    /// empty), clock and charge the serving core. Inlined so the
-    /// engine's per-step dispatch stays one call deep.
-    #[inline]
+    /// Price `step` and replay it at `ready`: the one path behind
+    /// [`exec`](Self::exec) and [`exec_into`](Self::exec_into). `out`
+    /// must be empty.
     pub(crate) fn exec_step(
         &mut self,
         space: Space<'_>,
@@ -918,6 +940,21 @@ impl MultiWorld {
         ready: u64,
         out: &mut CycleLedger,
     ) -> Stepped {
+        let priced = self.price_step(space, step, out);
+        self.replay(&priced, ready)
+    }
+
+    /// Price `step`, its ids read in `space`: charge its IPC spans and
+    /// cross-core surcharges into `out` (which must be empty) and return
+    /// what [`replay`](Self::replay) clocks and charges. Reads no clock
+    /// and touches no [`World`] counter; only the systems' engine-cache
+    /// counters may advance (see [`IpcSystem`]'s contract).
+    pub(crate) fn price_step(
+        &mut self,
+        space: Space<'_>,
+        step: Step,
+        out: &mut CycleLedger,
+    ) -> Replay {
         let opts = InvokeOpts::call();
         match step {
             Step::Oneway { from, to, bytes } => {
@@ -925,13 +962,7 @@ impl MultiWorld {
                 let opts = self.shard_opts(core, to, &opts);
                 let copied = self.cores[to].ipc().oneway_into(msg_len(bytes), &opts, out);
                 self.surcharge_into(core, to, bytes, 1, out);
-                let at = self.clock(to, ready, out.total());
-                self.cores[to].charge_spans(1, bytes, out);
-                Stepped {
-                    calls: 1,
-                    copied,
-                    ..at
-                }
+                Replay::ipc(to, 1, bytes, copied, out)
             }
             Step::Batch {
                 from,
@@ -946,13 +977,7 @@ impl MultiWorld {
                         .ipc()
                         .invoke_batch_into(calls, msg_len(bytes_each), &opts, out);
                 self.surcharge_into(core, to, bytes_each, calls, out);
-                let at = self.clock(to, ready, out.total());
-                self.cores[to].charge_spans(calls, calls.saturating_mul(bytes_each), out);
-                Stepped {
-                    calls,
-                    copied,
-                    ..at
-                }
+                Replay::ipc(to, calls, calls.saturating_mul(bytes_each), copied, out)
             }
             Step::Roundtrip {
                 from,
@@ -974,33 +999,49 @@ impl MultiWorld {
                     .ipc()
                     .oneway_into(msg_len(response), &reply_opts, out);
                 self.surcharge_into(core, to, response, 1, out);
-                let at = self.clock(to, ready, out.total());
-                self.cores[to].charge_spans(1, request.saturating_add(response), out);
-                Stepped {
-                    calls: 1,
-                    copied: call.saturating_add(reply),
-                    ..at
-                }
+                let (payload, copied) =
+                    (request.saturating_add(response), call.saturating_add(reply));
+                Replay::ipc(to, 1, payload, copied, out)
             }
-            Step::Compute { at, cycles } => self.compute_step(space.issuer(at), ready, cycles),
+            Step::Compute { at, cycles } => Replay {
+                core: space.issuer(at),
+                compute: cycles,
+                ..Replay::default()
+            },
             Step::DataPass {
                 at,
                 bytes,
                 intensity_x10,
             } => {
                 let core = space.issuer(at);
-                let cycles = self.cores[core].cost.data_pass_cycles(bytes, intensity_x10);
-                self.compute_step(core, ready, cycles)
+                let compute = self.cores[core].cost.data_pass_cycles(bytes, intensity_x10);
+                Replay {
+                    core,
+                    compute,
+                    ..Replay::default()
+                }
             }
-            Step::Fused(id) => self.fused_into(space, id, ready, out),
+            Step::Fused(id) => self.price_fused(space, id, out),
         }
     }
 
-    /// Clock and charge `cycles` of non-IPC work on `core`.
-    fn compute_step(&mut self, core: CoreId, ready: u64, cycles: u64) -> Stepped {
-        let at = self.clock(core, ready, cycles);
-        self.cores[core].compute(cycles);
-        at
+    /// Serve a priced step on its FIFO core no earlier than `ready` (the
+    /// completion time saturates at `u64::MAX`) and charge the core's
+    /// [`World`] counters.
+    #[inline]
+    pub(crate) fn replay(&mut self, step: &Replay, ready: u64) -> Stepped {
+        let start = ready.max(self.free_at[step.core]);
+        let done = start.saturating_add(step.ipc.saturating_add(step.compute));
+        self.free_at[step.core] = done;
+        let world = &mut self.cores[step.core];
+        world.compute(step.compute);
+        world.charge_ipc(step.calls, step.payload, step.ipc, step.transfer);
+        Stepped {
+            done,
+            wait: start - ready,
+            calls: step.calls,
+            copied: step.copied,
+        }
     }
 }
 

@@ -132,8 +132,8 @@ impl World {
 
     /// The active system, for pricing hops *without* charging them: the
     /// multicore layer prices into its own sink here, adds cross-core
-    /// cost when the call leaves the core, then charges the spans via
-    /// [`charge_spans`](Self::charge_spans).
+    /// cost when the call leaves the core, then charges the priced
+    /// cycles via [`charge_ipc`](Self::charge_ipc).
     pub(crate) fn ipc(&mut self) -> &mut dyn IpcSystem {
         self.ipc.as_mut()
     }
@@ -175,29 +175,26 @@ impl World {
     /// `payload` bytes: the clock, the IPC/compute split, one Figure 1(b)
     /// size-histogram event, and the merged ledger.
     fn charge_scratch(&mut self, payload: u64) {
-        let priced = std::mem::take(&mut self.scratch);
-        self.charge_spans(1, payload, &priced);
-        self.stats.events.push((payload, priced.total()));
-        self.stats.ledger.merge(&priced);
-        self.scratch = priced;
+        let total = self.scratch.total();
+        self.charge_ipc(1, payload, total, self.scratch.get(Phase::Transfer));
+        self.stats.events.push((payload, total));
+        self.stats.ledger.merge(&self.scratch);
     }
 
     /// Lean charge for an already-priced batch of `calls` invocations
-    /// whose spans live in a caller-owned `ledger`: advances the clock
-    /// and the scalar counters only (saturating — a step priced from an
-    /// absurd count pins them at `u64::MAX` instead of wrapping).
-    /// Deliberately skips the per-event size histogram and the per-world
-    /// merged ledger — under a [`MultiWorld`](crate::MultiWorld) the
+    /// carrying `payload` bytes, whose spans total `cycles`, `transfer`
+    /// of them [`Phase::Transfer`]: advances the clock and the scalar
+    /// counters only (saturating — a step priced from an absurd count
+    /// pins them at `u64::MAX` instead of wrapping). Deliberately skips
+    /// the per-event size histogram and the per-world merged ledger —
+    /// under a [`MultiWorld`](crate::MultiWorld) the
     /// [`Attribution`](crate::ledger::Attribution) sink owns phase
     /// attribution, and neither is read by the load reports.
-    pub(crate) fn charge_spans(&mut self, calls: u64, payload: u64, ledger: &CycleLedger) {
-        let total = ledger.total();
+    pub(crate) fn charge_ipc(&mut self, calls: u64, payload: u64, cycles: u64, transfer: u64) {
         let stats = &mut self.stats;
-        self.cycles = self.cycles.saturating_add(total);
-        stats.ipc_cycles = stats.ipc_cycles.saturating_add(total);
-        stats.ipc_transfer_cycles = stats
-            .ipc_transfer_cycles
-            .saturating_add(ledger.get(Phase::Transfer));
+        self.cycles = self.cycles.saturating_add(cycles);
+        stats.ipc_cycles = stats.ipc_cycles.saturating_add(cycles);
+        stats.ipc_transfer_cycles = stats.ipc_transfer_cycles.saturating_add(transfer);
         stats.ipc_count = stats.ipc_count.saturating_add(calls);
         stats.payload_bytes = stats.payload_bytes.saturating_add(payload);
     }

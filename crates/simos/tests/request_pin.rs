@@ -1,5 +1,6 @@
 //! Model-exact pin of the request engine (`load` and `serve` over
-//! `engine::run` → `MultiWorld::exec_step` → the kernels' `oneway_into`).
+//! `engine::run`, which replays plans `MultiWorld::price_step` priced
+//! through the kernels' `oneway_into`).
 //!
 //! A change meant only to make the per-request path cheaper on the host
 //! must leave every simulated number identical: counts, virtual times,
@@ -8,8 +9,9 @@
 //! autoscale controller's trajectory. The literals below were captured
 //! on the commit *before* the ledgers got slot maps, the issue heap
 //! became a replace-min queue, core distances became a table, the tails
-//! became selections and `Full` attribution stopped staging through the
-//! arena; they move only when the model itself is changed on purpose.
+//! became selections, `Full` attribution stopped staging through the
+//! arena and requests began replaying plans priced once per run; they
+//! move only when the model itself is changed on purpose.
 //! The engine twin of `rv64/tests/cycle_pin.rs` and
 //! `services/tests/storage_pin.rs`.
 
