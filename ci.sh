@@ -39,6 +39,14 @@ echo "== clippy (xpc-verify: missing_panics_doc promoted to error) =="
 cargo clippy -p xpc-verify --all-targets --no-deps -- \
   -D warnings -A clippy::cast-possible-truncation -D clippy::missing-panics-doc
 
+echo "== clippy (xpc-bench: missing_panics_doc promoted to error) =="
+# The harness and experiment API benchmark/ calls (CallBench,
+# measure_swapseg, the grids behind the figures): every pub fn that can
+# panic documents its # Panics contract. --no-deps scopes the promotion
+# to the crate itself.
+cargo clippy -p xpc-bench --all-targets --no-deps -- \
+  -D warnings -A clippy::cast-possible-truncation -D clippy::missing-panics-doc
+
 echo "== rustdoc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

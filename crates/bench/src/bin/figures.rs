@@ -7,11 +7,11 @@
 //! cargo run -p xpc-bench --bin figures -- --threads 4 --json all
 //! ```
 //!
-//! `--json` additionally sweeps the full kernel-model roster and dumps
-//! per-system, per-size, per-phase cycle attributions (plus the Figure 5
-//! ablation ledgers and one section per scenario grid) to
-//! `BENCH_figures.json`; a grid whose table was printed above is handed
-//! to its JSON section, not computed again (see `xpc_bench::experiments`).
+//! `--json` additionally writes `BENCH_figures.json`: the full
+//! kernel-model roster's per-system, per-size, per-phase cycle
+//! attributions, then one section per experiment holding every number
+//! its table prints. A grid whose table was printed above is handed to
+//! its JSON section, not computed again (see `xpc_bench::experiments`).
 //! `--threads N` pins the sweep pool's worker count (default: the
 //! machine's parallelism); the rendered output and the dump, virtual time
 //! only, are byte-identical at any setting. Every argument is checked

@@ -219,14 +219,9 @@ impl Experiment for Ablations {
     }
 }
 
-/// Regenerate the ablation report.
-pub(crate) fn run() -> Report {
-    super::run::<Ablations>()
-}
-
 /// The `"ablations"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json_section::<Ablations>()
+    super::json::<Ablations>().render(2)
 }
 
 #[cfg(test)]

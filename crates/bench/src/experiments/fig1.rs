@@ -1,10 +1,11 @@
 //! **Figure 1** — the motivation measurements: (a) fraction of CPU time
 //! Sqlite3/YCSB spends in IPC on seL4; (b) CDF of IPC time by message
 //! length for YCSB-E. (b)'s run is (a)'s YCSB-E cell — same mechanism,
-//! spec and seed — so `ipc_fractions` hands it over (see the hand-off
-//! note in [`super`]).
+//! spec and seed — so [`Fig1a`]'s grid holds what (b) prints, and
+//! [`Fig1b`] reads it from the grid (a) parked (see [`super`]).
 
-use super::Report;
+use super::{float, plain, Column, Experiment, Report};
+use crate::json::Value;
 use kernels::{Sel4, Sel4Transfer};
 use minidb::{load, run_loaded, run_workload};
 use simos::World;
@@ -13,12 +14,6 @@ use ycsb::{Workload, WorkloadSpec};
 /// Message-length bounds of the Figure 1(b) CDF.
 const BOUNDS: [u64; 8] = [4, 16, 64, 256, 1024, 4096, 8192, 1 << 20];
 
-/// What Figure 1(b) prints: the CDF at [`BOUNDS`] and the data-transfer
-/// share of IPC time. The YCSB-E cell of [`ipc_fractions`] parks one for
-/// the [`fig1b`] that follows it — eight pairs and a float, not the
-/// world's event list.
-struct ECdf(Vec<(u64, f64)>, f64);
-
 fn spec(wl: Workload) -> WorkloadSpec {
     WorkloadSpec {
         ops: 500,
@@ -26,74 +21,135 @@ fn spec(wl: Workload) -> WorkloadSpec {
     }
 }
 
-/// IPC fraction per workload (Figure 1a).
-pub(crate) fn ipc_fractions() -> Vec<(&'static str, f64)> {
-    let sel4 = || World::new(Box::new(Sel4::new(Sel4Transfer::TwoCopy)));
-    // One table load (§5.4), forked per mix; see `fig8::normalized`.
-    let loaded = load(&mut sel4(), &spec(Workload::A));
-    // Six independent worlds through the pool; the E cell also reduces
-    // its world to what Figure 1(b) prints.
-    let mut cells = simos::par::map_cells(Workload::ALL.to_vec(), |_, wl, _| {
-        let mut w = sel4();
-        let r = run_loaded(&mut w, loaded.clone(), &spec(wl));
-        let cdf =
-            (wl == Workload::E).then(|| ECdf(w.stats.cdf_by_size(&BOUNDS), r.transfer_fraction));
-        (wl.name(), r.ipc_fraction, cdf)
-    });
-    if let Some(cdf) = cells.iter_mut().find_map(|cell| cell.2.take()) {
-        super::park(cdf);
-    }
-    cells.into_iter().map(|(name, f, _)| (name, f)).collect()
+#[cfg(test)]
+thread_local! {
+    /// Runs of [`Fig1a::compute`] and of [`ycsb_e_cdf`] on this thread.
+    static RUNS: std::cell::Cell<[u32; 2]> = const { std::cell::Cell::new([0; 2]) };
 }
 
-/// Regenerate Figure 1(a).
-pub(crate) fn fig1a() -> Report {
-    let rows = ipc_fractions()
-        .into_iter()
-        .map(|(n, f)| vec![n.to_string(), format!("{:.1}%", f * 100.0)])
-        .collect();
-    Report {
-        id: "Figure 1(a)",
-        caption: "CPU time spent in IPC, Sqlite3 + YCSB on seL4 (paper: 18-39%)",
-        headers: vec!["Workload".into(), "IPC time".into()],
-        rows,
+/// Figure 1(a): the IPC fraction of each YCSB mix, plus the YCSB-E
+/// cell's CDF and transfer share, which Figure 1(b) prints.
+pub struct Fig1a;
+
+impl Experiment for Fig1a {
+    type Grid = (Vec<(&'static str, f64)>, <Fig1b as Experiment>::Grid);
+
+    fn compute() -> Self::Grid {
+        #[cfg(test)]
+        RUNS.set([RUNS.get()[0] + 1, RUNS.get()[1]]);
+        let sel4 = || World::new(Box::new(Sel4::new(Sel4Transfer::TwoCopy)));
+        // One table load (§5.4), forked per mix; see `fig8::Fig8ab`.
+        let loaded = load(&mut sel4(), &spec(Workload::A));
+        // Six independent worlds through the pool; the E cell also
+        // reduces its world to what Figure 1(b) prints.
+        let mut cells = simos::par::map_cells(Workload::ALL.to_vec(), |_, wl, _| {
+            let mut w = sel4();
+            let r = run_loaded(&mut w, loaded.clone(), &spec(wl));
+            let e =
+                (wl == Workload::E).then(|| (w.stats.cdf_by_size(&BOUNDS), r.transfer_fraction));
+            (wl.name(), r.ipc_fraction, e)
+        });
+        let e = cells.iter_mut().find_map(|cell| cell.2.take());
+        let fractions = cells.into_iter().map(|(name, f, _)| (name, f)).collect();
+        (fractions, e.expect("YCSB-E is one of the mixes"))
+    }
+
+    fn table((fractions, _): &Self::Grid) -> Report {
+        let caption = "CPU time spent in IPC, Sqlite3 + YCSB on seL4 (paper: 18-39%)";
+        super::cell_table("Figure 1(a)", caption, &FRACTION_COLUMNS, fractions)
+    }
+
+    fn json((fractions, _): &Self::Grid) -> Value {
+        let cells = super::cell_json(&FRACTION_COLUMNS, fractions);
+        let paper = [("ipc_fraction_min", 0.18), ("ipc_fraction_max", 0.39)];
+        super::with_paper(vec![("workloads", cells)], &paper)
     }
 }
 
-/// The Figure 1(b) CDF and transfer fraction for YCSB-E.
+/// Figure 1(a)'s columns over (workload, IPC fraction) cells.
+#[rustfmt::skip]
+const FRACTION_COLUMNS: [Column<(&str, f64)>; 2] = [
+    ("Workload", "workload", |&(w, _)| plain(w)),
+    ("IPC time", "ipc_fraction", |&(_, f)| (format!("{:.1}%", f * 100.0), Value::Fixed(f, 4))),
+];
+
+/// The Figure 1(b) CDF and transfer fraction for YCSB-E, from a world
+/// of its own.
 pub(crate) fn ycsb_e_cdf() -> (Vec<(u64, f64)>, f64) {
+    #[cfg(test)]
+    RUNS.set([RUNS.get()[0], RUNS.get()[1] + 1]);
     let mut w = World::new(Box::new(Sel4::new(Sel4Transfer::TwoCopy)));
     let r = run_workload(&mut w, &spec(Workload::E));
     (w.stats.cdf_by_size(&BOUNDS), r.transfer_fraction)
 }
 
-/// Regenerate Figure 1(b), from the YCSB-E cell of the [`fig1a`] before
-/// it, else from its own run.
-pub(crate) fn fig1b() -> Report {
-    let (cdf, transfer) = super::take().map_or_else(ycsb_e_cdf, |ECdf(cdf, t)| (cdf, t));
-    let mut rows: Vec<Vec<String>> = cdf
-        .into_iter()
-        .map(|(b, f)| vec![format!("<= {b}B"), format!("{:.3}", f)])
-        .collect();
-    rows.push(vec![
-        "data-transfer share of IPC time".into(),
-        format!("{:.1}% (paper: 58.7%)", transfer * 100.0),
-    ]);
-    Report {
-        id: "Figure 1(b)",
-        caption: "CDF of IPC time by message length, YCSB-E on seL4",
-        headers: vec!["Message length".into(), "CDF of IPC time".into()],
-        rows,
+/// Figure 1(b): the YCSB-E CDF at eight message-length bounds and the
+/// data-transfer share of IPC time.
+pub struct Fig1b;
+
+impl Experiment for Fig1b {
+    type Grid = (Vec<(u64, f64)>, f64);
+
+    /// The YCSB-E cell of the [`Fig1a`] grid parked on this thread, else
+    /// a YCSB-E run of its own.
+    fn compute() -> Self::Grid {
+        super::peek::<Fig1a, _>(|(_, e)| e.clone()).unwrap_or_else(ycsb_e_cdf)
+    }
+
+    fn table((cdf, transfer): &Self::Grid) -> Report {
+        let caption = "CDF of IPC time by message length, YCSB-E on seL4";
+        let mut r = super::cell_table("Figure 1(b)", caption, &CDF_COLUMNS, cdf);
+        r.rows.push(vec![
+            "data-transfer share of IPC time".into(),
+            format!("{:.1}% (paper: {:.1}%)", transfer * 100.0, PAPER * 100.0),
+        ]);
+        r
+    }
+
+    fn json((cdf, transfer): &Self::Grid) -> Value {
+        let fields = vec![
+            ("cdf", super::cell_json(&CDF_COLUMNS, cdf)),
+            ("transfer_fraction", Value::Fixed(*transfer, 4)),
+        ];
+        super::with_paper(fields, &[("transfer_fraction", PAPER)])
     }
 }
+
+/// Figure 1(b)'s columns over (message-length bound, CDF) cells.
+#[rustfmt::skip]
+const CDF_COLUMNS: [Column<(u64, f64)>; 2] = [
+    ("Message length", "max_bytes", |&(b, _)| (format!("<= {b}B"), b.into())),
+    ("CDF of IPC time", "cdf", |&(_, f)| float(f, 3, "", 4)),
+];
+
+/// The paper's data-transfer share of IPC time on YCSB-E.
+const PAPER: f64 = 0.587;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{json, run, take};
 
     #[test]
-    fn the_ycsb_e_cell_is_handed_off_once() {
-        crate::experiments::assert_invisible_hand_off::<ECdf>(fig1a, || fig1b().render());
+    fn the_fig1a_grid_is_computed_once_per_pass() {
+        let pass = |workers| {
+            simos::par::with_threads(workers, || {
+                RUNS.set([0; 2]);
+                let (a, b) = (run::<Fig1a>().render(), run::<Fig1b>().render());
+                let views = [json::<Fig1a>(), json::<Fig1b>()];
+                assert_eq!(
+                    RUNS.get(),
+                    [1, 0],
+                    "{workers} workers: one grid, no E rerun"
+                );
+                let cold = run::<Fig1b>().render();
+                assert_eq!(RUNS.get(), [1, 1], "a cold Figure 1(b) runs its own world");
+                assert_eq!(cold, b, "cold != handed off at {workers} workers");
+                take::<Fig1b>();
+                (a, b, views)
+            })
+        };
+        assert!(pass(1) == pass(4), "1 worker != 4 workers");
     }
 
     #[test]
@@ -103,7 +159,7 @@ mod tests {
         // so its IPC share is lower than the paper's ~18%), but every
         // mix with writes must show a substantial IPC share and nothing
         // may be implausibly IPC-bound.
-        let fr = ipc_fractions();
+        let (fr, _) = Fig1a::compute();
         for (name, f) in &fr {
             assert!(*f < 0.65, "{name}: IPC fraction {f:.2} implausibly high");
         }

@@ -6,8 +6,10 @@
 //! per-rung saving is the [`kernels::CycleLedger::diff_into`] against the
 //! previous bar's ledger.
 
-use super::Report;
+use super::{Experiment, Report};
 use crate::harness::{CallBenchConfig, EmulatedXpc};
+use crate::json::Value;
+use crate::sweep::ledgers_json;
 use kernels::{Invocation, InvokeOpts, IpcSystem, Phase};
 
 /// One Figure 5 bar.
@@ -70,38 +72,52 @@ pub fn bars() -> Vec<Fig5Bar> {
         .collect()
 }
 
-/// Regenerate Figure 5.
-pub(crate) fn run() -> Report {
-    let rows = bars()
-        .into_iter()
-        .map(|b| {
-            let saved: i64 = -b.delta.iter().map(|&(_, d)| d).sum::<i64>();
-            vec![
-                b.config.to_string(),
-                b.total.to_string(),
-                b.invocation.ledger.get(Phase::Trampoline).to_string(),
-                b.xcall.to_string(),
-                b.xret.to_string(),
-                if b.delta.is_empty() {
-                    "-".into()
-                } else {
-                    format!("-{saved}")
-                },
-            ]
-        })
-        .collect();
-    Report {
-        id: "Figure 5",
-        caption: "XPC optimizations and breakdown (one IPC call, emulator-measured; paper totals 150/89/49/33/21)",
-        headers: vec![
-            "Configuration".into(),
-            "IPC call (cycles)".into(),
-            "trampoline".into(),
-            "xcall".into(),
-            "xret".into(),
-            "vs prev".into(),
-        ],
-        rows,
+/// Figure 5: the five [`bars`]. Its section is the bars' ledgers.
+pub struct Fig5;
+
+impl Experiment for Fig5 {
+    type Grid = Vec<Fig5Bar>;
+
+    fn compute() -> Self::Grid {
+        bars()
+    }
+
+    fn table(bars: &Self::Grid) -> Report {
+        let rows = bars
+            .iter()
+            .map(|b| {
+                let saved: i64 = -b.delta.iter().map(|&(_, d)| d).sum::<i64>();
+                vec![
+                    b.config.to_string(),
+                    b.total.to_string(),
+                    b.invocation.ledger.get(Phase::Trampoline).to_string(),
+                    b.xcall.to_string(),
+                    b.xret.to_string(),
+                    if b.delta.is_empty() {
+                        "-".into()
+                    } else {
+                        format!("-{saved}")
+                    },
+                ]
+            })
+            .collect();
+        Report {
+            id: "Figure 5",
+            caption: "XPC optimizations and breakdown (one IPC call, emulator-measured; paper totals 150/89/49/33/21)",
+            headers: vec![
+                "Configuration".into(),
+                "IPC call (cycles)".into(),
+                "trampoline".into(),
+                "xcall".into(),
+                "xret".into(),
+                "vs prev".into(),
+            ],
+            rows,
+        }
+    }
+
+    fn json(bars: &Self::Grid) -> Value {
+        ledgers_json(bars.iter().map(|b| (b.config, 0, &b.invocation)))
     }
 }
 

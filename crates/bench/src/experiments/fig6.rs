@@ -1,7 +1,9 @@
 //! **Figure 6** — one-way call latency vs message size, seL4 vs seL4-XPC,
 //! same-core and cross-core.
 
-use super::Report;
+use super::{plain, Column, Experiment, Report};
+use crate::json::Value;
+use crate::sweep::sweep_row;
 use kernels::{Sel4, Sel4Transfer, XpcIpc};
 use simos::{InvokeOpts, IpcSystem};
 
@@ -24,35 +26,50 @@ pub fn curves() -> Vec<(String, Vec<u64>)> {
         "seL4-XPC (cross cores)",
     ];
     let sizes: Vec<usize> = SIZES.iter().map(|&s| s as usize).collect();
-    crate::sweep::sweep(systems, &sizes, &InvokeOpts::call())
-        .into_iter()
-        .zip(labels)
-        .map(|(row, l)| {
-            let vals = row.points.into_iter().map(|(_, inv)| inv.total()).collect();
-            (l.to_string(), vals)
-        })
-        .collect()
+    let curve = |(mut s, label): (Box<dyn IpcSystem>, &str)| {
+        let row = sweep_row(s.as_mut(), &sizes, &InvokeOpts::call());
+        (
+            label.to_string(),
+            row.points.iter().map(|(_, inv)| inv.total()).collect(),
+        )
+    };
+    systems.into_iter().zip(labels).map(curve).collect()
 }
 
-/// Regenerate Figure 6.
-pub(crate) fn run() -> Report {
-    let c = curves();
-    let mut headers = vec!["Message size".to_string()];
-    headers.extend(c.iter().map(|(l, _)| l.clone()));
-    let rows = SIZES
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let mut row = vec![format!("{s}B")];
-            row.extend(c.iter().map(|(_, v)| v[i].to_string()));
-            row
-        })
-        .collect();
-    Report {
-        id: "Figure 6",
-        caption: "One-way call latency (cycles, log scale in the paper); speedups 5-37x same-core, 81-141x cross-core",
-        headers,
-        rows,
+/// Figure 6's columns over (size, [cycles per curve]) cells, curves in
+/// [`curves`] order.
+#[rustfmt::skip]
+const COLUMNS: [Column<(u64, [u64; 4])>; 5] = [
+    ("Message size", "msg_len", |&(s, _)| (format!("{s}B"), s.into())),
+    ("seL4 (same core)", "sel4_same_core", |(_, c)| plain(c[0])),
+    ("seL4-XPC (same core)", "xpc_same_core", |(_, c)| plain(c[1])),
+    ("seL4 (cross cores)", "sel4_cross_core", |(_, c)| plain(c[2])),
+    ("seL4-XPC (cross cores)", "xpc_cross_core", |(_, c)| plain(c[3])),
+];
+
+/// Figure 6: one-way cycles per size of the four [`curves`].
+pub struct Fig6;
+
+impl Experiment for Fig6 {
+    type Grid = Vec<(u64, [u64; 4])>;
+
+    fn compute() -> Self::Grid {
+        super::by_axis(&SIZES, &curves())
+    }
+
+    fn table(grid: &Self::Grid) -> Report {
+        let caption = "One-way call latency (cycles, log scale in the paper); speedups 5-37x same-core, 81-141x cross-core";
+        super::cell_table("Figure 6", caption, &COLUMNS, grid)
+    }
+
+    fn json(grid: &Self::Grid) -> Value {
+        let paper = [
+            ("same_core_speedup_min", 5.0),
+            ("same_core_speedup_max", 37.0),
+            ("cross_core_speedup_min", 81.0),
+            ("cross_core_speedup_max", 141.0),
+        ];
+        super::with_paper(vec![("sizes", super::cell_json(&COLUMNS, grid))], &paper)
     }
 }
 

@@ -1,7 +1,8 @@
 //! **Figure 7** — OS services: file-system read/write throughput (a, b)
 //! and TCP throughput (c) across the five systems.
 
-use super::Report;
+use super::{float, Column, Experiment, Report};
+use crate::json::Value;
 use kernels::{Factory, Sel4, Sel4Transfer, XpcIpc, Zircon};
 use services::fs::{FsClient, Xv6Fs};
 use services::net::tcp_throughput_mb_s;
@@ -70,70 +71,76 @@ pub(crate) fn fs_curves(write: bool) -> Vec<(String, Vec<f64>)> {
     curves(&SYSTEMS, &FS_BUFS, |mech, b| fs_throughput(mech, b, write))
 }
 
-fn fs_report(id: &'static str, caption: &'static str, write: bool) -> Report {
-    let curves = fs_curves(write);
-    let mut headers = vec!["Buffer".to_string()];
-    headers.extend(curves.iter().map(|(n, _)| n.clone()));
-    let rows = FS_BUFS
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            let mut row = vec![format!("{}KB", b / 1024)];
-            row.extend(curves.iter().map(|(_, v)| format!("{:.1}", v[i])));
-            row
-        })
-        .collect();
-    Report {
-        id,
-        caption,
-        headers,
-        rows,
+/// Figure 7(a,b)'s columns over (buffer, [MB/s per system]) cells,
+/// systems in [`SYSTEMS`] order.
+#[rustfmt::skip]
+const FS_COLUMNS: [Column<(u64, [f64; 5])>; 6] = [
+    ("Buffer", "buffer_bytes", |&(b, _)| (format!("{}KB", b / 1024), b.into())),
+    ("Zircon", "zircon_mb_s", |(_, v)| float(v[0], 1, "", 3)),
+    ("Zircon-XPC", "zircon_xpc_mb_s", |(_, v)| float(v[1], 1, "", 3)),
+    ("seL4-onecopy", "sel4_onecopy_mb_s", |(_, v)| float(v[2], 1, "", 3)),
+    ("seL4-twocopy", "sel4_twocopy_mb_s", |(_, v)| float(v[3], 1, "", 3)),
+    ("seL4-XPC", "sel4_xpc_mb_s", |(_, v)| float(v[4], 1, "", 3)),
+];
+
+/// Figure 7(a,b): read and write throughput per buffer size.
+pub struct Fig7ab;
+
+impl Experiment for Fig7ab {
+    type Grid = [Vec<(u64, [f64; 5])>; 2];
+
+    fn compute() -> Self::Grid {
+        [false, true].map(|write| super::by_axis(&FS_BUFS, &fs_curves(write)))
+    }
+
+    fn table([read, write]: &Self::Grid) -> Report {
+        let caption = "FS read/write throughput (MB/s); read rows first, then write rows";
+        let table = |cells| super::cell_table("Figure 7(a,b)", caption, &FS_COLUMNS, cells);
+        let mut r = table(read);
+        r.rows.push(vec!["-- write --".into()]);
+        r.rows.extend(table(write).rows);
+        r
+    }
+
+    fn json([read, write]: &Self::Grid) -> Value {
+        let cells = |c| super::cell_json(&FS_COLUMNS, c);
+        Value::Object(vec![("read", cells(read)), ("write", cells(write))])
     }
 }
 
-/// Regenerate Figure 7(a)+(b) as one report pair.
-pub(crate) fn fig7ab() -> Report {
-    let mut r = fs_report(
-        "Figure 7(a,b)",
-        "FS read/write throughput (MB/s); read rows first, then write rows",
-        false,
-    );
-    let w = fs_report("", "", true);
-    r.rows.push(vec!["-- write --".into()]);
-    r.rows.extend(w.rows);
-    r
-}
+/// Figure 7(c)'s columns over (buffer, [Zircon, Zircon-XPC MB/s]) cells.
+#[rustfmt::skip]
+const TCP_COLUMNS: [Column<(u64, [f64; 2])>; 4] = [
+    ("Buffer", "buffer_bytes", |&(b, _)| (format!("{b}B"), b.into())),
+    ("Zircon", "zircon_mb_s", |(_, v)| float(v[0], 2, "", 3)),
+    ("Zircon-XPC", "zircon_xpc_mb_s", |(_, v)| float(v[1], 2, "", 3)),
+    ("speedup", "speedup", |&(_, [z, x])| float(x / z, 1, "x", 2)),
+];
 
-/// TCP curves for Figure 7(c): (system, buf -> MB/s).
-pub(crate) fn tcp_curves() -> Vec<(String, Vec<f64>)> {
-    curves(&SYSTEMS[..2], &TCP_BUFS, |mech, b| {
-        tcp_throughput_mb_s(&mut World::new(mech), b as usize, 1 << 20)
-    })
-}
+/// Figure 7(c): TCP throughput of Zircon and Zircon-XPC per
+/// [`TCP_BUFS`].
+pub struct Fig7c;
 
-/// Regenerate Figure 7(c).
-pub(crate) fn fig7c() -> Report {
-    let curves = tcp_curves();
-    let mut headers = vec!["Buffer".to_string()];
-    headers.extend(curves.iter().map(|(n, _)| n.clone()));
-    headers.push("speedup".into());
-    let rows = TCP_BUFS
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            vec![
-                format!("{b}B"),
-                format!("{:.2}", curves[0].1[i]),
-                format!("{:.2}", curves[1].1[i]),
-                format!("{:.1}x", curves[1].1[i] / curves[0].1[i]),
-            ]
-        })
-        .collect();
-    Report {
-        id: "Figure 7(c)",
-        caption: "TCP throughput vs buffer size (paper: ~6x average, up to 8x at small buffers)",
-        headers,
-        rows,
+impl Experiment for Fig7c {
+    type Grid = Vec<(u64, [f64; 2])>;
+
+    fn compute() -> Self::Grid {
+        let c = curves(&SYSTEMS[..2], &TCP_BUFS, |mech, b| {
+            tcp_throughput_mb_s(&mut World::new(mech), b as usize, 1 << 20)
+        });
+        super::by_axis(&TCP_BUFS, &c)
+    }
+
+    fn table(grid: &Self::Grid) -> Report {
+        let caption =
+            "TCP throughput vs buffer size (paper: ~6x average, up to 8x at small buffers)";
+        super::cell_table("Figure 7(c)", caption, &TCP_COLUMNS, grid)
+    }
+
+    fn json(grid: &Self::Grid) -> Value {
+        let paper = [("avg_speedup", 6.0), ("max_speedup", 8.0)];
+        let cells = super::cell_json(&TCP_COLUMNS, grid);
+        super::with_paper(vec![("buffers", cells)], &paper)
     }
 }
 
@@ -180,11 +187,10 @@ mod tests {
 
     #[test]
     fn fig7c_speedup_shrinks_with_buffer() {
-        let c = tcp_curves();
-        let z = curve(&c, "Zircon");
-        let x = curve(&c, "Zircon-XPC");
-        let first = x[0] / z[0];
-        let last = x.last().unwrap() / z.last().unwrap();
+        let c = Fig7c::compute();
+        let speedup = |&(_, [z, x]): &(u64, [f64; 2])| x / z;
+        let first = speedup(&c[0]);
+        let last = speedup(c.last().unwrap());
         assert!(
             first > last,
             "batching helps Zircon: {first:.1} -> {last:.1}"

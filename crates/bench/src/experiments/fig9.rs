@@ -1,8 +1,10 @@
 //! **Figure 9** — Android Binder: window-manager/surface-compositor
 //! transaction latency via the transaction buffer (a) and ashmem (b).
 
-use super::Report;
-use kernels::{binder_latency_us, BinderSystem};
+use super::{float, Column, Experiment, Report};
+use crate::json::Value;
+use kernels::binder_latency_us;
+use kernels::BinderSystem::{AshmemXpc, Binder, BinderXpc};
 
 /// Figure 9(a) argument sizes.
 pub const BUF_SIZES: [u64; 5] = [1024, 2048, 4096, 8192, 16384];
@@ -19,66 +21,90 @@ pub const ASHMEM_SIZES: [u64; 8] = [
     32 << 20,
 ];
 
-/// Regenerate Figure 9(a).
-pub(crate) fn fig9a() -> Report {
-    let rows = BUF_SIZES
-        .iter()
-        .map(|&s| {
-            let b = binder_latency_us(BinderSystem::Binder, false, s);
-            let x = binder_latency_us(BinderSystem::BinderXpc, false, s);
-            vec![
-                format!("{s}B"),
-                format!("{b:.1}us"),
-                format!("{x:.1}us"),
-                format!("{:.1}x", b / x),
-            ]
-        })
-        .collect();
-    Report {
-        id: "Figure 9(a)",
-        caption: "Binder transaction latency via buffer (paper: 378us->8.2us at 2KB, 46.2x)",
-        headers: vec![
-            "Size".into(),
-            "Binder".into(),
-            "Binder-XPC".into(),
-            "Speedup".into(),
-        ],
-        rows,
+/// Figure 9(a)'s columns over (size, Binder us, Binder-XPC us) cells.
+#[rustfmt::skip]
+const BUF_COLUMNS: [Column<(u64, f64, f64)>; 4] = [
+    ("Size", "size_bytes", |&(s, ..)| (format!("{s}B"), s.into())),
+    ("Binder", "binder_us", |&(_, b, _)| float(b, 1, "us", 2)),
+    ("Binder-XPC", "binder_xpc_us", |&(.., x)| float(x, 1, "us", 2)),
+    ("Speedup", "speedup", |&(_, b, x)| float(b / x, 1, "x", 2)),
+];
+
+/// Figure 9(a): Binder and Binder-XPC latency per [`BUF_SIZES`].
+pub struct Fig9a;
+
+impl Experiment for Fig9a {
+    type Grid = Vec<(u64, f64, f64)>;
+
+    fn compute() -> Self::Grid {
+        let us = |system, s| binder_latency_us(system, false, s);
+        BUF_SIZES
+            .iter()
+            .map(|&s| (s, us(Binder, s), us(BinderXpc, s)))
+            .collect()
+    }
+
+    fn table(grid: &Self::Grid) -> Report {
+        let caption = "Binder transaction latency via buffer (paper: 378us->8.2us at 2KB, 46.2x)";
+        super::cell_table("Figure 9(a)", caption, &BUF_COLUMNS, grid)
+    }
+
+    fn json(grid: &Self::Grid) -> Value {
+        let paper = [
+            ("size_bytes", 2048.0),
+            ("binder_us", 378.0),
+            ("binder_xpc_us", 8.2),
+            ("speedup", 46.2),
+        ];
+        let cells = super::cell_json(&BUF_COLUMNS, grid);
+        super::with_paper(vec![("sizes", cells)], &paper)
     }
 }
 
-/// Regenerate Figure 9(b).
-pub(crate) fn fig9b() -> Report {
-    let rows = ASHMEM_SIZES
-        .iter()
-        .map(|&s| {
-            let b = binder_latency_us(BinderSystem::Binder, true, s);
-            let bx = binder_latency_us(BinderSystem::BinderXpc, true, s);
-            let ax = binder_latency_us(BinderSystem::AshmemXpc, true, s);
-            vec![
-                format!("{}KB", s / 1024),
-                format!("{:.2}ms", b / 1000.0),
-                format!("{:.2}ms", bx / 1000.0),
-                format!("{:.2}ms", ax / 1000.0),
-            ]
-        })
-        .collect();
-    Report {
-        id: "Figure 9(b)",
-        caption: "Binder latency via ashmem (paper: 54.2x at 4KB down to 2.8x at 32MB)",
-        headers: vec![
-            "Size".into(),
-            "Binder".into(),
-            "Binder-XPC".into(),
-            "Ashmem-XPC".into(),
-        ],
-        rows,
+/// Figure 9(b)'s columns over (size, Binder us, Binder-XPC us,
+/// Ashmem-XPC us) cells.
+#[rustfmt::skip]
+const ASHMEM_COLUMNS: [Column<(u64, f64, f64, f64)>; 4] = [
+    ("Size", "size_bytes", |&(s, ..)| (format!("{}KB", s / 1024), s.into())),
+    ("Binder", "binder_us", |&(_, b, ..)| ms(b)),
+    ("Binder-XPC", "binder_xpc_us", |&(_, _, x, _)| ms(x)),
+    ("Ashmem-XPC", "ashmem_xpc_us", |&(.., a)| ms(a)),
+];
+
+/// Microseconds as Figure 9(b) prints them, in milliseconds.
+fn ms(us: f64) -> (String, Value) {
+    (format!("{:.2}ms", us / 1000.0), Value::Fixed(us, 2))
+}
+
+/// Figure 9(b): Binder, Binder-XPC and Ashmem-XPC latency per
+/// [`ASHMEM_SIZES`].
+pub struct Fig9b;
+
+impl Experiment for Fig9b {
+    type Grid = Vec<(u64, f64, f64, f64)>;
+
+    fn compute() -> Self::Grid {
+        let us = |system, s| binder_latency_us(system, true, s);
+        let at = |&s: &u64| (s, us(Binder, s), us(BinderXpc, s), us(AshmemXpc, s));
+        ASHMEM_SIZES.iter().map(at).collect()
+    }
+
+    fn table(grid: &Self::Grid) -> Report {
+        let caption = "Binder latency via ashmem (paper: 54.2x at 4KB down to 2.8x at 32MB)";
+        super::cell_table("Figure 9(b)", caption, &ASHMEM_COLUMNS, grid)
+    }
+
+    fn json(grid: &Self::Grid) -> Value {
+        let paper = [("speedup_at_4kb", 54.2), ("speedup_at_32mb", 2.8)];
+        let cells = super::cell_json(&ASHMEM_COLUMNS, grid);
+        super::with_paper(vec![("sizes", cells)], &paper)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kernels::BinderSystem;
 
     #[test]
     fn buffer_speedup_shrinks_with_size() {

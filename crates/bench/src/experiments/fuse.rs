@@ -263,24 +263,19 @@ impl Experiment for Fuse {
     }
 }
 
-/// Regenerate the fuse table (the grid, with the knee appended).
-pub(crate) fn run() -> Report {
-    super::run::<Fuse>()
-}
-
 /// The `"fuse"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json_section::<Fuse>()
+    super::json::<Fuse>().render(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{any_cell, assert_invisible_hand_off, cells_at, Parked};
+    use crate::experiments::{any_cell, assert_invisible_hand_off, cells_at};
 
     #[test]
     fn the_grid_is_handed_off_once() {
-        assert_invisible_hand_off::<Parked<Fuse>>(run, json_section);
+        assert_invisible_hand_off::<Fuse>(json_section);
     }
 
     #[test]

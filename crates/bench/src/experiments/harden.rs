@@ -161,14 +161,9 @@ impl Experiment for Harden {
     }
 }
 
-/// Regenerate the harden table.
-pub(crate) fn run() -> Report {
-    super::run::<Harden>()
-}
-
 /// The `"harden"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json_section::<Harden>()
+    super::json::<Harden>().render(2)
 }
 
 #[cfg(test)]

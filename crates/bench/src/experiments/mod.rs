@@ -3,23 +3,26 @@
 //!
 //! # One shape: a grid, a table view and a JSON view
 //!
-//! The eight experiments with a `BENCH_figures.json` section (ablations,
-//! scale, pipeline, numa, verify, serve, fuse, harden) implement
-//! [`Experiment`]: [`compute`](Experiment::compute) builds everything
-//! either view reads, [`table`](Experiment::table) and
-//! [`json`](Experiment::json) only read it. Each module's `run()` /
-//! `json_section()` pair is a two-line call into `run` /
-//! `json_section`, kept because `benchmark/` calls those names.
+//! Every registry entry is an [`Experiment`]:
+//! [`compute`](Experiment::compute) builds everything either view reads,
+//! and [`table`](Experiment::table) and [`json`](Experiment::json) only
+//! read it. The JSON view carries every number the table prints, the
+//! paper's reference values included; a table of one row per grid cell
+//! is built from a `Column` list, so both views print the same numbers.
+//! One list, `REGISTRY`, gives both [`all`] (the tables, in paper order)
+//! and [`json_sections`] (the `BENCH_figures.json` sections). The eight
+//! `json_section()`s, `table1::phases`, `table3::measure`,
+//! `fig5::{bars, invocations}` and `fig6::curves` stay public because
+//! `benchmark/` calls them.
 //!
 //! # The hand-off slot
 //!
-//! A pass (`figures --json all`, `benchmark/`'s `figures_all`) calls the
-//! registry's `run()`s and then the eight `json_section()`s, and Figure
-//! 1(b) reads the YCSB-E cell Figure 1(a) has just run. So that each grid
-//! is computed once per pass, `run` parks the grid it computed in one
-//! thread-local slot keyed by experiment, and `json_section` takes it
-//! (or computes the grid when the slot holds none); `fig1a` parks its E
-//! cell for `fig1b` the same way.
+//! A pass (`figures --json all`, `benchmark/`'s `figures_all`) runs the
+//! registry's tables and then the JSON views. So that each grid is
+//! computed once per pass, `run` parks the grid it computed in one
+//! thread-local slot keyed by experiment, and a JSON view takes it (or
+//! computes the grid when the slot holds none). Figure 1(b) peeks at the
+//! grid Figure 1(a) parked, which holds the YCSB-E cell it prints.
 //!
 //! * **Take-once**: a pass computes each grid once and nothing survives
 //!   into the next pass. (A process-lifetime memo would make every later
@@ -31,9 +34,9 @@
 //!   about.
 //! * **Invisible**: every grid is a pure function of compiled-in
 //!   constants and byte-identical at any worker count, so parked ≡
-//!   recomputed. A grid left parked (a `run()` nobody followed with a
-//!   `json_section()`) holds only what the next `json_section()` on that
-//!   thread would have computed anyway.
+//!   recomputed. A grid left parked (a table nobody followed with its
+//!   JSON view) holds only what the next view on that thread would have
+//!   computed anyway.
 
 pub mod ablations;
 pub mod fig1;
@@ -108,6 +111,51 @@ impl Report {
     }
 }
 
+/// A column of a table with one row per grid cell: its header, its JSON
+/// key, and a cell's entry as printed and as a JSON leaf. A table and a
+/// JSON view built from one column list print the same numbers.
+type Column<C> = (&'static str, &'static str, fn(&C) -> (String, Value));
+
+/// A column entry that prints as itself: a name or a count.
+fn plain<T: ToString + Into<Value>>(v: T) -> (String, Value) {
+    (v.to_string(), v.into())
+}
+
+/// A column entry printed with `shown` decimals and then `unit`, and kept
+/// with `kept` decimals in the JSON view.
+fn float(v: f64, shown: usize, unit: &str, kept: usize) -> (String, Value) {
+    (format!("{v:.shown$}{unit}"), Value::Fixed(v, kept))
+}
+
+/// `cells` as a table, one row per cell.
+fn cell_table<C>(
+    id: &'static str,
+    caption: &'static str,
+    columns: &[Column<C>],
+    cells: &[C],
+) -> Report {
+    let row = |c: &C| columns.iter().map(|col| (col.2)(c).0).collect();
+    Report {
+        id,
+        caption,
+        headers: columns.iter().map(|col| col.0.to_string()).collect(),
+        rows: cells.iter().map(row).collect(),
+    }
+}
+
+/// `cells` as JSON objects, one key per column.
+fn cell_json<C>(columns: &[Column<C>], cells: &[C]) -> Value {
+    let cell = |c: &C| Value::Object(columns.iter().map(|&(_, key, f)| (key, f(c).1)).collect());
+    Value::Array(cells.iter().map(cell).collect())
+}
+
+/// Named curves over one axis, regrouped as one `(point, [value per
+/// curve])` cell per axis point.
+fn by_axis<T: Copy, const N: usize>(axis: &[u64], c: &[(String, Vec<T>)]) -> Vec<(u64, [T; N])> {
+    let cell = |(i, &x): (usize, &u64)| (x, std::array::from_fn(|k| c[k].1[i]));
+    axis.iter().enumerate().map(cell).collect()
+}
+
 /// An experiment with a JSON view: one grid, computed once, shown as a
 /// table and as a `BENCH_figures.json` section.
 pub trait Experiment: 'static {
@@ -125,70 +173,84 @@ pub trait Experiment: 'static {
 struct Parked<E: Experiment>(E::Grid);
 
 thread_local! {
-    /// The hand-off slot: at most one value per type, taken once (see the
-    /// module doc).
+    /// The hand-off slot: at most one [`Parked`] grid per experiment,
+    /// taken once (see the module doc).
     static SLOT: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Park `value` for the next [`take`] of its type on this thread,
-/// replacing one parked before it.
-fn park<T: Any>(value: T) {
+/// Park `grid` for the next [`take`] of `E` on this thread, replacing
+/// one parked before it.
+fn park<E: Experiment>(grid: E::Grid) {
     SLOT.with_borrow_mut(|slot| {
-        slot.retain(|v| !v.is::<T>());
-        slot.push(Box::new(value));
+        slot.retain(|v| !v.is::<Parked<E>>());
+        slot.push(Box::new(Parked::<E>(grid)));
     });
 }
 
-/// Take the value of type `T` parked on this thread, if there is one.
-fn take<T: Any>() -> Option<T> {
+/// Take `E`'s grid parked on this thread, if there is one.
+fn take<E: Experiment>() -> Option<E::Grid> {
     SLOT.with_borrow_mut(|slot| {
-        let i = slot.iter().position(|v| v.is::<T>())?;
-        slot.swap_remove(i).downcast().ok().map(|v| *v)
+        let i = slot.iter().position(|v| v.is::<Parked<E>>())?;
+        let parked: Box<Parked<E>> = slot.swap_remove(i).downcast().ok()?;
+        Some(parked.0)
+    })
+}
+
+/// `read` of `E`'s grid parked on this thread, leaving it parked.
+fn peek<E: Experiment, R>(read: impl FnOnce(&E::Grid) -> R) -> Option<R> {
+    SLOT.with_borrow(|slot| {
+        let parked = slot.iter().find_map(|v| v.downcast_ref::<Parked<E>>())?;
+        Some(read(&parked.0))
     })
 }
 
 /// Compute `E`'s grid, render its table, and park the grid for the
-/// [`json_section`] that follows on this thread.
+/// [`json`] view that follows on this thread.
 pub(crate) fn run<E: Experiment>() -> Report {
     let grid = E::compute();
     let report = E::table(&grid);
-    park(Parked::<E>(grid));
+    park::<E>(grid);
     report
 }
 
 /// `E`'s JSON view of the grid the [`run`] before it parked, else of a
 /// grid computed here.
 fn json<E: Experiment>() -> Value {
-    match take::<Parked<E>>() {
-        Some(Parked(grid)) => E::json(&grid),
+    match take::<E>() {
+        Some(grid) => E::json(&grid),
         None => E::json(&E::compute()),
     }
 }
 
-/// `E`'s section of `BENCH_figures.json`, as [`sweep::json_dump`] takes
-/// it.
-pub(crate) fn json_section<E: Experiment>() -> String {
-    json::<E>().render(2)
+/// A section's fields followed by the paper's reference values, each
+/// printed with the decimals the paper gives it.
+fn with_paper(mut fields: Vec<(&'static str, Value)>, paper: &[(&'static str, f64)]) -> Value {
+    let as_written = |v: f64| format!("{v}").split_once('.').map_or(0, |(_, f)| f.len());
+    let paper = paper
+        .iter()
+        .map(|&(k, v)| (k, Value::Fixed(v, as_written(v))))
+        .collect();
+    fields.push(("paper", Value::Object(paper)));
+    Value::Object(fields)
 }
 
-/// The hand-off of one `first` → `second` pair through a parked `T`, at
-/// 1 and at 4 pool workers: a cold `second` parks nothing, `first`
-/// parks, and the `second` after it takes the value and prints what the
-/// cold one did.
+/// The hand-off of `E`'s grid to `view`, at 1 and at 4 pool workers: a
+/// cold `view` parks nothing, [`run`] parks, and the `view` after it
+/// takes the grid and prints what the cold one did.
 #[cfg(test)]
-fn assert_invisible_hand_off<T: Any>(first: fn() -> Report, second: impl Fn() -> String) {
-    let parked = || SLOT.with_borrow(|slot| slot.iter().any(|v| v.is::<T>()));
+fn assert_invisible_hand_off<E: Experiment>(view: impl Fn() -> String) {
+    let parked = || SLOT.with_borrow(|slot| slot.iter().any(|v| v.is::<Parked<E>>()));
     let outputs = [1, 4].map(|workers| {
         simos::par::with_threads(workers, || {
             assert!(!parked(), "the slot starts empty");
-            let cold = second();
-            assert!(!parked(), "a cold second view parks nothing");
-            first();
-            assert!(parked(), "the first view parks what it computed");
-            let handed_off = second();
-            assert!(!parked(), "the second view takes it");
+            let cold = view();
+            assert!(!parked(), "a cold view parks nothing");
+            run::<E>();
+            assert!(parked(), "run parks what it computed");
+            let handed_off = view();
+            assert!(!parked(), "the view takes it");
             assert_eq!(handed_off, cold, "handed-off != cold at {workers} workers");
-            assert_eq!(second(), cold, "the call after a hand-off != cold");
+            assert_eq!(view(), cold, "the call after a hand-off != cold");
             cold
         })
     });
@@ -211,23 +273,57 @@ fn any_cell(cells: &[Value], key: &str, want: impl Into<Value>) -> bool {
     cells.iter().any(|c| c.get(key) == Some(&want))
 }
 
+/// One registry entry: an experiment's key, its table runner and JSON
+/// view, and the place of its `BENCH_figures.json` section.
+type Registered = (&'static str, fn() -> Report, fn() -> Value, u8);
+
+const fn entry<E: Experiment>(key: &'static str, place: u8) -> Registered {
+    (key, run::<E>, json::<E>, place)
+}
+
+/// The `place` of a section that follows the committed ones.
+const APPENDED: u8 = u8::MAX;
+
+/// Every experiment, in paper order. The sections of the document's
+/// first format keep their places after `systems` (1 to 9); the rest
+/// follow them in registry order.
+const REGISTRY: [Registered; 24] = [
+    entry::<fig1::Fig1a>("fig1a", APPENDED),
+    entry::<fig1::Fig1b>("fig1b", APPENDED),
+    entry::<table1::Table1>("table1", APPENDED),
+    entry::<fig5::Fig5>("fig5", 1),
+    entry::<fig6::Fig6>("fig6", APPENDED),
+    entry::<table3::Table3>("table3", APPENDED),
+    entry::<fig7::Fig7ab>("fig7ab", APPENDED),
+    entry::<fig7::Fig7c>("fig7c", APPENDED),
+    entry::<fig8::Fig8ab>("fig8ab", APPENDED),
+    entry::<fig8::Fig8c>("fig8c", APPENDED),
+    entry::<fig9::Fig9a>("fig9a", APPENDED),
+    entry::<fig9::Fig9b>("fig9b", APPENDED),
+    entry::<table4::Table4>("table4", APPENDED),
+    entry::<table5::Table5>("table5", APPENDED),
+    entry::<table6::Table6>("table6", APPENDED),
+    entry::<table7::Table7>("table7", APPENDED),
+    entry::<ablations::Ablations>("ablations", 4),
+    entry::<scale::Scale>("scale", 2),
+    entry::<pipeline::Pipeline>("pipeline", 3),
+    entry::<numa::Numa>("numa", 5),
+    entry::<verify::Verify>("verify", 6),
+    entry::<serve::Serve>("serve", 7),
+    entry::<fuse::Fuse>("fuse", 8),
+    entry::<harden::Harden>("harden", 9),
+];
+
 /// The `BENCH_figures.json` document as its top-level sections, in
-/// order: the full roster sweep, the Figure 5 ledgers, then one section
-/// per [`Experiment`] (each taken from the slot when its `run()` came
-/// first on this thread).
+/// order: the full roster sweep, then one section per experiment (each
+/// taken from the slot when its `run` came first on this thread).
 pub fn json_sections() -> Vec<(&'static str, Value)> {
-    vec![
-        ("systems", sweep::systems_json(&sweep::roster_sweep())),
-        ("fig5", sweep::ledgers_json(&fig5::invocations())),
-        ("scale", json::<scale::Scale>()),
-        ("pipeline", json::<pipeline::Pipeline>()),
-        ("ablations", json::<ablations::Ablations>()),
-        ("numa", json::<numa::Numa>()),
-        ("verify", json::<verify::Verify>()),
-        ("serve", json::<serve::Serve>()),
-        ("fuse", json::<fuse::Fuse>()),
-        ("harden", json::<harden::Harden>()),
-    ]
+    let mut registry: Vec<&Registered> = REGISTRY.iter().collect();
+    registry.sort_by_key(|e| e.3);
+    let systems = ("systems", sweep::systems_json(&sweep::roster_sweep()));
+    std::iter::once(systems)
+        .chain(registry.into_iter().map(|&(key, _, json, _)| (key, json())))
+        .collect()
 }
 
 /// The `BENCH_figures.json` document `figures --json` writes.
@@ -247,32 +343,7 @@ pub type Entry = (&'static str, fn() -> Report);
 /// Debug builds assert the keys are unique — a duplicate would make
 /// `figures <key>` silently run only the first entry.
 pub fn all() -> Vec<Entry> {
-    let registry = vec![
-        ("fig1a", fig1::fig1a as fn() -> Report),
-        ("fig1b", fig1::fig1b),
-        ("table1", table1::run),
-        ("fig5", fig5::run),
-        ("fig6", fig6::run),
-        ("table3", table3::run),
-        ("fig7ab", fig7::fig7ab),
-        ("fig7c", fig7::fig7c),
-        ("fig8ab", fig8::fig8ab),
-        ("fig8c", fig8::fig8c),
-        ("fig9a", fig9::fig9a),
-        ("fig9b", fig9::fig9b),
-        ("table4", table4::run),
-        ("table5", table5::run),
-        ("table6", table6::run),
-        ("table7", table7::run),
-        ("ablations", ablations::run),
-        ("scale", scale::run),
-        ("pipeline", pipeline::run),
-        ("numa", numa::run),
-        ("verify", verify::run),
-        ("serve", serve::run),
-        ("fuse", fuse::run),
-        ("harden", harden::run),
-    ];
+    let registry: Vec<Entry> = REGISTRY.iter().map(|&(key, run, ..)| (key, run)).collect();
     debug_assert!(
         {
             let mut keys: Vec<&str> = registry.iter().map(|(k, _)| *k).collect();
@@ -320,12 +391,13 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A stand-in experiment whose grid is the serial number of the
-    /// `compute` that built it, so a view shows which compute it read.
-    struct Counted;
+    /// `compute` that built it, so a view shows which compute it read;
+    /// `K` tells two such experiments with one grid type apart.
+    struct Counted<const K: u8 = 0>;
 
     static COMPUTES: AtomicU64 = AtomicU64::new(0);
 
-    impl Experiment for Counted {
+    impl<const K: u8> Experiment for Counted<K> {
         type Grid = u64;
         fn compute() -> u64 {
             COMPUTES.fetch_add(1, Ordering::Relaxed)
@@ -356,7 +428,11 @@ mod tests {
             .join()
             .expect("no panic");
         assert_ne!(elsewhere, parked, "another thread never sees this slot");
-        assert_eq!(take::<u64>(), None, "the slot is keyed by experiment");
+        assert_eq!(
+            take::<Counted<1>>(),
+            None,
+            "the slot is keyed by experiment"
+        );
         assert_eq!(json::<Counted>(), parked, "the view reads the parked grid");
         assert_ne!(json::<Counted>(), parked, "and takes it: the next computes");
         // A second run replaces the first: one grid per experiment.

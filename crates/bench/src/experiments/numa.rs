@@ -227,24 +227,19 @@ impl Experiment for Numa {
     }
 }
 
-/// Regenerate the NUMA table.
-pub(crate) fn run() -> Report {
-    super::run::<Numa>()
-}
-
 /// The `"numa"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json_section::<Numa>()
+    super::json::<Numa>().render(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{assert_invisible_hand_off, cells_at, Parked};
+    use crate::experiments::{assert_invisible_hand_off, cells_at};
 
     #[test]
     fn the_grid_is_handed_off_once() {
-        assert_invisible_hand_off::<Parked<Numa>>(run, json_section);
+        assert_invisible_hand_off::<Numa>(json_section);
     }
 
     #[test]

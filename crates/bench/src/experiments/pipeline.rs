@@ -181,25 +181,20 @@ impl Experiment for Pipeline {
     }
 }
 
-/// Regenerate the pipeline table.
-pub(crate) fn run() -> Report {
-    super::run::<Pipeline>()
-}
-
 /// The `"pipeline"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json_section::<Pipeline>()
+    super::json::<Pipeline>().render(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{assert_invisible_hand_off, Parked};
+    use crate::experiments::assert_invisible_hand_off;
     use simos::Phase;
 
     #[test]
     fn the_grid_is_handed_off_once() {
-        assert_invisible_hand_off::<Parked<Pipeline>>(run, json_section);
+        assert_invisible_hand_off::<Pipeline>(json_section);
     }
 
     #[test]

@@ -43,6 +43,11 @@ pub(super) fn recipes(handover: bool) -> Vec<Vec<Step>> {
 /// Run the full (mechanism × policy) grid. Deterministic: the generator
 /// seed is fixed and every cell re-seeds from it, so every call — at any
 /// pool worker count — returns bit-identical reports.
+///
+/// # Panics
+///
+/// If a recipe fails the static verifier's gate or a cell cannot run,
+/// neither of which the compiled-in grid does.
 pub fn results() -> Vec<LoadReport> {
     let spec = LoadGen::default();
     // Pre-flight serially (the gate panics with figure context), then
@@ -145,24 +150,19 @@ impl Experiment for Scale {
     }
 }
 
-/// Regenerate the scale-out table.
-pub(crate) fn run() -> Report {
-    super::run::<Scale>()
-}
-
 /// The `"scale"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json_section::<Scale>()
+    super::json::<Scale>().render(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{assert_invisible_hand_off, Parked};
+    use crate::experiments::assert_invisible_hand_off;
 
     #[test]
     fn the_grid_is_handed_off_once() {
-        assert_invisible_hand_off::<Parked<Scale>>(run, json_section);
+        assert_invisible_hand_off::<Scale>(json_section);
     }
 
     #[test]

@@ -94,6 +94,11 @@ fn chain_roster(mw: &mut MultiWorld) -> Vec<Vec<Step>> {
 /// multi-core chain suffers under round-robin maps, which cap effective
 /// utilization well below `cores / per-request-work`. ρ expressed
 /// against it makes ρ = 1.0 the true knife edge.
+///
+/// # Panics
+///
+/// If `roster` builds more than `u32::MAX` recipes, or the probe trace
+/// cannot be served (a recipe names a service at or past `n_services`).
 pub fn calibrate_capacity_period(
     topo: &Topology,
     mk: Factory,
@@ -572,25 +577,19 @@ impl Experiment for Serve {
     }
 }
 
-/// Regenerate the serve table (the knee grid, with the admission sweep
-/// appended; bursty and autoscale live in the JSON section).
-pub(crate) fn run() -> Report {
-    super::run::<Serve>()
-}
-
 /// The `"serve"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json_section::<Serve>()
+    super::json::<Serve>().render(2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{any_cell, assert_invisible_hand_off, cells_at, Parked};
+    use crate::experiments::{any_cell, assert_invisible_hand_off, cells_at};
 
     #[test]
     fn the_grid_is_handed_off_once() {
-        assert_invisible_hand_off::<Parked<Serve>>(run, json_section);
+        assert_invisible_hand_off::<Serve>(json_section);
     }
 
     #[test]

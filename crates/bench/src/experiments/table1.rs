@@ -6,20 +6,19 @@
 //! numbers here and the numbers every other figure attributes to seL4
 //! come from the same place.
 
-use super::Report;
-use crate::sweep::ledger_table;
+use super::{Experiment, Report};
+use crate::json::Value;
+use crate::sweep::{ledger_table, ledgers_json};
 use kernels::{Invocation, InvokeOpts, IpcSystem, Sel4, Sel4Transfer};
 
-/// The two invocations whose ledgers are the table's columns.
-pub(crate) fn invocations() -> (Invocation, Invocation) {
-    let mut s = Sel4::new(Sel4Transfer::OneCopy);
-    let mut at = |bytes| Invocation::priced(|l| s.oneway_into(bytes, &InvokeOpts::call(), l));
-    (at(0), at(4096))
-}
-
 /// Phase breakdown rows for 0 B and 4 KB messages.
+///
+/// # Panics
+///
+/// If the 0 B and 4 KB fast paths charge different phases, which the
+/// seL4 model never does.
 pub fn phases() -> Vec<(&'static str, u64, u64)> {
-    let (i0, i4k) = invocations();
+    let (i0, i4k) = Table1::compute();
     i0.ledger
         .spans()
         .iter()
@@ -31,17 +30,33 @@ pub fn phases() -> Vec<(&'static str, u64, u64)> {
         .collect()
 }
 
-/// Regenerate Table 1.
-pub(crate) fn run() -> Report {
-    let (i0, i4k) = invocations();
-    ledger_table(
-        "Table 1",
-        "One-way IPC latency of seL4 (fast path), cycles",
-        &[
-            ("seL4(0B) fast path".into(), i0),
-            ("seL4(4KB) fast path".into(), i4k),
-        ],
-    )
+/// Table 1: the 0 B and 4 KB fast-path invocations, whose ledgers are
+/// the table's columns.
+pub struct Table1;
+
+impl Experiment for Table1 {
+    type Grid = (Invocation, Invocation);
+
+    fn compute() -> Self::Grid {
+        let mut s = Sel4::new(Sel4Transfer::OneCopy);
+        let mut at = |bytes| Invocation::priced(|l| s.oneway_into(bytes, &InvokeOpts::call(), l));
+        (at(0), at(4096))
+    }
+
+    fn table((i0, i4k): &Self::Grid) -> Report {
+        ledger_table(
+            "Table 1",
+            "One-way IPC latency of seL4 (fast path), cycles",
+            &[("seL4(0B) fast path", i0), ("seL4(4KB) fast path", i4k)],
+        )
+    }
+
+    fn json((i0, i4k): &Self::Grid) -> Value {
+        ledgers_json([
+            ("seL4(0B) fast path", 0, i0),
+            ("seL4(4KB) fast path", 4096, i4k),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -50,12 +65,12 @@ mod tests {
 
     #[test]
     fn sum_0b_is_664() {
-        assert_eq!(invocations().0.total(), 664, "paper Table 1 total");
+        assert_eq!(Table1::compute().0.total(), 664, "paper Table 1 total");
     }
 
     #[test]
     fn sum_4k_close_to_4804() {
-        let t = invocations().1.total();
+        let t = Table1::compute().1.total();
         // Paper: 4804. Our model omits the small phase inflation the
         // paper observed under 4K buffers (their phases grew a few
         // cycles); we land within 3%.
@@ -65,12 +80,12 @@ mod tests {
 
     #[test]
     fn report_has_five_phases_plus_sum() {
-        assert_eq!(run().rows.len(), 6);
+        assert_eq!(Table1::table(&Table1::compute()).rows.len(), 6);
     }
 
     #[test]
     fn rows_are_the_ledger_spans() {
-        let (i0, _) = invocations();
+        let (i0, _) = Table1::compute();
         let names: Vec<&str> = phases().iter().map(|&(n, _, _)| n).collect();
         let spans: Vec<&str> = i0.ledger.spans().iter().map(|&(p, _)| p.label()).collect();
         assert_eq!(names, spans);

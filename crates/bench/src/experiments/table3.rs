@@ -1,8 +1,9 @@
 //! **Table 3** — cycles of the XPC hardware instructions, measured by
 //! stepping the emulator through warm `xcall`/`xret`/`swapseg`.
 
-use super::Report;
+use super::{plain, Column, Experiment, Report};
 use crate::harness::{measure_swapseg, CallBench, CallBenchConfig};
+use crate::json::Value;
 
 /// Measured (xcall, xret, swapseg) on the paper-default configuration.
 pub fn measure() -> (u64, u64, u64) {
@@ -12,18 +13,37 @@ pub fn measure() -> (u64, u64, u64) {
     (m.xcall, m.xret, swap)
 }
 
-/// Regenerate Table 3.
-pub(crate) fn run() -> Report {
-    let (xcall, xret, swapseg) = measure();
-    Report {
-        id: "Table 3",
-        caption: "Cycles of hardware instructions in XPC (emulator-measured, warm)",
-        headers: vec!["Instruction".into(), "Cycles".into(), "Paper".into()],
-        rows: vec![
-            vec!["xcall".into(), xcall.to_string(), "18".into()],
-            vec!["xret".into(), xret.to_string(), "23".into()],
-            vec!["swapseg".into(), swapseg.to_string(), "11".into()],
-        ],
+/// Table 3's columns over (instruction, measured, paper) cells.
+#[rustfmt::skip]
+const COLUMNS: [Column<(&str, u64, u64)>; 3] = [
+    ("Instruction", "instruction", |&(name, ..)| plain(name)),
+    ("Cycles", "cycles", |&(_, c, _)| plain(c)),
+    ("Paper", "paper", |&(.., p)| plain(p)),
+];
+
+/// Table 3: the measured and the paper's cycles of each instruction.
+pub struct Table3;
+
+impl Experiment for Table3 {
+    type Grid = Vec<(&'static str, u64, u64)>;
+
+    fn compute() -> Self::Grid {
+        let (xcall, xret, swapseg) = measure();
+        // The paper's cycles beside each measurement.
+        vec![
+            ("xcall", xcall, 18),
+            ("xret", xret, 23),
+            ("swapseg", swapseg, 11),
+        ]
+    }
+
+    fn table(grid: &Self::Grid) -> Report {
+        let caption = "Cycles of hardware instructions in XPC (emulator-measured, warm)";
+        super::cell_table("Table 3", caption, &COLUMNS, grid)
+    }
+
+    fn json(grid: &Self::Grid) -> Value {
+        super::cell_json(&COLUMNS, grid)
     }
 }
 

@@ -10,8 +10,9 @@
 //! measured for real: `xcall`/`xret` executed on the HPI-configured
 //! emulator with the ARM engine timings.
 
-use super::Report;
+use super::{Column, Experiment, Report};
 use crate::harness::{CallBench, CallBenchConfig};
+use crate::json::Value;
 use rv64::mem::DRAM_BASE;
 use rv64::{reg, Assembler, Machine, MachineConfig};
 use xpc::trampoline::ContextMode;
@@ -108,29 +109,48 @@ pub(crate) fn xpc_cycles() -> (u64, u64) {
     (m.xcall, m.xret)
 }
 
-/// Regenerate Table 5.
-pub(crate) fn run() -> Report {
-    let base_call = baseline_logic_cycles(false);
-    let base_ret = baseline_logic_cycles(true);
-    let (xc, xr) = xpc_cycles();
-    let barrier = XpcTimings::arm_hpi().space_switch_barrier;
-    Report {
-        id: "Table 5",
-        caption:
-            "IPC cost on the ARM HPI model (TLB/TTBR barrier is ~58 cycles, broken out as +58)",
-        headers: vec!["Systems".into(), "IPC Call".into(), "IPC Ret".into()],
-        rows: vec![
-            vec![
-                "Baseline (cycles)".into(),
-                format!("{base_call} (+{barrier})"),
-                format!("{base_ret} (+{barrier})"),
-            ],
-            vec![
-                "XPC (cycles)".into(),
-                format!("{} (+{barrier})", xc - barrier),
-                format!("{} (+{barrier})", xr - barrier),
-            ],
-        ],
+/// Table 5's columns over (system, call, ret, barrier) cells: the
+/// IPC-logic cycles of call and return, and the translation-base barrier
+/// each also pays.
+#[rustfmt::skip]
+const COLUMNS: [Column<(&str, u64, u64, u64)>; 3] = [
+    ("Systems", "system", |&(s, ..)| (format!("{s} (cycles)"), s.into())),
+    ("IPC Call", "call", |&(_, call, _, barrier)| logic(call, barrier)),
+    ("IPC Ret", "ret", |&(.., ret, barrier)| logic(ret, barrier)),
+];
+
+fn logic(cycles: u64, barrier: u64) -> (String, Value) {
+    let cell = vec![
+        ("logic_cycles", cycles.into()),
+        ("barrier_cycles", barrier.into()),
+    ];
+    (format!("{cycles} (+{barrier})"), Value::Object(cell))
+}
+
+/// Table 5: baseline and XPC IPC cost on the HPI model.
+pub struct Table5;
+
+impl Experiment for Table5 {
+    type Grid = [(&'static str, u64, u64, u64); 2];
+
+    fn compute() -> Self::Grid {
+        let (xc, xr) = xpc_cycles();
+        let b = XpcTimings::arm_hpi().space_switch_barrier;
+        let baseline = (baseline_logic_cycles(false), baseline_logic_cycles(true));
+        [
+            ("Baseline", baseline.0, baseline.1, b),
+            ("XPC", xc - b, xr - b, b),
+        ]
+    }
+
+    fn table(grid: &Self::Grid) -> Report {
+        let caption =
+            "IPC cost on the ARM HPI model (TLB/TTBR barrier is ~58 cycles, broken out as +58)";
+        super::cell_table("Table 5", caption, &COLUMNS, grid)
+    }
+
+    fn json(grid: &Self::Grid) -> Value {
+        super::cell_json(&COLUMNS, grid)
     }
 }
 

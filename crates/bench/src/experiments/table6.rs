@@ -3,48 +3,61 @@
 //! reproduction's first-order structural estimate (see
 //! `xpc_engine::hwcost`).
 
-use super::Report;
-use xpc_engine::hwcost::{estimated_engine_cost, published_table6};
+use super::{plain, Column, Experiment, Report};
+use crate::json::Value;
+use xpc_engine::hwcost::{estimated_engine_cost, published_table6, EngineEstimate, ResourceRow};
 
-/// Regenerate Table 6.
-pub(crate) fn run() -> Report {
-    let mut rows: Vec<Vec<String>> = published_table6()
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.resource.to_string(),
-                r.freedom.to_string(),
-                r.xpc.to_string(),
-                format!("{:.2}%", r.cost_percent()),
-            ]
-        })
-        .collect();
-    let e = estimated_engine_cost();
-    rows.push(vec![
-        "(modelled engine delta)".into(),
-        "-".into(),
-        format!("+{} LUT, +{} FF, +{} DSP", e.lut, e.ff, e.dsp),
-        "structural estimate".into(),
-    ]);
-    Report {
-        id: "Table 6",
-        caption:
-            "Hardware resource costs in FPGA (published Vivado report + our structural estimate)",
-        headers: vec![
-            "Resource".into(),
-            "Freedom".into(),
-            "XPC".into(),
-            "Cost".into(),
-        ],
-        rows,
+/// Table 6's columns over the published resource rows.
+#[rustfmt::skip]
+const COLUMNS: [Column<ResourceRow>; 4] = [
+    ("Resource", "resource", |r| plain(r.resource)),
+    ("Freedom", "freedom", |r| plain(r.freedom)),
+    ("XPC", "xpc", |r| plain(r.xpc)),
+    ("Cost", "cost_fraction", |r| {
+        let percent = r.cost_percent();
+        (format!("{percent:.2}%"), Value::Fixed(percent / 100.0, 6))
+    }),
+];
+
+/// Table 6: the published resource rows and the modelled engine delta.
+pub struct Table6;
+
+impl Experiment for Table6 {
+    type Grid = (Vec<ResourceRow>, EngineEstimate);
+
+    fn compute() -> Self::Grid {
+        (published_table6(), estimated_engine_cost())
+    }
+
+    fn table((published, e): &Self::Grid) -> Report {
+        let caption =
+            "Hardware resource costs in FPGA (published Vivado report + our structural estimate)";
+        let mut r = super::cell_table("Table 6", caption, &COLUMNS, published);
+        r.rows.push(vec![
+            "(modelled engine delta)".into(),
+            "-".into(),
+            format!("+{} LUT, +{} FF, +{} DSP", e.lut, e.ff, e.dsp),
+            "structural estimate".into(),
+        ]);
+        r
+    }
+
+    fn json((published, e): &Self::Grid) -> Value {
+        let estimate = [("lut", e.lut), ("ff", e.ff), ("dsp", e.dsp)].map(|(k, n)| (k, n.into()));
+        Value::Object(vec![
+            ("published", super::cell_json(&COLUMNS, published)),
+            ("estimate", Value::Object(estimate.to_vec())),
+        ])
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
     #[test]
     fn lut_cost_row_shows_1_99() {
-        let r = super::run();
+        let r = Table6::table(&Table6::compute());
         assert!(r.render().contains("1.99%"));
     }
 }

@@ -234,14 +234,9 @@ impl Experiment for Verify {
     }
 }
 
-/// Regenerate the verify table.
-pub(crate) fn run() -> Report {
-    super::run::<Verify>()
-}
-
 /// The `"verify"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json_section::<Verify>()
+    super::json::<Verify>().render(2)
 }
 
 #[cfg(test)]

@@ -114,6 +114,11 @@ pub struct CallBench {
 impl CallBench {
     /// Build the scenario: two processes, a raw `xret`-only callee, and a
     /// looping wrapped caller.
+    ///
+    /// # Panics
+    ///
+    /// If the kernel booted from `cfg` cannot create the two processes,
+    /// their threads, code or x-entry (a machine too small to hold them).
     pub fn new(cfg: &CallBenchConfig) -> Self {
         let mut k = XpcKernel::boot(XpcKernelConfig {
             machine: cfg.machine.clone(),
@@ -212,6 +217,11 @@ impl CallBench {
     }
 
     /// Run `warmup` full iterations, then measure one call precisely.
+    ///
+    /// # Panics
+    ///
+    /// If the emulated machine faults, or the callee's `xret` does not
+    /// return to the wrapper.
     pub fn measure(&mut self, warmup: u32) -> CallMeasurement {
         for _ in 0..warmup {
             self.step_to(self.wrapper_end);
@@ -280,6 +290,11 @@ impl IpcSystem for EmulatedXpc {
 }
 
 /// Measure `swapseg` on a warm machine (Table 3's third row).
+///
+/// # Panics
+///
+/// If the kernel booted from `cfg` cannot set up the process, its two
+/// relay segments or its code, or the machine faults running the loop.
 pub fn measure_swapseg(cfg: &CallBenchConfig) -> u64 {
     let mut k = XpcKernel::boot(XpcKernelConfig {
         machine: cfg.machine.clone(),

@@ -25,7 +25,7 @@ pub struct SweepRow {
 
 /// One system priced over a size axis: an owned one-way [`Invocation`]
 /// per size.
-fn sweep_row(s: &mut dyn IpcSystem, sizes: &[usize], opts: &InvokeOpts) -> SweepRow {
+pub(crate) fn sweep_row(s: &mut dyn IpcSystem, sizes: &[usize], opts: &InvokeOpts) -> SweepRow {
     SweepRow {
         system: s.name(),
         points: sizes
@@ -33,18 +33,6 @@ fn sweep_row(s: &mut dyn IpcSystem, sizes: &[usize], opts: &InvokeOpts) -> Sweep
             .map(|&b| (b, Invocation::priced(|l| s.oneway_into(b, opts, l))))
             .collect(),
     }
-}
-
-/// Drive every system over every size with the same [`InvokeOpts`].
-pub(crate) fn sweep(
-    mut systems: Vec<Box<dyn IpcSystem>>,
-    sizes: &[usize],
-    opts: &InvokeOpts,
-) -> Vec<SweepRow> {
-    systems
-        .iter_mut()
-        .map(|s| sweep_row(s.as_mut(), sizes, opts))
-        .collect()
 }
 
 /// The full 12-system roster over the default axis — the observability
@@ -65,7 +53,7 @@ pub fn roster_sweep() -> Vec<SweepRow> {
 pub(crate) fn ledger_table(
     id: &'static str,
     caption: &'static str,
-    cols: &[(String, Invocation)],
+    cols: &[(&str, &Invocation)],
 ) -> Report {
     // Phase order: first-charge order across columns, left to right.
     let mut phases = Vec::new();
@@ -77,7 +65,7 @@ pub(crate) fn ledger_table(
         }
     }
     let mut headers = vec!["Phases (cycles)".to_string()];
-    headers.extend(cols.iter().map(|(n, _)| n.clone()));
+    headers.extend(cols.iter().map(|(n, _)| n.to_string()));
     let mut rows: Vec<Vec<String>> = phases
         .iter()
         .map(|&p| {
@@ -131,19 +119,18 @@ pub(crate) fn systems_json(rows: &[SweepRow]) -> Value {
     )
 }
 
-/// Labelled invocations (e.g. the Figure 5 ablation ladder) as
-/// `{"name", "invocation"}` objects.
-pub(crate) fn ledgers_json<S: AsRef<str>>(cols: &[(S, Invocation)]) -> Value {
-    Value::Array(
-        cols.iter()
-            .map(|(name, inv)| {
-                Value::Object(vec![
-                    ("name", name.as_ref().into()),
-                    ("invocation", invocation_json(0, inv)),
-                ])
-            })
-            .collect(),
-    )
+/// Labelled `(name, msg_len, invocation)`s (e.g. the Figure 5 ablation
+/// ladder) as `{"name", "invocation"}` objects.
+pub(crate) fn ledgers_json<'a>(
+    cols: impl IntoIterator<Item = (&'a str, usize, &'a Invocation)>,
+) -> Value {
+    let col = |(name, msg_len, inv): (&str, usize, &Invocation)| {
+        Value::Object(vec![
+            ("name", Value::from(name)),
+            ("invocation", invocation_json(msg_len, inv)),
+        ])
+    };
+    Value::Array(cols.into_iter().map(col).collect())
 }
 
 /// The top-level frame of `BENCH_figures.json`: one `"key": section`
@@ -171,11 +158,10 @@ pub fn json_dump(
     raw: &[(&str, String)],
 ) -> String {
     let mut sections = vec![("systems", systems_json(rows).render(2))];
-    sections.extend(
-        extra
-            .iter()
-            .map(|(key, cols)| (*key, ledgers_json(cols).render(2))),
-    );
+    sections.extend(extra.iter().map(|(key, cols)| {
+        let cols = cols.iter().map(|(name, inv)| (name.as_str(), 0, inv));
+        (*key, ledgers_json(cols).render(2))
+    }));
     sections.extend(raw.iter().map(|(key, section)| (*key, section.clone())));
     frame(sections)
 }
@@ -201,10 +187,7 @@ mod tests {
             &[0, 4096],
             &InvokeOpts::call(),
         );
-        let cols = vec![
-            ("0B".to_string(), row.points[0].1.clone()),
-            ("4KB".to_string(), row.points[1].1.clone()),
-        ];
+        let cols = [("0B", &row.points[0].1), ("4KB", &row.points[1].1)];
         let t = ledger_table("T", "test", &cols);
         let sum = t.rows.last().unwrap();
         assert_eq!(sum[1], cols[0].1.total().to_string());
@@ -215,11 +198,11 @@ mod tests {
     fn json_dump_is_parseable_shape() {
         // The frame `benchmark/` builds its document through: the sweep,
         // the labelled ledgers, then pre-rendered sections verbatim.
-        let rows = sweep(
-            vec![Box::new(Sel4::new(Sel4Transfer::OneCopy))],
+        let rows = [sweep_row(
+            &mut Sel4::new(Sel4Transfer::OneCopy),
             &[0, 64],
             &InvokeOpts::call(),
-        );
+        )];
         let extra = [(
             "fig5",
             vec![("bar".to_string(), rows[0].points[0].1.clone())],

@@ -38,9 +38,10 @@ pub struct WorldStats {
 }
 
 impl WorldStats {
-    /// Fraction of total cycles spent in IPC (Figure 1(a)).
+    /// Fraction of total cycles spent in IPC (Figure 1(a)). Both
+    /// counters saturate, so their sum is taken in `u128`.
     pub fn ipc_fraction(&self) -> f64 {
-        let total = self.ipc_cycles + self.other_cycles;
+        let total = u128::from(self.ipc_cycles) + u128::from(self.other_cycles);
         if total == 0 {
             0.0
         } else {
@@ -59,19 +60,21 @@ impl WorldStats {
 
     /// Cumulative distribution of IPC time by message size: returns
     /// `(size_bound, fraction_of_ipc_time_at_or_below)` for each bound.
+    /// Event cycles are summed in `u128`, so no count of events can
+    /// overflow the sums.
     pub fn cdf_by_size(&self, bounds: &[u64]) -> Vec<(u64, f64)> {
-        let total: u64 = self.events.iter().map(|(_, c)| c).sum();
+        let total: u128 = self.events.iter().map(|&(_, c)| u128::from(c)).sum();
         if total == 0 {
             return bounds.iter().map(|&b| (b, 0.0)).collect();
         }
         bounds
             .iter()
             .map(|&b| {
-                let at_or_below: u64 = self
+                let at_or_below: u128 = self
                     .events
                     .iter()
                     .filter(|(len, _)| *len <= b)
-                    .map(|(_, c)| c)
+                    .map(|&(_, c)| u128::from(c))
                     .sum();
                 (b, at_or_below as f64 / total as f64)
             })
@@ -268,6 +271,17 @@ mod tests {
         assert_eq!(w.stats.ledger.get(Phase::Trap), 100);
         assert_eq!(w.stats.ledger.get(Phase::Transfer), 40);
         assert_eq!(w.stats.ledger.total(), w.stats.ipc_cycles);
+    }
+
+    #[test]
+    fn fractions_of_saturated_counters_do_not_overflow() {
+        let mut w = world();
+        w.compute(u64::MAX);
+        w.ipc_oneway(8);
+        let f = w.stats.ipc_fraction();
+        assert!(f > 0.0 && f < 1e-15, "IPC fraction {f}");
+        w.stats.events = vec![(8, u64::MAX), (64, u64::MAX)];
+        assert_eq!(w.stats.cdf_by_size(&[8, 64]), [(8, 0.5), (64, 1.0)]);
     }
 
     #[test]
