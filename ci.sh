@@ -47,6 +47,15 @@ echo "== clippy (xpc-bench: missing_panics_doc promoted to error) =="
 cargo clippy -p xpc-bench --all-targets --no-deps -- \
   -D warnings -A clippy::cast-possible-truncation -D clippy::missing-panics-doc
 
+echo "== clippy (kernels, services: missing_panics_doc promoted to error) =="
+# The kernel models and the OS services every figure and benchmark/
+# world is built from: every pub fn that can panic documents its
+# # Panics contract, and a path the HTTP driver cannot serve is a typed
+# error, not a panic. --no-deps scopes the promotion to the crates
+# themselves.
+cargo clippy -p kernels -p services --all-targets --no-deps -- \
+  -D warnings -A clippy::cast-possible-truncation -D clippy::missing-panics-doc
+
 echo "== rustdoc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

@@ -9,9 +9,10 @@
 //!
 //! `--json` additionally writes `BENCH_figures.json`: the full
 //! kernel-model roster's per-system, per-size, per-phase cycle
-//! attributions, then one section per experiment holding every number
-//! its table prints. A grid whose table was printed above is handed to
-//! its JSON section, not computed again (see `xpc_bench::experiments`).
+//! attributions, then one section per experiment: the view its table is
+//! rendered from, less the few view-only leaves the committed sections
+//! predate. A grid whose table was printed above is handed to its JSON
+//! section, not computed again (see `xpc_bench::experiments`).
 //! `--threads N` pins the sweep pool's worker count (default: the
 //! machine's parallelism); the rendered output and the dump, virtual time
 //! only, are byte-identical at any setting. Every argument is checked

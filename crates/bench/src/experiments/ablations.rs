@@ -4,7 +4,7 @@
 //! relay page table (§6.2) versus the contiguous relay segment, the last
 //! one measured on the emulator.
 
-use super::{Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::harness::{CallBench, CallBenchConfig};
 use crate::json::Value;
 use kernels::XpcIpc;
@@ -127,8 +127,7 @@ pub(crate) fn engine_batch_rows() -> Vec<(u64, f64, EngineCacheStats)> {
 /// The ablation experiment: every row group of the table.
 pub struct Ablations;
 
-/// What the ablation table shows, one field per row group (the JSON view
-/// shows the engine-cache group).
+/// What the ablation table shows, one field per row group.
 #[derive(Debug, Clone)]
 pub struct AblationRows {
     /// `transport_rows`.
@@ -156,72 +155,80 @@ impl Experiment for Ablations {
         }
     }
 
-    fn table(grid: &Self::Grid) -> Report {
-        let mut rows: Vec<Vec<String>> = Vec::new();
-        rows.push(vec!["-- transports: 1MiB over 4 hops --".into()]);
-        for (name, cycles, safe, handover) in &grid.transports {
-            rows.push(vec![
-                name.clone(),
-                format!("{cycles} cycles"),
-                format!("tocttou-safe: {safe}"),
-                format!("handover: {handover}"),
-            ]);
-        }
-        rows.push(vec!["-- xcall-cap stores (sparse 2^20 IDs) --".into()]);
-        for (name, words, bytes) in &grid.caps {
-            rows.push(vec![
-                name.clone(),
-                format!("{words} words/probe"),
-                format!("{bytes} B footprint"),
-            ]);
-        }
-        rows.push(vec!["-- caller context convention --".into()]);
-        for (name, cycles) in &grid.contexts {
-            rows.push(vec![name.clone(), format!("{cycles} cycles/call")]);
-        }
-        rows.push(vec!["-- 512B guest read through the window --".into()]);
-        for (name, cycles) in &grid.relay {
-            rows.push(vec![name.clone(), format!("{cycles} cycles")]);
-        }
-        rows.push(vec!["-- engine cache under batching (64B bursts) --".into()]);
-        for (n, per_call, stats) in &grid.engine_batch {
-            rows.push(vec![
-                format!("batch {n}"),
-                format!("{per_call:.1} cycles/call"),
-                format!("prefetches: {}", stats.prefetches),
-                format!("cache hits: {}", stats.cache_hits),
-            ]);
-        }
-        Report {
-            id: "Ablations",
-            caption:
-                "Design-choice sweeps (transport family, cap stores, context modes, relay page table)",
-            headers: vec!["Variant".into(), "Cost".into(), "".into(), "".into()],
-            rows,
-        }
+    /// Every row group; the committed section holds the engine-cache
+    /// group, surfaced as counters rather than inferred from totals.
+    fn json(grid: &Self::Grid) -> Value {
+        Value::Object(vec![
+            (
+                "transports",
+                super::cell_json(&TRANSPORTS, &grid.transports),
+            ),
+            ("caps", super::cell_json(&CAPS, &grid.caps)),
+            ("contexts", super::cell_json(&CONTEXTS, &grid.contexts)),
+            ("relay", super::cell_json(&RELAY, &grid.relay)),
+            (
+                "engine_cache_batching",
+                super::cell_json(&ENGINE, &grid.engine_batch),
+            ),
+        ])
     }
 
-    /// Engine-cache efficacy under batching, surfaced as counters rather
-    /// than inferred from totals.
-    fn json(grid: &Self::Grid) -> Value {
-        let cells = grid.engine_batch.iter().map(|(n, per_call, stats)| {
-            Value::Object(vec![
-                ("batch", (*n).into()),
-                ("per_call_cycles", Value::Fixed(*per_call, 1)),
-                ("prefetches", stats.prefetches.into()),
-                ("cache_hits", stats.cache_hits.into()),
-            ])
-        });
-        Value::Object(vec![(
-            "engine_cache_batching",
-            Value::Array(cells.collect()),
-        )])
+    fn layout() -> Layout {
+        let caption =
+            "Design-choice sweeps (transport family, cap stores, context modes, relay page table)";
+        Layout::new("Ablations", caption, &["Variant", "Cost", "", ""])
+            .banner("-- transports: 1MiB over 4 hops --")
+            .cells("transports", &TRANSPORTS)
+            .banner("-- xcall-cap stores (sparse 2^20 IDs) --")
+            .cells("caps", &CAPS)
+            .banner("-- caller context convention --")
+            .cells("contexts", &CONTEXTS)
+            .banner("-- 512B guest read through the window --")
+            .cells("relay", &RELAY)
+            .banner("-- engine cache under batching (64B bursts) --")
+            .cells("engine_cache_batching", &ENGINE)
     }
 }
 
+/// The columns of each row group (the table's headers are its own).
+#[rustfmt::skip]
+const TRANSPORTS: [Column<(String, u64, bool, bool)>; 4] = [
+    ("", "name", |t| t.0.as_str().into(), "{name}"),
+    ("", "cycles", |t| t.1.into(), "{cycles} cycles"),
+    ("", "tocttou_safe", |t| t.2.into(), "tocttou-safe: {tocttou_safe}"),
+    ("", "handover", |t| t.3.into(), "handover: {handover}"),
+];
+
+#[rustfmt::skip]
+const CAPS: [Column<(String, u64, usize)>; 3] = [
+    ("", "name", |c| c.0.as_str().into(), "{name}"),
+    ("", "words_per_probe", |c| c.1.into(), "{words_per_probe} words/probe"),
+    ("", "footprint_bytes", |c| c.2.into(), "{footprint_bytes} B footprint"),
+];
+
+#[rustfmt::skip]
+const CONTEXTS: [Column<(String, u64)>; 2] = [
+    ("", "name", |c| c.0.as_str().into(), "{name}"),
+    ("", "cycles", |c| c.1.into(), "{cycles} cycles/call"),
+];
+
+#[rustfmt::skip]
+const RELAY: [Column<(String, u64)>; 2] = [
+    ("", "name", |c| c.0.as_str().into(), "{name}"),
+    ("", "cycles", |c| c.1.into(), "{cycles} cycles"),
+];
+
+#[rustfmt::skip]
+const ENGINE: [Column<(u64, f64, EngineCacheStats)>; 4] = [
+    ("", "batch", |e| e.0.into(), "batch {batch}"),
+    ("", "per_call_cycles", |e| Value::Fixed(e.1, 1), "{per_call_cycles} cycles/call"),
+    ("", "prefetches", |e| e.2.prefetches.into(), "prefetches: {prefetches}"),
+    ("", "cache_hits", |e| e.2.cache_hits.into(), "cache hits: {cache_hits}"),
+];
+
 /// The `"ablations"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json::<Ablations>().render(2)
+    super::section("ablations").render(2)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! spec and seed — so [`Fig1a`]'s grid holds what (b) prints, and
 //! [`Fig1b`] reads it from the grid (a) parked (see [`super`]).
 
-use super::{float, plain, Column, Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::json::Value;
 use kernels::{Sel4, Sel4Transfer};
 use minidb::{load, run_loaded, run_workload};
@@ -54,23 +54,23 @@ impl Experiment for Fig1a {
         (fractions, e.expect("YCSB-E is one of the mixes"))
     }
 
-    fn table((fractions, _): &Self::Grid) -> Report {
-        let caption = "CPU time spent in IPC, Sqlite3 + YCSB on seL4 (paper: 18-39%)";
-        super::cell_table("Figure 1(a)", caption, &FRACTION_COLUMNS, fractions)
-    }
-
     fn json((fractions, _): &Self::Grid) -> Value {
         let cells = super::cell_json(&FRACTION_COLUMNS, fractions);
         let paper = [("ipc_fraction_min", 0.18), ("ipc_fraction_max", 0.39)];
         super::with_paper(vec![("workloads", cells)], &paper)
+    }
+
+    fn layout() -> Layout {
+        let caption = "CPU time spent in IPC, Sqlite3 + YCSB on seL4 (paper: 18-39%)";
+        Layout::columns("Figure 1(a)", caption, "workloads", &FRACTION_COLUMNS)
     }
 }
 
 /// Figure 1(a)'s columns over (workload, IPC fraction) cells.
 #[rustfmt::skip]
 const FRACTION_COLUMNS: [Column<(&str, f64)>; 2] = [
-    ("Workload", "workload", |&(w, _)| plain(w)),
-    ("IPC time", "ipc_fraction", |&(_, f)| (format!("{:.1}%", f * 100.0), Value::Fixed(f, 4))),
+    ("Workload", "workload", |&(w, _)| w.into(), "{workload}"),
+    ("IPC time", "ipc_fraction", |&(_, f)| Value::Fixed(f, 4), "{ipc_fraction:%1}%"),
 ];
 
 /// The Figure 1(b) CDF and transfer fraction for YCSB-E, from a world
@@ -96,16 +96,6 @@ impl Experiment for Fig1b {
         super::peek::<Fig1a, _>(|(_, e)| e.clone()).unwrap_or_else(ycsb_e_cdf)
     }
 
-    fn table((cdf, transfer): &Self::Grid) -> Report {
-        let caption = "CDF of IPC time by message length, YCSB-E on seL4";
-        let mut r = super::cell_table("Figure 1(b)", caption, &CDF_COLUMNS, cdf);
-        r.rows.push(vec![
-            "data-transfer share of IPC time".into(),
-            format!("{:.1}% (paper: {:.1}%)", transfer * 100.0, PAPER * 100.0),
-        ]);
-        r
-    }
-
     fn json((cdf, transfer): &Self::Grid) -> Value {
         let fields = vec![
             ("cdf", super::cell_json(&CDF_COLUMNS, cdf)),
@@ -113,13 +103,20 @@ impl Experiment for Fig1b {
         ];
         super::with_paper(fields, &[("transfer_fraction", PAPER)])
     }
+
+    fn layout() -> Layout {
+        let caption = "CDF of IPC time by message length, YCSB-E on seL4";
+        let transfer = "{transfer_fraction:%1}% (paper: {paper/transfer_fraction:%1}%)";
+        Layout::columns("Figure 1(b)", caption, "cdf", &CDF_COLUMNS)
+            .one("", &["data-transfer share of IPC time", transfer])
+    }
 }
 
 /// Figure 1(b)'s columns over (message-length bound, CDF) cells.
 #[rustfmt::skip]
 const CDF_COLUMNS: [Column<(u64, f64)>; 2] = [
-    ("Message length", "max_bytes", |&(b, _)| (format!("<= {b}B"), b.into())),
-    ("CDF of IPC time", "cdf", |&(_, f)| float(f, 3, "", 4)),
+    ("Message length", "max_bytes", |&(b, _)| b.into(), "<= {max_bytes}B"),
+    ("CDF of IPC time", "cdf", |&(_, f)| Value::Fixed(f, 4), "{cdf:.3}"),
 ];
 
 /// The paper's data-transfer share of IPC time on YCSB-E.
@@ -128,7 +125,12 @@ const PAPER: f64 = 0.587;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{json, run, take};
+    use crate::experiments::{is_parked, json_sections, run, take, view};
+
+    /// Whether anything of Figure 1 is parked on this thread.
+    fn parked() -> bool {
+        is_parked::<Fig1a>() || is_parked::<Fig1b>()
+    }
 
     #[test]
     fn the_fig1a_grid_is_computed_once_per_pass() {
@@ -136,12 +138,13 @@ mod tests {
             simos::par::with_threads(workers, || {
                 RUNS.set([0; 2]);
                 let (a, b) = (run::<Fig1a>().render(), run::<Fig1b>().render());
-                let views = [json::<Fig1a>(), json::<Fig1b>()];
+                let views = [view::<Fig1a>(false), view::<Fig1b>(false)];
                 assert_eq!(
                     RUNS.get(),
                     [1, 0],
                     "{workers} workers: one grid, no E rerun"
                 );
+                assert!(!parked(), "{workers} workers: the views took both grids");
                 let cold = run::<Fig1b>().render();
                 assert_eq!(RUNS.get(), [1, 1], "a cold Figure 1(b) runs its own world");
                 assert_eq!(cold, b, "cold != handed off at {workers} workers");
@@ -149,7 +152,17 @@ mod tests {
                 (a, b, views)
             })
         };
-        assert!(pass(1) == pass(4), "1 worker != 4 workers");
+        let one = pass(1);
+        assert!(one == pass(4), "1 worker != 4 workers");
+
+        // A cold document computes Figure 1(a)'s grid before Figure 1(b)
+        // reads it, and ends the pass with nothing parked.
+        RUNS.set([0; 2]);
+        let sections = json_sections();
+        assert_eq!(RUNS.get(), [1, 0], "a cold pass: one grid, no E rerun");
+        assert!(!parked(), "a cold pass leaves nothing of Figure 1 parked");
+        let fig1 = |key| sections.iter().find(|(k, _)| *k == key).map(|s| &s.1);
+        assert_eq!([fig1("fig1a"), fig1("fig1b")], one.2.each_ref().map(Some));
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! per-rung saving is the [`kernels::CycleLedger::diff_into`] against the
 //! previous bar's ledger.
 
-use super::{Experiment, Report};
+use super::{Experiment, Layout};
 use crate::harness::{CallBenchConfig, EmulatedXpc};
 use crate::json::Value;
-use crate::sweep::ledgers_json;
+use crate::sweep::invocation_json;
 use kernels::{Invocation, InvokeOpts, IpcSystem, Phase};
 
 /// One Figure 5 bar.
@@ -82,42 +82,28 @@ impl Experiment for Fig5 {
         bars()
     }
 
-    fn table(bars: &Self::Grid) -> Report {
-        let rows = bars
-            .iter()
-            .map(|b| {
-                let saved: i64 = -b.delta.iter().map(|&(_, d)| d).sum::<i64>();
-                vec![
-                    b.config.to_string(),
-                    b.total.to_string(),
-                    b.invocation.ledger.get(Phase::Trampoline).to_string(),
-                    b.xcall.to_string(),
-                    b.xret.to_string(),
-                    if b.delta.is_empty() {
-                        "-".into()
-                    } else {
-                        format!("-{saved}")
-                    },
-                ]
-            })
-            .collect();
-        Report {
-            id: "Figure 5",
-            caption: "XPC optimizations and breakdown (one IPC call, emulator-measured; paper totals 150/89/49/33/21)",
-            headers: vec![
-                "Configuration".into(),
-                "IPC call (cycles)".into(),
-                "trampoline".into(),
-                "xcall".into(),
-                "xret".into(),
-                "vs prev".into(),
-            ],
-            rows,
-        }
+    /// Each bar's ledger, and its change over the previous bar.
+    fn json(bars: &Self::Grid) -> Value {
+        let bar = |b: &Fig5Bar| {
+            let change = b.delta.iter().map(|&(_, d)| d).sum::<i64>();
+            let vs_prev = (!b.delta.is_empty()).then_some(Value::Fixed(change as f64, 0));
+            Value::Object(vec![
+                ("name", b.config.into()),
+                ("invocation", invocation_json(0, &b.invocation)),
+                ("vs_prev_cycles", vs_prev.into()),
+            ])
+        };
+        Value::Array(bars.iter().map(bar).collect())
     }
 
-    fn json(bars: &Self::Grid) -> Value {
-        ledgers_json(bars.iter().map(|b| (b.config, 0, &b.invocation)))
+    #[rustfmt::skip]
+    fn layout() -> Layout {
+        let caption = "XPC optimizations and breakdown (one IPC call, emulator-measured; paper totals 150/89/49/33/21)";
+        let headers = ["Configuration", "IPC call (cycles)", "trampoline", "xcall", "xret", "vs prev"];
+        Layout::new("Figure 5", caption, &headers).each("", &[
+            "{name}", "{invocation/total}", "{invocation/phases/trampoline}",
+            "{invocation/phases/xcall}", "{invocation/phases/xret}", "{vs_prev_cycles}",
+        ])
     }
 }
 

@@ -1,7 +1,7 @@
 //! **Figure 6** — one-way call latency vs message size, seL4 vs seL4-XPC,
 //! same-core and cross-core.
 
-use super::{plain, Column, Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::json::Value;
 use crate::sweep::sweep_row;
 use kernels::{Sel4, Sel4Transfer, XpcIpc};
@@ -40,11 +40,11 @@ pub fn curves() -> Vec<(String, Vec<u64>)> {
 /// [`curves`] order.
 #[rustfmt::skip]
 const COLUMNS: [Column<(u64, [u64; 4])>; 5] = [
-    ("Message size", "msg_len", |&(s, _)| (format!("{s}B"), s.into())),
-    ("seL4 (same core)", "sel4_same_core", |(_, c)| plain(c[0])),
-    ("seL4-XPC (same core)", "xpc_same_core", |(_, c)| plain(c[1])),
-    ("seL4 (cross cores)", "sel4_cross_core", |(_, c)| plain(c[2])),
-    ("seL4-XPC (cross cores)", "xpc_cross_core", |(_, c)| plain(c[3])),
+    ("Message size", "msg_len", |&(s, _)| s.into(), "{msg_len}B"),
+    ("seL4 (same core)", "sel4_same_core", |(_, c)| c[0].into(), "{sel4_same_core}"),
+    ("seL4-XPC (same core)", "xpc_same_core", |(_, c)| c[1].into(), "{xpc_same_core}"),
+    ("seL4 (cross cores)", "sel4_cross_core", |(_, c)| c[2].into(), "{sel4_cross_core}"),
+    ("seL4-XPC (cross cores)", "xpc_cross_core", |(_, c)| c[3].into(), "{xpc_cross_core}"),
 ];
 
 /// Figure 6: one-way cycles per size of the four [`curves`].
@@ -57,11 +57,6 @@ impl Experiment for Fig6 {
         super::by_axis(&SIZES, &curves())
     }
 
-    fn table(grid: &Self::Grid) -> Report {
-        let caption = "One-way call latency (cycles, log scale in the paper); speedups 5-37x same-core, 81-141x cross-core";
-        super::cell_table("Figure 6", caption, &COLUMNS, grid)
-    }
-
     fn json(grid: &Self::Grid) -> Value {
         let paper = [
             ("same_core_speedup_min", 5.0),
@@ -70,6 +65,11 @@ impl Experiment for Fig6 {
             ("cross_core_speedup_max", 141.0),
         ];
         super::with_paper(vec![("sizes", super::cell_json(&COLUMNS, grid))], &paper)
+    }
+
+    fn layout() -> Layout {
+        let caption = "One-way call latency (cycles, log scale in the paper); speedups 5-37x same-core, 81-141x cross-core";
+        Layout::columns("Figure 6", caption, "sizes", &COLUMNS)
     }
 }
 

@@ -1,7 +1,7 @@
 //! **Figure 7** — OS services: file-system read/write throughput (a, b)
 //! and TCP throughput (c) across the five systems.
 
-use super::{float, Column, Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::json::Value;
 use kernels::{Factory, Sel4, Sel4Transfer, XpcIpc, Zircon};
 use services::fs::{FsClient, Xv6Fs};
@@ -75,12 +75,12 @@ pub(crate) fn fs_curves(write: bool) -> Vec<(String, Vec<f64>)> {
 /// systems in [`SYSTEMS`] order.
 #[rustfmt::skip]
 const FS_COLUMNS: [Column<(u64, [f64; 5])>; 6] = [
-    ("Buffer", "buffer_bytes", |&(b, _)| (format!("{}KB", b / 1024), b.into())),
-    ("Zircon", "zircon_mb_s", |(_, v)| float(v[0], 1, "", 3)),
-    ("Zircon-XPC", "zircon_xpc_mb_s", |(_, v)| float(v[1], 1, "", 3)),
-    ("seL4-onecopy", "sel4_onecopy_mb_s", |(_, v)| float(v[2], 1, "", 3)),
-    ("seL4-twocopy", "sel4_twocopy_mb_s", |(_, v)| float(v[3], 1, "", 3)),
-    ("seL4-XPC", "sel4_xpc_mb_s", |(_, v)| float(v[4], 1, "", 3)),
+    ("Buffer", "buffer_bytes", |&(b, _)| b.into(), "{buffer_bytes:/1024}KB"),
+    ("Zircon", "zircon_mb_s", |(_, v)| Value::Fixed(v[0], 3), "{zircon_mb_s:.1}"),
+    ("Zircon-XPC", "zircon_xpc_mb_s", |(_, v)| Value::Fixed(v[1], 3), "{zircon_xpc_mb_s:.1}"),
+    ("seL4-onecopy", "sel4_onecopy_mb_s", |(_, v)| Value::Fixed(v[2], 3), "{sel4_onecopy_mb_s:.1}"),
+    ("seL4-twocopy", "sel4_twocopy_mb_s", |(_, v)| Value::Fixed(v[3], 3), "{sel4_twocopy_mb_s:.1}"),
+    ("seL4-XPC", "sel4_xpc_mb_s", |(_, v)| Value::Fixed(v[4], 3), "{sel4_xpc_mb_s:.1}"),
 ];
 
 /// Figure 7(a,b): read and write throughput per buffer size.
@@ -93,28 +93,26 @@ impl Experiment for Fig7ab {
         [false, true].map(|write| super::by_axis(&FS_BUFS, &fs_curves(write)))
     }
 
-    fn table([read, write]: &Self::Grid) -> Report {
-        let caption = "FS read/write throughput (MB/s); read rows first, then write rows";
-        let table = |cells| super::cell_table("Figure 7(a,b)", caption, &FS_COLUMNS, cells);
-        let mut r = table(read);
-        r.rows.push(vec!["-- write --".into()]);
-        r.rows.extend(table(write).rows);
-        r
-    }
-
     fn json([read, write]: &Self::Grid) -> Value {
         let cells = |c| super::cell_json(&FS_COLUMNS, c);
         Value::Object(vec![("read", cells(read)), ("write", cells(write))])
+    }
+
+    fn layout() -> Layout {
+        let caption = "FS read/write throughput (MB/s); read rows first, then write rows";
+        Layout::columns("Figure 7(a,b)", caption, "read", &FS_COLUMNS)
+            .banner("-- write --")
+            .cells("write", &FS_COLUMNS)
     }
 }
 
 /// Figure 7(c)'s columns over (buffer, [Zircon, Zircon-XPC MB/s]) cells.
 #[rustfmt::skip]
 const TCP_COLUMNS: [Column<(u64, [f64; 2])>; 4] = [
-    ("Buffer", "buffer_bytes", |&(b, _)| (format!("{b}B"), b.into())),
-    ("Zircon", "zircon_mb_s", |(_, v)| float(v[0], 2, "", 3)),
-    ("Zircon-XPC", "zircon_xpc_mb_s", |(_, v)| float(v[1], 2, "", 3)),
-    ("speedup", "speedup", |&(_, [z, x])| float(x / z, 1, "x", 2)),
+    ("Buffer", "buffer_bytes", |&(b, _)| b.into(), "{buffer_bytes}B"),
+    ("Zircon", "zircon_mb_s", |(_, v)| Value::Fixed(v[0], 3), "{zircon_mb_s:.2}"),
+    ("Zircon-XPC", "zircon_xpc_mb_s", |(_, v)| Value::Fixed(v[1], 3), "{zircon_xpc_mb_s:.2}"),
+    ("speedup", "speedup", |&(_, [z, x])| Value::Fixed(x / z, 2), "{speedup:.1}x"),
 ];
 
 /// Figure 7(c): TCP throughput of Zircon and Zircon-XPC per
@@ -131,16 +129,16 @@ impl Experiment for Fig7c {
         super::by_axis(&TCP_BUFS, &c)
     }
 
-    fn table(grid: &Self::Grid) -> Report {
-        let caption =
-            "TCP throughput vs buffer size (paper: ~6x average, up to 8x at small buffers)";
-        super::cell_table("Figure 7(c)", caption, &TCP_COLUMNS, grid)
-    }
-
     fn json(grid: &Self::Grid) -> Value {
         let paper = [("avg_speedup", 6.0), ("max_speedup", 8.0)];
         let cells = super::cell_json(&TCP_COLUMNS, grid);
         super::with_paper(vec![("buffers", cells)], &paper)
+    }
+
+    fn layout() -> Layout {
+        let caption =
+            "TCP throughput vs buffer size (paper: ~6x average, up to 8x at small buffers)";
+        Layout::columns("Figure 7(c)", caption, "buffers", &TCP_COLUMNS)
     }
 }
 

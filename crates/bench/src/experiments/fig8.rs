@@ -1,7 +1,7 @@
 //! **Figure 8** — applications: Sqlite3/YCSB normalized throughput on
 //! Zircon (a) and seL4 (b), and HTTP server throughput (c).
 
-use super::{float, plain, Column, Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::json::Value;
 use kernels::{Factory, Sel4, Sel4Transfer, XpcIpc, Zircon};
 use minidb::{load, run_loaded};
@@ -22,10 +22,13 @@ fn spec(wl: Workload) -> WorkloadSpec {
 /// seL4-onecopy/seL4-twocopy, seL4-XPC/seL4-twocopy) cells.
 #[rustfmt::skip]
 const COLUMNS: [Column<(&str, f64, f64, f64)>; 4] = [
-    ("Workload", "workload", |&(w, ..)| plain(w)),
-    ("Zircon-XPC / Zircon", "zircon_xpc_vs_zircon", |&(_, r, ..)| float(r, 2, "x", 3)),
-    ("seL4-onecopy / twocopy", "sel4_onecopy_vs_twocopy", |&(_, _, r, _)| float(r, 2, "x", 3)),
-    ("seL4-XPC / twocopy", "sel4_xpc_vs_twocopy", |&(.., r)| float(r, 2, "x", 3)),
+    ("Workload", "workload", |&(w, ..)| w.into(), "{workload}"),
+    ("Zircon-XPC / Zircon", "zircon_xpc_vs_zircon", |&(_, r, ..)| Value::Fixed(r, 3),
+     "{zircon_xpc_vs_zircon:.2}x"),
+    ("seL4-onecopy / twocopy", "sel4_onecopy_vs_twocopy", |&(_, _, r, _)| Value::Fixed(r, 3),
+     "{sel4_onecopy_vs_twocopy:.2}x"),
+    ("seL4-XPC / twocopy", "sel4_xpc_vs_twocopy", |&(.., r)| Value::Fixed(r, 3),
+     "{sel4_xpc_vs_twocopy:.2}x"),
 ];
 
 /// Figure 8(a,b): normalized YCSB throughput per mix.
@@ -68,15 +71,15 @@ impl Experiment for Fig8ab {
             .collect()
     }
 
-    fn table(grid: &Self::Grid) -> Report {
-        let caption = "Sqlite3 YCSB throughput normalized to the baseline (paper: avg 2.08x Zircon, 1.6x seL4)";
-        super::cell_table("Figure 8(a,b)", caption, &COLUMNS, grid)
-    }
-
     fn json(grid: &Self::Grid) -> Value {
         let paper = [("zircon_xpc_avg", 2.08), ("sel4_xpc_avg", 1.6)];
         let cells = super::cell_json(&COLUMNS, grid);
         super::with_paper(vec![("workloads", cells)], &paper)
+    }
+
+    fn layout() -> Layout {
+        let caption = "Sqlite3 YCSB throughput normalized to the baseline (paper: avg 2.08x Zircon, 1.6x seL4)";
+        Layout::columns("Figure 8(a,b)", caption, "workloads", &COLUMNS)
     }
 }
 
@@ -86,11 +89,14 @@ const HTTP_SIZES: [u64; 4] = [512, 1024, 2048, 4096];
 /// Figure 8(c)'s columns over (file size, [ops/s per curve]) cells.
 #[rustfmt::skip]
 const HTTP_COLUMNS: [Column<(u64, [f64; 4])>; 5] = [
-    ("File size", "file_bytes", |&(s, _)| (format!("{s}B"), s.into())),
-    ("encry-Zircon", "encrypted_zircon_ops_per_s", |(_, v)| float(v[0], 0, "", 1)),
-    ("encry-Zircon-XPC", "encrypted_zircon_xpc_ops_per_s", |(_, v)| float(v[1], 0, "", 1)),
-    ("Zircon", "zircon_ops_per_s", |(_, v)| float(v[2], 0, "", 1)),
-    ("Zircon-XPC", "zircon_xpc_ops_per_s", |(_, v)| float(v[3], 0, "", 1)),
+    ("File size", "file_bytes", |&(s, _)| s.into(), "{file_bytes}B"),
+    ("encry-Zircon", "encrypted_zircon_ops_per_s", |(_, v)| Value::Fixed(v[0], 1),
+     "{encrypted_zircon_ops_per_s:.0}"),
+    ("encry-Zircon-XPC", "encrypted_zircon_xpc_ops_per_s", |(_, v)| Value::Fixed(v[1], 1),
+     "{encrypted_zircon_xpc_ops_per_s:.0}"),
+    ("Zircon", "zircon_ops_per_s", |(_, v)| Value::Fixed(v[2], 1), "{zircon_ops_per_s:.0}"),
+    ("Zircon-XPC", "zircon_xpc_ops_per_s", |(_, v)| Value::Fixed(v[3], 1),
+     "{zircon_xpc_ops_per_s:.0}"),
 ];
 
 /// Figure 8(c): HTTP throughput in ops/s, one curve per (encryption,
@@ -122,22 +128,22 @@ impl Experiment for Fig8c {
             cache.put("/index.html", vec![b'x'; s as usize]);
             let aes = encrypt.then(|| AesServer::new(b"0123456789abcdef"));
             let mut srv = HttpServer::new(cache, aes);
-            http_throughput_ops(&mut w, &mut srv, "/index.html", 50)
+            http_throughput_ops(&mut w, &mut srv, "/index.html", 50).expect("the cache holds it")
         });
         let n = HTTP_SIZES.len();
         let cell = |(i, &s): (usize, &u64)| (s, std::array::from_fn(|k| ops[k * n + i]));
         HTTP_SIZES.iter().enumerate().map(cell).collect()
     }
 
-    fn table(grid: &Self::Grid) -> Report {
-        let caption = "HTTP server throughput, ops/s (paper: ~10x with encryption, ~12x without)";
-        super::cell_table("Figure 8(c)", caption, &HTTP_COLUMNS, grid)
-    }
-
     fn json(grid: &Self::Grid) -> Value {
         let paper = [("encrypted_speedup", 10.0), ("plain_speedup", 12.0)];
         let cells = super::cell_json(&HTTP_COLUMNS, grid);
         super::with_paper(vec![("sizes", cells)], &paper)
+    }
+
+    fn layout() -> Layout {
+        let caption = "HTTP server throughput, ops/s (paper: ~10x with encryption, ~12x without)";
+        Layout::columns("Figure 8(c)", caption, "sizes", &HTTP_COLUMNS)
     }
 }
 

@@ -1,7 +1,7 @@
 //! **Figure 9** — Android Binder: window-manager/surface-compositor
 //! transaction latency via the transaction buffer (a) and ashmem (b).
 
-use super::{float, Column, Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::json::Value;
 use kernels::binder_latency_us;
 use kernels::BinderSystem::{AshmemXpc, Binder, BinderXpc};
@@ -24,10 +24,10 @@ pub const ASHMEM_SIZES: [u64; 8] = [
 /// Figure 9(a)'s columns over (size, Binder us, Binder-XPC us) cells.
 #[rustfmt::skip]
 const BUF_COLUMNS: [Column<(u64, f64, f64)>; 4] = [
-    ("Size", "size_bytes", |&(s, ..)| (format!("{s}B"), s.into())),
-    ("Binder", "binder_us", |&(_, b, _)| float(b, 1, "us", 2)),
-    ("Binder-XPC", "binder_xpc_us", |&(.., x)| float(x, 1, "us", 2)),
-    ("Speedup", "speedup", |&(_, b, x)| float(b / x, 1, "x", 2)),
+    ("Size", "size_bytes", |&(s, ..)| s.into(), "{size_bytes}B"),
+    ("Binder", "binder_us", |&(_, b, _)| Value::Fixed(b, 2), "{binder_us:.1}us"),
+    ("Binder-XPC", "binder_xpc_us", |&(.., x)| Value::Fixed(x, 2), "{binder_xpc_us:.1}us"),
+    ("Speedup", "speedup", |&(_, b, x)| Value::Fixed(b / x, 2), "{speedup:.1}x"),
 ];
 
 /// Figure 9(a): Binder and Binder-XPC latency per [`BUF_SIZES`].
@@ -44,11 +44,6 @@ impl Experiment for Fig9a {
             .collect()
     }
 
-    fn table(grid: &Self::Grid) -> Report {
-        let caption = "Binder transaction latency via buffer (paper: 378us->8.2us at 2KB, 46.2x)";
-        super::cell_table("Figure 9(a)", caption, &BUF_COLUMNS, grid)
-    }
-
     fn json(grid: &Self::Grid) -> Value {
         let paper = [
             ("size_bytes", 2048.0),
@@ -59,22 +54,22 @@ impl Experiment for Fig9a {
         let cells = super::cell_json(&BUF_COLUMNS, grid);
         super::with_paper(vec![("sizes", cells)], &paper)
     }
+
+    fn layout() -> Layout {
+        let caption = "Binder transaction latency via buffer (paper: 378us->8.2us at 2KB, 46.2x)";
+        Layout::columns("Figure 9(a)", caption, "sizes", &BUF_COLUMNS)
+    }
 }
 
 /// Figure 9(b)'s columns over (size, Binder us, Binder-XPC us,
 /// Ashmem-XPC us) cells.
 #[rustfmt::skip]
 const ASHMEM_COLUMNS: [Column<(u64, f64, f64, f64)>; 4] = [
-    ("Size", "size_bytes", |&(s, ..)| (format!("{}KB", s / 1024), s.into())),
-    ("Binder", "binder_us", |&(_, b, ..)| ms(b)),
-    ("Binder-XPC", "binder_xpc_us", |&(_, _, x, _)| ms(x)),
-    ("Ashmem-XPC", "ashmem_xpc_us", |&(.., a)| ms(a)),
+    ("Size", "size_bytes", |&(s, ..)| s.into(), "{size_bytes:/1024}KB"),
+    ("Binder", "binder_us", |&(_, b, ..)| Value::Fixed(b, 2), "{binder_us:/1000.2}ms"),
+    ("Binder-XPC", "binder_xpc_us", |&(_, _, x, _)| Value::Fixed(x, 2), "{binder_xpc_us:/1000.2}ms"),
+    ("Ashmem-XPC", "ashmem_xpc_us", |&(.., a)| Value::Fixed(a, 2), "{ashmem_xpc_us:/1000.2}ms"),
 ];
-
-/// Microseconds as Figure 9(b) prints them, in milliseconds.
-fn ms(us: f64) -> (String, Value) {
-    (format!("{:.2}ms", us / 1000.0), Value::Fixed(us, 2))
-}
 
 /// Figure 9(b): Binder, Binder-XPC and Ashmem-XPC latency per
 /// [`ASHMEM_SIZES`].
@@ -89,15 +84,15 @@ impl Experiment for Fig9b {
         ASHMEM_SIZES.iter().map(at).collect()
     }
 
-    fn table(grid: &Self::Grid) -> Report {
-        let caption = "Binder latency via ashmem (paper: 54.2x at 4KB down to 2.8x at 32MB)";
-        super::cell_table("Figure 9(b)", caption, &ASHMEM_COLUMNS, grid)
-    }
-
     fn json(grid: &Self::Grid) -> Value {
         let paper = [("speedup_at_4kb", 54.2), ("speedup_at_32mb", 2.8)];
         let cells = super::cell_json(&ASHMEM_COLUMNS, grid);
         super::with_paper(vec![("sizes", cells)], &paper)
+    }
+
+    fn layout() -> Layout {
+        let caption = "Binder latency via ashmem (paper: 54.2x at 4KB down to 2.8x at 32MB)";
+        Layout::columns("Figure 9(b)", caption, "sizes", &ASHMEM_COLUMNS)
     }
 }
 

@@ -22,7 +22,7 @@
 //! `super::verify::gate_program` refuses cap-violating, over-deep, or
 //! handover-stealing chains outright.
 
-use super::{serve, Experiment, Report};
+use super::{serve, Column, Experiment, Layout};
 use crate::json::Value;
 use kernels::{paired_roster_factories, Factory};
 use simos::{CallProgram, MultiWorld, Placement, Recipe, ServePolicy, ServeReport, Step, Topology};
@@ -190,82 +190,55 @@ impl Experiment for Fuse {
         (grid_results(), knee_results())
     }
 
-    /// The grid, with the knee appended.
-    fn table((grid, knee): &Self::Grid) -> Report {
-        let mut rows: Vec<Vec<String>> = grid
-            .iter()
-            .map(|c| {
-                vec![
-                    c.system.clone(),
-                    c.depth.to_string(),
-                    if c.handover { "yes" } else { "no" }.to_string(),
-                    c.cycles.to_string(),
-                    c.crossings.to_string(),
-                    c.copied_bytes.to_string(),
-                ]
-            })
-            .collect();
-        for c in knee {
-            let r = &c.report;
-            rows.push(vec![
-                format!("{} rho={}.{}", r.system, c.rho_x10 / 10, c.rho_x10 % 10),
-                KNEE_DEPTH.to_string(),
-                "yes".to_string(),
-                format!("p99us={:.1}", r.p99_us),
-                format!("goodput/s={:.0}", r.goodput_rps),
-                format!("shed={}", r.shed()),
-            ]);
-        }
-        Report {
-            id: "Fuse",
-            caption: "Fused call programs: crossings-per-request stay at 1 under XPC at every depth while trap baselines scale linearly; depth-4 open-loop knee appended",
-            headers: vec![
-                "System".into(),
-                "Depth".into(),
-                "Handover".into(),
-                "Cycles".into(),
-                "Crossings".into(),
-                "Copied B".into(),
-            ],
-            rows,
-        }
+    fn json((grid, knee): &Self::Grid) -> Value {
+        Value::Object(vec![
+            ("grid", super::cell_json(&GRID_COLUMNS, grid)),
+            ("knee", super::cell_json(&KNEE_COLUMNS, knee)),
+        ])
     }
 
-    fn json((grid, knee): &Self::Grid) -> Value {
-        let grid = grid.iter().map(|c| {
-            Value::Object(vec![
-                ("system", c.system.as_str().into()),
-                ("depth", c.depth.into()),
-                ("handover", c.handover.into()),
-                ("cycles", c.cycles.into()),
-                ("crossings", c.crossings.into()),
-                ("copied_bytes", c.copied_bytes.into()),
-            ])
-        });
-        let knee = knee.iter().map(|c| {
-            let r = &c.report;
-            Value::Object(vec![
-                ("system", r.system.as_str().into()),
-                ("rho_x10", c.rho_x10.into()),
-                ("capacity_period_cycles", c.capacity_period_cycles.into()),
-                ("offered", r.offered.into()),
-                ("admitted", r.admitted.into()),
-                ("shed", r.shed().into()),
-                ("goodput_rps", Value::Fixed(r.goodput_rps, 1)),
-                ("p50_us", Value::Fixed(r.p50_us, 2)),
-                ("p99_us", Value::Fixed(r.p99_us, 2)),
-            ])
-        });
-        Value::Object(vec![
-            ("grid", Value::Array(grid.collect())),
-            ("knee", Value::Array(knee.collect())),
+    /// The grid, with the knee appended.
+    #[rustfmt::skip]
+    fn layout() -> Layout {
+        let caption = "Fused call programs: crossings-per-request stay at 1 under XPC at every depth while trap baselines scale linearly; depth-4 open-loop knee appended";
+        Layout::columns("Fuse", caption, "grid", &GRID_COLUMNS).each("knee", &[
+            "{system} rho={rho}", "{depth}", "yes", "p99us={p99_us:.1}",
+            "goodput/s={goodput_rps:.0}", "shed={shed}",
         ])
     }
 }
 
+/// The fused-program grid's columns over its cells.
+#[rustfmt::skip]
+const GRID_COLUMNS: [Column<FuseCell>; 6] = [
+    ("System", "system", |c| c.system.as_str().into(), "{system}"),
+    ("Depth", "depth", |c| c.depth.into(), "{depth}"),
+    ("Handover", "handover", |c| c.handover.into(), "{handover:yes|no}"),
+    ("Cycles", "cycles", |c| c.cycles.into(), "{cycles}"),
+    ("Crossings", "crossings", |c| c.crossings.into(), "{crossings}"),
+    ("Copied B", "copied_bytes", |c| c.copied_bytes.into(), "{copied_bytes}"),
+];
+
+/// The depth-4 knee's leaves, over its cells; the knee rows print them
+/// in an order of their own.
+#[rustfmt::skip]
+const KNEE_COLUMNS: [Column<FuseKneeCell>; 11] = [
+    ("", "system", |c| c.report.system.as_str().into(), ""),
+    ("", "rho_x10", |c| c.rho_x10.into(), ""),
+    ("", "capacity_period_cycles", |c| c.capacity_period_cycles.into(), ""),
+    ("", "offered", |c| c.report.offered.into(), ""),
+    ("", "admitted", |c| c.report.admitted.into(), ""),
+    ("", "shed", |c| c.report.shed().into(), ""),
+    ("", "goodput_rps", |c| Value::Fixed(c.report.goodput_rps, 1), ""),
+    ("", "p50_us", |c| Value::Fixed(c.report.p50_us, 2), ""),
+    ("", "p99_us", |c| Value::Fixed(c.report.p99_us, 2), ""),
+    ("", "rho", |c| serve::rho(c.rho_x10), ""),
+    ("", "depth", |_| KNEE_DEPTH.into(), ""),
+];
+
 /// The `"fuse"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json::<Fuse>().render(2)
+    super::section("fuse").render(2)
 }
 
 #[cfg(test)]

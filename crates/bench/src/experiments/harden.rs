@@ -17,7 +17,7 @@
 //! to the unhardened sweeps (the `none` rows reprice the same
 //! invocations the other figures already snapshot).
 
-use super::{Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::json::Value;
 use crate::sweep::SIZES;
 use kernels::{paired_roster_factories, CycleLedger, InvokeOpts, Phase};
@@ -106,64 +106,36 @@ pub(crate) fn results() -> Vec<Vec<HardenCell>> {
 pub struct Harden;
 
 impl Experiment for Harden {
-    type Grid = Vec<Vec<HardenCell>>;
+    type Grid = Vec<HardenCell>;
 
     fn compute() -> Self::Grid {
-        results()
-    }
-
-    fn table(grid: &Self::Grid) -> Report {
-        let rows = grid
-            .iter()
-            .flatten()
-            .map(|c| {
-                vec![
-                    c.system.clone(),
-                    c.set.to_string(),
-                    format!("{}B", c.msg_len),
-                    c.cycles.to_string(),
-                    c.tax_cycles.to_string(),
-                    c.scrub_cycles.to_string(),
-                ]
-            })
-            .collect();
-        Report {
-            id: "Harden",
-            caption: "Security tax of the temporal mitigations: hardened one-way cycles over the unhardened baseline, per mechanism and message size",
-            headers: vec![
-                "System".into(),
-                "Mitigations".into(),
-                "Size".into(),
-                "Cycles".into(),
-                "Tax".into(),
-                "Scrub".into(),
-            ],
-            rows,
-        }
+        results().into_iter().flatten().collect()
     }
 
     fn json(grid: &Self::Grid) -> Value {
-        Value::Array(
-            grid.iter()
-                .flatten()
-                .map(|c| {
-                    Value::Object(vec![
-                        ("system", c.system.as_str().into()),
-                        ("set", c.set.into()),
-                        ("msg_len", c.msg_len.into()),
-                        ("cycles", c.cycles.into()),
-                        ("tax_cycles", c.tax_cycles.into()),
-                        ("scrub_cycles", c.scrub_cycles.into()),
-                    ])
-                })
-                .collect(),
-        )
+        super::cell_json(&COLUMNS, grid)
+    }
+
+    fn layout() -> Layout {
+        let caption = "Security tax of the temporal mitigations: hardened one-way cycles over the unhardened baseline, per mechanism and message size";
+        Layout::columns("Harden", caption, "", &COLUMNS)
     }
 }
 
+/// The harden columns over its cells.
+#[rustfmt::skip]
+const COLUMNS: [Column<HardenCell>; 6] = [
+    ("System", "system", |c| c.system.as_str().into(), "{system}"),
+    ("Mitigations", "set", |c| c.set.into(), "{set}"),
+    ("Size", "msg_len", |c| c.msg_len.into(), "{msg_len}B"),
+    ("Cycles", "cycles", |c| c.cycles.into(), "{cycles}"),
+    ("Tax", "tax_cycles", |c| c.tax_cycles.into(), "{tax_cycles}"),
+    ("Scrub", "scrub_cycles", |c| c.scrub_cycles.into(), "{scrub_cycles}"),
+];
+
 /// The `"harden"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json::<Harden>().render(2)
+    super::section("harden").render(2)
 }
 
 #[cfg(test)]

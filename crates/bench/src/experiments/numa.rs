@@ -19,7 +19,7 @@
 //!   [`Phase::Queue`] / [`Phase::CrossCore`] split in the ledger shows
 //!   the trade.
 
-use super::{Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::json::Value;
 use kernels::{paired_roster_factories, Factory};
 use services::http::CHAIN_SERVICES;
@@ -134,102 +134,56 @@ impl Experiment for Numa {
         (hops(), results())
     }
 
-    /// The load grid; the hop comparison lives in the JSON view.
-    fn table((_, load): &Self::Grid) -> Report {
-        let rows = load
-            .iter()
-            .map(|(topo, r)| {
-                vec![
-                    r.system.clone(),
-                    topo.to_string(),
-                    r.policy.to_string(),
-                    r.cores.to_string(),
-                    format!("{:.0}", r.throughput_rps),
-                    format!("{:.1}", r.p50_us),
-                    format!("{:.1}", r.p99_us),
-                    format!("{:.0}%", r.cross_core_fraction() * 100.0),
-                    format!("{:.0}%", r.queue_fraction() * 100.0),
-                    match r.engine_cache {
-                        Some(s) => s.shard_misses.to_string(),
-                        None => "-".into(),
-                    },
-                ]
-            })
-            .collect();
-        Report {
-            id: "NUMA",
-            caption:
-                "HTTP chain under W=4 windowed load: topology x placement (16 clients x 400 reqs)",
-            headers: vec![
-                "System".into(),
-                "Topology".into(),
-                "Placement".into(),
-                "Cores".into(),
-                "Req/s".into(),
-                "p50 us".into(),
-                "p99 us".into(),
-                "x-core".into(),
-                "queue".into(),
-                "shard miss".into(),
-            ],
-            rows,
-        }
-    }
-
     /// The per-system hop comparison plus the windowed-load grid.
     fn json((hops, load): &Self::Grid) -> Value {
-        let hops = hops.iter().map(|h| {
-            Value::Object(vec![
-                ("system", h.system.as_str().into()),
-                ("migrating", h.migrating.into()),
-                ("payload_bytes", HOP_BYTES.into()),
-                ("local_cycles", h.local.total().into()),
-                ("remote_cycles", h.remote.total().into()),
-                (
-                    "local_cross_core",
-                    h.local.ledger.get(Phase::CrossCore).into(),
-                ),
-                (
-                    "remote_cross_core",
-                    h.remote.ledger.get(Phase::CrossCore).into(),
-                ),
-                (
-                    "remote_shard_miss",
-                    h.remote.ledger.get(Phase::ShardMiss).into(),
-                ),
-            ])
-        });
-        let load = load.iter().map(|(topo, r)| {
-            Value::Object(vec![
-                ("system", r.system.as_str().into()),
-                ("topology", (*topo).into()),
-                ("policy", r.policy.into()),
-                ("cores", r.cores.into()),
-                ("window", r.window.into()),
-                ("throughput_rps", Value::Fixed(r.throughput_rps, 1)),
-                ("p50_us", Value::Fixed(r.p50_us, 2)),
-                ("p99_us", Value::Fixed(r.p99_us, 2)),
-                (
-                    "cross_core_fraction",
-                    Value::Fixed(r.cross_core_fraction(), 4),
-                ),
-                ("queue_fraction", Value::Fixed(r.queue_fraction(), 4)),
-                (
-                    "shard_misses",
-                    r.engine_cache.map(|s| s.shard_misses).into(),
-                ),
-            ])
-        });
         Value::Object(vec![
-            ("hops", Value::Array(hops.collect())),
-            ("load", Value::Array(load.collect())),
+            ("hops", super::cell_json(&HOP_COLUMNS, hops)),
+            ("load", super::cell_json(&LOAD_COLUMNS, load)),
         ])
+    }
+
+    /// The load grid; the hop comparison is in the view only.
+    fn layout() -> Layout {
+        let caption =
+            "HTTP chain under W=4 windowed load: topology x placement (16 clients x 400 reqs)";
+        Layout::columns("NUMA", caption, "load", &LOAD_COLUMNS)
     }
 }
 
+/// The hop comparison's leaves (the table does not print them).
+#[rustfmt::skip]
+const HOP_COLUMNS: [Column<Hop>; 8] = [
+    ("", "system", |h| h.system.as_str().into(), ""),
+    ("", "migrating", |h| h.migrating.into(), ""),
+    ("", "payload_bytes", |_| HOP_BYTES.into(), ""),
+    ("", "local_cycles", |h| h.local.total().into(), ""),
+    ("", "remote_cycles", |h| h.remote.total().into(), ""),
+    ("", "local_cross_core", |h| h.local.ledger.get(Phase::CrossCore).into(), ""),
+    ("", "remote_cross_core", |h| h.remote.ledger.get(Phase::CrossCore).into(), ""),
+    ("", "remote_shard_miss", |h| h.remote.ledger.get(Phase::ShardMiss).into(), ""),
+];
+
+/// The NUMA load-grid columns over (topology, report) cells.
+#[rustfmt::skip]
+const LOAD_COLUMNS: [Column<(&str, LoadReport)>; 11] = [
+    ("System", "system", |(_, r)| r.system.as_str().into(), "{system}"),
+    ("Topology", "topology", |&(topo, _)| topo.into(), "{topology}"),
+    ("Placement", "policy", |(_, r)| r.policy.into(), "{policy}"),
+    ("Cores", "cores", |(_, r)| r.cores.into(), "{cores}"),
+    ("", "window", |(_, r)| r.window.into(), ""),
+    ("Req/s", "throughput_rps", |(_, r)| Value::Fixed(r.throughput_rps, 1), "{throughput_rps:.0}"),
+    ("p50 us", "p50_us", |(_, r)| Value::Fixed(r.p50_us, 2), "{p50_us:.1}"),
+    ("p99 us", "p99_us", |(_, r)| Value::Fixed(r.p99_us, 2), "{p99_us:.1}"),
+    ("x-core", "cross_core_fraction", |(_, r)| Value::Fixed(r.cross_core_fraction(), 4),
+     "{cross_core_fraction:%0}%"),
+    ("queue", "queue_fraction", |(_, r)| Value::Fixed(r.queue_fraction(), 4), "{queue_fraction:%0}%"),
+    ("shard miss", "shard_misses", |(_, r)| r.engine_cache.map(|s| s.shard_misses).into(),
+     "{shard_misses}"),
+];
+
 /// The `"numa"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json::<Numa>().render(2)
+    super::section("numa").render(2)
 }
 
 #[cfg(test)]

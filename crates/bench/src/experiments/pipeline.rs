@@ -9,10 +9,12 @@
 //! opens. The `window = 1, batch = 1` corner is bit-identical to the
 //! closed-loop generator (pinned by a test below).
 
-use super::{Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::json::Value;
 use kernels::{paired_roster_factories, Factory};
-use simos::{Attribution, CostModel, LoadGen, LoadReport, MultiWorld, Placement, Step};
+use simos::{
+    Attribution, CostModel, EngineCacheStats, LoadGen, LoadReport, MultiWorld, Placement, Step,
+};
 
 /// Cores in the pipeline world (client core + service core).
 pub const CORES: usize = 2;
@@ -114,76 +116,46 @@ impl Experiment for Pipeline {
     fn compute() -> Self::Grid {
         results()
     }
-
-    fn table(grid: &Self::Grid) -> Report {
-        let rows = grid
-            .iter()
-            .map(|(batch, r)| {
-                vec![
-                    r.system.clone(),
-                    r.window.to_string(),
-                    batch.to_string(),
-                    format!("{:.0}", calls_per_sec(r)),
-                    format!("{:.1}", r.p50_us),
-                    format!("{:.1}", r.p99_us),
-                    format!("{:.0}%", r.queue_fraction() * 100.0),
-                    match r.engine_cache {
-                        Some(s) => format!("{}", s.cache_hits),
-                        None => "-".into(),
-                    },
-                ]
-            })
-            .collect();
-        Report {
-            id: "Pipeline",
-            caption: "Windowed async pipeline: calls/s and latency by (window, batch), 64B calls on 2 cores (8 clients x 240 reqs)",
-            headers: vec![
-                "System".into(),
-                "Window".into(),
-                "Batch".into(),
-                "Calls/s".into(),
-                "p50 us".into(),
-                "p99 us".into(),
-                "queue".into(),
-                "cache hits".into(),
-            ],
-            rows,
-        }
-    }
-
     /// One object per (mechanism, window, batch) cell, engine-cache
     /// counters included.
     fn json(grid: &Self::Grid) -> Value {
-        Value::Array(
-            grid.iter()
-                .map(|(batch, r)| {
-                    let engine = r.engine_cache.map(|s| {
-                        Value::Object(vec![
-                            ("prefetches", s.prefetches.into()),
-                            ("cache_hits", s.cache_hits.into()),
-                        ])
-                    });
-                    Value::Object(vec![
-                        ("system", r.system.as_str().into()),
-                        ("window", r.window.into()),
-                        ("batch", (*batch).into()),
-                        ("requests", r.requests.into()),
-                        ("ipc_calls", r.ipc_calls.into()),
-                        ("calls_per_sec", Value::Fixed(calls_per_sec(r), 1)),
-                        ("p50_us", Value::Fixed(r.p50_us, 2)),
-                        ("p99_us", Value::Fixed(r.p99_us, 2)),
-                        ("queue_fraction", Value::Fixed(r.queue_fraction(), 4)),
-                        ("engine_cache", engine.into()),
-                    ])
-                })
-                .collect(),
-        )
+        super::cell_json(&COLUMNS, grid)
     }
+
+    fn layout() -> Layout {
+        let caption = "Windowed async pipeline: calls/s and latency by (window, batch), 64B calls on 2 cores (8 clients x 240 reqs)";
+        Layout::columns("Pipeline", caption, "", &COLUMNS)
+    }
+}
+
+/// The pipeline columns over (batch, report) cells.
+#[rustfmt::skip]
+const COLUMNS: [Column<(u64, LoadReport)>; 10] = [
+    ("System", "system", |(_, r)| r.system.as_str().into(), "{system}"),
+    ("Window", "window", |(_, r)| r.window.into(), "{window}"),
+    ("Batch", "batch", |&(b, _)| b.into(), "{batch}"),
+    ("", "requests", |(_, r)| r.requests.into(), ""),
+    ("", "ipc_calls", |(_, r)| r.ipc_calls.into(), ""),
+    ("Calls/s", "calls_per_sec", |(_, r)| Value::Fixed(calls_per_sec(r), 1), "{calls_per_sec:.0}"),
+    ("p50 us", "p50_us", |(_, r)| Value::Fixed(r.p50_us, 2), "{p50_us:.1}"),
+    ("p99 us", "p99_us", |(_, r)| Value::Fixed(r.p99_us, 2), "{p99_us:.1}"),
+    ("queue", "queue_fraction", |(_, r)| Value::Fixed(r.queue_fraction(), 4), "{queue_fraction:%0}%"),
+    ("cache hits", "engine_cache", |(_, r)| engine_cache(r), "{engine_cache/cache_hits}"),
+];
+
+/// A cell's engine-cache counters; `null` for a mechanism without the
+/// engine.
+fn engine_cache(r: &LoadReport) -> Value {
+    let counters = |s: EngineCacheStats| {
+        let fields = [("prefetches", s.prefetches), ("cache_hits", s.cache_hits)];
+        Value::Object(fields.map(|(k, n)| (k, n.into())).to_vec())
+    };
+    r.engine_cache.map(counters).into()
 }
 
 /// The `"pipeline"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json::<Pipeline>().render(2)
+    super::section("pipeline").render(2)
 }
 
 #[cfg(test)]

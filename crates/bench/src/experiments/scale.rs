@@ -6,7 +6,7 @@
 //! cross cores for free. Throughput and the latency percentiles all
 //! derive from per-request virtual-time spans and invocation ledgers.
 
-use super::{Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::json::Value;
 use kernels::{paired_roster_factories, Factory};
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
@@ -90,69 +90,38 @@ impl Experiment for Scale {
     fn compute() -> Self::Grid {
         results()
     }
-
-    fn table(grid: &Self::Grid) -> Report {
-        let rows = grid
-            .iter()
-            .map(|r| {
-                vec![
-                    r.system.clone(),
-                    r.policy.to_string(),
-                    format!("{:.0}", r.throughput_rps),
-                    format!("{:.1}", r.p50_us),
-                    format!("{:.1}", r.p95_us),
-                    format!("{:.1}", r.p99_us),
-                    format!("{:.0}%", r.cross_core_fraction() * 100.0),
-                ]
-            })
-            .collect();
-        Report {
-            id: "Scale-out",
-            caption: "HTTP chain on 4 cores: throughput/latency by placement (closed loop, 16 clients x 400 reqs)",
-            headers: vec![
-                "System".into(),
-                "Placement".into(),
-                "Req/s".into(),
-                "p50 us".into(),
-                "p95 us".into(),
-                "p99 us".into(),
-                "x-core".into(),
-            ],
-            rows,
-        }
-    }
-
     /// One object per (mechanism, policy) cell with the ledger-derived
     /// metrics.
     fn json(grid: &Self::Grid) -> Value {
-        Value::Array(
-            grid.iter()
-                .map(|r| {
-                    Value::Object(vec![
-                        ("system", r.system.as_str().into()),
-                        ("policy", r.policy.into()),
-                        ("cores", r.cores.into()),
-                        ("clients", r.clients.into()),
-                        ("requests", r.requests.into()),
-                        ("throughput_rps", Value::Fixed(r.throughput_rps, 1)),
-                        ("mean_us", Value::Fixed(r.mean_us, 2)),
-                        ("p50_us", Value::Fixed(r.p50_us, 2)),
-                        ("p95_us", Value::Fixed(r.p95_us, 2)),
-                        ("p99_us", Value::Fixed(r.p99_us, 2)),
-                        (
-                            "cross_core_fraction",
-                            Value::Fixed(r.cross_core_fraction(), 4),
-                        ),
-                    ])
-                })
-                .collect(),
-        )
+        super::cell_json(&COLUMNS, grid)
+    }
+
+    fn layout() -> Layout {
+        let caption = "HTTP chain on 4 cores: throughput/latency by placement (closed loop, 16 clients x 400 reqs)";
+        Layout::columns("Scale-out", caption, "", &COLUMNS)
     }
 }
 
+/// The scale-out columns over the grid's reports.
+#[rustfmt::skip]
+const COLUMNS: [Column<LoadReport>; 11] = [
+    ("System", "system", |r| r.system.as_str().into(), "{system}"),
+    ("Placement", "policy", |r| r.policy.into(), "{policy}"),
+    ("", "cores", |r| r.cores.into(), ""),
+    ("", "clients", |r| r.clients.into(), ""),
+    ("", "requests", |r| r.requests.into(), ""),
+    ("Req/s", "throughput_rps", |r| Value::Fixed(r.throughput_rps, 1), "{throughput_rps:.0}"),
+    ("", "mean_us", |r| Value::Fixed(r.mean_us, 2), ""),
+    ("p50 us", "p50_us", |r| Value::Fixed(r.p50_us, 2), "{p50_us:.1}"),
+    ("p95 us", "p95_us", |r| Value::Fixed(r.p95_us, 2), "{p95_us:.1}"),
+    ("p99 us", "p99_us", |r| Value::Fixed(r.p99_us, 2), "{p99_us:.1}"),
+    ("x-core", "cross_core_fraction", |r| Value::Fixed(r.cross_core_fraction(), 4),
+     "{cross_core_fraction:%0}%"),
+];
+
 /// The `"scale"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json::<Scale>().render(2)
+    super::section("scale").render(2)
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@
 
 use super::numa::topologies;
 use super::scale::recipes;
-use super::{Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::json::Value;
 use kernels::{paired_roster_factories, Factory, XpcIpc};
 use services::http::CHAIN_SERVICES;
@@ -52,6 +52,9 @@ pub const REQUESTS: u64 = 4_000;
 
 /// Tenant queue caps the admission view sweeps at ρ = 1.5.
 pub const ADMISSION_CAPS: [usize; 3] = [8, 64, 512];
+
+/// The admission sweep's offered load, in tenths of capacity.
+const ADMISSION_RHO_X10: u64 = 15;
 
 /// Tenants every serve trace is tagged with.
 pub const TENANTS: u32 = 4;
@@ -269,7 +272,7 @@ pub(crate) fn admission_results() -> Vec<AdmissionCell> {
     super::verify::gate("Serve-admission", CHAIN_SERVICES, &recipes);
     let topo = Topology::u500();
     let period = calibrate_capacity_period(&topo, mk, CHAIN_SERVICES, chain_roster);
-    let mean = interarrival(period, 15);
+    let mean = interarrival(period, ADMISSION_RHO_X10);
     let n_recipes = u32::try_from(recipes.len()).expect("roster fits u32");
     let trace = poisson(mean)
         .trace(REQUESTS, n_recipes)
@@ -423,8 +426,14 @@ pub(crate) fn autoscale_results() -> Vec<AutoscaleCell> {
     })
 }
 
-fn fmt_rho(rho_x10: u64) -> String {
-    format!("{}.{}", rho_x10 / 10, rho_x10 % 10)
+/// Offered load `rho_x10` as the number ρ.
+pub(super) fn rho(rho_x10: u64) -> Value {
+    Value::Fixed(rho_x10 as f64 / 10.0, 1)
+}
+
+/// How many tenants of `r` met their SLO.
+fn slo_met_tenants(r: &ServeReport) -> Value {
+    r.tenants.iter().filter(|t| t.slo_met).count().into()
 }
 
 /// The serve experiment: the four views of the module doc.
@@ -469,80 +478,22 @@ impl Experiment for Serve {
         }
     }
 
-    /// The knee grid, with the admission sweep appended.
-    fn table(grid: &Self::Grid) -> Report {
-        let row = |label: String, topology: &str, rho_x10: u64, r: &ServeReport| {
-            vec![
-                label,
-                topology.to_string(),
-                fmt_rho(rho_x10),
-                format!("{:.0}", r.offered_rps),
-                format!("{:.0}", r.goodput_rps),
-                format!("{:.2}%", r.shed_rate() * 100.0),
-                format!("{:.1}", r.p50_us),
-                format!("{:.1}", r.p99_us),
-                format!("{:.0}%", r.queue_fraction() * 100.0),
-                r.tenants.iter().filter(|t| t.slo_met).count().to_string(),
-            ]
-        };
-        let mut rows: Vec<Vec<String>> = grid
-            .knee
-            .iter()
-            .map(|c| row(c.report.system.clone(), c.topology, c.rho_x10, &c.report))
-            .collect();
-        for c in &grid.admission {
-            let label = format!("{} cap={}", c.report.system, c.queue_cap);
-            rows.push(row(label, "u500", 15, &c.report));
-        }
-        Report {
-            id: "Serve",
-            caption: "Open-loop Poisson serving: p99 vs offered load (rho of calibrated capacity), 4k arrivals/cell, plus the rho=1.5 admission sweep",
-            headers: vec![
-                "System".into(),
-                "Topology".into(),
-                "rho".into(),
-                "Offered/s".into(),
-                "Goodput/s".into(),
-                "Shed".into(),
-                "p50 us".into(),
-                "p99 us".into(),
-                "queue".into(),
-                "SLO met".into(),
-            ],
-            rows,
-        }
-    }
-
     /// Knee + admission + bursty + autoscale, virtual time only.
     fn json(grid: &Self::Grid) -> Value {
-        let knee = grid.knee.iter().map(|c| {
-            let r = &c.report;
-            Value::Object(vec![
-                ("system", r.system.as_str().into()),
-                ("topology", c.topology.into()),
-                ("rho_x10", c.rho_x10.into()),
-                ("capacity_period_cycles", c.capacity_period_cycles.into()),
-                ("offered", r.offered.into()),
-                ("admitted", r.admitted.into()),
-                ("shed", r.shed().into()),
-                ("offered_rps", Value::Fixed(r.offered_rps, 1)),
-                ("goodput_rps", Value::Fixed(r.goodput_rps, 1)),
-                ("p50_us", Value::Fixed(r.p50_us, 2)),
-                ("p95_us", Value::Fixed(r.p95_us, 2)),
-                ("p99_us", Value::Fixed(r.p99_us, 2)),
-                ("queue_fraction", Value::Fixed(r.queue_fraction(), 4)),
-                (
-                    "slo_met_tenants",
-                    r.tenants.iter().filter(|t| t.slo_met).count().into(),
-                ),
-            ])
-        });
         let admission = grid.admission.iter().map(|c| {
+            let r = &c.report;
             let head = [
-                ("system", c.report.system.as_str().into()),
+                ("system", r.system.as_str().into()),
                 ("queue_cap", c.queue_cap.into()),
             ];
-            Value::Object(head.into_iter().chain(report_core(&c.report)).collect())
+            let tail = [
+                ("rho", rho(ADMISSION_RHO_X10)),
+                ("offered_rps", Value::Fixed(r.offered_rps, 1)),
+                ("queue_fraction", Value::Fixed(r.queue_fraction(), 4)),
+                ("slo_met_tenants", slo_met_tenants(r)),
+            ];
+            let fields = head.into_iter().chain(report_core(r)).chain(tail);
+            Value::Object(fields.collect())
         });
         let bursty = grid.bursty.iter().map(|c| {
             let head = [
@@ -569,17 +520,51 @@ impl Experiment for Serve {
             Value::Object(fields.collect())
         });
         Value::Object(vec![
-            ("knee", Value::Array(knee.collect())),
+            ("knee", super::cell_json(&KNEE_COLUMNS, &grid.knee)),
             ("admission", Value::Array(admission.collect())),
             ("bursty", Value::Array(bursty.collect())),
             ("autoscale", Value::Array(autoscale.collect())),
         ])
     }
+
+    /// The knee grid, with the admission sweep appended.
+    #[rustfmt::skip]
+    fn layout() -> Layout {
+        let caption = "Open-loop Poisson serving: p99 vs offered load (rho of calibrated capacity), 4k arrivals/cell, plus the rho=1.5 admission sweep";
+        let admission = [
+            "{system} cap={queue_cap}", "u500", "{rho}", "{offered_rps:.0}", "{goodput_rps:.0}",
+            "{shed_rate:%2}%", "{p50_us:.1}", "{p99_us:.1}", "{queue_fraction:%0}%",
+            "{slo_met_tenants}",
+        ];
+        Layout::columns("Serve", caption, "knee", &KNEE_COLUMNS).each("admission", &admission)
+    }
 }
+
+/// The knee columns over its cells.
+#[rustfmt::skip]
+const KNEE_COLUMNS: [Column<KneeCell>; 16] = [
+    ("System", "system", |c| c.report.system.as_str().into(), "{system}"),
+    ("Topology", "topology", |c| c.topology.into(), "{topology}"),
+    ("", "rho_x10", |c| c.rho_x10.into(), ""),
+    ("rho", "rho", |c| rho(c.rho_x10), "{rho}"),
+    ("", "capacity_period_cycles", |c| c.capacity_period_cycles.into(), ""),
+    ("", "offered", |c| c.report.offered.into(), ""),
+    ("", "admitted", |c| c.report.admitted.into(), ""),
+    ("", "shed", |c| c.report.shed().into(), ""),
+    ("Offered/s", "offered_rps", |c| Value::Fixed(c.report.offered_rps, 1), "{offered_rps:.0}"),
+    ("Goodput/s", "goodput_rps", |c| Value::Fixed(c.report.goodput_rps, 1), "{goodput_rps:.0}"),
+    ("Shed", "shed_rate", |c| Value::Fixed(c.report.shed_rate(), 4), "{shed_rate:%2}%"),
+    ("p50 us", "p50_us", |c| Value::Fixed(c.report.p50_us, 2), "{p50_us:.1}"),
+    ("", "p95_us", |c| Value::Fixed(c.report.p95_us, 2), ""),
+    ("p99 us", "p99_us", |c| Value::Fixed(c.report.p99_us, 2), "{p99_us:.1}"),
+    ("queue", "queue_fraction", |c| Value::Fixed(c.report.queue_fraction(), 4),
+     "{queue_fraction:%0}%"),
+    ("SLO met", "slo_met_tenants", |c| slo_met_tenants(&c.report), "{slo_met_tenants}"),
+];
 
 /// The `"serve"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json::<Serve>().render(2)
+    super::section("serve").render(2)
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! numbers here and the numbers every other figure attributes to seL4
 //! come from the same place.
 
-use super::{Experiment, Report};
+use super::{Experiment, Layout};
 use crate::json::Value;
-use crate::sweep::{ledger_table, ledgers_json};
+use crate::sweep::ledgers_json;
 use kernels::{Invocation, InvokeOpts, IpcSystem, Sel4, Sel4Transfer};
 
 /// Phase breakdown rows for 0 B and 4 KB messages.
@@ -43,19 +43,26 @@ impl Experiment for Table1 {
         (at(0), at(4096))
     }
 
-    fn table((i0, i4k): &Self::Grid) -> Report {
-        ledger_table(
-            "Table 1",
-            "One-way IPC latency of seL4 (fast path), cycles",
-            &[("seL4(0B) fast path", i0), ("seL4(4KB) fast path", i4k)],
-        )
-    }
-
     fn json((i0, i4k): &Self::Grid) -> Value {
         ledgers_json([
             ("seL4(0B) fast path", 0, i0),
             ("seL4(4KB) fast path", 4096, i4k),
         ])
+    }
+
+    /// One row per phase of the fast path, in charge order, one column
+    /// per invocation, then their sums.
+    #[rustfmt::skip]
+    fn layout() -> Layout {
+        let caption = "One-way IPC latency of seL4 (fast path), cycles";
+        let headers = ["Phases (cycles)", "seL4(0B) fast path", "seL4(4KB) fast path"];
+        Layout::new("Table 1", caption, &headers)
+            .one("", &["Trap", "{0/invocation/phases/trap}", "{1/invocation/phases/trap}"])
+            .one("", &["IPC Logic", "{0/invocation/phases/ipc-logic}", "{1/invocation/phases/ipc-logic}"])
+            .one("", &["Process Switch", "{0/invocation/phases/switch}", "{1/invocation/phases/switch}"])
+            .one("", &["Restore", "{0/invocation/phases/restore}", "{1/invocation/phases/restore}"])
+            .one("", &["Message Transfer", "{0/invocation/phases/transfer}", "{1/invocation/phases/transfer}"])
+            .one("", &["Sum", "{0/invocation/total}", "{1/invocation/total}"])
     }
 }
 
@@ -80,7 +87,14 @@ mod tests {
 
     #[test]
     fn report_has_five_phases_plus_sum() {
-        assert_eq!(Table1::table(&Table1::compute()).rows.len(), 6);
+        let grid = Table1::compute();
+        let rows = crate::experiments::report::<Table1>(&grid).rows;
+        let labels: Vec<&str> = rows.iter().map(|r| r[0].as_str()).collect();
+        let mut want: Vec<&str> = phases().iter().map(|&(n, _, _)| n).collect();
+        want.push("Sum");
+        assert_eq!(labels, want, "a row per ledger phase, in charge order");
+        let totals = [grid.0.total(), grid.1.total()].map(|t| t.to_string());
+        assert_eq!(rows[5][1..], totals, "the sums are the ledger totals");
     }
 
     #[test]

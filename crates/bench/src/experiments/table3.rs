@@ -1,7 +1,7 @@
 //! **Table 3** — cycles of the XPC hardware instructions, measured by
 //! stepping the emulator through warm `xcall`/`xret`/`swapseg`.
 
-use super::{plain, Column, Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::harness::{measure_swapseg, CallBench, CallBenchConfig};
 use crate::json::Value;
 
@@ -16,9 +16,9 @@ pub fn measure() -> (u64, u64, u64) {
 /// Table 3's columns over (instruction, measured, paper) cells.
 #[rustfmt::skip]
 const COLUMNS: [Column<(&str, u64, u64)>; 3] = [
-    ("Instruction", "instruction", |&(name, ..)| plain(name)),
-    ("Cycles", "cycles", |&(_, c, _)| plain(c)),
-    ("Paper", "paper", |&(.., p)| plain(p)),
+    ("Instruction", "instruction", |&(name, ..)| name.into(), "{instruction}"),
+    ("Cycles", "cycles", |&(_, c, _)| c.into(), "{cycles}"),
+    ("Paper", "paper", |&(.., p)| p.into(), "{paper}"),
 ];
 
 /// Table 3: the measured and the paper's cycles of each instruction.
@@ -37,13 +37,13 @@ impl Experiment for Table3 {
         ]
     }
 
-    fn table(grid: &Self::Grid) -> Report {
-        let caption = "Cycles of hardware instructions in XPC (emulator-measured, warm)";
-        super::cell_table("Table 3", caption, &COLUMNS, grid)
-    }
-
     fn json(grid: &Self::Grid) -> Value {
         super::cell_json(&COLUMNS, grid)
+    }
+
+    fn layout() -> Layout {
+        let caption = "Cycles of hardware instructions in XPC (emulator-measured, warm)";
+        Layout::columns("Table 3", caption, "", &COLUMNS)
     }
 }
 

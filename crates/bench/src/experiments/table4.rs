@@ -1,27 +1,16 @@
 //! **Table 4** — the GEM5 ARM HPI simulator configuration, as realized by
 //! this reproduction's machine model.
 
-use super::{Experiment, Report};
+use super::{Experiment, Layout};
 use crate::json::Value;
 use rv64::{CacheConfig, MachineConfig};
 
-/// One side of a Table 4 row: a `{}` template and the numbers it prints.
-type Setting = (&'static str, Vec<Value>);
-
-/// `template` with each `{}` replaced by the next number, as JSON prints it.
-fn fill((template, numbers): &Setting) -> String {
-    let mut parts = template.split("{}");
-    let first = parts.next().unwrap_or_default().to_string();
-    parts
-        .zip(numbers)
-        .fold(first, |out, (part, n)| out + &n.render(0) + part)
-}
-
-/// Table 4: (parameter, this model's setting, the paper's) per row.
+/// Table 4: (parameter, the numbers of this model's setting, the paper's)
+/// per row.
 pub struct Table4;
 
 impl Experiment for Table4 {
-    type Grid = Vec<(&'static str, Setting, Setting)>;
+    type Grid = Vec<(&'static str, Vec<Value>, Vec<Value>)>;
 
     #[rustfmt::skip]
     fn compute() -> Self::Grid {
@@ -30,40 +19,21 @@ impl Experiment for Table4 {
         let cache = |c: &CacheConfig| {
             n(&[c.capacity() as u64 / 1024, c.line_bytes as u64, c.ways as u64])
         };
-        let paper_cores = vec![8u64.into(), Value::Fixed(2.0, 1)];
-        const CACHE: &str = "{}KB, {}B line, {}-way";
         vec![
-            ("Core model",
-             ("in-order, {} IPC issue", n(&[1])), ("{} in-order cores @{}GHz", paper_cores)),
-            ("I/D TLB", ("{} entries", n(&[c.tlb_entries as u64])), ("{} entries", n(&[256]))),
-            ("L1 I-cache", (CACHE, cache(&c.icache)), (CACHE, n(&[32, 64, 2]))),
-            ("L1 D-cache", (CACHE, cache(&c.dcache)), (CACHE, n(&[32, 64, 4]))),
-            ("L1 hit latency",
-             ("{} extra cycles", n(&[c.dcache.hit_extra])),
-             ("{} cycles data/tag/response", n(&[3]))),
-            ("Miss/L2 latency",
-             ("{} cycles", n(&[c.dcache.miss_penalty])), ("{} cycles data/tag", n(&[13]))),
-            ("TTBR write barrier",
-             ("{} cycles", n(&[c.satp_write_cycles])), ("{} cycles (Hikey-960)", n(&[58]))),
+            ("Core model", n(&[1]), vec![8u64.into(), Value::Fixed(2.0, 1)]),
+            ("I/D TLB", n(&[c.tlb_entries as u64]), n(&[256])),
+            ("L1 I-cache", cache(&c.icache), n(&[32, 64, 2])),
+            ("L1 D-cache", cache(&c.dcache), n(&[32, 64, 4])),
+            ("L1 hit latency", n(&[c.dcache.hit_extra]), n(&[3])),
+            ("Miss/L2 latency", n(&[c.dcache.miss_penalty]), n(&[13])),
+            ("TTBR write barrier", n(&[c.satp_write_cycles]), n(&[58])),
         ]
-    }
-
-    fn table(grid: &Self::Grid) -> Report {
-        Report {
-            id: "Table 4",
-            caption: "Simulator configuration (ARM HPI model, paper Table 4)",
-            headers: vec!["Parameter".into(), "Value".into(), "Paper".into()],
-            rows: grid
-                .iter()
-                .map(|(name, model, paper)| vec![name.to_string(), fill(model), fill(paper)])
-                .collect(),
-        }
     }
 
     /// One `{"parameter", "model", "paper"}` cell per row, each side the
     /// numbers its template prints.
     fn json(grid: &Self::Grid) -> Value {
-        let cells = grid.iter().map(|(name, (_, model), (_, paper))| {
+        let cells = grid.iter().map(|(name, model, paper)| {
             Value::Object(vec![
                 ("parameter", (*name).into()),
                 ("model", Value::Array(model.clone())),
@@ -71,6 +41,22 @@ impl Experiment for Table4 {
             ])
         });
         Value::Array(cells.collect())
+    }
+
+    /// One row per cell, each with its own templates.
+    #[rustfmt::skip]
+    fn layout() -> Layout {
+        let caption = "Simulator configuration (ARM HPI model, paper Table 4)";
+        let model = "{model/0}KB, {model/1}B line, {model/2}-way";
+        let paper = "{paper/0}KB, {paper/1}B line, {paper/2}-way";
+        Layout::new("Table 4", caption, &["Parameter", "Value", "Paper"])
+            .one("0", &["{parameter}", "in-order, {model/0} IPC issue", "{paper/0} in-order cores @{paper/1}GHz"])
+            .one("1", &["{parameter}", "{model/0} entries", "{paper/0} entries"])
+            .one("2", &["{parameter}", model, paper])
+            .one("3", &["{parameter}", model, paper])
+            .one("4", &["{parameter}", "{model/0} extra cycles", "{paper/0} cycles data/tag/response"])
+            .one("5", &["{parameter}", "{model/0} cycles", "{paper/0} cycles data/tag"])
+            .one("6", &["{parameter}", "{model/0} cycles", "{paper/0} cycles (Hikey-960)"])
     }
 }
 
@@ -80,7 +66,7 @@ mod tests {
 
     #[test]
     fn reflects_paper_parameters() {
-        let text = Table4::table(&Table4::compute()).render();
+        let text = crate::experiments::report::<Table4>(&Table4::compute()).render();
         assert!(text.contains("256 entries"));
         assert!(text.contains("58 cycles"));
     }

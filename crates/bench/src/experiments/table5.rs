@@ -10,7 +10,7 @@
 //! measured for real: `xcall`/`xret` executed on the HPI-configured
 //! emulator with the ARM engine timings.
 
-use super::{Column, Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::harness::{CallBench, CallBenchConfig};
 use crate::json::Value;
 use rv64::mem::DRAM_BASE;
@@ -114,17 +114,18 @@ pub(crate) fn xpc_cycles() -> (u64, u64) {
 /// each also pays.
 #[rustfmt::skip]
 const COLUMNS: [Column<(&str, u64, u64, u64)>; 3] = [
-    ("Systems", "system", |&(s, ..)| (format!("{s} (cycles)"), s.into())),
-    ("IPC Call", "call", |&(_, call, _, barrier)| logic(call, barrier)),
-    ("IPC Ret", "ret", |&(.., ret, barrier)| logic(ret, barrier)),
+    ("Systems", "system", |&(s, ..)| s.into(), "{system} (cycles)"),
+    ("IPC Call", "call", |&(_, call, _, barrier)| logic(call, barrier),
+     "{call/logic_cycles} (+{call/barrier_cycles})"),
+    ("IPC Ret", "ret", |&(.., ret, barrier)| logic(ret, barrier),
+     "{ret/logic_cycles} (+{ret/barrier_cycles})"),
 ];
 
-fn logic(cycles: u64, barrier: u64) -> (String, Value) {
-    let cell = vec![
+fn logic(cycles: u64, barrier: u64) -> Value {
+    Value::Object(vec![
         ("logic_cycles", cycles.into()),
         ("barrier_cycles", barrier.into()),
-    ];
-    (format!("{cycles} (+{barrier})"), Value::Object(cell))
+    ])
 }
 
 /// Table 5: baseline and XPC IPC cost on the HPI model.
@@ -143,14 +144,14 @@ impl Experiment for Table5 {
         ]
     }
 
-    fn table(grid: &Self::Grid) -> Report {
-        let caption =
-            "IPC cost on the ARM HPI model (TLB/TTBR barrier is ~58 cycles, broken out as +58)";
-        super::cell_table("Table 5", caption, &COLUMNS, grid)
-    }
-
     fn json(grid: &Self::Grid) -> Value {
         super::cell_json(&COLUMNS, grid)
+    }
+
+    fn layout() -> Layout {
+        let caption =
+            "IPC cost on the ARM HPI model (TLB/TTBR barrier is ~58 cycles, broken out as +58)";
+        Layout::columns("Table 5", caption, "", &COLUMNS)
     }
 }
 

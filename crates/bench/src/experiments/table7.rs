@@ -2,7 +2,7 @@
 //! qualitative columns come from the mechanism implementations and the
 //! quantitative column is each design's measured one-way cost at 4 KiB.
 
-use super::{plain, Column, Experiment, Report};
+use super::{Column, Experiment, Layout};
 use crate::json::Value;
 use kernels::{table7, Table7Row};
 
@@ -10,30 +10,27 @@ use kernels::{table7, Table7Row};
 /// absence of a cost ("w/o trap"); the JSON keeps the model's flags.
 #[rustfmt::skip]
 const COLUMNS: [Column<Table7Row>; 7] = [
-    ("System", "system", |r| plain(r.name.as_str())),
-    ("w/o trap", "traps", |r| mark(!r.traps, r.traps)),
-    ("w/o sched", "schedules", |r| mark(!r.schedules, r.schedules)),
-    ("w/o TOCTTOU", "tocttou_safe", |r| mark(r.tocttou_safe, r.tocttou_safe)),
-    ("Handover", "handover", |r| mark(r.handover, r.handover)),
-    ("Copies", "copies", |r| copies(r.copies)),
-    ("4KB one-way (cycles)", "cycles_4k", |r| plain(r.cycles_4k)),
+    ("System", "system", |r| r.name.as_str().into(), "{system}"),
+    ("w/o trap", "traps", |r| r.traps.into(), "{traps:no|yes}"),
+    ("w/o sched", "schedules", |r| r.schedules.into(), "{schedules:no|yes}"),
+    ("w/o TOCTTOU", "tocttou_safe", |r| r.tocttou_safe.into(), "{tocttou_safe:yes|no}"),
+    ("Handover", "handover", |r| r.handover.into(), "{handover:yes|no}"),
+    ("Copies", "copies", |r| copies(r.copies), "{copies/formula}"),
+    ("4KB one-way (cycles)", "cycles_4k", |r| r.cycles_4k.into(), "{cycles_4k}"),
 ];
-
-/// "yes" when `shown`, and the model's `flag` as the JSON leaf.
-fn mark(shown: bool, flag: bool) -> (String, Value) {
-    (if shown { "yes" } else { "no" }.to_string(), flag.into())
-}
 
 /// A copies formula ("2N", "N", "0+TLB", "0") and its copies per chain
 /// hop: the factor of N, 0 for a constant.
-fn copies(formula: &str) -> (String, Value) {
+fn copies(formula: &str) -> Value {
     let per_hop: u64 = match formula.strip_suffix('N') {
         Some("") => 1,
         Some(k) => k.parse().expect("a copies formula is kN"),
         None => 0,
     };
-    let leaf = vec![("formula", formula.into()), ("per_hop", per_hop.into())];
-    (formula.to_string(), Value::Object(leaf))
+    Value::Object(vec![
+        ("formula", formula.into()),
+        ("per_hop", per_hop.into()),
+    ])
 }
 
 /// Table 7: one [`Table7Row`] per design.
@@ -46,13 +43,13 @@ impl Experiment for Table7 {
         table7()
     }
 
-    fn table(grid: &Self::Grid) -> Report {
-        let caption = "IPC designs compared, executable (copies column: N = chain hops)";
-        super::cell_table("Table 7", caption, &COLUMNS, grid)
-    }
-
     fn json(grid: &Self::Grid) -> Value {
         super::cell_json(&COLUMNS, grid)
+    }
+
+    fn layout() -> Layout {
+        let caption = "IPC designs compared, executable (copies column: N = chain hops)";
+        Layout::columns("Table 7", caption, "", &COLUMNS)
     }
 }
 
@@ -62,7 +59,7 @@ mod tests {
 
     #[test]
     fn xpc_row_is_all_yes() {
-        let r = Table7::table(&table7());
+        let r = crate::experiments::report::<Table7>(&table7());
         let xpc = r
             .rows
             .iter()

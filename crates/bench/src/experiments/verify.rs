@@ -21,7 +21,7 @@
 //! * **ledger** — the lint pass over the full 12-system roster: every
 //!   round trip must price as exactly its call leg plus its reply leg.
 
-use super::{pipeline, Experiment, Report};
+use super::{pipeline, Column, Experiment, Layout};
 use crate::json::Value;
 use services::http::{chain_steps, ChainSpec, CHAIN_SERVICES};
 use simos::{CallProgram, Step};
@@ -186,57 +186,30 @@ impl Experiment for Verify {
         results()
     }
 
-    fn table(grid: &Self::Grid) -> Report {
-        let rows = grid
-            .iter()
-            .map(|r| {
-                vec![
-                    r.group.to_string(),
-                    r.subject.clone(),
-                    r.expected.clone(),
-                    r.verdict.clone(),
-                    r.findings.to_string(),
-                    if r.ok { "yes" } else { "NO" }.to_string(),
-                ]
-            })
-            .collect();
-        Report {
-            id: "Verify",
-            caption:
-                "Static pre-flight: crafted plans refuted with the predicted Cause, figure recipes and roster ledgers proved clean",
-            headers: vec![
-                "Group".into(),
-                "Subject".into(),
-                "Expected".into(),
-                "Verdict".into(),
-                "Findings".into(),
-                "OK".into(),
-            ],
-            rows,
-        }
+    fn json(grid: &Self::Grid) -> Value {
+        super::cell_json(&COLUMNS, grid)
     }
 
-    fn json(grid: &Self::Grid) -> Value {
-        Value::Array(
-            grid.iter()
-                .map(|r| {
-                    Value::Object(vec![
-                        ("group", r.group.into()),
-                        ("subject", r.subject.as_str().into()),
-                        ("expected", r.expected.as_str().into()),
-                        ("verdict", r.verdict.as_str().into()),
-                        ("findings", r.findings.into()),
-                        ("ok", r.ok.into()),
-                    ])
-                })
-                .collect(),
-        )
+    fn layout() -> Layout {
+        let caption = "Static pre-flight: crafted plans refuted with the predicted Cause, figure recipes and roster ledgers proved clean";
+        Layout::columns("Verify", caption, "", &COLUMNS)
     }
 }
 
+/// The verify columns over its rows.
+#[rustfmt::skip]
+const COLUMNS: [Column<Row>; 6] = [
+    ("Group", "group", |r| r.group.into(), "{group}"),
+    ("Subject", "subject", |r| r.subject.as_str().into(), "{subject}"),
+    ("Expected", "expected", |r| r.expected.as_str().into(), "{expected}"),
+    ("Verdict", "verdict", |r| r.verdict.as_str().into(), "{verdict}"),
+    ("Findings", "findings", |r| r.findings.into(), "{findings}"),
+    ("OK", "ok", |r| r.ok.into(), "{ok:yes|NO}"),
+];
+
 /// The `"verify"` section of `BENCH_figures.json`.
 pub fn json_section() -> String {
-    super::json::<Verify>().render(2)
+    super::section("verify").render(2)
 }
 
 #[cfg(test)]

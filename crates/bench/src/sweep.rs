@@ -1,13 +1,7 @@
 //! Registry-driven sweep harness: run any roster of [`IpcSystem`]s over a
-//! size axis and render the resulting [`Invocation`]s — as cycle tables,
-//! as phase-attributed ledger tables, or as `BENCH_figures.json` sections.
-//!
-//! Every per-figure module used to hand-roll its own loop over systems
-//! and sizes; they now all call `sweep` and format the shared
-//! [`SweepRow`]s, so a figure is just "which systems, which sizes, which
-//! view of the ledger".
+//! size axis and write the resulting [`Invocation`]s as JSON values, the
+//! views the tables render from and the `BENCH_figures.json` sections.
 
-use crate::experiments::Report;
 use crate::json::{self, Value};
 use kernels::{Invocation, InvokeOpts, IpcSystem};
 
@@ -46,54 +40,9 @@ pub fn roster_sweep() -> Vec<SweepRow> {
     })
 }
 
-/// Render labelled invocations as a phase-by-column ledger table (the
-/// Table 1 shape: one row per phase in first-charge order, one column per
-/// invocation, plus a Sum row). Columns may attribute different phase
-/// sets; absent phases print as "-".
-pub(crate) fn ledger_table(
-    id: &'static str,
-    caption: &'static str,
-    cols: &[(&str, &Invocation)],
-) -> Report {
-    // Phase order: first-charge order across columns, left to right.
-    let mut phases = Vec::new();
-    for (_, inv) in cols {
-        for &(p, _) in inv.ledger.spans() {
-            if !phases.contains(&p) {
-                phases.push(p);
-            }
-        }
-    }
-    let mut headers = vec!["Phases (cycles)".to_string()];
-    headers.extend(cols.iter().map(|(n, _)| n.to_string()));
-    let mut rows: Vec<Vec<String>> = phases
-        .iter()
-        .map(|&p| {
-            let mut row = vec![p.label().to_string()];
-            row.extend(cols.iter().map(|(_, inv)| {
-                if inv.ledger.spans().iter().any(|&(q, _)| q == p) {
-                    inv.ledger.get(p).to_string()
-                } else {
-                    "-".into()
-                }
-            }));
-            row
-        })
-        .collect();
-    let mut sum = vec!["Sum".to_string()];
-    sum.extend(cols.iter().map(|(_, inv)| inv.total().to_string()));
-    rows.push(sum);
-    Report {
-        id,
-        caption,
-        headers,
-        rows,
-    }
-}
-
 /// One invocation as a JSON object: size, total, copied bytes and the
 /// per-phase cycles in first-charge order.
-fn invocation_json(msg_len: usize, inv: &Invocation) -> Value {
+pub(crate) fn invocation_json(msg_len: usize, inv: &Invocation) -> Value {
     let phases = inv.ledger.spans().iter().map(|&(p, c)| (p.key(), c.into()));
     Value::Object(vec![
         ("msg_len", msg_len.into()),
@@ -182,13 +131,18 @@ mod tests {
 
     #[test]
     fn ledger_table_prints_sum_matching_totals() {
+        // A ledger table is its columns' ledgers as JSON, printed through
+        // a Layout; its Sum row must read the ledger totals.
         let row = sweep_row(
             &mut Sel4::new(Sel4Transfer::OneCopy),
             &[0, 4096],
             &InvokeOpts::call(),
         );
         let cols = [("0B", &row.points[0].1), ("4KB", &row.points[1].1)];
-        let t = ledger_table("T", "test", &cols);
+        let view = ledgers_json(cols.iter().map(|&(name, inv)| (name, 0, inv)));
+        let t = crate::experiments::Layout::new("T", "test", &["Phases (cycles)", "0B", "4KB"])
+            .one("", &["Sum", "{0/invocation/total}", "{1/invocation/total}"])
+            .render(&view);
         let sum = t.rows.last().unwrap();
         assert_eq!(sum[1], cols[0].1.total().to_string());
         assert_eq!(sum[2], cols[1].1.total().to_string());

@@ -1,8 +1,11 @@
 //! The one snapshot test. The committed `BENCH_figures.json` and
 //! `figures/golden.txt` are what the experiments produce today, at 1, 2
 //! and 8 sweep-pool workers, with every JSON section computed cold and
-//! again handed the grid its table computed. Every view is virtual time
-//! only, so any drift is a real model change, not noise. The schema the
+//! again handed the grid its table computed. A table is its experiment's
+//! view rendered through its layout, and a section is that view without
+//! its view-only leaves, so both files print one value per experiment.
+//! Every view is virtual time only, so any drift is a real model change,
+//! not noise. The schema the
 //! document's readers rely on is checked on its `Value` tree (what each
 //! section's cells hold is checked by that experiment's
 //! `json_section_is_shaped`).
@@ -168,115 +171,4 @@ fn the_document_has_every_section_in_its_schema() {
     assert!(points
         .iter()
         .any(|p| p.get("phases").and_then(|ph| ph.get("trap")).is_some()));
-}
-
-/// The experiments whose sections predate the leaf rule below; their
-/// bytes are frozen, so some of their printed numbers have no leaf.
-const FROZEN: [&str; 9] = [
-    "fig5",
-    "scale",
-    "pipeline",
-    "ablations",
-    "numa",
-    "verify",
-    "serve",
-    "fuse",
-    "harden",
-];
-
-/// A number as printed: its value and its decimals.
-fn number(text: &str) -> Option<(f64, i32)> {
-    let digits = text.strip_prefix('-').unwrap_or(text);
-    let plain = !digits.is_empty() && digits.chars().all(|c| c.is_ascii_digit() || c == '.');
-    let decimals = text.split_once('.').map_or(0, |(_, f)| f.len() as i32);
-    plain
-        .then(|| text.parse().ok().map(|v| (v, decimals)))
-        .flatten()
-}
-
-/// The numbers of a committed JSON section, read off its text: every
-/// number token outside a string.
-fn leaves(section: &str) -> Vec<(f64, i32)> {
-    let (mut out, mut token, mut in_string, mut escaped) =
-        (Vec::new(), String::new(), false, false);
-    for c in section.chars().chain([' ']) {
-        if in_string {
-            (in_string, escaped) = (escaped || c != '"', !escaped && c == '\\');
-        } else if c.is_ascii_digit() || c == '.' || c == '-' {
-            token.push(c);
-        } else {
-            out.extend(number(&token));
-            token.clear();
-            in_string = c == '"';
-        }
-    }
-    out
-}
-
-/// A table cell as a number and the factor its unit scales the
-/// underlying value by, after one trailing parenthesised remark and one
-/// unit are stripped; `None` for a cell that is not a number.
-fn cell_number(cell: &str) -> Option<(f64, i32, f64)> {
-    let cell = match cell.rsplit_once(" (") {
-        Some((value, remark)) if remark.ends_with(')') => value,
-        _ => cell,
-    };
-    let units = [
-        ("%", 100.0),
-        ("us", 1.0),
-        ("ms", 1e-3),
-        ("x", 1.0),
-        ("KB", 1.0 / 1024.0),
-        ("B", 1.0),
-    ];
-    let (text, scale) = units
-        .iter()
-        .find_map(|&(unit, scale)| cell.strip_suffix(unit).map(|t| (t, scale)))
-        .unwrap_or((cell, 1.0));
-    number(text).map(|(v, decimals)| (v, decimals, scale))
-}
-
-/// Every numeric cell of every table whose section is not [`FROZEN`] is,
-/// at its printed precision, some leaf of that experiment's section in
-/// the committed `BENCH_figures.json` (scaled only as the cell's unit
-/// says). Reads the two committed files and computes nothing.
-#[test]
-fn every_printed_number_is_a_leaf_of_its_section() {
-    let mut sections: Vec<(&str, String)> = Vec::new();
-    for line in DOCUMENT.lines() {
-        match (json_section(line), sections.last_mut()) {
-            (Some(key), _) => sections.push((key, line.to_string())),
-            (None, Some((_, text))) => text.push_str(line),
-            (None, None) => {}
-        }
-    }
-    let reports = REPORTS.split("\n\n").filter(|r| !r.is_empty());
-    let registry = experiments::all();
-    assert_eq!(reports.clone().count(), registry.len());
-    let mut missing = Vec::new();
-    for ((key, _), report) in registry.iter().zip(reports) {
-        if FROZEN.contains(key) {
-            continue;
-        }
-        let (_, section) = sections.iter().find(|(k, _)| k == key).expect("a section");
-        let leaves = leaves(section);
-        let cells = report.lines().skip(3).flat_map(|row| row.split("  "));
-        for cell in cells.map(str::trim).filter(|c| !c.is_empty()) {
-            let Some((v, decimals, scale)) = cell_number(cell) else {
-                continue;
-            };
-            let found = leaves.iter().any(|&(leaf, leaf_decimals)| {
-                let slack = 0.5 * 10f64.powi(-decimals) + 0.5 * 10f64.powi(-leaf_decimals) * scale;
-                (leaf * scale - v).abs() <= slack * (1.0 + 1e-9)
-            });
-            if !found {
-                missing.push(format!("{key}: '{cell}'"));
-            }
-        }
-    }
-    assert!(
-        missing.is_empty(),
-        "printed numbers with no leaf:\n{}",
-        missing.join("\n")
-    );
 }

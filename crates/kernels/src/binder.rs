@@ -181,6 +181,11 @@ pub struct BinderIpc {
 
 impl BinderIpc {
     /// A Figure 9 system on the default fitted constants.
+    ///
+    /// # Panics
+    ///
+    /// If `system` is [`BinderSystem::AshmemXpc`] and `ashmem` is false:
+    /// Ashmem-XPC has no transaction-buffer path.
     pub fn new(system: BinderSystem, ashmem: bool) -> Self {
         assert!(
             ashmem || system != BinderSystem::AshmemXpc,

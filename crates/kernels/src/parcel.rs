@@ -114,55 +114,42 @@ impl Parcel {
         let b = &self.bytes;
         let mut out = Vec::new();
         let mut i = 0usize;
-        let take = |i: &mut usize, n: usize| -> Result<usize, ParcelError> {
-            let start = *i;
-            *i = i.checked_add(n).ok_or(ParcelError::Truncated)?;
-            if *i > b.len() {
-                return Err(ParcelError::Truncated);
-            }
-            Ok(start)
-        };
         while i < b.len() {
             let tag = b[i];
             i += 1;
             match tag {
-                TAG_I32 => {
-                    let s = take(&mut i, 4)?;
-                    out.push(Value::I32(i32::from_le_bytes(
-                        b[s..s + 4].try_into().unwrap(),
-                    )));
-                }
-                TAG_I64 => {
-                    let s = take(&mut i, 8)?;
-                    out.push(Value::I64(i64::from_le_bytes(
-                        b[s..s + 8].try_into().unwrap(),
-                    )));
-                }
+                TAG_I32 => out.push(Value::I32(i32::from_le_bytes(take_array(b, &mut i)?))),
+                TAG_I64 => out.push(Value::I64(i64::from_le_bytes(take_array(b, &mut i)?))),
                 TAG_STR => {
-                    let s = take(&mut i, 4)?;
-                    let n = u32::from_le_bytes(b[s..s + 4].try_into().unwrap()) as usize;
-                    let s = take(&mut i, n)?;
-                    let text =
-                        std::str::from_utf8(&b[s..s + n]).map_err(|_| ParcelError::BadUtf8)?;
+                    let n = u32::from_le_bytes(take_array(b, &mut i)?) as usize;
+                    let text = std::str::from_utf8(take(b, &mut i, n)?)
+                        .map_err(|_| ParcelError::BadUtf8)?;
                     out.push(Value::Str(text.to_string()));
                 }
                 TAG_BLOB => {
-                    let s = take(&mut i, 4)?;
-                    let n = u32::from_le_bytes(b[s..s + 4].try_into().unwrap()) as usize;
-                    let s = take(&mut i, n)?;
-                    out.push(Value::Blob(b[s..s + n].to_vec()));
+                    let n = u32::from_le_bytes(take_array(b, &mut i)?) as usize;
+                    out.push(Value::Blob(take(b, &mut i, n)?.to_vec()));
                 }
-                TAG_FD => {
-                    let s = take(&mut i, 4)?;
-                    out.push(Value::Fd(u32::from_le_bytes(
-                        b[s..s + 4].try_into().unwrap(),
-                    )));
-                }
+                TAG_FD => out.push(Value::Fd(u32::from_le_bytes(take_array(b, &mut i)?))),
                 t => return Err(ParcelError::BadTag(t)),
             }
         }
         Ok(out)
     }
+}
+
+/// The `n` bytes of `b` from `*i` on, moving `*i` past them.
+fn take<'a>(b: &'a [u8], i: &mut usize, n: usize) -> Result<&'a [u8], ParcelError> {
+    let start = *i;
+    *i = i.checked_add(n).ok_or(ParcelError::Truncated)?;
+    b.get(start..*i).ok_or(ParcelError::Truncated)
+}
+
+/// The next `N` bytes of `b` as an array, as [`take`] reads them.
+fn take_array<const N: usize>(b: &[u8], i: &mut usize) -> Result<[u8; N], ParcelError> {
+    take(b, i, N)?
+        .try_into()
+        .map_err(|_| ParcelError::Truncated)
 }
 
 /// The §5.5 surface-compositor transaction: build the Parcel the window

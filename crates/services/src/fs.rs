@@ -219,6 +219,10 @@ impl Xv6Fs {
     }
 
     /// Mount an existing device, running journal recovery first.
+    ///
+    /// # Panics
+    ///
+    /// If `dev` holds no xv6fs image (its superblock magic differs).
     pub fn mount(w: &mut World, dev: BlockDev) -> Self {
         let mut fs = Self::with_dev(dev);
         fs.recover(w);
@@ -480,6 +484,11 @@ impl Xv6Fs {
     /// the directory entry — all journaled.
     ///
     /// Returns whether the file existed.
+    ///
+    /// # Panics
+    ///
+    /// If the directory names the root inode, which [`Xv6Fs::create`]
+    /// never enters.
     pub fn unlink(&mut self, w: &mut World, name: &str) -> bool {
         let Some(ino) = self.lookup(name) else {
             return false;

@@ -141,21 +141,28 @@ impl HttpServer {
 
 /// Figure 8(c) driver: serve `requests` GETs for `path` and return the
 /// throughput in operations per second under the world's mechanism.
+///
+/// # Errors
+///
+/// The status of the first response that is not [`Status::Ok`] (say,
+/// [`Status::NotFound`] for a `path` the server does not hold).
 pub fn http_throughput_ops(
     w: &mut World,
     server: &mut HttpServer,
     path: &str,
     requests: u64,
-) -> f64 {
+) -> Result<f64, Status> {
     let raw = format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n");
     let start = w.cycles;
     for _ in 0..requests {
-        let (status, _) = server.handle(w, &raw);
-        assert_eq!(status, Status::Ok, "bench file must exist");
+        match server.handle(w, &raw) {
+            (Status::Ok, _) => {}
+            (status, _) => return Err(status),
+        }
     }
     let cycles = w.cycles - start;
     let secs = cycles as f64 / w.cost.clock_hz as f64;
-    requests as f64 / secs
+    Ok(requests as f64 / secs)
 }
 
 /// Options for the §5.4 chain recipe ([`chain_steps`]), replacing the
@@ -316,6 +323,15 @@ mod tests {
         cache.put("/index.html", b"<html><body>42</body></html>".to_vec());
         let aes = aes.then(|| AesServer::new(b"0123456789abcdef"));
         HttpServer::new(cache, aes)
+    }
+
+    #[test]
+    fn a_path_the_server_lacks_is_an_error_not_a_panic() {
+        let mut w = World::new(Box::new(Free));
+        let ops = http_throughput_ops(&mut w, &mut server(false), "/index.html", 3);
+        assert!(ops.is_ok_and(|ops| ops > 0.0));
+        let missing = http_throughput_ops(&mut w, &mut server(false), "/missing", 3);
+        assert_eq!(missing, Err(Status::NotFound));
     }
 
     #[test]

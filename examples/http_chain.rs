@@ -50,7 +50,10 @@ fn main() {
         for (_, m) in mechs {
             let mut w = World::new(m);
             let mut srv = build_server(encrypt);
-            ops.push(http_throughput_ops(&mut w, &mut srv, "/index.html", 100));
+            ops.push(
+                http_throughput_ops(&mut w, &mut srv, "/index.html", 100)
+                    .expect("the server holds /index.html"),
+            );
         }
         println!(
             "{:<20} {:>14.0} {:>14.0} {:>8.1}x",
