@@ -128,7 +128,7 @@ fi
 
 echo "== one-request-engine gate (load.rs + serve.rs are front doors over simos::engine) =="
 for f in crates/simos/src/load.rs crates/simos/src/serve.rs; do
-  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'ReqSink \{|sort_unstable|Attribution::Sampled \{'; then
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'merge_times|add_ledger|sort_unstable|Attribution::Sampled \{'; then
     echo "ci: $f prices or reduces on its own; that belongs to crates/simos/src/engine.rs" >&2
     exit 1
   fi

@@ -125,7 +125,7 @@ const PAPER: f64 = 0.587;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{is_parked, json_sections, run, take, view};
+    use crate::experiments::{is_parked, run, sections_of, take, view, REGISTRY};
 
     /// Whether anything of Figure 1 is parked on this thread.
     fn parked() -> bool {
@@ -155,13 +155,20 @@ mod tests {
         let one = pass(1);
         assert!(one == pass(4), "1 worker != 4 workers");
 
-        // A cold document computes Figure 1(a)'s grid before Figure 1(b)
-        // reads it, and ends the pass with nothing parked.
+        // A cold document pass computes Figure 1(a)'s grid before Figure
+        // 1(b) reads it, and ends with nothing parked. The pass runs over
+        // the registry's Figure 1 entries only, through the helper the
+        // whole document is read with.
+        let entries = &REGISTRY[..2];
+        assert_eq!(
+            entries.iter().map(|e| e.0).collect::<Vec<_>>(),
+            ["fig1a", "fig1b"]
+        );
         RUNS.set([0; 2]);
-        let sections = json_sections();
+        let sections = sections_of(entries);
         assert_eq!(RUNS.get(), [1, 0], "a cold pass: one grid, no E rerun");
         assert!(!parked(), "a cold pass leaves nothing of Figure 1 parked");
-        let fig1 = |key| sections.iter().find(|(k, _)| *k == key).map(|s| &s.1);
+        let fig1 = |key| sections.iter().find(|s| s.1 == key).map(|s| &s.2);
         assert_eq!([fig1("fig1a"), fig1("fig1b")], one.2.each_ref().map(Some));
     }
 

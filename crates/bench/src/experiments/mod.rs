@@ -519,17 +519,24 @@ const REGISTRY: [Registered; 24] = [
     entry::<harden::Harden>("harden", 9),
 ];
 
+/// The sections of `entries`, each with its `place`, read as
+/// [`json_sections`] reads the whole registry.
+fn sections_of(entries: &[Registered]) -> Vec<(u8, &'static str, Value)> {
+    let sections = entries
+        .iter()
+        .map(|&(key, _, view, place)| (place, key, section_of(key, view(true))))
+        .collect();
+    SLOT.with_borrow_mut(Vec::clear);
+    sections
+}
+
 /// The `BENCH_figures.json` document as its top-level sections, in
 /// order: the full roster sweep, then one section per experiment. The
 /// views are read in registry order, each of the grid its `run` parked
 /// on this thread or of one computed cold and kept parked for the views
 /// after it; the pass ends here, with the slot emptied.
 pub fn json_sections() -> Vec<(&'static str, Value)> {
-    let mut sections: Vec<(u8, &'static str, Value)> = REGISTRY
-        .iter()
-        .map(|&(key, _, view, place)| (place, key, section_of(key, view(true))))
-        .collect();
-    SLOT.with_borrow_mut(Vec::clear);
+    let mut sections = sections_of(&REGISTRY);
     sections.sort_by_key(|s| s.0);
     let systems = ("systems", sweep::systems_json(&sweep::roster_sweep()));
     std::iter::once(systems)

@@ -9,9 +9,10 @@
 //! cache — and [`MiniDb::read`] / [`MiniDb::scan`] are the collecting
 //! wrappers over them.
 
-use services::fs::{FsClient, Xv6Fs};
+use services::fs::{FsClient, MountError, Xv6Fs};
 use simos::World;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -22,6 +23,39 @@ pub const DEFAULT_CACHE_ROWS: usize = 512;
 
 /// Key -> `(offset, length)` of the newest version's value in the table file.
 type Index = BTreeMap<Arc<str>, (u64, u64)>;
+
+/// Why [`MiniDb::reopen`] refused a device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReopenError {
+    /// The device holds no xv6fs image.
+    Mount(MountError),
+    /// The file system has no `table.db`: not a database image.
+    NoTable,
+}
+
+impl fmt::Display for ReopenError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReopenError::Mount(e) => write!(f, "cannot mount the device: {e}"),
+            ReopenError::NoTable => write!(f, "no table.db: not a minidb image"),
+        }
+    }
+}
+
+impl std::error::Error for ReopenError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ReopenError::Mount(e) => Some(e),
+            ReopenError::NoTable => None,
+        }
+    }
+}
+
+impl From<MountError> for ReopenError {
+    fn from(e: MountError) -> Self {
+        ReopenError::Mount(e)
+    }
+}
 
 /// The FIFO row cache: `order` holds exactly the keys of `rows`, oldest
 /// insert first.
@@ -130,12 +164,13 @@ impl MiniDb {
     /// table file and rebuild the key index by scanning the record log
     /// (newest version of a key wins — the store is log-structured).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the device holds no `table.db` (not a database image).
-    pub fn reopen(w: &mut World, dev: services::blockdev::BlockDev) -> Self {
-        let mut fs = Xv6Fs::mount(w, dev);
-        let table_ino = fs.lookup("table.db").expect("not a minidb image");
+    /// [`ReopenError::Mount`] when the device holds no xv6fs image, and
+    /// [`ReopenError::NoTable`] when the file system has no `table.db`.
+    pub fn reopen(w: &mut World, dev: services::blockdev::BlockDev) -> Result<Self, ReopenError> {
+        let mut fs = Xv6Fs::mount(w, dev)?;
+        let table_ino = fs.lookup("table.db").ok_or(ReopenError::NoTable)?;
         let size = fs.size(table_ino);
         let raw = fs.read(w, table_ino, 0, size);
         let mut index = Index::new();
@@ -160,7 +195,7 @@ impl MiniDb {
             off = (voff + vlen) as usize;
         }
         w.compute(2000 * index.len() as u64 / 100 + 5000); // scan/parse cost
-        Self::over(fs, table_ino, index, size)
+        Ok(Self::over(fs, table_ino, index, size))
     }
 
     /// Set the row-cache capacity.
@@ -419,7 +454,7 @@ mod tests {
         db.insert(&mut w, "beta", b"two");
         db.insert(&mut w, "alpha", b"three"); // newer version wins
         let dev = db.fs.dev.clone();
-        let mut db2 = MiniDb::reopen(&mut w, dev);
+        let mut db2 = MiniDb::reopen(&mut w, dev).unwrap();
         assert_eq!(db2.len(), 2);
         assert_eq!(
             db2.read(&mut w, "alpha").as_deref(),
@@ -439,7 +474,7 @@ mod tests {
         assert!(!db.delete(&mut w, "drop"), "second delete is a no-op");
         assert_eq!(db.read(&mut w, "drop"), None);
         let dev = db.fs.dev.clone();
-        let mut db2 = MiniDb::reopen(&mut w, dev);
+        let mut db2 = MiniDb::reopen(&mut w, dev).unwrap();
         assert_eq!(db2.read(&mut w, "drop"), None, "tombstone replayed");
         assert_eq!(db2.read(&mut w, "keep").as_deref(), Some(b"k".as_ref()));
     }
@@ -459,7 +494,7 @@ mod tests {
         assert!(msg.contains("key longer than 65535 bytes"), "{msg}");
         assert_eq!(db.fs.dev.writes, writes, "rejected before any write");
         db.insert(&mut w, "later", b"record");
-        let mut db2 = MiniDb::reopen(&mut w, db.fs.dev.clone());
+        let mut db2 = MiniDb::reopen(&mut w, db.fs.dev.clone()).unwrap();
         assert_eq!(db2.len(), 2, "the log still parses end to end");
         assert_eq!(db2.read(&mut w, &longest).as_deref(), Some(&b"fits"[..]));
         assert_eq!(db2.read(&mut w, "later").as_deref(), Some(&b"record"[..]));
@@ -474,9 +509,17 @@ mod tests {
         db.insert(&mut w, "never", b""); // nothing to delete: no record
         assert_eq!(db.read(&mut w, "e"), None);
         assert_eq!(db.len(), 0);
-        let mut db2 = MiniDb::reopen(&mut w, db.fs.dev.clone());
+        let mut db2 = MiniDb::reopen(&mut w, db.fs.dev.clone()).unwrap();
         assert_eq!(db2.read(&mut w, "e"), None);
         assert_eq!((db2.len(), db2.append_off), (0, db.append_off));
+    }
+
+    #[test]
+    fn reopen_refuses_a_file_system_without_a_table() {
+        let mut w = world();
+        let dev = Xv6Fs::mkfs(&mut w, 1 << 10).dev;
+        let err = MiniDb::reopen(&mut w, dev).unwrap_err();
+        assert_eq!(err, ReopenError::NoTable);
     }
 
     #[test]

@@ -228,7 +228,7 @@ impl Checked {
     /// Every key, through the live database and through a reopen of (a
     /// clone of) its device.
     fn verify(&mut self, w: &mut World, who: &str) {
-        let mut reopened = MiniDb::reopen(w, self.db.fs.dev.clone());
+        let mut reopened = MiniDb::reopen(w, self.db.fs.dev.clone()).expect("a minidb image");
         for db in [&mut self.db, &mut reopened] {
             assert_eq!(db.len(), self.oracle.len(), "{who}: live keys");
             let all = db.scan(w, "", usize::MAX);

@@ -293,7 +293,7 @@ mod tests {
             assert_eq!(crashed.peek(b), fs.dev.peek(b), "block {b}");
         }
         let home = fs.dev.peek(crate::fs::DATA_START + 1).to_vec();
-        let mut fs2 = Xv6Fs::mount(&mut w, crashed);
+        let mut fs2 = Xv6Fs::mount(&mut w, crashed).unwrap();
         let ino2 = fs2.lookup("f").expect("directory recovered");
         assert_eq!(fs2.read(&mut w, ino2, 0, 3), b"new", "journal replayed");
         // Recovery installed into the image only, not the crashed server's device.

@@ -24,6 +24,7 @@
 use crate::blockdev::{BlockDev, BLOCK_SIZE, ZERO_BLOCK};
 use simos::World;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::fmt;
 
 const SUPER_BLOCK: u64 = 0;
 const JOURNAL_HEADER: u64 = 1;
@@ -68,15 +69,11 @@ impl Inode {
     }
 
     fn from_bytes(b: &[u8]) -> Inode {
-        let mut direct = [0u64; NDIRECT];
-        for (i, d) in direct.iter_mut().enumerate() {
-            *d = u64::from_le_bytes(b[16 + 8 * i..24 + 8 * i].try_into().unwrap());
-        }
         Inode {
             used: b[0] != 0,
-            size: u64::from_le_bytes(b[8..16].try_into().unwrap()),
-            direct,
-            indirect: u64::from_le_bytes(b[16 + 8 * NDIRECT..24 + 8 * NDIRECT].try_into().unwrap()),
+            size: le_u64(b, 8),
+            direct: std::array::from_fn(|i| le_u64(b, 16 + 8 * i)),
+            indirect: le_u64(b, 16 + 8 * NDIRECT),
         }
     }
 }
@@ -88,6 +85,52 @@ pub struct FsStats {
     pub commits: u64,
     /// Blocks written through the journal (log + install).
     pub journaled_blocks: u64,
+}
+
+/// Why [`Xv6Fs::mount`] refused a device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MountError {
+    /// The committed journal header names a block outside the device.
+    JournalTarget {
+        /// Position of the entry in the journal.
+        entry: usize,
+        /// The block it would install.
+        target: u64,
+        /// Blocks on the device.
+        nblocks: u64,
+    },
+    /// The superblock does not carry xv6fs's magic number.
+    BadMagic {
+        /// The magic number found.
+        found: u64,
+    },
+}
+
+impl fmt::Display for MountError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MountError::JournalTarget {
+                entry,
+                target,
+                nblocks,
+            } => write!(
+                f,
+                "journal entry {entry} targets block {target} of a {nblocks}-block device"
+            ),
+            MountError::BadMagic { found } => {
+                write!(f, "not an xv6fs device (superblock magic {found:#x})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MountError {}
+
+/// The little-endian `u64` at byte `at` of `b`.
+fn le_u64(b: &[u8], at: usize) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(&b[at..at + 8]);
+    u64::from_le_bytes(word)
 }
 
 // ---- block server boundary (IPC charged here) ---------------------------
@@ -220,17 +263,22 @@ impl Xv6Fs {
 
     /// Mount an existing device, running journal recovery first.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// If `dev` holds no xv6fs image (its superblock magic differs).
-    pub fn mount(w: &mut World, dev: BlockDev) -> Self {
+    /// [`MountError::JournalTarget`] when the committed journal names a
+    /// block outside the device (checked before any block is written),
+    /// and [`MountError::BadMagic`] when the recovered superblock is not
+    /// xv6fs's (a blank or foreign device).
+    pub fn mount(w: &mut World, dev: BlockDev) -> Result<Self, MountError> {
         let mut fs = Self::with_dev(dev);
-        fs.recover(w);
+        fs.recover(w)?;
         // Superblock.
         let sb = dev_read(&mut fs.dev, w, SUPER_BLOCK);
-        let magic = u64::from_le_bytes(sb[0..8].try_into().unwrap());
-        assert_eq!(magic, MAGIC, "not an xv6fs device");
-        fs.alloc_cursor = u64::from_le_bytes(sb[8..16].try_into().unwrap());
+        let magic = le_u64(sb, 0);
+        if magic != MAGIC {
+            return Err(MountError::BadMagic { found: magic });
+        }
+        fs.alloc_cursor = le_u64(sb, 8);
         // Block bitmap, then inode table.
         for (b, blk) in fs.bitmap.chunks_exact_mut(BLOCK_SIZE).enumerate() {
             blk.copy_from_slice(dev_read(&mut fs.dev, w, BITMAP_START + b as u64));
@@ -242,7 +290,7 @@ impl Xv6Fs {
         fs.inodes = table.map(Inode::from_bytes).collect();
         // Root directory.
         fs.dir = fs.load_dir(w);
-        fs
+        Ok(fs)
     }
 
     // ---- journal ---------------------------------------------------------
@@ -251,18 +299,30 @@ impl Xv6Fs {
         dev_write(&mut self.dev, w, JOURNAL_HEADER, &ZERO_BLOCK);
     }
 
-    fn recover(&mut self, w: &mut World) {
-        let hdr = dev_read(&mut self.dev, w, JOURNAL_HEADER).to_vec();
-        let n = u64::from_le_bytes(hdr[0..8].try_into().unwrap()) as usize;
-        if n == 0 || n > JOURNAL_CAP {
-            return;
+    /// Install a committed journal, every target checked against the
+    /// device before the first block is written.
+    fn recover(&mut self, w: &mut World) -> Result<(), MountError> {
+        let hdr = dev_read(&mut self.dev, w, JOURNAL_HEADER);
+        let n = le_u64(hdr, 0);
+        if n == 0 || n > JOURNAL_CAP as u64 {
+            return Ok(());
         }
-        for i in 0..n {
-            let target = u64::from_le_bytes(hdr[8 + 8 * i..16 + 8 * i].try_into().unwrap());
+        let targets: Vec<u64> = (0..n as usize).map(|i| le_u64(hdr, 8 + 8 * i)).collect();
+        let nblocks = self.dev.len() as u64;
+        if let Some(entry) = targets.iter().position(|&t| t >= nblocks) {
+            let target = targets[entry];
+            return Err(MountError::JournalTarget {
+                entry,
+                target,
+                nblocks,
+            });
+        }
+        for (i, &target) in targets.iter().enumerate() {
             let data = dev_read(&mut self.dev, w, JOURNAL_DATA + i as u64).to_vec();
             dev_write(&mut self.dev, w, target, &data);
         }
         self.clear_journal(w);
+        Ok(())
     }
 
     /// Steps 1–2 of a commit: log `chunk`, then write the header (the
@@ -786,7 +846,7 @@ mod tests {
         let ino = fs.create(&mut w, "persist");
         fs.write(&mut w, ino, 0, b"survives remount");
         let dev = fs.dev.clone();
-        let mut fs2 = Xv6Fs::mount(&mut w, dev);
+        let mut fs2 = Xv6Fs::mount(&mut w, dev).unwrap();
         let ino2 = fs2.lookup("persist").expect("directory persisted");
         assert_eq!(ino2, ino);
         assert_eq!(fs2.read(&mut w, ino2, 0, 16), b"survives remount");
@@ -801,7 +861,7 @@ mod tests {
         fs.write(&mut w, ino, 0, b"committed but not installed");
         let dev = fs.sync_crash_before_install(&mut w);
         // Remount: recovery must replay the journal.
-        let mut fs2 = Xv6Fs::mount(&mut w, dev);
+        let mut fs2 = Xv6Fs::mount(&mut w, dev).unwrap();
         let ino2 = fs2.lookup("crashy").unwrap();
         assert_eq!(
             fs2.read(&mut w, ino2, 0, 27),
@@ -819,7 +879,7 @@ mod tests {
         fs.write(&mut w, ino, 0, b"new");
         // Crash with the transaction only staged in memory.
         let dev = fs.dev.clone();
-        let mut fs2 = Xv6Fs::mount(&mut w, dev);
+        let mut fs2 = Xv6Fs::mount(&mut w, dev).unwrap();
         let ino2 = fs2.lookup("f").unwrap();
         assert_eq!(fs2.read(&mut w, ino2, 0, 3), b"old", "atomicity");
     }
@@ -856,7 +916,7 @@ mod tests {
         fs.write(&mut w, b, 0, b"go");
         fs.unlink(&mut w, "b");
         let dev = fs.dev.clone();
-        let mut fs2 = Xv6Fs::mount(&mut w, dev);
+        let mut fs2 = Xv6Fs::mount(&mut w, dev).unwrap();
         assert!(fs2.lookup("b").is_none(), "unlink persisted");
         let a2 = fs2.lookup("a").unwrap();
         assert_eq!(fs2.read(&mut w, a2, 0, 4), b"stay");
@@ -945,12 +1005,44 @@ mod tests {
     }
 
     #[test]
+    fn mount_refuses_a_blank_device() {
+        let err = Xv6Fs::mount(&mut world(), BlockDev::new(4096)).unwrap_err();
+        assert_eq!(err, MountError::BadMagic { found: 0 });
+    }
+
+    #[test]
+    fn mount_refuses_a_journal_target_outside_the_device() {
+        let mut w = world();
+        let mut dev = Xv6Fs::mkfs(&mut w, 64).dev;
+        // A committed two-entry journal whose second target is block 64
+        // of 64.
+        let mut hdr = vec![0u8; BLOCK_SIZE];
+        for (at, word) in [(0, 2u64), (8, DATA_START), (16, 64)] {
+            hdr[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        }
+        dev.write(&mut w, JOURNAL_HEADER, &hdr);
+        let mut mounting = world();
+        let err = Xv6Fs::mount(&mut mounting, dev).unwrap_err();
+        assert_eq!(
+            err,
+            MountError::JournalTarget {
+                entry: 1,
+                target: 64,
+                nblocks: 64
+            }
+        );
+        // One request, the header read: no entry was installed, the
+        // in-range first one included.
+        assert_eq!(mounting.stats.ipc_count, 1);
+    }
+
+    #[test]
     fn name_of_255_bytes_round_trips_through_mount() {
         let mut w = world();
         let mut fs = Xv6Fs::mkfs(&mut w, 4096);
         let name = "n".repeat(255);
         let ino = fs.create(&mut w, &name);
-        let fs2 = Xv6Fs::mount(&mut w, fs.dev.clone());
+        let fs2 = Xv6Fs::mount(&mut w, fs.dev.clone()).unwrap();
         assert_eq!(fs2.lookup(&name), Some(ino));
     }
 

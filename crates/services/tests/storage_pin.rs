@@ -149,7 +149,7 @@ fn script() -> (Pin, Pin) {
     FsClient::write(&mut fs, &mut w, table, 250_000, &pattern(9000, 19));
     let before = pin(&w, &log, &fs, rd);
     let dev = fs.sync_crash_before_install(&mut w);
-    let mut fs2 = Xv6Fs::mount(&mut w, dev);
+    let mut fs2 = Xv6Fs::mount(&mut w, dev).expect("an xv6fs image");
     let table2 = fs2.lookup("table.db").expect("directory recovered");
     assert_eq!(
         fs2.read(&mut w, table2, 250_000, 9000),

@@ -3,12 +3,12 @@
 //! Every request, whoever issued it, takes the same path: the engine
 //! takes the next [`Issue`] from a [`Source`], lets the source place it
 //! (or shed it), replays the [`Plan`] its recipe and core map were
-//! priced into once per run, charges waiting to [`Phase::Queue`] and
-//! the plan's spans to the run's [`Attribution`] sink, records the
-//! latency, pushes the completion into the owner's bounded heap of
-//! outstanding requests, and finally reduces the latency sample to
-//! mean / p50 / p95 / p99 / max. The two sources differ in exactly two
-//! rules:
+//! priced into once per run, records its wait and latency, and pushes
+//! its completion into the owner's bounded heap of outstanding requests.
+//! After the last request, [`run`] folds the run's attribution from the
+//! plans and reduces the latency sample to mean / p50 / p95 / p99 / max;
+//! a run that errs attributes nothing. The two sources differ in exactly
+//! two rules:
 //!
 //! * [`Clients`] (closed loop) — *issue rule:* a client's next issue is
 //!   triggered by its own completion (+ think time), the recipe drawn
@@ -23,7 +23,7 @@
 //! per-request path stays allocation-free and one call deep.
 
 use crate::ipc::EngineCacheStats;
-use crate::ledger::{Attribution, CycleLedger, LedgerArena, LedgerRef, Phase, PhaseTotals};
+use crate::ledger::{Attribution, CycleLedger, Phase};
 use crate::load::{LoadError, LoadGen};
 use crate::multicore::{CoreId, MultiWorld, Placement, Replay, Space, Step};
 use crate::serve::{
@@ -196,41 +196,6 @@ impl IssueQueue {
     }
 }
 
-/// Where one request's spans go: into the run ledger in `Full` mode;
-/// when sampling, always into the flat totals, and into an arena ledger
-/// for the 1-in-N requests that keep span-level detail.
-pub(crate) struct ReqSink<'a> {
-    pub(crate) run: Option<&'a mut CycleLedger>,
-    pub(crate) totals: Option<&'a mut PhaseTotals>,
-    pub(crate) arena: Option<(&'a mut LedgerArena, LedgerRef)>,
-}
-
-impl ReqSink<'_> {
-    fn charge(&mut self, phase: Phase, cycles: u64) {
-        if let Some(l) = &mut self.run {
-            l.charge(phase, cycles);
-        }
-        if let Some(t) = &mut self.totals {
-            t.charge(phase, cycles);
-        }
-        if let Some((a, h)) = &mut self.arena {
-            a.charge(*h, phase, cycles);
-        }
-    }
-
-    fn merge(&mut self, ledger: &CycleLedger) {
-        if let Some(l) = &mut self.run {
-            l.merge(ledger);
-        }
-        if let Some(t) = &mut self.totals {
-            t.add_ledger(ledger);
-        }
-        if let Some((a, h)) = &mut self.arena {
-            a.merge_ledger(*h, ledger);
-        }
-    }
-}
-
 /// One recipe priced for one core map: what every request with that
 /// pair replays.
 #[derive(Default)]
@@ -243,6 +208,8 @@ struct Plan {
     calls: u64,
     /// What pricing the steps advanced the engine-cache counters by.
     cache: EngineCacheStats,
+    /// Requests of this run that replayed the plan.
+    uses: u64,
 }
 
 /// The plans of one run, one per (recipe, core map) priced so far. A
@@ -256,7 +223,9 @@ struct Plans {
     index: Vec<usize>,
     keys: usize,
     plans: Vec<Plan>,
-    /// Per-step pricing scratch.
+    /// `(plan index, wait)` of each request a sampled run keeps.
+    kept: Vec<(usize, u64)>,
+    /// Scratch: one step's spans while pricing, a kept request's after.
     step_ledger: CycleLedger,
 }
 
@@ -267,18 +236,19 @@ impl Plans {
         self.index.resize(recipes.saturating_mul(keys), 0);
         self.keys = keys;
         self.plans.clear();
+        self.kept.clear();
     }
 
-    /// The plan of `recipe` (`steps`) under core map `map`: priced on
-    /// the pair's first request; every later one counts its engine-cache
-    /// advance again.
+    /// The index of the plan of `recipe` (`steps`) under core map
+    /// `map`: priced on the pair's first request; every later one counts
+    /// its engine-cache advance again. Plans sit in first-use order.
     fn plan(
         &mut self,
         mw: &mut MultiWorld,
         recipe: usize,
         steps: &[Step],
         map: &[CoreId],
-    ) -> &Plan {
+    ) -> usize {
         let key = map.last().copied().unwrap_or(0);
         let slot = &mut self.index[recipe * self.keys + key];
         if *slot == 0 {
@@ -299,7 +269,37 @@ impl Plans {
         } else {
             mw.replayed_cache.merge(self.plans[*slot - 1].cache);
         }
-        &self.plans[*slot - 1]
+        *slot - 1
+    }
+
+    /// The run's ledger and IPC call count, folded from the plans' use
+    /// counts and `waited`, the summed wait (charged to [`Phase::Queue`]
+    /// when `queue`); a sampled run also gets its kept requests' ledgers.
+    fn fold(&mut self, queue: bool, waited: u64, att: Attribution<'_>) -> (CycleLedger, u64) {
+        let queued = |plan: &Plan| queue && !plan.records.is_empty();
+        let mut ledger = CycleLedger::new();
+        if self.plans.iter().any(queued) {
+            ledger.charge(Phase::Queue, waited);
+        }
+        let mut ipc_calls = 0u64;
+        for plan in &self.plans {
+            ledger.merge_times(&plan.ledger, plan.uses);
+            ipc_calls = ipc_calls.saturating_add(plan.calls.saturating_mul(plan.uses));
+        }
+        if let Attribution::Sampled { totals, arena, .. } = att {
+            totals.add_ledger(&ledger);
+            ledger = totals.to_ledger();
+            for &(at, wait) in &self.kept {
+                let (plan, one) = (&self.plans[at], &mut self.step_ledger);
+                one.clear();
+                if queued(plan) {
+                    one.charge(Phase::Queue, wait);
+                }
+                one.merge(&plan.ledger);
+                arena.push(one);
+            }
+        }
+        (ledger, ipc_calls)
     }
 }
 
@@ -452,71 +452,53 @@ fn tail(sample: &mut [u64], clock_hz: u64) -> Tail {
 
 /// Drive every issue of `src` through `mw`: issue → place → replay the
 /// request's plan (priced on the pair's first request) → record, then
-/// reduce. [`crate::load::run_windowed_with`] documents the two
+/// fold and reduce. [`crate::load::run_windowed_with`] documents the two
 /// [`Attribution`] modes; the sampling stride counts *priced* requests.
 ///
-/// Every output equals pricing each step of each request on its own:
-/// the one [`Phase::Queue`] charge of the summed waits lands where the
-/// first step's did, ahead of the plan's spans (zero waits are still
-/// recorded), saturating sums do not depend on grouping, and each reuse
-/// adds its plan's engine-cache advance to the world.
+/// Every output equals pricing each step of each request on its own and
+/// merging each request's ledger (one [`Phase::Queue`] charge of its
+/// summed wait, zero included, then its plan's spans) in issue order:
+/// `Queue` comes first, each plan's phases in first-use order, and
+/// saturating sums do not depend on grouping. Each reuse adds its plan's
+/// engine-cache advance to the world.
 pub(crate) fn run<S: Source>(
     mw: &mut MultiWorld,
     recipes: &[Vec<Step>],
     src: &mut S,
     scratch: &mut SweepScratch,
-    mut att: Attribution<'_>,
+    att: Attribution<'_>,
 ) -> Result<Outcome, S::Error> {
     scratch.plans.reset(recipes.len(), mw.n_cores());
-    let attribute_queue = src.attribute_queue();
     let think = src.think_cycles();
-    let mut ledger = CycleLedger::new();
-    let (mut priced, mut ipc_calls, mut makespan) = (0u64, 0u64, 0u64);
+    let every = match att {
+        Attribution::Sampled { every, .. } => every,
+        Attribution::Full(_) => 0,
+    };
+    let (mut priced, mut waited, mut makespan) = (0u64, 0u64, 0u64);
     while let Some(issue) = src.issue(mw, scratch)? {
-        // Where this request's spans go: straight into the run ledger
-        // (`Full`), or flat totals plus a 1-in-N kept arena ledger.
-        let (run, totals, arena) = match &mut att {
-            Attribution::Full(_) => (Some(&mut ledger), None, None),
-            Attribution::Sampled {
-                every,
-                totals,
-                arena,
-            } => {
-                let keep = *every != 0 && priced.is_multiple_of(*every);
-                (None, Some(&mut **totals), keep.then_some(&mut **arena))
-            }
-        };
-        let mut sink = ReqSink {
-            run,
-            totals,
-            arena: arena.map(|a| {
-                let h = a.begin();
-                (a, h)
-            }),
-        };
-        let steps = &recipes[issue.recipe];
-        let plan = scratch.plans.plan(mw, issue.recipe, steps, &scratch.map);
+        let at = scratch
+            .plans
+            .plan(mw, issue.recipe, &recipes[issue.recipe], &scratch.map);
+        let plan = &mut scratch.plans.plans[at];
         let (mut done, mut wait) = (issue.t0, 0u64);
         for step in &plan.records {
             let stepped = mw.replay(step, done);
             wait = wait.saturating_add(stepped.wait);
             done = stepped.done;
         }
-        if attribute_queue && !steps.is_empty() {
-            sink.charge(Phase::Queue, wait);
+        plan.uses += 1;
+        waited = waited.saturating_add(wait);
+        if every != 0 && priced.is_multiple_of(every) {
+            scratch.plans.kept.push((at, wait));
         }
-        sink.merge(&plan.ledger);
         priced += 1;
-        ipc_calls = ipc_calls.saturating_add(plan.calls);
         let latency = done - issue.t0;
         scratch.latencies.push(latency);
         makespan = makespan.max(done);
         scratch.outstanding[issue.owner].push(Reverse(done.saturating_add(think)));
         src.completed(&issue, latency, scratch);
     }
-    if let Attribution::Sampled { totals, .. } = &att {
-        ledger = totals.to_ledger();
-    }
+    let (ledger, ipc_calls) = scratch.plans.fold(src.attribute_queue(), waited, att);
     let clock_hz = mw.core(0).cost.clock_hz;
     Ok(Outcome {
         system: mw.core(0).ipc_name(),
@@ -844,7 +826,7 @@ impl Source for Trace<'_> {
 pub(crate) mod tests {
     use super::*;
     use crate::ipc::IpcSystem;
-    use crate::ledger::InvokeOpts;
+    use crate::ledger::{InvokeOpts, LedgerArena, PhaseTotals};
     use crate::load::{run_windowed, run_windowed_with};
     use crate::program::{CallProgram, ProgramId, Recipe};
     use crate::serve::{serve, serve_with, AutoscaleCfg, ServeReport, TenantClass};
@@ -853,7 +835,7 @@ pub(crate) mod tests {
     /// The per-step reference the plan cache is held to: run `steps`
     /// (service space, resolved by `map`) from virtual time `t0`, pricing
     /// and replaying each step on its own, the request's spans landing in
-    /// `sink`. When `attribute_queue`, the wait each step spends behind its
+    /// `out`. When `attribute_queue`, the wait each step spends behind its
     /// serving core's earlier work is charged to [`Phase::Queue`] ahead of
     /// the step's own spans. Returns `(done, ipc_calls)`.
     pub(crate) fn drive_request(
@@ -862,7 +844,7 @@ pub(crate) mod tests {
         steps: &[Step],
         t0: u64,
         attribute_queue: bool,
-        sink: &mut ReqSink<'_>,
+        out: &mut CycleLedger,
     ) -> (u64, u64) {
         let mut t = t0;
         let mut ipc_calls = 0u64;
@@ -871,9 +853,9 @@ pub(crate) mod tests {
             step_ledger.clear();
             let stepped = mw.exec_step(Space::Service(map), step, t, &mut step_ledger);
             if attribute_queue {
-                sink.charge(Phase::Queue, stepped.wait);
+                out.charge(Phase::Queue, stepped.wait);
             }
-            sink.merge(&step_ledger);
+            out.merge(&step_ledger);
             ipc_calls = ipc_calls.saturating_add(stepped.calls);
             t = stepped.done;
         }
@@ -1284,7 +1266,8 @@ pub(crate) mod tests {
     }
 
     /// [`run`] as it priced before plans: every step of every request
-    /// through [`drive_request`]. The oracle of the replay differential.
+    /// through [`drive_request`], each request's own ledger merged into
+    /// the sinks as it completes. The oracle of the replay differential.
     fn reference_run<S: Source>(
         mw: &mut MultiWorld,
         recipes: &[Vec<Step>],
@@ -1297,36 +1280,23 @@ pub(crate) mod tests {
         let mut ledger = CycleLedger::new();
         let (mut priced, mut ipc_calls, mut makespan) = (0u64, 0u64, 0u64);
         while let Some(issue) = src.issue(mw, scratch)? {
-            // Where this request's spans go: straight into the run ledger
-            // (`Full`), or flat totals plus a 1-in-N kept arena ledger.
-            let (run, totals, arena) = match &mut att {
-                Attribution::Full(_) => (Some(&mut ledger), None, None),
+            let mut one = CycleLedger::new();
+            let steps = &recipes[issue.recipe];
+            let (done, calls) =
+                drive_request(mw, &scratch.map, steps, issue.t0, attribute_queue, &mut one);
+            match &mut att {
+                Attribution::Full(_) => ledger.merge(&one),
                 Attribution::Sampled {
                     every,
                     totals,
                     arena,
                 } => {
-                    let keep = *every != 0 && priced.is_multiple_of(*every);
-                    (None, Some(&mut **totals), keep.then_some(&mut **arena))
+                    totals.add_ledger(&one);
+                    if *every != 0 && priced.is_multiple_of(*every) {
+                        arena.push(&one);
+                    }
                 }
-            };
-            let mut sink = ReqSink {
-                run,
-                totals,
-                arena: arena.map(|a| {
-                    let h = a.begin();
-                    (a, h)
-                }),
-            };
-            let steps = &recipes[issue.recipe];
-            let (done, calls) = drive_request(
-                mw,
-                &scratch.map,
-                steps,
-                issue.t0,
-                attribute_queue,
-                &mut sink,
-            );
+            }
             priced += 1;
             ipc_calls = ipc_calls.saturating_add(calls);
             let latency = done - issue.t0;

@@ -245,8 +245,22 @@ impl CycleLedger {
         }
     }
 
+    /// Fold `other` in `k` times: the same ledger as `k` [`merge`]s, as
+    /// `k` saturating adds of `c` make `c.saturating_mul(k)` (zero-cycle
+    /// spans kept).
+    ///
+    /// [`merge`]: Self::merge
+    pub(crate) fn merge_times(&mut self, other: &CycleLedger, k: u64) {
+        if k == 0 {
+            return;
+        }
+        for &(p, c) in &other.spans {
+            self.charge(p, c.saturating_mul(k));
+        }
+    }
+
     /// Drop every span but keep the allocation — the reset half of the
-    /// reuse-a-scratch-ledger pattern the arena hot path runs on.
+    /// reuse-a-scratch-ledger pattern the request engine runs on.
     #[inline]
     pub fn clear(&mut self) {
         self.spans.clear();
@@ -349,7 +363,6 @@ impl PhaseTotals {
     }
 
     /// Fold a ledger's spans in.
-    #[inline]
     pub(crate) fn add_ledger(&mut self, ledger: &CycleLedger) {
         for &(p, c) in ledger.spans() {
             self.charge(p, c);
@@ -375,34 +388,19 @@ impl PhaseTotals {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LedgerRef(usize);
 
-/// A high-water mark of a [`LedgerArena`], for truncate-and-reuse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArenaMark {
-    ledgers: usize,
-    spans: usize,
-}
-
 /// A structure-of-arrays pool of span ledgers: phases and cycles live in
 /// two flat slabs, each ledger is a `(start, len)` range over them.
 ///
-/// The invocation hot path charges into the arena instead of allocating
-/// a `CycleLedger` per request; `truncate` /
-/// [`reset`](Self::reset) roll the slabs back without freeing, so a
-/// steady-state sweep performs zero heap allocation per request. Only
-/// the most recently begun ledger may still be charged (its span range
-/// must sit at the slab tail).
+/// A sampled request-engine run appends each kept request's whole ledger
+/// once the run is over, instead of allocating a `CycleLedger` per
+/// request; [`reset`](Self::reset) rolls the slabs back without freeing,
+/// so a steady-state sweep performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct LedgerArena {
     phases: Vec<Phase>,
     cycles: Vec<u64>,
     /// Per-ledger `(start, len)` into the slabs.
     ranges: Vec<(usize, usize)>,
-    /// [`SlotMap`] of the one chargeable (most recently begun) ledger,
-    /// positions relative to its `start`.
-    tail_slots: SlotMap,
-    /// Cleared by `truncate`, which may make an older ledger the tail:
-    /// the next `charge` then rebuilds the map from that ledger's spans.
-    tail_mapped: bool,
 }
 
 impl LedgerArena {
@@ -420,64 +418,14 @@ impl LedgerArena {
             phases: Vec::with_capacity(spans),
             cycles: Vec::with_capacity(spans),
             ranges: Vec::with_capacity(ledgers),
-            ..Self::default()
         }
     }
 
-    /// Open a fresh (empty) ledger at the slab tail and return its
-    /// handle. Charging is only valid for the most recently begun
-    /// ledger.
-    pub(crate) fn begin(&mut self) -> LedgerRef {
-        let start = self.phases.len();
-        self.ranges.push((start, 0));
-        self.tail_slots = [0; Phase::COUNT];
-        self.tail_mapped = true;
-        LedgerRef(self.ranges.len() - 1)
-    }
-
-    /// Charge `cycles` to `phase` in ledger `h` (accumulating per phase,
-    /// saturating, and recording zero charges, exactly like
-    /// [`CycleLedger::charge`]).
-    ///
-    /// # Panics
-    ///
-    /// When `h` is not the most recently begun ledger (its spans would
-    /// no longer sit at the slab tail).
-    #[inline]
-    pub(crate) fn charge(&mut self, h: LedgerRef, phase: Phase, cycles: u64) {
-        assert_eq!(
-            h.0 + 1,
-            self.ranges.len(),
-            "only the most recently begun arena ledger may be charged"
-        );
-        let (start, len) = self.ranges[h.0];
-        if !self.tail_mapped {
-            self.tail_slots = [0; Phase::COUNT];
-            for (i, p) in self.phases[start..start + len].iter().enumerate() {
-                self.tail_slots[p.index()] = slot_of(i);
-            }
-            self.tail_mapped = true;
-        }
-        match self.tail_slots[phase.index()] {
-            0 => {
-                self.phases.push(phase);
-                self.cycles.push(cycles);
-                self.ranges[h.0].1 += 1;
-                self.tail_slots[phase.index()] = slot_of(len);
-            }
-            slot => {
-                let c = &mut self.cycles[start + usize::from(slot) - 1];
-                *c = c.saturating_add(cycles);
-            }
-        }
-    }
-
-    /// Fold a ledger's spans into arena ledger `h`.
-    #[inline]
-    pub(crate) fn merge_ledger(&mut self, h: LedgerRef, ledger: &CycleLedger) {
-        for &(p, c) in ledger.spans() {
-            self.charge(h, p, c);
-        }
+    /// Append a copy of `ledger`'s spans as the arena's newest ledger.
+    pub(crate) fn push(&mut self, ledger: &CycleLedger) {
+        self.ranges.push((self.phases.len(), ledger.spans().len()));
+        self.phases.extend(ledger.spans().iter().map(|&(p, _)| p));
+        self.cycles.extend(ledger.spans().iter().map(|&(_, c)| c));
     }
 
     /// The spans of ledger `h`, in first-charge order.
@@ -500,8 +448,8 @@ impl LedgerArena {
         self.ranges.len()
     }
 
-    /// Handles to every ledger currently held, in `begin`
-    /// order (e.g. walking the retained sample after a sampled sweep).
+    /// Handles to every ledger currently held, in push order (e.g.
+    /// walking the retained sample after a sampled sweep).
     pub fn handles(&self) -> impl Iterator<Item = LedgerRef> {
         (0..self.ranges.len()).map(LedgerRef)
     }
@@ -523,33 +471,20 @@ impl LedgerArena {
         self.ranges.capacity()
     }
 
-    /// Roll back to `mark`, dropping every ledger begun since — without
-    /// freeing slab memory (the reuse half of reset-and-reuse).
-    pub(crate) fn truncate(&mut self, mark: ArenaMark) {
-        self.ranges.truncate(mark.ledgers);
-        self.phases.truncate(mark.spans);
-        self.cycles.truncate(mark.spans);
-        self.tail_mapped = false;
-    }
-
     /// Drop every ledger, keep the slabs.
     pub fn reset(&mut self) {
-        self.truncate(ArenaMark {
-            ledgers: 0,
-            spans: 0,
-        });
+        self.ranges.clear();
+        self.phases.clear();
+        self.cycles.clear();
     }
 }
 
-/// Where the load generators record phase attribution — the
-/// caller-provided sink of the arena hot path.
-///
-/// `Full` gives *every* request complete span attribution: each step's
-/// spans are folded straight into the report ledger, in first-charge
-/// order (the arena it carries is left untouched). `Sampled` accumulates
-/// every request into flat [`PhaseTotals`] (exact per-phase sums — see
-/// the `PhaseTotals` docs) and additionally retains a full span ledger
-/// in the arena for one request in `every`.
+/// Where a request-engine run ([`crate::load::run_windowed_with`],
+/// [`crate::serve::serve_with`]) reports its phase attribution, folded
+/// once the last request completes (a run that errs attributes nothing).
+/// `Full` reports every request's spans in first-charge order. `Sampled`
+/// adds the same spans to flat [`PhaseTotals`] (exact per-phase sums) and
+/// pushes the span ledger of one request in `every` into the arena.
 pub enum Attribution<'a> {
     /// Full span attribution for every request. The arena is untouched:
     /// it comes back as it was handed in (same ledgers, same capacity).
@@ -560,7 +495,7 @@ pub enum Attribution<'a> {
         /// Keep a full span ledger for requests where
         /// `request_index % every == 0` (`every = 0` keeps none).
         every: u64,
-        /// The exact flat accumulator every request charges into.
+        /// The exact flat accumulator every request's spans add to.
         totals: &'a mut PhaseTotals,
         /// Retains the sampled requests' span ledgers.
         arena: &'a mut LedgerArena,
@@ -824,64 +759,89 @@ mod tests {
     }
 
     #[test]
-    fn arena_charge_matches_cycle_ledger_semantics() {
+    fn arena_merge_ledger_round_trips() {
+        let src = CycleLedger::new()
+            .with(Phase::Trampoline, 76)
+            .with(Phase::Transfer, 0)
+            .with(Phase::Xcall, 18);
         let mut arena = LedgerArena::new();
-        let h = arena.begin();
-        arena.charge(h, Phase::Trap, 100);
-        arena.charge(h, Phase::Transfer, 0);
-        arena.charge(h, Phase::Trap, 7);
-        let l = arena.to_ledger(h);
-        let mut want = CycleLedger::new();
-        want.charge(Phase::Trap, 100);
-        want.charge(Phase::Transfer, 0);
-        want.charge(Phase::Trap, 7);
-        assert_eq!(l, want, "accumulation, zero spans, and order all match");
-        assert_eq!(l.total(), 107);
-        assert_eq!(arena.len(), 1);
+        arena.push(&src);
+        let h = arena.handles().next().expect("one ledger");
+        assert_eq!(arena.to_ledger(h), src, "order and zero spans survive");
+        assert_eq!(
+            arena.spans(h).collect::<Vec<_>>(),
+            vec![
+                (Phase::Trampoline, 76),
+                (Phase::Transfer, 0),
+                (Phase::Xcall, 18)
+            ]
+        );
     }
 
+    /// Truncation is gone; the reset half of this check stays: a pre-sized
+    /// arena neither grows on push nor frees its slabs on reset.
     #[test]
     fn arena_truncate_and_reset_keep_slab_capacity() {
         let mut arena = LedgerArena::with_capacity(4, 4 * Phase::COUNT);
         let cap = (arena.ledger_capacity(), arena.span_capacity());
-        let mark = ArenaMark {
-            ledgers: 0,
-            spans: 0,
-        };
+        let mut every_phase = CycleLedger::new();
+        for p in Phase::ALL {
+            every_phase.charge(p, 1);
+        }
         for _ in 0..4 {
-            let h = arena.begin();
-            for p in Phase::ALL {
-                arena.charge(h, p, 1);
-            }
+            arena.push(&every_phase);
         }
         assert_eq!(arena.len(), 4);
-        arena.truncate(mark);
+        for h in arena.handles() {
+            assert_eq!(arena.to_ledger(h), every_phase);
+        }
+        assert_eq!(
+            (arena.ledger_capacity(), arena.span_capacity()),
+            cap,
+            "a pre-sized arena must not grow"
+        );
+        arena.reset();
         assert!(arena.is_empty());
         assert_eq!(
             (arena.ledger_capacity(), arena.span_capacity()),
             cap,
-            "truncate must not free or grow the slabs"
+            "reset must not free the slabs"
         );
-        let h = arena.begin();
-        arena.charge(h, Phase::Xcall, 18);
-        arena.reset();
-        assert!(arena.is_empty());
-        assert_eq!((arena.ledger_capacity(), arena.span_capacity()), cap);
+        arena.push(&every_phase);
+        assert_eq!(
+            arena.to_ledger(arena.handles().next().unwrap()),
+            every_phase
+        );
     }
 
     #[test]
-    fn arena_merge_ledger_round_trips() {
-        let src = CycleLedger::new()
-            .with(Phase::Trampoline, 76)
-            .with(Phase::Xcall, 18);
-        let mut arena = LedgerArena::new();
-        let h = arena.begin();
-        arena.merge_ledger(h, &src);
-        assert_eq!(arena.to_ledger(h), src);
-        assert_eq!(
-            arena.spans(h).collect::<Vec<_>>(),
-            vec![(Phase::Trampoline, 76), (Phase::Xcall, 18)]
-        );
+    fn merge_times_is_k_merges() {
+        let other = CycleLedger::new()
+            .with(Phase::Trap, 107)
+            .with(Phase::Transfer, 0)
+            .with(Phase::Xcall, u64::MAX / 3);
+        for (base, k) in [
+            (CycleLedger::new(), 1),
+            (CycleLedger::new(), 5),
+            // An existing span ahead of `other`'s, and saturation: four
+            // copies of u64::MAX / 3 overflow.
+            (CycleLedger::new().with(Phase::Xcall, 9), 4),
+            (CycleLedger::new().with(Phase::Driver, 3), 0),
+        ] {
+            let mut got = base.clone();
+            got.merge_times(&other, k);
+            let mut want = base.clone();
+            for _ in 0..k {
+                want.merge(&other);
+            }
+            assert_eq!(got.spans(), want.spans(), "k={k}");
+            assert_eq!(got.total(), want.total(), "k={k}");
+        }
+        let mut four = CycleLedger::new();
+        four.merge_times(&other, 4);
+        assert_eq!(four.get(Phase::Xcall), u64::MAX, "saturating");
+        assert_eq!(four.total(), u64::MAX);
+        assert_eq!(four.spans()[1], (Phase::Transfer, 0), "zero spans kept");
     }
 
     /// [`CycleLedger`] as it was before the slot map: one linear scan per
@@ -1001,44 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_recharges_an_older_ledger_after_truncate() {
-        let mut arena = LedgerArena::new();
-        let mut want = ScanLedger::default();
-        let a = arena.begin();
-        for (p, c) in [(Phase::Trap, 100), (Phase::Transfer, 0), (Phase::Xcall, 18)] {
-            arena.charge(a, p, c);
-            want.charge(p, c);
-        }
-        let mark = ArenaMark {
-            ledgers: 1,
-            spans: 3,
-        };
-        let b = arena.begin();
-        arena.charge(b, Phase::Xcall, 1);
-        arena.charge(b, Phase::Driver, 2);
-        arena.truncate(mark);
-        // `a` is the tail again: its spans accumulate where they were,
-        // not B's, and a new phase lands behind them.
-        let again = [
-            (Phase::Xcall, 5),
-            (Phase::Driver, 7),
-            (Phase::Trap, u64::MAX),
-            (Phase::Transfer, 3),
-        ];
-        for (p, c) in again {
-            arena.charge(a, p, c);
-            want.charge(p, c);
-        }
-        assert_eq!(arena.to_ledger(a).spans(), &want.0[..]);
-        assert_eq!(
-            arena.to_ledger(a).total(),
-            u64::MAX,
-            "saturating, like the ledger"
-        );
-        assert_eq!(arena.len(), 1);
-    }
-
-    #[test]
     fn flat_totals_saturate_like_the_ledger() {
         let mut t = PhaseTotals::new();
         t.charge(Phase::Trap, u64::MAX);
@@ -1046,15 +968,5 @@ mod tests {
         t.charge(Phase::Xcall, 18);
         assert_eq!(t.get(Phase::Trap), u64::MAX);
         assert_eq!(t.total(), u64::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "most recently begun")]
-    fn arena_rejects_charging_a_closed_ledger() {
-        let mut arena = LedgerArena::new();
-        let old = arena.begin();
-        arena.charge(old, Phase::Trap, 1);
-        let _tail = arena.begin();
-        arena.charge(old, Phase::Trap, 1);
     }
 }

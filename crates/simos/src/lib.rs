@@ -68,8 +68,8 @@ pub mod world;
 pub use cost::CostModel;
 pub use ipc::{amortized_batch_into, EngineCacheStats, IpcSystem};
 pub use ledger::{
-    ArenaMark, Attribution, CycleLedger, Hardening, Invocation, InvokeOpts, LedgerArena, LedgerRef,
-    Phase, PhaseTotals,
+    Attribution, CycleLedger, Hardening, Invocation, InvokeOpts, LedgerArena, LedgerRef, Phase,
+    PhaseTotals,
 };
 pub use load::{LoadError, LoadGen, LoadReport, SweepScratch};
 pub use multicore::{

@@ -23,12 +23,11 @@
 //!   in-tree seeded [`ycsb::rng`], so the same seed reproduces the same
 //!   percentile report bit for bit — and `window = 1` reproduces the
 //!   pre-windowed closed-loop report exactly;
-//! * **ledger-derived** — every hop charges its phase spans into the
-//!   request's [`Attribution`] sink; a request's latency is the
-//!   virtual-time span from issue to last step (queueing included), and
-//!   the report's phase breakdown (how much of the fleet's IPC time was
-//!   cross-core, transfer, queueing, …) is the merged per-request
-//!   ledger.
+//! * **ledger-derived** — a request's latency is the virtual-time span
+//!   from issue to last step (queueing included), and the report's phase
+//!   breakdown (how much of the fleet's IPC time was cross-core,
+//!   transfer, queueing, …) is every request's ledger merged, folded
+//!   once per run into the caller's [`Attribution`].
 
 use crate::engine::{self, Clients};
 use crate::ipc::EngineCacheStats;
@@ -310,31 +309,32 @@ pub fn run_windowed(
 }
 
 /// [`run_windowed`] with caller-provided scratch buffers and an explicit
-/// [`Attribution`] sink — the zero-alloc hot path.
+/// [`Attribution`] — the zero-alloc hot path. Attribution is folded once
+/// the last request completes, from each priced plan's ledger times its
+/// use count and the summed queue wait.
 ///
-/// * `Attribution::Full` stages every request's span ledger through the
-///   arena (truncating back after folding it into the report), and the
-///   report is **bit-identical** to [`run_windowed`]'s.
-/// * `Attribution::Sampled` accumulates every request into flat
+/// * `Attribution::Full` reports every request's spans merged in issue
+///   order, **bit-identical** to [`run_windowed`]'s report, and leaves
+///   the arena untouched.
+/// * `Attribution::Sampled` adds the same spans to flat
 ///   [`PhaseTotals`](crate::ledger::PhaseTotals) (per-phase totals
-///   *exactly* equal to full mode's —
-///   flat sums commute with span merging) and additionally retains the
-///   span ledger of 1-in-`every` requests in the arena. The report's
-///   `ledger` is rendered from the totals in canonical [`Phase::ALL`]
-///   order, so span *order* (and zero-cycle span presence) is the only
-///   thing sampling gives up.
+///   *exactly* equal to full mode's) and pushes the span ledger of
+///   1-in-`every` requests into the arena. The report's `ledger` is
+///   rendered from the totals in canonical [`Phase::ALL`] order, so span
+///   *order* (and zero-cycle span presence) is the only thing sampling
+///   gives up.
 ///
 /// All latency, throughput, and counter fields are identical across
-/// modes; only the report ledger's span layout differs as described.
+/// modes.
 ///
 /// # Errors
 ///
 /// [`LoadError`] when the recipe roster is empty, the client population
 /// is zero, the window is zero, a step names a service outside
-/// `n_services` or a program `mw` never registered, or the placement
-/// policy rejects a service → core map — all checked at entry (or, for
-/// placement, at the offending request), before/without pricing
-/// anything.
+/// `n_services` or a program `mw` never registered (all at entry), or
+/// the placement policy rejects a service → core map (at that request).
+/// Nothing is attributed on an error: the totals and the arena come back
+/// as they were handed in.
 #[allow(clippy::too_many_arguments)] // the sweep axes are the signature
 pub fn run_windowed_with(
     mw: &mut MultiWorld,
@@ -381,8 +381,8 @@ pub fn run_windowed_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::percentile;
     use crate::engine::tests::drive_request;
-    use crate::engine::{percentile, ReqSink};
     use crate::ipc::IpcSystem;
     use crate::ledger::InvokeOpts;
     use crate::multicore::CoreId;
@@ -822,15 +822,9 @@ mod tests {
         t0: u64,
         attribute_queue: bool,
     ) -> (u64, CycleLedger) {
-        let mut arena = LedgerArena::new();
-        let h = arena.begin();
-        let mut sink = ReqSink {
-            run: None,
-            totals: None,
-            arena: Some((&mut arena, h)),
-        };
-        let (done, _) = drive_request(mw, map, steps, t0, attribute_queue, &mut sink);
-        (done, arena.to_ledger(h))
+        let mut ledger = CycleLedger::new();
+        let (done, _) = drive_request(mw, map, steps, t0, attribute_queue, &mut ledger);
+        (done, ledger)
     }
 
     /// The closed-loop driver exactly as it existed before the windowed

@@ -36,9 +36,9 @@
 //!   least-loaded active core. Controller activity is reported
 //!   ([`AutoscaleReport`]);
 //! * **zero per-request allocation** — arrivals replay through the same
-//!   [`Attribution`] sinks and scratch buffers as the closed-loop hot
-//!   path ([`crate::load::run_windowed_with`]), so 10⁶–10⁷ simulated
-//!   requests run at arena speed.
+//!   request engine, scratch buffers and once-per-run [`Attribution`]
+//!   fold as the closed-loop hot path ([`crate::load::run_windowed_with`]),
+//!   so 10⁶–10⁷ simulated requests run without touching the heap.
 //!
 //! The per-request service pricing, queue discipline (FIFO cores in
 //! virtual time), and phase attribution are byte-identical to the
@@ -692,20 +692,21 @@ pub fn serve(
 /// serving engine.
 ///
 /// Arrivals are processed in trace order. Each is either **admitted**
-/// (its recipe priced through the same [`Attribution`] sinks as the
-/// closed-loop hot path, queueing attributed to [`Phase::Queue`]) or
-/// **shed** with a typed [`ShedCause`]; the report conserves arrivals
-/// exactly (`admitted + shed == offered`). Same trace + same spec ⇒
-/// byte-identical [`ServeReport`].
+/// (replayed by the same request engine as the closed loop, queueing
+/// attributed to [`Phase::Queue`], `att` filled as
+/// [`crate::load::run_windowed_with`] documents) or **shed** with a typed
+/// [`ShedCause`]; the report conserves arrivals exactly (`admitted + shed
+/// == offered`). Same trace + same spec ⇒ byte-identical [`ServeReport`].
 ///
 /// # Errors
 ///
 /// [`ServeError`] when the roster is empty or names a service or program
-/// out of range ([`ServeError::Load`]), the trace is empty or
-/// references tenants/recipes outside bounds, a tenant class can never
-/// admit, the autoscale configuration cannot act, or placement rejects
-/// a map — all structural problems, reported before (or instead of)
-/// pricing anything. Shed arrivals are *not* errors.
+/// out of range ([`ServeError::Load`]), the trace is empty, a tenant class
+/// can never admit or the autoscale configuration cannot act (all at
+/// entry), or an arrival names a tenant or recipe out of range or
+/// placement rejects a map (at that arrival). Nothing is attributed on an
+/// error: the totals and the arena come back as they were handed in.
+/// Shed arrivals are *not* errors.
 #[allow(clippy::too_many_arguments)] // the sweep axes are the signature
 pub fn serve_with(
     mw: &mut MultiWorld,
@@ -1365,5 +1366,168 @@ mod tests {
         let mut w3 = mw(2);
         let fresh = serve(&mut w3, &policy, 2, &[recipe()], &small, &spec2()).unwrap();
         assert_eq!(reused, fresh, "reused serve scratch must not leak state");
+    }
+
+    #[test]
+    fn a_run_that_errs_attributes_nothing() {
+        // Arrival 1 names tenant 5 of 1: the error surfaces after arrival
+        // 0 was priced, and the run's attribution is never folded.
+        let arrivals = [(0, 0), (10, 5)].map(|(at, tenant)| Arrival {
+            at,
+            tenant,
+            recipe: 0,
+        });
+        let trace = ArrivalTrace::from_arrivals(arrivals.to_vec()).unwrap();
+        let spec1 = ServeSpec {
+            tenants: 1,
+            ..spec2()
+        };
+        let mut totals = PhaseTotals::new();
+        let mut arena = LedgerArena::new();
+        let err = serve_with(
+            &mut mw(2),
+            &ServePolicy::Static(Placement::RoundRobin),
+            2,
+            &[recipe()],
+            &trace,
+            &spec1,
+            &mut ServeScratch::new(),
+            Attribution::Sampled {
+                every: 1,
+                totals: &mut totals,
+                arena: &mut arena,
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            ServeError::TenantOutOfRange {
+                index: 1,
+                tenant: 5,
+                ..
+            }
+        ));
+        assert_eq!(totals, PhaseTotals::new());
+        assert!(arena.is_empty());
+    }
+
+    /// One case of the Lindley law: an IPC-only recipe and the arrival
+    /// times of a one-tenant trace.
+    #[derive(Debug)]
+    struct LindleyCase {
+        steps: Vec<Step>,
+        arrivals: Vec<u64>,
+    }
+
+    #[test]
+    fn queue_waits_follow_the_lindley_recursion() {
+        // One FIFO core, one recipe of service time S, no shedding:
+        // request n + 1 waits W(n+1) = max(0, W(n) + S - A(n+1)), W(1) = 0,
+        // where A(n+1) is the gap between arrivals n and n + 1 (Lindley
+        // 1952). The waits are computed here from S and the gaps alone,
+        // so the folded `Queue` span, the ledger total and the largest
+        // latency are held to the law, not to the engine's own sums.
+        ycsb::check(
+            "queue_waits_follow_the_lindley_recursion",
+            256,
+            &[],
+            |rng, size| {
+                let mut below = |span: u64| rng.below(span.min(size).max(1));
+                let steps = (0..1 + below(3))
+                    .map(|_| {
+                        let bytes = below(4096);
+                        match below(3) {
+                            0 => Step::Oneway {
+                                from: 0,
+                                to: 0,
+                                bytes,
+                            },
+                            1 => Step::Batch {
+                                from: 0,
+                                to: 0,
+                                calls: 1 + below(4),
+                                bytes_each: bytes,
+                            },
+                            _ => Step::Roundtrip {
+                                from: 0,
+                                to: 0,
+                                request: bytes,
+                                response: below(4096),
+                            },
+                        }
+                    })
+                    .collect();
+                let mut at = 0;
+                let arrivals = (0..1 + below(64))
+                    .map(|_| {
+                        // A quarter of the gaps are 0: bursts.
+                        at += if below(4) == 0 { 0 } else { below(8_000) };
+                        at
+                    })
+                    .collect();
+                LindleyCase { steps, arrivals }
+            },
+            |case| {
+                // S: the recipe priced step by step, outside the engine.
+                let mut fresh = mw(1);
+                let s: u64 = case
+                    .steps
+                    .iter()
+                    .map(|&step| fresh.exec(0, step, 0).inv.total())
+                    .sum();
+                let mut waits = vec![0u64];
+                for gap in case.arrivals.windows(2).map(|a| a[1] - a[0]) {
+                    let w = waits[waits.len() - 1];
+                    waits.push((w + s).saturating_sub(gap));
+                }
+                let (n, sum_w) = (waits.len() as u64, waits.iter().sum::<u64>());
+                let max_w = waits.iter().copied().max().unwrap_or(0);
+                let arrivals = case.arrivals.iter().map(|&at| Arrival {
+                    at,
+                    tenant: 0,
+                    recipe: 0,
+                });
+                let trace = ArrivalTrace::from_arrivals(arrivals.collect()).unwrap();
+                let never_shed = ServeSpec {
+                    tenants: 1,
+                    classes: vec![TenantClass {
+                        queue_cap: usize::MAX,
+                        slo_p99_us: f64::INFINITY,
+                    }],
+                    backlog_cap_cycles: 0,
+                };
+                let mut world = mw(1);
+                let hz = world.core(0).cost.clock_hz;
+                let policy = ServePolicy::Static(Placement::SameCore);
+                let r = serve(
+                    &mut world,
+                    &policy,
+                    1,
+                    std::slice::from_ref(&case.steps),
+                    &trace,
+                    &never_shed,
+                )
+                .map_err(|e| e.to_string())?;
+                let got = (
+                    r.admitted,
+                    r.ledger.get(Phase::Queue),
+                    r.ledger.total(),
+                    r.max_us,
+                );
+                let want = (
+                    n,
+                    sum_w,
+                    n * s + sum_w,
+                    (max_w + s) as f64 / hz as f64 * 1e6,
+                );
+                if got == want {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "S = {s}: (admitted, queue, total, max_us) {got:?}, law {want:?}"
+                    ))
+                }
+            },
+        );
     }
 }
