@@ -31,29 +31,14 @@ echo "== clippy (simos: cast_possible_truncation and missing_panics_doc promoted
 cargo clippy -p simos --all-targets --no-deps -- \
   -D warnings -D clippy::cast-possible-truncation -D clippy::missing-panics-doc
 
-echo "== clippy (xpc-verify: missing_panics_doc promoted to error) =="
-# The verifier is the library other tools call blind; every pub fn that
-# can panic (crafted builders, the program checker's depth conversion)
-# documents its # Panics contract. --no-deps scopes the promotion to the
-# crate itself.
-cargo clippy -p xpc-verify --all-targets --no-deps -- \
-  -D warnings -A clippy::cast-possible-truncation -D clippy::missing-panics-doc
-
-echo "== clippy (xpc-bench: missing_panics_doc promoted to error) =="
-# The harness and experiment API benchmark/ calls (CallBench,
-# measure_swapseg, the grids behind the figures): every pub fn that can
-# panic documents its # Panics contract. --no-deps scopes the promotion
-# to the crate itself.
-cargo clippy -p xpc-bench --all-targets --no-deps -- \
-  -D warnings -A clippy::cast-possible-truncation -D clippy::missing-panics-doc
-
-echo "== clippy (kernels, services: missing_panics_doc promoted to error) =="
-# The kernel models and the OS services every figure and benchmark/
-# world is built from: every pub fn that can panic documents its
-# # Panics contract, and a path the HTTP driver cannot serve is a typed
-# error, not a panic. --no-deps scopes the promotion to the crates
-# themselves.
-cargo clippy -p kernels -p services --all-targets --no-deps -- \
+echo "== clippy (xpc, xpc-verify, xpc-bench, kernels, services: missing_panics_doc promoted to error) =="
+# The libraries other crates and benchmark/ call blind: the XPC kernel
+# (ids and sizes are the caller's), the verifier, the harness and
+# experiment API, the kernel models and the OS services. Every pub fn
+# that can panic documents its # Panics contract; a panic a caller's id
+# or size can reach in a function that returns a Result is a typed error
+# instead. --no-deps scopes the promotion to the crates themselves.
+cargo clippy -p xpc-verify -p xpc-bench -p kernels -p services -p xpc --all-targets --no-deps -- \
   -D warnings -A clippy::cast-possible-truncation -D clippy::missing-panics-doc
 
 echo "== rustdoc =="

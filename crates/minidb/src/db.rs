@@ -27,7 +27,7 @@ type Index = BTreeMap<Arc<str>, (u64, u64)>;
 /// Why [`MiniDb::reopen`] refused a device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReopenError {
-    /// The device holds no xv6fs image.
+    /// The device holds no xv6fs image, or a corrupt one.
     Mount(MountError),
     /// The file system has no `table.db`: not a database image.
     NoTable,
@@ -166,7 +166,8 @@ impl MiniDb {
     ///
     /// # Errors
     ///
-    /// [`ReopenError::Mount`] when the device holds no xv6fs image, and
+    /// [`ReopenError::Mount`] when the device holds no xv6fs image or a
+    /// corrupt one, and
     /// [`ReopenError::NoTable`] when the file system has no `table.db`.
     pub fn reopen(w: &mut World, dev: services::blockdev::BlockDev) -> Result<Self, ReopenError> {
         let mut fs = Xv6Fs::mount(w, dev)?;
@@ -362,6 +363,7 @@ impl MiniDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use services::fs::ROOT_INO;
     use simos::{CycleLedger, InvokeOpts, IpcSystem, Phase};
 
     struct Free;
@@ -520,6 +522,23 @@ mod tests {
         let dev = Xv6Fs::mkfs(&mut w, 1 << 10).dev;
         let err = MiniDb::reopen(&mut w, dev).unwrap_err();
         assert_eq!(err, ReopenError::NoTable);
+    }
+
+    #[test]
+    fn reopen_refuses_a_corrupt_file_system() {
+        let mut w = world();
+        let mut db = MiniDb::create(&mut w, 1 << 10);
+        // A root directory entry "x" naming inode 1000, past the table.
+        let mut entry = vec![1, b'x'];
+        entry.extend_from_slice(&1000u64.to_le_bytes());
+        let end = db.fs.size(ROOT_INO);
+        db.fs.write(&mut w, ROOT_INO, end, &entry);
+        let err = MiniDb::reopen(&mut w, db.fs.dev.clone()).unwrap_err();
+        let found = MountError::Corrupt {
+            field: "entry inode",
+            found: 1000,
+        };
+        assert_eq!(err, ReopenError::Mount(found));
     }
 
     #[test]

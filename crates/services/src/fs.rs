@@ -43,6 +43,8 @@ const BITMAP_BLOCKS: u64 = 2;
 /// First data block.
 pub const DATA_START: u64 = 40;
 const NDIRECT: usize = 12;
+/// The largest file: 12 direct blocks plus one indirect table.
+const MAX_FILE_BYTES: u64 = ((NDIRECT + BLOCK_SIZE / 8) * BLOCK_SIZE) as u64;
 const MAGIC: u64 = 0x7876_3666_735f_7870; // "xv6fs_xp"
 
 /// Root directory inode.
@@ -104,6 +106,19 @@ pub enum MountError {
         /// The magic number found.
         found: u64,
     },
+    /// A field the mount reads holds what no xv6fs image does: the
+    /// allocation cursor outside the data area, an inode size past the
+    /// largest file, a block pointer (an inode's, or one in the root
+    /// directory's indirect table) outside the data area, or a root
+    /// directory entry that runs past the directory or names the root or
+    /// no inode.
+    Corrupt {
+        /// The field: "alloc cursor", "inode size", "inode block",
+        /// "root indirect entry", "directory entry" or "entry inode".
+        field: &'static str,
+        /// The value it holds ("directory entry": the entry's offset).
+        found: u64,
+    },
 }
 
 impl fmt::Display for MountError {
@@ -119,6 +134,9 @@ impl fmt::Display for MountError {
             ),
             MountError::BadMagic { found } => {
                 write!(f, "not an xv6fs device (superblock magic {found:#x})")
+            }
+            MountError::Corrupt { field, found } => {
+                write!(f, "corrupt xv6fs image: {field} {found}")
             }
         }
     }
@@ -267,8 +285,10 @@ impl Xv6Fs {
     ///
     /// [`MountError::JournalTarget`] when the committed journal names a
     /// block outside the device (checked before any block is written),
-    /// and [`MountError::BadMagic`] when the recovered superblock is not
-    /// xv6fs's (a blank or foreign device).
+    /// [`MountError::BadMagic`] when the recovered superblock is not
+    /// xv6fs's (a blank or foreign device), and [`MountError::Corrupt`]
+    /// when the superblock, the inode table or the root directory holds
+    /// what no xv6fs image does (checked before it is used).
     pub fn mount(w: &mut World, dev: BlockDev) -> Result<Self, MountError> {
         let mut fs = Self::with_dev(dev);
         fs.recover(w)?;
@@ -288,9 +308,41 @@ impl Xv6Fs {
         }
         let table = fs.inode_img.chunks_exact(INODE_BYTES);
         fs.inodes = table.map(Inode::from_bytes).collect();
+        fs.check_metadata()?;
         // Root directory.
-        fs.dir = fs.load_dir(w);
+        fs.dir = fs.load_dir(w)?;
         Ok(fs)
+    }
+
+    /// The metadata [`Xv6Fs::mount`] read, checked before it is used: the
+    /// allocation cursor, every inode's size and block pointers, and the
+    /// root directory's indirect table (which loading the directory reads
+    /// in place, at no device cost).
+    fn check_metadata(&self) -> Result<(), MountError> {
+        let corrupt = |field, found| Err(MountError::Corrupt { field, found });
+        let nblocks = self.dev.len() as u64;
+        let limit = nblocks.min(self.bitmap.len() as u64 * 8);
+        if !(DATA_START..=limit).contains(&self.alloc_cursor) {
+            return corrupt("alloc cursor", self.alloc_cursor);
+        }
+        let data_block = |b: &u64| *b == 0 || (DATA_START..nblocks).contains(b);
+        for inode in &self.inodes {
+            if inode.size > MAX_FILE_BYTES {
+                return corrupt("inode size", inode.size);
+            }
+            let mut blocks = inode.direct.iter().chain([&inode.indirect]);
+            if let Some(&b) = blocks.find(|b| !data_block(b)) {
+                return corrupt("inode block", b);
+            }
+        }
+        let table = self.inodes[ROOT_INO as usize].indirect;
+        if table != 0 {
+            let mut slots = self.dev.peek(table).chunks_exact(8).map(|s| le_u64(s, 0));
+            if let Some(b) = slots.find(|b| !data_block(b)) {
+                return corrupt("root indirect entry", b);
+            }
+        }
+        Ok(())
     }
 
     // ---- journal ---------------------------------------------------------
@@ -396,19 +448,33 @@ impl Xv6Fs {
         }
     }
 
-    fn load_dir(&mut self, w: &mut World) -> Vec<(String, u64)> {
+    /// The root directory's entries, each checked to lie within the
+    /// directory and to name an inode other than the root.
+    fn load_dir(&mut self, w: &mut World) -> Result<Vec<(String, u64)>, MountError> {
         let size = self.inodes[ROOT_INO as usize].size;
         let raw = self.read_inode(w, ROOT_INO, 0, size);
         let mut dir = Vec::new();
         let mut off = 0;
         while off < raw.len() {
             let nlen = raw[off] as usize;
-            let name = String::from_utf8_lossy(&raw[off + 1..off + 1 + nlen]).into_owned();
-            let ino = u64::from_le_bytes(raw[off + 1 + nlen..off + 9 + nlen].try_into().unwrap());
-            dir.push((name, ino));
+            let Some(entry) = raw.get(off + 1..off + 9 + nlen) else {
+                let found = off as u64;
+                return Err(MountError::Corrupt {
+                    field: "directory entry",
+                    found,
+                });
+            };
+            let (name, ino) = (&entry[..nlen], le_u64(entry, nlen));
+            if ino == ROOT_INO || ino >= NINODES as u64 {
+                return Err(MountError::Corrupt {
+                    field: "entry inode",
+                    found: ino,
+                });
+            }
+            dir.push((String::from_utf8_lossy(name).into_owned(), ino));
             off += 9 + nlen;
         }
-        dir
+        Ok(dir)
     }
 
     fn store_dir(&mut self, w: &mut World) {
@@ -1036,6 +1102,78 @@ mod tests {
         assert_eq!(mounting.stats.ipc_count, 1);
     }
 
+    /// What mounting a 64-block image holding one file refuses, after
+    /// `corrupt` edits it in memory and its superblock and inode table
+    /// are written back.
+    fn mount_corrupted(corrupt: impl FnOnce(&mut Xv6Fs, &mut World)) -> MountError {
+        let mut w = world();
+        let mut fs = Xv6Fs::mkfs(&mut w, 64);
+        fs.create(&mut w, "f");
+        corrupt(&mut fs, &mut w);
+        fs.flush_superblock_staged();
+        fs.flush_inodes(&mut w);
+        Xv6Fs::mount(&mut world(), fs.dev).unwrap_err()
+    }
+
+    fn corrupt(field: &'static str, found: u64) -> MountError {
+        MountError::Corrupt { field, found }
+    }
+
+    #[test]
+    fn mount_refuses_a_root_block_past_the_device() {
+        let err = mount_corrupted(|fs, _| fs.inode_mut(ROOT_INO).direct[0] = 1000);
+        assert_eq!(err, corrupt("inode block", 1000));
+    }
+
+    #[test]
+    fn mount_refuses_an_alloc_cursor_outside_the_data_area() {
+        let err = mount_corrupted(|fs, _| fs.alloc_cursor = JOURNAL_DATA);
+        assert_eq!(err, corrupt("alloc cursor", JOURNAL_DATA));
+        let err = mount_corrupted(|fs, _| fs.alloc_cursor = 65);
+        assert_eq!(err, corrupt("alloc cursor", 65));
+    }
+
+    #[test]
+    fn mount_refuses_an_indirect_pointer_past_the_device() {
+        let err = mount_corrupted(|fs, _| fs.inode_mut(1).indirect = 64);
+        assert_eq!(err, corrupt("inode block", 64));
+    }
+
+    #[test]
+    fn mount_refuses_an_inode_larger_than_a_file() {
+        let err = mount_corrupted(|fs, _| fs.inode_mut(1).size = MAX_FILE_BYTES + 1);
+        assert_eq!(err, corrupt("inode size", MAX_FILE_BYTES + 1));
+    }
+
+    #[test]
+    fn mount_refuses_a_root_indirect_entry_past_the_device() {
+        let err = mount_corrupted(|fs, w| {
+            let mut table = vec![0u8; BLOCK_SIZE];
+            table[8..16].copy_from_slice(&1000u64.to_le_bytes());
+            fs.dev.write(w, DATA_START + 8, &table);
+            fs.inode_mut(ROOT_INO).indirect = DATA_START + 8;
+        });
+        assert_eq!(err, corrupt("root indirect entry", 1000));
+    }
+
+    #[test]
+    fn mount_refuses_a_directory_entry_past_the_directory() {
+        // The one entry is 1 + 1 + 8 bytes: "f" and its inode.
+        let err = mount_corrupted(|fs, _| fs.inode_mut(ROOT_INO).size = 9);
+        assert_eq!(err, corrupt("directory entry", 0));
+    }
+
+    #[test]
+    fn mount_refuses_a_directory_entry_naming_no_inode() {
+        for ino in [NINODES as u64, ROOT_INO] {
+            let err = mount_corrupted(|fs, w| {
+                fs.dir[0].1 = ino;
+                fs.store_dir(w);
+            });
+            assert_eq!(err, corrupt("entry inode", ino));
+        }
+    }
+
     #[test]
     fn name_of_255_bytes_round_trips_through_mount() {
         let mut w = world();
@@ -1075,7 +1213,7 @@ mod tests {
         let mut w = world();
         let mut fs = Xv6Fs::mkfs(&mut w, 4096);
         let ino = fs.create(&mut w, "big");
-        let limit = ((NDIRECT + BLOCK_SIZE / 8) * BLOCK_SIZE) as u64; // 2 MiB + 48 KiB
+        let limit = MAX_FILE_BYTES; // 2 MiB + 48 KiB
         fs.write(&mut w, ino, limit - 1, b"x"); // last byte that fits
         fs.write(&mut w, ino, limit, b"x");
     }

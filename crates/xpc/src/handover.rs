@@ -63,6 +63,10 @@ pub fn reserve_bytes(payload: u64, chain: &ChainNode) -> u64 {
 /// `(offset, len)` mask windows covering `total` bytes in `piece`-sized
 /// chunks (the file-system server feeding a block server one block at a
 /// time).
+///
+/// # Panics
+///
+/// If `piece` is 0.
 pub fn shrink_windows(total: u64, piece: u64) -> Vec<(u64, u64)> {
     assert!(piece > 0, "piece must be positive");
     let mut out = Vec::new();

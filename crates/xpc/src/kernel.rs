@@ -220,6 +220,11 @@ pub struct XpcKernel {
 impl XpcKernel {
     /// Boot: install the engine, the M-mode trap stub and the global
     /// x-entry table.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.machine`'s DRAM ends before the kernel's frame pool
+    /// (`layout::PALLOC_BASE`), which also holds the x-entry table.
     pub fn boot(cfg: XpcKernelConfig) -> Self {
         let mut machine =
             Machine::with_extension(cfg.machine.clone(), Box::new(XpcEngine::new(cfg.engine)));
@@ -278,6 +283,11 @@ impl XpcKernel {
     }
 
     /// Typed access to the engine.
+    ///
+    /// # Panics
+    ///
+    /// If [`XpcKernel::machine`] was replaced by a machine without the
+    /// XPC engine that [`XpcKernel::boot`] installs.
     pub fn engine(&mut self) -> &mut XpcEngine {
         self.machine
             .extension()
@@ -557,6 +567,11 @@ impl XpcKernel {
     /// # Errors
     ///
     /// Table full / unknown ids.
+    ///
+    /// # Panics
+    ///
+    /// If the x-entry table [`XpcKernel::boot`] placed is not in DRAM
+    /// (a kernel bug).
     pub fn register_raw_entry(
         &mut self,
         owner: ThreadId,
@@ -602,6 +617,11 @@ impl XpcKernel {
     ///
     /// Missing grant-cap, cross-tenant grant under flow tags, or
     /// unknown ids.
+    ///
+    /// # Panics
+    ///
+    /// If the grantee's capability bitmap is not in DRAM (a kernel bug:
+    /// a held grant-cap names a registered entry, whose bit lies in it).
     pub fn grant_xcall(
         &mut self,
         granter: ThreadId,
@@ -675,6 +695,10 @@ impl XpcKernel {
     /// Missing grant-cap, unknown ids, entry without a credit table, or a
     /// credit-slot collision (two callers whose identities alias — the
     /// kernel refuses rather than letting one drain the other).
+    ///
+    /// # Panics
+    ///
+    /// If the entry's credit table is not in DRAM (a kernel bug).
     pub fn grant_xcall_with_credits(
         &mut self,
         granter: ThreadId,
@@ -714,6 +738,10 @@ impl XpcKernel {
     /// # Errors
     ///
     /// Unknown ids or entry without credits.
+    ///
+    /// # Panics
+    ///
+    /// If the entry's credit table is not in DRAM (a kernel bug).
     pub fn refill_credits(
         &mut self,
         entry: XEntryId,
@@ -736,6 +764,10 @@ impl XpcKernel {
     /// # Errors
     ///
     /// Unknown ids or entry without credits.
+    ///
+    /// # Panics
+    ///
+    /// If the entry's credit table is not in DRAM (a kernel bug).
     pub fn credits_of(&mut self, entry: XEntryId, thread: ThreadId) -> Result<u64, XpcError> {
         let table_pa = self.credit_table(entry)?;
         let cap_pa = self.thread(thread)?.runtime.cap_bitmap_pa;
@@ -748,11 +780,17 @@ impl XpcKernel {
             .expect("credit table in DRAM"))
     }
 
-    fn credit_table(&self, entry: XEntryId) -> Result<u64, XpcError> {
+    /// The registration of `entry`.
+    fn entry_info(&self, entry: XEntryId) -> Result<&EntryInfo, XpcError> {
         self.entries
             .get(entry.0 as usize)
-            .and_then(|e| e.as_ref())
-            .and_then(|e| e.credit_table_pa)
+            .and_then(Option::as_ref)
+            .ok_or(XpcError::NoSuchEntry(entry.0))
+    }
+
+    fn credit_table(&self, entry: XEntryId) -> Result<u64, XpcError> {
+        self.entry_info(entry)?
+            .credit_table_pa
             .ok_or(XpcError::NoSuchEntry(entry.0))
     }
 
@@ -760,9 +798,15 @@ impl XpcKernel {
     ///
     /// # Errors
     ///
-    /// Unknown ids.
+    /// Unknown ids: a thread that does not exist, or an entry that is
+    /// not registered (its bit would lie outside the capability bitmap).
+    ///
+    /// # Panics
+    ///
+    /// If the thread's capability bitmap is not in DRAM (a kernel bug).
     pub fn revoke_xcall(&mut self, thread: ThreadId, entry: XEntryId) -> Result<(), XpcError> {
         let cap_pa = self.thread(thread)?.runtime.cap_bitmap_pa;
+        self.entry_info(entry)?;
         let byte_pa = cap_pa + entry.0 / 8;
         let old = self
             .machine
@@ -816,10 +860,7 @@ impl XpcKernel {
     ///
     /// Unknown entry.
     pub fn revoke_entry(&mut self, entry: XEntryId) -> Result<(), XpcError> {
-        self.entries
-            .get(entry.0 as usize)
-            .and_then(|e| e.as_ref())
-            .ok_or(XpcError::NoSuchEntry(entry.0))?;
+        self.entry_info(entry)?;
         for tid in 0..self.threads.len() as u64 {
             self.revoke_xcall(ThreadId(tid), entry)?;
         }
@@ -838,11 +879,7 @@ impl XpcKernel {
     ///
     /// Unknown entry.
     pub fn entry_epoch(&self, entry: XEntryId) -> Result<u64, XpcError> {
-        self.entries
-            .get(entry.0 as usize)
-            .and_then(|e| e.as_ref())
-            .map(|e| e.epoch)
-            .ok_or(XpcError::NoSuchEntry(entry.0))
+        Ok(self.entry_info(entry)?.epoch)
     }
 
     // ---- relay segments -------------------------------------------------
@@ -868,7 +905,12 @@ impl XpcKernel {
     ///
     /// # Errors
     ///
-    /// Out-of-memory.
+    /// Out-of-memory, which includes a `pages` of 0 or of more than the
+    /// 512 that the segment's one-frame relay page table maps.
+    ///
+    /// # Panics
+    ///
+    /// If a frame the allocator returned is not in DRAM (a kernel bug).
     pub fn alloc_relay_pt_seg(
         &mut self,
         owner: ThreadId,
@@ -896,7 +938,12 @@ impl XpcKernel {
     ///
     /// # Errors
     ///
-    /// Ownership violation.
+    /// Ownership violation, an unknown handle included.
+    ///
+    /// # Panics
+    ///
+    /// If a paged segment's relay page table is not in DRAM (a kernel
+    /// bug).
     pub fn free_relay_seg(&mut self, owner: ThreadId, h: SegHandle) -> Result<(), XpcError> {
         match self.segs.owner(h) {
             SegOwner::Thread(t) if t == owner.0 => {}
@@ -1086,12 +1133,21 @@ impl XpcKernel {
     ///
     /// # Errors
     ///
-    /// Bad slot, ownership violation, unknown ids.
+    /// Bad slot, unknown ids, or a handle that is unknown or freed
+    /// (checked before the seg-list is written).
+    ///
+    /// # Panics
+    ///
+    /// If the process's seg-list is not in DRAM (a kernel bug).
     pub fn stash_seg(&mut self, pid: ProcessId, slot: u64, h: SegHandle) -> Result<(), XpcError> {
         if slot >= SEG_LIST_SLOTS {
             return Err(XpcError::SegListFull);
         }
         let list_pa = self.process(pid)?.seg_list_pa;
+        if self.segs.owner(h) == SegOwner::Freed {
+            let (seg, owner) = (h.0, None);
+            return Err(XpcError::SegNotOwned { seg, owner });
+        }
         let seg = self.segs.seg_reg(h);
         SegDescriptor { seg, valid: true }
             .store(&mut self.machine.core, list_pa, slot)

@@ -19,11 +19,15 @@ pub struct FrameAlloc {
 
 impl FrameAlloc {
     /// Allocate frames from `base..base+len` (both frame-aligned).
+    ///
+    /// # Panics
+    ///
+    /// If `base` is not frame-aligned or `base + len` overflows.
     pub fn new(base: u64, len: u64) -> Self {
         assert_eq!(base % FRAME_BYTES, 0, "base must be frame-aligned");
         FrameAlloc {
             next: base,
-            limit: base + len,
+            limit: base.checked_add(len).expect("frame range overflows u64"),
             free: Vec::new(),
         }
     }

@@ -173,7 +173,8 @@ impl SegRegistry {
     ///
     /// # Errors
     ///
-    /// Out-of-memory (frames, table, or virtual window).
+    /// Out-of-memory (frames, table, or virtual window), and for a
+    /// `pages` of 0 or of more than the table's one frame maps.
     pub(crate) fn alloc_paged(
         &mut self,
         alloc: &mut FrameAlloc,
@@ -181,10 +182,10 @@ impl SegRegistry {
         owner_thread: u64,
         writable: bool,
     ) -> Result<(SegHandle, u64, Vec<u64>), XpcError> {
-        assert!(pages > 0, "empty paged segment");
-        let bytes = pages
-            .checked_mul(FRAME_BYTES)
-            .ok_or(XpcError::OutOfMemory)?;
+        if !(1..=FRAME_BYTES / 8).contains(&pages) {
+            return Err(XpcError::OutOfMemory);
+        }
+        let bytes = pages * FRAME_BYTES;
         let va = self.alloc_window(bytes)?;
         let table_pa = match alloc.alloc() {
             Ok(pa) => pa,
@@ -232,9 +233,11 @@ impl SegRegistry {
         self.segs[h.0 as usize].seg
     }
 
-    /// Current owner of `h`.
+    /// Current owner of `h`; an unknown handle reads as freed.
     pub(crate) fn owner(&self, h: SegHandle) -> SegOwner {
-        self.segs[h.0 as usize].owner
+        self.segs
+            .get(h.0 as usize)
+            .map_or(SegOwner::Freed, |i| i.owner)
     }
 
     /// Transfer ownership (kernel-observed; e.g. along a calling chain or

@@ -6,6 +6,7 @@ use rv64::{reg, Assembler};
 use xpc::kernel::{syscall, KernelEvent, XpcKernel, XpcKernelConfig, ERR_TIMEOUT};
 use xpc::layout::USER_CODE_VA;
 use xpc::trampoline::ERR_NO_CONTEXT;
+use xpc::{XEntryId, XpcError};
 use xpc_engine::csr_map;
 use xpc_engine::XpcAsm;
 
@@ -156,6 +157,24 @@ fn grant_requires_grant_cap() {
     // The server can delegate the grant-cap, after which it works.
     k.grant_grant(server, outsider, entry).unwrap();
     k.grant_xcall(outsider, client, entry).unwrap();
+}
+
+#[test]
+fn revoking_an_unregistered_entry_is_an_error() {
+    let mut k = XpcKernel::boot(XpcKernelConfig::default());
+    let pid = k.create_process().unwrap();
+    let client = k.create_thread(pid).unwrap();
+    let caps = k.create_thread(pid).unwrap();
+    // An id far past the table, one whose bit would land in the next
+    // thread's capability bitmap, and a free slot of the table.
+    for id in [u64::MAX, 1 << 13, 7] {
+        let err = k.revoke_xcall(client, XEntryId(id)).unwrap_err();
+        assert_eq!(err, XpcError::NoSuchEntry(id));
+    }
+    assert!(
+        k.revoke_xcall(caps, XEntryId(0)).is_ok(),
+        "entry 0 is reserved"
+    );
 }
 
 #[test]

@@ -6,6 +6,7 @@ use rv64::trap::Cause;
 use rv64::{reg, Assembler};
 use xpc::kernel::{syscall, KernelEvent, XpcKernel, XpcKernelConfig};
 use xpc::layout::USER_CODE_VA;
+use xpc::{SegHandle, XpcError};
 use xpc_engine::{csr_map, XpcAsm};
 
 fn asm() -> Assembler {
@@ -214,4 +215,34 @@ fn seg_access_with_wrapping_offset_is_a_typed_error() {
     assert!(k.read_seg(seg, 60, 8).is_err());
     k.write_seg(seg, 0, &[1u8; 64]).unwrap();
     assert_eq!(k.read_seg(seg, 0, 64).unwrap(), vec![1u8; 64]);
+}
+
+#[test]
+fn a_relay_page_table_maps_one_frame_of_pages() {
+    let mut k = XpcKernel::boot(XpcKernelConfig::default());
+    let pid = k.create_process().unwrap();
+    let client = k.create_thread(pid).unwrap();
+    for pages in [0, 513] {
+        let err = k.alloc_relay_pt_seg(client, pages).unwrap_err();
+        assert_eq!(err, XpcError::OutOfMemory, "{pages} pages");
+    }
+    let seg = k.alloc_relay_pt_seg(client, 512).unwrap();
+    k.free_relay_seg(client, seg).unwrap();
+}
+
+#[test]
+fn an_unknown_or_freed_handle_is_not_owned() {
+    let mut k = XpcKernel::boot(XpcKernelConfig::default());
+    let pid = k.create_process().unwrap();
+    let client = k.create_thread(pid).unwrap();
+    let freed = k.alloc_relay_seg(client, 4096).unwrap();
+    k.free_relay_seg(client, freed).unwrap();
+    for h in [SegHandle(99), freed] {
+        let not_owned = XpcError::SegNotOwned {
+            seg: h.0,
+            owner: None,
+        };
+        assert_eq!(k.free_relay_seg(client, h), Err(not_owned.clone()));
+        assert_eq!(k.stash_seg(pid, 0, h), Err(not_owned));
+    }
 }
