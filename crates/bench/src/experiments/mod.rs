@@ -478,6 +478,43 @@ fn any_cell(cells: &[Value], key: &str, want: impl Into<Value>) -> bool {
     cells.iter().any(|c| c.get(key) == Some(&want))
 }
 
+/// The paper's claims as rows (see its module doc); the schema test of
+/// `tests/snapshots.rs` checks them all on the whole document.
+#[cfg(test)]
+#[path = "../../tests/claims/mod.rs"]
+mod claims;
+
+/// Check the claims rows of unit test `test` on the sections they read,
+/// each computed once per test process.
+#[cfg(test)]
+fn claims_hold(test: &str) {
+    use std::sync::OnceLock;
+    static SECTIONS: [OnceLock<Value>; REGISTRY.len()] =
+        [const { OnceLock::new() }; REGISTRY.len()];
+    let cached = |key: &str| {
+        let i = REGISTRY
+            .iter()
+            .position(|e| e.0 == key)
+            .expect("a registry key");
+        SECTIONS[i].get_or_init(|| section(key))
+    };
+    claims::check(cached, Some(test));
+}
+
+/// One `#[test]` per group of claims rows of experiment module `$exp`,
+/// named for the group.
+#[cfg(test)]
+macro_rules! claims_tests {
+    ($exp:ident: $($test:ident),+) => {$(
+        #[test]
+        fn $test() {
+            crate::experiments::claims_hold(concat!(stringify!($exp), "::", stringify!($test)));
+        }
+    )+};
+}
+#[cfg(test)]
+use claims_tests;
+
 /// One registry entry: an experiment's key, its table runner and view,
 /// and the place of its `BENCH_figures.json` section.
 type Registered = (&'static str, fn() -> Report, fn(bool) -> Value, u8);
